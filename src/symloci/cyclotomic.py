@@ -23,6 +23,7 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_new = object.__new__
 
 
 class NonSquare(ValueError):
@@ -143,6 +144,17 @@ class Cyclotomic:
         self.c = coeffs
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, conductor: int, coeffs: tuple) -> Cyclotomic:
+        """Internal fast path for results of the arithmetic and _reduce_raw:
+        coeffs must already be a tuple of phi(conductor) Fractions, so no
+        re-wrapping and no length check is done."""
+        obj = _new(cls)
+        obj.n = conductor
+        obj.c = coeffs
+        obj._hash = None
+        return obj
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -155,12 +167,12 @@ class Cyclotomic:
         k %= n
         raw = [_ZERO] * (k + 1)
         raw[k] = _ONE
-        return cls(n, _reduce_raw(n, raw))
+        return cls._trusted(n, _reduce_raw(n, raw))
 
     @classmethod
     def from_raw(cls, conductor: int, raw) -> Cyclotomic:
         """Reduce sum_i raw[i] * zeta_n^i to the canonical basis."""
-        return cls(conductor, _reduce_raw(conductor, [Fraction(x) for x in raw]))
+        return cls._trusted(conductor, _reduce_raw(conductor, [Fraction(x) for x in raw]))
 
     # -- representation helpers --------------------------------------------
 
@@ -175,7 +187,7 @@ class Cyclotomic:
         for i, ci in enumerate(self.c):
             if ci:
                 raw[i * step] = ci
-        return Cyclotomic(m, _reduce_raw(m, raw))
+        return Cyclotomic._trusted(m, _reduce_raw(m, raw))
 
     def _common(self, other: Cyclotomic):
         m = lcm(self.n, other.n)
@@ -201,9 +213,9 @@ class Cyclotomic:
                 if ci:
                     e = (i * ((h + 1) // 2)) % h
                     raw[e] += ci if i % 2 == 0 else -ci
-            x = Cyclotomic(h, _reduce_raw(h, raw))
+            x = Cyclotomic._trusted(h, _reduce_raw(h, raw))
         if x.is_rational():
-            return Cyclotomic(1, (x.c[0],))
+            return Cyclotomic._trusted(1, (x.c[0],))
         for d in _divisors(x.n):
             if d == x.n or d % 4 == 2 or d == 1:
                 continue
@@ -219,20 +231,23 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         if self.n == other.n:
-            return Cyclotomic(self.n, tuple(a + b for a, b in zip(self.c, other.c)))
+            return Cyclotomic._trusted(self.n, tuple(a + b for a, b in zip(self.c, other.c)))
         m, a, b = self._common(other)
-        return Cyclotomic(m, tuple(x + y for x, y in zip(a, b)))
+        return Cyclotomic._trusted(m, tuple(x + y for x, y in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.n, tuple(-x for x in self.c))
+        return Cyclotomic._trusted(self.n, tuple(-x for x in self.c))
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if self.n == other.n:
+            return Cyclotomic._trusted(self.n, tuple(a - b for a, b in zip(self.c, other.c)))
+        m, a, b = self._common(other)
+        return Cyclotomic._trusted(m, tuple(x - y for x, y in zip(a, b)))
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -243,10 +258,10 @@ class Cyclotomic:
             return NotImplemented
         if self.n == 1:
             q = self.c[0]
-            return Cyclotomic(other.n, tuple(q * x for x in other.c))
+            return Cyclotomic._trusted(other.n, tuple(q * x for x in other.c))
         if other.n == 1:
             q = other.c[0]
-            return Cyclotomic(self.n, tuple(q * x for x in self.c))
+            return Cyclotomic._trusted(self.n, tuple(q * x for x in self.c))
         m, a, b = self._common(other)
         conv = [_ZERO] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -254,7 +269,7 @@ class Cyclotomic:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return Cyclotomic(m, _reduce_raw(m, conv))
+        return Cyclotomic._trusted(m, _reduce_raw(m, conv))
 
     __rmul__ = __mul__
 
@@ -262,10 +277,10 @@ class Cyclotomic:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.is_rational():
-            return Cyclotomic(self.n, (1 / self.c[0],) + self.c[1:])
+            return Cyclotomic._trusted(self.n, (1 / self.c[0],) + self.c[1:])
         mod = [Fraction(x) for x in _cyclotomic_int_coeffs(self.n)]
         u = _poly_modular_inverse(list(self.c), mod)
-        return Cyclotomic(self.n, _reduce_raw(self.n, u))
+        return Cyclotomic._trusted(self.n, _reduce_raw(self.n, u))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -316,7 +331,7 @@ class Cyclotomic:
         for i, ci in enumerate(self.c):
             if ci:
                 raw[(i * k) % self.n] += ci
-        return Cyclotomic(self.n, _reduce_raw(self.n, raw))
+        return Cyclotomic._trusted(self.n, _reduce_raw(self.n, raw))
 
     def conjugate(self) -> Cyclotomic:
         return self.galois(self.n - 1) if self.n > 1 else self

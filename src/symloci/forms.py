@@ -167,47 +167,62 @@ class BinaryForm:
         return " + ".join(terms).replace("+ -", "- ")
 
 
+def _power_table(s: Cyclotomic, t: Cyclotomic, n: int) -> list[list[Cyclotomic]]:
+    """Coefficient lists of (sX + tY)^k for k = 0..n."""
+    pows = [[_C1]]
+    for k in range(1, n + 1):
+        prev = pows[-1]
+        cur = [_C0] * (k + 1)
+        for i, p in enumerate(prev):
+            if p:
+                cur[i] = cur[i] + p * s
+                cur[i + 1] = cur[i + 1] + p * t
+        pows.append(cur)
+    return pows
+
+
+def _accumulate_product(out: list, p1: list, p2: list, coef=None):
+    # out += coef * p1 * p2, coefficient lists in the X^(n-i) Y^i order
+    for u, x in enumerate(p1):
+        if x:
+            cx = x if coef is None else coef * x
+            for v, y in enumerate(p2):
+                if y:
+                    out[u + v] = out[u + v] + cx * y
+
+
 def substitute(f: BinaryForm, g) -> BinaryForm:
     """Right substitution action F^g = F(aX+bY, cX+dY).
 
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
-    with fields a, b, c, d.
+    with fields a, b, c, d.  The powers (aX+bY)^k and (cX+dY)^k, k = 0..n,
+    are built once per call by ``_power_table``, the same table from which
+    ``_substitution_columns`` builds the whole substitution matrix.
     """
     a, b, c, d = _matrix_entries(g)
     n = f.degree
     if n == 0:
         return f
-    # powers of the two substituted linear forms as coefficient lists
-    lin1 = [(a, b)]
-    pows1 = [[_C1]]
-    pows2 = [[_C1]]
-    for k in range(1, n + 1):
-        prev = pows1[-1]
-        cur = [_C0] * (k + 1)
-        for i, p in enumerate(prev):
-            if p:
-                cur[i] = cur[i] + p * a
-                cur[i + 1] = cur[i + 1] + p * b
-        pows1.append(cur)
-        prev = pows2[-1]
-        cur = [_C0] * (k + 1)
-        for i, p in enumerate(prev):
-            if p:
-                cur[i] = cur[i] + p * c
-                cur[i + 1] = cur[i + 1] + p * d
-        pows2.append(cur)
+    pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
     out = [_C0] * (n + 1)
     for i, coef in enumerate(f.coeffs):
-        if not coef:
-            continue
-        p1, p2 = pows1[n - i], pows2[i]
-        for u, x in enumerate(p1):
-            if x:
-                cx = coef * x
-                for v, y in enumerate(p2):
-                    if y:
-                        out[u + v] = out[u + v] + cx * y
+        if coef:
+            _accumulate_product(out, pows1[n - i], pows2[i], coef)
     return BinaryForm(n, out)
+
+
+def _substitution_columns(n: int, g) -> list[list[Cyclotomic]]:
+    """Matrix of F -> F^g on degree-n forms, by columns: column k is the
+    coefficient list of (X^(n-k) Y^k)^g.  One power table serves all n+1
+    monomials."""
+    a, b, c, d = _matrix_entries(g)
+    pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
+    cols = []
+    for k in range(n + 1):
+        out = [_C0] * (n + 1)
+        _accumulate_product(out, pows1[n - k], pows2[k])
+        cols.append(out)
+    return cols
 
 
 def _matrix_entries(g):

@@ -10,6 +10,8 @@ dihedral, tetrahedral, octahedral and icosahedral rotation groups.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cyclotomic import Cyclotomic, euler_phi, _divisors
 from .forms import BinaryForm, Divisor, P1Point, RationalMap, substitute
 
@@ -273,8 +275,15 @@ def standard_subgroup(kind: str, m: int | None = None) -> FiniteSubgroup:
     octa:     <iz, i(z+1)/(z-1)>
     icosa:    <eps z, T> with eps = zeta_5 and T the symmetric order-2 map
               with entries in Q(zeta_5); validated by closure order 60.
+
+    Each (kind, m) is closed once per process and the same FiniteSubgroup is
+    returned on later calls; nothing in the package mutates one.
     """
-    kind = kind.lower()
+    return _standard_subgroup(kind.lower(), m)
+
+
+@lru_cache(maxsize=None)
+def _standard_subgroup(kind: str, m: int | None) -> FiniteSubgroup:
     i = Cyclotomic.zeta(4)
     rot3 = MoebiusMap(i, i, 1, -1)  # i(z+1)/(z-1)
     if kind == "cyclic":

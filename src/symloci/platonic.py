@@ -23,6 +23,7 @@ from .forms import (
     Divisor,
     P1Point,
     RationalMap,
+    _substitution_columns,
     form_from_divisor,
     form_gcd,
     substitute,
@@ -84,9 +85,8 @@ def lifted_scalar(form: BinaryForm, rep: MoebiusMap) -> Cyclotomic:
     image = substitute(form, rep)
     i = next(k for k, c in enumerate(form.coeffs) if c)
     scalar = image.coeffs[i] * form.coeffs[i].inverse()
-    assert all(
-        image.coeffs[k] == scalar * form.coeffs[k] for k in range(n + 1)
-    ), "form is not an eigenvector of the group element"
+    if not all(image.coeffs[k] == scalar * form.coeffs[k] for k in range(n + 1)):
+        raise AssertionError("form is not an eigenvector of the group element")
     return scalar * (rep.det() ** (n // 2)).inverse()
 
 
@@ -206,9 +206,11 @@ def fiber_dimension(d: int, group: FiniteSubgroup, obj) -> int:
             raise NotInImage(f"deg D2 = {deg2} exceeds d+1 = {d+1}")
         if (d + 1 - deg2) % n:
             raise NotInImage(f"deg D2 = {deg2} is not d+1 mod {n}")
-        assert (d - 1 - deg1) % n == 0, "pair condition forces deg D1 = d-1 mod |G|"
+        if (d - 1 - deg1) % n:
+            raise AssertionError("pair condition forces deg D1 = d-1 mod |G|")
         dim = (d - 1 - deg1) // n + (d + 1 - deg2) // n + 1
-        assert dim == 2 * d // n + 1 - (deg1 + deg2) // n
+        if dim != 2 * d // n + 1 - (deg1 + deg2) // n:
+            raise AssertionError("fiber dimension disagrees with the closed form")
         return dim
     if isinstance(obj, Divisor):
         deg = obj.degree
@@ -259,32 +261,39 @@ def existence_residues(group_or_kind, modulus: int | None = None, d_max: int = 6
 # ---------------------------------------------------------------------------
 
 
-def _substitution_matrix(n: int, rep: MoebiusMap) -> ExactMatrix:
-    cols = []
-    for k in range(n + 1):
-        img = substitute(BinaryForm.monomial(n, k), rep)
-        cols.append(img.coeffs)
-    rows = [[cols[k][i] for k in range(n + 1)] for i in range(n + 1)]
-    return ExactMatrix.from_rows(rows)
+# (n, generator entries, char) -> eigenspace basis, kept for the process's life
+_EIGENSPACES: dict[tuple, tuple[BinaryForm, ...]] = {}
 
 
 def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[BinaryForm]:
     """Basis of forms of (even) degree n scaled by char under the lifted
     generators; the condition per generator rep M of determinant Delta is
-    F^M = char * Delta^(n/2) F."""
+    F^M = char * Delta^(n/2) F.
+
+    Each generator's substitution matrix comes from one shared power table.
+    Results are cached for the life of the process, keyed on n, the exact
+    generator entries and char, so a survey over consecutive odd degrees
+    builds the degree-(d+1) spaces at d once and reuses them at d+2.  The
+    key holds the entries rather than the MoebiusMap, whose equality is
+    projective; the space itself does not depend on the scale of a
+    representative, since Delta^(n/2) absorbs it.
+    """
     if n % 2:
         return []
-    zero = Cyclotomic.rational(0)
-    stacked = []
-    for g, chi in zip(group.generators, char):
-        mat = _substitution_matrix(n, g)
-        mu = chi * g.det() ** (n // 2)
-        for i in range(n + 1):
-            row = list(mat.row(i))
-            row[i] = row[i] - mu
-            stacked.append(row)
-    kernel = ExactMatrix.from_rows(stacked).kernel_basis()
-    return [BinaryForm(n, vec) for vec in kernel]
+    key = (n, tuple(g.entries() for g in group.generators), tuple(char))
+    basis = _EIGENSPACES.get(key)
+    if basis is None:
+        stacked = []
+        for g, chi in zip(group.generators, char):
+            cols = _substitution_columns(n, g)
+            mu = chi * g.det() ** (n // 2)
+            for i in range(n + 1):
+                row = [col[i] for col in cols]
+                row[i] = row[i] - mu
+                stacked.append(row)
+        kernel = ExactMatrix.from_rows(stacked).kernel_basis()
+        basis = _EIGENSPACES[key] = tuple(BinaryForm(n, vec) for vec in kernel)
+    return list(basis)
 
 
 def character_group(group: FiniteSubgroup) -> list[tuple]:
@@ -426,10 +435,12 @@ def invariant_eigenvalue_check(group: FiniteSubgroup, p: P1Point, g: MoebiusMap)
     image = substitute(form, g)
     i = next(k for k, c in enumerate(form.coeffs) if c)
     scalar = image.coeffs[i] * form.coeffs[i].inverse()
-    assert all(image.coeffs[k] == scalar * form.coeffs[k] for k in range(form.degree + 1))
+    if not all(image.coeffs[k] == scalar * form.coeffs[k] for k in range(form.degree + 1)):
+        raise AssertionError("the full-orbit form is not an eigenvector of g")
     m = g.projective_order()
     expected = Cyclotomic.rational((-1) ** (group.order // m))
-    assert scalar == expected, f"orbit-form scalar {scalar!r} != (-1)^(|G|/m)"
+    if scalar != expected:
+        raise AssertionError(f"orbit-form scalar {scalar!r} != (-1)^(|G|/m)")
     return scalar
 
 

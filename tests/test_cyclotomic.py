@@ -103,6 +103,37 @@ def test_promotion_coherence(n1, n2, c1, c2, k1, k2):
     assert (a * b).promote(lcm((a * b).n, m)) == a.promote(m) * b.promote(m)
 
 
+FAST_PATH_CONDUCTORS = [1, 3, 4, 5, 8, 12, 15, 20]
+
+
+@st.composite
+def cyclotomics(draw):
+    n = draw(st.sampled_from(FAST_PATH_CONDUCTORS))
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=euler_phi(n),
+            max_size=euler_phi(n),
+        )
+    )
+    return Cyclotomic(n, coeffs)
+
+
+@given(a=cyclotomics(), b=cyclotomics())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_results_are_canonical(a, b):
+    # +, - and * build their results without re-validation; each result
+    # must still be a well-formed element the public constructor accepts
+    for r in (a + b, a - b, a * b):
+        assert all(type(x) is Fraction for x in r.c)
+        assert len(r.c) == euler_phi(r.n)
+        assert type(r.c) is tuple
+        assert Cyclotomic(r.n, r.c) == r
+        assert Cyclotomic(r.n, r.c).c == r.c
+    assert a - b == a + (-b)
+    assert (a - b).n == (a + (-b)).n and (a - b).c == (a + (-b)).c
+
+
 def test_complex_embedding_is_morphism():
     import random
 

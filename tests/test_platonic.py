@@ -216,3 +216,37 @@ def test_no_symmetric_maps_where_existence_fails():
                     if meets_ratd(FormPair(d, h, j)):
                         hits += 1
                 assert hits == 0, (kind, d, char)
+
+
+def test_certificate_checks_survive_python_O():
+    # the eigenvector checks are explicit raises, not asserts that -O strips
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import symloci
+
+    script = """
+import sys
+from symloci.forms import BinaryForm
+from symloci.platonic import lifted_scalar, platonic_group
+assert False, "asserts must be stripped under -O"
+g = platonic_group("octa").generators[1]
+try:
+    lifted_scalar(BinaryForm(2, [1, 0, 0]), g)  # X^2 is not an eigenform
+except AssertionError as exc:
+    print("rejected:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = str(Path(symloci.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "not an eigenvector" in proc.stdout
