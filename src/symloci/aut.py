@@ -142,25 +142,25 @@ def _mobius_through(src, dst) -> np.ndarray:
     return inv @ m_src
 
 
-def _subst_complex(coeffs: np.ndarray, a, b, c, d) -> np.ndarray:
-    # F(aX+bY, cX+dY) for a complex coefficient vector (X-descending)
-    n = len(coeffs) - 1
+def _conjugate_complex(fc: np.ndarray, gc: np.ndarray, m: np.ndarray):
+    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    # F(aX+bY, cX+dY) and G(aX+bY, cX+dY) from one table of the products
+    # (aX+bY)^(n-i) (cX+dY)^i, coefficients X-descending
+    n = len(fc) - 1
     p1 = [np.array([1.0 + 0j])]
     p2 = [np.array([1.0 + 0j])]
     for _ in range(n):
         p1.append(np.convolve(p1[-1], np.array([a, b])))
         p2.append(np.convolve(p2[-1], np.array([c, d])))
-    out = np.zeros(n + 1, dtype=complex)
-    for i, coef in enumerate(coeffs):
-        if coef != 0:
-            out += coef * np.convolve(p1[n - i], p2[i])
-    return out
-
-
-def _conjugate_complex(fc: np.ndarray, gc: np.ndarray, m: np.ndarray):
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    fs = _subst_complex(fc, a, b, c, d)
-    gs = _subst_complex(gc, a, b, c, d)
+    fs = np.zeros(n + 1, dtype=complex)
+    gs = np.zeros(n + 1, dtype=complex)
+    for i, (fi, gi) in enumerate(zip(fc, gc)):
+        if fi != 0 or gi != 0:
+            prod = np.convolve(p1[n - i], p2[i])
+            if fi != 0:
+                fs += fi * prod
+            if gi != 0:
+                gs += gi * prod
     return d * fs - b * gs, a * gs - c * fs
 
 

@@ -1,11 +1,16 @@
 """Exact arithmetic over Q and the cyclotomic fields Q(zeta_n).
 
 Every quantity in this package is a cyclotomic number: a Q-linear
-combination of powers of a primitive n-th root of unity, stored in the
-reduced power basis {zeta^i : 0 <= i < phi(n)} modulo the n-th cyclotomic
-polynomial.  That basis makes equality testing canonical: two elements are
-equal iff their coefficient vectors agree after promotion to the lcm
-conductor.
+combination of powers of a primitive n-th root of unity, in the reduced
+power basis {zeta^i : 0 <= i < phi(n)} modulo the n-th cyclotomic
+polynomial Phi_n.  As in FLINT's fmpq_poly and nf_elem, the coefficients
+are integer numerators over one common denominator: x = sum_i nums[i]
+zeta^i / den with den > 0 and gcd(den, *nums) == 1.  That form is unique,
+so elements of one field are equal iff their (nums, den) agree; elements
+of different fields are compared at the lcm conductor.  Sums, products
+(convolutions folded modulo Phi_n) and inverses (an extended Euclid
+against Phi_n) run on integers, then divide out one gcd.  ``c`` gives the
+coefficients as Fractions, for printing and serialization.
 
 Also provided here: dense univariate polynomials over the cyclotomics and
 exact linear algebra (kernel, rank, determinant, solve), which every other
@@ -18,11 +23,10 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, mul, sub
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _new = object.__new__
 
 
@@ -46,6 +50,9 @@ def euler_phi(n: int) -> int:
     return result
 
 
+_phi = lru_cache(maxsize=None)(euler_phi)
+
+
 def _divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -58,6 +65,12 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
 def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
     # exact division of integer polynomials, den monic; coeffs low->high
     num = list(num)
@@ -68,7 +81,8 @@ def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
-    assert all(c == 0 for c in num[: len(den) - 1])
+    if any(num[: len(den) - 1]):
+        raise AssertionError("integer polynomial division is not exact")
     return q
 
 
@@ -94,14 +108,15 @@ def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    # row k-phi expresses zeta_n^k (phi <= k < n) in the reduced basis
-    phi = euler_phi(n)
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # row k-phi expresses zeta_n^k (phi <= k < n) in the reduced basis,
+    # as the (index, coefficient) pairs of its nonzero entries
+    phi = _phi(n)
     mod = _cyclotomic_int_coeffs(n)
     rows = []
     cur = [-c for c in mod[:phi]]  # x^phi
     for _ in range(phi, n):
-        rows.append(tuple(cur))
+        rows.append(tuple((i, v) for i, v in enumerate(cur) if v))
         top = cur[phi - 1]
         cur = [0] + cur[:-1]
         if top:
@@ -110,69 +125,87 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_raw(n: int, raw) -> tuple[Fraction, ...]:
-    # fold arbitrary zeta_n-power coefficients into the reduced basis
-    phi = euler_phi(n)
-    out = [_ZERO] * phi
-    rows = None
-    for e, c in enumerate(raw):
-        if not c:
-            continue
-        e %= n
-        if e < phi:
-            out[e] += c
-        else:
-            if rows is None:
-                rows = _reduction_rows(n)
-            row = rows[e - phi]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
+def _fold(n: int, phi: int, raw: list) -> tuple[int, ...]:
+    # sum_e raw[e] zeta_n^e (integers, any length) in the reduced basis;
+    # raw is consumed
+    if len(raw) > n:
+        for e in range(n, len(raw)):
+            raw[e % n] += raw[e]
+        del raw[n:]
+    out = raw[:phi] + [0] * (phi - len(raw))
+    rows = _reduction_rows(n)
+    for e in range(phi, len(raw)):
+        c = raw[e]
+        if c:
+            for i, r in rows[e - phi]:
+                out[i] += c * r
     return tuple(out)
 
 
-class Cyclotomic:
-    """An element of Q(zeta_n) in the canonical reduced representation."""
+def _make(n: int, nums: tuple[int, ...], den: int) -> Cyclotomic:
+    # the canonical element nums / den of Q(zeta_n); den > 0 on entry
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([v // g for v in nums])
+            den //= g
+    obj = _new(Cyclotomic)
+    obj.n, obj.nums, obj.den, obj._hash = n, nums, den, None
+    return obj
 
-    __slots__ = ("n", "c", "_hash")
+
+def _add(x: Cyclotomic, y: Cyclotomic, op) -> Cyclotomic:
+    # x op y for op in (add, sub) at one conductor
+    dx, dy = x.den, y.den
+    if dx == dy:
+        return _make(x.n, tuple(map(op, x.nums, y.nums)), dx)
+    g = gcd(dx, dy)
+    fx, fy = dy // g, dx // g
+    return _make(x.n, tuple([op(a * fx, b * fy) for a, b in zip(x.nums, y.nums)]), dx * fx)
+
+
+class Cyclotomic:
+    """An element nums / den of Q(zeta_n) in the canonical reduced form."""
+
+    __slots__ = ("n", "nums", "den", "_hash")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(Fraction(x) for x in coeffs)
+        coeffs = [Fraction(x) for x in coeffs]
         if len(coeffs) != euler_phi(conductor):
             raise ValueError("coefficient vector has wrong length for conductor")
-        self.n = conductor
-        self.c = coeffs
-        self._hash = None
+        # each Fraction is in lowest terms, so the lcm leaves gcd(den, *nums) == 1
+        den = lcm(*(x.denominator for x in coeffs))
+        nums = tuple(x.numerator * (den // x.denominator) for x in coeffs)
+        self.n, self.nums, self.den, self._hash = conductor, nums, den, None
 
-    @classmethod
-    def _trusted(cls, conductor: int, coeffs: tuple) -> Cyclotomic:
-        """Internal fast path for results of the arithmetic and _reduce_raw:
-        coeffs must already be a tuple of phi(conductor) Fractions, so no
-        re-wrapping and no length check is done."""
-        obj = _new(cls)
-        obj.n = conductor
-        obj.c = coeffs
-        obj._hash = None
-        return obj
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The coefficients in the reduced basis, as Fractions."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, q) -> Cyclotomic:
-        return cls(1, (Fraction(q),))
+        if type(q) is int:
+            return _make(1, (q,), 1)
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> Cyclotomic:
         """zeta_n^k as an exact element of Q(zeta_n)."""
-        k %= n
-        raw = [_ZERO] * (k + 1)
-        raw[k] = _ONE
-        return cls._trusted(n, _reduce_raw(n, raw))
+        raw = [0] * (k % n) + [1]
+        return _make(n, _fold(n, _phi(n), raw), 1)
 
     @classmethod
     def from_raw(cls, conductor: int, raw) -> Cyclotomic:
         """Reduce sum_i raw[i] * zeta_n^i to the canonical basis."""
-        return cls._trusted(conductor, _reduce_raw(conductor, [Fraction(x) for x in raw]))
+        raw = [Fraction(x) for x in raw]
+        den = lcm(*(x.denominator for x in raw))
+        ints = [x.numerator * (den // x.denominator) for x in raw]
+        return _make(conductor, _fold(conductor, _phi(conductor), ints), den)
 
     # -- representation helpers --------------------------------------------
 
@@ -183,23 +216,24 @@ class Cyclotomic:
         if m % self.n != 0:
             raise ValueError("can only promote to a multiple of the conductor")
         step = m // self.n
-        raw = [_ZERO] * ((len(self.c) - 1) * step + 1) if self.c else [_ZERO]
-        for i, ci in enumerate(self.c):
-            if ci:
-                raw[i * step] = ci
-        return Cyclotomic._trusted(m, _reduce_raw(m, raw))
+        raw = [0] * ((len(self.nums) - 1) * step + 1)
+        raw[::step] = self.nums
+        return _make(m, _fold(m, _phi(m), raw), self.den)
 
     def _common(self, other: Cyclotomic):
+        # both operands at one conductor, the lcm of theirs
+        if self.n == other.n:
+            return self, other
         m = lcm(self.n, other.n)
-        return m, self.promote(m).c, other.promote(m).c
+        return self.promote(m), other.promote(m)
 
     def is_rational(self) -> bool:
-        return all(not x for x in self.c[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.c[0]
+        return Fraction(self.nums[0], self.den)
 
     def minimal(self) -> Cyclotomic:
         """Rewrite at the smallest conductor that can represent the value."""
@@ -208,14 +242,14 @@ class Cyclotomic:
         while x.n % 4 == 2:
             h = x.n // 2
             # zeta_n = -zeta_h^((h+1)/2)
-            raw = [_ZERO] * h
-            for i, ci in enumerate(x.c):
+            raw = [0] * h
+            for i, ci in enumerate(x.nums):
                 if ci:
                     e = (i * ((h + 1) // 2)) % h
                     raw[e] += ci if i % 2 == 0 else -ci
-            x = Cyclotomic._trusted(h, _reduce_raw(h, raw))
+            x = _make(h, _fold(h, _phi(h), raw), x.den)
         if x.is_rational():
-            return Cyclotomic._trusted(1, (x.c[0],))
+            return _make(1, x.nums[:1], x.den)
         for d in _divisors(x.n):
             if d == x.n or d % 4 == 2 or d == 1:
                 continue
@@ -230,24 +264,18 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == other.n:
-            return Cyclotomic._trusted(self.n, tuple(a + b for a, b in zip(self.c, other.c)))
-        m, a, b = self._common(other)
-        return Cyclotomic._trusted(m, tuple(x + y for x, y in zip(a, b)))
+        return _add(*self._common(other), add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._trusted(self.n, tuple(-x for x in self.c))
+        return _make(self.n, tuple([-v for v in self.nums]), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == other.n:
-            return Cyclotomic._trusted(self.n, tuple(a - b for a, b in zip(self.c, other.c)))
-        m, a, b = self._common(other)
-        return Cyclotomic._trusted(m, tuple(x - y for x, y in zip(a, b)))
+        return _add(*self._common(other), sub)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -256,31 +284,35 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        den = self.den * other.den
         if self.n == 1:
-            q = self.c[0]
-            return Cyclotomic._trusted(other.n, tuple(q * x for x in other.c))
+            q = self.nums[0]
+            return _make(other.n, tuple([q * v for v in other.nums]), den)
         if other.n == 1:
-            q = other.c[0]
-            return Cyclotomic._trusted(self.n, tuple(q * x for x in self.c))
-        m, a, b = self._common(other)
-        conv = [_ZERO] * (len(a) + len(b) - 1)
+            q = other.nums[0]
+            return _make(self.n, tuple([q * v for v in self.nums]), den)
+        x, y = self._common(other)
+        a, b = x.nums, y.nums
+        conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return Cyclotomic._trusted(m, _reduce_raw(m, conv))
+                for j, bj in enumerate(b, i):
+                    conv[j] += ai * bj
+        return _make(x.n, _fold(x.n, len(a), conv), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Cyclotomic:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
+        q = self.nums[0]
         if self.is_rational():
-            return Cyclotomic._trusted(self.n, (1 / self.c[0],) + self.c[1:])
-        mod = [Fraction(x) for x in _cyclotomic_int_coeffs(self.n)]
-        u = _poly_modular_inverse(list(self.c), mod)
-        return Cyclotomic._trusted(self.n, _reduce_raw(self.n, u))
+            sign = -1 if q < 0 else 1
+            return _make(self.n, (sign * self.den,) + self.nums[1:], sign * q)
+        s, c = _int_modular_inverse(self.nums, _cyclotomic_int_coeffs(self.n))
+        # self * s = c / den, so 1 / self = den * s / c
+        scale = self.den if c > 0 else -self.den
+        return _make(self.n, _fold(self.n, len(self.nums), [scale * v for v in s]), abs(c))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -304,21 +336,19 @@ class Cyclotomic:
         return result
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.nums)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == other.n:
-            return self.c == other.c
-        m, a, b = self._common(other)
-        return a == b
+        a, b = self._common(other)
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         if self._hash is None:
             m = self.minimal()
-            self._hash = hash((m.n, m.c))
+            self._hash = hash((m.n, m.nums, m.den))
         return self._hash
 
     # -- galois / embeddings -------------------------------------------------
@@ -327,22 +357,24 @@ class Cyclotomic:
         """Apply zeta_n -> zeta_n^k; requires gcd(k, n) = 1."""
         if gcd(k, self.n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        raw = [_ZERO] * self.n
-        for i, ci in enumerate(self.c):
+        raw = [0] * self.n
+        for i, ci in enumerate(self.nums):
             if ci:
                 raw[(i * k) % self.n] += ci
-        return Cyclotomic._trusted(self.n, _reduce_raw(self.n, raw))
+        return _make(self.n, _fold(self.n, len(self.nums), raw), self.den)
 
     def conjugate(self) -> Cyclotomic:
         return self.galois(self.n - 1) if self.n > 1 else self
 
     def complex(self) -> complex:
+        # nums[i] / den is the correctly rounded float of the coefficient
         z = cmath.exp(2j * cmath.pi / self.n)
+        den = self.den
         total = 0j
         p = 1 + 0j
-        for ci in self.c:
+        for ci in self.nums:
             if ci:
-                total += float(ci) * p
+                total += ci / den * p
             p *= z
         return total
 
@@ -367,13 +399,13 @@ class Cyclotomic:
         if not self:
             return None
         if self.is_rational():
-            return self.c[0], Cyclotomic.rational(1)
+            return self.as_rational(), Cyclotomic.rational(1)
         n = self.n
         for j in range(n):
             rho = Cyclotomic.zeta(n, j)
             q = self * rho.inverse()
             if q.is_rational():
-                return q.c[0], rho
+                return q.as_rational(), rho
         return None
 
     def sqrt(self) -> Cyclotomic:
@@ -394,7 +426,8 @@ class Cyclotomic:
             n = self.n
             j = next(j for j in range(n) if Cyclotomic.zeta(n, j) == rho)
             root = root * Cyclotomic.zeta(2 * n, j)
-        assert root * root == self
+        if root * root != self:
+            raise AssertionError("computed square root does not square back")
         return root
 
     # -- io ---------------------------------------------------------------------
@@ -411,10 +444,11 @@ class Cyclotomic:
         return cls(int(obj["conductor"]), coeffs)
 
     def __repr__(self):
+        c = self.c
         if self.is_rational():
-            return str(self.c[0])
+            return str(c[0])
         terms = []
-        for i, ci in enumerate(self.c):
+        for i, ci in enumerate(c):
             if not ci:
                 continue
             if i == 0:
@@ -434,96 +468,64 @@ def _coerce(x):
     return NotImplemented
 
 
+@lru_cache(maxsize=None)
+def _descent(n: int, d: int):
+    """(checks, rows, scale) reading Q(zeta_n) at conductor d | n: integer
+    Gauss-Jordan on [P | I], P the (full column rank) promotion matrix from
+    Q(zeta_d), leaves diag(p_j) over zero rows.  nums / den lies in Q(zeta_d)
+    iff each check row (the I-part of a zero row) kills nums, and then
+    rows . nums / (scale * den) are its coefficients at d."""
+    phi_n, phi_d, step = _phi(n), _phi(d), n // d
+    cols = [_fold(n, phi_n, [0] * (j * step) + [1]) for j in range(phi_d)]
+    m = [[col[i] for col in cols] + [int(i == k) for k in range(phi_n)] for i in range(phi_n)]
+    for c in range(phi_d):
+        r = next(i for i in range(c, phi_n) if m[i][c])
+        m[c], m[r] = m[r], m[c]
+        piv = m[c]
+        for i in range(phi_n):
+            f = m[i][c]
+            if i != c and f:
+                row = [piv[c] * v - f * w for v, w in zip(m[i], piv)]
+                g = gcd(*row)
+                m[i] = [v // g for v in row]
+    scale = lcm(*(m[c][c] for c in range(phi_d)))
+    rows = tuple(tuple(v * (scale // m[c][c]) for v in m[c][phi_d:]) for c in range(phi_d))
+    checks = tuple(tuple(r[phi_d:]) for r in m[phi_d:])
+    return checks, rows, scale
+
+
 def _try_represent(x: Cyclotomic, d: int) -> Cyclotomic | None:
-    # solve for x as a Q-combination of the reduced basis of Q(zeta_d) inside Q(zeta_n)
-    n, phi_d = x.n, euler_phi(d)
-    cols = []
-    for j in range(phi_d):
-        raw = [_ZERO] * n
-        raw[(j * (n // d)) % n] = _ONE
-        cols.append(_reduce_raw(n, raw))
-    sol = _solve_rational(cols, x.c)
-    if sol is None:
+    # x as an element of Q(zeta_d), or None when it does not lie there
+    checks, rows, scale = _descent(x.n, d)
+    nums = x.nums
+    if any(sum(map(mul, row, nums)) for row in checks):
         return None
-    return Cyclotomic(d, sol)
+    return _make(d, tuple(sum(map(mul, row, nums)) for row in rows), scale * x.den)
 
 
-def _solve_rational(cols, target):
-    # least structure: solve sum_j y_j cols[j] = target over Q, or None
-    rows = len(target)
-    ncols = len(cols)
-    mat = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][ncols]:
-            return None
-    sol = [_ZERO] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = mat[i][ncols]
-    return tuple(sol)
-
-
-def _poly_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    # extended Euclid in Q[x]: u with a*u = 1 (mod mod); mod irreducible
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def poly_divmod(num, den):
-        num = list(num)
-        q = [_ZERO] * max(len(num) - len(den) + 1, 0)
-        inv_lead = 1 / den[-1]
-        for i in range(len(q) - 1, -1, -1):
-            c = num[i + len(den) - 1] * inv_lead
-            q[i] = c
-            if c:
-                for j, dj in enumerate(den):
-                    num[i + j] -= c * dj
-        return q, trim(num)
-
-    def poly_mul(p, q):
-        out = [_ZERO] * (len(p) + len(q) - 1) if p and q else []
-        for i, pi in enumerate(p):
-            if pi:
-                for j, qj in enumerate(q):
-                    out[i + j] += pi * qj
-        return trim(out)
-
-    def poly_sub(p, q):
-        out = [_ZERO] * max(len(p), len(q))
-        for i, pi in enumerate(p):
-            out[i] += pi
-        for i, qi in enumerate(q):
-            out[i] -= qi
-        return trim(out)
-
-    r0, r1 = list(mod), trim(list(a))
-    s0, s1 = [], [_ONE]
-    while r1:
-        q, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-    # r0 = gcd (a nonzero constant since mod is irreducible and a != 0)
-    assert len(r0) == 1
-    inv_g = 1 / r0[0]
-    return [x * inv_g for x in s0]
+def _int_modular_inverse(a, mod) -> tuple[list[int], int]:
+    """(s, c) with s * a = c (mod mod), c a nonzero integer, for a of lower
+    degree than the irreducible mod: extended Euclid over Z by pseudo-division,
+    dividing out each (remainder, cofactor) pair's content."""
+    r0, s0 = list(mod), []
+    r1, s1 = _trim(list(a)), [1]
+    while len(r1) > 1:
+        lc, k = r1[-1], len(r1)
+        r, s = r0, s0
+        while len(r) >= k:
+            t, shift = r[-1], len(r) - k
+            r = [lc * v for v in r]
+            s = [lc * v for v in s] + [0] * (len(s1) + shift - len(s))
+            for i, v in enumerate(r1):
+                r[i + shift] -= t * v
+            for i, v in enumerate(s1):
+                s[i + shift] -= t * v
+            _trim(r)
+        if not r:
+            raise AssertionError("element and modulus share a factor: no inverse")
+        g = gcd(*r, *s)
+        r0, s0, r1, s1 = r1, s1, [v // g for v in r], [v // g for v in s]
+    return s1, r1[0]
 
 
 def rational_sqrt(q) -> Cyclotomic:
@@ -559,9 +561,7 @@ def _prime_sqrt(p: int) -> Cyclotomic:
     if p == 2:
         return Cyclotomic.zeta(8) + Cyclotomic.zeta(8, 7)
     # Gauss sum: sum of legendre(a, p) zeta_p^a is sqrt(p) or i*sqrt(p)
-    raw = [_ZERO] * p
-    for a in range(1, p):
-        raw[a] = _ONE if pow(a, (p - 1) // 2, p) == 1 else -_ONE
+    raw = [0] + [1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, p)]
     g = Cyclotomic.from_raw(p, raw)
     if p % 4 == 1:
         return g
@@ -589,10 +589,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(_trim(list(coeffs)))
 
     @classmethod
     def from_rationals(cls, vals) -> Poly:

@@ -19,6 +19,7 @@ from .forms import (
     BinaryForm,
     DegreeMismatch,
     RationalMap,
+    _proportional,
     form_gcd,
     partial_derivatives,
 )
@@ -57,15 +58,8 @@ class FormPair:
         )
 
     def proportional_to(self, other: FormPair) -> bool:
-        if self.d != other.d:
-            return False
-        v = list(self.H.coeffs) + list(self.J.coeffs)
-        w = list(other.H.coeffs) + list(other.J.coeffs)
-        i = next((k for k, c in enumerate(v) if c), None)
-        j = next((k for k, c in enumerate(w) if c), None)
-        if i != j:
-            return False
-        return all(v[k] * w[i] == w[k] * v[i] for k in range(len(v)))
+        v, w = self.H.coeffs + self.J.coeffs, other.H.coeffs + other.J.coeffs
+        return self.d == other.d and _proportional(v, w)
 
     def to_json(self) -> dict:
         return {"d": self.d, "H": self.H.to_json(), "J": self.J.to_json()}
@@ -234,5 +228,6 @@ def eigenform_classify(f: BinaryForm, m: int, eta: Cyclotomic) -> EigenformRepor
             raise NotAnEigenvector("support contradicts m|k-2")
         expected = minus_one ** ((k - 2) // m)
         div = "m|k-2"
-    assert lam == expected, "computed eigenvalue disagrees with the classification"
+    if lam != expected:
+        raise AssertionError("computed eigenvalue disagrees with the classification")
     return EigenformReport(k=k, m=m, divisibility=div, eigenvalue=lam)

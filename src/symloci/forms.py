@@ -25,6 +25,14 @@ def _cy(x) -> Cyclotomic:
     return x if isinstance(x, Cyclotomic) else Cyclotomic.rational(x)
 
 
+def _proportional(v, w) -> bool:
+    """Exact projective equality of two coefficient vectors, no divisions."""
+    i = next((k for k, c in enumerate(v) if c), None)
+    if i != next((k for k, c in enumerate(w) if c), None):
+        return False
+    return all(a * w[i] == b * v[i] for a, b in zip(v, w))
+
+
 class BinaryForm:
     """Homogeneous form sum_i coeffs[i] X^(n-i) Y^i of declared degree n."""
 
@@ -532,15 +540,8 @@ class RationalMap:
 
     def proportional_to(self, other: RationalMap) -> bool:
         """Exact projective equality of coefficient vectors."""
-        if self.degree != other.degree:
-            return False
         v, w = self.coefficients(), other.coefficients()
-        i = next((k for k, c in enumerate(v) if c), None)
-        j = next((k for k, c in enumerate(w) if c), None)
-        if i != j:
-            return False
-        vi, wj = v[i], w[j]
-        return all(v[k] * wj == w[k] * vi for k in range(len(v)))
+        return self.degree == other.degree and _proportional(v, w)
 
     def normalized(self) -> RationalMap:
         coeffs = self.coefficients()

@@ -191,7 +191,8 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
             basis = commuting_space_basis(d, m, lam)
             cert["eigenvalues"][comp] = lam
             cert["bases"][comp] = [list(ix) for ix in basis]
-            assert len(basis) == dim_ratd + 1, "eigenspace count disagrees with the formula"
+            if len(basis) != dim_ratd + 1:
+                raise AssertionError("eigenspace count disagrees with the formula")
             if member is None:
                 member = generic_member(d, m, t, comp)
         cert["member"] = member
@@ -341,7 +342,8 @@ def stalk_order_from_eigenvalue(d: int, m: int, t: int) -> int:
     order = lam.ru_order()
     if t == 0:
         other = stalk_eigenvalue(d, ("b", 0), eta).ru_order()
-        assert other == order, "both t=0 components must give the same order"
+        if other != order:
+            raise AssertionError("both t=0 components must give the same order")
     return order
 
 

@@ -11,9 +11,10 @@ dihedral, tetrahedral, octahedral and icosahedral rotation groups.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .cyclotomic import Cyclotomic, euler_phi, _divisors
-from .forms import BinaryForm, Divisor, P1Point, RationalMap, substitute
+from .forms import BinaryForm, Divisor, P1Point, RationalMap, _cy, _proportional, substitute
 
 _C0 = Cyclotomic.rational(0)
 _C1 = Cyclotomic.rational(1)
@@ -25,10 +26,6 @@ class CapExceeded(RuntimeError):
 
 class UnliftableInField(ValueError):
     """No SL2 lift exists within the cyclotomic tower for this element."""
-
-
-def _cy(x):
-    return x if isinstance(x, Cyclotomic) else Cyclotomic.rational(x)
 
 
 class MoebiusMap:
@@ -78,22 +75,19 @@ class MoebiusMap:
     def __eq__(self, other):
         if not isinstance(other, MoebiusMap):
             return NotImplemented
-        # cross-ratio test, no divisions
-        s, o = self.entries(), other.entries()
-        i = next(k for k, v in enumerate(s) if v)
-        j = next(k for k, v in enumerate(o) if v)
-        if i != j:
-            return False
-        return all(s[k] * o[i] == o[k] * s[i] for k in range(4))
+        return _proportional(self.entries(), other.entries())
+
+    def _normalized(self) -> list[Cyclotomic]:
+        """The entries divided by the first nonzero one."""
+        s = self.entries()
+        inv = next(v for v in s if v).inverse()
+        return [v * inv for v in s]
 
     def key(self):
-        """Hashable canonical form: entries divided by the first nonzero one."""
+        """Hashable canonical form: the normalized entries, each minimal."""
         if self._key is None:
-            s = self.entries()
-            lead = next(v for v in s if v)
-            inv = lead.inverse()
-            norm = tuple((v * inv).minimal() for v in s)
-            self._key = tuple((e.n, e.c) for e in norm)
+            norm = [v.minimal() for v in self._normalized()]
+            self._key = tuple((e.n, e.nums, e.den) for e in norm)
         return self._key
 
     def __hash__(self):
@@ -239,12 +233,20 @@ class FiniteSubgroup:
         return f"FiniteSubgroup({self.label}, order {self.order})"
 
 
+def _closure_key(h: MoebiusMap, m: int):
+    # the normalized entries at conductor m: as unique as key() whenever
+    # every entry lies in Q(zeta_m), as in a closure of generators over it,
+    # and no minimal() is needed
+    return tuple((w.nums, w.den) for w in (v.promote(m) for v in h._normalized()))
+
+
 def generate_closure(gens, cap: int = 512, label="unknown") -> FiniteSubgroup:
     """Close a generator list under composition and inverse, up to cap."""
     if cap < 1:
         raise ValueError("cap must be positive")
+    field = lcm(1, *(v.n for g in gens for v in g.entries()))
     ident = MoebiusMap.identity()
-    elements: dict = {ident.key(): ident}
+    elements: dict = {_closure_key(ident, field): ident}
     frontier = [ident]
     gen_list = list(gens) + [g.inverse() for g in gens]
     while frontier:
@@ -252,7 +254,7 @@ def generate_closure(gens, cap: int = 512, label="unknown") -> FiniteSubgroup:
         for e in frontier:
             for g in gen_list:
                 for h in (e.compose(g), g.compose(e)):
-                    k = h.key()
+                    k = _closure_key(h, field)
                     if k not in elements:
                         if len(elements) >= cap:
                             raise CapExceeded(f"closure exceeded cap {cap}")

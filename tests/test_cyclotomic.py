@@ -1,5 +1,6 @@
 """Field kernel: cyclotomic arithmetic, polynomials, exact linear algebra."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -248,3 +249,165 @@ def test_determinant_examples():
     assert ExactMatrix.from_rows([[1, z4], [z4, 1]]).determinant() == 2
     with pytest.raises(NonSquare):
         ExactMatrix(2, 3, [0] * 6).determinant()
+
+
+# -- differential check against a Fraction-tuple reference kernel ------------
+#
+# The reference keeps one Fraction per basis coefficient and reduces modulo
+# Phi_n by long division: the representation Cyclotomic used before integer
+# numerators over a common denominator.  Each function returns (conductor,
+# coefficient tuple) with the conductor rules of the kernel.
+
+
+def _ref_modulus(n):
+    return [c.as_rational() for c in cyclotomic_polynomial(n).coeffs]
+
+
+def _ref_reduce(n, raw):
+    mod = _ref_modulus(n)
+    phi = len(mod) - 1
+    out = [Fraction(0)] * max(n, phi)
+    for e, c in enumerate(raw):
+        out[e % n] += c
+    for e in range(len(out) - 1, phi - 1, -1):
+        c = out[e]
+        if c:
+            for i, mi in enumerate(mod):
+                out[e - phi + i] -= c * mi
+    return tuple(out[:phi])
+
+
+def _ref_promote(x, m):
+    step = m // x.n
+    raw = [Fraction(0)] * ((len(x.c) - 1) * step + 1)
+    raw[::step] = x.c
+    return _ref_reduce(m, raw)
+
+
+def _ref_add(x, y, sign):
+    from math import lcm
+
+    m = lcm(x.n, y.n)
+    return m, tuple(a + sign * b for a, b in zip(_ref_promote(x, m), _ref_promote(y, m)))
+
+
+def _ref_mul(x, y):
+    from math import lcm
+
+    if x.n == 1:
+        return y.n, tuple(x.c[0] * v for v in y.c)
+    if y.n == 1:
+        return x.n, tuple(y.c[0] * v for v in x.c)
+    m = lcm(x.n, y.n)
+    a, b = _ref_promote(x, m), _ref_promote(y, m)
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    return m, _ref_reduce(m, conv)
+
+
+def _ref_inverse(x):
+    # extended Euclid in Q[t] against Phi_n
+    if x.is_rational():
+        return x.n, (1 / x.c[0],) + x.c[1:]
+
+    def trim(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    def mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q))
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+        return trim(out)
+
+    r0, r1 = _ref_modulus(x.n), trim(list(x.c))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, rem = [Fraction(0)] * (len(r0) - len(r1) + 1), list(r0)
+        for i in range(len(q) - 1, -1, -1):
+            q[i] = rem[i + len(r1) - 1] / r1[-1]
+            for j, v in enumerate(r1):
+                rem[i + j] -= q[i] * v
+        qs = mul(q, s1)
+        s_new = [Fraction(0)] * max(len(s0), len(qs))
+        for i, v in enumerate(s0):
+            s_new[i] += v
+        for i, v in enumerate(qs):
+            s_new[i] -= v
+        r0, r1, s0, s1 = r1, trim(rem), s1, trim(s_new)
+    return x.n, _ref_reduce(x.n, [v / r0[0] for v in s0])
+
+
+def _ref_galois(x, k):
+    raw = [Fraction(0)] * x.n
+    for i, ci in enumerate(x.c):
+        raw[(i * k) % x.n] += ci
+    return _ref_reduce(x.n, raw)
+
+
+def _ref_complex(x):
+    import cmath
+
+    z = cmath.exp(2j * cmath.pi / x.n)
+    total, p = 0j, 1 + 0j
+    for ci in x.c:
+        if ci:
+            total += float(ci) * p
+        p *= z
+    return total
+
+
+def _as_ref(r):
+    # r in canonical form, as (conductor, Fraction coefficients)
+    from math import gcd
+
+    assert r.den > 0 and gcd(r.den, *r.nums) == 1 and len(r.nums) == euler_phi(r.n)
+    return r.n, r.c
+
+
+@given(a=cyclotomics(), b=cyclotomics())
+@settings(max_examples=200, deadline=None)
+def test_integer_kernel_matches_fraction_reference(a, b):
+    assert _as_ref(a + b) == _ref_add(a, b, 1)
+    assert _as_ref(a - b) == _ref_add(a, b, -1)
+    assert _as_ref(a * b) == _ref_mul(a, b)
+    for x in (a, b):
+        if x:
+            assert _as_ref(x.inverse()) == _ref_inverse(x)
+        for k in (2, 3):
+            m = x.n * k
+            assert _as_ref(x.promote(m)) == (m, _ref_promote(x, m))
+            assert x.promote(m) == x and hash(x.promote(m)) == hash(x)
+        assert x.complex() == _ref_complex(x)
+        blob = json.dumps(x.to_json())
+        assert blob == json.dumps(
+            {"conductor": x.n, "coeffs": [[str(f.numerator), str(f.denominator)] for f in x.c]}
+        )
+        assert json.dumps(Cyclotomic.from_json(json.loads(blob)).to_json()) == blob
+
+
+@given(a=cyclotomics(), b=cyclotomics())
+@settings(max_examples=150, deadline=None)
+def test_minimal_matches_fraction_reference(a, b):
+    # the minimal conductor is the least d (not 2 mod 4) whose Galois group
+    # Gal(Q(zeta_n)/Q(zeta_d)) fixes x; the value is unique there
+    from math import gcd
+
+    for x in (a * b, a + b, a, a.promote(3 * a.n)):
+        y = x.minimal()
+        n = x.n
+        units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+        least = min(
+            d
+            for d in range(1, n + 1)
+            if n % d == 0
+            and d % 4 != 2
+            and all(_ref_galois(x, k) == x.c for k in units if (k - 1) % d == 0)
+        )
+        assert _as_ref(y)[0] == least
+        assert _ref_promote(y, n) == x.c
+        assert hash(y) == hash(x)

@@ -219,7 +219,8 @@ def test_no_symmetric_maps_where_existence_fails():
 
 
 def test_certificate_checks_survive_python_O():
-    # the eigenvector checks are explicit raises, not asserts that -O strips
+    # the certificate checks are explicit raises, not asserts that -O strips;
+    # checks no honest input reaches are fed a monkeypatched helper
     import os
     import subprocess
     import sys
@@ -229,16 +230,54 @@ def test_certificate_checks_survive_python_O():
 
     script = """
 import sys
+from symloci import cyclotomic, decomp, loci
+from symloci.cyclotomic import Cyclotomic
 from symloci.forms import BinaryForm
 from symloci.platonic import lifted_scalar, platonic_group
 assert False, "asserts must be stripped under -O"
 g = platonic_group("octa").generators[1]
-try:
-    lifted_scalar(BinaryForm(2, [1, 0, 0]), g)  # X^2 is not an eigenform
-except AssertionError as exc:
-    print("rejected:", exc)
-    sys.exit(0)
-sys.exit(1)
+one, minus_one = Cyclotomic.rational(1), Cyclotomic.rational(-1)
+
+
+def rejected(probe):
+    try:
+        probe()
+    except AssertionError as exc:
+        print("rejected:", exc)
+        return True
+    return False
+
+
+def wrong_sqrt():
+    cyclotomic.rational_sqrt = lambda q: Cyclotomic.rational(3)
+    return Cyclotomic.rational(4).sqrt()
+
+
+def wrong_eigenvalue():
+    decomp.diagonal_eigenvalue = lambda f, eta: minus_one
+    return decomp.eigenform_classify(BinaryForm(2, [0, 1, 0]), 1, minus_one)
+
+
+def wrong_eigenspace():
+    loci.commuting_space_basis = lambda d, m, lam: []
+    return loci.cyclic_existence_and_dim(3, 2)
+
+
+def wrong_stalk_orders():
+    loci.stalk_eigenvalue = lambda d, index, eta: one if index[0] == "a" else minus_one
+    return loci.stalk_order_from_eigenvalue(4, 2, 0)
+
+
+probes = [
+    lambda: lifted_scalar(BinaryForm(2, [1, 0, 0]), g),  # X^2 is not an eigenform
+    lambda: cyclotomic._int_poly_div([1, 0, 1], [1, 1]),  # x + 1 does not divide x^2 + 1
+    lambda: cyclotomic._int_modular_inverse([1, 1], [-1, 0, 1]),  # x + 1 divides x^2 - 1
+    wrong_sqrt,
+    wrong_eigenvalue,
+    wrong_eigenspace,
+    wrong_stalk_orders,
+]
+sys.exit(0 if all([rejected(p) for p in probes]) else 1)
 """
     src = str(Path(symloci.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -248,5 +287,14 @@ sys.exit(1)
         env={**os.environ, "PYTHONPATH": src},
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "not an eigenvector" in proc.stdout
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for message in (
+        "not an eigenvector",
+        "division is not exact",
+        "share a factor",
+        "does not square back",
+        "eigenvalue disagrees with the classification",
+        "eigenspace count disagrees with the formula",
+        "must give the same order",
+    ):
+        assert message in proc.stdout, proc.stdout
