@@ -144,23 +144,7 @@ def _mobius_through(src, dst) -> np.ndarray:
 
 def _conjugate_complex(fc: np.ndarray, gc: np.ndarray, m: np.ndarray):
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    # F(aX+bY, cX+dY) and G(aX+bY, cX+dY) from one table of the products
-    # (aX+bY)^(n-i) (cX+dY)^i, coefficients X-descending
-    n = len(fc) - 1
-    p1 = [np.array([1.0 + 0j])]
-    p2 = [np.array([1.0 + 0j])]
-    for _ in range(n):
-        p1.append(np.convolve(p1[-1], np.array([a, b])))
-        p2.append(np.convolve(p2[-1], np.array([c, d])))
-    fs = np.zeros(n + 1, dtype=complex)
-    gs = np.zeros(n + 1, dtype=complex)
-    for i, (fi, gi) in enumerate(zip(fc, gc)):
-        if fi != 0 or gi != 0:
-            prod = np.convolve(p1[n - i], p2[i])
-            if fi != 0:
-                fs += fi * prod
-            if gi != 0:
-                gs += gi * prod
+    fs, gs = _subst_complex(np.array([a, b]), np.array([c, d]), (fc, gc))
     return d * fs - b * gs, a * gs - c * fs
 
 
@@ -206,8 +190,7 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
     points = _cluster(_roots_of_form(_complex_coeffs(j), lead_zeros), cluster_tol)
     if len(points) < 3:
         d = phi.degree
-        f2 = _subst_complex_pair(fc, gc, fc)
-        g2 = _subst_complex_pair(fc, gc, gc)
+        f2, g2 = _subst_complex(fc, gc, (fc, gc))
         j2 = np.concatenate(([0], f2)) - np.concatenate((g2, [0]))
         # exact leading zeros are unknown here; strip numerically
         scale = np.max(np.abs(j2)) or 1.0
@@ -256,19 +239,24 @@ def _matrix_proportional(m1: np.ndarray, m2: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.norm(s * v - w) <= max(tol, 1e-9) ** 0.5 * np.linalg.norm(w))
 
 
-def _subst_complex_pair(fc: np.ndarray, gc: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """target(F(X,Y), G(X,Y)) for complex coefficient vectors; the form
-    composition needed for period-2 points.  Every term has full degree
-    n*d, so the accumulation is a plain sum."""
-    n = len(target) - 1
-    pf = [np.array([1.0 + 0j])]
-    pg = [np.array([1.0 + 0j])]
+def _subst_complex(p: np.ndarray, q: np.ndarray, targets) -> list[np.ndarray]:
+    """T(P, Q) for each degree-n target form T, with P, Q complex binary
+    forms given by X-descending coefficients: one table of the products
+    P^(n-i) Q^i serves every target.  Conjugation substitutes the linear
+    forms aX+bY, cX+dY; period-2 points substitute the map's own F, G.
+    Every term has full degree, so each accumulation is a plain sum."""
+    n = len(targets[0]) - 1
+    pp = [np.array([1.0 + 0j])]
+    pq = [np.array([1.0 + 0j])]
     for _ in range(n):
-        pf.append(np.convolve(pf[-1], fc))
-        pg.append(np.convolve(pg[-1], gc))
-    deg_out = n * (len(fc) - 1)
-    out = np.zeros(deg_out + 1, dtype=complex)
-    for i, coef in enumerate(target):
-        if coef != 0:
-            out += coef * np.convolve(pf[n - i], pg[i])
-    return out
+        pp.append(np.convolve(pp[-1], p))
+        pq.append(np.convolve(pq[-1], q))
+    outs = [np.zeros(n * (len(p) - 1) + 1, dtype=complex) for _ in targets]
+    for i, coefs in enumerate(zip(*targets)):
+        prod = None
+        for out, coef in zip(outs, coefs):
+            if coef != 0:
+                if prod is None:
+                    prod = np.convolve(pp[n - i], pq[i])
+                out += coef * prod
+    return outs

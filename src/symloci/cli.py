@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 
 from . import loci, platonic
 from .aut import discover_automorphisms, verify_group_action
@@ -29,20 +30,6 @@ from .moebius import FiniteSubgroup, standard_subgroup
 
 SCHEMA = "symloci/1"
 DEFAULT_DEGREE_CAP = 61
-
-_SURVEY_COLUMNS = [
-    "d",
-    "group",
-    "t",
-    "exists",
-    "dim_moduli",
-    "dim_ratd",
-    "components",
-    "s",
-    "dim_linalg",
-    "match",
-]
-
 
 class UsageError(ValueError):
     pass
@@ -77,12 +64,17 @@ def _parse_group(spec: str):
             m = int(parts[1])
         except ValueError as exc:
             raise UsageError(f"bad order in {spec!r}") from exc
+        if m < 1:
+            raise UsageError(f"the order in {spec!r} must be at least 1")
         t = None
         if len(parts) > 2:
             tok = parts[2]
             if not tok.startswith("t="):
                 raise UsageError(f"unexpected group token {tok!r}")
-            t = int(tok[2:])
+            try:
+                t = int(tok[2:])
+            except ValueError as exc:
+                raise UsageError(f"bad type in {spec!r}") from exc
             if t not in (-1, 0, 1):
                 raise UsageError("type must be -1, 0 or 1")
         return kind, m, t
@@ -95,7 +87,9 @@ def _group_object(kind: str, m: int | None) -> FiniteSubgroup:
     return standard_subgroup(kind, m)
 
 
-def _check_degree_cap(d: int, allow_large: bool):
+def _check_degree(d: int, allow_large: bool):
+    if d < 2:
+        raise UsageError("need degree d >= 2")
     if d > DEFAULT_DEGREE_CAP and not allow_large:
         raise UsageError(
             f"degree {d} exceeds the default cap {DEFAULT_DEGREE_CAP}; pass --allow-large"
@@ -130,7 +124,7 @@ def _load_map(path: str) -> RationalMap:
 
 def cmd_survey(args) -> int:
     d_min, d_max = _parse_degree_range(args.d)
-    _check_degree_cap(d_max, args.allow_large)
+    _check_degree(d_max, args.allow_large)
     kinds = set()
     if args.groups:
         for tok in args.groups.split(","):
@@ -159,11 +153,12 @@ def cmd_survey(args) -> int:
         payload = {"schema": SCHEMA, "kind": "survey", "rows": rows, "all_match": all_match}
         _emit(json.dumps(payload, indent=2, default=str) + "\n", args.out)
     else:
+        columns = [f.name for f in fields(loci.SurveyRow)]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_SURVEY_COLUMNS)
+        writer = csv.DictWriter(buf, fieldnames=columns)
         writer.writeheader()
         for r in rows:
-            writer.writerow({k: ("" if r[k] is None else r[k]) for k in _SURVEY_COLUMNS})
+            writer.writerow({k: ("" if r[k] is None else r[k]) for k in columns})
         _emit(buf.getvalue(), args.out)
     return 0 if all_match else 2
 
@@ -171,7 +166,7 @@ def cmd_survey(args) -> int:
 def cmd_construct(args) -> int:
     kind, m, t = _parse_group(args.group)
     d = int(args.d)
-    _check_degree_cap(d, args.allow_large)
+    _check_degree(d, args.allow_large)
     if kind in ("tetra", "octa", "icosa"):
         try:
             phi, report = platonic.construct_symmetric_map(d, kind)
@@ -269,6 +264,8 @@ def cmd_decomp(args) -> int:
 
 def cmd_aut(args) -> int:
     phi = _load_map(args.mapfile)
+    if phi.degree < 2:
+        raise UsageError("automorphism discovery needs a map of degree >= 2")
     report = discover_automorphisms(phi, tolerance=args.tolerance)
     payload = {"schema": SCHEMA, "kind": "aut_report", "report": report.to_json()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

@@ -13,13 +13,14 @@ against Phi_n) run on integers, then divide out one gcd.  ``c`` gives the
 coefficients as Fractions, for printing and serialization.
 
 Also provided here: dense univariate polynomials over the cyclotomics and
-exact linear algebra (kernel, rank, determinant, solve), which every other
+exact linear algebra (kernel, rank, determinant), which every other
 module relies on for dimension counts.
 """
 
 from __future__ import annotations
 
 import cmath
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -351,20 +352,7 @@ class Cyclotomic:
             self._hash = hash((m.n, m.nums, m.den))
         return self._hash
 
-    # -- galois / embeddings -------------------------------------------------
-
-    def galois(self, k: int) -> Cyclotomic:
-        """Apply zeta_n -> zeta_n^k; requires gcd(k, n) = 1."""
-        if gcd(k, self.n) != 1:
-            raise ValueError("galois exponent must be coprime to the conductor")
-        raw = [0] * self.n
-        for i, ci in enumerate(self.nums):
-            if ci:
-                raw[(i * k) % self.n] += ci
-        return _make(self.n, _fold(self.n, len(self.nums), raw), self.den)
-
-    def conjugate(self) -> Cyclotomic:
-        return self.galois(self.n - 1) if self.n > 1 else self
+    # -- complex embedding ---------------------------------------------------
 
     def complex(self) -> complex:
         # nums[i] / den is the correctly rounded float of the coefficient
@@ -573,16 +561,6 @@ def cyclotomic_polynomial(n: int) -> Poly:
     return Poly([Cyclotomic.rational(c) for c in _cyclotomic_int_coeffs(n)])
 
 
-def canonical_reduce(raw, conductor: int) -> Cyclotomic:
-    """Reduce sum_i raw[i] zeta_n^i (rational raw) modulo Phi_n."""
-    return Cyclotomic.from_raw(conductor, raw)
-
-
-def complex_embedding(x: Cyclotomic) -> complex:
-    """Evaluate under zeta_n -> exp(2 pi i / n)."""
-    return x.complex()
-
-
 class Poly:
     """Dense univariate polynomial over Cyclotomic, lowest degree first."""
 
@@ -713,70 +691,67 @@ class ExactMatrix:
     def row(self, i: int) -> list[Cyclotomic]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def _echelon(self):
-        # returns (matrix rows, pivot column list, swap count)
+    def _eliminate(self):
+        """Forward elimination: (rows in echelon form, pivot columns, row
+        swaps).  Column c's pivot is its first nonzero entry at or below the
+        current row; the rows below it are cleared, none is normalized."""
         m = [self.row(i) for i in range(self.rows)]
         pivots = []
-        swaps = 0
-        r = 0
+        swaps = r = 0
         for c in range(self.cols):
+            if r == self.rows:
+                break
             pr = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pr is None:
                 continue
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
                 swaps += 1
-            inv = m[r][c].inverse()
-            m[r] = [v * inv for v in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            piv = m[r]
+            inv = piv[c].inverse()
+            for i in range(r + 1, self.rows):
+                if m[i][c]:
+                    f = m[i][c] * inv
+                    m[i] = [a - f * b for a, b in zip(m[i], piv)]
             pivots.append(c)
             r += 1
-            if r == self.rows:
-                break
         return m, pivots, swaps
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self._eliminate()[1])
 
     def kernel_basis(self) -> list[list[Cyclotomic]]:
-        """Exact basis of the right kernel; len = cols - rank."""
-        m, pivots, _ = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
+        """Exact basis of the right kernel; len = cols - rank.  Vector k sets
+        the k-th free column to 1, the other free columns to 0, and solves
+        the echelon rows bottom-up for the pivot columns."""
+        m, pivots, _ = self._eliminate()
+        invs = [m[r][c].inverse() for r, c in enumerate(pivots)]
         zero, one = Cyclotomic.rational(0), Cyclotomic.rational(1)
-        for f in free:
+        basis = []
+        for f in sorted(set(range(self.cols)) - set(pivots)):
             v = [zero] * self.cols
             v[f] = one
-            for r, c in enumerate(pivots):
-                v[c] = -m[r][f]
+            # pivot columns right of f stay 0
+            for r in range(bisect(pivots, f) - 1, -1, -1):
+                c, row = pivots[r], m[r]
+                acc = zero
+                for j in range(c + 1, f + 1):
+                    if row[j] and v[j]:
+                        acc = acc + row[j] * v[j]
+                v[c] = -(acc * invs[r])
             basis.append(v)
         return basis
 
     def determinant(self) -> Cyclotomic:
         if self.rows != self.cols:
             raise NonSquare(f"{self.rows}x{self.cols} matrix has no determinant")
-        m = [self.row(i) for i in range(self.rows)]
+        m, pivots, swaps = self._eliminate()
+        if len(pivots) < self.rows:
+            return Cyclotomic.rational(0)
         det = Cyclotomic.rational(1)
-        sign = 1
-        for c in range(self.cols):
-            pr = next((i for i in range(c, self.rows) if m[i][c]), None)
-            if pr is None:
-                return Cyclotomic.rational(0)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                sign = -sign
-            piv = m[c][c]
-            det = det * piv
-            inv = piv.inverse()
-            for i in range(c + 1, self.rows):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det * sign if sign < 0 else det
+        for r in range(self.rows):
+            det = det * m[r][r]
+        return -det if swaps % 2 else det
 
     def mul_vector(self, v) -> list[Cyclotomic]:
         out = []
@@ -789,10 +764,3 @@ class ExactMatrix:
             out.append(acc)
         return out
 
-
-def kernel_basis(m: ExactMatrix) -> list[list[Cyclotomic]]:
-    return m.kernel_basis()
-
-
-def determinant(m: ExactMatrix) -> Cyclotomic:
-    return m.determinant()

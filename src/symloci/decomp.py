@@ -21,6 +21,7 @@ from .forms import (
     RationalMap,
     _proportional,
     form_gcd,
+    multiple_zero_locus,
     partial_derivatives,
 )
 
@@ -116,19 +117,6 @@ def gm_action(t: Cyclotomic, pair: FormPair) -> FormPair:
     if not t:
         raise ValueError("the torus parameter must be nonzero")
     return FormPair(pair.d, pair.H * t, pair.J * t.inverse())
-
-
-def multiple_zero_locus(j: BinaryForm) -> BinaryForm:
-    """Form whose roots are the multiple zeros of j (common zeros of the
-    partials; valid in characteristic 0 by the Euler identity)."""
-    jx, jy = partial_derivatives(j)
-    if jx.is_zero() and jy.is_zero():
-        return j.normalized()
-    if jx.is_zero():
-        return jy.normalized()
-    if jy.is_zero():
-        return jx.normalized()
-    return form_gcd(jx, jy)
 
 
 def meets_ratd(pair: FormPair) -> bool:

@@ -311,20 +311,26 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return out.normalized()
 
 
+def multiple_zero_locus(j: BinaryForm) -> BinaryForm:
+    """Form whose roots are the multiple zeros of j (common zeros of the
+    partials; valid in characteristic 0 by the Euler identity)."""
+    jx, jy = partial_derivatives(j)
+    if jx.is_zero() and jy.is_zero():
+        return j.normalized()
+    if jx.is_zero():
+        return jy.normalized()
+    if jy.is_zero():
+        return jx.normalized()
+    return form_gcd(jx, jy)
+
+
 def distinct_roots_count(f: BinaryForm) -> int:
     """Number of distinct projective roots of a nonzero form."""
     if f.is_zero():
         raise ValueError("zero form has every point as a root")
     if f.degree == 0:
         return 0
-    fx, fy = partial_derivatives(f)
-    if fx.is_zero() and fy.is_zero():
-        return 0
-    rep = form_gcd(fx, fy) if not fx.is_zero() and not fy.is_zero() else None
-    if rep is None:
-        rep = (fy if fx.is_zero() else fx).normalized()
-        # a vanishing partial only happens for constants, handled above
-    return f.degree - rep.degree
+    return f.degree - multiple_zero_locus(f).degree
 
 
 def distinct_common_roots_count(f: BinaryForm, g: BinaryForm) -> int:

@@ -13,7 +13,7 @@ swapped by z -> 1/z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .aut import automorphism_type, is_automorphism, verify_group_action
@@ -24,8 +24,33 @@ from .moebius import MoebiusMap, standard_subgroup
 _SEARCH_VALUES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
+def _seed_coefficients(seed: int, count: int) -> list[Cyclotomic]:
+    """Coefficients of count basis vectors at one seed of a deterministic
+    member search: _SEARCH_VALUES at indices seed + j (seed + 1)."""
+    vals = _SEARCH_VALUES
+    return [Cyclotomic.rational(vals[(seed + j * (seed + 1)) % len(vals)]) for j in range(count)]
+
+
 class NoMemberFound(RuntimeError):
     """The deterministic coefficient search exhausted its budget."""
+
+
+@dataclass(kw_only=True)
+class SurveyRow:
+    """One survey row; the field order is the column order of the CSV and
+    JSON output.  Platonic rows leave t, components and s blank and have
+    no dim_ratd."""
+
+    d: int
+    group: str
+    t: int | str = ""
+    exists: bool
+    dim_moduli: int | None
+    dim_ratd: int | None = None
+    components: int | str = ""
+    s: int | str = ""
+    dim_linalg: int | None
+    match: bool
 
 
 @dataclass
@@ -138,12 +163,8 @@ def generic_member(
     if any(r not in basis for r in required):
         raise NoMemberFound("type conditions cannot hold on this eigenspace")
     sigma = MoebiusMap.scaling(Cyclotomic.zeta(m))
-    vals = _SEARCH_VALUES
     for seed in range(budget):
-        assignment = {
-            idx: Cyclotomic.rational(vals[(seed + j * (seed + 1)) % len(vals)])
-            for j, idx in enumerate(basis)
-        }
+        assignment = dict(zip(basis, _seed_coefficients(seed, len(basis))))
         phi = _map_from_coeffs(d, assignment)
         if not phi.is_in_ratd():
             continue
@@ -247,11 +268,9 @@ def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -
         raise NoMemberFound("empty dihedral stratum")
     group = standard_subgroup("dihedral", m)
     sigma = MoebiusMap.scaling(Cyclotomic.zeta(m))
-    vals = _SEARCH_VALUES
     for seed in range(budget):
         assignment: dict[tuple[str, int], Cyclotomic] = {}
-        for j, vec in enumerate(vecs):
-            c = Cyclotomic.rational(vals[(seed + j * (seed + 1)) % len(vals)])
+        for c, vec in zip(_seed_coefficients(seed, len(vecs)), vecs):
             for idx, coeff in vec.items():
                 assignment[idx] = assignment.get(idx, Cyclotomic.rational(0)) + c * coeff
         phi = _map_from_coeffs(d, assignment)
@@ -378,18 +397,18 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
                 lam = _lambda_for(d, m, t, "inf" if t >= 0 else "zero")
                 affine = len(commuting_space_basis(d, m, lam))
                 rows.append(
-                    {
-                        "d": d,
-                        "group": f"cyclic:{m}",
-                        "t": t,
-                        "exists": rep.exists,
-                        "dim_moduli": rep.dim_moduli,
-                        "dim_ratd": rep.dim_ratd,
-                        "components": rep.components,
-                        "s": stalk_order(d, m, t),
-                        "dim_linalg": affine - 1,
-                        "match": affine - 1 == rep.dim_ratd,
-                    }
+                    SurveyRow(
+                        d=d,
+                        group=f"cyclic:{m}",
+                        t=t,
+                        exists=rep.exists,
+                        dim_moduli=rep.dim_moduli,
+                        dim_ratd=rep.dim_ratd,
+                        components=rep.components,
+                        s=stalk_order(d, m, t),
+                        dim_linalg=affine - 1,
+                        match=affine - 1 == rep.dim_ratd,
+                    )
                 )
     if "dihedral" in kinds:
         for m in range(2, d + 2):
@@ -409,17 +428,16 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
                     linalg = None
                     match = False
                 rows.append(
-                    {
-                        "d": d,
-                        "group": f"dihedral:{m}",
-                        "t": t,
-                        "exists": rep.exists,
-                        "dim_moduli": rep.dim_moduli,
-                        "dim_ratd": rep.dim_ratd,
-                        "components": rep.components,
-                        "s": "",
-                        "dim_linalg": linalg,
-                        "match": match,
-                    }
+                    SurveyRow(
+                        d=d,
+                        group=f"dihedral:{m}",
+                        t=t,
+                        exists=rep.exists,
+                        dim_moduli=rep.dim_moduli,
+                        dim_ratd=rep.dim_ratd,
+                        components=rep.components,
+                        dim_linalg=linalg,
+                        match=match,
+                    )
                 )
-    return rows
+    return [asdict(row) for row in rows]

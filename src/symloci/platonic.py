@@ -12,8 +12,9 @@ divergence/fixed-point decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+from operator import mul
 
 from .aut import AutReport, verify_group_action
 from .cyclotomic import Cyclotomic, ExactMatrix
@@ -28,6 +29,7 @@ from .forms import (
     form_gcd,
     substitute,
 )
+from .loci import SurveyRow, _seed_coefficients
 from .moebius import FiniteSubgroup, MoebiusMap, degenerate_orbits, standard_subgroup
 
 _PLATONIC = ("tetra", "octa", "icosa")
@@ -82,12 +84,17 @@ def lifted_scalar(form: BinaryForm, rep: MoebiusMap) -> Cyclotomic:
     n = form.degree
     if n % 2:
         raise ValueError("the lifted scalar is only lift-independent in even degree")
-    image = substitute(form, rep)
+    return _eigen_scalar(form, rep) * (rep.det() ** (n // 2)).inverse()
+
+
+def _eigen_scalar(form: BinaryForm, g: MoebiusMap) -> Cyclotomic:
+    # the s with F^g = s F, read off the first nonzero coefficient
+    image = substitute(form, g)
     i = next(k for k, c in enumerate(form.coeffs) if c)
     scalar = image.coeffs[i] * form.coeffs[i].inverse()
-    if not all(image.coeffs[k] == scalar * form.coeffs[k] for k in range(n + 1)):
+    if not all(a == scalar * b for a, b in zip(image.coeffs, form.coeffs)):
         raise AssertionError("form is not an eigenvector of the group element")
-    return scalar * (rep.det() ** (n // 2)).inverse()
+    return scalar
 
 
 def _kind_of(group_or_kind) -> str:
@@ -315,19 +322,6 @@ def character_group(group: FiniteSubgroup) -> list[tuple]:
     return list(elems.values())
 
 
-_GENERIC_VALS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
-
-
-def _generic_combination(basis: list[BinaryForm], degree: int, seed: int) -> BinaryForm:
-    if not basis:
-        return BinaryForm.zero(degree)
-    acc = BinaryForm.zero(degree)
-    for j, b in enumerate(basis):
-        c = Cyclotomic.rational(_GENERIC_VALS[(seed + j * (seed + 1)) % len(_GENERIC_VALS)])
-        acc = acc + b * c
-    return acc
-
-
 def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     """Dimension of the symmetry locus in the moduli space, computed by
     linear algebra: best over characters chi of h_chi + j_chi - 1, keeping
@@ -346,8 +340,10 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
         if best is not None and dim <= best:
             continue
         for seed in range(tries):
-            h = _generic_combination(h_basis, d - 1, seed)
-            j = _generic_combination(j_basis, d + 1, seed)
+            h, j = (
+                sum(map(mul, basis, _seed_coefficients(seed, len(basis))), BinaryForm.zero(n))
+                for basis, n in ((h_basis, d - 1), (j_basis, d + 1))
+            )
             if h.is_zero() and j.is_zero():
                 continue
             if meets_ratd(FormPair(d, h, j)):
@@ -431,12 +427,7 @@ def invariant_eigenvalue_check(group: FiniteSubgroup, p: P1Point, g: MoebiusMap)
     full = Divisor()
     for sigma in group.elements:
         full = full + Divisor({sigma.apply(p).minimized(): 1})
-    form = form_from_divisor(full)
-    image = substitute(form, g)
-    i = next(k for k, c in enumerate(form.coeffs) if c)
-    scalar = image.coeffs[i] * form.coeffs[i].inverse()
-    if not all(image.coeffs[k] == scalar * form.coeffs[k] for k in range(form.degree + 1)):
-        raise AssertionError("the full-orbit form is not an eigenvector of g")
+    scalar = _eigen_scalar(form_from_divisor(full), g)
     m = g.projective_order()
     expected = Cyclotomic.rational((-1) ** (group.order // m))
     if scalar != expected:
@@ -457,17 +448,8 @@ def survey_rows(d: int, kinds=_PLATONIC) -> list[dict]:
             formula = linalg = None
             match = True
         rows.append(
-            {
-                "d": d,
-                "group": kind,
-                "t": "",
-                "exists": exists,
-                "dim_moduli": formula,
-                "dim_ratd": None,
-                "components": "",
-                "s": "",
-                "dim_linalg": linalg,
-                "match": match,
-            }
+            SurveyRow(
+                d=d, group=kind, exists=exists, dim_moduli=formula, dim_linalg=linalg, match=match
+            )
         )
-    return rows
+    return [asdict(row) for row in rows]

@@ -138,3 +138,62 @@ def test_report_json():
     assert blob["classified"] == "cyclic:4"
     assert blob["failed"] is None
     assert len(blob["verified_elements"]) == 4
+
+
+def _ref_conjugate_complex(fc, gc, m):
+    # the numeric conjugation before it shared one substitution routine with
+    # the period-2 composition: its own power table per call
+    import numpy as np
+
+    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    n = len(fc) - 1
+    p1, p2 = [np.array([1.0 + 0j])], [np.array([1.0 + 0j])]
+    for _ in range(n):
+        p1.append(np.convolve(p1[-1], np.array([a, b])))
+        p2.append(np.convolve(p2[-1], np.array([c, d])))
+    fs, gs = np.zeros(n + 1, dtype=complex), np.zeros(n + 1, dtype=complex)
+    for i, (fi, gi) in enumerate(zip(fc, gc)):
+        if fi != 0 or gi != 0:
+            prod = np.convolve(p1[n - i], p2[i])
+            if fi != 0:
+                fs += fi * prod
+            if gi != 0:
+                gs += gi * prod
+    return d * fs - b * gs, a * gs - c * fs
+
+
+def _ref_subst_complex(fc, gc, target):
+    import numpy as np
+
+    n = len(target) - 1
+    pf, pg = [np.array([1.0 + 0j])], [np.array([1.0 + 0j])]
+    for _ in range(n):
+        pf.append(np.convolve(pf[-1], fc))
+        pg.append(np.convolve(pg[-1], gc))
+    out = np.zeros(n * (len(fc) - 1) + 1, dtype=complex)
+    for i, coef in enumerate(target):
+        if coef != 0:
+            out += coef * np.convolve(pf[n - i], pg[i])
+    return out
+
+
+def test_numeric_substitution_matches_reference():
+    # one routine serves conjugation and the period-2 composition; the
+    # arithmetic is unchanged, so the results must be bit-identical
+    import numpy as np
+
+    from symloci.aut import _complex_coeffs, _conjugate_complex, _subst_complex
+
+    base = degree5_example()
+    square = RationalMap.from_zpoly([1, 0, 0], [0, 0, 1])
+    maps = [base, conjugate_map(base, MoebiusMap(2, 1, 1, 1)), square]
+    rng = np.random.default_rng(11)
+    for phi in maps:
+        fc, gc = _complex_coeffs(phi.F), _complex_coeffs(phi.G)
+        for _ in range(10):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            got, want = _conjugate_complex(fc, gc, m), _ref_conjugate_complex(fc, gc, m)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        f2, g2 = _subst_complex(fc, gc, (fc, gc))
+        assert np.array_equal(f2, _ref_subst_complex(fc, gc, fc))
+        assert np.array_equal(g2, _ref_subst_complex(fc, gc, gc))

@@ -143,3 +143,37 @@ def test_exit_code_2_is_reserved_for_mismatch():
     # no mismatch is expected anywhere in the verified range; assert code 0
     code, _, _ = run(["survey", "--d", "6..7", "--groups", "cyclic"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--d", "1", "--group", "octa"],
+        ["construct", "--d", "1", "--group", "cyclic:2"],
+        ["construct", "--d", "5", "--group", "cyclic:2:t=x"],
+        ["aut", "{degree1}"],
+        ["check", "{degree1}", "--group", "dihedral:0"],
+    ],
+    ids=["construct-d1-octa", "construct-d1-cyclic", "bad-type-token", "aut-degree-1", "order-0"],
+)
+def test_bad_input_is_a_usage_error_not_a_traceback(argv, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import symloci
+    from symloci.forms import RationalMap
+
+    degree1 = tmp_path / "z.json"
+    degree1.write_text(json.dumps({"map": RationalMap.from_zpoly([1, 0], [0, 1]).to_json()}))
+    src = str(Path(symloci.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "symloci.cli"] + [a.format(degree1=degree1) for a in argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "usage error" in proc.stderr, proc.stderr

@@ -3,7 +3,7 @@ refactors must leave the survey CSV and the construct JSON unchanged.
 
 To re-record after an intended output change:
     PYTHONPATH=src python -m symloci.cli survey --groups tetra,octa,icosa --d 11..15 > tests/golden/survey_platonic_d11-15.csv
-and likewise for the other two cases below.
+and likewise for the other cases below.
 """
 
 import contextlib
@@ -20,6 +20,9 @@ CASES = [
     (["survey", "--groups", "tetra,octa,icosa", "--d", "11..15"], "survey_platonic_d11-15.csv"),
     (["survey", "--groups", "cyclic,dihedral", "--d", "8..11"], "survey_family_d8-11.csv"),
     (["construct", "--group", "octa", "--d", "13"], "construct_octa_d13.json"),
+    (["survey", "--groups", "all", "--d", "5..7", "--format", "json"], "survey_all_d5-7.json"),
+    (["construct", "--group", "cyclic:3", "--d", "7"], "construct_cyclic3_d7.json"),
+    (["construct", "--group", "dihedral:3", "--d", "7"], "construct_dihedral3_d7.json"),
 ]
 
 

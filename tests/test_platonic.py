@@ -194,7 +194,13 @@ def test_no_symmetric_maps_where_existence_fails():
     # empty or misses the map space; even d kill all strata outright
     # (the lifted -identity acts by -1 on odd-degree forms)
     from symloci.decomp import FormPair, meets_ratd
-    from symloci.platonic import _generic_combination, character_eigenspace
+    from symloci.forms import BinaryForm
+    from symloci.loci import _seed_coefficients
+    from symloci.platonic import character_eigenspace
+
+    def combination(basis, degree, seed):
+        coeffs = _seed_coefficients(seed, len(basis))
+        return sum((b * c for b, c in zip(basis, coeffs)), BinaryForm.zero(degree))
 
     for kind in ("tetra", "octa", "icosa"):
         group = platonic_group(kind)
@@ -209,8 +215,8 @@ def test_no_symmetric_maps_where_existence_fails():
                     continue
                 hits = 0
                 for seed in range(12):
-                    h = _generic_combination(h_basis, d - 1, seed)
-                    j = _generic_combination(j_basis, d + 1, seed)
+                    h = combination(h_basis, d - 1, seed)
+                    j = combination(j_basis, d + 1, seed)
                     if h.is_zero() and j.is_zero():
                         continue
                     if meets_ratd(FormPair(d, h, j)):
