@@ -18,9 +18,6 @@ from .cyclotomic import (
     Cyclotomic,
     ExactMatrix,
     NonSquare,
-    Poly,
-    Rational,
-    cyclotomic_polynomial,
     euler_phi,
     rational_sqrt,
 )
@@ -95,8 +92,6 @@ __all__ = [
     "NonSquare",
     "OrbitCharacterRow",
     "P1Point",
-    "Poly",
-    "Rational",
     "RationalMap",
     "RelevantPair",
     "SL2Lift",
@@ -107,7 +102,6 @@ __all__ = [
     "conjugate_map",
     "construct_symmetric_map",
     "cyclic_existence_and_dim",
-    "cyclotomic_polynomial",
     "decompose",
     "decompose_map",
     "degenerate_orbits",

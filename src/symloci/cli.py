@@ -26,7 +26,7 @@ from . import loci, platonic
 from .aut import discover_automorphisms, verify_group_action
 from .decomp import FormPair, decompose_map, recompose_map
 from .forms import RationalMap
-from .moebius import FiniteSubgroup, standard_subgroup
+from .moebius import standard_subgroup
 
 SCHEMA = "symloci/1"
 DEFAULT_DEGREE_CAP = 61
@@ -79,12 +79,6 @@ def _parse_group(spec: str):
                 raise UsageError("type must be -1, 0 or 1")
         return kind, m, t
     raise UsageError(f"unknown group {spec!r}")
-
-
-def _group_object(kind: str, m: int | None) -> FiniteSubgroup:
-    if kind in ("tetra", "octa", "icosa"):
-        return platonic.platonic_group(kind)
-    return standard_subgroup(kind, m)
 
 
 def _check_degree(d: int, allow_large: bool):
@@ -167,38 +161,28 @@ def cmd_construct(args) -> int:
     kind, m, t = _parse_group(args.group)
     d = int(args.d)
     _check_degree(d, args.allow_large)
+    group = standard_subgroup(kind, m)
     if kind in ("tetra", "octa", "icosa"):
         try:
             phi, report = platonic.construct_symmetric_map(d, kind)
         except platonic.NotRealizable as exc:
             print(f"NotRealizable: {exc}", file=sys.stderr)
             return 3
-        group = platonic.platonic_group(kind)
     else:
         if m is None or m < 2:
             raise UsageError("construction needs cyclic:M or dihedral:M with M >= 2")
+        loci_of = loci.cyclic_existence_and_dim if kind == "cyclic" else loci.dihedral_dim
         try:
-            if kind == "cyclic":
-                reports = dict(loci.cyclic_existence_and_dim(d, m))
-                if t is None:
-                    t = next(iter(reports)) if reports else None
-                if t is None or t not in reports:
-                    print(f"NotRealizable: no type-{t} order-{m} symmetry in degree {d}", file=sys.stderr)
-                    return 3
-                phi = reports[t].certificate["member"]
-            else:
-                reports = dict(loci.dihedral_dim(d, m))
-                valid = {tt: r for tt, r in reports.items() if r.exists}
-                if t is None:
-                    t = next(iter(valid)) if valid else None
-                if t is None or t not in valid:
-                    print(f"NotRealizable: no dihedral:{m} symmetry of type {t} in degree {d}", file=sys.stderr)
-                    return 3
-                phi = valid[t].certificate["member"]
+            valid = {tt: r for tt, r in loci_of(d, m) if r.exists}
         except loci.NoMemberFound as exc:
             print(f"NotRealizable: {exc}", file=sys.stderr)
             return 3
-        group = _group_object(kind, m)
+        if t is None:
+            t = next(iter(valid), None)
+        if t not in valid:
+            print(f"NotRealizable: no {kind}:{m} symmetry of type {t} in degree {d}", file=sys.stderr)
+            return 3
+        phi = valid[t].certificate["member"]
         report = verify_group_action(phi, group)
         if not report.all_verified:
             return 4
@@ -225,7 +209,7 @@ def cmd_check(args) -> int:
     if not phi.is_in_ratd():
         raise UsageError("the map file has vanishing resultant (not a degree-d map)")
     kind, m, _ = _parse_group(args.group)
-    group = _group_object(kind, m)
+    group = standard_subgroup(kind, m)
     report = verify_group_action(phi, group)
     lines = [f"degree {phi.degree} map, group {args.group} of order {group.order}"]
     lines.append(
@@ -346,6 +330,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

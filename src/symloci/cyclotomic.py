@@ -12,9 +12,8 @@ of different fields are compared at the lcm conductor.  Sums, products
 against Phi_n) run on integers, then divide out one gcd.  ``c`` gives the
 coefficients as Fractions, for printing and serialization.
 
-Also provided here: dense univariate polynomials over the cyclotomics and
-exact linear algebra (kernel, rank, determinant), which every other
-module relies on for dimension counts.
+Also provided here: exact linear algebra (kernel, rank, determinant),
+which every other module relies on for dimension counts.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, sub
-
-Rational = Fraction
 
 _new = object.__new__
 
@@ -381,20 +378,28 @@ class Cyclotomic:
             p = p * self
         return None
 
-    def as_ru_times_rational(self):
-        """Decompose as (r, rho) with self = r * rho, r rational > 0 or < 0,
-        rho a root of unity in Q(zeta_n).  Returns None if no such form."""
+    def _ru_split(self):
+        # (r, j) with self = r * zeta_n^j and r rational (j = 0 when self is
+        # rational), or None when self has no such form
         if not self:
             return None
         if self.is_rational():
-            return self.as_rational(), Cyclotomic.rational(1)
+            return self.as_rational(), 0
         n = self.n
-        for j in range(n):
-            rho = Cyclotomic.zeta(n, j)
-            q = self * rho.inverse()
+        for j in range(1, n):
+            q = self * Cyclotomic.zeta(n, -j)
             if q.is_rational():
-                return q.as_rational(), rho
+                return q.as_rational(), j
         return None
+
+    def as_ru_times_rational(self):
+        """Decompose as (r, rho) with self = r * rho, r rational > 0 or < 0,
+        rho a root of unity in Q(zeta_n).  Returns None if no such form."""
+        dec = self._ru_split()
+        if dec is None:
+            return None
+        r, j = dec
+        return r, Cyclotomic.zeta(self.n, j) if j else Cyclotomic.rational(1)
 
     def sqrt(self) -> Cyclotomic:
         """Exact square root when self = rational * (root of unity).
@@ -404,16 +409,14 @@ class Cyclotomic:
         """
         if not self:
             return Cyclotomic.rational(0)
-        dec = self.as_ru_times_rational()
+        dec = self._ru_split()
         if dec is None:
             raise ValueError("square root not of the form sqrt(rational * root of unity)")
-        r, rho = dec
+        r, j = dec
         root = rational_sqrt(r)
-        if rho != Cyclotomic.rational(1):
-            # rho = zeta_n^j: take zeta_{2n}^j
-            n = self.n
-            j = next(j for j in range(n) if Cyclotomic.zeta(n, j) == rho)
-            root = root * Cyclotomic.zeta(2 * n, j)
+        if j:
+            # rho = zeta_n^j != 1: take zeta_{2n}^j
+            root = root * Cyclotomic.zeta(2 * self.n, j)
         if root * root != self:
             raise AssertionError("computed square root does not square back")
         return root
@@ -556,114 +559,6 @@ def _prime_sqrt(p: int) -> Cyclotomic:
     return g * Cyclotomic.zeta(4, 3)  # divide out i
 
 
-def cyclotomic_polynomial(n: int) -> Poly:
-    """Phi_n as a polynomial with (rational) cyclotomic coefficients."""
-    return Poly([Cyclotomic.rational(c) for c in _cyclotomic_int_coeffs(n)])
-
-
-class Poly:
-    """Dense univariate polynomial over Cyclotomic, lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(_trim(list(coeffs)))
-
-    @classmethod
-    def from_rationals(cls, vals) -> Poly:
-        return cls([Cyclotomic.rational(v) for v in vals])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [Cyclotomic.rational(0)] * (len(b) - len(a))
-        for i, bi in enumerate(b):
-            out[i] = out[i] + bi
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly([-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [Cyclotomic.rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: Poly):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly([]), self
-        q = [Cyclotomic.rational(0)] * (dq + 1)
-        inv_lead = other.coeffs[-1].inverse()
-        for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] * inv_lead
-            q[i] = c
-            if c:
-                for j, dj in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * dj
-        return Poly(q), Poly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def monic(self) -> Poly:
-        if self.is_zero():
-            return self
-        inv = self.coeffs[-1].inverse()
-        return Poly([c * inv for c in self.coeffs])
-
-    def derivative(self) -> Poly:
-        return Poly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def gcd(self, other: Poly) -> Poly:
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def __call__(self, x: Cyclotomic) -> Cyclotomic:
-        acc = Cyclotomic.rational(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        return "Poly(" + ", ".join(repr(c) for c in self.coeffs) + ")"
-
-
 class ExactMatrix:
     """Row-major matrix of cyclotomic numbers with exact linear algebra."""
 
@@ -685,18 +580,16 @@ class ExactMatrix:
         flat = [e for r in row_lists for e in r]
         return cls(rows, cols, flat)
 
-    def at(self, i: int, j: int) -> Cyclotomic:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> list[Cyclotomic]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def _eliminate(self):
         """Forward elimination: (rows in echelon form, pivot columns, row
-        swaps).  Column c's pivot is its first nonzero entry at or below the
-        current row; the rows below it are cleared, none is normalized."""
+        swaps, inverses of the pivots).  Column c's pivot is its first
+        nonzero entry at or below the current row; the rows below it are
+        cleared, none is normalized."""
         m = [self.row(i) for i in range(self.rows)]
-        pivots = []
+        pivots, invs = [], []
         swaps = r = 0
         for c in range(self.cols):
             if r == self.rows:
@@ -714,8 +607,9 @@ class ExactMatrix:
                     f = m[i][c] * inv
                     m[i] = [a - f * b for a, b in zip(m[i], piv)]
             pivots.append(c)
+            invs.append(inv)
             r += 1
-        return m, pivots, swaps
+        return m, pivots, swaps, invs
 
     def rank(self) -> int:
         return len(self._eliminate()[1])
@@ -724,8 +618,7 @@ class ExactMatrix:
         """Exact basis of the right kernel; len = cols - rank.  Vector k sets
         the k-th free column to 1, the other free columns to 0, and solves
         the echelon rows bottom-up for the pivot columns."""
-        m, pivots, _ = self._eliminate()
-        invs = [m[r][c].inverse() for r, c in enumerate(pivots)]
+        m, pivots, _, invs = self._eliminate()
         zero, one = Cyclotomic.rational(0), Cyclotomic.rational(1)
         basis = []
         for f in sorted(set(range(self.cols)) - set(pivots)):
@@ -745,7 +638,7 @@ class ExactMatrix:
     def determinant(self) -> Cyclotomic:
         if self.rows != self.cols:
             raise NonSquare(f"{self.rows}x{self.cols} matrix has no determinant")
-        m, pivots, swaps = self._eliminate()
+        m, pivots, swaps, _ = self._eliminate()
         if len(pivots) < self.rows:
             return Cyclotomic.rational(0)
         det = Cyclotomic.rational(1)

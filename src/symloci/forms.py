@@ -3,15 +3,15 @@
 A form of degree n is stored as n+1 coefficients, coeffs[i] multiplying
 X^(n-i) Y^i.  The zero form carries an explicit declared degree so that
 decompositions with a vanishing component stay representable.  Resultants
-are Sylvester determinants; gcds go through dehomogenization after the
-common Y-power is split off, so no root finding is ever needed.
+are Sylvester determinants; gcds run Euclid on the coefficient lists after
+the common Y-power is split off, so no root finding is ever needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, ExactMatrix, Poly
+from .cyclotomic import Cyclotomic, ExactMatrix, _trim
 
 _C0 = Cyclotomic.rational(0)
 _C1 = Cyclotomic.rational(1)
@@ -87,17 +87,10 @@ class BinaryForm:
             return BinaryForm(self.degree, [a * c for a in self.coeffs])
         n = self.degree + other.degree
         out = [_C0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
+        _accumulate_product(out, self.coeffs, other.coeffs)
         return BinaryForm(n, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> BinaryForm:
-        return self * _cy(c)
 
     def evaluate(self, x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
         acc = _C0
@@ -129,19 +122,6 @@ class BinaryForm:
             if c:
                 return i
         return self.degree + 1  # zero form: conventionally everything
-
-    def dehomogenize(self) -> Poly:
-        """F(x, 1) as a univariate polynomial (low degree first)."""
-        return Poly(list(reversed(self.coeffs)))
-
-    @classmethod
-    def homogenize(cls, p: Poly, degree: int) -> BinaryForm:
-        if p.degree > degree:
-            raise DegreeMismatch("polynomial degree exceeds the target form degree")
-        coeffs = [_C0] * (degree + 1)
-        for j, c in enumerate(p.coeffs):
-            coeffs[degree - j] = c
-        return cls(degree, coeffs)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [c.to_json() for c in self.coeffs]}
@@ -293,8 +273,30 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> Cyclotomic:
     return ExactMatrix.from_rows(rows).determinant()
 
 
+def _remainder(a: list, b: list) -> list:
+    # a mod b for univariate coefficient lists, lowest degree first, each
+    # with a nonzero top coefficient; a is consumed, the result trimmed
+    k = len(b) - 1
+    if len(a) > k:
+        inv = b[-1].inverse()
+        for i in range(len(a) - 1 - k, -1, -1):
+            c = a[i + k] * inv
+            if c:
+                for j in range(k):
+                    a[i + j] = a[i + j] - c * b[j]
+        del a[k:]
+        _trim(a)
+    return a
+
+
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic-normalized gcd of two binary forms."""
+    """Gcd of two binary forms, scaled so its first nonzero coefficient is 1.
+
+    Write F = Y^vf F1 with vf = F.y_valuation().  Euclid runs on the
+    coefficient lists of F1(x, 1) and G1(x, 1), lowest degree first, and
+    the common factor Y^min(vf, vg) comes back as leading zero
+    coefficients.
+    """
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd of two zero forms")
     if f.is_zero():
@@ -302,13 +304,11 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero():
         return f.normalized()
     vf, vg = f.y_valuation(), g.y_valuation()
+    a, b = list(f.coeffs[vf:])[::-1], list(g.coeffs[vg:])[::-1]
+    while b:
+        a, b = b, _remainder(a, b)
     v = min(vf, vg)
-    pf, pg = f.dehomogenize(), g.dehomogenize()
-    h = pf.gcd(pg)
-    out = BinaryForm.homogenize(h, h.degree)
-    if v:
-        out = out * BinaryForm(v, [_C0] * v + [_C1])  # Y^v
-    return out.normalized()
+    return BinaryForm(v + len(a) - 1, [_C0] * v + a[::-1]).normalized()
 
 
 def multiple_zero_locus(j: BinaryForm) -> BinaryForm:
@@ -386,9 +386,6 @@ class P1Point:
     def linear_form(self) -> BinaryForm:
         """The degree-1 form y*X - x*Y vanishing exactly at this point."""
         return BinaryForm(1, [self.y, -self.x])
-
-    def complex(self):
-        return None if self.is_infinity() else self.x.complex()
 
     def to_json(self) -> dict:
         return {"x": self.x.to_json(), "y": self.y.to_json()}

@@ -110,10 +110,11 @@ class MoebiusMap:
         UnliftableInField.
         """
         delta = self.det()
-        dec = delta.as_ru_times_rational()
-        if dec is None:
-            raise UnliftableInField(f"determinant {delta!r} has no cyclotomic square root here")
-        s = delta.sqrt()
+        try:
+            s = delta.sqrt()
+        except ValueError as exc:
+            msg = f"determinant {delta!r} has no cyclotomic square root here"
+            raise UnliftableInField(msg) from exc
         inv = s.inverse()
         return SL2Lift(self.a * inv, self.b * inv, self.c * inv, self.d * inv)
 

@@ -177,3 +177,13 @@ def test_bad_input_is_a_usage_error_not_a_traceback(argv, tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr and "usage error" in proc.stderr, proc.stderr
+
+
+def test_certification_failure_is_exit_2_not_a_traceback(monkeypatch):
+    from symloci import loci
+
+    monkeypatch.setattr(loci, "commuting_space_basis", lambda d, m, lam: [])
+    code, out, err = run(["survey", "--groups", "cyclic", "--d", "5"])
+    assert code == 2, err
+    assert "certification failed: eigenspace count disagrees with the formula" in err
+    assert "Traceback" not in err and out == ""

@@ -10,11 +10,11 @@ from symloci.cyclotomic import (
     Cyclotomic,
     ExactMatrix,
     NonSquare,
-    Poly,
-    cyclotomic_polynomial,
+    _cyclotomic_int_coeffs,
     euler_phi,
     rational_sqrt,
 )
+from symloci.forms import BinaryForm, form_gcd, partial_derivatives
 
 CONDUCTORS = [1, 3, 4, 5, 8, 12]
 
@@ -28,19 +28,17 @@ def test_euler_phi():
 
 
 def test_cyclotomic_polynomial_small():
-    def as_ints(p):
-        return [c.as_rational() for c in p.coeffs]
-
-    assert as_ints(cyclotomic_polynomial(1)) == [-1, 1]
-    assert as_ints(cyclotomic_polynomial(4)) == [1, 0, 1]
-    assert as_ints(cyclotomic_polynomial(12)) == [1, 0, -1, 0, 1]
+    assert list(_cyclotomic_int_coeffs(1)) == [-1, 1]
+    assert list(_cyclotomic_int_coeffs(4)) == [1, 0, 1]
+    assert list(_cyclotomic_int_coeffs(12)) == [1, 0, -1, 0, 1]
 
 
 def test_cyclotomic_polynomial_degree_and_root():
     for n in CONDUCTORS + [6, 10, 20, 60]:
-        p = cyclotomic_polynomial(n)
-        assert p.degree == euler_phi(n)
-        assert not p(Cyclotomic.zeta(n))
+        p = _cyclotomic_int_coeffs(n)
+        assert len(p) - 1 == euler_phi(n) and p[-1] == 1
+        z = Cyclotomic.zeta(n)
+        assert not sum((c * z**i for i, c in enumerate(p)), Cyclotomic.rational(0))
 
 
 def test_canonical_reduce_examples():
@@ -190,23 +188,23 @@ def test_json_roundtrip():
     assert all(isinstance(s, str) for pair in blob["coeffs"] for s in pair)
 
 
-# -- polynomials -------------------------------------------------------------
+# -- polynomials, as binary forms: t^k is X^k Y^(n-k) ------------------------
 
 
 def test_poly_divmod_gcd():
-    x = Poly.from_rationals
-    a = x([2, 0, -2])  # -2t^2 + 2 ... coefficients low-first: 2 - 2t^2
-    b = x([1, 1])  # 1 + t
-    q, r = a.divmod(b)
-    assert q * b + r == a
-    g = x([-1, 0, 1]).gcd(x([1, 1]))  # t^2-1 vs t+1
-    assert g == x([1, 1])
+    a = BinaryForm(2, [-2, 0, 2])  # 2 - 2t^2
+    b = BinaryForm(1, [1, 1])  # 1 + t
+    assert form_gcd(a, b) == b  # b divides a
+    assert form_gcd(a, b * b).degree == 1
+    g = form_gcd(BinaryForm(2, [1, 0, -1]), BinaryForm(1, [1, 1]))  # t^2-1 vs t+1
+    assert g == BinaryForm(1, [1, 1])
 
 
 def test_poly_derivative_eval():
-    p = Poly.from_rationals([1, 2, 3])  # 1 + 2t + 3t^2
-    assert p.derivative() == Poly.from_rationals([2, 6])
-    assert p(Cyclotomic.rational(2)) == 17
+    p = BinaryForm(2, [3, 2, 1])  # 1 + 2t + 3t^2
+    dt, _ = partial_derivatives(p)
+    assert dt == BinaryForm(1, [6, 2])
+    assert p.evaluate(Cyclotomic.rational(2), Cyclotomic.rational(1)) == 17
 
 
 # -- matrices -----------------------------------------------------------------
@@ -258,7 +256,7 @@ def test_determinant_examples():
 
 
 def _ref_modulus(n):
-    return [c.as_rational() for c in cyclotomic_polynomial(n).coeffs]
+    return [Fraction(c) for c in _cyclotomic_int_coeffs(n)]
 
 
 def _ref_reduce(n, raw):

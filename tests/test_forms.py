@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from symloci.cyclotomic import Cyclotomic
+from symloci.cyclotomic import Cyclotomic, euler_phi
 from symloci.forms import (
     BinaryForm,
     DegreeMismatch,
@@ -146,6 +147,98 @@ def test_form_gcd_examples():
     assert form_gcd(BinaryForm(2, [1, 0, 1]), BinaryForm(1, [1, -1])).degree == 0
     f = BinaryForm(3, [2, 0, 0, 2])
     assert form_gcd(f, f) == BinaryForm(3, [1, 0, 0, 1])
+
+
+# -- form_gcd against the univariate-polynomial route it replaced -----------
+#
+# The oracle dehomogenizes both forms, runs Euclid with dense polynomials
+# over the cyclotomics (lowest degree first), takes the monic gcd,
+# homogenizes it and multiplies by the common power of Y.
+
+
+def _ref_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_rem(a, b):
+    rem = list(a)
+    if len(rem) < len(b):
+        return rem
+    inv_lead = b[-1].inverse()
+    for i in range(len(rem) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] * inv_lead
+        if c:
+            for j, bj in enumerate(b):
+                rem[i + j] = rem[i + j] - c * bj
+    return _ref_trim(rem)
+
+
+def _ref_form_gcd(f, g):
+    if f.is_zero() and g.is_zero():
+        raise ValueError("gcd of two zero forms")
+    if f.is_zero():
+        return g.normalized()
+    if g.is_zero():
+        return f.normalized()
+    v = min(f.y_valuation(), g.y_valuation())
+    a, b = _ref_trim(list(reversed(f.coeffs))), _ref_trim(list(reversed(g.coeffs)))
+    while b:
+        a, b = b, _ref_rem(a, b)
+    inv = a[-1].inverse()
+    h = [c * inv for c in a]
+    out = BinaryForm(len(h) - 1, list(reversed(h)))
+    if v:
+        out = out * BinaryForm(v, [0] * v + [1])  # Y^v
+    return out.normalized()
+
+
+@st.composite
+def _gcd_operands(draw):
+    n = draw(st.sampled_from([1, 4, 5, 12]))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    )
+    coeff = st.lists(entry, min_size=euler_phi(n), max_size=euler_phi(n)).map(
+        lambda c: Cyclotomic(n, c)
+    )
+
+    def form(max_degree):
+        d = draw(st.integers(0, max_degree))
+        coeffs = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+        if not any(coeffs):
+            coeffs[draw(st.integers(0, d))] = Cyclotomic.rational(1)
+        return BinaryForm(d, coeffs)
+
+    shared = form(3)
+    ops = []
+    for _ in range(2):
+        v = draw(st.integers(0, 2))
+        op = shared * BinaryForm(v, [0] * v + [1]) * form(3)
+        if draw(st.integers(0, 9)) == 0:
+            op = BinaryForm.zero(op.degree)
+        ops.append(op)
+    return ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_operands())
+@example([BinaryForm(3, [0, 1, 0, 0]), BinaryForm(4, [0, 0, 1, 0, -1])])  # X^2 Y, X^2 Y^2 - Y^4
+@example([BinaryForm(0, [3]), BinaryForm(2, [0, 1, 1])])
+@example([BinaryForm.zero(2), BinaryForm(2, [0, 0, 2])])
+@example([BinaryForm.zero(1), BinaryForm.zero(2)])
+def test_form_gcd_matches_polynomial_euclid(ops):
+    f, g = ops
+    if f.is_zero() and g.is_zero():
+        with pytest.raises(ValueError):
+            form_gcd(f, g)
+        return
+    got, want = form_gcd(f, g), _ref_form_gcd(f, g)
+    assert got == want and got.degree == want.degree
+    assert form_gcd(g, f) == got
 
 
 def test_distinct_common_roots():
