@@ -3,10 +3,10 @@ numeric discovery mode.
 
 Exact computation of the full automorphism group of an arbitrary map would
 require factoring its fixed-point form, so the split here is: candidates
-are verified exactly (coefficient proportionality after conjugation), and
-candidate discovery is numeric (automorphisms permute the periodic points,
-so every automorphism shows up as the Moebius map through a triple of
-them).
+are verified exactly (coefficient proportionality after conjugation; a
+whole group through its generators), and candidate discovery is numeric
+(automorphisms permute the periodic points, so every automorphism shows up
+as the Moebius map through a triple of them).
 """
 
 from __future__ import annotations
@@ -35,17 +35,29 @@ def is_automorphism(phi: RationalMap, sigma: MoebiusMap) -> bool:
 def automorphism_type(phi: RationalMap, sigma: MoebiusMap) -> int:
     """Type t in {-1, 0, 1}: one less than the number of distinct common
     fixed points of phi and sigma."""
-    if sigma.is_identity():
-        raise NotAnAutomorphism("type is defined for non-trivial automorphisms")
     if not is_automorphism(phi, sigma):
         raise NotAnAutomorphism("sigma does not stabilize phi")
-    common = distinct_common_roots_count(phi.fixed_point_form(), sigma.fixed_point_form())
-    return common - 1
+    return _verified_type(phi, sigma)
+
+
+def _verified_type(phi: RationalMap, sigma: MoebiusMap) -> int:
+    """automorphism_type for a sigma already verified as an automorphism
+    of phi: the fixed-point count alone, no conjugation."""
+    if sigma.is_identity():
+        raise NotAnAutomorphism("type is defined for non-trivial automorphisms")
+    return distinct_common_roots_count(phi.fixed_point_form(), sigma.fixed_point_form()) - 1
 
 
 @dataclass
 class AutReport:
-    """Verification/discovery outcome for one map."""
+    """Verification/discovery outcome for one map.
+
+    From a group verification, verified_elements lists the group's
+    elements in their stored order.  verify_group_action conjugates by
+    each of them; the route that construct, check and the dihedral loci
+    take proves them through the generators (phi^(gh) = (phi^g)^h) when
+    every generator passes.
+    """
 
     verified_elements: list[MoebiusMap] = field(default_factory=list)
     numeric_order: int | None = None
@@ -70,7 +82,10 @@ class AutReport:
 def verify_group_action(phi: RationalMap, group: FiniteSubgroup) -> AutReport:
     """Run the exact automorphism test on every element of the group.
 
-    Stops at the first failure, which is recorded in the report.
+    Stops at the first failure, which is recorded in the report.  This is
+    the exhaustive check, one conjugation per element; callers that need
+    only the verdict and the certificate prove the elements through the
+    generators instead (``_verify_through_generators``).
     """
     verified = []
     census: dict[int, int] = {}
@@ -87,6 +102,27 @@ def verify_group_action(phi: RationalMap, group: FiniteSubgroup) -> AutReport:
         census=census,
         classified=classify_census(len(verified), census),
     )
+
+
+def _verify_through_generators(phi: RationalMap, group: FiniteSubgroup) -> AutReport:
+    """The report of verify_group_action, with every element proved
+    through the generators.
+
+    Conjugation is a right action, phi^(gh) = (phi^g)^h, so phi is fixed by
+    every element of the closure once it is fixed by each generator: only
+    the generators are conjugated, and on success every element is
+    reported as verified, in stored order.  A group without generators, or
+    a generator that fails, falls back to verify_group_action's element
+    scan, so a failure reports the same first failing element.
+    """
+    if group.generators and all(is_automorphism(phi, g) for g in group.generators):
+        census = group.order_census()
+        return AutReport(
+            verified_elements=list(group.elements),
+            census=census,
+            classified=classify_census(group.order, census),
+        )
+    return verify_group_action(phi, group)
 
 
 # ---------------------------------------------------------------------------

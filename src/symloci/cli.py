@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 
 from . import loci, platonic
-from .aut import discover_automorphisms, verify_group_action
+from .aut import DegenerateConfiguration, _verify_through_generators, discover_automorphisms
 from .decomp import FormPair, decompose_map, recompose_map
 from .forms import RationalMap
 from .moebius import standard_subgroup
@@ -183,7 +183,7 @@ def cmd_construct(args) -> int:
             print(f"NotRealizable: no {kind}:{m} symmetry of type {t} in degree {d}", file=sys.stderr)
             return 3
         phi = valid[t].certificate["member"]
-        report = verify_group_action(phi, group)
+        report = _verify_through_generators(phi, group)
         if not report.all_verified:
             return 4
     payload = {
@@ -210,7 +210,7 @@ def cmd_check(args) -> int:
         raise UsageError("the map file has vanishing resultant (not a degree-d map)")
     kind, m, _ = _parse_group(args.group)
     group = standard_subgroup(kind, m)
-    report = verify_group_action(phi, group)
+    report = _verify_through_generators(phi, group)
     lines = [f"degree {phi.degree} map, group {args.group} of order {group.order}"]
     lines.append(
         f"exact verification: {len(report.verified_elements)}/{group.order} elements pass"
@@ -250,7 +250,10 @@ def cmd_aut(args) -> int:
     phi = _load_map(args.mapfile)
     if phi.degree < 2:
         raise UsageError("automorphism discovery needs a map of degree >= 2")
-    report = discover_automorphisms(phi, tolerance=args.tolerance)
+    try:
+        report = discover_automorphisms(phi, tolerance=args.tolerance)
+    except DegenerateConfiguration as exc:  # e.g. F and G share a factor
+        raise UsageError(f"numeric discovery cannot start: {exc}") from exc
     payload = {"schema": SCHEMA, "kind": "aut_report", "report": report.to_json()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

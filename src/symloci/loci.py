@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .aut import automorphism_type, is_automorphism, verify_group_action
+from .aut import _verified_type, _verify_through_generators, is_automorphism
 from .cyclotomic import Cyclotomic
 from .forms import BinaryForm, RationalMap
 from .moebius import MoebiusMap, standard_subgroup
@@ -170,7 +170,7 @@ def generic_member(
             continue
         if not is_automorphism(phi, sigma):
             continue
-        if automorphism_type(phi, sigma) != t:
+        if _verified_type(phi, sigma) != t:
             continue
         return phi
     raise NoMemberFound(f"no member for d={d} m={m} t={t} within budget")
@@ -267,7 +267,7 @@ def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -
     if not vecs:
         raise NoMemberFound("empty dihedral stratum")
     group = standard_subgroup("dihedral", m)
-    sigma = MoebiusMap.scaling(Cyclotomic.zeta(m))
+    sigma = group.generators[0]  # the rotation z -> zeta_m z
     for seed in range(budget):
         assignment: dict[tuple[str, int], Cyclotomic] = {}
         for c, vec in zip(_seed_coefficients(seed, len(vecs)), vecs):
@@ -276,9 +276,9 @@ def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -
         phi = _map_from_coeffs(d, assignment)
         if not phi.is_in_ratd():
             continue
-        if not verify_group_action(phi, group).all_verified:
+        if not _verify_through_generators(phi, group).all_verified:
             continue
-        if automorphism_type(phi, sigma) != t:
+        if _verified_type(phi, sigma) != t:
             continue
         return phi
     raise NoMemberFound(f"no dihedral member for d={d} m={m} t={t} mu={mu}")

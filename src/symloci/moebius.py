@@ -190,14 +190,21 @@ def conjugate_map(phi: RationalMap, f: MoebiusMap) -> RationalMap:
 
 
 class FiniteSubgroup:
-    """A finite subgroup of PGL2 as an explicit closed element list."""
+    """A finite subgroup of PGL2 as an explicit closed element list.
 
-    __slots__ = ("elements", "label", "generators")
+    generators, when non-empty, generate elements; aut's generator route
+    relies on this to prove every element through the generators.  The
+    group is not mutated after construction, so its order census is
+    computed once, on first use.
+    """
+
+    __slots__ = ("elements", "label", "generators", "_census")
 
     def __init__(self, elements, label="unknown", generators=None):
         self.elements: list[MoebiusMap] = list(elements)
         self.label = label
         self.generators = list(generators) if generators else []
+        self._census: dict[int, int] | None = None
 
     @property
     def order(self) -> int:
@@ -207,11 +214,14 @@ class FiniteSubgroup:
         return iter(self.elements)
 
     def order_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        for e in self.elements:
-            o = e.projective_order()
-            census[o] = census.get(o, 0) + 1
-        return census
+        """{element order: count}; a fresh copy of the cached census."""
+        if self._census is None:
+            census: dict[int, int] = {}
+            for e in self.elements:
+                o = e.projective_order()
+                census[o] = census.get(o, 0) + 1
+            self._census = census
+        return dict(self._census)
 
     def orbit(self, p: P1Point) -> list[P1Point]:
         seen = {}

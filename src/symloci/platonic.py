@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from operator import mul
 
-from .aut import AutReport, verify_group_action
+from .aut import AutReport, _verify_through_generators
 from .cyclotomic import Cyclotomic, ExactMatrix
 from .decomp import FormPair, meets_ratd, recompose_map
 from .forms import (
@@ -284,6 +284,9 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     key holds the entries rather than the MoebiusMap, whose equality is
     projective; the space itself does not depend on the scale of a
     representative, since Delta^(n/2) absorbs it.
+
+    Odd n gives [] at once: the lift -I acts on degree-n forms by (-1)^n,
+    while every character of the binary group is 1 at -I.
     """
     if n % 2:
         return []
@@ -410,7 +413,7 @@ def construct_symmetric_map(d: int, group_or_kind) -> tuple[RationalMap, AutRepo
         phi = recompose_map(FormPair(d, BinaryForm.zero(d - 1), j)).normalized().minimized()
         if form_gcd(phi.F, phi.G).degree != 0:
             continue  # cannot happen for squarefree J; defensive
-        report = verify_group_action(phi, group)
+        report = _verify_through_generators(phi, group)
         if report.all_verified:
             return phi, report
     raise ConstructionFailed(f"no relevant divisor produced a verified map for d={d}, {kind}")

@@ -1,19 +1,21 @@
 """Exact automorphism verification and numeric discovery."""
 
+import itertools
 import random
 
 import pytest
 
 from symloci.aut import (
     NotAnAutomorphism,
+    _verify_through_generators,
     automorphism_type,
     discover_automorphisms,
     is_automorphism,
     verify_group_action,
 )
 from symloci.cyclotomic import Cyclotomic
-from symloci.forms import RationalMap
-from symloci.moebius import MoebiusMap, conjugate_map, standard_subgroup
+from symloci.forms import BinaryForm, RationalMap
+from symloci.moebius import FiniteSubgroup, MoebiusMap, conjugate_map, standard_subgroup
 
 
 def degree5_example() -> RationalMap:
@@ -197,3 +199,89 @@ def test_numeric_substitution_matches_reference():
         f2, g2 = _subst_complex(fc, gc, (fc, gc))
         assert np.array_equal(f2, _ref_subst_complex(fc, gc, fc))
         assert np.array_equal(g2, _ref_subst_complex(fc, gc, gc))
+
+
+# ---------------------------------------------------------------------------
+# generator route against the element-by-element scan
+# ---------------------------------------------------------------------------
+
+
+def _catalog():
+    groups = [standard_subgroup("cyclic", m) for m in range(1, 13)]
+    groups += [standard_subgroup("dihedral", m) for m in range(1, 9)]
+    return groups + [standard_subgroup(kind) for kind in ("tetra", "octa", "icosa")]
+
+
+def _perturbed(phi: RationalMap) -> RationalMap:
+    coeffs = list(phi.F.coeffs)
+    coeffs[0] = coeffs[0] + 1
+    return RationalMap(BinaryForm(phi.degree, coeffs), phi.G)
+
+
+def _map_pool():
+    """(map, group it must pass or None, group it must fail or None)."""
+    from symloci.loci import NoMemberFound, dihedral_generic_member, generic_member
+    from symloci.platonic import construct_symmetric_map
+
+    pool = []
+    for d, kind in ((3, "tetra"), (5, "octa"), (11, "icosa")):
+        phi, _ = construct_symmetric_map(d, kind)
+        group = standard_subgroup(kind)
+        pool.append((phi, group, None))
+        pool.append((_perturbed(phi), None, group))
+        for m in (MoebiusMap(2, 1, 1, 1), MoebiusMap(1, 1, 0, 1)):  # SL2(Z), not normalizing G
+            pool.append((conjugate_map(phi, m), None, group))
+    for m, t in zip(range(2, 13), itertools.cycle((1, 0, -1))):
+        pool.append((generic_member(m + t, m, t, "zero"), standard_subgroup("cyclic", m), None))
+    for m in range(2, 9):
+        for t, mu in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            try:
+                phi = dihedral_generic_member(m + t, m, t, mu)
+            except NoMemberFound:
+                continue
+            pool.append((phi, standard_subgroup("dihedral", m), None))
+            break
+    return pool
+
+
+def test_generator_route_matches_the_element_scan():
+    catalog = _catalog()
+    passed = set()
+    for phi, must_pass, must_fail in _map_pool():
+        for group in catalog:
+            fast, slow = _verify_through_generators(phi, group), verify_group_action(phi, group)
+            assert fast.to_json() == slow.to_json(), (phi, group)
+            assert fast.all_verified == slow.all_verified
+            if fast.all_verified:
+                passed.add(group.label)
+        if must_pass is not None:
+            assert _verify_through_generators(phi, must_pass).all_verified, (phi, must_pass)
+        if must_fail is not None:
+            assert not _verify_through_generators(phi, must_fail).all_verified, (phi, must_fail)
+    # the generator route succeeded on every group at least once
+    assert passed == {group.label for group in catalog}
+
+
+def test_group_without_generators_falls_back_to_the_scan():
+    from symloci.platonic import construct_symmetric_map
+
+    phi, _ = construct_symmetric_map(5, "octa")
+    for group in _catalog():
+        rebuilt = FiniteSubgroup.from_json(group.to_json())
+        assert rebuilt.generators == []
+        for psi in (phi, _perturbed(phi)):
+            got = _verify_through_generators(psi, rebuilt)
+            assert got.to_json() == verify_group_action(psi, group).to_json()
+            assert got.to_json() == _verify_through_generators(psi, group).to_json()
+
+
+def test_passing_report_lists_every_element_in_order():
+    octa = standard_subgroup("octa")
+    rep = _verify_through_generators(degree5_example(), octa)
+    assert rep.verified_elements == octa.elements
+    assert [e.key() for e in rep.verified_elements] == [e.key() for e in octa.elements]
+    # the report owns its census and element list
+    rep.census[2] = 0
+    rep.verified_elements.clear()
+    assert octa.order_census() == {1: 1, 2: 9, 3: 8, 4: 6}
+    assert len(octa.elements) == 24

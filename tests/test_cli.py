@@ -89,6 +89,29 @@ def test_check_pass_and_fail(degree5_file):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "d, built, claimed, lines",
+    [
+        (5, "octa", "icosa", ["1/60 elements pass", "Moebius[z5, 0; 0, 1]"]),
+        (3, "tetra", "octa", ["1/24 elements pass", "Moebius[z4, 0; 0, 1]"]),
+        (7, "cyclic:3", "dihedral:3", ["2/6 elements pass", "Moebius[0, 1; 1, 0]"]),
+        (7, "dihedral:3", "dihedral:6", ["1/12 elements pass", "Moebius[z6, 0; 0, 1]"]),
+    ],
+)
+def test_check_reports_the_scan_on_failure(tmp_path, d, built, claimed, lines):
+    # a failing generator falls back to the element scan: the count of
+    # elements passing before the first failure and that element, as before
+    code, out, _ = run(["construct", "--d", str(d), "--group", built])
+    assert code == 0
+    path = tmp_path / "phi.json"
+    path.write_text(out)
+    code, out, _ = run(["check", str(path), "--group", claimed])
+    assert code == 4
+    count, failing = lines
+    assert f"exact verification: {count}" in out.splitlines()
+    assert f"first failing element: {failing}" in out.splitlines()
+
+
 def test_check_dihedral_on_power_map(tmp_path):
     from symloci.forms import RationalMap
 
@@ -187,3 +210,96 @@ def test_certification_failure_is_exit_2_not_a_traceback(monkeypatch):
     assert code == 2, err
     assert "certification failed: eigenspace count disagrees with the formula" in err
     assert "Traceback" not in err and out == ""
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every invocation ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+_DEGREES = st.integers(2, 9).map(str)
+_BAD_DEGREES = st.sampled_from(["0", "1", "-3", "x", "", "2.5", "70", "1e3"])
+_RANGES = st.one_of(
+    _DEGREES,
+    st.tuples(_DEGREES, _DEGREES).map("..".join),  # includes reversed ranges
+    st.sampled_from(["..", "3..", "..4", "1..3", "2..x", "9..2", "2...4", "70..70", "banana"]),
+)
+_GROUPS = st.one_of(
+    st.sampled_from(["tetra", "octa", "icosa", "TETRA"]),
+    st.tuples(st.sampled_from(["cyclic", "dihedral"]), st.integers(-1, 12)).map(lambda p: f"{p[0]}:{p[1]}"),
+    st.tuples(
+        st.sampled_from(["cyclic", "dihedral"]), st.integers(1, 9), st.sampled_from(["-1", "0", "1", "2", "x", ""])
+    ).map(lambda p: f"{p[0]}:{p[1]}:t={p[2]}"),
+    st.sampled_from(
+        ["", "cyclic", "dihedral", "cyclic:", "cyclic:x", "octa:2", "cyclic:3:u=1", "cyclic:3:t=1:x", "frob", ":"]
+    ),
+)
+_FILTERS = st.lists(
+    st.sampled_from(["cyclic", "dihedral", "tetra", "octa", "icosa", "platonic", "all", "nope", ""]),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+_FILES = st.sampled_from(["map", "degree1", "singular", "pair", "garbage", "notmap", "empty", "missing"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, degree5_file):
+    from symloci.forms import RationalMap
+
+    root = tmp_path_factory.mktemp("fuzz")
+    code, out, _ = run(["decomp", degree5_file])
+    assert code == 0
+    bodies = {
+        "degree1": json.dumps({"map": RationalMap.from_zpoly([1, 0], [0, 1]).to_json()}),
+        "singular": json.dumps({"map": RationalMap.from_zpoly([1, 1, 0], [0, 1, 1]).to_json()}),
+        "pair": json.dumps(json.loads(out)["pair"]),
+        "garbage": "{not json",
+        "notmap": json.dumps({"map": {"F": 3}}),
+        "empty": "",
+    }
+    files = {"map": degree5_file, "missing": str(root / "missing.json")}
+    for name, body in bodies.items():
+        (root / f"{name}.json").write_text(body)
+        files[name] = str(root / f"{name}.json")
+    return files
+
+
+def _argv():
+    survey = st.tuples(
+        st.just(["survey", "--d"]),
+        _RANGES.map(lambda r: [r]),
+        st.one_of(st.just([]), _FILTERS.map(lambda f: ["--groups", f])),
+        st.sampled_from([[], ["--format", "json"], ["--format", "xml"]]),
+    )
+    construct = st.tuples(
+        st.just(["construct", "--d"]),
+        st.one_of(_DEGREES, _BAD_DEGREES).map(lambda d: [d]),
+        st.one_of(_GROUPS.map(lambda g: ["--group", g]), st.just([])),
+    )
+    check = st.tuples(
+        st.just(["check"]),
+        _FILES.map(lambda f: ["@" + f]),
+        _GROUPS.map(lambda g: ["--group", g]),
+        st.sampled_from([[], ["--tolerance", "1e-6"], ["--tolerance", "x"]]),
+    )
+    on_file = st.tuples(
+        st.sampled_from([["decomp"], ["decomp", "--inverse"], ["aut"], ["resultant"]]),
+        _FILES.map(lambda f: ["@" + f]),
+    )
+    other = st.sampled_from([[], ["frobnicate"], ["survey"], ["check", "--group", "octa"], ["--help"]])
+    return st.one_of(
+        st.one_of(survey, construct, check, on_file).map(lambda parts: [a for part in parts for a in part]),
+        other,
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+@example(argv=["aut", "@singular"])  # once a DegenerateConfiguration traceback
+def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_files, argv):
+    argv = [fuzz_files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, _, err = run(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)

@@ -15,17 +15,17 @@ from symloci.platonic import character_eigenspace, character_group, platonic_gro
 
 
 def oracle_eigenspace(n, group, char):
-    """The eigenspace built as it was before the shared power table: the
-    substitution matrix from one ``substitute`` call per monomial."""
-    if n % 2:
-        return []
+    """The eigenspace without the shared power table: the substitution
+    matrix from one ``substitute`` call per monomial.  Each generator acts
+    through its determinant-1 lift, so odd n is solved as a system rather
+    than short-cut."""
     stacked = []
     for g, chi in zip(group.generators, char):
-        cols = [substitute(BinaryForm.monomial(n, k), g).coeffs for k in range(n + 1)]
-        mu = chi * g.det() ** (n // 2)
+        lift = g.sl2_lift()
+        cols = [substitute(BinaryForm.monomial(n, k), lift).coeffs for k in range(n + 1)]
         for i in range(n + 1):
             row = [cols[k][i] for k in range(n + 1)]
-            row[i] = row[i] - mu
+            row[i] = row[i] - chi
             stacked.append(row)
     return [BinaryForm(n, vec) for vec in ExactMatrix.from_rows(stacked).kernel_basis()]
 
@@ -39,6 +39,16 @@ def test_eigenspace_matches_per_monomial_oracle(kind):
             assert character_eigenspace(n, group, char) == expected, (kind, n, char)
             # a second call is served from the cache and agrees as well
             assert character_eigenspace(n, group, char) == expected
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_odd_degree_has_no_eigenforms(kind):
+    # the shortcut in character_eigenspace against the full stacked system
+    group = platonic_group(kind)
+    for char in character_group(group):
+        for n in (9, 11, 13):
+            assert oracle_eigenspace(n, group, char) == []
+            assert character_eigenspace(n, group, char) == []
 
 
 def test_eigenspace_does_not_depend_on_the_generator_scale():

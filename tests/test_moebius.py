@@ -1,6 +1,7 @@
 """Moebius maps, subgroup catalog, closure, conjugation, degenerate orbits."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -170,3 +171,29 @@ def test_group_json_roundtrip():
     g2 = FiniteSubgroup.from_json(g.to_json())
     assert g2.order == 6 and g2.label == "dihedral:3"
     assert classify_finite_subgroup(g2) == "dihedral:3"
+
+
+def _catalog():
+    groups = [standard_subgroup("cyclic", m) for m in range(1, 13)]
+    groups += [standard_subgroup("dihedral", m) for m in range(1, 9)]
+    return groups + [standard_subgroup(kind) for kind in ("tetra", "octa", "icosa")]
+
+
+def test_order_census_is_cached_but_not_shared():
+    for group in _catalog():
+        recount = dict(Counter(e.projective_order() for e in group.elements))
+        first = group.order_census()
+        assert first == recount
+        first[1] = 99
+        first[97] = 1
+        assert group.order_census() == recount
+        assert group.order_census() is not group.order_census()
+
+
+def test_classification_of_every_catalog_group():
+    for group in _catalog():
+        # the order-2 group <1/z> is cyclic
+        expected = "cyclic:2" if group.label == "dihedral:1" else group.label
+        assert classify_finite_subgroup(group) == expected
+        assert classify_finite_subgroup(group) == expected  # census served from the cache
+        assert classify_finite_subgroup(FiniteSubgroup.from_json(group.to_json())) == expected
