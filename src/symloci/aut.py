@@ -254,7 +254,7 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
                 m = m / np.max(np.abs(m))
                 cf, cg = _conjugate_complex(fc, gc, m)
                 if _proportional(np.concatenate((cf, cg)), coeff_vec, tolerance):
-                    if not any(_matrix_proportional(m, f, tolerance) for f in found):
+                    if not any(_proportional(m.ravel(), f.ravel(), cluster_tol) for f in found):
                         found.append(m)
     census: dict[int, int] = {}
     for m in found:
@@ -267,12 +267,6 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
         census=census,
         classified=classify_census(len(found), census),
     )
-
-
-def _matrix_proportional(m1: np.ndarray, m2: np.ndarray, tol: float) -> bool:
-    v, w = m1.ravel(), m2.ravel()
-    s = np.vdot(v, w) / np.vdot(v, v)
-    return bool(np.linalg.norm(s * v - w) <= max(tol, 1e-9) ** 0.5 * np.linalg.norm(w))
 
 
 def _subst_complex(p: np.ndarray, q: np.ndarray, targets) -> list[np.ndarray]:

@@ -9,8 +9,8 @@ Subcommands:
   aut        numeric automorphism discovery for a map file
   resultant  Sylvester resultant of a map file
 
-Exit codes: 0 success, 1 usage/malformed input, 2 dimension mismatch,
-3 not realizable, 4 failed exact verification.
+Exit codes: 0 success, 1 usage/malformed input, 2 dimension mismatch or
+an exhausted member search, 3 not realizable, 4 failed exact verification.
 """
 
 from __future__ import annotations
@@ -172,11 +172,7 @@ def cmd_construct(args) -> int:
         if m is None or m < 2:
             raise UsageError("construction needs cyclic:M or dihedral:M with M >= 2")
         loci_of = loci.cyclic_existence_and_dim if kind == "cyclic" else loci.dihedral_dim
-        try:
-            valid = {tt: r for tt, r in loci_of(d, m) if r.exists}
-        except loci.NoMemberFound as exc:
-            print(f"NotRealizable: {exc}", file=sys.stderr)
-            return 3
+        valid = {tt: r for tt, r in loci_of(d, m) if r.exists}
         if t is None:
             t = next(iter(valid), None)
         if t not in valid:
@@ -335,6 +331,11 @@ def main(argv=None) -> int:
         return 1
     except AssertionError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
+        return 2
+    except (loci.NoMemberFound, platonic.ConstructionFailed) as exc:
+        # the closed form says the locus exists; a search that finds no
+        # member is a disagreement between the two routes
+        print(f"search exhausted ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 
 

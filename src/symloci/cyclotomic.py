@@ -235,26 +235,15 @@ class Cyclotomic:
 
     def minimal(self) -> Cyclotomic:
         """Rewrite at the smallest conductor that can represent the value."""
-        x = self
-        # n == 2 (mod 4) fields coincide with their odd half
-        while x.n % 4 == 2:
-            h = x.n // 2
-            # zeta_n = -zeta_h^((h+1)/2)
-            raw = [0] * h
-            for i, ci in enumerate(x.nums):
-                if ci:
-                    e = (i * ((h + 1) // 2)) % h
-                    raw[e] += ci if i % 2 == 0 else -ci
-            x = _make(h, _fold(h, _phi(h), raw), x.den)
-        if x.is_rational():
-            return _make(1, x.nums[:1], x.den)
-        for d in _divisors(x.n):
-            if d == x.n or d % 4 == 2 or d == 1:
+        if self.is_rational():
+            return _make(1, self.nums[:1], self.den)
+        for d in _divisors(self.n):
+            if d == self.n or d % 4 == 2 or d == 1:
                 continue
-            y = _try_represent(x, d)
+            y = _try_represent(self, d)
             if y is not None:
                 return y
-        return x
+        return self
 
     # -- arithmetic ----------------------------------------------------------
 

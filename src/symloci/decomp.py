@@ -74,18 +74,12 @@ class FormPair:
 
 
 def decompose(f1: BinaryForm, f2: BinaryForm) -> FormPair:
-    """(divergence, fixed-point form) of a degree-d pair."""
-    if f1.degree != f2.degree or f1.degree < 1:
-        raise DegreeMismatch("decompose expects two forms of equal degree >= 1")
-    if f1.is_zero() and f2.is_zero():
-        raise ValueError("the zero pair is not a map")
-    d = f1.degree
-    f1x, _ = partial_derivatives(f1) if not f1.is_zero() else (BinaryForm.zero(d - 1), None)
-    _, f2y = partial_derivatives(f2) if not f2.is_zero() else (None, BinaryForm.zero(d - 1))
-    h = f1x + f2y
-    yf1 = BinaryForm(d + 1, [_C0] + list(f1.coeffs))
-    xf2 = BinaryForm(d + 1, list(f2.coeffs) + [_C0])
-    return FormPair(d, h, yf1 - xf2)
+    """(divergence, fixed-point form) of a degree-d pair; the pair must be
+    a map's (equal degrees >= 1, not both zero)."""
+    j = RationalMap(f1, f2).fixed_point_form()
+    f1x, _ = partial_derivatives(f1)
+    _, f2y = partial_derivatives(f2)
+    return FormPair(f1.degree, f1x + f2y, j)
 
 
 def decompose_map(phi: RationalMap) -> FormPair:
@@ -98,10 +92,7 @@ def recompose(pair: FormPair) -> tuple[BinaryForm, BinaryForm]:
     h, j = pair.H, pair.J
     xh = BinaryForm(d, list(h.coeffs) + [_C0])
     yh = BinaryForm(d, [_C0] + list(h.coeffs))
-    if j.is_zero():
-        jx = jy = BinaryForm.zero(d)
-    else:
-        jx, jy = partial_derivatives(j)
+    jx, jy = partial_derivatives(j)
     scale = Cyclotomic.rational(Fraction(1, d + 1))
     return (xh + jy) * scale, (yh - jx) * scale
 
@@ -126,10 +117,7 @@ def meets_ratd(pair: FormPair) -> bool:
     if j.is_zero():
         # recompose gives (XH, YH)/(d+1), sharing the factor H for d >= 2
         return pair.d == 1 and not h.is_zero()
-    if j.degree >= 1:
-        mz = multiple_zero_locus(j)
-    else:
-        mz = BinaryForm(0, [Cyclotomic.rational(1)])
+    mz = multiple_zero_locus(j)
     if h.is_zero():
         return mz.degree == 0
     if mz.degree == 0:

@@ -33,6 +33,16 @@ def _proportional(v, w) -> bool:
     return all(a * w[i] == b * v[i] for a, b in zip(v, w))
 
 
+def _normalized(v) -> list[Cyclotomic]:
+    """The entries of v divided by the first nonzero one; a zero vector
+    comes back unchanged."""
+    lead = next((c for c in v if c), None)
+    if lead is None:
+        return list(v)
+    inv = lead.inverse()
+    return [c * inv for c in v]
+
+
 class BinaryForm:
     """Homogeneous form sum_i coeffs[i] X^(n-i) Y^i of declared degree n."""
 
@@ -106,11 +116,7 @@ class BinaryForm:
 
     def normalized(self) -> BinaryForm:
         """Scale so the first nonzero coefficient is 1."""
-        for c in self.coeffs:
-            if c:
-                inv = c.inverse()
-                return BinaryForm(self.degree, [a * inv for a in self.coeffs])
-        return self
+        return BinaryForm(self.degree, _normalized(self.coeffs))
 
     def minimized(self) -> BinaryForm:
         """Rewrite every coefficient at its minimal conductor."""
@@ -189,8 +195,6 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
     """
     a, b, c, d = _matrix_entries(g)
     n = f.degree
-    if n == 0:
-        return f
     pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
     out = [_C0] * (n + 1)
     for i, coef in enumerate(f.coeffs):
@@ -254,10 +258,6 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> Cyclotomic:
     """Resultant of binary forms of arbitrary declared degrees m, n via the
     (m+n) x (m+n) Sylvester determinant; multiplicative in each argument."""
     m, n = f.degree, g.degree
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
     size = m + n
     rows = []
     for shift in range(n):
@@ -317,10 +317,6 @@ def multiple_zero_locus(j: BinaryForm) -> BinaryForm:
     jx, jy = partial_derivatives(j)
     if jx.is_zero() and jy.is_zero():
         return j.normalized()
-    if jx.is_zero():
-        return jy.normalized()
-    if jy.is_zero():
-        return jx.normalized()
     return form_gcd(jx, jy)
 
 
@@ -335,10 +331,7 @@ def distinct_roots_count(f: BinaryForm) -> int:
 
 def distinct_common_roots_count(f: BinaryForm, g: BinaryForm) -> int:
     """Distinct projective roots shared by f and g."""
-    h = form_gcd(f, g)
-    if h.degree == 0:
-        return 0
-    return distinct_roots_count(h)
+    return distinct_roots_count(form_gcd(f, g))
 
 
 class P1Point:
@@ -547,10 +540,8 @@ class RationalMap:
         return self.degree == other.degree and _proportional(v, w)
 
     def normalized(self) -> RationalMap:
-        coeffs = self.coefficients()
-        lead = next(c for c in coeffs if c)
-        inv = lead.inverse()
-        return RationalMap(self.F * inv, self.G * inv)
+        v, d = _normalized(self.coefficients()), self.degree
+        return RationalMap(BinaryForm(d, v[: d + 1]), BinaryForm(d, v[d + 1 :]))
 
     def minimized(self) -> RationalMap:
         return RationalMap(self.F.minimized(), self.G.minimized())

@@ -26,9 +26,16 @@ _SEARCH_VALUES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 def _seed_coefficients(seed: int, count: int) -> list[Cyclotomic]:
     """Coefficients of count basis vectors at one seed of a deterministic
-    member search: _SEARCH_VALUES at indices seed + j (seed + 1)."""
+    member search: _SEARCH_VALUES at index seed + j (seed + 1), plus
+    32 (j // 12).  The index is periodic in j with a period dividing 12, so
+    without the offset a basis of more than 12 vectors repeats a
+    coefficient pattern, F and G share a factor at every seed, and the
+    search runs out of seeds; the first 12 coefficients are unchanged."""
     vals = _SEARCH_VALUES
-    return [Cyclotomic.rational(vals[(seed + j * (seed + 1)) % len(vals)]) for j in range(count)]
+    return [
+        Cyclotomic.rational(vals[(seed + j * (seed + 1)) % len(vals)] + 32 * (j // len(vals)))
+        for j in range(count)
+    ]
 
 
 class NoMemberFound(RuntimeError):
@@ -155,6 +162,8 @@ def generic_member(
 ) -> RationalMap:
     """Deterministic small-coefficient member of the cyclic locus with the
     requested type, exactly verified before being returned."""
+    if d < 2 or m < 2:
+        raise ValueError("need d >= 2 and m >= 2")
     lam = _lambda_for(d, m, t, component)
     basis = commuting_space_basis(d, m, lam)
     if not basis:
@@ -263,6 +272,8 @@ def dihedral_basis(
 
 
 def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -> RationalMap:
+    if d < 2 or m < 2:
+        raise ValueError("need d >= 2 and m >= 2")
     vecs = dihedral_basis(d, m, t, mu)
     if not vecs:
         raise NoMemberFound("empty dihedral stratum")

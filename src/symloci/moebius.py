@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 
 from .cyclotomic import Cyclotomic, euler_phi, _divisors
-from .forms import BinaryForm, Divisor, P1Point, RationalMap, _cy, _proportional, substitute
+from .forms import BinaryForm, Divisor, P1Point, RationalMap, _cy, _normalized, _proportional, substitute
 
 _C0 = Cyclotomic.rational(0)
 _C1 = Cyclotomic.rational(1)
@@ -77,16 +77,10 @@ class MoebiusMap:
             return NotImplemented
         return _proportional(self.entries(), other.entries())
 
-    def _normalized(self) -> list[Cyclotomic]:
-        """The entries divided by the first nonzero one."""
-        s = self.entries()
-        inv = next(v for v in s if v).inverse()
-        return [v * inv for v in s]
-
     def key(self):
         """Hashable canonical form: the normalized entries, each minimal."""
         if self._key is None:
-            norm = [v.minimal() for v in self._normalized()]
+            norm = [v.minimal() for v in _normalized(self.entries())]
             self._key = tuple((e.n, e.nums, e.den) for e in norm)
         return self._key
 
@@ -248,7 +242,7 @@ def _closure_key(h: MoebiusMap, m: int):
     # the normalized entries at conductor m: as unique as key() whenever
     # every entry lies in Q(zeta_m), as in a closure of generators over it,
     # and no minimal() is needed
-    return tuple((w.nums, w.den) for w in (v.promote(m) for v in h._normalized()))
+    return tuple((w.nums, w.den) for w in (v.promote(m) for v in _normalized(h.entries())))
 
 
 def generate_closure(gens, cap: int = 512, label="unknown") -> FiniteSubgroup:

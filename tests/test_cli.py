@@ -212,6 +212,22 @@ def test_certification_failure_is_exit_2_not_a_traceback(monkeypatch):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["survey", "--groups", "cyclic", "--d", "5"], ["construct", "--group", "cyclic:2", "--d", "5"]],
+    ids=["survey", "construct"],
+)
+def test_exhausted_member_search_is_exit_2_not_a_traceback(monkeypatch, argv):
+    from symloci.forms import RationalMap
+
+    # no candidate is ever in Rat_d, so every seeded search runs dry
+    monkeypatch.setattr(RationalMap, "is_in_ratd", lambda self: False)
+    code, out, err = run(argv)
+    assert code == 2, err
+    assert "search exhausted (NoMemberFound): no member for d=5 m=2" in err
+    assert "Traceback" not in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: every invocation ends in a documented exit code
 # ---------------------------------------------------------------------------

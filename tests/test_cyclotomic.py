@@ -393,7 +393,9 @@ def test_minimal_matches_fraction_reference(a, b):
     # Gal(Q(zeta_n)/Q(zeta_d)) fixes x; the value is unique there
     from math import gcd
 
-    for x in (a * b, a + b, a, a.promote(3 * a.n)):
+    cases = [a * b, a + b, a, a.promote(3 * a.n)]
+    cases += [x.promote(2 * x.n) for x in cases if x.n % 2]  # n = 2 (mod 4)
+    for x in cases:
         y = x.minimal()
         n = x.n
         units = [k for k in range(1, n + 1) if gcd(k, n) == 1]

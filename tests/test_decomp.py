@@ -71,6 +71,14 @@ def test_roundtrip_property(d, seed):
     g1, g2 = recompose(pair)
     assert g1 == f1 and g2 == f2
     assert decompose(g1, g2) == pair
+    # one vanishing component: F = 0, G = 0, then H = 0, J = 0
+    zero_d = BinaryForm.zero(d)
+    for g1, g2 in ((zero_d, f2), (f1, zero_d)):
+        if not (g1.is_zero() and g2.is_zero()):
+            assert recompose(decompose(g1, g2)) == (g1, g2)
+    for h, j in ((BinaryForm.zero(d - 1), pair.J), (pair.H, BinaryForm.zero(d + 1))):
+        if not (h.is_zero() and j.is_zero()):
+            assert decompose(*recompose(FormPair(d, h, j))) == FormPair(d, h, j)
 
 
 def _random_sl2_qi(rng):

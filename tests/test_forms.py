@@ -60,6 +60,8 @@ def test_substitute_examples():
     assert sheared == BinaryForm(2, [0, 1, 1])  # XY + Y^2
     f = BinaryForm(3, [1, -2, 0, 5])
     assert substitute(f, ((1, 0), (0, 1))) == f
+    c = BinaryForm(0, [Cyclotomic.zeta(5) + 2])  # degree 0: every g fixes it
+    assert substitute(c, ((1, 2), (3, Cyclotomic.zeta(4)))) == c
 
 
 def test_substitute_right_action():
@@ -74,6 +76,16 @@ def test_resultant_examples():
     assert resultant_pair(X2, Y2) == 1
     assert not resultant_pair(X2, XY)
     assert resultant_pair(XY, BinaryForm(2, [1, 0, 1])) == 1
+    # degree 0: Res(f0, g) = f0^deg g, Res(f, g0) = g0^deg f
+    from symloci.forms import sylvester_resultant
+
+    c, e = Cyclotomic.zeta(5) + 2, Cyclotomic.zeta(4) - 3
+    cubic = BinaryForm(3, [1, -2, 0, 5])
+    assert sylvester_resultant(BinaryForm(0, [c]), cubic) == c**3
+    assert sylvester_resultant(cubic, BinaryForm(0, [c])) == c**3
+    assert sylvester_resultant(BinaryForm(0, [c]), BinaryForm(0, [e])) == 1
+    assert not sylvester_resultant(BinaryForm.zero(0), cubic)
+    assert not sylvester_resultant(X2, BinaryForm.zero(0))
     with pytest.raises(DegreeMismatch):
         resultant_pair(X2, BinaryForm(3, [1, 0, 0, 0]))
 

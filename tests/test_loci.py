@@ -70,6 +70,28 @@ def test_generic_members_verified():
         generic_member(4, 5, 0)  # 5 divides neither d nor d-+1
 
 
+def test_member_search_rejects_order_one():
+    from symloci.loci import dihedral_generic_member
+
+    for d in (3, 4):
+        for t in (1, 0, -1):
+            with pytest.raises(ValueError, match="m >= 2"):
+                generic_member(d, 1, t)
+            for mu in (1, -1):
+                with pytest.raises(ValueError, match="m >= 2"):
+                    dihedral_generic_member(d, 1, t, mu)
+
+
+def test_member_search_on_bases_longer_than_the_search_values():
+    # more than 12 basis vectors: the seeded coefficients must not repeat
+    # with period 12, or F and G share a factor at every seed
+    for d, m in [(23, 2), (34, 3), (35, 3), (45, 4)]:
+        reps = cyclic_existence_and_dim(d, m)
+        assert reps and all(rep.exists and rep.certificate["member"].is_in_ratd() for _, rep in reps)
+    for t, rep in dihedral_dim(47, 2):
+        assert rep.exists and rep.certificate["signs_realized"] == [1, -1], t
+
+
 def test_nonexistence_when_m_divides_nothing():
     # m = 4, d = 6: m divides none of d, d+-1 -> no eigenspace carries a map
     for t in (1, 0, -1):
