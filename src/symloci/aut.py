@@ -6,7 +6,8 @@ require factoring its fixed-point form, so the split here is: candidates
 are verified exactly (coefficient proportionality after conjugation; a
 whole group through its generators), and candidate discovery is numeric
 (automorphisms permute the periodic points, so every automorphism shows up
-as the Moebius map through a triple of them).
+as the Moebius map through a triple of them; a candidate must permute the
+periodic points before it is tested on the coefficients).
 """
 
 from __future__ import annotations
@@ -163,19 +164,46 @@ def _homog(p: complex | None) -> tuple[complex, complex]:
     return (1 + 0j, 0j) if p is None else (p, 1 + 0j)
 
 
+def _to_01inf(triple) -> np.ndarray:
+    """The numeric Moebius matrix sending the triple to (0, 1, inf)."""
+    (x1, y1), (x2, y2), (x3, y3) = (_homog(p) for p in triple)
+    alpha = y3 * x2 - x3 * y2
+    beta = y1 * x2 - x1 * y2
+    return np.array([[alpha * y1, -alpha * x1], [beta * y3, -beta * x3]], dtype=complex)
+
+
 def _mobius_through(src, dst) -> np.ndarray:
     """The numeric Moebius matrix sending the src triple to the dst triple."""
-
-    def to_01inf(triple):
-        (x1, y1), (x2, y2), (x3, y3) = (_homog(p) for p in triple)
-        alpha = y3 * x2 - x3 * y2
-        beta = y1 * x2 - x1 * y2
-        return np.array([[alpha * y1, -alpha * x1], [beta * y3, -beta * x3]], dtype=complex)
-
-    m_src = to_01inf(src)
-    m_dst = to_01inf(dst)
+    m_src = _to_01inf(src)
+    m_dst = _to_01inf(dst)
     inv = np.array([[m_dst[1, 1], -m_dst[0, 1]], [-m_dst[1, 0], m_dst[0, 0]]], dtype=complex)
     return inv @ m_src
+
+
+def _permuting_triples(points, tol: float):
+    """The ordered triples of distinct points, in nested-loop order, whose
+    Moebius map from points[:3] sends every point within chordal distance
+    tol of one of the points: an automorphism permutes the periodic
+    points.  Works on the (q2, q3) pairs of one q1 at a time and tests
+    points[3], points[4], ... only on the candidates still alive."""
+    hp = np.array([_homog(p) for p in points])
+    hp /= np.linalg.norm(hp, axis=1, keepdims=True)
+    n = len(hp)
+    src = _to_01inf(points[:3])
+    pairs = np.array([(j, k) for j in range(n) for k in range(n) if j != k])
+    for q1 in range(n):
+        i2, i3 = pairs[(pairs != q1).all(axis=1)].T
+        (x1, y1), (x2, y2), (x3, y3) = hp[q1], hp[i2].T, hp[i3].T
+        alpha, beta = y3 * x2 - x3 * y2, y1 * x2 - x1 * y2
+        # the adjugate of _to_01inf((q1, q2, q3)), batched over the pairs
+        m = np.moveaxis(np.array([[-beta * x3, alpha * x1], [-beta * y3, alpha * y1]]), -1, 0) @ src
+        alive = np.arange(len(i2))
+        for k in range(3, n):
+            w = m[alive] @ hp[k]
+            cross = np.abs(np.outer(w[:, 0], hp[:, 1]) - np.outer(w[:, 1], hp[:, 0]))
+            alive = alive[cross.min(axis=1) <= tol * np.linalg.norm(w, axis=1)]
+        for a in alive:
+            yield points[q1], points[i2[a]], points[i3[a]]
 
 
 def _conjugate_complex(fc: np.ndarray, gc: np.ndarray, m: np.ndarray):
@@ -210,12 +238,15 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
     """Numeric search for Aut(phi) via triples of periodic points.
 
     Fixed points are computed as roots of the fixed-point form; if fewer
-    than three are distinct, period-2 points are added.  Each candidate
-    Moebius map through a triple is tested numerically; no exactness is
-    claimed for the result.
+    than three are distinct, period-2 points are added.  A candidate
+    Moebius map through a triple must first permute the periodic points
+    (within the clustering radius); only the survivors are tested by
+    conjugating phi numerically.  No exactness is claimed for the result.
     """
     if phi.degree < 2:
         raise ValueError("discovery expects degree >= 2")
+    if not 0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and > 0, not {tolerance}")
     cluster_tol = max(tolerance, 1e-9) ** 0.5
     j = phi.fixed_point_form()
     lead_zeros = 0
@@ -241,21 +272,15 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
     base = points[:3]
     coeff_vec = np.concatenate((fc, gc))
     found: list[np.ndarray] = []
-    for q1 in points:
-        for q2 in points:
-            if q2 is q1:
-                continue
-            for q3 in points:
-                if q3 is q1 or q3 is q2:
-                    continue
-                m = _mobius_through(base, (q1, q2, q3))
-                if abs(np.linalg.det(m)) < 1e-14:
-                    continue
-                m = m / np.max(np.abs(m))
-                cf, cg = _conjugate_complex(fc, gc, m)
-                if _proportional(np.concatenate((cf, cg)), coeff_vec, tolerance):
-                    if not any(_proportional(m.ravel(), f.ravel(), cluster_tol) for f in found):
-                        found.append(m)
+    for triple in _permuting_triples(points, cluster_tol):
+        m = _mobius_through(base, triple)
+        if abs(np.linalg.det(m)) < 1e-14:
+            continue
+        m = m / np.max(np.abs(m))
+        cf, cg = _conjugate_complex(fc, gc, m)
+        if _proportional(np.concatenate((cf, cg)), coeff_vec, tolerance):
+            if not any(_proportional(m.ravel(), f.ravel(), cluster_tol) for f in found):
+                found.append(m)
     census: dict[int, int] = {}
     for m in found:
         o = _numeric_order(m, max(tolerance, 1e-9))

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -79,6 +80,11 @@ def _parse_group(spec: str):
                 raise UsageError("type must be -1, 0 or 1")
         return kind, m, t
     raise UsageError(f"unknown group {spec!r}")
+
+
+def _check_tolerance(tolerance: float):
+    if not 0 < tolerance < math.inf:
+        raise UsageError(f"--tolerance must be finite and > 0, not {tolerance}")
 
 
 def _check_degree(d: int, allow_large: bool):
@@ -176,7 +182,8 @@ def cmd_construct(args) -> int:
         if t is None:
             t = next(iter(valid), None)
         if t not in valid:
-            print(f"NotRealizable: no {kind}:{m} symmetry of type {t} in degree {d}", file=sys.stderr)
+            which = "any type" if t is None else f"type {t}"
+            print(f"NotRealizable: no {kind}:{m} symmetry of {which} in degree {d}", file=sys.stderr)
             return 3
         phi = valid[t].certificate["member"]
         report = _verify_through_generators(phi, group)
@@ -201,6 +208,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _check_tolerance(args.tolerance)
     phi = _load_map(args.mapfile)
     if not phi.is_in_ratd():
         raise UsageError("the map file has vanishing resultant (not a degree-d map)")
@@ -243,6 +251,7 @@ def cmd_decomp(args) -> int:
 
 
 def cmd_aut(args) -> int:
+    _check_tolerance(args.tolerance)
     phi = _load_map(args.mapfile)
     if phi.degree < 2:
         raise UsageError("automorphism discovery needs a map of degree >= 2")

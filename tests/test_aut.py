@@ -98,6 +98,12 @@ def test_discovery_z2():
     assert rep.census == {1: 1, 2: 1}
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf")])
+def test_discovery_rejects_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        discover_automorphisms(degree5_example(), tolerance)
+
+
 def test_discovery_generic_cubic_is_trivial():
     rng = random.Random(41)
     for _ in range(3):
@@ -285,3 +291,120 @@ def test_passing_report_lists_every_element_in_order():
     rep.verified_elements.clear()
     assert octa.order_census() == {1: 1, 2: 9, 3: 8, 4: 6}
     assert len(octa.elements) == 24
+
+
+# ---------------------------------------------------------------------------
+# numeric discovery against the full triple loop
+# ---------------------------------------------------------------------------
+
+
+def _ref_discover_automorphisms(phi: RationalMap, tolerance: float):
+    """Discovery as it ran before the permutation filter: every ordered
+    triple of periodic points is conjugated and tested on the coefficients."""
+    import numpy as np
+
+    from symloci.aut import (
+        AutReport,
+        _cluster,
+        _complex_coeffs,
+        _conjugate_complex,
+        _mobius_through,
+        _numeric_order,
+        _proportional,
+        _roots_of_form,
+        _subst_complex,
+    )
+    from symloci.moebius import classify_census
+
+    cluster_tol = max(tolerance, 1e-9) ** 0.5
+    j = phi.fixed_point_form()
+    lead_zeros = 0
+    while lead_zeros <= j.degree and not j.coeffs[lead_zeros]:
+        lead_zeros += 1
+    fc = _complex_coeffs(phi.F)
+    gc = _complex_coeffs(phi.G)
+    points = _cluster(_roots_of_form(_complex_coeffs(j), lead_zeros), cluster_tol)
+    if len(points) < 3:
+        f2, g2 = _subst_complex(fc, gc, (fc, gc))
+        j2 = np.concatenate(([0], f2)) - np.concatenate((g2, [0]))
+        scale = np.max(np.abs(j2)) or 1.0
+        nz = 0
+        while nz < len(j2) - 1 and abs(j2[nz]) <= 1e-12 * scale:
+            nz += 1
+        points = _cluster(points + _roots_of_form(j2, nz), cluster_tol)
+    assert len(points) >= 3
+    points.sort(key=lambda p: (0, 0.0, 0.0) if p is None else (1, round(p.real, 6), round(p.imag, 6)))
+    base = points[:3]
+    coeff_vec = np.concatenate((fc, gc))
+    found = []
+    for q1 in points:
+        for q2 in points:
+            if q2 is q1:
+                continue
+            for q3 in points:
+                if q3 is q1 or q3 is q2:
+                    continue
+                m = _mobius_through(base, (q1, q2, q3))
+                if abs(np.linalg.det(m)) < 1e-14:
+                    continue
+                m = m / np.max(np.abs(m))
+                cf, cg = _conjugate_complex(fc, gc, m)
+                if _proportional(np.concatenate((cf, cg)), coeff_vec, tolerance):
+                    if not any(_proportional(m.ravel(), f.ravel(), cluster_tol) for f in found):
+                        found.append(m)
+    census = {}
+    for m in found:
+        o = _numeric_order(m, max(tolerance, 1e-9))
+        if o is not None:
+            census[o] = census.get(o, 0) + 1
+    return AutReport([], numeric_order=len(found), census=census, classified=classify_census(len(found), census))
+
+
+# the construct-check conjugators: eight SL2(Z) matrices with entries |.| <= 3
+M_PANEL = (
+    (0, -1, 1, -2), (-2, -1, -1, -1), (0, 1, -1, 1), (2, 1, -3, -1),
+    (0, 1, -1, 2), (1, 0, 1, 1), (-1, 1, 1, -2), (-2, 1, 1, -1),
+)  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def discovery_maps():
+    """(name, map, at most this many triples survive the filter) for the
+    constructed platonic maps, plain and conjugated, and small maps that
+    take the other branches of discovery."""
+    from symloci.loci import dihedral_generic_member, generic_member
+    from symloci.platonic import construct_symmetric_map
+
+    maps = []
+    for kind, d in (("octa", 13), ("tetra", 11), ("tetra", 13), ("icosa", 11)):
+        phi, _ = construct_symmetric_map(d, kind)
+        maps.append((f"{kind}{d}", phi, 60))
+        maps.extend((f"{kind}{d}^{m}", conjugate_map(phi, MoebiusMap(*m)), 60) for m in M_PANEL)
+    maps += [
+        ("cyclic:3 d=7", generic_member(7, 3, 1, "zero"), None),
+        ("dihedral:3 d=7", dihedral_generic_member(7, 3, 1, 1), None),
+        ("4z^3 - 3z, infinity fixed", RationalMap.from_zpoly([4, 0, -3, 0], [0, 0, 0, 1]), None),
+        ("1/z^2", RationalMap.from_zpoly([0, 0, 1], [1, 0, 0]), None),
+        ("z + 1/z, period-2 points", RationalMap.from_zpoly([1, 0, 1], [0, 1, 0]), None),
+    ]
+    return maps
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-8, 1e-10])
+def test_discovery_matches_the_full_triple_loop(discovery_maps, tolerance, monkeypatch):
+    from symloci import aut
+
+    survivors = []
+    filtered = aut._permuting_triples
+
+    def counted(*args):
+        survivors.extend(filtered(*args))
+        return survivors
+
+    monkeypatch.setattr(aut, "_permuting_triples", counted)
+    for name, phi, cap in discovery_maps:
+        survivors.clear()
+        got = discover_automorphisms(phi, tolerance)
+        assert got.to_json() == _ref_discover_automorphisms(phi, tolerance).to_json(), (name, tolerance)
+        # the filter prunes: of 1,320-2,184 triples, about |Aut| survive
+        assert cap is None or len(survivors) <= cap, (name, len(survivors))

@@ -73,6 +73,16 @@ def test_construct_not_realizable():
     assert code == 3 and "NotRealizable" in err
 
 
+def test_construct_with_no_realizable_type_says_so():
+    # no dihedral:2 stratum of any type reaches degree 24
+    code, out, err = run(["construct", "--d", "24", "--group", "dihedral:2"])
+    assert (code, out) == (3, "")
+    assert err == "NotRealizable: no dihedral:2 symmetry of any type in degree 24\n"
+    code, out, err = run(["construct", "--d", "24", "--group", "dihedral:2:t=1"])
+    assert (code, out) == (3, "")
+    assert err == "NotRealizable: no dihedral:2 symmetry of type 1 in degree 24\n"
+
+
 def test_construct_cyclic_member():
     code, out, _ = run(["construct", "--d", "3", "--group", "cyclic:2:t=1"])
     assert code == 0
@@ -142,6 +152,15 @@ def test_aut_subcommand(degree5_file):
     rep = json.loads(out)["report"]
     assert rep["numeric_order"] == 24
     assert rep["census"] == {"1": 1, "2": 9, "3": 8, "4": 6}
+
+
+@pytest.mark.parametrize("command", [["aut"], ["check", "--group", "octa"]], ids=["aut", "check"])
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf", "-inf"])
+def test_tolerance_must_be_finite_and_positive(degree5_file, command, tolerance):
+    # the identity is always an automorphism, so no tolerance may report order 0
+    code, out, err = run([command[0], degree5_file, *command[1:], f"--tolerance={tolerance}"])
+    assert (code, out) == (1, ""), err
+    assert err.startswith("usage error: --tolerance must be finite and > 0"), err
 
 
 def test_resultant_subcommand(degree5_file):
