@@ -221,17 +221,18 @@ def _proportional(v: np.ndarray, w: np.ndarray, tol: float) -> bool:
 
 
 def _numeric_order(m: np.ndarray, tol: float, cap: int = 512) -> int | None:
-    m = m / np.sqrt(abs(np.linalg.det(m)))
-    p = m.copy()
-    for k in range(1, cap + 1):
-        scale = max(abs(p[0, 0]), abs(p[1, 1]), 1e-30)
-        if abs(p[0, 1]) <= tol * scale and abs(p[1, 0]) <= tol * scale and abs(
-            p[0, 0] - p[1, 1]
-        ) <= tol * scale:
-            return k
-        p = p @ m
-        p = p / np.max(np.abs(p))
-    return None
+    """Projective order, None above cap: 1 only for a scalar matrix, else
+    the least k with k * arg(l1/l2) / 2pi within tol of an integer, l1, l2
+    the eigenvalues, |l1/l2| within tol of 1 (a ratio of 1 is parabolic)."""
+    scale = max(abs(m[0, 0]), abs(m[1, 1]), 1e-30)
+    if max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1])) <= tol * scale:
+        return 1
+    l1, l2 = np.linalg.eigvals(m)
+    if abs(abs(l1 / l2) - 1) > tol:
+        return None
+    turns = np.arange(1, cap + 1) * (np.angle(l1 / l2) / (2 * np.pi))
+    hits = np.flatnonzero(np.abs(turns - np.round(turns)) <= tol)
+    return int(hits[0]) + 1 if hits.size and hits[0] else None
 
 
 def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutReport:

@@ -191,7 +191,7 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
     with fields a, b, c, d.  The powers (aX+bY)^k and (cX+dY)^k, k = 0..n,
     are built once per call by ``_power_table``, the same table from which
-    ``_substitution_columns`` builds the whole substitution matrix.
+    ``_substitution_columns`` builds columns of the substitution matrix.
     """
     a, b, c, d = _matrix_entries(g)
     n = f.degree
@@ -203,14 +203,14 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
     return BinaryForm(n, out)
 
 
-def _substitution_columns(n: int, g) -> list[list[Cyclotomic]]:
-    """Matrix of F -> F^g on degree-n forms, by columns: column k is the
-    coefficient list of (X^(n-k) Y^k)^g.  One power table serves all n+1
-    monomials."""
+def _substitution_columns(n: int, g, ks) -> list[list[Cyclotomic]]:
+    """Columns ks of the matrix of F -> F^g on degree-n forms: column k is
+    the coefficient list of (X^(n-k) Y^k)^g.  One power table serves all of
+    them."""
     a, b, c, d = _matrix_entries(g)
     pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
     cols = []
-    for k in range(n + 1):
+    for k in ks:
         out = [_C0] * (n + 1)
         _accumulate_product(out, pows1[n - k], pows2[k])
         cols.append(out)

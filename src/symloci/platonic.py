@@ -275,9 +275,15 @@ _EIGENSPACES: dict[tuple, tuple[BinaryForm, ...]] = {}
 def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[BinaryForm]:
     """Basis of forms of (even) degree n scaled by char under the lifted
     generators; the condition per generator rep M of determinant Delta is
-    F^M = char * Delta^(n/2) F.
+    F^M = mu F with mu = char * Delta^(n/2).
 
-    Each generator's substitution matrix comes from one shared power table.
+    Solved in the monomial basis: a diagonal generator (b = c = 0, the
+    first of every platonic group) scales X^(n-k) Y^k by a^(n-k) d^k, so it
+    adds no rows and keeps only the monomials of weight mu.  Each other
+    generator adds the n+1 rows of its substitution matrix minus mu on the
+    kept columns.  The kernel, embedded back into n+1 coefficients, is the
+    basis the full stacked system gives.
+
     Results are cached for the life of the process, keyed on n, the exact
     generator entries and char, so a survey over consecutive odd degrees
     builds the degree-(d+1) spaces at d once and reuses them at d+2.  The
@@ -293,16 +299,24 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     key = (n, tuple(g.entries() for g in group.generators), tuple(char))
     basis = _EIGENSPACES.get(key)
     if basis is None:
-        stacked = []
+        kept, others = range(n + 1), []
         for g, chi in zip(group.generators, char):
-            cols = _substitution_columns(n, g)
             mu = chi * g.det() ** (n // 2)
+            if g.b or g.c:
+                others.append((g, mu))
+            else:
+                kept = [k for k in kept if g.a ** (n - k) * g.d**k == mu]
+        entries = []
+        for g, mu in others:
+            cols = _substitution_columns(n, g, kept)
             for i in range(n + 1):
-                row = [col[i] for col in cols]
-                row[i] = row[i] - mu
-                stacked.append(row)
-        kernel = ExactMatrix.from_rows(stacked).kernel_basis()
-        basis = _EIGENSPACES[key] = tuple(BinaryForm(n, vec) for vec in kernel)
+                entries.extend(col[i] - mu if k == i else col[i] for k, col in zip(kept, cols))
+        kernel = ExactMatrix((n + 1) * len(others), len(kept), entries).kernel_basis()
+        zero = Cyclotomic.rational(0)
+        placed = (dict(zip(kept, vec)) for vec in kernel)
+        basis = _EIGENSPACES[key] = tuple(
+            BinaryForm(n, [p.get(k, zero) for k in range(n + 1)]) for p in placed
+        )
     return list(basis)
 
 

@@ -1,0 +1,25 @@
+"""Sweep of the character eigenspaces over every platonic stratum up to the
+default degree cap.
+
+    PYTHONPATH=src python -m pytest tests/sweep_eigenspace.py -q
+
+For each platonic group, each of its characters and each even n <= 62
+(the degrees d +- 1 of a survey up to d = 61): the weight-basis solve of
+``character_eigenspace`` gives the same basis as the stacked system of one
+substitution per monomial and generator (``oracle_eigenspace``).  The file
+name is outside the test_*.py pattern, so the default test run skips it.
+"""
+
+import pytest
+
+from symloci.cli import DEFAULT_DEGREE_CAP
+from symloci.platonic import character_eigenspace, character_group, platonic_group
+from test_eigenspace import oracle_eigenspace
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+@pytest.mark.parametrize("n", range(0, DEFAULT_DEGREE_CAP + 2, 2))
+def test_every_stratum_matches_the_stacked_system(kind, n):
+    group = platonic_group(kind)
+    for char in character_group(group):
+        assert character_eigenspace(n, group, char) == oracle_eigenspace(n, group, char), (kind, n, char)

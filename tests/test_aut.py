@@ -1,7 +1,9 @@
 """Exact automorphism verification and numeric discovery."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -408,3 +410,62 @@ def test_discovery_matches_the_full_triple_loop(discovery_maps, tolerance, monke
         assert got.to_json() == _ref_discover_automorphisms(phi, tolerance).to_json(), (name, tolerance)
         # the filter prunes: of 1,320-2,184 triples, about |Aut| survive
         assert cap is None or len(survivors) <= cap, (name, len(survivors))
+
+
+# ---------------------------------------------------------------------------
+# element orders from the eigenvalue ratio
+# ---------------------------------------------------------------------------
+
+# discover_automorphisms(phi, tol).to_json() for every discovery map at the
+# three tolerances above, recorded while _numeric_order still multiplied
+# the matrix until a power was scalar
+RECORDED_REPORTS = Path(__file__).parent / "golden" / "discovery_reports.json"
+
+
+def test_reports_with_every_order_read_are_unchanged(discovery_maps):
+    recorded = json.loads(RECORDED_REPORTS.read_text())
+    assert len(recorded) == 3 * len(discovery_maps)
+    kept = 0
+    for name, phi, _ in discovery_maps:
+        for tolerance in (1e-6, 1e-8, 1e-10):
+            old = recorded[f"{name} @ {tolerance:g}"]
+            if sum(old["census"].values()) == old["numeric_order"]:
+                assert discover_automorphisms(phi, tolerance).to_json() == old, (name, tolerance)
+                kept += 1
+    assert kept == 94
+
+
+@pytest.mark.parametrize("m", [(0, -1, 1, -2), (0, 1, -1, 2)])
+def test_every_element_order_of_a_conjugated_icosa_map_is_read(m):
+    # the powers of 8 of the 60 numeric matrices never came within 1e-8 of
+    # a scalar, so the census missed them and the group was "unknown"
+    from symloci.platonic import construct_symmetric_map
+
+    phi, _ = construct_symmetric_map(11, "icosa")
+    report = discover_automorphisms(conjugate_map(phi, MoebiusMap(*m)), 1e-8)
+    assert report.numeric_order == 60
+    assert report.census == {1: 1, 2: 15, 3: 20, 5: 24}
+    assert report.classified == "icosa"
+
+
+def test_numeric_order_examples():
+    import numpy as np
+
+    from symloci.aut import _numeric_order
+
+    def rotation(k, turns=1):
+        z = np.exp(2j * np.pi * turns / k)
+        return np.array([[z, 0], [0, 1]]) * 3.0
+
+    assert _numeric_order(np.eye(2) * (2 - 1j), 1e-9) == 1
+    assert [_numeric_order(rotation(k), 1e-9) for k in (2, 3, 5, 7)] == [2, 3, 5, 7]
+    assert _numeric_order(rotation(5, 2), 1e-9) == 5
+    # conjugated away from the diagonal
+    m = np.array([[2.0, 1.0], [1.0, 1.0]])
+    assert _numeric_order(np.linalg.inv(m) @ rotation(4) @ m, 1e-9) == 4
+    # parabolic: equal eigenvalues, not scalar, infinite order
+    assert _numeric_order(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-9) is None
+    # loxodromic with a rational rotation angle
+    assert _numeric_order(rotation(3) @ np.diag([2.0, 1.0]), 1e-9) is None
+    # order above the cap
+    assert _numeric_order(rotation(600), 1e-9) is None

@@ -18,6 +18,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     (["survey", "--groups", "tetra,octa,icosa", "--d", "11..15"], "survey_platonic_d11-15.csv"),
+    (["survey", "--groups", "tetra,octa,icosa", "--d", "29..31"], "survey_platonic_d29-31.csv"),
     (["survey", "--groups", "cyclic,dihedral", "--d", "8..11"], "survey_family_d8-11.csv"),
     (["construct", "--group", "octa", "--d", "13"], "construct_octa_d13.json"),
     (["survey", "--groups", "all", "--d", "5..7", "--format", "json"], "survey_all_d5-7.json"),
