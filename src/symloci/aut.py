@@ -243,6 +243,12 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
     Moebius map through a triple must first permute the periodic points
     (within the clustering radius); only the survivors are tested by
     conjugating phi numerically.  No exactness is claimed for the result.
+
+    The report describes the elements found: ``numeric_order`` counts them,
+    and ``census`` and ``classified`` describe the group they form.  An
+    element whose conjugate fails the coefficient test at this tolerance is
+    missing without notice, so that group may be a proper subgroup of
+    Aut(phi).
     """
     if phi.degree < 2:
         raise ValueError("discovery expects degree >= 2")

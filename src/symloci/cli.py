@@ -4,10 +4,11 @@ Subcommands:
   survey     dimension/existence table over a degree range (CSV or JSON)
   construct  build a symmetric map with an exact certificate (JSON)
   check      verify claimed automorphisms of a map file exactly, plus a
-             numeric discovery summary
+             numeric discovery summary of the elements found
   decomp     map pair -> (divergence, fixed-point) form pair, or back
-  aut        numeric automorphism discovery for a map file
-  resultant  Sylvester resultant of a map file
+  aut        numeric automorphism discovery for a map file; census and class
+             describe the elements found, maybe a proper subgroup of Aut(phi)
+  resultant  Sylvester resultant of a map file (Euclidean remainder sequence)
 
 Exit codes: 0 success, 1 usage/malformed input, 2 dimension mismatch or
 an exhausted member search, 3 not realizable, 4 failed exact verification.
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("check", help="exact verification of a claimed symmetry group")
+    p = sub.add_parser("check", help="exact verification of a claimed group, numeric summary of the elements found")
     p.add_argument("mapfile")
     p.add_argument("--group", required=True)
     p.add_argument("--tolerance", type=float, default=1e-8)
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_decomp)
 
-    p = sub.add_parser("aut", help="numeric automorphism discovery")
+    p = sub.add_parser("aut", help="numeric discovery; census/class of the elements found, maybe a proper subgroup")
     p.add_argument("mapfile")
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--out")

@@ -3,15 +3,17 @@
 A form of degree n is stored as n+1 coefficients, coeffs[i] multiplying
 X^(n-i) Y^i.  The zero form carries an explicit declared degree so that
 decompositions with a vanishing component stay representable.  Resultants
-are Sylvester determinants; gcds run Euclid on the coefficient lists after
-the common Y-power is split off, so no root finding is ever needed.
+take the value of the Sylvester determinant but are computed by the
+Euclidean remainder sequence; gcds run Euclid on the coefficient lists
+after the common Y-power is split off.  Both share one remainder step, and
+no root finding is ever needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, ExactMatrix, _trim
+from .cyclotomic import Cyclotomic, _trim
 
 _C0 = Cyclotomic.rational(0)
 _C1 = Cyclotomic.rational(1)
@@ -255,22 +257,37 @@ def resultant_pair(f: BinaryForm, g: BinaryForm) -> Cyclotomic:
 
 
 def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> Cyclotomic:
-    """Resultant of binary forms of arbitrary declared degrees m, n via the
-    (m+n) x (m+n) Sylvester determinant; multiplicative in each argument."""
+    """The (m+n) x (m+n) Sylvester determinant of forms of declared degrees
+    m, n, by the Euclidean recurrence Res(A, B) = (-1)^(ab) lc(B)^(a-r)
+    Res(B, A mod B) on A = F(x, 1), B = G(x, 1), r = deg(A mod B).
+
+    A zero top coefficient lowers the actual degree: Res_{m,n} =
+    (-1)^(n(m-m')) lc(G)^(m-m') Res_{m',n} for F, lc(F)^(n-n') Res_{m,n'}
+    for G, and 0 when both vanish (a common root at [1:0]).  Degree 0
+    follows the matrix: Res_{m,0}(F, g0) = g0^m, Res_{0,n}(f0, G) = f0^n,
+    and the 0 x 0 case is 1.  Zero comes back as the rational 0.
+    """
     m, n = f.degree, g.degree
-    size = m + n
-    rows = []
-    for shift in range(n):
-        row = [_C0] * size
-        for j, c in enumerate(f.coeffs):
-            row[shift + j] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [_C0] * size
-        for j, c in enumerate(g.coeffs):
-            row[shift + j] = c
-        rows.append(row)
-    return ExactMatrix.from_rows(rows).determinant()
+    if not n or not m:
+        res = g.coeffs[0] ** m if not n else f.coeffs[0] ** n
+        return res if res else _C0
+    a, b = _trim(list(f.coeffs[::-1])), _trim(list(g.coeffs[::-1]))
+    if not a or not b or (len(a) <= m and len(b) <= n):
+        return _C0
+    da, db = len(a) - 1, len(b) - 1
+    res = a[-1] ** (n - db) * b[-1] ** (m - da)
+    if n * (m - da) % 2:
+        res = -res
+    while db:
+        r = _remainder(a, b)
+        if not r:
+            return _C0
+        dr = len(r) - 1
+        res = res * b[-1] ** (da - dr)
+        if da * db % 2:
+            res = -res
+        a, b, da, db = b, r, db, dr
+    return res * b[0] ** da
 
 
 def _remainder(a: list, b: list) -> list:

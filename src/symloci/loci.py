@@ -115,16 +115,14 @@ def stalk_eigenvalue(d: int, index: tuple[str, int], eta: Cyclotomic) -> Cycloto
 
 def commuting_space_basis(d: int, m: int, lam: Cyclotomic) -> list[tuple[str, int]]:
     """Coordinate indices spanning the lam-eigenspace of the diagonal
-    conjugation action on the 2d+2 coefficients."""
-    eta = Cyclotomic.zeta(2 * m)
-    idx = []
-    for k in range(d + 1):
-        if stalk_eigenvalue(d, ("a", k), eta) == lam:
-            idx.append(("a", k))
-    for k in range(d + 1):
-        if stalk_eigenvalue(d, ("b", k), eta) == lam:
-            idx.append(("b", k))
-    return idx
+    conjugation action on the 2d+2 coefficients.  The index ('a', k) has
+    eigenvalue eta^(d-2k-1) and ('b', k) eta^(d-2k+1), eta = zeta_2m (see
+    ``stalk_eigenvalue``), so only the exponents mod 2m with eta^j = lam
+    are looked up."""
+    hit = {j for j in range(2 * m) if Cyclotomic.zeta(2 * m, j) == lam}
+    return [("a", k) for k in range(d + 1) if (d - 2 * k - 1) % (2 * m) in hit] + [
+        ("b", k) for k in range(d + 1) if (d - 2 * k + 1) % (2 * m) in hit
+    ]
 
 
 def _lambda_for(d: int, m: int, t: int, component: str = "inf") -> Cyclotomic:

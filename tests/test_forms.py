@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symloci.cyclotomic import Cyclotomic, euler_phi
+from symloci.cyclotomic import Cyclotomic, ExactMatrix, euler_phi
 from symloci.forms import (
     BinaryForm,
     DegreeMismatch,
@@ -21,6 +21,7 @@ from symloci.forms import (
     partial_derivatives,
     resultant_pair,
     substitute,
+    sylvester_resultant,
 )
 
 X2 = BinaryForm(2, [1, 0, 0])
@@ -76,23 +77,11 @@ def test_resultant_examples():
     assert resultant_pair(X2, Y2) == 1
     assert not resultant_pair(X2, XY)
     assert resultant_pair(XY, BinaryForm(2, [1, 0, 1])) == 1
-    # degree 0: Res(f0, g) = f0^deg g, Res(f, g0) = g0^deg f
-    from symloci.forms import sylvester_resultant
-
-    c, e = Cyclotomic.zeta(5) + 2, Cyclotomic.zeta(4) - 3
-    cubic = BinaryForm(3, [1, -2, 0, 5])
-    assert sylvester_resultant(BinaryForm(0, [c]), cubic) == c**3
-    assert sylvester_resultant(cubic, BinaryForm(0, [c])) == c**3
-    assert sylvester_resultant(BinaryForm(0, [c]), BinaryForm(0, [e])) == 1
-    assert not sylvester_resultant(BinaryForm.zero(0), cubic)
-    assert not sylvester_resultant(X2, BinaryForm.zero(0))
     with pytest.raises(DegreeMismatch):
         resultant_pair(X2, BinaryForm(3, [1, 0, 0, 0]))
 
 
 def test_resultant_multiplicative():
-    from symloci.forms import sylvester_resultant
-
     rng = random.Random(5)
     for _ in range(10):
         d1, d2, e = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
@@ -101,7 +90,7 @@ def test_resultant_multiplicative():
         lhs = sylvester_resultant(f1 * f2, g)
         rhs = sylvester_resultant(f1, g) * sylvester_resultant(f2, g)
         assert lhs == rhs
-    # equal-degree wrapper agrees with the general determinant
+    # equal-degree wrapper agrees with the general resultant
     f, g = _random_form(rng, 3), _random_form(rng, 3)
     assert resultant_pair(f, g) == sylvester_resultant(f, g)
     assert bool(resultant_pair(f, g)) == (form_gcd(f, g).degree == 0)
@@ -114,6 +103,128 @@ def test_resultant_sl2_invariance():
         f, g = _random_form(rng, d, 4), _random_form(rng, d, 4)
         a = _random_sl2(rng)
         assert resultant_pair(substitute(f, a), substitute(g, a)) == resultant_pair(f, g)
+
+
+# ---------------------------------------------------------------------------
+# sylvester_resultant against the Sylvester determinant
+# ---------------------------------------------------------------------------
+#
+# The oracle is the definition: n shifted rows of F's coefficients over m
+# shifted rows of G's, an (m+n) x (m+n) matrix, and its determinant by
+# ExactMatrix.determinant.  The resultant runs the Euclidean remainder
+# sequence instead, so zero forms, degree 0, zero top coefficients (a root
+# at [1:0]) and zero bottom ones (a root at [0:1]) are each checked here.
+
+RESULTANT_CONDUCTORS = [1, 4, 5, 8, 12]
+
+
+def _sylvester_determinant(f, g):
+    m, n = f.degree, g.degree
+    rows = [[0] * s + list(f.coeffs) + [0] * (n - 1 - s) for s in range(n)]
+    rows += [[0] * s + list(g.coeffs) + [0] * (m - 1 - s) for s in range(m)]
+    return ExactMatrix.from_rows(rows).determinant()
+
+
+def _assert_resultant(f, g):
+    got, want = sylvester_resultant(f, g), _sylvester_determinant(f, g)
+    assert got == want, (f, g, got, want)
+    return got
+
+
+def _edged_form(rng, d, conductor):
+    # random form with, a third of the time each, a zero top coefficient
+    # and a zero bottom one
+    f = _random_form(rng, d, conductor)
+    coeffs = list(f.coeffs)
+    if rng.random() < 1 / 3:
+        coeffs[0] = Cyclotomic.rational(0)
+    if rng.random() < 1 / 3:
+        coeffs[-1] = Cyclotomic.rational(0)
+    return BinaryForm(d, coeffs)
+
+
+def test_resultant_matches_sylvester_determinant_over_degrees():
+    rng = random.Random(10)
+    for m in range(13):
+        for n in range(13):
+            conductor = RESULTANT_CONDUCTORS[(m + 2 * n) % len(RESULTANT_CONDUCTORS)]
+            _assert_resultant(_edged_form(rng, m, conductor), _edged_form(rng, n, conductor))
+
+
+def test_resultant_edge_cases_match_sylvester_determinant():
+    c, e = Cyclotomic.zeta(5) + 2, Cyclotomic.zeta(12) - 3
+    const, other = BinaryForm(0, [c]), BinaryForm(0, [e])
+    cubic = BinaryForm(3, [1, -2, 0, 5])
+    quad = BinaryForm(2, [Cyclotomic.zeta(8), 0, 3])
+    # degree 0, including the 0 x 0 determinant and zero constants
+    assert _assert_resultant(const, other) == 1
+    assert _assert_resultant(BinaryForm.zero(0), BinaryForm.zero(0)) == 1
+    assert _assert_resultant(const, cubic) == c**3
+    assert _assert_resultant(cubic, const) == c**3
+    assert _assert_resultant(BinaryForm.zero(2), const) == c**2
+    assert _assert_resultant(const, BinaryForm.zero(3)) == c**3
+    assert not _assert_resultant(BinaryForm.zero(0), cubic)
+    assert not _assert_resultant(cubic, BinaryForm.zero(0))
+    zero5 = BinaryForm(0, [Cyclotomic(5, [0, 0, 0, 0])])
+    assert sylvester_resultant(cubic, zero5).to_json() == _sylvester_determinant(cubic, zero5).to_json()
+    # zero forms of positive degree
+    assert not _assert_resultant(BinaryForm.zero(2), cubic)
+    assert not _assert_resultant(quad, BinaryForm.zero(1))
+    assert not _assert_resultant(BinaryForm.zero(1), BinaryForm.zero(4))
+    # a top coefficient of zero in one form lowers its actual degree ...
+    low = BinaryForm(4, [0, 0, 1, Cyclotomic.zeta(4), 2])  # Y^2 (X^2 + i XY + 2 Y^2)
+    assert _assert_resultant(low, cubic) and _assert_resultant(cubic, low)
+    assert _assert_resultant(quad, low) and _assert_resultant(low, quad)
+    assert _assert_resultant(BinaryForm(3, [0, 0, 0, c]), quad) == c**2 * Cyclotomic.zeta(8) ** 3
+    # ... and in both it is the common root [1:0]
+    assert not _assert_resultant(low, BinaryForm(2, [0, 1, 1]))
+    # zero bottom coefficients: a root at [0:1] in one form, then in both
+    assert _assert_resultant(BinaryForm(3, [1, 2, 0, 0]), quad)
+    assert not _assert_resultant(BinaryForm(3, [1, 2, 0, 0]), BinaryForm(2, [1, 1, 0]))
+    # a shared factor of higher degree
+    shared = BinaryForm(2, [1, Cyclotomic.zeta(5), -1])
+    assert not _assert_resultant(shared * cubic, shared * quad)
+    assert not _assert_resultant(shared * low, shared)
+
+
+@st.composite
+def _resultant_operands(draw):
+    n = draw(st.sampled_from(RESULTANT_CONDUCTORS))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    coeff = st.lists(entry, min_size=euler_phi(n), max_size=euler_phi(n)).map(lambda c: Cyclotomic(n, c))
+    forms = []
+    for _ in range(2):
+        d = draw(st.integers(0, 6))
+        forms.append(BinaryForm(d, draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))))
+    return forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_resultant_operands())
+@example([BinaryForm.zero(0), BinaryForm.zero(0)])
+@example([BinaryForm.zero(3), BinaryForm(0, [2])])
+@example([BinaryForm(2, [0, 1, 1]), BinaryForm(3, [0, 1, 0, 1])])
+def test_resultant_antisymmetry(ops):
+    f, g = ops
+    res = _assert_resultant(f, g)
+    assert sylvester_resultant(g, f) == (-res if f.degree * g.degree % 2 else res)
+
+
+def test_resultant_of_constructed_maps_and_conjugates():
+    # the platonic maps of the construct-check workload and their SL2(Z)
+    # conjugates: the same value, written the same way, as the determinant
+    from symloci.moebius import MoebiusMap, conjugate_map
+    from symloci.platonic import construct_symmetric_map
+    from test_aut import M_PANEL
+
+    for kind, d in (("octa", 13), ("tetra", 11), ("tetra", 13)):
+        phi, _ = construct_symmetric_map(d, kind)
+        res = sylvester_resultant(phi.F, phi.G)
+        assert res.to_json() == _sylvester_determinant(phi.F, phi.G).to_json()
+        for m in M_PANEL:
+            psi = conjugate_map(phi, MoebiusMap(*m))
+            got = sylvester_resultant(psi.F, psi.G)
+            assert got.to_json() == _sylvester_determinant(psi.F, psi.G).to_json() == res.to_json(), (kind, d, m)
 
 
 def test_partial_derivatives_and_euler():

@@ -154,6 +154,21 @@ def test_stalk_eigenvalue_examples():
         assert stalk_eigenvalue(3, idx, eta4) == lam
 
 
+def test_commuting_space_basis_matches_per_index_scan():
+    # oracle: the per-index scan, one stalk_eigenvalue power per coefficient
+    for m in range(2, 13):
+        eta = Cyclotomic.zeta(2 * m)
+        lams = [eta**j for j in range(2 * m)]
+        for d in range(2, 41):
+            indices = [(side, k) for side in "ab" for k in range(d + 1)]
+            eigs = [stalk_eigenvalue(d, idx, eta) for idx in indices]
+            for lam in lams:
+                want = [idx for idx, e in zip(indices, eigs) if e == lam]
+                assert commuting_space_basis(d, m, lam) == want, (d, m, lam)
+    # an eigenvalue that is no power of eta has an empty eigenspace
+    assert commuting_space_basis(5, 3, Cyclotomic.rational(2)) == []
+
+
 def test_stalk_order_table():
     assert stalk_order(5, 2, 1) == 1
     assert stalk_order(6, 6, 0) == 12
