@@ -272,7 +272,7 @@ def cmd_resultant(args) -> int:
         "schema": SCHEMA,
         "kind": "resultant",
         "degree": phi.degree,
-        "resultant": res.to_json(),
+        "resultant": res.minimal().to_json(),
         "in_ratd": bool(res),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

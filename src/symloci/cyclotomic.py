@@ -603,6 +603,21 @@ class ExactMatrix:
     def rank(self) -> int:
         return len(self._eliminate()[1])
 
+    def row_basis(self) -> list[list[Cyclotomic]]:
+        """Reduced echelon basis of the row space, one row per pivot: 1 at
+        its pivot column, the row's first nonzero entry, and 0 there in
+        every other row.  The echelon rows of ``_eliminate`` are scaled and
+        cleared upwards, last pivot first."""
+        m, pivots, _, invs = self._eliminate()
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            row = m[r] = [x * invs[r] for x in m[r]]
+            for i in range(r):
+                if m[i][c]:
+                    f = m[i][c]
+                    m[i] = [a - f * b for a, b in zip(m[i], row)]
+        return m[: len(pivots)]
+
     def kernel_basis(self) -> list[list[Cyclotomic]]:
         """Exact basis of the right kernel; len = cols - rank.  Vector k sets
         the k-th free column to 1, the other free columns to 0, and solves

@@ -192,8 +192,7 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
 
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
     with fields a, b, c, d.  The powers (aX+bY)^k and (cX+dY)^k, k = 0..n,
-    are built once per call by ``_power_table``, the same table from which
-    ``_substitution_columns`` builds columns of the substitution matrix.
+    are built once per call by ``_power_table``.
     """
     a, b, c, d = _matrix_entries(g)
     n = f.degree
@@ -203,20 +202,6 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
         if coef:
             _accumulate_product(out, pows1[n - i], pows2[i], coef)
     return BinaryForm(n, out)
-
-
-def _substitution_columns(n: int, g, ks) -> list[list[Cyclotomic]]:
-    """Columns ks of the matrix of F -> F^g on degree-n forms: column k is
-    the coefficient list of (X^(n-k) Y^k)^g.  One power table serves all of
-    them."""
-    a, b, c, d = _matrix_entries(g)
-    pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
-    cols = []
-    for k in ks:
-        out = [_C0] * (n + 1)
-        _accumulate_product(out, pows1[n - k], pows2[k])
-        cols.append(out)
-    return cols
 
 
 def _matrix_entries(g):

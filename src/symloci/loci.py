@@ -380,8 +380,8 @@ def codimension_values(d: int) -> dict:
 
     The largest stratum is the order-2 locus of moduli dimension d-1, so
     the locus in the parameter space has dimension (d-1)+3 and codimension
-    (2d+1) - (d+2) = d-1, while inside the (2d-1)-dimensional moduli space
-    the same stratum leaves codimension d.
+    (2d+1) - (d+2) = d-1; inside the moduli space, of dimension
+    (2d+1) - 3 = 2d-2, the same stratum has codimension d-1 as well.
     """
     best = -1
     for m in range(2, d + 2):
@@ -392,7 +392,7 @@ def codimension_values(d: int) -> dict:
         "max_dim_moduli": best,
         "dim_in_ratd_sweep": best + 3,
         "codim_in_ratd": (2 * d + 1) - (best + 3),
-        "codim_in_moduli": (2 * d - 1) - best,
+        "codim_in_moduli": (2 * d - 2) - best,
     }
 
 

@@ -5,15 +5,21 @@ their sizes, the characters by which the lifted group scales the orbit
 forms, and the eight relevant divisors/pairs these generate.  Existence of
 a degree-d map with symmetry group G is decided constructively from subset
 sums of the orbit degrees, the locus dimension is computed two independent
-ways (eigenspace linear algebra vs the closed form floor(2d/|G|)), and
+ways (character eigenspaces vs the closed form floor(2d/|G|)), and
 explicit symmetric maps are produced through the inverse of the
 divergence/fixed-point decomposition.
+
+The character eigenspaces are spanned by products of the orbit forms, and
+each is certified exactly: by its rank, and by the count of Molien's
+character-orthogonality formula, summed over the classes of tr^2/det.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
+from math import lcm
 from operator import mul
 
 from .aut import AutReport, _verify_through_generators
@@ -24,13 +30,12 @@ from .forms import (
     Divisor,
     P1Point,
     RationalMap,
-    _substitution_columns,
     form_from_divisor,
     form_gcd,
     substitute,
 )
 from .loci import SurveyRow, _seed_coefficients
-from .moebius import FiniteSubgroup, MoebiusMap, degenerate_orbits, standard_subgroup
+from .moebius import FiniteSubgroup, MoebiusMap, _closure_key, degenerate_orbits, standard_subgroup
 
 _PLATONIC = ("tetra", "octa", "icosa")
 
@@ -270,6 +275,17 @@ def existence_residues(group_or_kind, modulus: int | None = None, d_max: int = 6
 
 # (n, generator entries, char) -> eigenspace basis, kept for the process's life
 _EIGENSPACES: dict[tuple, tuple[BinaryForm, ...]] = {}
+# generator entries -> (orbit forms, [[1, f, f^2, ...] per form], scalar
+# of each form under each generator, by generator)
+_ORBIT_FORMS: dict[tuple, tuple] = {}
+# generator entries -> (BFS tree, other edges, {t: elements}) of the words
+_WORDS: dict[tuple, tuple] = {}
+# (generator entries, char) -> {t: sum of char^-1 over the elements of t},
+# empty when char is no character of G
+_CLASS_SUMS: dict[tuple, dict] = {}
+# t -> [u_0, u_2, u_4, ...]
+_TRACES: dict[Cyclotomic, list[Cyclotomic]] = {}
+_ONE = Cyclotomic.rational(1)
 
 
 def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[BinaryForm]:
@@ -277,12 +293,18 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     generators; the condition per generator rep M of determinant Delta is
     F^M = mu F with mu = char * Delta^(n/2).
 
-    Solved in the monomial basis: a diagonal generator (b = c = 0, the
-    first of every platonic group) scales X^(n-k) Y^k by a^(n-k) d^k, so it
-    adds no rows and keeps only the monomials of weight mu.  Each other
-    generator adds the n+1 rows of its substitution matrix minus mu on the
-    kept columns.  The kernel, embedded back into n+1 coefficients, is the
-    basis the full stacked system gives.
+    Such a form has a G-invariant divisor, a sum of orbits, and the form of
+    a full orbit lies in the pencil of the powers f_i^|G_i| of the
+    degenerate-orbit forms f_i; with three orbits f_3^2 lies in k[f_1, f_2]
+    (Klein, Lectures on the Icosahedron; Springer, Invariant Theory, LNM
+    585).  So the basis is the products f_1^a f_2^b f_3^c of degree n, c <= 1
+    on the last (largest) of three orbits, whose scalars under the
+    generators multiply to mu.  Two exact certificates raise AssertionError:
+    the products must have full rank, and their number must be the
+    character-orthogonality count (``_trace_sum``).  They are reduced to
+    the basis in which form k is 1 at its last nonzero coefficient and
+    every other form is 0 there; it depends on the space alone, so the
+    generators' order or scale does not change it.
 
     Results are cached for the life of the process, keyed on n, the exact
     generator entries and char, so a survey over consecutive odd degrees
@@ -296,28 +318,110 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     """
     if n % 2:
         return []
-    key = (n, tuple(g.entries() for g in group.generators), tuple(char))
+    gens = tuple(g.entries() for g in group.generators)
+    key = (n, gens, tuple(char))
     basis = _EIGENSPACES.get(key)
     if basis is None:
-        kept, others = range(n + 1), []
-        for g, chi in zip(group.generators, char):
-            mu = chi * g.det() ** (n // 2)
-            if g.b or g.c:
-                others.append((g, mu))
-            else:
-                kept = [k for k in kept if g.a ** (n - k) * g.d**k == mu]
-        entries = []
-        for g, mu in others:
-            cols = _substitution_columns(n, g, kept)
-            for i in range(n + 1):
-                entries.extend(col[i] - mu if k == i else col[i] for k, col in zip(kept, cols))
-        kernel = ExactMatrix((n + 1) * len(others), len(kept), entries).kernel_basis()
-        zero = Cyclotomic.rational(0)
-        placed = (dict(zip(kept, vec)) for vec in kernel)
-        basis = _EIGENSPACES[key] = tuple(
-            BinaryForm(n, [p.get(k, zero) for k in range(n + 1)]) for p in placed
-        )
+        forms, powers, scalars = _orbit_forms(group, gens)
+        mus = [chi * g.det() ** (n // 2) for g, chi in zip(group.generators, char)]
+        degrees = [f.degree for f in forms]
+        tops = [n // k + 1 for k in degrees]
+        if len(tops) == 3:
+            tops[2] = 2
+        products = []
+        for exps in product(*map(range, tops)):
+            if sum(map(mul, exps, degrees)) == n and all(
+                reduce(mul, map(pow, s, exps), _ONE) == mu for s, mu in zip(scalars, mus)
+            ):
+                for p, a in zip(powers, exps):
+                    while len(p) <= a:
+                        p.append(p[-1] * p[1])
+                products.append(reduce(mul, (p[a] for p, a in zip(powers, exps))))
+        rows = ExactMatrix.from_rows([f.coeffs[::-1] for f in products]).row_basis()
+        if len(rows) != len(products):
+            raise AssertionError(f"degree-{n} orbit products are linearly dependent")
+        trace, order = _trace_sum(n, gens, char), len(_WORDS[gens][0]) + 1
+        if trace != len(products) * order:
+            raise AssertionError(f"{len(products)} degree-{n} orbit products, trace formula {trace!r}/{order}")
+        basis = _EIGENSPACES[key] = tuple(BinaryForm(n, row[::-1]) for row in reversed(rows))
     return list(basis)
+
+
+def _orbit_forms(group: FiniteSubgroup, gens: tuple) -> tuple:
+    """The degenerate-orbit forms by increasing degree, the powers of each
+    so far, and for each generator g the scalar s of each form (F^g = s F).
+    The standard platonic groups read the forms and their lifted characters
+    off the character table; any other group finds its orbits.  The words
+    of ``_trace_sum`` are found here too."""
+    if gens not in _ORBIT_FORMS:
+        if group.label in _PLATONIC and group is platonic_group(group.label):
+            rows = _cached_table(group.label)
+            forms = [row.form for row in rows]
+            scalars = [
+                [row.character[j] * g.det() ** (row.form.degree // 2) for row in rows]
+                for j, g in enumerate(group.generators)
+            ]
+        else:
+            # the trivial group has no degenerate orbit; X and Y serve it
+            forms = [form_from_divisor(div) for div, _ in degenerate_orbits(group)]
+            forms = forms or [BinaryForm.monomial(1, 0), BinaryForm.monomial(1, 1)]
+            scalars = [[_eigen_scalar(f, g) for f in forms] for g in group.generators]
+        one = BinaryForm(0, [_ONE])
+        _ORBIT_FORMS[gens] = (forms, [[one, f] for f in forms], scalars)
+        _WORDS[gens] = _element_words(group.generators)
+    return _ORBIT_FORMS[gens]
+
+
+def _element_words(generators) -> tuple:
+    """One BFS over words in the generators: (tree, edges, classes).
+    Element k > 0 is element tree[k-1][0] times generator tree[k-1][1];
+    edges lists every other step (x, i, y), y = x * generator i; classes
+    maps t = tr^2/det to the indices of its elements."""
+    field = lcm(1, *(v.n for g in generators for v in g.entries()))
+    elements = [MoebiusMap.identity()]
+    index = {_closure_key(elements[0], field): 0}
+    tree, edges = [], []
+    for x, h in enumerate(elements):
+        for i, g in enumerate(generators):
+            y = h.compose(g)
+            k = _closure_key(y, field)
+            if k in index:
+                edges.append((x, i, index[k]))
+            else:
+                index[k] = len(elements)
+                elements.append(y)
+                tree.append((x, i))
+    classes: dict[Cyclotomic, list[int]] = {}
+    for k, h in enumerate(elements):
+        classes.setdefault((h.a + h.d) ** 2 / h.det(), []).append(k)
+    return tree, edges, classes
+
+
+def _trace_sum(n: int, gens: tuple, char: tuple) -> Cyclotomic:
+    """|G| times the dimension of the char-eigenspace in degree n by
+    character orthogonality: sum_g char(g)^-1 u_n(g), summed class by class
+    of t = tr^2/det, with char(g) the product of the generator values along
+    g's word.
+    u_n = h_n / det^(n/2) = tr Sym^n of the determinant-1 lift, from
+    u_0 = 1, u_2 = t - 1, u_(k+2) = (t - 2) u_k - u_(k-2).  When two words
+    of one element disagree, char is no character of G and the sum is 0.
+    """
+    tree, edges, classes = _WORDS[gens]
+    key = (gens, tuple(char))
+    if key not in _CLASS_SUMS:
+        inv = [c.inverse() for c in char]
+        vals = [_ONE]
+        for parent, i in tree:
+            vals.append(vals[parent] * inv[i])
+        consistent = all(vals[x] * inv[i] == vals[y] for x, i, y in edges)
+        _CLASS_SUMS[key] = {t: sum(vals[k] for k in ks) for t, ks in classes.items()} if consistent else {}
+    total = Cyclotomic.rational(0)
+    for t, s in _CLASS_SUMS[key].items():
+        table = _TRACES.setdefault(t, [_ONE, t - 1])
+        while len(table) <= n // 2:
+            table.append((t - 2) * table[-1] - table[-2])
+        total = total + s * table[n // 2]
+    return total
 
 
 def character_group(group: FiniteSubgroup) -> list[tuple]:

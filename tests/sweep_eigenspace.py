@@ -4,17 +4,19 @@ default degree cap.
     PYTHONPATH=src python -m pytest tests/sweep_eigenspace.py -q
 
 For each platonic group, each of its characters and each even n <= 62
-(the degrees d +- 1 of a survey up to d = 61): the weight-basis solve of
-``character_eigenspace`` gives the same basis as the stacked system of one
-substitution per monomial and generator (``oracle_eigenspace``).  The file
-name is outside the test_*.py pattern, so the default test run skips it.
+(the degrees d +- 1 of a survey up to d = 61): the orbit-form products of
+``character_eigenspace`` give the same basis as the stacked system of one
+substitution per monomial and generator (``oracle_eigenspace``), and their
+number is the character-orthogonality count over the group's elements
+(``molien_count``).  The file name is outside the test_*.py pattern, so the
+default test run skips it.
 """
 
 import pytest
 
 from symloci.cli import DEFAULT_DEGREE_CAP
 from symloci.platonic import character_eigenspace, character_group, platonic_group
-from test_eigenspace import oracle_eigenspace
+from test_eigenspace import molien_count, oracle_eigenspace
 
 
 @pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
@@ -22,4 +24,6 @@ from test_eigenspace import oracle_eigenspace
 def test_every_stratum_matches_the_stacked_system(kind, n):
     group = platonic_group(kind)
     for char in character_group(group):
-        assert character_eigenspace(n, group, char) == oracle_eigenspace(n, group, char), (kind, n, char)
+        basis = character_eigenspace(n, group, char)
+        assert basis == oracle_eigenspace(n, group, char), (kind, n, char)
+        assert len(basis) == molien_count(n, group, char), (kind, n, char)

@@ -170,6 +170,22 @@ def test_resultant_subcommand(degree5_file):
     assert payload["in_ratd"] is True and payload["degree"] == 5
 
 
+def test_resultant_json_is_written_at_the_minimal_conductor(degree5_file, monkeypatch):
+    # a rational value left at conductor 8 by the arithmetic is written as
+    # the same value at conductor 1, so one value always gets one JSON
+    from symloci.cyclotomic import Cyclotomic
+    from symloci.forms import RationalMap
+
+    stored = Cyclotomic.rational(-48).promote(8)
+    assert stored.n == 8
+    monkeypatch.setattr(RationalMap, "resultant", lambda self: stored)
+    code, out, _ = run(["resultant", degree5_file])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["resultant"] == Cyclotomic.rational(-48).to_json()
+    assert payload["resultant"]["conductor"] == 1 and payload["in_ratd"] is True
+
+
 def test_usage_errors():
     code, _, err = run(["survey", "--d", "banana"])
     assert code == 1

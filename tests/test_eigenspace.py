@@ -1,18 +1,26 @@
-"""Character eigenspaces: the weight-basis solve, the shared power table
-and the per-process cache against the original stacked system of one
-substitution per monomial and generator."""
+"""Character eigenspaces: the orbit-form products and the per-process
+cache against the original stacked system of one substitution per monomial
+and generator, their count against the character-orthogonality formula,
+and the certificates that catch wrong orbit data."""
 
 import contextlib
+import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from symloci import platonic
+from symloci import forms, platonic
 from symloci.cli import main
 from symloci.cyclotomic import Cyclotomic, ExactMatrix
 from symloci.forms import BinaryForm, substitute
 from symloci.moebius import FiniteSubgroup, MoebiusMap, standard_subgroup
 from symloci.platonic import character_eigenspace, character_group, platonic_group
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def oracle_eigenspace(n, group, char):
@@ -50,26 +58,107 @@ def test_eigenspace_matches_per_monomial_oracle(kind):
             assert character_eigenspace(n, group, char) == expected
 
 
-@pytest.mark.parametrize("kind, r", [("tetra", 2), ("octa", 4), ("icosa", 5)])
-def test_the_solve_keeps_one_weight_class_of_monomials(kind, r, monkeypatch):
-    # the diagonal generator (order r) keeps the k of one class mod r; the
-    # other generator's n + 1 rows are the whole system
-    shapes = []
-    kernel_basis = ExactMatrix.kernel_basis
+def molien_count(n, group, char):
+    """(1/|G|) sum_g char(g)^-1 tr Sym^n(g) for even n over the elements,
+    each through its determinant-1 lift with h_k = tr h_(k-1) - h_(k-2);
+    char(g) is read off an eigenform of char by substitution.  Nothing here
+    is shared with the count ``character_eigenspace`` certifies."""
+    witness = next(
+        basis[0] for m in range(0, 4 * group.order, 2) if (basis := character_eigenspace(m, group, char))
+    )
+    assert tuple(platonic.lifted_scalar(witness, g) for g in group.generators) == tuple(char)
+    total = Cyclotomic.rational(0)
+    for g in group.elements:
+        lift = g.sl2_lift()
+        tr = lift.a + lift.d
+        h = [Cyclotomic.rational(1), tr]
+        while len(h) <= n:
+            h.append(tr * h[-1] - h[-2])
+        total = total + platonic.lifted_scalar(witness, lift).inverse() * h[n]
+    count = total / group.order
+    assert count.is_rational() and count.as_rational().denominator == 1
+    return int(count.as_rational())
 
-    def spy(matrix):
-        shapes.append((matrix.rows, matrix.cols))
-        return kernel_basis(matrix)
 
-    monkeypatch.setattr(ExactMatrix, "kernel_basis", spy)
-    monkeypatch.setattr(platonic, "_EIGENSPACES", {})
+def _no_solve_caches(monkeypatch):
+    for name in ("_EIGENSPACES", "_ORBIT_FORMS", "_WORDS", "_CLASS_SUMS"):
+        monkeypatch.setattr(platonic, name, {})
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_the_platonic_path_multiplies_orbit_forms_and_counts_by_the_trace_formula(kind, monkeypatch):
     group = platonic_group(kind)
-    for char in character_group(group):
-        for n in (20, 22):
-            shapes.clear()
-            character_eigenspace(n, group, char)
-            (rows, cols), = shapes
-            assert rows == n + 1 and cols in ((n + 1) // r, (n + 1) // r + 1), (kind, n, char)
+    chars = character_group(group)
+    # the count of the character-orthogonality formula, computed first and
+    # on its own
+    expected = {(n, c): molien_count(n, group, chars[c]) for n in range(0, 25, 2) for c in range(len(chars))}
+    called = []
+
+    def spy_on(name, real):
+        def spy(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+
+        return spy
+
+    _no_solve_caches(monkeypatch)
+    monkeypatch.setattr(ExactMatrix, "kernel_basis", spy_on("kernel_basis", ExactMatrix.kernel_basis))
+    monkeypatch.setattr(forms, "substitute", spy_on("substitute", forms.substitute))
+    monkeypatch.setattr(platonic, "substitute", spy_on("substitute", platonic.substitute))
+    for (n, c), count in expected.items():
+        assert len(character_eigenspace(n, group, chars[c])) == count, (kind, n, c)
+    assert called == []
+
+
+def _with_orbit_row(monkeypatch, kind, i, **changes):
+    # orbit data with row i changed, and nothing cached from the true data
+    rows = list(platonic._cached_table(kind))
+    rows[i] = dataclasses.replace(rows[i], **changes)
+    monkeypatch.setattr(platonic, "_cached_table", lambda k: tuple(rows) if k == kind else None)
+    _no_solve_caches(monkeypatch)
+
+
+def test_a_wrong_orbit_character_fails_the_trace_count(monkeypatch):
+    # the first tetrahedral orbit form given the trivial character: f_1 then
+    # passes as an invariant of degree 4, where there is none
+    group = platonic_group("tetra")
+    trivial = character_group(group)[0]
+    assert all(c == 1 for c in trivial) and not character_eigenspace(4, group, trivial)
+    _with_orbit_row(monkeypatch, "tetra", 0, character=trivial)
+    with pytest.raises(AssertionError, match="trace formula"):
+        character_eigenspace(4, group, trivial)
+
+
+def test_a_wrong_orbit_form_fails_the_rank(monkeypatch):
+    # f_1 replaced by f_2 under f_1's character: f_1^3 and f_2^3 are then
+    # the same degree-12 invariant
+    group = platonic_group("tetra")
+    trivial = character_group(group)[0]
+    _with_orbit_row(monkeypatch, "tetra", 0, form=platonic._cached_table("tetra")[1].form)
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        character_eigenspace(12, group, trivial)
+
+
+_SURVEY_WITH_A_WRONG_CHARACTER = """
+import dataclasses, sys
+from symloci import platonic
+from symloci.cli import main
+rows = list(platonic._cached_table("tetra"))
+rows[0] = dataclasses.replace(rows[0], character=rows[2].character)
+platonic._cached_table = lambda kind: tuple(rows)
+sys.exit(main(["survey", "--groups", "tetra", "--d", "11"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_failed_certificate_is_exit_2_also_under_optimization(flags):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _SURVEY_WITH_A_WRONG_CHARACTER],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "certification failed" in proc.stderr
 
 
 def _conjugated(group, m):
@@ -108,7 +197,7 @@ def test_eigenspace_with_the_diagonal_generator_second(kind):
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
-@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("m", range(1, 7))
 def test_eigenspace_of_the_cyclic_and_dihedral_groups(kind, m):
     # cyclic: one diagonal generator and no rows at all; dihedral: the
     # inversion 1/z adds rows on the monomials of the rotation's weight.

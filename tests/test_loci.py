@@ -191,7 +191,8 @@ def test_codimension_values():
         vals = codimension_values(d)
         assert vals["max_dim_moduli"] == d - 1
         assert vals["codim_in_ratd"] == d - 1
-        assert vals["codim_in_moduli"] == d
+        # dim M_d = 2d - 2, so the order-2 locus is a curve in the plane M_2
+        assert vals["codim_in_moduli"] == d - 1
 
 
 def test_survey_rows_all_match():
