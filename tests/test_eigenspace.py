@@ -110,6 +110,26 @@ def test_the_platonic_path_multiplies_orbit_forms_and_counts_by_the_trace_formul
     assert called == []
 
 
+@pytest.mark.parametrize("kind, r", [("tetra", 2), ("octa", 4), ("icosa", 5)])
+def test_the_solve_keeps_one_weight_class_of_monomials(kind, r, monkeypatch):
+    # the diagonal generator (order r) scales monomial k by the k-th power of
+    # a primitive r-th root, so the orbit products kept for one character
+    # lie on the k of one class mod r, and the space has at most that
+    # class's (n + 1) // r or (n + 1) // r + 1 monomials
+    _no_solve_caches(monkeypatch)
+    group = platonic_group(kind)
+    diagonal = group.generators[0]
+    assert _is_diagonal(diagonal) and diagonal.projective_order() == r
+    for char in character_group(group):
+        for n in (20, 22):
+            basis = character_eigenspace(n, group, char)
+            classes = {k % r for f in basis for k, c in enumerate(f.coeffs) if c}
+            assert len(classes) <= 1, (kind, n, char)
+            if basis:
+                size = len(range(classes.pop(), n + 1, r))
+                assert size in ((n + 1) // r, (n + 1) // r + 1) and len(basis) <= size, (kind, n, char)
+
+
 def _with_orbit_row(monkeypatch, kind, i, **changes):
     # orbit data with row i changed, and nothing cached from the true data
     rows = list(platonic._cached_table(kind))
