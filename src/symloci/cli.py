@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from functools import lru_cache
 
 from . import loci, platonic
 from .aut import DegenerateConfiguration, _verify_through_generators, discover_automorphisms
@@ -279,6 +280,8 @@ def cmd_resultant(args) -> int:
     return 0
 
 
+# built once per process: argparse looks up sys.stdout/stderr only when it prints
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symloci",
@@ -329,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -192,12 +192,29 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
 
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
     with fields a, b, c, d.  The powers (aX+bY)^k and (cX+dY)^k, k = 0..n,
-    are built once per call by ``_power_table``.
+    are built once per call by ``_power_table``.  A diagonal or
+    anti-diagonal g takes O(n) products instead, with the same result.
     """
     a, b, c, d = _matrix_entries(g)
     n = f.degree
-    pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
     out = [_C0] * (n + 1)
+    if (not b and not c) or (not a and not d):
+        # coef X^(n-i) Y^i goes to coef s^(n-i) t^i X^(n-i) Y^i, (s, t) =
+        # (a, d), or to coef s^(n-i) t^i X^i Y^(n-i), (s, t) = (b, c); each
+        # product has the dense route's conductor, hence its (nums, den),
+        # and a zero one stays the rational 0 as there
+        flip = bool(b or c)
+        s, t = (b, c) if flip else (a, d)
+        spows, tpows = [_C1], [_C1]
+        for _ in range(n):
+            spows.append(spows[-1] * s)
+            tpows.append(tpows[-1] * t)
+        for i, coef in enumerate(f.coeffs):
+            st = coef and spows[n - i] * tpows[i]
+            if st:
+                out[n - i if flip else i] = coef * st
+        return BinaryForm(n, out)
+    pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
     for i, coef in enumerate(f.coeffs):
         if coef:
             _accumulate_product(out, pows1[n - i], pows2[i], coef)

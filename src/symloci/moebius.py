@@ -5,7 +5,8 @@ equality is projective.  Closure generation keeps the raw composition
 representatives (their determinants stay products of generator
 determinants, which keeps exact SL2 lifting available), and deduplicates
 through a normalized key.  The standard catalog covers the cyclic,
-dihedral, tetrahedral, octahedral and icosahedral rotation groups.
+dihedral, tetrahedral, octahedral and icosahedral rotation groups; the
+first two are listed in closed form, as their closures would list them.
 """
 
 from __future__ import annotations
@@ -189,16 +190,16 @@ class FiniteSubgroup:
     generators, when non-empty, generate elements; aut's generator route
     relies on this to prove every element through the generators.  The
     group is not mutated after construction, so its order census is
-    computed once, on first use.
+    computed once, on first use, unless the caller knows it already.
     """
 
     __slots__ = ("elements", "label", "generators", "_census")
 
-    def __init__(self, elements, label="unknown", generators=None):
+    def __init__(self, elements, label="unknown", generators=None, census=None):
         self.elements: list[MoebiusMap] = list(elements)
         self.label = label
         self.generators = list(generators) if generators else []
-        self._census: dict[int, int] | None = None
+        self._census: dict[int, int] | None = census
 
     @property
     def order(self) -> int:
@@ -269,8 +270,37 @@ def generate_closure(gens, cap: int = 512, label="unknown") -> FiniteSubgroup:
     return FiniteSubgroup(list(elements.values()), label=label, generators=list(gens))
 
 
-def _zeta_map(m: int) -> MoebiusMap:
-    return MoebiusMap.scaling(Cyclotomic.zeta(m)) if m > 1 else MoebiusMap.identity()
+def _rotation_group(m: int, dihedral: bool) -> FiniteSubgroup:
+    # generate_closure([r] or [r, J]) without the search, r = zeta_m z and
+    # J = 1/z: its level k adds r^k (new while 2k <= m), r^(k-1) J, J r^(k-1)
+    # (new while 0 < 2k - 2 < m) and r^-k (new while 2k < m), each as the
+    # first product that reaches it
+    ident, j = MoebiusMap.identity(), MoebiusMap.inversion()
+    r = MoebiusMap.scaling(Cyclotomic.zeta(m)) if m > 1 else ident
+    up, down, r_inv = [ident], [ident], r.inverse()
+    for _ in range(m // 2):
+        up.append(up[-1].compose(r))
+        down.append(down[-1].compose(r_inv))
+    elements = [ident]
+    for k in range(1, m // 2 + 2):
+        if 2 * k <= m:
+            elements.append(up[k])
+        if dihedral:
+            elements.append(up[k - 1].compose(j))
+            if 0 < 2 * k - 2 < m:
+                elements.append(j.compose(up[k - 1]))
+        if 2 * k < m:
+            elements.append(down[k])
+    gens, label = ([r, j], f"dihedral:{m}") if dihedral else ([r], f"cyclic:{m}")
+    return FiniteSubgroup(elements, label=label, generators=gens, census=_rotation_census(m, dihedral))
+
+
+def _rotation_census(m: int, dihedral: bool) -> dict[int, int]:
+    # phi(q) rotations of each order q | m, and m reflections of order 2
+    census = {q: euler_phi(q) for q in _divisors(m)}
+    if dihedral:
+        census[2] = census.get(2, 0) + m
+    return census
 
 
 def standard_subgroup(kind: str, m: int | None = None) -> FiniteSubgroup:
@@ -283,8 +313,11 @@ def standard_subgroup(kind: str, m: int | None = None) -> FiniteSubgroup:
     icosa:    <eps z, T> with eps = zeta_5 and T the symmetric order-2 map
               with entries in Q(zeta_5); validated by closure order 60.
 
-    Each (kind, m) is closed once per process and the same FiniteSubgroup is
-    returned on later calls; nothing in the package mutates one.
+    The platonic groups are closed by ``generate_closure``; the cyclic and
+    dihedral ones are listed in closed form, as that closure lists them, and
+    come with their order census.  Each (kind, m) is built once per process
+    and the same FiniteSubgroup is returned on later calls; nothing in the
+    package mutates one.
     """
     return _standard_subgroup(kind.lower(), m)
 
@@ -293,16 +326,10 @@ def standard_subgroup(kind: str, m: int | None = None) -> FiniteSubgroup:
 def _standard_subgroup(kind: str, m: int | None) -> FiniteSubgroup:
     i = Cyclotomic.zeta(4)
     rot3 = MoebiusMap(i, i, 1, -1)  # i(z+1)/(z-1)
-    if kind == "cyclic":
+    if kind in ("cyclic", "dihedral"):
         if m is None or m < 1:
-            raise ValueError("cyclic needs m >= 1")
-        return generate_closure([_zeta_map(m)], cap=m + 1, label=f"cyclic:{m}")
-    if kind == "dihedral":
-        if m is None or m < 1:
-            raise ValueError("dihedral needs m >= 1")
-        return generate_closure(
-            [_zeta_map(m), MoebiusMap.inversion()], cap=2 * m + 1, label=f"dihedral:{m}"
-        )
+            raise ValueError(f"{kind} needs m >= 1")
+        return _rotation_group(m, kind == "dihedral")
     if kind == "tetra":
         return generate_closure([MoebiusMap.scaling(-1), rot3], cap=13, label="tetra")
     if kind == "octa":
@@ -338,15 +365,8 @@ def classify_census(n: int, census: dict[int, int]) -> str:
     for name, (size, pattern) in _PLATONIC_CENSUS.items():
         if n == size and census == pattern:
             return name
-    if n % 2 == 0:
-        m = n // 2
-        expected = {1: 1}
-        for dd in _divisors(m):
-            if dd > 1:
-                expected[dd] = expected.get(dd, 0) + euler_phi(dd)
-        expected[2] = expected.get(2, 0) + m  # the m order-2 reflections
-        if census == expected:
-            return f"dihedral:{m}"
+    if n % 2 == 0 and census == _rotation_census(n // 2, True):
+        return f"dihedral:{n // 2}"
     return "unknown"
 
 

@@ -1,13 +1,16 @@
-"""Layer micro-benchmark of the resultant: forms.sylvester_resultant on
-fixed pairs of degree-d forms, per degree and conductor.
+"""Layer micro-benchmarks of the forms layer: forms.sylvester_resultant on
+fixed pairs of degree-d forms, and forms.substitute of one degree-24 form
+under a diagonal, an anti-diagonal and a dense matrix, per degree and
+conductor.
 
     PYTHONPATH=src python -m pytest tests/perf_forms.py --benchmark-only
 
-Each round computes the resultant of one pair (F, G) of degree-d forms
-drawn by a seeded generator: coefficients a + b zeta_n with a, b integers
-in [-9, 9], the zeta term present half the time (always rational at
-conductor 1).  The file name is outside the test_*.py pattern, so the
-default test run skips it.
+The forms are drawn by a seeded generator: coefficients a + b zeta_n with
+a, b integers in [-9, 9], the zeta term present half the time (always
+rational at conductor 1).  The resultant's rounds take one pair (F, G);
+the substitutions act by zeta_n z, 1/z and (z + 1)/(zeta_n z + 2), whose
+matrices are diagonal, anti-diagonal and dense.  The file name is outside
+the test_*.py pattern, so the default test run skips it.
 """
 
 import random
@@ -15,9 +18,14 @@ import random
 import pytest
 
 from symloci.cyclotomic import Cyclotomic
-from symloci.forms import BinaryForm, sylvester_resultant
+from symloci.forms import BinaryForm, substitute, sylvester_resultant
 
 CASES = [(8, 1), (11, 1), (13, 1), (13, 5), (13, 12)]
+SUBSTITUTION_MATRICES = {
+    "diagonal": lambda z: (z, 0, 0, 1),
+    "anti-diagonal": lambda z: (0, 1, 1, 0),
+    "dense": lambda z: (1, 1, z, 2),
+}
 
 
 def _form(rng, d, n):
@@ -35,3 +43,12 @@ def test_sylvester_resultant(benchmark, d, n):
     rng = random.Random(f"{d}:{n}")
     f, g = _form(rng, d, n), _form(rng, d, n)
     assert benchmark(sylvester_resultant, f, g)
+
+
+@pytest.mark.parametrize("kind", sorted(SUBSTITUTION_MATRICES))
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_substitute(benchmark, kind, n):
+    rng = random.Random(f"substitute:{n}")
+    f = _form(rng, 24, n)
+    g = SUBSTITUTION_MATRICES[kind](Cyclotomic.zeta(n))
+    assert not benchmark(substitute, f, g).is_zero()

@@ -13,6 +13,8 @@ from symloci.forms import (
     Divisor,
     P1Point,
     RationalMap,
+    _accumulate_product,
+    _power_table,
     distinct_common_roots_count,
     distinct_roots_count,
     form_from_divisor,
@@ -71,6 +73,45 @@ def test_substitute_right_action():
         f = _random_form(rng, rng.randint(1, 5), conductor=4)
         g, h = _random_sl2(rng), _random_sl2(rng)
         assert substitute(substitute(f, g), h) == substitute(f, g.compose(h))
+
+
+def _dense_substitute(f, a, b, c, d):
+    # the power-table route, which substitute takes for any non-monomial g
+    n = f.degree
+    pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
+    out = [Cyclotomic.rational(0)] * (n + 1)
+    for i, coef in enumerate(f.coeffs):
+        if coef:
+            _accumulate_product(out, pows1[n - i], pows2[i], coef)
+    return out
+
+
+@st.composite
+def _monomial_substitutions(draw):
+    def element(n):
+        k, scale = draw(st.integers(0, n - 1)), draw(st.integers(-3, 3).filter(bool))
+        return Cyclotomic.zeta(n, k) * scale + draw(st.sampled_from([0, 1, Fraction(-1, 2)]))
+
+    d = draw(st.integers(0, 14))
+    coeffs = [element(draw(st.integers(1, 12))) if draw(st.booleans()) else 0 for _ in range(d + 1)]
+    n = draw(st.integers(1, 12))
+    s, t = element(n), element(draw(st.sampled_from([1, n])))
+    g = (s, 0, 0, t) if draw(st.booleans()) else (0, s, t, 0)
+    return BinaryForm(d, coeffs), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_substitutions())
+@example((BinaryForm.zero(5), (Cyclotomic.zeta(7), 0, 0, 1)))
+@example((BinaryForm.zero(3), (0, 1, 1, 0)))
+@example((BinaryForm(0, [Cyclotomic.zeta(9, 2)]), (0, Cyclotomic.zeta(4), 3, 0)))
+@example((BinaryForm(4, [1, Cyclotomic.zeta(12), 0, Fraction(2, 3), Cyclotomic.zeta(5)]), (0, 1, -1, 0)))
+@example((BinaryForm(3, [Cyclotomic.zeta(3), 1, 0, 2]), (0, -1, 1, 0)))
+def test_monomial_substitution_matches_the_power_table(case):
+    f, g = case
+    got = substitute(f, g).coeffs
+    want = _dense_substitute(f, *g)
+    assert [(c.n, c.nums, c.den) for c in got] == [(c.n, c.nums, c.den) for c in want]
 
 
 def test_resultant_examples():

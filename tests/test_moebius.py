@@ -64,6 +64,23 @@ def test_generate_closure_quoted_generators():
         generate_closure([MoebiusMap(1, 1, 0, 1)], cap=50)
 
 
+def _stored_entries(group):
+    return [tuple((v.n, v.nums, v.den) for v in e.entries()) for e in group.elements]
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+def test_closed_form_groups_equal_their_closures(kind):
+    # same elements, same order, same stored representatives: construct
+    # prints the elements as they are stored
+    for m in range(1, 61):
+        group = standard_subgroup(kind, m)
+        gens = [MoebiusMap.scaling(Cyclotomic.zeta(m))] + [MoebiusMap.inversion()] * (kind == "dihedral")
+        assert group.generators == gens
+        closure = generate_closure(group.generators, cap=2 * m + 1)
+        assert _stored_entries(group) == _stored_entries(closure), m
+        assert group.order_census() == dict(Counter(e.projective_order() for e in group.elements)), m
+
+
 def test_classification():
     assert classify_finite_subgroup(standard_subgroup("tetra")) == "tetra"
     assert classify_finite_subgroup(standard_subgroup("octa")) == "octa"
