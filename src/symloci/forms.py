@@ -12,6 +12,7 @@ no root finding is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .cyclotomic import Cyclotomic, _trim
 
@@ -105,15 +106,11 @@ class BinaryForm:
     __rmul__ = __mul__
 
     def evaluate(self, x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
-        acc = _C0
-        ypow = _C1
-        xpows = [_C1]
-        for _ in range(self.degree):
-            xpows.append(xpows[-1] * x)
+        n, acc = self.degree, _C0
+        xpows, ypows = _powers(x, n), _powers(y, n)
         for i, c in enumerate(self.coeffs):
             if c:
-                acc = acc + c * xpows[self.degree - i] * ypow
-            ypow = ypow * y
+                acc = acc + c * xpows[n - i] * ypows[i]
         return acc
 
     def normalized(self) -> BinaryForm:
@@ -163,18 +160,12 @@ class BinaryForm:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def _power_table(s: Cyclotomic, t: Cyclotomic, n: int) -> list[list[Cyclotomic]]:
-    """Coefficient lists of (sX + tY)^k for k = 0..n."""
-    pows = [[_C1]]
-    for k in range(1, n + 1):
-        prev = pows[-1]
-        cur = [_C0] * (k + 1)
-        for i, p in enumerate(prev):
-            if p:
-                cur[i] = cur[i] + p * s
-                cur[i + 1] = cur[i + 1] + p * t
-        pows.append(cur)
-    return pows
+def _powers(x: Cyclotomic, top: int) -> list[Cyclotomic]:
+    """[1, x, x^2, ..., x^top]."""
+    out = [_C1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 def _accumulate_product(out: list, p1: list, p2: list, coef=None):
@@ -191,33 +182,32 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
     """Right substitution action F^g = F(aX+bY, cX+dY).
 
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
-    with fields a, b, c, d.  The powers (aX+bY)^k and (cX+dY)^k, k = 0..n,
-    are built once per call by ``_power_table``.  A diagonal or
-    anti-diagonal g takes O(n) products instead, with the same result.
+    with fields a, b, c, d.  Each nonzero coefficient of X^(n-i) Y^i adds
+    coef (aX+bY)^(n-i) (cX+dY)^i; only those rows are built, entry by entry
+    as comb(k, j) a^(k-j) b^j from the powers of the entries.  A diagonal
+    or anti-diagonal g takes O(n) products instead, with the same result.
     """
     a, b, c, d = _matrix_entries(g)
     n = f.degree
     out = [_C0] * (n + 1)
     if (not b and not c) or (not a and not d):
         # coef X^(n-i) Y^i goes to coef s^(n-i) t^i X^(n-i) Y^i, (s, t) =
-        # (a, d), or to coef s^(n-i) t^i X^i Y^(n-i), (s, t) = (b, c); each
-        # product has the dense route's conductor, hence its (nums, den),
-        # and a zero one stays the rational 0 as there
+        # (a, d), or to coef s^(n-i) t^i X^i Y^(n-i), (s, t) = (b, c); a zero
+        # product stays the rational 0, as a zero row entry is skipped
         flip = bool(b or c)
         s, t = (b, c) if flip else (a, d)
-        spows, tpows = [_C1], [_C1]
-        for _ in range(n):
-            spows.append(spows[-1] * s)
-            tpows.append(tpows[-1] * t)
+        spows, tpows = _powers(s, n), _powers(t, n)
         for i, coef in enumerate(f.coeffs):
             st = coef and spows[n - i] * tpows[i]
             if st:
                 out[n - i if flip else i] = coef * st
         return BinaryForm(n, out)
-    pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
+    apows, bpows, cpows, dpows = (_powers(x, n) for x in (a, b, c, d))
     for i, coef in enumerate(f.coeffs):
         if coef:
-            _accumulate_product(out, pows1[n - i], pows2[i], coef)
+            row1 = [apows[n - i - j] * bpows[j] * comb(n - i, j) for j in range(n - i + 1)]
+            row2 = [cpows[i - j] * dpows[j] * comb(i, j) for j in range(i + 1)]
+            _accumulate_product(out, row1, row2, coef)
     return BinaryForm(n, out)
 
 

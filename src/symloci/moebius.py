@@ -11,6 +11,7 @@ first two are listed in closed form, as their closures would list them.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -59,10 +60,12 @@ class MoebiusMap:
         return (self.a, self.b, self.c, self.d)
 
     def compose(self, other: MoebiusMap) -> MoebiusMap:
-        """self after other (matrix product self * other)."""
+        """self after other, the matrix product self * other (invertible: det is not checked)."""
         a, b, c, d = self.entries()
         e, f, g, h = other.entries()
-        return MoebiusMap(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        prod = object.__new__(MoebiusMap)
+        prod.a, prod.b, prod.c, prod.d, prod._key = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, None
+        return prod
 
     def inverse(self) -> MoebiusMap:
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
@@ -246,28 +249,68 @@ def _closure_key(h: MoebiusMap, m: int):
     return tuple((w.nums, w.den) for w in (v.promote(m) for v in _normalized(h.entries())))
 
 
+# generator entries -> (elements, right) of _cayley_graph, for the process's life
+_CAYLEY: dict[tuple, tuple] = {}
+
+
+def _cayley_graph(gens, cap: int) -> tuple:
+    """(elements, right): the identity and then the elements in the order a
+    BFS of right multiplications by the generators finds them, each stored
+    as that product, and right[x][i], the index of elements[x] gens[i].
+    |G| k products and keys for k generators, cached per generator entries.
+    CapExceeded when |G| > cap: a cached graph larger than cap is searched
+    again, up to the cap."""
+    key = tuple(tuple((v.n, v.nums, v.den) for v in g.entries()) for g in gens)
+    if key not in _CAYLEY or len(_CAYLEY[key][0]) > cap:
+        field = lcm(1, *(v[0] for entries in key for v in entries))
+        elements, right, index = [], [], {}
+
+        def find(h):
+            k = index.setdefault(_closure_key(h, field), len(elements))
+            if k == len(elements):
+                elements.append(h)
+            return k
+
+        find(MoebiusMap.identity())
+        for h in elements:
+            if len(elements) > cap:
+                raise CapExceeded(f"closure exceeded cap {cap}")
+            right.append([find(h.compose(g)) for g in gens])
+        _CAYLEY[key] = elements, right
+    return _CAYLEY[key]
+
+
 def generate_closure(gens, cap: int = 512, label="unknown") -> FiniteSubgroup:
-    """Close a generator list under composition and inverse, up to cap."""
+    """Close a generator list under composition and inverse, up to cap.
+
+    The elements come in the order of a two-sided BFS from the identity:
+    each element e, in the order found, tries e g then g e for each
+    generator g, then each inverse, and keeps the first product reaching an
+    element.  It runs on the indices of the cached right Cayley graph
+    (``_cayley_graph``), so it composes only the |G| - 1 products it keeps.
+    """
     if cap < 1:
         raise ValueError("cap must be positive")
-    field = lcm(1, *(v.n for g in gens for v in g.entries()))
-    ident = MoebiusMap.identity()
-    elements: dict = {_closure_key(ident, field): ident}
-    frontier = [ident]
-    gen_list = list(gens) + [g.inverse() for g in gens]
-    while frontier:
-        new_frontier = []
-        for e in frontier:
-            for g in gen_list:
-                for h in (e.compose(g), g.compose(e)):
-                    k = _closure_key(h, field)
-                    if k not in elements:
-                        if len(elements) >= cap:
-                            raise CapExceeded(f"closure exceeded cap {cap}")
-                        elements[k] = h
-                        new_frontier.append(h)
-        frontier = new_frontier
-    return FiniteSubgroup(list(elements.values()), label=label, generators=list(gens))
+    gens = list(gens)
+    gen_list = gens + [g.inverse() for g in gens]
+    right = _cayley_graph(gens, cap)[1]
+    # rights[i][x] / lefts[i][x]: the index of elements[x] g / g elements[x]
+    # for g = gen_list[i]; g elements[x] follows the first edge into x
+    rights = list(zip(*right))
+    rights += [{y: x for x, y in enumerate(col)} for col in rights]
+    lefts = [{0: col[0]} for col in rights]
+    for x, row in enumerate(right):
+        for i, y in enumerate(row):
+            for out in lefts:
+                out.setdefault(y, right[out[x]][i])
+    found, queue = {0: MoebiusMap.identity()}, [0]
+    for x in queue:
+        for g, times_g, g_times in zip(gen_list, rights, lefts):
+            for y, a, b in ((times_g[x], found[x], g), (g_times[x], g, found[x])):
+                if y not in found:
+                    found[y] = a.compose(b)
+                    queue.append(y)
+    return FiniteSubgroup(list(found.values()), label=label, generators=gens)
 
 
 def _rotation_group(m: int, dihedral: bool) -> FiniteSubgroup:
@@ -372,25 +415,24 @@ def classify_census(n: int, census: dict[int, int]) -> str:
 
 def degenerate_orbits(group: FiniteSubgroup) -> list[tuple[Divisor, int]]:
     """All orbits shorter than |G|, as multiplicity-1 divisors with their
-    stabilizer orders, sorted by orbit size.
-
-    These are exactly the orbits of fixed points of non-identity elements.
+    stabilizer orders, sorted by orbit size: the orbits of the fixed points
+    of non-identity elements, scanned in element order.  The scan stops once
+    the orbits found satisfy Riemann-Hurwitz for P^1 -> P^1/G exactly,
+    sum (1 - 1/|G_p|) = 2 - 2/|G|, as no degenerate orbit is then left.
     """
-    points: dict[P1Point, P1Point] = {}
+    target, total = 2 - Fraction(2, group.order), Fraction(0)
+    covered: set[P1Point] = set()
+    orbits: list[tuple[Divisor, int]] = []
     for e in group.elements:
+        if total == target:
+            break
         if e.is_identity():
             continue
         for p in e.fixed_points():
-            p = p.minimized()
-            points.setdefault(p, p)
-    orbits: list[tuple[Divisor, int]] = []
-    remaining = dict(points)
-    while remaining:
-        p = next(iter(remaining))
-        orbit = group.orbit(p)
-        for q in orbit:
-            remaining.pop(q, None)
-        stab = group.order // len(orbit)
-        orbits.append((Divisor.of_points(orbit), stab))
+            if (p := p.minimized()) not in covered:
+                orbit = group.orbit(p)
+                covered.update(orbit)
+                orbits.append((Divisor.of_points(orbit), group.order // len(orbit)))
+                total += 1 - Fraction(len(orbit), group.order)
     orbits.sort(key=lambda t: (t[0].degree, -t[1]))
     return orbits

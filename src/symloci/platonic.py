@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from math import lcm
 from operator import mul
 
 from .aut import AutReport, _verify_through_generators
@@ -35,7 +34,7 @@ from .forms import (
     substitute,
 )
 from .loci import SurveyRow, _seed_coefficients
-from .moebius import FiniteSubgroup, MoebiusMap, _closure_key, degenerate_orbits, standard_subgroup
+from .moebius import FiniteSubgroup, MoebiusMap, _cayley_graph, degenerate_orbits, standard_subgroup
 
 _PLATONIC = ("tetra", "octa", "icosa")
 
@@ -278,8 +277,6 @@ _EIGENSPACES: dict[tuple, tuple[BinaryForm, ...]] = {}
 # generator entries -> (orbit forms, [[1, f, f^2, ...] per form], scalar
 # of each form under each generator, by generator)
 _ORBIT_FORMS: dict[tuple, tuple] = {}
-# generator entries -> (BFS tree, other edges, {t: elements}) of the words
-_WORDS: dict[tuple, tuple] = {}
 # (generator entries, char) -> {t: sum of char^-1 over the elements of t},
 # empty when char is no character of G
 _CLASS_SUMS: dict[tuple, dict] = {}
@@ -340,9 +337,9 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
         rows = ExactMatrix.from_rows([f.coeffs[::-1] for f in products]).row_basis()
         if len(rows) != len(products):
             raise AssertionError(f"degree-{n} orbit products are linearly dependent")
-        trace, order = _trace_sum(n, gens, char), len(_WORDS[gens][0]) + 1
-        if trace != len(products) * order:
-            raise AssertionError(f"{len(products)} degree-{n} orbit products, trace formula {trace!r}/{order}")
+        trace = _trace_sum(n, group, gens, char)
+        if trace != len(products) * group.order:
+            raise AssertionError(f"{len(products)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
         basis = _EIGENSPACES[key] = tuple(BinaryForm(n, row[::-1]) for row in reversed(rows))
     return list(basis)
 
@@ -351,8 +348,7 @@ def _orbit_forms(group: FiniteSubgroup, gens: tuple) -> tuple:
     """The degenerate-orbit forms by increasing degree, the powers of each
     so far, and for each generator g the scalar s of each form (F^g = s F).
     The standard platonic groups read the forms and their lifted characters
-    off the character table; any other group finds its orbits.  The words
-    of ``_trace_sum`` are found here too."""
+    off the character table; any other group finds its orbits."""
     if gens not in _ORBIT_FORMS:
         if group.label in _PLATONIC and group is platonic_group(group.label):
             rows = _cached_table(group.label)
@@ -368,53 +364,31 @@ def _orbit_forms(group: FiniteSubgroup, gens: tuple) -> tuple:
             scalars = [[_eigen_scalar(f, g) for f in forms] for g in group.generators]
         one = BinaryForm(0, [_ONE])
         _ORBIT_FORMS[gens] = (forms, [[one, f] for f in forms], scalars)
-        _WORDS[gens] = _element_words(group.generators)
     return _ORBIT_FORMS[gens]
 
 
-def _element_words(generators) -> tuple:
-    """One BFS over words in the generators: (tree, edges, classes).
-    Element k > 0 is element tree[k-1][0] times generator tree[k-1][1];
-    edges lists every other step (x, i, y), y = x * generator i; classes
-    maps t = tr^2/det to the indices of its elements."""
-    field = lcm(1, *(v.n for g in generators for v in g.entries()))
-    elements = [MoebiusMap.identity()]
-    index = {_closure_key(elements[0], field): 0}
-    tree, edges = [], []
-    for x, h in enumerate(elements):
-        for i, g in enumerate(generators):
-            y = h.compose(g)
-            k = _closure_key(y, field)
-            if k in index:
-                edges.append((x, i, index[k]))
-            else:
-                index[k] = len(elements)
-                elements.append(y)
-                tree.append((x, i))
-    classes: dict[Cyclotomic, list[int]] = {}
-    for k, h in enumerate(elements):
-        classes.setdefault((h.a + h.d) ** 2 / h.det(), []).append(k)
-    return tree, edges, classes
-
-
-def _trace_sum(n: int, gens: tuple, char: tuple) -> Cyclotomic:
+def _trace_sum(n: int, group: FiniteSubgroup, gens: tuple, char: tuple) -> Cyclotomic:
     """|G| times the dimension of the char-eigenspace in degree n by
     character orthogonality: sum_g char(g)^-1 u_n(g), summed class by class
     of t = tr^2/det, with char(g) the product of the generator values along
-    g's word.
+    the first path to g in the cached right Cayley graph (``_cayley_graph``).
     u_n = h_n / det^(n/2) = tr Sym^n of the determinant-1 lift, from
-    u_0 = 1, u_2 = t - 1, u_(k+2) = (t - 2) u_k - u_(k-2).  When two words
-    of one element disagree, char is no character of G and the sum is 0.
+    u_0 = 1, u_2 = t - 1, u_(k+2) = (t - 2) u_k - u_(k-2).  When two paths
+    to one element disagree, char is no character of G and the sum is 0.
     """
-    tree, edges, classes = _WORDS[gens]
     key = (gens, tuple(char))
     if key not in _CLASS_SUMS:
+        elements, right = _cayley_graph(group.generators, group.order)
         inv = [c.inverse() for c in char]
-        vals = [_ONE]
-        for parent, i in tree:
-            vals.append(vals[parent] * inv[i])
-        consistent = all(vals[x] * inv[i] == vals[y] for x, i, y in edges)
-        _CLASS_SUMS[key] = {t: sum(vals[k] for k in ks) for t, ks in classes.items()} if consistent else {}
+        vals, consistent, sums = {0: _ONE}, True, {}
+        for x, row in enumerate(right):
+            for i, y in enumerate(row):
+                val = vals[x] * inv[i]
+                consistent &= vals.setdefault(y, val) == val
+        for k, h in enumerate(elements if consistent else []):
+            t = (h.a + h.d) ** 2 / h.det()
+            sums[t] = sums.get(t, Cyclotomic.rational(0)) + vals[k]
+        _CLASS_SUMS[key] = sums
     total = Cyclotomic.rational(0)
     for t, s in _CLASS_SUMS[key].items():
         table = _TRACES.setdefault(t, [_ONE, t - 1])
@@ -428,19 +402,13 @@ def character_group(group: FiniteSubgroup) -> list[tuple]:
     """All character tuples realized on forms with G-invariant divisor:
     the closure of the degenerate-orbit characters under multiplication."""
     rows = character_table(group)
-    one = tuple(Cyclotomic.rational(1) for _ in group.generators)
-    elems = {one: one}
-    frontier = [one]
-    while frontier:
-        new = []
-        for x in frontier:
-            for row in rows:
-                y = tuple(a * b for a, b in zip(x, row.character))
-                if y not in elems:
-                    elems[y] = y
-                    new.append(y)
-        frontier = new
-    return list(elems.values())
+    elems = [tuple(Cyclotomic.rational(1) for _ in group.generators)]
+    for x in elems:
+        for row in rows:
+            y = tuple(a * b for a, b in zip(x, row.character))
+            if y not in elems:
+                elems.append(y)
+    return elems
 
 
 def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:

@@ -81,7 +81,7 @@ def molien_count(n, group, char):
 
 
 def _no_solve_caches(monkeypatch):
-    for name in ("_EIGENSPACES", "_ORBIT_FORMS", "_WORDS", "_CLASS_SUMS"):
+    for name in ("_EIGENSPACES", "_ORBIT_FORMS", "_CLASS_SUMS"):
         monkeypatch.setattr(platonic, name, {})
 
 
@@ -105,6 +105,9 @@ def test_the_platonic_path_multiplies_orbit_forms_and_counts_by_the_trace_formul
     monkeypatch.setattr(ExactMatrix, "kernel_basis", spy_on("kernel_basis", ExactMatrix.kernel_basis))
     monkeypatch.setattr(forms, "substitute", spy_on("substitute", forms.substitute))
     monkeypatch.setattr(platonic, "substitute", spy_on("substitute", platonic.substitute))
+    # the words of the trace formula come from the Cayley graph that closed
+    # the group, with no second search over its elements
+    monkeypatch.setattr(MoebiusMap, "compose", spy_on("compose", MoebiusMap.compose))
     for (n, c), count in expected.items():
         assert len(character_eigenspace(n, group, chars[c])) == count, (kind, n, c)
     assert called == []

@@ -14,7 +14,6 @@ from symloci.forms import (
     P1Point,
     RationalMap,
     _accumulate_product,
-    _power_table,
     distinct_common_roots_count,
     distinct_roots_count,
     form_from_divisor,
@@ -75,8 +74,25 @@ def test_substitute_right_action():
         assert substitute(substitute(f, g), h) == substitute(f, g.compose(h))
 
 
+def _power_table(s, t, n):
+    """Coefficient lists of (sX + tY)^k for k = 0..n, each row from the last
+    by one multiplication by sX + tY: the oracle for the binomial rows that
+    ``substitute`` builds."""
+    zero, one = Cyclotomic.rational(0), Cyclotomic.rational(1)
+    pows = [[one]]
+    for k in range(1, n + 1):
+        prev = pows[-1]
+        cur = [zero] * (k + 1)
+        for i, p in enumerate(prev):
+            if p:
+                cur[i] = cur[i] + p * s
+                cur[i + 1] = cur[i + 1] + p * t
+        pows.append(cur)
+    return pows
+
+
 def _dense_substitute(f, a, b, c, d):
-    # the power-table route, which substitute takes for any non-monomial g
+    # the power-table route: both full tables, every nonzero coefficient
     n = f.degree
     pows1, pows2 = _power_table(a, b, n), _power_table(c, d, n)
     out = [Cyclotomic.rational(0)] * (n + 1)
@@ -86,18 +102,37 @@ def _dense_substitute(f, a, b, c, d):
     return out
 
 
+def _element(draw, n):
+    k, scale = draw(st.integers(0, n - 1)), draw(st.integers(-3, 3).filter(bool))
+    return Cyclotomic.zeta(n, k) * scale + draw(st.sampled_from([0, 1, Fraction(-1, 2)]))
+
+
+def _sparse_form(draw):
+    d = draw(st.integers(0, 14))
+    coeffs = [_element(draw, draw(st.integers(1, 12))) if draw(st.booleans()) else 0 for _ in range(d + 1)]
+    return BinaryForm(d, coeffs)
+
+
 @st.composite
 def _monomial_substitutions(draw):
-    def element(n):
-        k, scale = draw(st.integers(0, n - 1)), draw(st.integers(-3, 3).filter(bool))
-        return Cyclotomic.zeta(n, k) * scale + draw(st.sampled_from([0, 1, Fraction(-1, 2)]))
-
-    d = draw(st.integers(0, 14))
-    coeffs = [element(draw(st.integers(1, 12))) if draw(st.booleans()) else 0 for _ in range(d + 1)]
+    f = _sparse_form(draw)
     n = draw(st.integers(1, 12))
-    s, t = element(n), element(draw(st.sampled_from([1, n])))
+    s, t = _element(draw, n), _element(draw, draw(st.sampled_from([1, n])))
     g = (s, 0, 0, t) if draw(st.booleans()) else (0, s, t, 0)
-    return BinaryForm(d, coeffs), g
+    return f, g
+
+
+@st.composite
+def _dense_substitutions(draw):
+    # at most one zero entry, so the matrix is never monomial; the zero is
+    # the rational 0 or a zero stored at conductor n
+    f = _sparse_form(draw)
+    n = draw(st.integers(1, 12))
+    g = [_element(draw, draw(st.sampled_from([1, n]))) for _ in range(4)]
+    zero = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if zero is not None:
+        g[zero] = draw(st.sampled_from([Cyclotomic.rational(0), Cyclotomic.zeta(n) * 0]))
+    return f, tuple(g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -108,6 +143,22 @@ def _monomial_substitutions(draw):
 @example((BinaryForm(4, [1, Cyclotomic.zeta(12), 0, Fraction(2, 3), Cyclotomic.zeta(5)]), (0, 1, -1, 0)))
 @example((BinaryForm(3, [Cyclotomic.zeta(3), 1, 0, 2]), (0, -1, 1, 0)))
 def test_monomial_substitution_matches_the_power_table(case):
+    f, g = case
+    got = substitute(f, g).coeffs
+    want = _dense_substitute(f, *g)
+    assert [(c.n, c.nums, c.den) for c in got] == [(c.n, c.nums, c.den) for c in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_substitutions())
+@example((BinaryForm.zero(6), (1, 2, Cyclotomic.zeta(5), 3)))
+@example((BinaryForm(0, [Cyclotomic.zeta(7, 3)]), (1, Cyclotomic.zeta(4), 3, 2)))
+@example((BinaryForm(5, [0, 0, Cyclotomic.zeta(3), 0, 0, 0]), (1, 1, 0, 1)))
+@example((BinaryForm(4, [1, 0, 0, 0, Cyclotomic.zeta(8)]), (Cyclotomic.zeta(5), 0, Cyclotomic.zeta(12), 1)))
+@example((BinaryForm(3, [2, 1, Fraction(1, 3), Cyclotomic.zeta(5)]), (Cyclotomic.zeta(5) * 0, 1, -1, Cyclotomic.zeta(4))))
+def test_dense_substitution_matches_the_power_table(case):
+    # the binomial rows against both full power tables: same coefficients,
+    # stored at the same conductors
     f, g = case
     got = substitute(f, g).coeffs
     want = _dense_substitute(f, *g)

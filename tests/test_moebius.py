@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
+from math import lcm
 
 import pytest
 
+from symloci import moebius
 from symloci.cyclotomic import Cyclotomic
-from symloci.forms import P1Point, RationalMap
+from symloci.forms import Divisor, P1Point, RationalMap
 from symloci.moebius import (
     CapExceeded,
     FiniteSubgroup,
@@ -66,6 +68,74 @@ def test_generate_closure_quoted_generators():
 
 def _stored_entries(group):
     return [tuple((v.n, v.nums, v.den) for v in e.entries()) for e in group.elements]
+
+
+def oracle_closure(gens, cap):
+    """The two-sided BFS on matrices that ``generate_closure`` replays on
+    the indices of its Cayley graph: every frontier element e tries e g and
+    g e for each generator g, then each inverse, keyed by its normalized
+    entries."""
+    field = lcm(1, *(v.n for g in gens for v in g.entries()))
+    ident = MoebiusMap.identity()
+    elements = {moebius._closure_key(ident, field): ident}
+    frontier = [ident]
+    gen_list = list(gens) + [g.inverse() for g in gens]
+    while frontier:
+        new_frontier = []
+        for e in frontier:
+            for g in gen_list:
+                for h in (e.compose(g), g.compose(e)):
+                    k = moebius._closure_key(h, field)
+                    if k not in elements:
+                        if len(elements) >= cap:
+                            raise CapExceeded(f"closure exceeded cap {cap}")
+                        elements[k] = h
+                        new_frontier.append(h)
+        frontier = new_frontier
+    return FiniteSubgroup(list(elements.values()), generators=list(gens))
+
+
+_M = MoebiusMap(2, 1, 1, 1)
+
+
+def _conjugated(kind):
+    # M^-1 g M for each generator g of the catalog group
+    return [_M.inverse().compose(g).compose(_M) for g in standard_subgroup(kind).generators]
+
+
+def _closure_cases():
+    cases = [(kind, standard_subgroup(kind).generators) for kind in ("tetra", "octa", "icosa")]
+    for m in range(1, 13):
+        cases += [(f"{kind}:{m}", standard_subgroup(kind, m).generators) for kind in ("cyclic", "dihedral")]
+    return cases + [(f"{kind}^M", _conjugated(kind)) for kind in ("octa", "icosa")]
+
+
+def test_closure_matches_the_two_sided_bfs(monkeypatch):
+    # same elements, in the same order, with the same stored entries, from
+    # an empty graph cache and again from a full one; the catalog groups are
+    # built before the cache is swapped out, so theirs stays in the real one
+    cases = _closure_cases()
+    for cached in (False, True):
+        if not cached:
+            monkeypatch.setattr(moebius, "_CAYLEY", {})
+        for name, gens in cases:
+            expected = _stored_entries(oracle_closure(gens, 61))
+            assert _stored_entries(generate_closure(gens, cap=61)) == expected, (name, cached)
+
+
+@pytest.mark.parametrize("first", [11, 12])
+def test_a_cached_graph_keeps_the_cap(first, monkeypatch):
+    # caps 11, 12, 11 or 12, 11, 11 from an empty cache: the order-12 group
+    # raises below 12 whether or not its graph is cached
+    monkeypatch.setattr(moebius, "_CAYLEY", {})
+    i = Cyclotomic.zeta(4)
+    tetra = [MoebiusMap.scaling(-1), MoebiusMap(i, i, 1, -1)]
+    for cap in (first, 23 - first, 11):
+        if cap < 12:
+            with pytest.raises(CapExceeded):
+                generate_closure(tetra, cap=cap)
+        else:
+            assert generate_closure(tetra, cap=cap).order == 12
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
@@ -181,6 +251,50 @@ def test_degenerate_orbits_dihedral_cyclic():
     assert sum(d.degree for d, _ in d3) == 8  # |G| + 2
     c4 = degenerate_orbits(standard_subgroup("cyclic", 4))
     assert sorted(d.degree for d, _ in c4) == [1, 1]
+
+
+def oracle_degenerate_orbits(group):
+    """The scan of the fixed points of every non-identity element, each
+    orbit started at the first fixed point no earlier orbit holds."""
+    points = {}
+    for e in group.elements:
+        if not e.is_identity():
+            for p in e.fixed_points():
+                p = p.minimized()
+                points.setdefault(p, p)
+    orbits = []
+    while points:
+        orbit = group.orbit(next(iter(points)))
+        for q in orbit:
+            points.pop(q, None)
+        orbits.append((Divisor.of_points(orbit), group.order // len(orbit)))
+    orbits.sort(key=lambda t: (t[0].degree, -t[1]))
+    return orbits
+
+
+def _orbit_terms(orbits):
+    return [(list(div.terms.items()), stab) for div, stab in orbits]
+
+
+def test_the_riemann_hurwitz_stop_finds_every_degenerate_orbit():
+    groups = [standard_subgroup(kind, m) for kind in ("cyclic", "dihedral") for m in range(1, 13)]
+    groups += [standard_subgroup(kind) for kind in ("tetra", "octa", "icosa")]
+    groups += [generate_closure(_conjugated(kind), cap=60) for kind in ("tetra", "octa", "icosa")]
+    for group in groups:
+        assert _orbit_terms(degenerate_orbits(group)) == _orbit_terms(oracle_degenerate_orbits(group)), group
+
+
+def test_icosa_orbits_stop_early(monkeypatch):
+    seen = []
+    fixed_points = MoebiusMap.fixed_points
+
+    def spy(self):
+        seen.append(self)
+        return fixed_points(self)
+
+    monkeypatch.setattr(MoebiusMap, "fixed_points", spy)
+    assert [div.degree for div, _ in degenerate_orbits(standard_subgroup("icosa"))] == [12, 20, 30]
+    assert len(seen) < 10
 
 
 def test_group_json_roundtrip():
