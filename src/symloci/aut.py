@@ -3,19 +3,23 @@ numeric discovery mode.
 
 Exact computation of the full automorphism group of an arbitrary map would
 require factoring its fixed-point form, so the split here is: candidates
-are verified exactly (coefficient proportionality after conjugation; a
-whole group through its generators), and candidate discovery is numeric
-(automorphisms permute the periodic points, so every automorphism shows up
-as the Moebius map through a triple of them; a candidate must permute the
-periodic points before it is tested on the coefficients).
+are verified exactly (coefficient proportionality after conjugation, by
+every element in verify_group_action; a whole group through its
+generators, a monomial one such as zeta_m z or 1/z by its coefficient
+weights instead), and candidate discovery is numeric (automorphisms
+permute the periodic points, so every automorphism shows up as the Moebius
+map through a triple of them; a candidate must permute the periodic
+points before it is tested on the coefficients).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
+from . import forms
 from .forms import RationalMap, distinct_common_roots_count
 from .moebius import FiniteSubgroup, MoebiusMap, classify_census, conjugate_map
 
@@ -31,6 +35,27 @@ class DegenerateConfiguration(RuntimeError):
 def is_automorphism(phi: RationalMap, sigma: MoebiusMap) -> bool:
     """Exact test: does conjugating phi by sigma reproduce phi projectively?"""
     return conjugate_map(phi, sigma).proportional_to(phi)
+
+
+def _fixes(phi: RationalMap, sigma: MoebiusMap) -> bool:
+    """is_automorphism(phi, sigma), with no conjugation for a monomial sigma.
+    diag(a, d) scales F_i by a^(n-i) d^(i+1) = a^(n+1) r^(i+1) and G_i by
+    a^(n+1) r^i, r = d/a: the weights agree on the support of phi exactly
+    when a^g = d^g, g the gcd of the differences of the exponents of r.
+    [[0, b], [c, 0]] gives (-b G(bY, cX), -c F(bY, cX)), coefficient k of
+    G(bY, cX) being G_(n-k) b^k c^(n-k): O(n) products."""
+    a, b, c, d = sigma.entries()
+    F, G, n = phi.F.coeffs, phi.G.coeffs, phi.degree
+    if not b and not c:
+        exps = [i + 1 for i, x in enumerate(F) if x] + [i for i, x in enumerate(G) if x]
+        g = gcd(*(e - exps[0] for e in exps))
+        return a**g == d**g
+    if not a and not d:
+        bpows, cpows = forms._powers(b, n + 1), forms._powers(c, n + 1)
+        fs = [x and -x * bpows[k + 1] * cpows[n - k] for k, x in enumerate(G[::-1])]
+        gs = [x and -x * bpows[k] * cpows[n - k + 1] for k, x in enumerate(F[::-1])]
+        return forms._proportional(fs + gs, F + G)
+    return is_automorphism(phi, sigma)
 
 
 def automorphism_type(phi: RationalMap, sigma: MoebiusMap) -> int:
@@ -111,12 +136,13 @@ def _verify_through_generators(phi: RationalMap, group: FiniteSubgroup) -> AutRe
 
     Conjugation is a right action, phi^(gh) = (phi^g)^h, so phi is fixed by
     every element of the closure once it is fixed by each generator: only
-    the generators are conjugated, and on success every element is
-    reported as verified, in stored order.  A group without generators, or
-    a generator that fails, falls back to verify_group_action's element
-    scan, so a failure reports the same first failing element.
+    the generators are tested (``_fixes``: a monomial one by its weights),
+    and on success every element is reported as verified, in stored order.
+    A group without generators, or a generator that fails, falls back to
+    verify_group_action's element scan, which conjugates by each element,
+    so a failure reports the same first failing element.
     """
-    if group.generators and all(is_automorphism(phi, g) for g in group.generators):
+    if group.generators and all(_fixes(phi, g) for g in group.generators):
         census = group.order_census()
         return AutReport(
             verified_elements=list(group.elements),

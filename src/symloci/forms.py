@@ -33,7 +33,7 @@ def _proportional(v, w) -> bool:
     i = next((k for k, c in enumerate(v) if c), None)
     if i != next((k for k, c in enumerate(w) if c), None):
         return False
-    return all(a * w[i] == b * v[i] for a, b in zip(v, w))
+    return all(a * w[i] == b * v[i] for a, b in zip(v, w) if a or b)
 
 
 def _normalized(v) -> list[Cyclotomic]:
@@ -339,7 +339,13 @@ def distinct_roots_count(f: BinaryForm) -> int:
 
 
 def distinct_common_roots_count(f: BinaryForm, g: BinaryForm) -> int:
-    """Distinct projective roots shared by f and g."""
+    """Distinct projective roots shared by f and g.  A monomial c X^(n-i) Y^i
+    has the roots [0:1] if i < n and [1:0] if i > 0; the other form, even a
+    zero one, vanishes there when its last, resp. first, coefficient is 0."""
+    for mono, other in ((f, g), (g, f)):
+        if sum(map(bool, mono.coeffs)) == 1:
+            i = mono.y_valuation()
+            return (i < mono.degree and not other.coeffs[-1]) + (i > 0 and not other.coeffs[0])
     return distinct_roots_count(form_gcd(f, g))
 
 

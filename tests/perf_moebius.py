@@ -1,7 +1,9 @@
 """Layer micro-benchmarks of the platonic set-up, per group: closing the
 generators (moebius.generate_closure), finding the degenerate orbits
 (moebius.degenerate_orbits) and the orbit forms with their lifted
-characters (platonic._cached_table).
+characters (platonic._cached_table).  Also the exact automorphism test of
+one generator on a degree-24 map, by coefficient weights (aut._fixes) and
+by conjugation (aut.is_automorphism).
 
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
@@ -41,3 +43,26 @@ def test_cached_table(benchmark, kind):
         platonic._cached_table, args=(kind,), setup=platonic._cached_table.cache_clear, rounds=20
     )
     assert len(rows) == 3
+
+
+def _fixes_cases():
+    # a degree-24 member of the dihedral:5 locus, under its rotation, its
+    # inversion and the dense octahedral generator i(z+1)/(z-1)
+    from symloci.cyclotomic import Cyclotomic
+    from symloci.loci import dihedral_generic_member
+    from symloci.moebius import MoebiusMap
+
+    phi = dihedral_generic_member(24, 5, -1, 1)
+    rotation, inversion = standard_subgroup("dihedral", 5).generators
+    i = Cyclotomic.zeta(4)
+    return phi, {"zeta5z": rotation, "1/z": inversion, "dense": MoebiusMap(i, i, 1, -1)}
+
+
+@pytest.mark.parametrize("route", ["weights", "conjugation"])
+@pytest.mark.parametrize("sigma", ["zeta5z", "1/z", "dense"])
+def test_fixes(benchmark, sigma, route):
+    from symloci.aut import _fixes, is_automorphism
+
+    phi, sigmas = _fixes_cases()
+    test = _fixes if route == "weights" else is_automorphism
+    assert benchmark(test, phi, sigmas[sigma]) == (sigma != "dense")

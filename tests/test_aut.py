@@ -3,12 +3,17 @@
 import itertools
 import json
 import random
+import sys
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symloci.aut import (
     NotAnAutomorphism,
+    _fixes,
     _verify_through_generators,
     automorphism_type,
     discover_automorphisms,
@@ -293,6 +298,155 @@ def test_passing_report_lists_every_element_in_order():
     rep.verified_elements.clear()
     assert octa.order_census() == {1: 1, 2: 9, 3: 8, 4: 6}
     assert len(octa.elements) == 24
+
+
+# ---------------------------------------------------------------------------
+# the weight route for monomial generators against conjugation
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _members():
+    """(map, group) for a generic member of every cyclic and dihedral
+    stratum with d = 2..14 (one sign of mu per dihedral stratum)."""
+    from symloci.loci import NoMemberFound, dihedral_generic_member, generic_member
+
+    out = []
+    for d in range(2, 15):
+        for m in range(2, d + 2):
+            for t in (1, 0, -1):
+                if (d - t) % m or (d - t) // m < 1:
+                    continue
+                out.append((generic_member(d, m, t, "zero" if t < 0 else "inf"), standard_subgroup("cyclic", m)))
+                for mu in (1, -1) if t else ():
+                    try:
+                        out.append((dihedral_generic_member(d, m, t, mu), standard_subgroup("dihedral", m)))
+                        break
+                    except NoMemberFound:
+                        pass
+    return tuple(out)
+
+
+def _unit(draw, n):
+    # a root of unity of order dividing n times a nonzero rational
+    scale = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]))
+    return Cyclotomic.zeta(n, draw(st.integers(0, n - 1))) * scale
+
+
+def _coefficient(draw, n):
+    # zero, as the rational 0 or stored at conductor n, about half the time
+    if draw(st.booleans()):
+        return draw(st.sampled_from([Cyclotomic.rational(0), Cyclotomic.zeta(n) * 0]))
+    return _unit(draw, n)
+
+
+@st.composite
+def _fixes_cases(draw):
+    # one conductor n = 1..12 per case for the drawn entries and coefficients
+    n = draw(st.integers(1, 12))
+    phi, group = draw(st.sampled_from(_members()))
+    how = draw(st.sampled_from(["member", "member", "changed", "random"]))
+    if how == "changed":  # one coefficient replaced, so the member may stop being fixed
+        coeffs = phi.coefficients()
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = _coefficient(draw, n)
+    elif how == "random":
+        coeffs = [_coefficient(draw, n) for _ in range(2 * draw(st.integers(1, 14)) + 2)]
+    if how != "member":
+        if not any(coeffs):
+            coeffs[draw(st.integers(0, len(coeffs) - 1))] = _unit(draw, n)
+        d = len(coeffs) // 2 - 1
+        phi = RationalMap(BinaryForm(d, coeffs[: d + 1]), BinaryForm(d, coeffs[d + 1 :]))
+    kind = draw(st.sampled_from(["element", "element", "diagonal", "anti-diagonal", "dense"]))
+    if kind == "element":  # a group element, at a scalar multiple of its stored matrix
+        s = _unit(draw, n)
+        sigma = MoebiusMap(*(x * s for x in draw(st.sampled_from(group.elements)).entries()))
+    elif kind == "diagonal":
+        sigma = MoebiusMap(_unit(draw, n), 0, 0, _unit(draw, n))
+    elif kind == "anti-diagonal":
+        sigma = MoebiusMap(0, _unit(draw, n), _unit(draw, n), 0)
+    else:  # at most one zero entry, so never monomial: it falls through
+        entries = [_unit(draw, n) for _ in range(4)]
+        entries[draw(st.integers(0, 3))] *= draw(st.sampled_from([0, 1]))
+        assume(entries[0] * entries[3] != entries[1] * entries[2])
+        sigma = MoebiusMap(*entries)
+    return phi, sigma
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fixes_cases())
+@example((RationalMap.from_zpoly([1, 0, 0], [0, 0, 1]), MoebiusMap.inversion()))
+@example((RationalMap.from_zpoly([1, 0, 0], [0, 0, 1]), MoebiusMap(0, Cyclotomic.zeta(3), 2, 0)))
+@example((RationalMap.from_zpoly([1, 0, 0, 0, 1], [1, 0, 0]), MoebiusMap.scaling(Cyclotomic.zeta(4))))
+@example((RationalMap.from_zpoly([1, 0, 0, 0, 1], [1, 0, 0]), MoebiusMap(Cyclotomic.zeta(12, 3) * 2, 0, 0, 2)))
+@example((RationalMap.from_zpoly([1], [1, 0]), MoebiusMap.scaling(-1)))
+@example((degree5_example(), MoebiusMap(Cyclotomic.zeta(4), Cyclotomic.zeta(4), 1, -1)))
+def test_weight_route_matches_conjugation(case):
+    phi, sigma = case
+    assert _fixes(phi, sigma) == is_automorphism(phi, sigma)
+
+
+def test_weight_route_proves_every_member_under_every_element():
+    # deterministic true cases: each member under each element of its group
+    # and a scalar multiple of it; a changed member under the generators
+    scalars = (Cyclotomic.rational(1), Cyclotomic.zeta(12, 5) * -3)
+    for phi, group in _members():
+        for e, s in itertools.product(group.elements, scalars):
+            sigma = MoebiusMap(*(x * s for x in e.entries()))
+            assert _fixes(phi, sigma) and is_automorphism(phi, sigma), (phi, sigma)
+        bad = _perturbed(phi)
+        for g in group.generators:
+            assert _fixes(bad, g) == is_automorphism(bad, g), (bad, g)
+
+
+def _spy(monkeypatch, module, name):
+    """Count the calls of module.name through every binding of it in the package."""
+    original, calls = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "symloci" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_family_survey_conjugates_nothing(monkeypatch, capsys):
+    from symloci import aut, moebius
+    from symloci.cli import main
+
+    conjugations = _spy(monkeypatch, moebius, "conjugate_map")
+    exact_tests = _spy(monkeypatch, aut, "is_automorphism")
+    weight_tests = _spy(monkeypatch, aut, "_fixes")
+    assert main(["survey", "--groups", "cyclic,dihedral", "--d", "9"]) == 0
+    assert capsys.readouterr().out.count("\n") > 10
+    assert conjugations == [] and exact_tests == []
+    assert len(weight_tests) > 10
+
+
+def test_a_failing_generator_falls_back_to_the_element_scan():
+    # a dihedral member changed so that it fails zeta_m z, or only 1/z: the
+    # report is the element scan's, naming the same first failing element
+    from symloci.loci import dihedral_generic_member
+
+    for m, t, mu in ((3, 1, 1), (4, -1, 1), (5, 1, -1)):
+        d = m + t
+        phi = dihedral_generic_member(d, m, t, mu)
+        group = standard_subgroup("dihedral", m)
+        rotation, inversion = group.generators
+        coeffs, seen = phi.coefficients(), set()
+        for k in range(len(coeffs)):
+            changed = coeffs[:k] + [coeffs[k] + 1] + coeffs[k + 1 :]
+            bad = RationalMap(BinaryForm(d, changed[: d + 1]), BinaryForm(d, changed[d + 1 :]))
+            fails = [g for g in group.generators if not is_automorphism(bad, g)]
+            rep = _verify_through_generators(bad, group)
+            assert rep.to_json() == verify_group_action(bad, group).to_json()
+            assert rep.failed.key() == fails[0].key()
+            if fails == [inversion]:  # passes the rotation: its powers verify first
+                assert len(rep.verified_elements) >= 2
+            seen.add("rotation" if fails[0] is rotation else "inversion only")
+        assert seen == {"rotation", "inversion only"}, (m, t, mu)
 
 
 # ---------------------------------------------------------------------------

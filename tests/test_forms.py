@@ -464,6 +464,34 @@ def test_distinct_common_roots():
     assert distinct_common_roots_count(X2, Y2) == 0
 
 
+@st.composite
+def _monomial_and_other(draw):
+    # c X^(n-i) Y^i and a sparse or zero form, degrees 0-14, all entries
+    # zero or a root of unity times 1..3 at one conductor 1-12
+    cond = draw(st.integers(1, 12))
+
+    def entry():
+        return Cyclotomic.zeta(cond, draw(st.integers(0, cond - 1))) * draw(st.integers(1, 3))
+
+    n, m = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    mono = BinaryForm.monomial(n, draw(st.integers(0, n)), entry())
+    other = BinaryForm(m, [entry() if draw(st.booleans()) else 0 for _ in range(m + 1)])
+    return (mono, other) if draw(st.booleans()) else (other, mono)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_and_other())
+@example((BinaryForm.monomial(3, 3), BinaryForm(2, [0, 1, 0])))  # Y^3 and XY share [1:0] only
+@example((BinaryForm.monomial(3, 0), BinaryForm(2, [0, 1, 0])))  # X^3 and XY share [0:1] only
+@example((BinaryForm(2, [0, Cyclotomic.zeta(7) - 1, 0]), BinaryForm.zero(4)))
+@example((BinaryForm.zero(0), BinaryForm.monomial(0, 0, 5)))
+@example((BinaryForm.monomial(1, 1), BinaryForm.monomial(1, 1, Cyclotomic.zeta(3))))
+def test_monomial_common_roots_match_the_gcd_route(case):
+    f, g = case
+    want = distinct_roots_count(form_gcd(f, g))
+    assert distinct_common_roots_count(f, g) == distinct_common_roots_count(g, f) == want
+
+
 def test_distinct_roots_count():
     f = form_from_divisor(
         Divisor({P1Point.affine(0): 3, P1Point.affine(1): 1, P1Point.infinity(): 2})

@@ -169,6 +169,29 @@ def test_commuting_space_basis_matches_per_index_scan():
     assert commuting_space_basis(5, 3, Cyclotomic.rational(2)) == []
 
 
+def test_lambda_is_the_power_of_eta_entry_for_entry():
+    from symloci.loci import _lambda_for
+
+    for d in range(2, 42):
+        for m in range(2, d + 2):
+            eta = Cyclotomic.zeta(2 * m)
+            for t, comp, e in ((1, "inf", d - 1), (0, "inf", d - 1), (0, "zero", d + 1), (-1, "zero", d + 1)):
+                got, want = _lambda_for(d, m, t, comp), eta**e
+                assert (got.n, got.nums, got.den) == (want.n, want.nums, want.den), (d, m, t, comp)
+
+
+def test_commuting_space_basis_looks_up_each_eigenvalue_once(monkeypatch):
+    # after one call per (2m, lam), an equal lam builds no zeta_2m^j again
+    lam, same = Cyclotomic.zeta(14, 3), Cyclotomic.zeta(14, 3)
+    want = [commuting_space_basis(d, 7, lam) for d in (9, 12)]
+    calls = []
+    zeta = Cyclotomic.zeta
+    monkeypatch.setattr(Cyclotomic, "zeta", classmethod(lambda cls, *a: calls.append(a) or zeta(*a)))
+    assert [commuting_space_basis(d, 7, same) for d in (9, 12)] == want
+    assert want[1] == [("a", 4), ("a", 11), ("b", 5), ("b", 12)]
+    assert calls == []
+
+
 def test_stalk_order_table():
     assert stalk_order(5, 2, 1) == 1
     assert stalk_order(6, 6, 0) == 12
