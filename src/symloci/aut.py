@@ -9,7 +9,10 @@ generators, a monomial one such as zeta_m z or 1/z by its coefficient
 weights instead), and candidate discovery is numeric (automorphisms
 permute the periodic points, so every automorphism shows up as the Moebius
 map through a triple of them; a candidate must permute the periodic
-points before it is tested on the coefficients).
+points before it is tested on the coefficients).  The permutation filter
+and the check against the elements already found run as array passes over
+blocks of candidates and over all elements found; they decide as the
+scalar loops do, triple for triple.
 """
 
 from __future__ import annotations
@@ -206,30 +209,47 @@ def _mobius_through(src, dst) -> np.ndarray:
     return inv @ m_src
 
 
+# candidates per block of _permuting_triples: whole q1 rows, at least one
+_BLOCK = 4096
+
+
 def _permuting_triples(points, tol: float):
     """The ordered triples of distinct points, in nested-loop order, whose
     Moebius map from points[:3] sends every point within chordal distance
     tol of one of the points: an automorphism permutes the periodic
-    points.  Works on the (q2, q3) pairs of one q1 at a time and tests
-    points[3], points[4], ... only on the candidates still alive."""
+    points.  Works on blocks of whole q1 rows, about _BLOCK (q1, q2, q3)
+    candidates each, and tests points[3], points[4], ... only on the
+    candidates still alive, against one periodic point at a time: the
+    temporaries hold one entry per candidate, never one per candidate and
+    point."""
     hp = np.array([_homog(p) for p in points])
     hp /= np.linalg.norm(hp, axis=1, keepdims=True)
     n = len(hp)
-    src = _to_01inf(points[:3])
-    pairs = np.array([(j, k) for j in range(n) for k in range(n) if j != k])
-    for q1 in range(n):
-        i2, i3 = pairs[(pairs != q1).all(axis=1)].T
-        (x1, y1), (x2, y2), (x3, y3) = hp[q1], hp[i2].T, hp[i3].T
+    u, v = hp.T
+    (s00, s01), (s10, s11) = _to_01inf(points[:3])
+    idx = np.arange(n)
+    rows = max(1, _BLOCK // ((n - 1) * (n - 2)))
+    for lo in range(0, n, rows):
+        q1 = idx[lo : lo + rows, None, None]
+        i1, i2, i3 = np.nonzero((q1 != idx[:, None]) & (q1 != idx) & (idx[:, None] != idx))
+        i1 += lo
+        (x1, y1), (x2, y2), (x3, y3) = hp[i1].T, hp[i2].T, hp[i3].T
         alpha, beta = y3 * x2 - x3 * y2, y1 * x2 - x1 * y2
-        # the adjugate of _to_01inf((q1, q2, q3)), batched over the pairs
-        m = np.moveaxis(np.array([[-beta * x3, alpha * x1], [-beta * y3, alpha * y1]]), -1, 0) @ src
-        alive = np.arange(len(i2))
+        # the adjugate of _to_01inf((q1, q2, q3)) times _to_01inf(points[:3])
+        a, b, c, d = -beta * x3, alpha * x1, -beta * y3, alpha * y1
+        cand = [i1, i2, i3, a * s00 + b * s10, a * s01 + b * s11, c * s00 + d * s10, c * s01 + d * s11]
         for k in range(3, n):
-            w = m[alive] @ hp[k]
-            cross = np.abs(np.outer(w[:, 0], hp[:, 1]) - np.outer(w[:, 1], hp[:, 0]))
-            alive = alive[cross.min(axis=1) <= tol * np.linalg.norm(w, axis=1)]
-        for a in alive:
-            yield points[q1], points[i2[a]], points[i3[a]]
+            m00, m01, m10, m11 = cand[3:]
+            w0, w1 = m00 * u[k] + m01 * v[k], m10 * u[k] + m11 * v[k]
+            lim = tol * np.sqrt((w0.conj() * w0).real + (w1.conj() * w1).real)
+            hit = np.zeros(len(w0), dtype=bool)
+            for j in range(n):
+                hit |= np.abs(w0 * v[j] - w1 * u[j]) <= lim
+            cand = [e[hit] for e in cand]
+            if not hit.any():
+                break
+        for j1, j2, j3 in zip(*cand[:3]):
+            yield points[j1], points[j2], points[j3]
 
 
 def _conjugate_complex(fc: np.ndarray, gc: np.ndarray, m: np.ndarray):
@@ -244,6 +264,15 @@ def _proportional(v: np.ndarray, w: np.ndarray, tol: float) -> bool:
         return False
     s = np.vdot(v, w) / (nv * nv)
     return bool(np.linalg.norm(s * v - w) <= tol * nw)
+
+
+def _proportional_to_any(v: np.ndarray, ws: np.ndarray, tol: float) -> bool:
+    """any(_proportional(v, w, tol) for w in ws), the rows of ws taken in
+    one array pass: only a row whose residual there is within 2 tol |w| is
+    confirmed by _proportional itself, so the answer is the loop's."""
+    s = (ws @ v.conj()) / np.vdot(v, v).real
+    near = np.linalg.norm(s[:, None] * v - ws, axis=1) <= 2 * tol * np.linalg.norm(ws, axis=1)
+    return any(_proportional(v, ws[i], tol) for i in np.flatnonzero(near))
 
 
 def _numeric_order(m: np.ndarray, tol: float, cap: int = 512) -> int | None:
@@ -304,7 +333,7 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
     points.sort(key=lambda p: (0, 0.0, 0.0) if p is None else (1, round(p.real, 6), round(p.imag, 6)))
     base = points[:3]
     coeff_vec = np.concatenate((fc, gc))
-    found: list[np.ndarray] = []
+    found = np.empty((0, 4), dtype=complex)  # one flattened matrix per row
     for triple in _permuting_triples(points, cluster_tol):
         m = _mobius_through(base, triple)
         if abs(np.linalg.det(m)) < 1e-14:
@@ -312,10 +341,10 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
         m = m / np.max(np.abs(m))
         cf, cg = _conjugate_complex(fc, gc, m)
         if _proportional(np.concatenate((cf, cg)), coeff_vec, tolerance):
-            if not any(_proportional(m.ravel(), f.ravel(), cluster_tol) for f in found):
-                found.append(m)
+            if not _proportional_to_any(m.ravel(), found, cluster_tol):
+                found = np.vstack((found, m.ravel()))
     census: dict[int, int] = {}
-    for m in found:
+    for m in found.reshape(-1, 2, 2):
         o = _numeric_order(m, max(tolerance, 1e-9))
         if o is not None:
             census[o] = census.get(o, 0) + 1

@@ -1,5 +1,6 @@
 """Exact automorphism verification and numeric discovery."""
 
+import cmath
 import itertools
 import json
 import random
@@ -564,6 +565,130 @@ def test_discovery_matches_the_full_triple_loop(discovery_maps, tolerance, monke
         assert got.to_json() == _ref_discover_automorphisms(phi, tolerance).to_json(), (name, tolerance)
         # the filter prunes: of 1,320-2,184 triples, about |Aut| survive
         assert cap is None or len(survivors) <= cap, (name, len(survivors))
+
+
+# ---------------------------------------------------------------------------
+# the blocked triple filter and the batched duplicate check against the
+# loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_permuting_triples(points, tol):
+    """The permutation filter as it ran one q1 at a time, with a stacked 2x2
+    matmul for the candidate matrices and a (candidates x n) outer product
+    per tested point."""
+    import numpy as np
+
+    from symloci.aut import _homog, _to_01inf
+
+    hp = np.array([_homog(p) for p in points])
+    hp /= np.linalg.norm(hp, axis=1, keepdims=True)
+    n = len(hp)
+    src = _to_01inf(points[:3])
+    pairs = np.array([(j, k) for j in range(n) for k in range(n) if j != k])
+    for q1 in range(n):
+        i2, i3 = pairs[(pairs != q1).all(axis=1)].T
+        (x1, y1), (x2, y2), (x3, y3) = hp[q1], hp[i2].T, hp[i3].T
+        alpha, beta = y3 * x2 - x3 * y2, y1 * x2 - x1 * y2
+        m = np.moveaxis(np.array([[-beta * x3, alpha * x1], [-beta * y3, alpha * y1]]), -1, 0) @ src
+        alive = np.arange(len(i2))
+        for k in range(3, n):
+            w = m[alive] @ hp[k]
+            cross = np.abs(np.outer(w[:, 0], hp[:, 1]) - np.outer(w[:, 1], hp[:, 0]))
+            alive = alive[cross.min(axis=1) <= tol * np.linalg.norm(w, axis=1)]
+        for a in alive:
+            yield points[q1], points[i2[a]], points[i3[a]]
+
+
+# the cluster tolerances at --tolerance 1e-6, 1e-8 and 1e-10
+CLUSTER_TOLS = (1e-3, 1e-4, 1e-9**0.5)
+
+
+@st.composite
+def _point_sets(draw):
+    """3..24 distinct points of P^1 (None is infinity): scattered at random,
+    or a symmetric set (roots of unity with 0 and infinity, possibly moved
+    by an integer Moebius map, possibly with one point nudged off by about
+    the tolerance) on which many triples survive."""
+    n = draw(st.integers(3, 24))
+    if draw(st.booleans()):
+        coord = st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 3))
+        pts = [complex(draw(coord), draw(coord)) for _ in range(n)]
+        if draw(st.booleans()):
+            pts[draw(st.integers(0, n - 1))] = None
+    else:
+        extra = draw(st.sampled_from([(), (0j,), (None,), (0j, None)]))
+        r = max(n - len(extra), 2)
+        pts = [cmath.exp(2j * cmath.pi * k / r) for k in range(r)] + list(extra)
+        a, b, c, d = draw(st.sampled_from([(1, 0, 0, 1), (0, -1, 1, -2), (2, 1, 1, 1), (1, 0, 1, 1)]))
+        pts = [(a / c if c else None) if p is None else (None if c * p + d == 0 else (a * p + b) / (c * p + d)) for p in pts]
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(pts) - 1))
+            if pts[k] is not None:
+                pts[k] += draw(st.sampled_from([1e-5, 3e-5, 1e-4, 3e-4, 1e-3])) * (1 + 1j)
+        pts = draw(st.permutations(pts))
+    distinct = []
+    for p in pts:
+        if all((p is None) != (q is None) or (p is not None and abs(p - q) > 1e-2) for q in distinct):
+            distinct.append(p)
+    assume(len(distinct) >= 3)
+    return distinct
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_sets(), st.sampled_from(CLUSTER_TOLS))
+@example([0j, None, 1 + 0j, -1 + 0j, 1j, -1j], 1e-4)  # the octahedron's vertices: 24 survive
+@example([0j, None] + [cmath.exp(2j * cmath.pi * k / 22) for k in range(22)], 1e-9**0.5)  # 44 survive
+def test_blocked_filter_matches_the_per_q1_filter(points, tol):
+    from symloci.aut import _permuting_triples
+
+    assert list(_permuting_triples(points, tol)) == list(_ref_permuting_triples(points, tol))
+
+
+def test_batched_duplicate_check_decides_as_the_loop():
+    # found sets of normalized matrices, and candidates near one of them:
+    # w (1 + delta r) for r a random complex unit vector and delta up to 8
+    # tolerances: about a third each have a residual within tol |w|,
+    # between tol |w| and the 2 tol |w| screen, and beyond the screen
+    import numpy as np
+
+    from symloci.aut import _proportional, _proportional_to_any
+
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for tol in CLUSTER_TOLS:
+        for size in (0, 1, 5, 60):
+            ws = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
+            ws /= np.max(np.abs(ws), axis=1, keepdims=True, initial=0)
+            for _ in range(200 if size else 1):
+                w = ws[rng.integers(size)] if size else rng.normal(size=4) + 0j
+                r = rng.normal(size=4) + 1j * rng.normal(size=4)
+                v = w * (1 + tol * rng.uniform(0.2, 8.0) * r / np.linalg.norm(r)) * rng.choice([1, -2j, 0.3])
+                want = any(_proportional(v, f, tol) for f in ws)
+                assert _proportional_to_any(v, ws, tol) == want, (tol, size)
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_blocked_filter_peak_memory_is_at_most_the_per_q1_filter():
+    # the 62 fixed points of z^61: 0, infinity and the 60th roots of unity
+    import tracemalloc
+
+    from symloci.aut import _cluster, _complex_coeffs, _permuting_triples, _roots_of_form
+
+    phi = RationalMap.from_zpoly([1] + [0] * 61, [0] * 61 + [1])
+    points = _cluster(_roots_of_form(_complex_coeffs(phi.fixed_point_form()), 1), 1e-4)
+    assert len(points) == 62
+    peaks = []
+    for fn in (_permuting_triples, _ref_permuting_triples):
+        tracemalloc.start()
+        try:
+            triples = list(fn(points, 1e-4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(triples) == 120  # the dihedral group of order 120
+    assert peaks[0] <= peaks[1], peaks
 
 
 # ---------------------------------------------------------------------------
