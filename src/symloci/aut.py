@@ -1,29 +1,30 @@
 """Automorphism testing for rational maps: exact verification plus a
 numeric discovery mode.
 
-Exact computation of the full automorphism group of an arbitrary map would
-require factoring its fixed-point form, so the split here is: candidates
-are verified exactly (coefficient proportionality after conjugation, by
-every element in verify_group_action; a whole group through its
-generators, a monomial one such as zeta_m z or 1/z by its coefficient
-weights instead), and candidate discovery is numeric (automorphisms
-permute the periodic points, so every automorphism shows up as the Moebius
-map through a triple of them; a candidate must permute the periodic
-points before it is tested on the coefficients).  The permutation filter
-and the check against the elements already found run as array passes over
-blocks of candidates and over all elements found; they decide as the
-scalar loops do, triple for triple.
+Candidates are verified exactly (coefficient proportionality after
+conjugation, by every element in verify_group_action; a whole group through
+its generators, a monomial one such as zeta_m z or 1/z by its coefficient
+weights instead); discovery is numeric, in plain Python floats.  Automorphisms
+permute the periodic points and fix their conformal barycentre, so once an
+exact integer change of coordinates has brought it near the centre of the
+sphere they are rotations: discovery matches the balanced points by their
+distances and keeps a rotation that permutes them and commutes with the map
+at probe points.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from math import gcd
-
-import numpy as np
+from fractions import Fraction
+from functools import reduce
+from math import gcd, hypot
 
 from . import forms
-from .forms import RationalMap, distinct_common_roots_count
+from .cyclotomic import Cyclotomic
+from .forms import BinaryForm, RationalMap, distinct_common_roots_count
 from .moebius import FiniteSubgroup, MoebiusMap, classify_census, conjugate_map
 
 
@@ -155,225 +156,219 @@ def _verify_through_generators(phi: RationalMap, group: FiniteSubgroup) -> AutRe
     return verify_group_action(phi, group)
 
 
-# ---------------------------------------------------------------------------
-# numeric discovery
-# ---------------------------------------------------------------------------
+# numeric discovery: a point of P^1 is a unit vector (x, y) of C^2, z = x/y,
+# a matrix a tuple (a, b, c, d), a point of the sphere a unit vector of R^3
 
 
-def _complex_coeffs(form) -> np.ndarray:
-    return np.array([c.complex() for c in form.coeffs], dtype=complex)
+def _unit(x: complex, y: complex) -> tuple[complex, complex]:
+    s = hypot(abs(x), abs(y))
+    return x / s, y / s
 
 
-def _roots_of_form(coeffs: np.ndarray, exact_lead_zeros: int) -> list[complex | None]:
-    """Projective roots of a binary form given by X-descending coefficients.
-
-    None stands for the point at infinity; exact_lead_zeros leading
-    coefficients are known to vanish exactly.
-    """
-    pts: list[complex | None] = [None] * exact_lead_zeros
-    poly = coeffs[exact_lead_zeros:]
-    if len(poly) > 1:
-        pts.extend(np.roots(poly))
-    return pts
+def _apply(m, p) -> tuple[complex, complex]:
+    return _unit(m[0] * p[0] + m[1] * p[1], m[2] * p[0] + m[3] * p[1])
 
 
-def _cluster(points, tol: float):
-    out: list[complex | None] = []
+def _mul(m, n):
+    return m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3], m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3]
+
+
+def _sphere(p) -> tuple[float, float, float]:  # 0 at the south pole
+    w = p[0] * p[1].conjugate()
+    return 2 * w.real, 2 * w.imag, abs(p[0]) ** 2 - abs(p[1]) ** 2
+
+
+def _dist2(v, w) -> float:
+    return (v[0] - w[0]) ** 2 + (v[1] - w[1]) ** 2 + (v[2] - w[2]) ** 2
+
+
+def _cross(p, q):
+    return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
+
+
+def _floats(coeffs) -> list[complex]:  # scaled by one power of 2 if the largest would overflow
+    top = max((max(abs(v).bit_length() for v in c.nums) - c.den.bit_length() for c in coeffs if c), default=0)
+    scale = Cyclotomic.rational(Fraction(1, 1 << top)) if top > 500 else None
+    return [(c * scale if scale else c).complex() for c in coeffs]
+
+
+def _newton(poly: list[complex], z: complex) -> complex:  # p/p'; for |z| > 1 z q / (n q - w q'), q(w) = w^n p(1/w)
+    w, coeffs = (z, poly) if abs(z) <= 1 else (1 / z, poly[::-1])
+    p = dp = 0j
+    for c in coeffs:
+        dp, p = dp * w + p, p * w + c
+    den = dp if w is z else (len(poly) - 1) * p - w * dp
+    return (p if w is z else z * p) / den if den else 0j
+
+
+def _roots(form: BinaryForm, starts=None, rel: float = 1e-3, cap: int = 100) -> tuple[list, bool]:
+    """The roots of a form with multiplicity, and whether they converged:
+    exact leading zeros are infinity, trailing ones 0, the others are from
+    Aberth-Ehrlich sweeps (Math. Comp. 27, 1973) to corrections <= rel |z|,
+    from a circle or from starts (one per root, so also for 0 and infinity)."""
+    c = form.coeffs
+    if not any(c):
+        return [], True
+    lead, trail = (next(i for i, x in enumerate(seq) if x) for seq in (c, c[::-1]))
+    poly = _floats(c[lead : len(c) - trail])
+    n = len(poly) - 1
+    if starts is None:
+        zs = [abs(poly[-1] / poly[0]) ** (1 / n) * cmath.exp(1j * (0.4 + 2 * cmath.pi * k / n)) for k in range(n)]
+    else:
+        starts = sorted(starts, key=lambda p: abs(p[0]) / (abs(p[1]) or 1e-300))[trail : trail + n]
+        zs = [(p[0] / p[1] if p[1] else 1e300) or 1e-300 for p in starts]
+    done = not n
+    for _ in range(cap if n else 0):
+        done = True
+        for i, z in enumerate(zs):
+            w = _newton(poly, z)
+            s = w * sum(1 / (z - y) for y in zs if y != z)
+            zs[i] = z - (w / (1 - s) if s != 1 else w)
+            done = done and abs(zs[i] - z) <= rel * abs(z)
+        if done:
+            break
+    return [(1 + 0j, 0j)] * lead + [(0j, 1 + 0j)] * trail + [_unit(z, 1) for z in zs], done
+
+
+def _distinct(points, tol: float) -> list:  # without those within tol of an earlier one
+    out: dict = {}
     for p in points:
-        if p is None:
-            if None not in out:
-                out.append(None)
-            continue
-        if not any(q is not None and abs(p - q) <= tol for q in out):
-            out.append(p)
-    return out
+        v = _sphere(p)
+        if all(_dist2(v, w) > tol * tol for w in out.values()):
+            out[p] = v
+    return list(out)
 
 
-def _homog(p: complex | None) -> tuple[complex, complex]:
-    return (1 + 0j, 0j) if p is None else (p, 1 + 0j)
-
-
-def _to_01inf(triple) -> np.ndarray:
-    """The numeric Moebius matrix sending the triple to (0, 1, inf)."""
-    (x1, y1), (x2, y2), (x3, y3) = (_homog(p) for p in triple)
-    alpha = y3 * x2 - x3 * y2
-    beta = y1 * x2 - x1 * y2
-    return np.array([[alpha * y1, -alpha * x1], [beta * y3, -beta * x3]], dtype=complex)
-
-
-def _mobius_through(src, dst) -> np.ndarray:
-    """The numeric Moebius matrix sending the src triple to the dst triple."""
-    m_src = _to_01inf(src)
-    m_dst = _to_01inf(dst)
-    inv = np.array([[m_dst[1, 1], -m_dst[0, 1]], [-m_dst[1, 0], m_dst[0, 0]]], dtype=complex)
-    return inv @ m_src
-
-
-# candidates per block of _permuting_triples: whole q1 rows, at least one
-_BLOCK = 4096
-
-
-def _permuting_triples(points, tol: float):
-    """The ordered triples of distinct points, in nested-loop order, whose
-    Moebius map from points[:3] sends every point within chordal distance
-    tol of one of the points: an automorphism permutes the periodic
-    points.  Works on blocks of whole q1 rows, about _BLOCK (q1, q2, q3)
-    candidates each, and tests points[3], points[4], ... only on the
-    candidates still alive, against one periodic point at a time: the
-    temporaries hold one entry per candidate, never one per candidate and
-    point."""
-    hp = np.array([_homog(p) for p in points])
-    hp /= np.linalg.norm(hp, axis=1, keepdims=True)
-    n = len(hp)
-    u, v = hp.T
-    (s00, s01), (s10, s11) = _to_01inf(points[:3])
-    idx = np.arange(n)
-    rows = max(1, _BLOCK // ((n - 1) * (n - 2)))
-    for lo in range(0, n, rows):
-        q1 = idx[lo : lo + rows, None, None]
-        i1, i2, i3 = np.nonzero((q1 != idx[:, None]) & (q1 != idx) & (idx[:, None] != idx))
-        i1 += lo
-        (x1, y1), (x2, y2), (x3, y3) = hp[i1].T, hp[i2].T, hp[i3].T
-        alpha, beta = y3 * x2 - x3 * y2, y1 * x2 - x1 * y2
-        # the adjugate of _to_01inf((q1, q2, q3)) times _to_01inf(points[:3])
-        a, b, c, d = -beta * x3, alpha * x1, -beta * y3, alpha * y1
-        cand = [i1, i2, i3, a * s00 + b * s10, a * s01 + b * s11, c * s00 + d * s10, c * s01 + d * s11]
-        for k in range(3, n):
-            m00, m01, m10, m11 = cand[3:]
-            w0, w1 = m00 * u[k] + m01 * v[k], m10 * u[k] + m11 * v[k]
-            lim = tol * np.sqrt((w0.conj() * w0).real + (w1.conj() * w1).real)
-            hit = np.zeros(len(w0), dtype=bool)
-            for j in range(n):
-                hit |= np.abs(w0 * v[j] - w1 * u[j]) <= lim
-            cand = [e[hit] for e in cand]
-            if not hit.any():
+def _balancing(points) -> tuple:
+    """T moving the points' mean on the sphere to the centre, and the moved
+    points: their conformal barycentre (Douady-Earle, Acta Math. 157, 1986)
+    is then the centre, so their automorphisms are rotations.  Newton steps:
+    a boost s e moves the mean m by s (I - M) e, M the second moment."""
+    t, vs = (1, 0, 0, 1), [_sphere(p) for p in points]
+    size = lambda vs: sum(sum(v[i] for v in vs) ** 2 for i in range(3))  # noqa: E731
+    while size(vs) >= 1e-24 * len(vs) ** 2:  # |m| >= 1e-12
+        rows = [[(i == j) - sum(v[i] * v[j] for v in vs) / len(vs) for j in range(3)] for i in range(3)]
+        cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
+        w = [sum(sum(v[i] for v in vs) * cols[i][j] for i in range(3)) for j in range(3)]  # n det (I - M)^-1 m
+        r = sum(x * x for x in w) ** 0.5
+        x, y, h = (e / r for e in w)  # (u : v) is at w / r; S = [[v, -u], [u*, v*]] takes it to 0
+        u, v = _unit(1 + h, complex(x, -y)) if h > 0 else _unit(complex(x, y), 1 - h)
+        rot, back = (v, -u, u.conjugate(), v.conjugate()), (v.conjugate(), u, -u.conjugate(), v)
+        for s in (r / abs(len(vs) * sum(x * y for x, y in zip(rows[0], cols[0]))) / 2**k for k in range(40)):
+            mu = cmath.exp(s / 2).real
+            b = _mul(back, _mul((mu, 0, 0, 1 / mu), rot))
+            moved = [_apply(b, p) for p in points]
+            moved_vs = [_sphere(p) for p in moved]
+            if size(moved_vs) < size(vs):
                 break
-        for j1, j2, j3 in zip(*cand[:3]):
-            yield points[j1], points[j2], points[j3]
+        points, vs, t = moved, moved_vs, _mul(b, t)
+    return t, vs
 
 
-def _conjugate_complex(fc: np.ndarray, gc: np.ndarray, m: np.ndarray):
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    fs, gs = _subst_complex(np.array([a, b]), np.array([c, d]), (fc, gc))
-    return d * fs - b * gs, a * gs - c * fs
+def _periodic_form(phi: RationalMap, period: int) -> BinaryForm:  # fixed points of phi or phi o phi
+    if period == 2:
+        d, F, G = phi.degree, phi.F, phi.G
+        pw = [reduce(BinaryForm.__mul__, [F] * (d - i) + [G] * i) for i in range(d + 1)]  # F^(d-i) G^i
+        phi = RationalMap(*(sum((t * c for t, c in zip(pw, h.coeffs) if c), BinaryForm.zero(d * d)) for h in (F, G)))
+    return phi.fixed_point_form()
 
 
-def _proportional(v: np.ndarray, w: np.ndarray, tol: float) -> bool:
-    nv, nw = np.linalg.norm(v), np.linalg.norm(w)
-    if nv == 0 or nw == 0:
-        return False
-    s = np.vdot(v, w) / (nv * nv)
-    return bool(np.linalg.norm(s * v - w) <= tol * nw)
+def _evaluate(pair, p) -> tuple[complex, complex]:  # phi(p) from F's and G's coefficients, Horner in x/y or y/x
+    (fc, gc), (x, y) = pair, p
+    t, fc, gc = (y / x, fc[::-1], gc[::-1]) if abs(x) > abs(y) else (x / y, fc, gc)
+    f = g = 0j
+    for a, b in zip(fc, gc):
+        f, g = f * t + a, g * t + b
+    return _unit(f, g)
 
 
-def _proportional_to_any(v: np.ndarray, ws: np.ndarray, tol: float) -> bool:
-    """any(_proportional(v, w, tol) for w in ws), the rows of ws taken in
-    one array pass: only a row whose residual there is within 2 tol |w| is
-    confirmed by _proportional itself, so the answer is the loop's."""
-    s = (ws @ v.conj()) / np.vdot(v, v).real
-    near = np.linalg.norm(s[:, None] * v - ws, axis=1) <= 2 * tol * np.linalg.norm(ws, axis=1)
-    return any(_proportional(v, ws[i], tol) for i in np.flatnonzero(near))
+def _to_01inf(p1, p2, p3):
+    alpha, beta = p3[1] * p2[0] - p3[0] * p2[1], p1[1] * p2[0] - p1[0] * p2[1]
+    return alpha * p1[1], -alpha * p1[0], beta * p3[1], -beta * p3[0]
 
 
-def _numeric_order(m: np.ndarray, tol: float, cap: int = 512) -> int | None:
-    """Projective order, None above cap: 1 only for a scalar matrix, else
-    the least k with k * arg(l1/l2) / 2pi within tol of an integer, l1, l2
-    the eigenvalues, |l1/l2| within tol of 1 (a ratio of 1 is parabolic)."""
-    scale = max(abs(m[0, 0]), abs(m[1, 1]), 1e-30)
-    if max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1])) <= tol * scale:
-        return 1
-    l1, l2 = np.linalg.eigvals(m)
-    if abs(abs(l1 / l2) - 1) > tol:
-        return None
-    turns = np.arange(1, cap + 1) * (np.angle(l1 / l2) / (2 * np.pi))
-    hits = np.flatnonzero(np.abs(turns - np.round(turns)) <= tol)
-    return int(hits[0]) + 1 if hits.size and hits[0] else None
+def _rotations(vs, tol: float):
+    """The permutations of vs by rotations (within tol), with indices (a, b, c):
+    the images (i, j) of a = 0 and b, closest to orthogonal to it, keep
+    their dot product; c, farthest off their great circle, is matched first."""
+    n = len(vs)
+    dot = [[p[0] * q[0] + p[1] * q[1] + p[2] * q[2] for q in vs] for p in vs]
+    a, b = 0, min(range(1, n), key=lambda j: abs(dot[0][j]))
+
+    def frame(i, j):
+        e2 = [w - dot[i][j] * e for w, e in zip(vs[j], vs[i])]
+        e2 = [x / sum(y * y for y in e2) ** 0.5 for x in e2]
+        return vs[i], e2, _cross(vs[i], e2)
+
+    coords = [[sum(x * y for x, y in zip(e, v)) for e in frame(a, b)] for v in vs]
+    c = max((k for k in range(n) if k not in (a, b)), key=lambda k: abs(coords[k][2]))
+    xs, order = zip(*sorted((v[0], k) for k, v in enumerate(vs)))
+    for i, j in itertools.permutations(range(n), 2):
+        if abs(dot[i][j] - dot[a][b]) <= tol:
+            f, perm = tuple(zip(*frame(i, j))), []
+            for k in [c, *range(n)]:
+                w = [x * coords[k][0] + y * coords[k][1] + z * coords[k][2] for x, y, z in f]
+                near = order[bisect_left(xs, w[0] - tol) : bisect_right(xs, w[0] + tol)]
+                hits = [h for h in near if _dist2(w, vs[h]) <= tol * tol]
+                if len(hits) != 1:
+                    break
+                perm.append(hits[0])
+            else:
+                if len(set(perm)) == n:
+                    yield tuple(perm[1:]), (a, b, c)
+
+
+_PROBES = [_unit(z, 1) for z in (0.53 + 0.31j, -0.71 + 0.62j, 0.17 - 0.94j, 1.63 + 0.42j)]  # generic points
 
 
 def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutReport:
-    """Numeric search for Aut(phi) via triples of periodic points.
+    """Numeric search for Aut(phi) as rotations of its balanced periodic points.
 
-    Fixed points are computed as roots of the fixed-point form; if fewer
-    than three are distinct, period-2 points are added.  A candidate
-    Moebius map through a triple must first permute the periodic points
-    (within the clustering radius); only the survivors are tested by
-    conjugating phi numerically.  No exactness is claimed for the result.
-
-    The report describes the elements found: ``numeric_order`` counts them,
-    and ``census`` and ``classified`` describe the group they form.  An
-    element whose conjugate fails the coefficient test at this tolerance is
-    missing without notice, so that group may be a proper subgroup of
-    Aut(phi).
+    The points (fixed, or of period <= 2 if fewer than 3 fixed points are
+    distinct) are balanced roughly (1e-3) by T; phi is conjugated exactly
+    by an integer A near T^(-1) unless T is within 1e-2 of the identity,
+    again while the rough roots do not converge.  The accurate roots,
+    distinct within tol = tolerance^(1/2) (>= 3.2e-5), are balanced in
+    floats; a rotation permuting them is kept if its Moebius map commutes
+    with phi at four probe points within tol.  No exactness is claimed.
     """
     if phi.degree < 2:
         raise ValueError("discovery expects degree >= 2")
-    if not 0 < tolerance < np.inf:
+    if not 0 < tolerance < float("inf"):
         raise ValueError(f"tolerance must be finite and > 0, not {tolerance}")
-    cluster_tol = max(tolerance, 1e-9) ** 0.5
-    j = phi.fixed_point_form()
-    lead_zeros = 0
-    while lead_zeros <= j.degree and not j.coeffs[lead_zeros]:
-        lead_zeros += 1
-    fc = _complex_coeffs(phi.F)
-    gc = _complex_coeffs(phi.G)
-    points = _cluster(_roots_of_form(_complex_coeffs(j), lead_zeros), cluster_tol)
-    if len(points) < 3:
-        d = phi.degree
-        f2, g2 = _subst_complex(fc, gc, (fc, gc))
-        j2 = np.concatenate(([0], f2)) - np.concatenate((g2, [0]))
-        # exact leading zeros are unknown here; strip numerically
-        scale = np.max(np.abs(j2)) or 1.0
-        nz = 0
-        while nz < len(j2) - 1 and abs(j2[nz]) <= 1e-12 * scale:
-            nz += 1
-        points = _cluster(points + _roots_of_form(j2, nz), cluster_tol)
+    tol, period = max(tolerance, 1e-9) ** 0.5, 1
+    for _ in range(5):  # the period-2 switch, then at most four conjugations
+        rough, converged = _roots(_periodic_form(phi, period))
+        distinct = _distinct(rough, 1e-2)
+        if len(distinct) < 3 and period == 1:
+            period = 2
+            continue
+        if len(distinct) < 3:
+            raise DegenerateConfiguration("fewer than 3 periodic points through period 2")
+        a, b, c, d = t = _balancing(distinct)[0]
+        g = [complex(round(x.real), round(x.imag)) for x in (16 * e / max(t, key=abs) for e in (d, -b, -c, a))]
+        if max(abs(b), abs(c), abs(a - d)) < 1e-2 * max(abs(a), abs(d)) or g[0] * g[3] == g[1] * g[2]:
+            break
+        A = MoebiusMap(*(int(x.real) + Cyclotomic.zeta(4) * int(x.imag) if x.imag else int(x.real) for x in g))
+        phi = conjugate_map(phi, A)  # A is T^(-1) in Z[i] to 1/32 of its largest entry
+        rough = [_apply([x.complex() for x in A.inverse().entries()], p) for p in rough]
+        if converged:
+            break
+    points = _distinct(_roots(_periodic_form(phi, period), rough, 1e-14, 50)[0], tol)
     if len(points) < 3:
         raise DegenerateConfiguration("fewer than 3 periodic points through period 2")
-
-    points.sort(key=lambda p: (0, 0.0, 0.0) if p is None else (1, round(p.real, 6), round(p.imag, 6)))
-    base = points[:3]
-    coeff_vec = np.concatenate((fc, gc))
-    found = np.empty((0, 4), dtype=complex)  # one flattened matrix per row
-    for triple in _permuting_triples(points, cluster_tol):
-        m = _mobius_through(base, triple)
-        if abs(np.linalg.det(m)) < 1e-14:
-            continue
-        m = m / np.max(np.abs(m))
-        cf, cg = _conjugate_complex(fc, gc, m)
-        if _proportional(np.concatenate((cf, cg)), coeff_vec, tolerance):
-            if not _proportional_to_any(m.ravel(), found, cluster_tol):
-                found = np.vstack((found, m.ravel()))
-    census: dict[int, int] = {}
-    for m in found.reshape(-1, 2, 2):
-        o = _numeric_order(m, max(tolerance, 1e-9))
-        if o is not None:
-            census[o] = census.get(o, 0) + 1
-    return AutReport(
-        verified_elements=[],
-        numeric_order=len(found),
-        census=census,
-        classified=classify_census(len(found), census),
-    )
-
-
-def _subst_complex(p: np.ndarray, q: np.ndarray, targets) -> list[np.ndarray]:
-    """T(P, Q) for each degree-n target form T, with P, Q complex binary
-    forms given by X-descending coefficients: one table of the products
-    P^(n-i) Q^i serves every target.  Conjugation substitutes the linear
-    forms aX+bY, cX+dY; period-2 points substitute the map's own F, G.
-    Every term has full degree, so each accumulation is a plain sum."""
-    n = len(targets[0]) - 1
-    pp = [np.array([1.0 + 0j])]
-    pq = [np.array([1.0 + 0j])]
-    for _ in range(n):
-        pp.append(np.convolve(pp[-1], p))
-        pq.append(np.convolve(pq[-1], q))
-    outs = [np.zeros(n * (len(p) - 1) + 1, dtype=complex) for _ in targets]
-    for i, coefs in enumerate(zip(*targets)):
-        prod = None
-        for out, coef in zip(outs, coefs):
-            if coef != 0:
-                if prod is None:
-                    prod = np.convolve(pp[n - i], pq[i])
-                out += coef * prod
-    return outs
+    coeffs = _floats(phi.coefficients())
+    pair = coeffs[: phi.degree + 1], coeffs[phi.degree + 1 :]
+    probes = [(p, _evaluate(pair, p)) for p in _PROBES]
+    identity, census = tuple(range(len(points))), {}  # a Moebius map fixing three points is the identity
+    for perm, base in _rotations(_balancing(points)[1], tol):
+        src, dst = _to_01inf(*(points[k] for k in base)), _to_01inf(*(points[perm[k]] for k in base))
+        m = _mul((dst[3], -dst[1], -dst[2], dst[0]), src)  # the Moebius map of the permutation
+        images = ((_apply(m, q), _evaluate(pair, _apply(m, p))) for p, q in probes)
+        if perm == identity or all(abs(u[0] * w[1] - u[1] * w[0]) <= tol for u, w in images):
+            k, power = 1, perm
+            while power != identity:
+                k, power = k + 1, tuple(perm[i] for i in power)
+            census[k] = census.get(k, 0) + 1
+    found = sum(census.values())
+    return AutReport(numeric_order=found, census=census, classified=classify_census(found, census))

@@ -22,7 +22,7 @@ import cmath
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 _new = object.__new__
@@ -86,23 +86,17 @@ def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
-    # coefficients of Phi_n, low->high, monic, integral
+    # coefficients of Phi_n, low->high, monic, integral: Phi_n(x) = Phi_rad(x^(n/rad)),
+    # rad the radical of n, and Phi_pm(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1  # x^n - 1
-    den = [1]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        phi_d = _cyclotomic_int_coeffs(d)
-        new = [0] * (len(den) + len(phi_d) - 1)
-        for i, a in enumerate(den):
-            if a:
-                for j, b in enumerate(phi_d):
-                    new[i + j] += a * b
-        den = new
-    return tuple(_int_poly_div(num, den))
+    primes = [p for p in _divisors(n)[1:] if _phi(p) == p - 1]
+    squarefree = prod(primes) == n
+    k = primes[-1] if squarefree else n // prod(primes)
+    low = _cyclotomic_int_coeffs(n // k)
+    out = [0] * (k * (len(low) - 1) + 1)  # low(x^k)
+    out[::k] = low
+    return tuple(_int_poly_div(out, low) if squarefree else out)
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ no root finding is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .cyclotomic import Cyclotomic, _trim
@@ -202,12 +203,21 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
             if st:
                 out[n - i if flip else i] = coef * st
         return BinaryForm(n, out)
-    apows, bpows, cpows, dpows = (_powers(x, n) for x in (a, b, c, d))
+    ints = all(x.n == 1 and x.den == 1 for x in (a, b, c, d))  # then the rows are ints
+    pa, pb, pc, pd = ([x.nums[0] ** k for k in range(n + 1)] if ints else _powers(x, n) for x in (a, b, c, d))
     for i, coef in enumerate(f.coeffs):
         if coef:
-            row1 = [apows[n - i - j] * bpows[j] * comb(n - i, j) for j in range(n - i + 1)]
-            row2 = [cpows[i - j] * dpows[j] * comb(i, j) for j in range(i + 1)]
-            _accumulate_product(out, row1, row2, coef)
+            row1 = [pa[n - i - j] * pb[j] * comb(n - i, j) for j in range(n - i + 1)]
+            row2 = [pc[i - j] * pd[j] * comb(i, j) for j in range(i + 1)]
+            if ints:  # the rows' product in ints, then one multiple of coef per term it reaches
+                prod: dict = {}
+                for (u, x), (v, y) in product(enumerate(row1), enumerate(row2)):
+                    if x and y:
+                        prod[u + v] = prod.get(u + v, 0) + x * y
+                for k, v in prod.items():
+                    out[k] = out[k] + coef * v
+            else:
+                _accumulate_product(out, row1, row2, coef)
     return BinaryForm(n, out)
 
 

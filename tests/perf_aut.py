@@ -1,8 +1,11 @@
 """Layer micro-benchmarks of numeric discovery: discover_automorphisms on
 the constructed octa d = 13, tetra d = 11 and tetra d = 13 maps, plain and
-conjugated by (0, -1, 1, -2), and its permutation filter
-aut._permuting_triples on the 14 fixed points of the octa d = 13 map and
-on the 62 fixed points of z^61.
+conjugated by (0, -1, 1, -2), and its helpers on the fixed points of the
+octa d = 13 map (14 points) and of z^61 (62 points): aut._roots (the
+rough roots, 1e-3, of the octa map under (2, 1, -3, -1) and of z^61, and
+the accurate ones from the rough ones on the plain maps), aut._balancing
+(of the same rough roots) and aut._rotations (of the balanced accurate
+points of the plain maps).
 
     PYTHONPATH=src python -m pytest tests/perf_aut.py --benchmark-only
 
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 import pytest
 
-from symloci.aut import _cluster, _complex_coeffs, _permuting_triples, _roots_of_form, discover_automorphisms
+from symloci.aut import _balancing, _distinct, _roots, _rotations, discover_automorphisms
 from symloci.forms import RationalMap
 from symloci.moebius import MoebiusMap, conjugate_map
 from symloci.platonic import construct_symmetric_map
@@ -33,21 +36,42 @@ def _map(kind, d, conjugated):
 @pytest.mark.parametrize("kind,d", CASES, ids=[f"{k}{d}" for k, d in CASES])
 def test_discover_automorphisms(benchmark, kind, d, conjugated):
     report = benchmark(discover_automorphisms, _map(kind, d, conjugated), 1e-8)
-    # at most |Aut(phi)|: discovery may miss elements
-    assert 0 < report.numeric_order <= AUT_ORDER[kind, d]
+    assert report.numeric_order == AUT_ORDER[kind, d]
 
 
-def _fixed_points(phi):
-    # the periodic points discovery starts from, at --tolerance 1e-8
-    j = phi.fixed_point_form()
-    lead_zeros = next(i for i, c in enumerate(j.coeffs) if c)
-    return _cluster(_roots_of_form(_complex_coeffs(j), lead_zeros), 1e-4)
+@lru_cache(maxsize=None)
+def _form(n):
+    if n == 14:
+        return conjugate_map(_map("octa", 13, False), MoebiusMap(2, 1, -3, -1)).fixed_point_form()
+    return RationalMap.from_zpoly([1] + [0] * 61, [0] * 61 + [1]).fixed_point_form()
 
 
 @pytest.mark.parametrize("n", [14, 62])
-def test_permuting_triples(benchmark, n):
-    phi = _map("octa", 13, False) if n == 14 else RationalMap.from_zpoly([1] + [0] * 61, [0] * 61 + [1])
-    points = _fixed_points(phi)
-    assert len(points) == n
-    triples = benchmark(lambda: list(_permuting_triples(points, 1e-4)))
-    assert len(triples) == (24 if n == 14 else 120)
+def test_rough_roots(benchmark, n):
+    points, converged = benchmark(_roots, _form(n))
+    assert converged and len(points) == n
+
+
+def _plain_form(n):
+    return _map("octa", 13, False).fixed_point_form() if n == 14 else _form(62)
+
+
+@pytest.mark.parametrize("n", [14, 62])
+def test_accurate_roots(benchmark, n):
+    rough = _roots(_plain_form(n))[0]
+    points, _ = benchmark(_roots, _plain_form(n), rough, 1e-14, 50)
+    assert len(_distinct(points, 1e-4)) == n
+
+
+@pytest.mark.parametrize("n", [14, 62])
+def test_balancing(benchmark, n):
+    points = _distinct(_roots(_form(n))[0], 1e-2)
+    _, vs = benchmark(_balancing, points)
+    assert max(abs(sum(v[k] for v in vs)) for k in range(3)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [14, 62])
+def test_rotations(benchmark, n):
+    vs = _balancing(_distinct(_roots(_plain_form(n), None, 1e-14, 50)[0], 1e-4))[1]
+    perms = benchmark(lambda: list(_rotations(vs, 1e-4)))
+    assert len(perms) == (24 if n == 14 else 120)

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -154,65 +155,6 @@ def test_report_json():
     assert blob["classified"] == "cyclic:4"
     assert blob["failed"] is None
     assert len(blob["verified_elements"]) == 4
-
-
-def _ref_conjugate_complex(fc, gc, m):
-    # the numeric conjugation before it shared one substitution routine with
-    # the period-2 composition: its own power table per call
-    import numpy as np
-
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    n = len(fc) - 1
-    p1, p2 = [np.array([1.0 + 0j])], [np.array([1.0 + 0j])]
-    for _ in range(n):
-        p1.append(np.convolve(p1[-1], np.array([a, b])))
-        p2.append(np.convolve(p2[-1], np.array([c, d])))
-    fs, gs = np.zeros(n + 1, dtype=complex), np.zeros(n + 1, dtype=complex)
-    for i, (fi, gi) in enumerate(zip(fc, gc)):
-        if fi != 0 or gi != 0:
-            prod = np.convolve(p1[n - i], p2[i])
-            if fi != 0:
-                fs += fi * prod
-            if gi != 0:
-                gs += gi * prod
-    return d * fs - b * gs, a * gs - c * fs
-
-
-def _ref_subst_complex(fc, gc, target):
-    import numpy as np
-
-    n = len(target) - 1
-    pf, pg = [np.array([1.0 + 0j])], [np.array([1.0 + 0j])]
-    for _ in range(n):
-        pf.append(np.convolve(pf[-1], fc))
-        pg.append(np.convolve(pg[-1], gc))
-    out = np.zeros(n * (len(fc) - 1) + 1, dtype=complex)
-    for i, coef in enumerate(target):
-        if coef != 0:
-            out += coef * np.convolve(pf[n - i], pg[i])
-    return out
-
-
-def test_numeric_substitution_matches_reference():
-    # one routine serves conjugation and the period-2 composition; the
-    # arithmetic is unchanged, so the results must be bit-identical
-    import numpy as np
-
-    from symloci.aut import _complex_coeffs, _conjugate_complex, _subst_complex
-
-    base = degree5_example()
-    square = RationalMap.from_zpoly([1, 0, 0], [0, 0, 1])
-    maps = [base, conjugate_map(base, MoebiusMap(2, 1, 1, 1)), square]
-    rng = np.random.default_rng(11)
-    for phi in maps:
-        fc, gc = _complex_coeffs(phi.F), _complex_coeffs(phi.G)
-        for _ in range(10):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            got, want = _conjugate_complex(fc, gc, m), _ref_conjugate_complex(fc, gc, m)
-            assert all(np.array_equal(x, y) for x, y in zip(got, want))
-        f2, g2 = _subst_complex(fc, gc, (fc, gc))
-        assert np.array_equal(f2, _ref_subst_complex(fc, gc, fc))
-        assert np.array_equal(g2, _ref_subst_complex(fc, gc, gc))
 
 
 # ---------------------------------------------------------------------------
@@ -451,70 +393,8 @@ def test_a_failing_generator_falls_back_to_the_element_scan():
 
 
 # ---------------------------------------------------------------------------
-# numeric discovery against the full triple loop
+# numeric discovery on the constructed maps and their conjugates
 # ---------------------------------------------------------------------------
-
-
-def _ref_discover_automorphisms(phi: RationalMap, tolerance: float):
-    """Discovery as it ran before the permutation filter: every ordered
-    triple of periodic points is conjugated and tested on the coefficients."""
-    import numpy as np
-
-    from symloci.aut import (
-        AutReport,
-        _cluster,
-        _complex_coeffs,
-        _conjugate_complex,
-        _mobius_through,
-        _numeric_order,
-        _proportional,
-        _roots_of_form,
-        _subst_complex,
-    )
-    from symloci.moebius import classify_census
-
-    cluster_tol = max(tolerance, 1e-9) ** 0.5
-    j = phi.fixed_point_form()
-    lead_zeros = 0
-    while lead_zeros <= j.degree and not j.coeffs[lead_zeros]:
-        lead_zeros += 1
-    fc = _complex_coeffs(phi.F)
-    gc = _complex_coeffs(phi.G)
-    points = _cluster(_roots_of_form(_complex_coeffs(j), lead_zeros), cluster_tol)
-    if len(points) < 3:
-        f2, g2 = _subst_complex(fc, gc, (fc, gc))
-        j2 = np.concatenate(([0], f2)) - np.concatenate((g2, [0]))
-        scale = np.max(np.abs(j2)) or 1.0
-        nz = 0
-        while nz < len(j2) - 1 and abs(j2[nz]) <= 1e-12 * scale:
-            nz += 1
-        points = _cluster(points + _roots_of_form(j2, nz), cluster_tol)
-    assert len(points) >= 3
-    points.sort(key=lambda p: (0, 0.0, 0.0) if p is None else (1, round(p.real, 6), round(p.imag, 6)))
-    base = points[:3]
-    coeff_vec = np.concatenate((fc, gc))
-    found = []
-    for q1 in points:
-        for q2 in points:
-            if q2 is q1:
-                continue
-            for q3 in points:
-                if q3 is q1 or q3 is q2:
-                    continue
-                m = _mobius_through(base, (q1, q2, q3))
-                if abs(np.linalg.det(m)) < 1e-14:
-                    continue
-                m = m / np.max(np.abs(m))
-                cf, cg = _conjugate_complex(fc, gc, m)
-                if _proportional(np.concatenate((cf, cg)), coeff_vec, tolerance):
-                    if not any(_proportional(m.ravel(), f.ravel(), cluster_tol) for f in found):
-                        found.append(m)
-    census = {}
-    for m in found:
-        o = _numeric_order(m, max(tolerance, 1e-9))
-        if o is not None:
-            census[o] = census.get(o, 0) + 1
-    return AutReport([], numeric_order=len(found), census=census, classified=classify_census(len(found), census))
 
 
 # the construct-check conjugators: eight SL2(Z) matrices with entries |.| <= 3
@@ -523,195 +403,76 @@ M_PANEL = (
     (0, 1, -1, 2), (1, 0, 1, 1), (-1, 1, 1, -2), (-2, 1, 1, -1),
 )  # fmt: skip
 
+# Aut of each discovery map: the constructed maps' groups are proved by
+# `construct` (the tetra d = 13 map is octahedral: no finite subgroup of
+# PGL2 properly contains S4), and conjugation keeps the group
+FULL_GROUP = {
+    "octa13": {"numeric_order": 24, "census": {"1": 1, "2": 9, "3": 8, "4": 6}, "classified": "octa"},
+    "tetra11": {"numeric_order": 12, "census": {"1": 1, "2": 3, "3": 8}, "classified": "tetra"},
+    "tetra13": {"numeric_order": 24, "census": {"1": 1, "2": 9, "3": 8, "4": 6}, "classified": "octa"},
+    "icosa11": {"numeric_order": 60, "census": {"1": 1, "2": 15, "3": 20, "5": 24}, "classified": "icosa"},
+    "cyclic:3 d=7": {"numeric_order": 3},
+    "dihedral:3 d=7": {"numeric_order": 6},
+    "4z^3 - 3z, infinity fixed": {"numeric_order": 2},
+    "1/z^2": {"numeric_order": 6},
+    "z + 1/z, period-2 points": {"numeric_order": 2},
+}
+TOLERANCES = (1e-6, 1e-8, 1e-10)
+
 
 @pytest.fixture(scope="module")
 def discovery_maps():
-    """(name, map, at most this many triples survive the filter) for the
-    constructed platonic maps, plain and conjugated, and small maps that
-    take the other branches of discovery."""
+    """(name, map, name of its unconjugated map) for the constructed
+    platonic maps, plain and conjugated, and small maps that take the other
+    branches of discovery."""
     from symloci.loci import dihedral_generic_member, generic_member
     from symloci.platonic import construct_symmetric_map
 
     maps = []
     for kind, d in (("octa", 13), ("tetra", 11), ("tetra", 13), ("icosa", 11)):
         phi, _ = construct_symmetric_map(d, kind)
-        maps.append((f"{kind}{d}", phi, 60))
-        maps.extend((f"{kind}{d}^{m}", conjugate_map(phi, MoebiusMap(*m)), 60) for m in M_PANEL)
-    maps += [
-        ("cyclic:3 d=7", generic_member(7, 3, 1, "zero"), None),
-        ("dihedral:3 d=7", dihedral_generic_member(7, 3, 1, 1), None),
-        ("4z^3 - 3z, infinity fixed", RationalMap.from_zpoly([4, 0, -3, 0], [0, 0, 0, 1]), None),
-        ("1/z^2", RationalMap.from_zpoly([0, 0, 1], [1, 0, 0]), None),
-        ("z + 1/z, period-2 points", RationalMap.from_zpoly([1, 0, 1], [0, 1, 0]), None),
+        maps.append((f"{kind}{d}", phi, f"{kind}{d}"))
+        maps.extend((f"{kind}{d}^{m}", conjugate_map(phi, MoebiusMap(*m)), f"{kind}{d}") for m in M_PANEL)
+    small = [
+        ("cyclic:3 d=7", generic_member(7, 3, 1, "zero")),
+        ("dihedral:3 d=7", dihedral_generic_member(7, 3, 1, 1)),
+        ("4z^3 - 3z, infinity fixed", RationalMap.from_zpoly([4, 0, -3, 0], [0, 0, 0, 1])),
+        ("1/z^2", RationalMap.from_zpoly([0, 0, 1], [1, 0, 0])),
+        ("z + 1/z, period-2 points", RationalMap.from_zpoly([1, 0, 1], [0, 1, 0])),
     ]
-    return maps
+    return maps + [(name, phi, name) for name, phi in small]
 
-
-@pytest.mark.parametrize("tolerance", [1e-6, 1e-8, 1e-10])
-def test_discovery_matches_the_full_triple_loop(discovery_maps, tolerance, monkeypatch):
-    from symloci import aut
-
-    survivors = []
-    filtered = aut._permuting_triples
-
-    def counted(*args):
-        survivors.extend(filtered(*args))
-        return survivors
-
-    monkeypatch.setattr(aut, "_permuting_triples", counted)
-    for name, phi, cap in discovery_maps:
-        survivors.clear()
-        got = discover_automorphisms(phi, tolerance)
-        assert got.to_json() == _ref_discover_automorphisms(phi, tolerance).to_json(), (name, tolerance)
-        # the filter prunes: of 1,320-2,184 triples, about |Aut| survive
-        assert cap is None or len(survivors) <= cap, (name, len(survivors))
-
-
-# ---------------------------------------------------------------------------
-# the blocked triple filter and the batched duplicate check against the
-# loops they replaced
-# ---------------------------------------------------------------------------
-
-
-def _ref_permuting_triples(points, tol):
-    """The permutation filter as it ran one q1 at a time, with a stacked 2x2
-    matmul for the candidate matrices and a (candidates x n) outer product
-    per tested point."""
-    import numpy as np
-
-    from symloci.aut import _homog, _to_01inf
-
-    hp = np.array([_homog(p) for p in points])
-    hp /= np.linalg.norm(hp, axis=1, keepdims=True)
-    n = len(hp)
-    src = _to_01inf(points[:3])
-    pairs = np.array([(j, k) for j in range(n) for k in range(n) if j != k])
-    for q1 in range(n):
-        i2, i3 = pairs[(pairs != q1).all(axis=1)].T
-        (x1, y1), (x2, y2), (x3, y3) = hp[q1], hp[i2].T, hp[i3].T
-        alpha, beta = y3 * x2 - x3 * y2, y1 * x2 - x1 * y2
-        m = np.moveaxis(np.array([[-beta * x3, alpha * x1], [-beta * y3, alpha * y1]]), -1, 0) @ src
-        alive = np.arange(len(i2))
-        for k in range(3, n):
-            w = m[alive] @ hp[k]
-            cross = np.abs(np.outer(w[:, 0], hp[:, 1]) - np.outer(w[:, 1], hp[:, 0]))
-            alive = alive[cross.min(axis=1) <= tol * np.linalg.norm(w, axis=1)]
-        for a in alive:
-            yield points[q1], points[i2[a]], points[i3[a]]
-
-
-# the cluster tolerances at --tolerance 1e-6, 1e-8 and 1e-10
-CLUSTER_TOLS = (1e-3, 1e-4, 1e-9**0.5)
-
-
-@st.composite
-def _point_sets(draw):
-    """3..24 distinct points of P^1 (None is infinity): scattered at random,
-    or a symmetric set (roots of unity with 0 and infinity, possibly moved
-    by an integer Moebius map, possibly with one point nudged off by about
-    the tolerance) on which many triples survive."""
-    n = draw(st.integers(3, 24))
-    if draw(st.booleans()):
-        coord = st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 3))
-        pts = [complex(draw(coord), draw(coord)) for _ in range(n)]
-        if draw(st.booleans()):
-            pts[draw(st.integers(0, n - 1))] = None
-    else:
-        extra = draw(st.sampled_from([(), (0j,), (None,), (0j, None)]))
-        r = max(n - len(extra), 2)
-        pts = [cmath.exp(2j * cmath.pi * k / r) for k in range(r)] + list(extra)
-        a, b, c, d = draw(st.sampled_from([(1, 0, 0, 1), (0, -1, 1, -2), (2, 1, 1, 1), (1, 0, 1, 1)]))
-        pts = [(a / c if c else None) if p is None else (None if c * p + d == 0 else (a * p + b) / (c * p + d)) for p in pts]
-        if draw(st.booleans()):
-            k = draw(st.integers(0, len(pts) - 1))
-            if pts[k] is not None:
-                pts[k] += draw(st.sampled_from([1e-5, 3e-5, 1e-4, 3e-4, 1e-3])) * (1 + 1j)
-        pts = draw(st.permutations(pts))
-    distinct = []
-    for p in pts:
-        if all((p is None) != (q is None) or (p is not None and abs(p - q) > 1e-2) for q in distinct):
-            distinct.append(p)
-    assume(len(distinct) >= 3)
-    return distinct
-
-
-@settings(max_examples=150, deadline=None)
-@given(_point_sets(), st.sampled_from(CLUSTER_TOLS))
-@example([0j, None, 1 + 0j, -1 + 0j, 1j, -1j], 1e-4)  # the octahedron's vertices: 24 survive
-@example([0j, None] + [cmath.exp(2j * cmath.pi * k / 22) for k in range(22)], 1e-9**0.5)  # 44 survive
-def test_blocked_filter_matches_the_per_q1_filter(points, tol):
-    from symloci.aut import _permuting_triples
-
-    assert list(_permuting_triples(points, tol)) == list(_ref_permuting_triples(points, tol))
-
-
-def test_batched_duplicate_check_decides_as_the_loop():
-    # found sets of normalized matrices, and candidates near one of them:
-    # w (1 + delta r) for r a random complex unit vector and delta up to 8
-    # tolerances: about a third each have a residual within tol |w|,
-    # between tol |w| and the 2 tol |w| screen, and beyond the screen
-    import numpy as np
-
-    from symloci.aut import _proportional, _proportional_to_any
-
-    rng = np.random.default_rng(7)
-    outcomes = set()
-    for tol in CLUSTER_TOLS:
-        for size in (0, 1, 5, 60):
-            ws = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
-            ws /= np.max(np.abs(ws), axis=1, keepdims=True, initial=0)
-            for _ in range(200 if size else 1):
-                w = ws[rng.integers(size)] if size else rng.normal(size=4) + 0j
-                r = rng.normal(size=4) + 1j * rng.normal(size=4)
-                v = w * (1 + tol * rng.uniform(0.2, 8.0) * r / np.linalg.norm(r)) * rng.choice([1, -2j, 0.3])
-                want = any(_proportional(v, f, tol) for f in ws)
-                assert _proportional_to_any(v, ws, tol) == want, (tol, size)
-                outcomes.add(want)
-    assert outcomes == {True, False}
-
-
-def test_blocked_filter_peak_memory_is_at_most_the_per_q1_filter():
-    # the 62 fixed points of z^61: 0, infinity and the 60th roots of unity
-    import tracemalloc
-
-    from symloci.aut import _cluster, _complex_coeffs, _permuting_triples, _roots_of_form
-
-    phi = RationalMap.from_zpoly([1] + [0] * 61, [0] * 61 + [1])
-    points = _cluster(_roots_of_form(_complex_coeffs(phi.fixed_point_form()), 1), 1e-4)
-    assert len(points) == 62
-    peaks = []
-    for fn in (_permuting_triples, _ref_permuting_triples):
-        tracemalloc.start()
-        try:
-            triples = list(fn(points, 1e-4))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert len(triples) == 120  # the dihedral group of order 120
-    assert peaks[0] <= peaks[1], peaks
-
-
-# ---------------------------------------------------------------------------
-# element orders from the eigenvalue ratio
-# ---------------------------------------------------------------------------
 
 # discover_automorphisms(phi, tol).to_json() for every discovery map at the
-# three tolerances above, recorded while _numeric_order still multiplied
-# the matrix until a power was scalar
+# three tolerances
 RECORDED_REPORTS = Path(__file__).parent / "golden" / "discovery_reports.json"
+# the numeric_order of each of those reports from the triple loop that
+# discovery ran before balancing: every ordered triple of periodic points
+# conjugated in floats and tested on the coefficients (the live loop is in
+# tests/sweep_discovery.py)
+TRIPLE_LOOP_ORDERS = Path(__file__).parent / "golden" / "triple_loop_orders.json"
 
 
-def test_reports_with_every_order_read_are_unchanged(discovery_maps):
+def test_constructed_maps_report_their_full_group_and_others_are_unchanged(discovery_maps):
     recorded = json.loads(RECORDED_REPORTS.read_text())
     assert len(recorded) == 3 * len(discovery_maps)
-    kept = 0
-    for name, phi, _ in discovery_maps:
-        for tolerance in (1e-6, 1e-8, 1e-10):
-            old = recorded[f"{name} @ {tolerance:g}"]
-            if sum(old["census"].values()) == old["numeric_order"]:
-                assert discover_automorphisms(phi, tolerance).to_json() == old, (name, tolerance)
-                kept += 1
-    assert kept == 94
+    for name, phi, base in discovery_maps:
+        for tolerance in TOLERANCES:
+            got = discover_automorphisms(phi, tolerance).to_json()
+            assert got == recorded[f"{name} @ {tolerance:g}"], (name, tolerance)
+            want = FULL_GROUP[base]
+            assert {k: got[k] for k in want} == want, (name, tolerance)
+
+
+@pytest.mark.parametrize("tolerance", TOLERANCES)
+def test_discovery_finds_at_least_the_triple_loop_orders(discovery_maps, tolerance):
+    # the old loop found a subgroup: the new order is at least its order,
+    # and the same where the old loop found the whole group
+    old = json.loads(TRIPLE_LOOP_ORDERS.read_text())
+    for name, phi, base in discovery_maps:
+        was, full = old[f"{name} @ {tolerance:g}"], FULL_GROUP[base]["numeric_order"]
+        got = discover_automorphisms(phi, tolerance).numeric_order
+        assert got >= was and (was < full or got == was), (name, tolerance, was, got)
 
 
 @pytest.mark.parametrize("m", [(0, -1, 1, -2), (0, 1, -1, 2)])
@@ -727,24 +488,91 @@ def test_every_element_order_of_a_conjugated_icosa_map_is_read(m):
     assert report.classified == "icosa"
 
 
-def test_numeric_order_examples():
-    import numpy as np
+_SL2_SMALL = [
+    m
+    for m in itertools.product(range(-5, 6), repeat=4)
+    if m[0] * m[3] - m[1] * m[2] == 1 and m not in M_PANEL and m not in ((1, 0, 0, 1), (-1, 0, 0, -1))
+]
 
-    from symloci.aut import _numeric_order
 
-    def rotation(k, turns=1):
-        z = np.exp(2j * np.pi * turns / k)
-        return np.array([[z, 0], [0, 1]]) * 3.0
+@lru_cache(maxsize=None)
+def _construct_check_map(kind, d):
+    from symloci.platonic import construct_symmetric_map
 
-    assert _numeric_order(np.eye(2) * (2 - 1j), 1e-9) == 1
-    assert [_numeric_order(rotation(k), 1e-9) for k in (2, 3, 5, 7)] == [2, 3, 5, 7]
-    assert _numeric_order(rotation(5, 2), 1e-9) == 5
-    # conjugated away from the diagonal
-    m = np.array([[2.0, 1.0], [1.0, 1.0]])
-    assert _numeric_order(np.linalg.inv(m) @ rotation(4) @ m, 1e-9) == 4
-    # parabolic: equal eigenvalues, not scalar, infinite order
-    assert _numeric_order(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-9) is None
-    # loxodromic with a rational rotation angle
-    assert _numeric_order(rotation(3) @ np.diag([2.0, 1.0]), 1e-9) is None
-    # order above the cap
-    assert _numeric_order(rotation(600), 1e-9) is None
+    return construct_symmetric_map(d, kind)[0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([("octa", 13), ("tetra", 11), ("tetra", 13)]), st.sampled_from(_SL2_SMALL))
+@example(("octa", 13), (5, 4, 1, 1))
+@example(("tetra", 11), (-5, 2, 2, -1))
+def test_conjugation_by_sl2z_keeps_the_report(case, m):
+    phi = _construct_check_map(*case)
+    assert discover_automorphisms(conjugate_map(phi, MoebiusMap(*m))).to_json() == discover_automorphisms(phi).to_json()
+
+
+def test_high_degree_conjugates_find_the_whole_group():
+    # z^61 (dihedral of order 120 on 62 fixed points): the fixed-point form
+    # of a conjugate is too ill-conditioned for its rough roots to converge,
+    # so the map is balanced again until they do
+    phi = RationalMap.from_zpoly([1] + [0] * 61, [0] * 61 + [1])
+    for m in ((1, 0, 0, 1), (2, 1, 1, 1)):
+        report = discover_automorphisms(conjugate_map(phi, MoebiusMap(*m)))
+        assert (report.numeric_order, report.classified) == (120, "dihedral:60"), m
+
+
+# ---------------------------------------------------------------------------
+# the numeric helpers
+# ---------------------------------------------------------------------------
+
+
+def test_roots_cover_infinity_zero_and_multiplicity():
+    from symloci.aut import _roots
+
+    # z^2 (z^3 - 1) with a leading zero: infinity, 0 twice and the cube roots of 1
+    form = BinaryForm(6, [0, 1, 0, 0, -1, 0, 0])
+    points, converged = _roots(form, rel=1e-14)
+    assert converged and len(points) == 6
+    assert points[:3] == [(1, 0), (0, 1), (0, 1)]
+    cubes = sorted((x / y for x, y in points[3:]), key=lambda z: cmath.phase(z))
+    assert all(abs(z - cmath.exp(2j * cmath.pi * k / 3)) < 1e-12 for z, k in zip(cubes, (-1, 0, 1)))
+    assert _roots(BinaryForm.zero(3)) == ([], True)
+
+
+def test_balancing_makes_the_automorphisms_rotations():
+    # the 14 fixed points of the octa d = 13 map conjugated by M = (2, 1,
+    # -3, -1), taken in floats as M^(-1) of the plain map's, all in |z| <=
+    # 0.52: their mean on the sphere moves to the centre, and the 24
+    # automorphisms are the rotations that keep the balanced points' dot
+    # products
+    from symloci.aut import _apply, _balancing, _roots, _rotations
+
+    points = [_apply((-1, -1, 3, 2), p) for p in _roots(_construct_check_map("octa", 13).fixed_point_form(), rel=1e-14)[0]]
+    t, vs = _balancing(points)
+    assert len(vs) == 14 and max(abs(sum(v[k] for v in vs)) for k in range(3)) < 1e-10
+    perms = [perm for perm, _ in _rotations(vs, 1e-4)]
+    assert len(perms) == 24 and len(set(perms)) == 24
+    dot = lambda p, q: sum(x * y for x, y in zip(p, q))  # noqa: E731
+    for perm in perms:
+        assert all(abs(dot(vs[i], vs[j]) - dot(vs[perm[i]], vs[perm[j]])) < 1e-8 for i in range(14) for j in range(14))
+
+
+def test_import_and_discovery_leave_numpy_out(tmp_path):
+    import subprocess
+
+    from symloci.platonic import construct_symmetric_map
+
+    phi, _ = construct_symmetric_map(5, "octa")
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"map": conjugate_map(phi, MoebiusMap(2, 1, -3, -1)).to_json()}))
+    script = (
+        "import sys, symloci\n"
+        "from symloci.cli import main\n"
+        f"assert main(['aut', {str(path)!r}]) == 0\n"
+        f"assert main(['check', {str(path)!r}, '--group', 'octa']) == 4\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert '"numeric_order": 24' in done.stdout and "numeric discovery: order 24" in done.stdout

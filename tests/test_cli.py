@@ -61,7 +61,8 @@ def test_survey_json_schema():
 
 
 def test_construct_and_certificate(degree5_file):
-    payload = json.loads(open(degree5_file).read())
+    with open(degree5_file) as fh:
+        payload = json.load(fh)
     assert payload["schema"] == "symloci/1"
     assert payload["certificate"]["verified_count"] == 24
     assert payload["certificate"]["classified"] == "octa"

@@ -1,5 +1,6 @@
 """Field kernel: cyclotomic arithmetic, polynomials, exact linear algebra."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -39,6 +40,42 @@ def test_cyclotomic_polynomial_degree_and_root():
         assert len(p) - 1 == euler_phi(n) and p[-1] == 1
         z = Cyclotomic.zeta(n)
         assert not sum((c * z**i for i, c in enumerate(p)), Cyclotomic.rational(0))
+
+
+def _ref_cyclotomic_int_coeffs(n, _cache={}):
+    # the construction before Phi_rad(x^(n/rad)): x^n - 1 divided by the
+    # product of Phi_d over the proper divisors d of n
+    if n == 1:
+        return (-1, 1)
+    if n not in _cache:
+        den = [1]
+        for d in (d for d in range(1, n) if n % d == 0):
+            phi_d, new = _ref_cyclotomic_int_coeffs(d), [0] * (len(den) + euler_phi(d))
+            for i, a in enumerate(den):
+                for j, b in enumerate(phi_d):
+                    new[i + j] += a * b
+            den = new
+        rem, q = [-1] + [0] * (n - 1) + [1], [0] * (n - len(den) + 2)
+        for i in range(len(q) - 1, -1, -1):
+            q[i] = rem[i + len(den) - 1]
+            for j, dj in enumerate(den):
+                rem[i + j] -= q[i] * dj
+        assert not any(rem[: len(den) - 1])
+        _cache[n] = tuple(q)
+    return _cache[n]
+
+
+def test_cyclotomic_polynomial_matches_the_divisor_quotient():
+    assert all(_cyclotomic_int_coeffs(n) == _ref_cyclotomic_int_coeffs(n) for n in range(1, 301))
+    # sha256 of repr() of the quotient's coefficient tuple at the conductors
+    # 27720 = lcm(1..12) and two divisors of it, recorded once (about 30 s)
+    recorded = {
+        9240: "7788ea362312a149eda22056e2d6477f5f52718d33b16de82e4685518a13cb4c",
+        13860: "e2330ab66c2a547e287832194200488c412c219ebc26cb6bf8018e1575fb1432",
+        27720: "17c22ddbfc036cbd34da672e7c5b2daab69cc7dbabb0a4fcd4b7480d3deab47c",
+    }
+    for n, digest in recorded.items():
+        assert hashlib.sha256(repr(_cyclotomic_int_coeffs(n)).encode()).hexdigest() == digest, n
 
 
 def test_canonical_reduce_examples():
