@@ -84,9 +84,9 @@ class AutReport:
 
     From a group verification, verified_elements lists the group's
     elements in their stored order.  verify_group_action conjugates by
-    each of them; the route that construct, check and the dihedral loci
-    take proves them through the generators (phi^(gh) = (phi^g)^h) when
-    every generator passes.
+    each of them; the route that construct and check take proves them
+    through the generators (phi^(gh) = (phi^g)^h) when every generator
+    passes.
     """
 
     verified_elements: list[MoebiusMap] = field(default_factory=list)
@@ -142,6 +142,9 @@ def _verify_through_generators(phi: RationalMap, group: FiniteSubgroup) -> AutRe
     every element of the closure once it is fixed by each generator: only
     the generators are tested (``_fixes``: a monomial one by its weights),
     and on success every element is reported as verified, in stored order.
+    construct and check take this route for their certificates; the member
+    search of the cyclic and dihedral loci needs only the verdict and calls
+    ``_fixes`` on the generators itself.
     A group without generators, or a generator that fails, falls back to
     verify_group_action's element scan, which conjugates by each element,
     so a failure reports the same first failing element.

@@ -33,6 +33,8 @@ from .moebius import standard_subgroup
 
 SCHEMA = "symloci/1"
 DEFAULT_DEGREE_CAP = 61
+_FAMILIES = ("cyclic", "dihedral")  # the group kinds that take an order M
+_KINDS = _FAMILIES + platonic._PLATONIC
 
 class UsageError(ValueError):
     pass
@@ -56,11 +58,11 @@ def _parse_group(spec: str):
     """'tetra' | 'octa' | 'icosa' | 'cyclic:M[:t=T]' | 'dihedral:M[:t=T]'."""
     parts = spec.lower().split(":")
     kind = parts[0]
-    if kind in ("tetra", "octa", "icosa"):
+    if kind in platonic._PLATONIC:
         if len(parts) > 1:
             raise UsageError(f"{kind} takes no parameters")
         return kind, None, None
-    if kind in ("cyclic", "dihedral"):
+    if kind in _FAMILIES:
         if len(parts) < 2:
             raise UsageError(f"{kind} needs an order, e.g. {kind}:3")
         try:
@@ -128,25 +130,22 @@ def cmd_survey(args) -> int:
     d_min, d_max = _parse_degree_range(args.d)
     _check_degree(d_max, args.allow_large)
     kinds = set()
-    if args.groups:
-        for tok in args.groups.split(","):
-            tok = tok.strip().lower()
-            if tok == "platonic":
-                kinds.update(("tetra", "octa", "icosa"))
-            elif tok == "all":
-                kinds.update(("cyclic", "dihedral", "tetra", "octa", "icosa"))
-            elif tok in ("cyclic", "dihedral", "tetra", "octa", "icosa"):
-                kinds.add(tok)
-            else:
-                raise UsageError(f"unknown group filter {tok!r}")
-    else:
-        kinds = {"cyclic", "dihedral", "tetra", "octa", "icosa"}
+    for tok in (args.groups or "all").split(","):
+        tok = tok.strip().lower()
+        if tok == "platonic":
+            kinds.update(platonic._PLATONIC)
+        elif tok == "all":
+            kinds.update(_KINDS)
+        elif tok in _KINDS:
+            kinds.add(tok)
+        else:
+            raise UsageError(f"unknown group filter {tok!r}")
     rows = []
     for d in range(d_min, d_max + 1):
-        family = tuple(k for k in ("cyclic", "dihedral") if k in kinds)
+        family = tuple(k for k in _FAMILIES if k in kinds)
         if family:
             rows.extend(loci.survey_rows(d, family))
-        plat = tuple(k for k in ("tetra", "octa", "icosa") if k in kinds)
+        plat = tuple(k for k in platonic._PLATONIC if k in kinds)
         if plat:
             rows.extend(platonic.survey_rows(d, plat))
     rows.sort(key=lambda r: (r["d"], r["group"], -(r["t"] if r["t"] != "" else 2)))
@@ -169,8 +168,7 @@ def cmd_construct(args) -> int:
     kind, m, t = _parse_group(args.group)
     d = int(args.d)
     _check_degree(d, args.allow_large)
-    group = standard_subgroup(kind, m)
-    if kind in ("tetra", "octa", "icosa"):
+    if kind in platonic._PLATONIC:
         try:
             phi, report = platonic.construct_symmetric_map(d, kind)
         except platonic.NotRealizable as exc:
@@ -188,7 +186,8 @@ def cmd_construct(args) -> int:
             print(f"NotRealizable: no {kind}:{m} symmetry of {which} in degree {d}", file=sys.stderr)
             return 3
         phi = valid[t].certificate["member"]
-        report = _verify_through_generators(phi, group)
+        # the group is built only for the certificate, once a member exists
+        report = _verify_through_generators(phi, standard_subgroup(kind, m))
         if not report.all_verified:
             return 4
     payload = {
@@ -196,7 +195,7 @@ def cmd_construct(args) -> int:
         "kind": "constructed_map",
         "d": d,
         "group": args.group,
-        "group_order": group.order,
+        "group_order": len(report.verified_elements),  # every element passed: |G|
         "map": phi.to_json(),
         "certificate": {
             "verified_count": len(report.verified_elements),

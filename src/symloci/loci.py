@@ -9,6 +9,11 @@ by counting eigenspace coordinates.
 Types t = 1, 0, -1 record how many of the two fixed points of the rotation
 are fixed by the map (t + 1 of them); t = 0 splits into two components
 swapped by z -> 1/z.
+
+Members come from one seeded search over eigenspace vectors, proved by the
+generators alone: zeta_m z, and 1/z on the dihedral loci, each tested by
+its coefficient weights (``aut._fixes``).  A map fixed by the generators is
+fixed by the group they generate, so no group is built.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from typing import Optional
 
 # loci.is_automorphism is unused here, but bench/tests/test_bench.py counts
 # it among the bindings the tracer must patch
-from .aut import _fixes, _verified_type, _verify_through_generators, is_automorphism  # noqa: F401
+from .aut import _fixes, _verified_type, is_automorphism  # noqa: F401
 from .cyclotomic import Cyclotomic
 from .forms import BinaryForm, RationalMap
-from .moebius import MoebiusMap, standard_subgroup
+from .moebius import MoebiusMap
 
 _SEARCH_VALUES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -141,11 +146,25 @@ def _lambda_for(d: int, m: int, t: int, component: str = "inf") -> Cyclotomic:
     return Cyclotomic.zeta(2 * m, e % (2 * m))
 
 
-def _map_from_coeffs(d: int, assignment: dict[tuple[str, int], Cyclotomic]) -> RationalMap:
+def _strata(d: int, m: int) -> list[tuple[int, int]]:
+    # (t, d') for the types t with m | d - t and d' = (d - t)/m >= 1
+    return [(t, (d - t) // m) for t in (1, 0, -1) if (d - t) % m == 0 and (d - t) // m >= 1]
+
+
+def _search(d: int, vecs: list[dict], gens: list[MoebiusMap], t: int, budget: int, exhausted: str) -> RationalMap:
+    """The first combination of the coefficient vectors vecs, at seeds
+    0..budget-1, that is in Rat_d, is fixed by every generator and has type
+    t under gens[0]; NoMemberFound(exhausted) if there is none."""
     zero = Cyclotomic.rational(0)
-    a = [assignment.get(("a", k), zero) for k in range(d + 1)]
-    b = [assignment.get(("b", k), zero) for k in range(d + 1)]
-    return RationalMap(BinaryForm(d, a), BinaryForm(d, b))
+    for seed in range(budget):
+        coeffs = {"a": [zero] * (d + 1), "b": [zero] * (d + 1)}
+        for c, vec in zip(_seed_coefficients(seed, len(vecs)), vecs):
+            for (side, k), x in vec.items():
+                coeffs[side][k] += c * x
+        phi = RationalMap(BinaryForm(d, coeffs["a"]), BinaryForm(d, coeffs["b"]))
+        if phi.is_in_ratd() and all(_fixes(phi, g) for g in gens) and _verified_type(phi, gens[0]) == t:
+            return phi
+    raise NoMemberFound(exhausted)
 
 
 def _required_indices(d: int, t: int, component: str) -> list[tuple[str, int]]:
@@ -176,13 +195,9 @@ def generic_member(
     required = _required_indices(d, t, component)
     if any(r not in basis for r in required):
         raise NoMemberFound("type conditions cannot hold on this eigenspace")
-    sigma = MoebiusMap.scaling(Cyclotomic.zeta(m))
-    for seed in range(budget):
-        assignment = dict(zip(basis, _seed_coefficients(seed, len(basis))))
-        phi = _map_from_coeffs(d, assignment)
-        if phi.is_in_ratd() and _fixes(phi, sigma) and _verified_type(phi, sigma) == t:
-            return phi
-    raise NoMemberFound(f"no member for d={d} m={m} t={t} within budget")
+    one, sigma = Cyclotomic.rational(1), MoebiusMap.scaling(Cyclotomic.zeta(m))
+    vecs = [{ix: one} for ix in basis]
+    return _search(d, vecs, [sigma], t, budget, f"no member for d={d} m={m} t={t} within budget")
 
 
 def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
@@ -195,12 +210,7 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
     out = []
-    for t in (1, 0, -1):
-        if (d - t) % m:
-            continue
-        dprime = (d - t) // m
-        if dprime < 1:
-            continue
+    for t, dprime in _strata(d, m):
         dim_moduli = 2 * dprime + t - 1
         dim_ratd = dim_moduli + 1
         components = 2 if t == 0 else 1
@@ -258,17 +268,12 @@ def dihedral_basis(
     basis = commuting_space_basis(d, m, lam)
     a_idx = [k for side, k in basis if side == "a"]
     b_set = {k for side, k in basis if side == "b"}
-    vecs = []
-    mu_c = Cyclotomic.rational(mu)
-    one = Cyclotomic.rational(1)
-    for k in a_idx:
-        if (d - k) not in b_set:
-            return []  # pairing leaves the eigenspace: locus is empty
-        vecs.append({("a", k): one, ("b", d - k): mu_c})
-    # any b-index not hit by the pairing would be forced to zero
-    if len(b_set) != len(a_idx):
+    # an index the pairing takes out of the eigenspace, or a b-index it
+    # misses, is forced to zero: the locus is empty
+    if any(d - k not in b_set for k in a_idx) or len(b_set) != len(a_idx):
         return []
-    return vecs
+    one, mu_c = Cyclotomic.rational(1), Cyclotomic.rational(mu)
+    return [{("a", k): one, ("b", d - k): mu_c} for k in a_idx]
 
 
 def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -> RationalMap:
@@ -277,18 +282,8 @@ def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -
     vecs = dihedral_basis(d, m, t, mu)
     if not vecs:
         raise NoMemberFound("empty dihedral stratum")
-    group = standard_subgroup("dihedral", m)
-    sigma = group.generators[0]  # the rotation z -> zeta_m z
-    for seed in range(budget):
-        assignment: dict[tuple[str, int], Cyclotomic] = {}
-        for c, vec in zip(_seed_coefficients(seed, len(vecs)), vecs):
-            for idx, coeff in vec.items():
-                assignment[idx] = assignment.get(idx, Cyclotomic.rational(0)) + c * coeff
-        phi = _map_from_coeffs(d, assignment)
-        verified = phi.is_in_ratd() and _verify_through_generators(phi, group).all_verified
-        if verified and _verified_type(phi, sigma) == t:
-            return phi
-    raise NoMemberFound(f"no dihedral member for d={d} m={m} t={t} mu={mu}")
+    gens = [MoebiusMap.scaling(Cyclotomic.zeta(m)), MoebiusMap.inversion()]
+    return _search(d, vecs, gens, t, budget, f"no dihedral member for d={d} m={m} t={t} mu={mu}")
 
 
 def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
@@ -304,13 +299,10 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
     out = []
-    for t in (1, 0, -1):
-        if (d - t) % m:
-            continue
+    for t, dprime in _strata(d, m):
         if t == 0:
             out.append((0, LocusReport(exists=False, components=0, certificate={"reason": "m divides d"})))
             continue
-        dprime = (d - t) // m
         dim = dprime if t == 1 else dprime - 1
         signs = []
         member = None
@@ -381,11 +373,7 @@ def codimension_values(d: int) -> dict:
     (2d+1) - (d+2) = d-1; inside the moduli space, of dimension
     (2d+1) - 3 = 2d-2, the same stratum has codimension d-1 as well.
     """
-    best = -1
-    for m in range(2, d + 2):
-        for t in (1, 0, -1):
-            if (d - t) % m == 0 and (d - t) // m >= 1:
-                best = max(best, 2 * (d - t) // m + t - 1)
+    best = max((2 * dprime + t - 1 for m in range(2, d + 2) for t, dprime in _strata(d, m)), default=-1)
     return {
         "max_dim_moduli": best,
         "dim_in_ratd_sweep": best + 3,
@@ -401,8 +389,7 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
     if "cyclic" in kinds:
         for m in range(2, d + 2):
             for t, rep in cyclic_existence_and_dim(d, m):
-                lam = _lambda_for(d, m, t, "inf" if t >= 0 else "zero")
-                affine = len(commuting_space_basis(d, m, lam))
+                affine = len(rep.certificate["bases"]["inf" if t >= 0 else "zero"])
                 rows.append(
                     SurveyRow(
                         d=d,

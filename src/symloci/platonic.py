@@ -102,9 +102,14 @@ def _eigen_scalar(form: BinaryForm, g: MoebiusMap) -> Cyclotomic:
 
 
 def _kind_of(group_or_kind) -> str:
+    # the answers are the standard group's, so a group given as such must be
+    # that group, not one that only carries its label
     if isinstance(group_or_kind, str):
         return group_or_kind
-    return group_or_kind.label
+    label = group_or_kind.label
+    if label in _PLATONIC and group_or_kind is platonic_group(label):
+        return label
+    raise ValueError(f"not the standard platonic group {label!r}")
 
 
 @lru_cache(maxsize=None)

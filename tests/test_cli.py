@@ -84,6 +84,20 @@ def test_construct_with_no_realizable_type_says_so():
     assert err == "NotRealizable: no dihedral:2 symmetry of type 1 in degree 24\n"
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+def test_construct_builds_no_group_for_a_locus_that_does_not_exist(monkeypatch, kind):
+    # m divides none of d, d +- 1: the answer needs no group of order m or 2m
+    from symloci import cli
+
+    def refuse(*args):
+        raise AssertionError("standard_subgroup called")
+
+    monkeypatch.setattr(cli, "standard_subgroup", refuse)
+    code, out, err = run(["construct", "--d", "5", "--group", f"{kind}:100003"])
+    assert (code, out) == (3, "")
+    assert err == f"NotRealizable: no {kind}:100003 symmetry of any type in degree 5\n"
+
+
 def test_construct_cyclic_member():
     code, out, _ = run(["construct", "--d", "3", "--group", "cyclic:2:t=1"])
     assert code == 0

@@ -1,5 +1,7 @@
 """Cyclic and dihedral locus dimensions, stalk data, generic members."""
 
+import os
+
 import pytest
 
 from symloci.aut import automorphism_type, is_automorphism, verify_group_action
@@ -134,6 +136,34 @@ def test_dihedral_members_and_signs():
         phi = cert["member"]
         rep = verify_group_action(phi, standard_subgroup("dihedral", 2))
         assert rep.all_verified
+
+
+def test_dihedral_members_are_proved_fixed_by_the_inversion(monkeypatch):
+    # every seeded candidate already commutes with zeta_m z; only the 1/z
+    # test rules out a map the inversion does not fix
+    from symloci import loci
+
+    fixes = loci._fixes
+    monkeypatch.setattr(loci, "_fixes", lambda phi, g: g != MoebiusMap.inversion() and fixes(phi, g))
+    assert loci.generic_member(7, 3, 1)
+    with pytest.raises(NoMemberFound, match="no dihedral member for d=7 m=3 t=1 mu=1"):
+        loci.dihedral_generic_member(7, 3, 1, 1)
+
+
+def test_family_survey_builds_no_group(monkeypatch):
+    # members are proved by their generators: with the group cache cold,
+    # a cyclic and dihedral survey still builds no FiniteSubgroup
+    from functools import lru_cache
+
+    from symloci import cli, moebius
+
+    cold = lru_cache(maxsize=None)(moebius._standard_subgroup.__wrapped__)
+    monkeypatch.setattr(moebius, "_standard_subgroup", cold)
+    built, init = [], moebius.FiniteSubgroup.__init__
+    spy = lambda self, *a, **k: built.append(a) or init(self, *a, **k)  # noqa: E731
+    monkeypatch.setattr(moebius.FiniteSubgroup, "__init__", spy)
+    assert cli.main(["survey", "--groups", "cyclic,dihedral", "--d", "9", "--out", os.devnull]) == 0
+    assert built == []
 
 
 def test_dihedral_t0_strata_empty():

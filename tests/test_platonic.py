@@ -6,6 +6,7 @@ import pytest
 from symloci.cyclotomic import Cyclotomic
 from symloci.decomp import decompose_map
 from symloci.forms import Divisor, P1Point, form_from_divisor
+from symloci.moebius import FiniteSubgroup, MoebiusMap
 from symloci.platonic import (
     NotInImage,
     NotRealizable,
@@ -62,6 +63,23 @@ def test_character_group_sizes():
     assert len(character_group(platonic_group("tetra"))) == 3
     assert len(character_group(platonic_group("octa"))) == 2
     assert len(character_group(platonic_group("icosa"))) == 1
+
+
+def test_a_group_carrying_a_platonic_label_must_be_the_standard_one():
+    # the answers are read off the standard group's tables, so a conjugate
+    # that only carries its label is refused, not given the standard answers
+    tetra = platonic_group("tetra")
+    m = MoebiusMap(2, 1, 1, 1)
+    inv = m.inverse()
+    conj = FiniteSubgroup(
+        [inv.compose(e).compose(m) for e in tetra.elements],
+        label="tetra",
+        generators=[inv.compose(g).compose(m) for g in tetra.generators],
+    )
+    for query in (relevant_divisors, character_table):
+        with pytest.raises(ValueError, match="standard platonic group"):
+            query(conj)
+        assert query(tetra) == query("tetra")
 
 
 def test_relevant_divisors():
