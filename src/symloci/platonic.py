@@ -33,7 +33,7 @@ from .forms import (
     form_gcd,
     substitute,
 )
-from .loci import SurveyRow, _seed_coefficients
+from .loci import NoMemberFound, SurveyRow, _seed_coefficients
 from .moebius import FiniteSubgroup, MoebiusMap, _cayley_graph, degenerate_orbits, standard_subgroup
 
 _PLATONIC = ("tetra", "octa", "icosa")
@@ -279,6 +279,8 @@ def existence_residues(group_or_kind, modulus: int | None = None, d_max: int = 6
 
 # (n, generator entries, char) -> eigenspace basis, kept for the process's life
 _EIGENSPACES: dict[tuple, tuple[BinaryForm, ...]] = {}
+# (n, generator entries, char) -> exponents of the spanning orbit products
+_EXPONENTS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 # generator entries -> (orbit forms, [[1, f, f^2, ...] per form], scalar
 # of each form under each generator, by generator)
 _ORBIT_FORMS: dict[tuple, tuple] = {}
@@ -324,21 +326,13 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     key = (n, gens, tuple(char))
     basis = _EIGENSPACES.get(key)
     if basis is None:
-        forms, powers, scalars = _orbit_forms(group, gens)
-        mus = [chi * g.det() ** (n // 2) for g, chi in zip(group.generators, char)]
-        degrees = [f.degree for f in forms]
-        tops = [n // k + 1 for k in degrees]
-        if len(tops) == 3:
-            tops[2] = 2
+        _, powers, _ = _orbit_forms(group, gens)
         products = []
-        for exps in product(*map(range, tops)):
-            if sum(map(mul, exps, degrees)) == n and all(
-                reduce(mul, map(pow, s, exps), _ONE) == mu for s, mu in zip(scalars, mus)
-            ):
-                for p, a in zip(powers, exps):
-                    while len(p) <= a:
-                        p.append(p[-1] * p[1])
-                products.append(reduce(mul, (p[a] for p, a in zip(powers, exps))))
+        for exps in _orbit_exponents(n, group, gens, char):
+            for p, a in zip(powers, exps):
+                while len(p) <= a:
+                    p.append(p[-1] * p[1])
+            products.append(reduce(mul, (p[a] for p, a in zip(powers, exps))))
         rows = ExactMatrix.from_rows([f.coeffs[::-1] for f in products]).row_basis()
         if len(rows) != len(products):
             raise AssertionError(f"degree-{n} orbit products are linearly dependent")
@@ -347,6 +341,29 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
             raise AssertionError(f"{len(products)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
         basis = _EIGENSPACES[key] = tuple(BinaryForm(n, row[::-1]) for row in reversed(rows))
     return list(basis)
+
+
+def _orbit_exponents(n: int, group: FiniteSubgroup, gens: tuple, char: tuple) -> tuple:
+    """The exponents (a, b, c) of the orbit products f_1^a f_2^b f_3^c of
+    degree n, c <= 1 on the last of three orbits, scaled by char under the
+    lifted generators: the basis ``character_eigenspace`` multiplies out and
+    certifies, cached under its key.  () for odd n."""
+    key = (n, gens, tuple(char))
+    if key not in _EXPONENTS:
+        forms, _, scalars = _orbit_forms(group, gens)
+        mus = [chi * g.det() ** (n // 2) for g, chi in zip(group.generators, char)]
+        degrees = [f.degree for f in forms]
+        tops = [n // k + 1 for k in degrees]
+        if len(tops) == 3:
+            tops[2] = 2
+        _EXPONENTS[key] = tuple(
+            exps
+            for exps in product(*map(range, tops))
+            if n % 2 == 0
+            and sum(map(mul, exps, degrees)) == n
+            and all(reduce(mul, map(pow, s, exps), _ONE) == mu for s, mu in zip(scalars, mus))
+        )
+    return _EXPONENTS[key]
 
 
 def _orbit_forms(group: FiniteSubgroup, gens: tuple) -> tuple:
@@ -416,35 +433,66 @@ def character_group(group: FiniteSubgroup) -> list[tuple]:
     return elems
 
 
+def _obstructed(d: int, group: FiniteSubgroup, char: tuple) -> bool:
+    """Is the char stratum at degree d obstructed by the base-locus rule of
+    ``invariant_locus_dimension``?  Exponent arithmetic only: no form is
+    multiplied out and no member searched."""
+    gens = tuple(g.entries() for g in group.generators)
+    h_exps, j_exps = (_orbit_exponents(n, group, gens, char) for n in (d - 1, d + 1))
+    if not j_exps:
+        return True
+    return any(
+        min(e[i] for e in j_exps) >= 2 and (not h_exps or min(e[i] for e in h_exps) >= 1)
+        for i in range(len(j_exps[0]))
+    )
+
+
 def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     """Dimension of the symmetry locus in the moduli space, computed by
-    linear algebra: best over characters chi of h_chi + j_chi - 1, keeping
-    only strata where a generic pair reaches a genuine degree-d map."""
+    linear algebra: best over characters chi of h_chi + j_chi - 1 over the
+    strata where a generic pair (H, J) reaches a genuine degree-d map,
+    that is J != 0 and no multiple zero of J is a zero of H (``meets_ratd``).
+
+    The J-space (degree d+1) and H-space (degree d-1) are spanned by the
+    certified orbit products of ``character_eigenspace``.  The f_i are
+    squarefree and coprime, so f_1^e_1 f_2^e_2 f_3^e_3, with e_i the least
+    exponent of f_i over a space's products, is its fixed part.  A stratum
+    is obstructed, and dropped with no search, when the J-space is {0}, or
+    when some e_i(J) >= 2 and either the H-space is {0} or e_i(H) >= 1:
+    every J then has a multiple zero at the roots of f_i, where every H
+    vanishes.  On any other stratum the generic J is squarefree off its
+    fixed part and misses the roots of the f_i (Bertini), and a product
+    with e_i(H) = 0 is nonzero there, so generic pairs reach Rat_d; a
+    seeded member that ``meets_ratd`` accepts is the exact proof.  ``tries``
+    bounds the seeds on these strata only; when all miss, the search is
+    exhausted (NoMemberFound), never a silent drop.  Existence with every
+    stratum obstructed is a disagreement of the routes (AssertionError)."""
     kind = _kind_of(group_or_kind)
     group = platonic_group(kind)
     if not platonic_existence(d, kind):
         raise NotRealizable(f"no degree-{d} map admits {kind} symmetry")
     best = None
-    for char in character_group(group):
+    for k, char in enumerate(character_group(group)):
         h_basis = character_eigenspace(d - 1, group, char)
         j_basis = character_eigenspace(d + 1, group, char)
-        if not h_basis and not j_basis:
-            continue
         dim = len(h_basis) + len(j_basis) - 1
-        if best is not None and dim <= best:
+        if _obstructed(d, group, char) or (best is not None and dim <= best):
             continue
         for seed in range(tries):
             h, j = (
                 sum(map(mul, basis, _seed_coefficients(seed, len(basis))), BinaryForm.zero(n))
                 for basis, n in ((h_basis, d - 1), (j_basis, d + 1))
             )
-            if h.is_zero() and j.is_zero():
-                continue
-            if meets_ratd(FormPair(d, h, j)):
+            if not (h.is_zero() and j.is_zero()) and meets_ratd(FormPair(d, h, j)):
                 best = dim
                 break
+        else:
+            raise NoMemberFound(
+                f"no seeded member of the unobstructed {kind} character stratum {k} "
+                f"meets Rat_d at d={d} in {tries} tries"
+            )
     if best is None:
-        raise NotRealizable(f"no character stratum reaches degree-{d} maps for {kind}")
+        raise AssertionError(f"every {kind} character stratum is obstructed at d={d}, where maps exist")
     return best
 
 
@@ -539,8 +587,9 @@ def survey_rows(d: int, kinds=_PLATONIC) -> list[dict]:
             linalg = invariant_locus_dimension(d, kind)
             match = formula == linalg
         else:
+            # the second route to non-existence: every stratum is obstructed
             formula = linalg = None
-            match = True
+            match = all(_obstructed(d, group, char) for char in character_group(group))
         rows.append(
             SurveyRow(
                 d=d, group=kind, exists=exists, dim_moduli=formula, dim_linalg=linalg, match=match

@@ -278,6 +278,44 @@ def test_exhausted_member_search_is_exit_2_not_a_traceback(monkeypatch, argv):
     assert "Traceback" not in err and out == ""
 
 
+def test_a_platonic_stratum_is_dropped_only_with_a_proof(monkeypatch):
+    from symloci import platonic
+
+    # with the obstruction proof taken away every stratum is searched, and
+    # the obstructed ones exhaust their seeds
+    monkeypatch.setattr(platonic, "_obstructed", lambda d, group, char: False)
+    code, out, err = run(["survey", "--groups", "tetra", "--d", "15"])
+    assert code == 2, err
+    assert "search exhausted (NoMemberFound)" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_a_platonic_search_that_misses_everywhere_is_exit_2_not_a_traceback(monkeypatch):
+    from symloci import platonic
+
+    # tetra maps of degree 7 exist, so the two routes disagree
+    monkeypatch.setattr(platonic, "meets_ratd", lambda pair: False)
+    code, out, err = run(["survey", "--groups", "tetra", "--d", "7"])
+    assert code == 2, err
+    assert "search exhausted (NoMemberFound)" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_an_unobstructed_stratum_where_no_map_exists_is_exit_2(monkeypatch):
+    from symloci import platonic
+
+    real = platonic._obstructed
+    first = platonic.character_group(platonic.platonic_group("octa"))[0]
+    monkeypatch.setattr(
+        platonic, "_obstructed", lambda d, group, char: char != first and real(d, group, char)
+    )
+    # no degree-9 map has octa symmetry (gcd(9, 6) = 3): the residue rule
+    # and the strata disagree
+    code, out, err = run(["survey", "--groups", "octa", "--d", "9"])
+    assert code == 2, err
+    assert out.splitlines()[1:] == ["9,octa,,False,,,,,,False"]
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: every invocation ends in a documented exit code
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def molien_count(n, group, char):
 
 
 def _no_solve_caches(monkeypatch):
-    for name in ("_EIGENSPACES", "_ORBIT_FORMS", "_CLASS_SUMS"):
+    for name in ("_EIGENSPACES", "_EXPONENTS", "_ORBIT_FORMS", "_CLASS_SUMS"):
         monkeypatch.setattr(platonic, name, {})
 
 

@@ -207,18 +207,30 @@ def test_distinguished_element_u():
             assert lifted_scalar(form, g) == ONE
 
 
-def test_no_symmetric_maps_where_existence_fails():
-    # wherever the oracle says no (d <= 13), every character stratum is
-    # empty or misses the map space; even d kill all strata outright
-    # (the lifted -identity acts by -1 on odd-degree forms)
+def _seeded_search(d, group, char, tries=24):
+    # the search that used to decide every stratum: does one of the first
+    # `tries` seeded members meet Rat_d?
     from symloci.decomp import FormPair, meets_ratd
     from symloci.forms import BinaryForm
     from symloci.loci import _seed_coefficients
     from symloci.platonic import character_eigenspace
 
-    def combination(basis, degree, seed):
-        coeffs = _seed_coefficients(seed, len(basis))
-        return sum((b * c for b, c in zip(basis, coeffs)), BinaryForm.zero(degree))
+    bases = [(character_eigenspace(n, group, char), n) for n in (d - 1, d + 1)]
+    for seed in range(tries):
+        h, j = (
+            sum((b * c for b, c in zip(basis, _seed_coefficients(seed, len(basis)))), BinaryForm.zero(n))
+            for basis, n in bases
+        )
+        if not (h.is_zero() and j.is_zero()) and meets_ratd(FormPair(d, h, j)):
+            return True
+    return False
+
+
+def test_no_symmetric_maps_where_existence_fails():
+    # wherever the oracle says no (d <= 13), every character stratum is
+    # empty or misses the map space; even d kill all strata outright
+    # (the lifted -identity acts by -1 on odd-degree forms)
+    from symloci.platonic import character_eigenspace
 
     for kind in ("tetra", "octa", "icosa"):
         group = platonic_group(kind)
@@ -226,20 +238,52 @@ def test_no_symmetric_maps_where_existence_fails():
             if platonic_existence(d, kind):
                 continue
             for char in character_group(group):
-                h_basis = character_eigenspace(d - 1, group, char)
-                j_basis = character_eigenspace(d + 1, group, char)
                 if d % 2 == 0:
+                    h_basis = character_eigenspace(d - 1, group, char)
+                    j_basis = character_eigenspace(d + 1, group, char)
                     assert not h_basis and not j_basis, (kind, d)
                     continue
-                hits = 0
-                for seed in range(12):
-                    h = combination(h_basis, d - 1, seed)
-                    j = combination(j_basis, d + 1, seed)
-                    if h.is_zero() and j.is_zero():
-                        continue
-                    if meets_ratd(FormPair(d, h, j)):
-                        hits += 1
-                assert hits == 0, (kind, d, char)
+                assert not _seeded_search(d, group, char, tries=12), (kind, d, char)
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_the_obstruction_rule_matches_the_seeded_search(kind):
+    # differential: on every non-empty stratum of odd d <= 31, realizable or
+    # not, the exponent rule obstructs exactly where 24 seeds all miss
+    from symloci.platonic import _obstructed, character_eigenspace
+
+    group = platonic_group(kind)
+    verdicts = set()
+    for d in range(3, 32, 2):
+        for char in character_group(group):
+            if not (character_eigenspace(d - 1, group, char) or character_eigenspace(d + 1, group, char)):
+                continue
+            verdict = _obstructed(d, group, char)
+            assert verdict == (not _seeded_search(d, group, char)), (kind, d, char)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_no_seed_is_spent_on_an_obstructed_stratum(monkeypatch):
+    from symloci import platonic
+
+    real_obstructed, real_meets = platonic._obstructed, platonic.meets_ratd
+    # each stratum's verdict, and the verdict of the stratum each seed tries
+    verdicts, searched = [], []
+
+    def obstructed(d, group, char):
+        verdicts.append(real_obstructed(d, group, char))
+        return verdicts[-1]
+
+    def meets(pair):
+        searched.append(verdicts[-1])
+        return real_meets(pair)
+
+    monkeypatch.setattr(platonic, "_obstructed", obstructed)
+    monkeypatch.setattr(platonic, "meets_ratd", meets)
+    for kind, d in (("tetra", 15), ("octa", 13), ("icosa", 31), ("tetra", 61)):
+        assert invariant_locus_dimension(d, kind) == 2 * d // platonic_group(kind).order
+    assert True in verdicts and searched and True not in searched
 
 
 def test_certificate_checks_survive_python_O():
