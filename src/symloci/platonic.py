@@ -119,28 +119,26 @@ def platonic_group(kind: str) -> FiniteSubgroup:
     return standard_subgroup(kind)
 
 
-@lru_cache(maxsize=None)
-def _orbit_data(kind: str) -> list[tuple[Divisor, int]]:
-    return degenerate_orbits(platonic_group(kind))
+def _orbit_data(kind: str) -> tuple[tuple[Divisor, int], ...]:
+    return _orbit_forms(platonic_group(kind))[0]
 
 
 @lru_cache(maxsize=None)
 def _cached_table(kind: str) -> tuple[OrbitCharacterRow, ...]:
     group = platonic_group(kind)
-    rows = []
-    for div, stab in _orbit_data(kind):
-        form = form_from_divisor(div)
-        char = tuple(lifted_scalar(form, g) for g in group.generators)
-        rows.append(
-            OrbitCharacterRow(
-                orbit=div,
-                size=div.degree,
-                stabilizer_order=stab,
-                character=char,
-                form=form,
-            )
+    orbits, forms, scalars = _orbit_forms(group)
+    return tuple(
+        OrbitCharacterRow(
+            orbit=div,
+            size=div.degree,
+            stabilizer_order=stab,
+            character=tuple(
+                s[i] * (g.det() ** (form.degree // 2)).inverse() for s, g in zip(scalars, group.generators)
+            ),
+            form=form,
         )
-    return tuple(rows)
+        for i, ((div, stab), form) in enumerate(zip(orbits, forms))
+    )
 
 
 def character_table(group_or_kind) -> list[OrbitCharacterRow]:
@@ -277,18 +275,6 @@ def existence_residues(group_or_kind, modulus: int | None = None, d_max: int = 6
 # ---------------------------------------------------------------------------
 
 
-# (n, generator entries, char) -> eigenspace basis, kept for the process's life
-_EIGENSPACES: dict[tuple, tuple[BinaryForm, ...]] = {}
-# (n, generator entries, char) -> exponents of the spanning orbit products
-_EXPONENTS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-# generator entries -> (orbit forms, [[1, f, f^2, ...] per form], scalar
-# of each form under each generator, by generator)
-_ORBIT_FORMS: dict[tuple, tuple] = {}
-# (generator entries, char) -> {t: sum of char^-1 over the elements of t},
-# empty when char is no character of G
-_CLASS_SUMS: dict[tuple, dict] = {}
-# t -> [u_0, u_2, u_4, ...]
-_TRACES: dict[Cyclotomic, list[Cyclotomic]] = {}
 _ONE = Cyclotomic.rational(1)
 
 
@@ -310,114 +296,110 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     every other form is 0 there; it depends on the space alone, so the
     generators' order or scale does not change it.
 
-    Results are cached for the life of the process, keyed on n, the exact
-    generator entries and char, so a survey over consecutive odd degrees
-    builds the degree-(d+1) spaces at d once and reuses them at d+2.  The
-    key holds the entries rather than the MoebiusMap, whose equality is
-    projective; the space itself does not depend on the scale of a
-    representative, since Delta^(n/2) absorbs it.
+    Results are cached for the life of the process, keyed on n, the group
+    object and char, so a survey over consecutive odd degrees builds the
+    degree-(d+1) spaces at d once and reuses them at d+2.  A group is not
+    mutated after construction and each standard group is built once per
+    process, so the object is a sound key; the space does not depend on
+    the scale of a representative, since Delta^(n/2) absorbs it.
 
     Odd n gives [] at once: the lift -I acts on degree-n forms by (-1)^n,
     while every character of the binary group is 1 at -I.
     """
-    if n % 2:
-        return []
-    gens = tuple(g.entries() for g in group.generators)
-    key = (n, gens, tuple(char))
-    basis = _EIGENSPACES.get(key)
-    if basis is None:
-        _, powers, _ = _orbit_forms(group, gens)
-        products = []
-        for exps in _orbit_exponents(n, group, gens, char):
-            for p, a in zip(powers, exps):
-                while len(p) <= a:
-                    p.append(p[-1] * p[1])
-            products.append(reduce(mul, (p[a] for p, a in zip(powers, exps))))
-        rows = ExactMatrix.from_rows([f.coeffs[::-1] for f in products]).row_basis()
-        if len(rows) != len(products):
-            raise AssertionError(f"degree-{n} orbit products are linearly dependent")
-        trace = _trace_sum(n, group, gens, char)
-        if trace != len(products) * group.order:
-            raise AssertionError(f"{len(products)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
-        basis = _EIGENSPACES[key] = tuple(BinaryForm(n, row[::-1]) for row in reversed(rows))
-    return list(basis)
+    return [] if n % 2 else list(_eigenspace(n, group, tuple(char)))
 
 
-def _orbit_exponents(n: int, group: FiniteSubgroup, gens: tuple, char: tuple) -> tuple:
+@lru_cache(maxsize=None)
+def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm, ...]:
+    products = [
+        reduce(mul, (_orbit_power(group, i, a) for i, a in enumerate(exps)))
+        for exps in _orbit_exponents(n, group, char)
+    ]
+    rows = ExactMatrix.from_rows([f.coeffs[::-1] for f in products]).row_basis()
+    if len(rows) != len(products):
+        raise AssertionError(f"degree-{n} orbit products are linearly dependent")
+    trace = _trace_sum(n, group, char)
+    if trace != len(products) * group.order:
+        raise AssertionError(f"{len(products)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
+    return tuple(BinaryForm(n, row[::-1]) for row in reversed(rows))
+
+
+@lru_cache(maxsize=None)
+def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
     """The exponents (a, b, c) of the orbit products f_1^a f_2^b f_3^c of
     degree n, c <= 1 on the last of three orbits, scaled by char under the
     lifted generators: the basis ``character_eigenspace`` multiplies out and
-    certifies, cached under its key.  () for odd n."""
-    key = (n, gens, tuple(char))
-    if key not in _EXPONENTS:
-        forms, _, scalars = _orbit_forms(group, gens)
-        mus = [chi * g.det() ** (n // 2) for g, chi in zip(group.generators, char)]
-        degrees = [f.degree for f in forms]
-        tops = [n // k + 1 for k in degrees]
-        if len(tops) == 3:
-            tops[2] = 2
-        _EXPONENTS[key] = tuple(
-            exps
-            for exps in product(*map(range, tops))
-            if n % 2 == 0
-            and sum(map(mul, exps, degrees)) == n
-            and all(reduce(mul, map(pow, s, exps), _ONE) == mu for s, mu in zip(scalars, mus))
-        )
-    return _EXPONENTS[key]
+    certifies.  () for odd n."""
+    _, forms, scalars = _orbit_forms(group)
+    mus = [chi * g.det() ** (n // 2) for g, chi in zip(group.generators, char)]
+    degrees = [f.degree for f in forms]
+    tops = [n // k + 1 for k in degrees]
+    if len(tops) == 3:
+        tops[2] = 2
+    return tuple(
+        exps
+        for exps in product(*map(range, tops))
+        if n % 2 == 0
+        and sum(map(mul, exps, degrees)) == n
+        and all(reduce(mul, map(pow, s, exps), _ONE) == mu for s, mu in zip(scalars, mus))
+    )
 
 
-def _orbit_forms(group: FiniteSubgroup, gens: tuple) -> tuple:
-    """The degenerate-orbit forms by increasing degree, the powers of each
-    so far, and for each generator g the scalar s of each form (F^g = s F).
-    The standard platonic groups read the forms and their lifted characters
-    off the character table; any other group finds its orbits."""
-    if gens not in _ORBIT_FORMS:
-        if group.label in _PLATONIC and group is platonic_group(group.label):
-            rows = _cached_table(group.label)
-            forms = [row.form for row in rows]
-            scalars = [
-                [row.character[j] * g.det() ** (row.form.degree // 2) for row in rows]
-                for j, g in enumerate(group.generators)
-            ]
-        else:
-            # the trivial group has no degenerate orbit; X and Y serve it
-            forms = [form_from_divisor(div) for div, _ in degenerate_orbits(group)]
-            forms = forms or [BinaryForm.monomial(1, 0), BinaryForm.monomial(1, 1)]
-            scalars = [[_eigen_scalar(f, g) for f in forms] for g in group.generators]
-        one = BinaryForm(0, [_ONE])
-        _ORBIT_FORMS[gens] = (forms, [[one, f] for f in forms], scalars)
-    return _ORBIT_FORMS[gens]
+@lru_cache(maxsize=None)
+def _orbit_forms(group: FiniteSubgroup) -> tuple:
+    """The degenerate orbits of group by increasing size with their
+    stabilizer orders, their forms, and for each generator g the scalar s
+    of each form (F^g = s F).  The trivial group has no degenerate orbit;
+    the forms X and Y serve it."""
+    orbits = tuple(degenerate_orbits(group))
+    forms = tuple(form_from_divisor(div) for div, _ in orbits)
+    forms = forms or (BinaryForm.monomial(1, 0), BinaryForm.monomial(1, 1))
+    return orbits, forms, tuple(tuple(_eigen_scalar(f, g) for f in forms) for g in group.generators)
 
 
-def _trace_sum(n: int, group: FiniteSubgroup, gens: tuple, char: tuple) -> Cyclotomic:
+@lru_cache(maxsize=None)
+def _orbit_power(group: FiniteSubgroup, i: int, a: int) -> BinaryForm:
+    """f_i^a for the i-th orbit form f_i of group."""
+    f = _orbit_forms(group)[1][i]
+    if a < 2:
+        return f if a else BinaryForm(0, [_ONE])
+    return _orbit_power(group, i, a - 1) * f
+
+
+def _trace_sum(n: int, group: FiniteSubgroup, char: tuple) -> Cyclotomic:
     """|G| times the dimension of the char-eigenspace in degree n by
     character orthogonality: sum_g char(g)^-1 u_n(g), summed class by class
-    of t = tr^2/det, with char(g) the product of the generator values along
-    the first path to g in the cached right Cayley graph (``_cayley_graph``).
-    u_n = h_n / det^(n/2) = tr Sym^n of the determinant-1 lift, from
-    u_0 = 1, u_2 = t - 1, u_(k+2) = (t - 2) u_k - u_(k-2).  When two paths
-    to one element disagree, char is no character of G and the sum is 0.
-    """
-    key = (gens, tuple(char))
-    if key not in _CLASS_SUMS:
-        elements, right = _cayley_graph(group.generators, group.order)
-        inv = [c.inverse() for c in char]
-        vals, consistent, sums = {0: _ONE}, True, {}
-        for x, row in enumerate(right):
-            for i, y in enumerate(row):
-                val = vals[x] * inv[i]
-                consistent &= vals.setdefault(y, val) == val
-        for k, h in enumerate(elements if consistent else []):
-            t = (h.a + h.d) ** 2 / h.det()
-            sums[t] = sums.get(t, Cyclotomic.rational(0)) + vals[k]
-        _CLASS_SUMS[key] = sums
-    total = Cyclotomic.rational(0)
-    for t, s in _CLASS_SUMS[key].items():
-        table = _TRACES.setdefault(t, [_ONE, t - 1])
-        while len(table) <= n // 2:
-            table.append((t - 2) * table[-1] - table[-2])
-        total = total + s * table[n // 2]
-    return total
+    of t = tr^2/det (``_class_sums``).  u_n = h_n / det^(n/2) = tr Sym^n of
+    the determinant-1 lift (``_trace``)."""
+    return sum((s * _trace(t, n) for t, s in _class_sums(group, char).items()), Cyclotomic.rational(0))
+
+
+@lru_cache(maxsize=None)
+def _class_sums(group: FiniteSubgroup, char: tuple) -> dict:
+    """{t: sum of char(g)^-1 over the g with tr^2/det = t}, with char(g)
+    the product of the generator values along the first path to g in the
+    cached right Cayley graph (``_cayley_graph``).  When two paths to one
+    element disagree, char is no character of G and the sums are {}."""
+    elements, right = _cayley_graph(group.generators, group.order)
+    inv = [c.inverse() for c in char]
+    vals, consistent, sums = {0: _ONE}, True, {}
+    for x, row in enumerate(right):
+        for i, y in enumerate(row):
+            val = vals[x] * inv[i]
+            consistent &= vals.setdefault(y, val) == val
+    for k, h in enumerate(elements if consistent else []):
+        t = (h.a + h.d) ** 2 / h.det()
+        sums[t] = sums.get(t, Cyclotomic.rational(0)) + vals[k]
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _trace(t: Cyclotomic, n: int) -> Cyclotomic:
+    """u_n at t = tr^2/det for even n: u_0 = 1, u_2 = t - 1,
+    u_(k+2) = (t - 2) u_k - u_(k-2)."""
+    if n < 4:
+        return t - 1 if n else _ONE
+    return (t - 2) * _trace(t, n - 2) - _trace(t, n - 4)
 
 
 def character_group(group: FiniteSubgroup) -> list[tuple]:
@@ -437,8 +419,7 @@ def _obstructed(d: int, group: FiniteSubgroup, char: tuple) -> bool:
     """Is the char stratum at degree d obstructed by the base-locus rule of
     ``invariant_locus_dimension``?  Exponent arithmetic only: no form is
     multiplied out and no member searched."""
-    gens = tuple(g.entries() for g in group.generators)
-    h_exps, j_exps = (_orbit_exponents(n, group, gens, char) for n in (d - 1, d + 1))
+    h_exps, j_exps = (_orbit_exponents(n, group, char) for n in (d - 1, d + 1))
     if not j_exps:
         return True
     return any(
@@ -483,7 +464,7 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
                 sum(map(mul, basis, _seed_coefficients(seed, len(basis))), BinaryForm.zero(n))
                 for basis, n in ((h_basis, d - 1), (j_basis, d + 1))
             )
-            if not (h.is_zero() and j.is_zero()) and meets_ratd(FormPair(d, h, j)):
+            if meets_ratd(FormPair(d, h, j)):
                 best = dim
                 break
         else:
@@ -508,6 +489,8 @@ def _padding_orbits(group: FiniteSubgroup, count: int, excluded: set[P1Point]):
     x = 2
     used = set(excluded)
     while len(orbits) < count:
+        if x > 2 + 50 * (count + 1):
+            raise ConstructionFailed("could not find enough disjoint padding orbits")
         p = P1Point.affine(x)
         x += 1
         if p in used:
@@ -517,8 +500,6 @@ def _padding_orbits(group: FiniteSubgroup, count: int, excluded: set[P1Point]):
             continue
         used.update(orbit)
         orbits.append(Divisor.of_points(orbit))
-        if x > 2 + 50 * (count + 1):
-            raise ConstructionFailed("could not find enough disjoint padding orbits")
     return orbits
 
 
@@ -566,9 +547,7 @@ def invariant_eigenvalue_check(group: FiniteSubgroup, p: P1Point, g: MoebiusMap)
         raise ValueError("the check needs a group of even order")
     if g.det() != Cyclotomic.rational(1):
         raise ValueError("g must be a determinant-1 lift")
-    full = Divisor()
-    for sigma in group.elements:
-        full = full + Divisor({sigma.apply(p).minimized(): 1})
+    full = Divisor.of_points(sigma.apply(p).minimized() for sigma in group.elements)
     scalar = _eigen_scalar(form_from_divisor(full), g)
     m = g.projective_order()
     expected = Cyclotomic.rational((-1) ** (group.order // m))

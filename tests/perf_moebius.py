@@ -1,16 +1,17 @@
 """Layer micro-benchmarks of the platonic set-up, per group: closing the
 generators (moebius.generate_closure), finding the degenerate orbits
-(moebius.degenerate_orbits) and the orbit forms with their lifted
-characters (platonic._cached_table).  Also the exact automorphism test of
-one generator on a degree-24 map, by coefficient weights (aut._fixes) and
-by conjugation (aut.is_automorphism).
+(moebius.degenerate_orbits) and the character table built from nothing
+cached (platonic._cached_table over platonic._orbit_forms).  Also the
+exact automorphism test of one generator on a degree-24 map, by
+coefficient weights (aut._fixes) and by conjugation (aut.is_automorphism).
 
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
 Each round starts from an empty cache for what it times: the closure
-without its cached Cayley graph, the table without its cached rows (the
-orbits it reads stay cached; they are timed on their own).  The file name
-is outside the test_*.py pattern, so the default test run skips it.
+without its cached Cayley graph, the table with neither its rows nor the
+orbit data cached, so the orbits, their forms and each form's scalar under
+each generator are found again.  The file name is outside the test_*.py
+pattern, so the default test run skips it.
 """
 
 import pytest
@@ -38,10 +39,12 @@ def test_degenerate_orbits(benchmark, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_cached_table(benchmark, kind):
-    platonic._orbit_data(kind)
-    rows = benchmark.pedantic(
-        platonic._cached_table, args=(kind,), setup=platonic._cached_table.cache_clear, rounds=20
-    )
+    def no_orbit_data():
+        platonic._orbit_forms.cache_clear()
+        platonic._cached_table.cache_clear()
+
+    platonic.platonic_group(kind)
+    rows = benchmark.pedantic(platonic._cached_table, args=(kind,), setup=no_orbit_data, rounds=20)
     assert len(rows) == 3
 
 

@@ -4,7 +4,6 @@ and generator, their count against the character-orthogonality formula,
 and the certificates that catch wrong orbit data."""
 
 import contextlib
-import dataclasses
 import io
 import os
 import subprocess
@@ -80,9 +79,18 @@ def molien_count(n, group, char):
     return int(count.as_rational())
 
 
-def _no_solve_caches(monkeypatch):
-    for name in ("_EIGENSPACES", "_EXPONENTS", "_ORBIT_FORMS", "_CLASS_SUMS"):
-        monkeypatch.setattr(platonic, name, {})
+def _no_solve_caches():
+    # the orbit forms stay: a test that changes them patches _orbit_forms
+    for cached in (platonic._eigenspace, platonic._orbit_exponents, platonic._orbit_power,
+                   platonic._class_sums, platonic._cached_table):
+        cached.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _solve_caches_cleared_after():
+    # nothing built from injected orbit data outlives its test
+    yield
+    _no_solve_caches()
 
 
 @pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
@@ -101,7 +109,7 @@ def test_the_platonic_path_multiplies_orbit_forms_and_counts_by_the_trace_formul
 
         return spy
 
-    _no_solve_caches(monkeypatch)
+    _no_solve_caches()
     monkeypatch.setattr(ExactMatrix, "kernel_basis", spy_on("kernel_basis", ExactMatrix.kernel_basis))
     monkeypatch.setattr(forms, "substitute", spy_on("substitute", forms.substitute))
     monkeypatch.setattr(platonic, "substitute", spy_on("substitute", platonic.substitute))
@@ -114,12 +122,12 @@ def test_the_platonic_path_multiplies_orbit_forms_and_counts_by_the_trace_formul
 
 
 @pytest.mark.parametrize("kind, r", [("tetra", 2), ("octa", 4), ("icosa", 5)])
-def test_the_solve_keeps_one_weight_class_of_monomials(kind, r, monkeypatch):
+def test_the_solve_keeps_one_weight_class_of_monomials(kind, r):
     # the diagonal generator (order r) scales monomial k by the k-th power of
     # a primitive r-th root, so the orbit products kept for one character
     # lie on the k of one class mod r, and the space has at most that
     # class's (n + 1) // r or (n + 1) // r + 1 monomials
-    _no_solve_caches(monkeypatch)
+    _no_solve_caches()
     group = platonic_group(kind)
     diagonal = group.generators[0]
     assert _is_diagonal(diagonal) and diagonal.projective_order() == r
@@ -133,12 +141,21 @@ def test_the_solve_keeps_one_weight_class_of_monomials(kind, r, monkeypatch):
                 assert size in ((n + 1) // r, (n + 1) // r + 1) and len(basis) <= size, (kind, n, char)
 
 
-def _with_orbit_row(monkeypatch, kind, i, **changes):
-    # orbit data with row i changed, and nothing cached from the true data
-    rows = list(platonic._cached_table(kind))
-    rows[i] = dataclasses.replace(rows[i], **changes)
-    monkeypatch.setattr(platonic, "_cached_table", lambda k: tuple(rows) if k == kind else None)
-    _no_solve_caches(monkeypatch)
+def _with_orbit_row(monkeypatch, kind, i, form=None, character=None):
+    # orbit data with form i or its lifted character changed, and nothing
+    # cached from the true data; a scalar is the character times det^(deg/2)
+    group = platonic_group(kind)
+    orbits, forms, scalars = platonic._orbit_forms(group)
+    forms = list(forms)
+    forms[i] = form or forms[i]
+    if character:
+        scalars = [
+            [chi * g.det() ** (forms[i].degree // 2) if k == i else x for k, x in enumerate(s)]
+            for s, g, chi in zip(scalars, group.generators, character)
+        ]
+    real = platonic._orbit_forms
+    monkeypatch.setattr(platonic, "_orbit_forms", lambda g: (orbits, forms, scalars) if g is group else real(g))
+    _no_solve_caches()
 
 
 def test_a_wrong_orbit_character_fails_the_trace_count(monkeypatch):
@@ -157,18 +174,21 @@ def test_a_wrong_orbit_form_fails_the_rank(monkeypatch):
     # the same degree-12 invariant
     group = platonic_group("tetra")
     trivial = character_group(group)[0]
-    _with_orbit_row(monkeypatch, "tetra", 0, form=platonic._cached_table("tetra")[1].form)
+    _with_orbit_row(monkeypatch, "tetra", 0, form=platonic._orbit_forms(group)[1][1])
     with pytest.raises(AssertionError, match="linearly dependent"):
         character_eigenspace(12, group, trivial)
 
 
 _SURVEY_WITH_A_WRONG_CHARACTER = """
-import dataclasses, sys
+import sys
 from symloci import platonic
 from symloci.cli import main
-rows = list(platonic._cached_table("tetra"))
-rows[0] = dataclasses.replace(rows[0], character=rows[2].character)
-platonic._cached_table = lambda kind: tuple(rows)
+group = platonic.platonic_group("tetra")
+orbits, forms, scalars = platonic._orbit_forms(group)
+# f_1 (degree 4) given the lifted character of f_3 (degree 6): the scalar
+# of f_3 times det^(2 - 3)
+scalars = [[s[2] * g.det().inverse(), *s[1:]] for s, g in zip(scalars, group.generators)]
+platonic._orbit_forms = lambda group: (orbits, forms, scalars)
 sys.exit(main(["survey", "--groups", "tetra", "--d", "11"]))
 """
 
@@ -259,13 +279,25 @@ def test_eigenspace_does_not_depend_on_the_generator_scale():
         label="octa",
         generators=[MoebiusMap(*(2 * e for e in g.entries())) for g in group.generators],
     )
-    # projectively equal generators, but a different cache key
+    # projectively equal generators, but another group object, so another
+    # cache key
     assert doubled.generators == group.generators
     for char in character_group(group):
         for n in (12, 14):
             base = character_eigenspace(n, group, char)
             assert character_eigenspace(n, doubled, char) == base
             assert base == oracle_eigenspace(n, doubled, char)
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_a_copy_of_a_standard_group_is_its_own_key_with_the_same_bases(kind):
+    group = platonic_group(kind)
+    copy = FiniteSubgroup(group.elements, label=kind, generators=group.generators)
+    for char in character_group(group):
+        for n in range(0, 25, 2):
+            assert character_eigenspace(n, copy, char) == character_eigenspace(n, group, char), (kind, n, char)
+    # the copy found its own orbits rather than reading the standard group's
+    assert platonic._orbit_forms(copy) is not platonic._orbit_forms(group)
 
 
 def test_cached_basis_is_not_shared_with_callers():
@@ -283,12 +315,12 @@ def _survey_rows(d):
     return out.getvalue().splitlines()[1:]
 
 
-def test_survey_order_does_not_change_rows(monkeypatch):
+def test_survey_order_does_not_change_rows():
     # descending d reuses the spaces in the other direction (degree d-1 at d
     # is degree d'+1 at d' = d-2); both orders start from an empty cache
-    monkeypatch.setattr(platonic, "_EIGENSPACES", {})
+    platonic._eigenspace.cache_clear()
     descending = {d: _survey_rows(d) for d in (15, 13, 11)}
-    monkeypatch.setattr(platonic, "_EIGENSPACES", {})
+    platonic._eigenspace.cache_clear()
     ascending = {d: _survey_rows(d) for d in (11, 13, 15)}
     assert descending == ascending
     assert [row.split(",")[-1] for d in (11, 13, 15) for row in ascending[d]] == ["True"] * 3

@@ -8,6 +8,7 @@ from symloci.decomp import decompose_map
 from symloci.forms import Divisor, P1Point, form_from_divisor
 from symloci.moebius import FiniteSubgroup, MoebiusMap
 from symloci.platonic import (
+    ConstructionFailed,
     NotInImage,
     NotRealizable,
     character_group,
@@ -22,6 +23,7 @@ from symloci.platonic import (
     platonic_group,
     relevant_divisors,
     relevant_pairs,
+    _padding_orbits,
 )
 
 ONE = Cyclotomic.rational(1)
@@ -179,6 +181,25 @@ def test_construct_with_padding_orbit():
     assert report.all_verified
     pair = decompose_map(phi)
     assert pair.H.is_zero()
+
+
+def test_padding_gives_up_when_every_candidate_orbit_is_short():
+    # a group of order 2 that fixes every point: each candidate is rejected,
+    # so only the budget of 2 + 50 * (count + 1) candidates ends the search
+    calls = []
+
+    class FixesEverything:
+        order = 2
+
+        def orbit(self, p):
+            calls.append(p)
+            if len(calls) > 1000:
+                pytest.fail("the padding search ran past its budget")
+            return [p]
+
+    with pytest.raises(ConstructionFailed, match="padding orbits"):
+        _padding_orbits(FixesEverything(), 1, set())
+    assert len(calls) <= 102
 
 
 def test_invariant_eigenvalue_lemma():
