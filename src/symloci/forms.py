@@ -475,13 +475,18 @@ class Divisor:
 
 def form_from_divisor(d: Divisor) -> BinaryForm:
     """Product of (y_p X - x_p Y)^mult over the divisor, normalized so the
-    first nonzero coefficient is 1; its divisor is exactly d."""
-    out = BinaryForm(0, [_C1])
+    first nonzero coefficient is 1; its divisor is exactly d.  Each factor
+    is one pass, new[k] = y old[k] - x old[k-1]: y = 1 needs no multiply,
+    and the point (1 : 0) gives -Y, a shift."""
+    out = [_C1]
     for p, m in d.terms.items():
-        lf = p.linear_form()
+        x = p.x
         for _ in range(m):
-            out = out * lf
-    return out.normalized().minimized()
+            if p.y:
+                out = [a - x * b if x and b else a for a, b in zip(out + [_C0], [_C0] + out)]
+            else:
+                out = [_C0] + [-a for a in out]
+    return BinaryForm(len(out) - 1, out).normalized().minimized()
 
 
 def multiplicity_at(f: BinaryForm, p: P1Point) -> int:

@@ -222,11 +222,19 @@ class FiniteSubgroup:
         return dict(self._census)
 
     def orbit(self, p: P1Point) -> list[P1Point]:
-        seen = {}
-        for e in self.elements:
-            q = e.apply(p).minimized()
-            seen.setdefault(q, q)
-        return list(seen.values())
+        """G p, minimized, no repeats: p closed under the k generators by BFS
+        (k |G p| applications; ``platonic._orbit_forms`` relies on that
+        closure), or with none, the images of p under the elements."""
+        if not self.generators:
+            return list(dict.fromkeys(e.apply(p).minimized() for e in self.elements))
+        points = [p.minimized()]
+        seen = set(points)
+        for q in points:
+            for g in self.generators:
+                if (r := g.apply(q).minimized()) not in seen:
+                    seen.add(r)
+                    points.append(r)
+        return points
 
     def stabilizer_order(self, p: P1Point) -> int:
         return sum(1 for e in self.elements if e.apply(p) == p)

@@ -151,14 +151,7 @@ def relevant_divisors(group_or_kind) -> list[Divisor]:
     """The 2^3 = 8 multiplicity-one sums of subsets of the degenerate
     orbits, in subset-mask order (mask bit i = orbit i included)."""
     orbs = [div for div, _ in _orbit_data(_kind_of(group_or_kind))]
-    out = []
-    for mask in range(1 << len(orbs)):
-        total = Divisor()
-        for i, orb in enumerate(orbs):
-            if mask >> i & 1:
-                total = total + orb
-        out.append(total)
-    return out
+    return [sum((orb for i, orb in enumerate(orbs) if mask >> i & 1), Divisor()) for mask in range(1 << len(orbs))]
 
 
 def relevant_pairs(group_or_kind) -> list[RelevantPair]:
@@ -350,11 +343,25 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
     """The degenerate orbits of group by increasing size with their
     stabilizer orders, their forms, and for each generator g the scalar s
     of each form (F^g = s F).  The trivial group has no degenerate orbit;
-    the forms X and Y serve it."""
+    the forms X and Y serve it, eigenforms of its scalar generators.
+
+    No form is substituted: s = F(a x + b y, c x + d y) / F(x, y) for g =
+    (a, b; c, d), at the first of (1:0), (0:1), (1:1), (2:1), ... off the
+    zeros of F.  This is exact: F is the product of its orbit's linear
+    forms, each once, and ``FiniteSubgroup.orbit`` closes the orbit under
+    g, so g maps it onto itself, and the zeros of F^g, the g^-1 images of
+    those of F, are those of F, simple; hence F^g = s F."""
     orbits = tuple(degenerate_orbits(group))
     forms = tuple(form_from_divisor(div) for div, _ in orbits)
     forms = forms or (BinaryForm.monomial(1, 0), BinaryForm.monomial(1, 1))
-    return orbits, forms, tuple(tuple(_eigen_scalar(f, g) for f in forms) for g in group.generators)
+    # n + 1 points, of which a form of degree at most n misses one
+    top = max(f.degree for f in forms)
+    points = [(_ONE, Cyclotomic.rational(0))] + [(Cyclotomic.rational(k), _ONE) for k in range(top)]
+    at = [next((x, y, v) for x, y in points if (v := f.evaluate(x, y))) for f in forms]
+    return orbits, forms, tuple(
+        tuple(f.evaluate(g.a * x + g.b * y, g.c * x + g.d * y) / v for f, (x, y, v) in zip(forms, at))
+        for g in group.generators
+    )
 
 
 @lru_cache(maxsize=None)
@@ -517,16 +524,14 @@ def construct_symmetric_map(d: int, group_or_kind) -> tuple[RationalMap, AutRepo
     if not platonic_existence(d, kind):
         raise NotRealizable(f"no degree-{d} map admits {kind} symmetry")
     n = group.order
-    candidates = [
-        div
-        for div in relevant_divisors(group)
-        if div.degree <= d + 1 and (d + 1 - div.degree) % n == 0
-    ]
-    candidates.sort(key=lambda div: -div.degree)
-    for d2 in candidates:
+    forms, divs = _orbit_forms(group)[1], relevant_divisors(group)
+    masks = [mask for mask, div in enumerate(divs) if div.degree <= d + 1 and (d + 1 - div.degree) % n == 0]
+    for mask in sorted(masks, key=lambda mask: -divs[mask].degree):
+        d2 = divs[mask]
         ell = (d + 1 - d2.degree) // n
         padding = _padding_orbits(group, ell, set(d2.support()))
-        j = form_from_divisor(d2)
+        # the orbit forms are normalized, so their product is D2's form
+        j = reduce(mul, (f for i, f in enumerate(forms) if mask >> i & 1), BinaryForm(0, [_ONE]))
         for orb in padding:
             j = j * form_from_divisor(orb)
         j = BinaryForm(d + 1, j.coeffs).minimized()

@@ -1,17 +1,20 @@
 """Layer micro-benchmarks of the platonic set-up, per group: closing the
 generators (moebius.generate_closure), finding the degenerate orbits
 (moebius.degenerate_orbits) and the character table built from nothing
-cached (platonic._cached_table over platonic._orbit_forms).  Also the
-exact automorphism test of one generator on a degree-24 map, by
-coefficient weights (aut._fixes) and by conjugation (aut.is_automorphism).
+cached (platonic._cached_table over platonic._orbit_forms); on icosa's
+30-point orbit, the BFS of FiniteSubgroup.orbit from one of its points and
+the orbit's form (forms.form_from_divisor).  Also the exact automorphism
+test of one generator on a degree-24 map, by coefficient weights
+(aut._fixes) and by conjugation (aut.is_automorphism).
 
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
 Each round starts from an empty cache for what it times: the closure
 without its cached Cayley graph, the table with neither its rows nor the
 orbit data cached, so the orbits, their forms and each form's scalar under
-each generator are found again.  The file name is outside the test_*.py
-pattern, so the default test run skips it.
+each generator (read at one point, no substitution) are found again.  The
+file name is outside the test_*.py pattern, so the default test run skips
+it.
 """
 
 import pytest
@@ -46,6 +49,23 @@ def test_cached_table(benchmark, kind):
     platonic.platonic_group(kind)
     rows = benchmark.pedantic(platonic._cached_table, args=(kind,), setup=no_orbit_data, rounds=20)
     assert len(rows) == 3
+
+
+def _icosa_orbit_30():
+    div, _ = degenerate_orbits(standard_subgroup("icosa"))[2]
+    assert div.degree == 30
+    return div
+
+
+def test_orbit(benchmark):
+    group = standard_subgroup("icosa")
+    assert len(benchmark(group.orbit, _icosa_orbit_30().support()[0])) == 30
+
+
+def test_form_from_divisor(benchmark):
+    from symloci.forms import form_from_divisor
+
+    assert benchmark(form_from_divisor, _icosa_orbit_30()).degree == 30
 
 
 def _fixes_cases():

@@ -344,6 +344,33 @@ def test_form_from_divisor():
     assert form_from_divisor(Divisor({P1Point.infinity(): 1})) == BinaryForm(1, [0, 1])
 
 
+def test_form_from_divisor_is_the_product_of_the_linear_forms():
+    # 0, infinity and points at conductors 1, 4, 5 and 60, with
+    # multiplicities up to 3: the same coefficients, and the same
+    # representations, as the product normalized and minimized
+    z = Cyclotomic.zeta
+    points = [
+        P1Point.affine(0),
+        P1Point.infinity(),
+        P1Point.affine(Fraction(-2, 3)),
+        P1Point.affine(z(4) + 1),
+        P1Point.affine(z(5, 2) - Fraction(1, 2)),
+        P1Point(z(5), z(4) + 2),
+        P1Point.affine(z(60, 7) * 3),
+    ]
+    rng = random.Random(5)
+    for _ in range(12):
+        div = Divisor({p: rng.randint(1, 3) for p in rng.sample(points, rng.randint(1, len(points)))})
+        product = BinaryForm(0, [1])
+        for p, m in div.terms.items():
+            for _ in range(m):
+                product = product * p.linear_form()
+        got = form_from_divisor(div)
+        assert got == product.normalized().minimized()
+        assert got.to_json() == product.normalized().minimized().to_json()
+        assert got.degree == div.degree
+
+
 def test_divisor_roundtrip_via_multiplicities():
     pts = [P1Point.affine(2), P1Point.affine(Fraction(-1, 3)), P1Point.infinity()]
     mults = [3, 1, 2]

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -264,7 +265,7 @@ def oracle_degenerate_orbits(group):
                 points.setdefault(p, p)
     orbits = []
     while points:
-        orbit = group.orbit(next(iter(points)))
+        orbit = _scanned_orbit(group, next(iter(points)))
         for q in orbit:
             points.pop(q, None)
         orbits.append((Divisor.of_points(orbit), group.order // len(orbit)))
@@ -272,8 +273,15 @@ def oracle_degenerate_orbits(group):
     return orbits
 
 
+def _scanned_orbit(group, p):
+    # the images of p under every element, in element order, no repeats
+    return list(dict.fromkeys(e.apply(p).minimized() for e in group.elements))
+
+
 def _orbit_terms(orbits):
-    return [(list(div.terms.items()), stab) for div, stab in orbits]
+    # the BFS of FiniteSubgroup.orbit lists an orbit's points in its own
+    # order, so each orbit compares as a point set
+    return [(dict(div.terms), stab) for div, stab in orbits]
 
 
 def test_the_riemann_hurwitz_stop_finds_every_degenerate_orbit():
@@ -282,6 +290,23 @@ def test_the_riemann_hurwitz_stop_finds_every_degenerate_orbit():
     groups += [generate_closure(_conjugated(kind), cap=60) for kind in ("tetra", "octa", "icosa")]
     for group in groups:
         assert _orbit_terms(degenerate_orbits(group)) == _orbit_terms(oracle_degenerate_orbits(group)), group
+
+
+def test_the_bfs_orbit_is_the_element_scan_orbit():
+    groups = [standard_subgroup(kind, m) for kind in ("cyclic", "dihedral") for m in range(1, 13)]
+    groups += [standard_subgroup(kind) for kind in ("tetra", "octa", "icosa")]
+    groups += [generate_closure(_conjugated(kind), cap=60) for kind in ("tetra", "octa", "icosa")]
+    # a copy without generators keeps the element scan
+    groups.append(FiniteSubgroup.from_json(standard_subgroup("octa").to_json()))
+    rational = [P1Point.affine(0), P1Point.infinity(), P1Point.affine(2), P1Point.affine(Fraction(-1, 3))]
+    for group in groups:
+        fixed = [p for e in group.elements[1:6] for p in e.fixed_points()]
+        for p in fixed + rational:
+            orbit = group.orbit(p)
+            assert len(set(orbit)) == len(orbit), (group, p)
+            assert set(orbit) == set(_scanned_orbit(group, p)), (group, p)
+            assert group.order % len(orbit) == 0
+    assert not groups[-1].generators
 
 
 def test_icosa_orbits_stop_early(monkeypatch):

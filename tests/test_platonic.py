@@ -3,10 +3,11 @@ construction."""
 
 import pytest
 
+from symloci import forms, platonic
 from symloci.cyclotomic import Cyclotomic
 from symloci.decomp import decompose_map
 from symloci.forms import Divisor, P1Point, form_from_divisor
-from symloci.moebius import FiniteSubgroup, MoebiusMap
+from symloci.moebius import FiniteSubgroup, MoebiusMap, generate_closure, standard_subgroup
 from symloci.platonic import (
     ConstructionFailed,
     NotInImage,
@@ -59,6 +60,43 @@ def test_orbit_forms_are_eigenforms_of_the_lifts():
         for row in character_table(kind):
             for g, chi in zip(group.generators, row.character):
                 assert lifted_scalar(row.form, g) == chi
+
+
+def _scalar_cases():
+    # the standard groups, their closures conjugated by M = (2, 1; 1, 1),
+    # and small cyclic and dihedral groups, cyclic:1 with the forms X and Y
+    m = MoebiusMap(2, 1, 1, 1)
+    cases = [platonic_group(kind) for kind in ("tetra", "octa", "icosa")]
+    cases += [
+        generate_closure([m.inverse().compose(g).compose(m) for g in group.generators], cap=60)
+        for group in cases
+    ]
+    return cases + [standard_subgroup(kind, k) for kind in ("cyclic", "dihedral") for k in (1, 4, 5)]
+
+
+def test_orbit_form_scalars_are_the_substituted_ones():
+    for group in _scalar_cases():
+        _, orbit_forms, scalars = platonic._orbit_forms(group)
+        assert len(scalars) == len(group.generators)
+        for g, row in zip(group.generators, scalars):
+            for f, s in zip(orbit_forms, row):
+                assert s == platonic._eigen_scalar(f, g), (group, f, g)
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_the_orbit_table_substitutes_no_form(kind, monkeypatch):
+    calls, real = [], forms.substitute
+
+    def counted(f, g):
+        calls.append(f.degree)
+        return real(f, g)
+
+    monkeypatch.setattr(forms, "substitute", counted)
+    monkeypatch.setattr(platonic, "substitute", counted)
+    group = platonic_group(kind)
+    platonic._orbit_forms.cache_clear()
+    assert len(platonic._orbit_forms(group)[1]) == 3
+    assert calls == []
 
 
 def test_character_group_sizes():
