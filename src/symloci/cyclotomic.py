@@ -13,7 +13,8 @@ against Phi_n) run on integers, then divide out one gcd.  ``c`` gives the
 coefficients as Fractions, for printing and serialization.
 
 Also provided here: exact linear algebra (kernel, rank, determinant),
-which every other module relies on for dimension counts.
+which every other module relies on for dimension counts, and the maps to
+F_p that prove a polynomial in the data nonzero (``_images``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import cmath
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -375,15 +377,6 @@ class Cyclotomic:
                 return q.as_rational(), j
         return None
 
-    def as_ru_times_rational(self):
-        """Decompose as (r, rho) with self = r * rho, r rational > 0 or < 0,
-        rho a root of unity in Q(zeta_n).  Returns None if no such form."""
-        dec = self._ru_split()
-        if dec is None:
-            return None
-        r, j = dec
-        return r, Cyclotomic.zeta(self.n, j) if j else Cyclotomic.rational(1)
-
     def sqrt(self) -> Cyclotomic:
         """Exact square root when self = rational * (root of unity).
 
@@ -500,6 +493,68 @@ def _int_modular_inverse(a, mod) -> tuple[list[int], int]:
         g = gcd(*r, *s)
         r0, s0, r1, s1 = r1, s1, [v // g for v in r], [v // g for v in s]
     return s1, r1[0]
+
+
+# -- images in F_p (Collins; Brown, J. ACM 18, 1971): a ring map Z[zeta_n][1/den]
+# -> F_p takes a resultant or a minor to that of the images, so a nonzero image
+# proves the exact value nonzero; a zero one proves nothing.
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases 2..37, exact below
+    3.3 * 10^24; a base dividing a composite p is never 1 or -1 mod p."""
+    if p < 38:
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s t, t odd
+    return all(
+        pow(a, (p - 1) >> s, p) == 1 or p - 1 in [pow(a, (p - 1) >> k, p) for k in range(s, 0, -1)]
+        for a in _MR_BASES
+    )
+
+
+def _exact_order(r: int, n: int, p: int) -> bool:
+    # r^n = 1 and r^(n/q) != 1 (mod p) for each prime q | n
+    return pow(r, n, p) == 1 and all(pow(r, n // q, p) != 1 for q in _divisors(n)[1:] if _phi(q) == q - 1)
+
+
+@lru_cache(maxsize=None)
+def _image_field(n: int) -> tuple[int, int]:
+    """(p, r): the largest prime p < 2^61 with p = 1 (mod n), and the first
+    r = g^((p-1)/n), g = 2, 3, ..., of exact order n mod p (p = 2^61 - 1 and
+    r = 1 at n = 1).  p does not divide n, so r is a root of Phi_n mod p and
+    zeta_m -> r^(n/m) for m | n is a ring map Z[zeta_n] -> F_p."""
+    p = (2**61 - 2) // n * n + 1
+    while not _is_prime(p):
+        p -= n
+    return p, next(r for g in count(2) if _exact_order(r := pow(g, (p - 1) // n, p), n, p))
+
+
+def _images(lists) -> tuple[int, list[list[int]]] | None:
+    """(p, the images in F_p of the cyclotomic numbers in each of lists)
+    under the ring map of ``_image_field(n)``, n the lcm of their
+    conductors; None when p divides a denominator, where there is no map."""
+    n = lcm(*(x.n for xs in lists for x in xs))
+    p, r = _image_field(n)
+    if any(x.den % p == 0 for xs in lists for x in xs):
+        return None
+    def image(x):
+        v = x.nums[0] if x.n == 1 else sum(c * pow(r, n // x.n * i, p) for i, c in enumerate(x.nums))
+        return (v if x.den == 1 else v * pow(x.den, -1, p)) % p
+    return p, [list(map(image, xs)) for xs in lists]
+
+
+def _rank_mod(rows: list, p: int) -> int:
+    """Rank over F_p of integer rows, each clearing its first nonzero column."""
+    rank, rows = 0, list(rows)
+    while rows:
+        piv = rows.pop()
+        c = next((c for c, x in enumerate(piv) if x % p), None)
+        if c is not None:
+            rank, inv = rank + 1, pow(piv[c], -1, p)
+            rows = [[(a - r[c] * inv * b) % p for a, b in zip(r, piv)] for r in rows]
+    return rank
 
 
 def rational_sqrt(q) -> Cyclotomic:
@@ -643,15 +698,4 @@ class ExactMatrix:
         for r in range(self.rows):
             det = det * m[r][r]
         return -det if swaps % 2 else det
-
-    def mul_vector(self, v) -> list[Cyclotomic]:
-        out = []
-        for i in range(self.rows):
-            acc = Cyclotomic.rational(0)
-            row = self.row(i)
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
 

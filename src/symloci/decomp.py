@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _images
 from .forms import (
     BinaryForm,
     DegreeMismatch,
     RationalMap,
+    _coprime_images,
     _proportional,
     form_gcd,
     multiple_zero_locus,
@@ -112,17 +113,33 @@ def gm_action(t: Cyclotomic, pair: FormPair) -> FormPair:
 
 def meets_ratd(pair: FormPair) -> bool:
     """Does the torus orbit of [(H, J)] contain the image of a genuine
-    degree-d map?  Exactly: no multiple zero of J may be a zero of H."""
+    degree-d map?  Exactly: no multiple zero of J may be a zero of H, that
+    is J != 0 and J_X, J_Y and a nonzero H share no root, proved mod p
+    (``_meets_ratd_image``) or else decided by exact gcds."""
     h, j = pair.H, pair.J
     if j.is_zero():
         # recompose gives (XH, YH)/(d+1), sharing the factor H for d >= 2
         return pair.d == 1 and not h.is_zero()
+    image = _images([h.coeffs, j.coeffs])
+    if image and _meets_ratd_image(image[0], *image[1]):
+        return True
     mz = multiple_zero_locus(j)
     if h.is_zero():
         return mz.degree == 0
     if mz.degree == 0:
         return True
     return form_gcd(mz, h).degree == 0
+
+
+def _meets_ratd_image(p: int, h: list[int], j: list[int]) -> bool:
+    """True proves ``meets_ratd`` for H and J with these images mod p: J's
+    is nonzero, and those of J_X, J_Y and H, zero ones dropped, share no root
+    over the closure of F_p.  A common root of the exact forms reduces, at a
+    prime above p, to one of each image; dropping a form only adds roots."""
+    n = len(j) - 1
+    jx = [(n - i) * c % p for i, c in enumerate(j[:-1])]
+    jy = [(i + 1) * c % p for i, c in enumerate(j[1:])]
+    return any(j) and _coprime_images([f for f in (jx, jy, h) if any(f)], p)
 
 
 @dataclass

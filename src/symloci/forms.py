@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .cyclotomic import Cyclotomic, _trim
+from .cyclotomic import Cyclotomic, _images, _trim
 
 _C0 = Cyclotomic.rational(0)
 _C1 = Cyclotomic.rational(1)
@@ -292,20 +292,41 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> Cyclotomic:
     return res * b[0] ** da
 
 
-def _remainder(a: list, b: list) -> list:
-    # a mod b for univariate coefficient lists, lowest degree first, each
-    # with a nonzero top coefficient; a is consumed, the result trimmed
+def _remainder(a: list, b: list, p: int | None = None) -> list:
+    # a mod b for univariate coefficient lists (integers mod p, b's reduced,
+    # when p is given), lowest degree first, each with a nonzero top
+    # coefficient; a is consumed, the result trimmed
     k = len(b) - 1
     if len(a) > k:
-        inv = b[-1].inverse()
+        inv = b[-1].inverse() if p is None else pow(b[-1], -1, p)
         for i in range(len(a) - 1 - k, -1, -1):
-            c = a[i + k] * inv
+            c = a[i + k] * inv if p is None else a[i + k] * inv % p
             if c:
-                for j in range(k):
-                    a[i + j] = a[i + j] - c * b[j]
-        del a[k:]
+                a[i : i + k] = [x - c * y for x, y in zip(a[i : i + k], b)]
+        a[:] = a[:k] if p is None else [x % p for x in a[:k]]
         _trim(a)
     return a
+
+
+def _coprime_images(images: list, p: int) -> bool:
+    """Do forms with these coefficient images mod p, of their declared
+    degrees, share no root over the closure of F_p?  Not if an image is 0 or
+    all vanish at [1:0]; else Euclid mod p on the F(x, 1) decides.  Forms
+    share no root iff their resultant is nonzero, so True proves Res != 0."""
+    if not all(map(any, images)) or not any(f[0] for f in images):
+        return False
+    a = []
+    for f in images:
+        b = _trim(f[::-1])
+        while b:
+            a, b = b, _remainder(a, b, p)
+    return len(a) == 1
+
+
+def _product_mod(f: list, g: list, p: int) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    _accumulate_product(out, f, g)
+    return [v % p for v in out]
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -401,10 +422,6 @@ class P1Point:
         p.x, p.y, p._hash = self.x.minimal(), self.y.minimal(), None
         return p
 
-    def linear_form(self) -> BinaryForm:
-        """The degree-1 form y*X - x*Y vanishing exactly at this point."""
-        return BinaryForm(1, [self.y, -self.x])
-
     def to_json(self) -> dict:
         return {"x": self.x.to_json(), "y": self.y.to_json()}
 
@@ -489,43 +506,6 @@ def form_from_divisor(d: Divisor) -> BinaryForm:
     return BinaryForm(len(out) - 1, out).normalized().minimized()
 
 
-def multiplicity_at(f: BinaryForm, p: P1Point) -> int:
-    """Order of vanishing of f at p, by exact trial division."""
-    if f.is_zero():
-        raise ValueError("zero form vanishes everywhere")
-    lf = p.linear_form()
-    count = 0
-    cur = f
-    while cur.degree >= 1:
-        quo, ok = _divide_by_linear(cur, lf)
-        if not ok:
-            break
-        cur = quo
-        count += 1
-    return count
-
-
-def _divide_by_linear(f: BinaryForm, lf: BinaryForm):
-    # divide f by lf = u*X + v*Y exactly; returns (quotient, divides?)
-    u, v = lf.coeffs
-    n = f.degree
-    q = [_C0] * n
-    rem = list(f.coeffs)
-    if u:
-        inv = u.inverse()
-        for i in range(n):
-            q[i] = rem[i] * inv
-            rem[i + 1] = rem[i + 1] - q[i] * v
-            rem[i] = _C0
-        return BinaryForm(n - 1, q), not rem[n]
-    inv = v.inverse()
-    for i in range(n, 0, -1):
-        q[i - 1] = rem[i] * inv
-        rem[i - 1] = rem[i - 1] - q[i - 1] * u
-        rem[i] = _C0
-    return BinaryForm(n - 1, q), not rem[0]
-
-
 class RationalMap:
     """A degree-d rational self-map of P^1 given by a form pair [F : G]."""
 
@@ -549,7 +529,9 @@ class RationalMap:
         return resultant_pair(self.F, self.G)
 
     def is_in_ratd(self) -> bool:
-        return bool(self.resultant())
+        """Res(F, G) != 0: proved by coprime images mod p, or exactly."""
+        image = _images([self.F.coeffs, self.G.coeffs])
+        return bool(image and _coprime_images(image[1], image[0])) or bool(self.resultant())
 
     def coefficients(self) -> list[Cyclotomic]:
         return list(self.F.coeffs) + list(self.G.coeffs)

@@ -18,6 +18,7 @@ fixed by the group they generate, so no group is built.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -294,7 +295,8 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
       m | d+1: dimension (d+1)/m - 1
 
     The inversion relation b_i = mu a_(d-i) admits mu = +-1; both signs are
-    searched and the signs realizing members are recorded.
+    searched and the signs realizing members are recorded.  A nonempty
+    basis where both searches run dry raises NoMemberFound.
     """
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
@@ -304,17 +306,14 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
             out.append((0, LocusReport(exists=False, components=0, certificate={"reason": "m divides d"})))
             continue
         dim = dprime if t == 1 else dprime - 1
-        signs = []
-        member = None
+        members = {}
         for mu in (1, -1):
-            try:
-                candidate = dihedral_generic_member(d, m, t, mu)
-            except NoMemberFound:
-                continue
-            signs.append(mu)
-            if member is None:
-                member = candidate
+            with suppress(NoMemberFound):
+                members[mu] = dihedral_generic_member(d, m, t, mu)
+        signs, member = list(members), next(iter(members.values()), None)
         vecs = dihedral_basis(d, m, t, 1)
+        if member is None and vecs:
+            raise NoMemberFound(f"no dihedral member for d={d} m={m} t={t} with either sign")
         cert = {
             "free_parameters": len(vecs),
             "signs_realized": signs,

@@ -17,20 +17,20 @@ character-orthogonality formula, summed over the classes of tr^2/det.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import mul
 
 from .aut import AutReport, _verify_through_generators
-from .cyclotomic import Cyclotomic, ExactMatrix
-from .decomp import FormPair, meets_ratd, recompose_map
+from .cyclotomic import Cyclotomic, ExactMatrix, _images, _rank_mod
+from .decomp import FormPair, _meets_ratd_image, meets_ratd, recompose_map
 from .forms import (
     BinaryForm,
     Divisor,
     P1Point,
     RationalMap,
+    _product_mod,
     form_from_divisor,
-    form_gcd,
     substitute,
 )
 from .loci import NoMemberFound, SurveyRow, _seed_coefficients
@@ -311,31 +311,47 @@ def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm,
     rows = ExactMatrix.from_rows([f.coeffs[::-1] for f in products]).row_basis()
     if len(rows) != len(products):
         raise AssertionError(f"degree-{n} orbit products are linearly dependent")
-    trace = _trace_sum(n, group, char)
-    if trace != len(products) * group.order:
-        raise AssertionError(f"{len(products)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
     return tuple(BinaryForm(n, row[::-1]) for row in reversed(rows))
+
+
+@lru_cache(maxsize=None)
+def _product_images(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
+    """(p, the images mod p of the degree-n orbit products of char), full
+    rank mod p proving them independent; where there is no image or the rank
+    drops, the exact basis proves it, and (None, exponents) comes back."""
+    exps = _orbit_exponents(n, group, char)
+    if _orbit_images(group):
+        p = _orbit_images(group)[0]
+        rows = [reduce(partial(_product_mod, p=p), (_power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
+        if _rank_mod(rows, p) == len(rows):
+            return p, rows
+    _eigenspace(n, group, char)
+    return None, exps
 
 
 @lru_cache(maxsize=None)
 def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
     """The exponents (a, b, c) of the orbit products f_1^a f_2^b f_3^c of
     degree n, c <= 1 on the last of three orbits, scaled by char under the
-    lifted generators: the basis ``character_eigenspace`` multiplies out and
-    certifies.  () for odd n."""
+    lifted generators: the basis ``character_eigenspace`` multiplies out,
+    certified exactly by the trace formula's count (``_trace_sum``).  ()
+    for odd n."""
     _, forms, scalars = _orbit_forms(group)
     mus = [chi * g.det() ** (n // 2) for g, chi in zip(group.generators, char)]
     degrees = [f.degree for f in forms]
     tops = [n // k + 1 for k in degrees]
     if len(tops) == 3:
         tops[2] = 2
-    return tuple(
+    exps = tuple(
         exps
         for exps in product(*map(range, tops))
         if n % 2 == 0
         and sum(map(mul, exps, degrees)) == n
         and all(reduce(mul, map(pow, s, exps), _ONE) == mu for s, mu in zip(scalars, mus))
     )
+    if n % 2 == 0 and (trace := _trace_sum(n, group, char)) != len(exps) * group.order:
+        raise AssertionError(f"{len(exps)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
+    return exps
 
 
 @lru_cache(maxsize=None)
@@ -371,6 +387,19 @@ def _orbit_power(group: FiniteSubgroup, i: int, a: int) -> BinaryForm:
     if a < 2:
         return f if a else BinaryForm(0, [_ONE])
     return _orbit_power(group, i, a - 1) * f
+
+
+@lru_cache(maxsize=None)
+def _orbit_images(group: FiniteSubgroup) -> tuple | None:
+    """(p, the images of the orbit forms of group) under one map to F_p."""
+    return _images([f.coeffs for f in _orbit_forms(group)[1]])
+
+
+@lru_cache(maxsize=None)
+def _power_image(group: FiniteSubgroup, i: int, a: int) -> list[int]:
+    """The image mod p (``_orbit_images``) of f_i^a."""
+    p, forms = _orbit_images(group)
+    return _product_mod(_power_image(group, i, a - 1), forms[i], p) if a else [1]
 
 
 def _trace_sum(n: int, group: FiniteSubgroup, char: tuple) -> Cyclotomic:
@@ -442,7 +471,8 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     that is J != 0 and no multiple zero of J is a zero of H (``meets_ratd``).
 
     The J-space (degree d+1) and H-space (degree d-1) are spanned by the
-    certified orbit products of ``character_eigenspace``.  The f_i are
+    orbit products, certified as in ``character_eigenspace`` but mod p
+    (``_product_images``).  The f_i are
     squarefree and coprime, so f_1^e_1 f_2^e_2 f_3^e_3, with e_i the least
     exponent of f_i over a space's products, is its fixed part.  A stratum
     is obstructed, and dropped with no search, when the J-space is {0}, or
@@ -451,7 +481,7 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     vanishes.  On any other stratum the generic J is squarefree off its
     fixed part and misses the roots of the f_i (Bertini), and a product
     with e_i(H) = 0 is nonzero there, so generic pairs reach Rat_d; a
-    seeded member that ``meets_ratd`` accepts is the exact proof.  ``tries``
+    seeded member that ``_member_meets`` accepts is the proof.  ``tries``
     bounds the seeds on these strata only; when all miss, the search is
     exhausted (NoMemberFound), never a silent drop.  Existence with every
     stratum obstructed is a disagreement of the routes (AssertionError)."""
@@ -461,27 +491,33 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
         raise NotRealizable(f"no degree-{d} map admits {kind} symmetry")
     best = None
     for k, char in enumerate(character_group(group)):
-        h_basis = character_eigenspace(d - 1, group, char)
-        j_basis = character_eigenspace(d + 1, group, char)
-        dim = len(h_basis) + len(j_basis) - 1
+        dim = sum(len(_product_images(n, group, char)[1]) for n in (d - 1, d + 1)) - 1
         if _obstructed(d, group, char) or (best is not None and dim <= best):
             continue
-        for seed in range(tries):
-            h, j = (
-                sum(map(mul, basis, _seed_coefficients(seed, len(basis))), BinaryForm.zero(n))
-                for basis, n in ((h_basis, d - 1), (j_basis, d + 1))
-            )
-            if meets_ratd(FormPair(d, h, j)):
-                best = dim
-                break
-        else:
+        if not _member_meets(d, group, char, tries):
             raise NoMemberFound(
                 f"no seeded member of the unobstructed {kind} character stratum {k} "
                 f"meets Rat_d at d={d} in {tries} tries"
             )
+        best = dim
     if best is None:
         raise AssertionError(f"every {kind} character stratum is obstructed at d={d}, where maps exist")
     return best
+
+
+def _member_meets(d: int, group: FiniteSubgroup, char: tuple, tries: int) -> bool:
+    """Does a seeded member of the char stratum meet Rat_d at one of the
+    first tries seeds?  Proved by sum_k c_k P_k, P_k the orbit products, with
+    images passing ``_meets_ratd_image`` (the seed integers commute with the
+    map to F_p), or by a member of the exact bases that ``meets_ratd`` takes."""
+    (ph, h_rows), (p, j_rows) = (_product_images(n, group, char) for n in (d - 1, d + 1))
+    seeds = [_seed_coefficients(seed, max(len(h_rows), len(j_rows))) for seed in range(tries)]
+    for cs in seeds if ph and p else ():
+        ints = [c.nums[0] for c in cs]
+        if _meets_ratd_image(p, *([sum(map(mul, ints, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))):
+            return True
+    bases = [(character_eigenspace(n, group, char), n) for n in (d - 1, d + 1)]
+    return any(meets_ratd(FormPair(d, *(sum(map(mul, b, cs), BinaryForm.zero(n)) for b, n in bases))) for cs in seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +572,7 @@ def construct_symmetric_map(d: int, group_or_kind) -> tuple[RationalMap, AutRepo
             j = j * form_from_divisor(orb)
         j = BinaryForm(d + 1, j.coeffs).minimized()
         phi = recompose_map(FormPair(d, BinaryForm.zero(d - 1), j)).normalized().minimized()
-        if form_gcd(phi.F, phi.G).degree != 0:
+        if not phi.is_in_ratd():
             continue  # cannot happen for squarefree J; defensive
         report = _verify_through_generators(phi, group)
         if report.all_verified:

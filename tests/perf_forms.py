@@ -1,7 +1,8 @@
 """Layer micro-benchmarks of the forms layer: forms.sylvester_resultant on
-fixed pairs of degree-d forms, and forms.substitute of one degree-24 form
+fixed pairs of degree-d forms, forms.substitute of one degree-24 form
 under a diagonal, an anti-diagonal and a dense matrix, per degree and
-conductor.
+conductor, and RationalMap.is_in_ratd through the images mod p against
+the exact resultant on a degree-11 family member and the octa d = 13 map.
 
     PYTHONPATH=src python -m pytest tests/perf_forms.py --benchmark-only
 
@@ -19,6 +20,8 @@ import pytest
 
 from symloci.cyclotomic import Cyclotomic
 from symloci.forms import BinaryForm, substitute, sylvester_resultant
+from symloci.loci import dihedral_generic_member
+from symloci.platonic import construct_symmetric_map
 
 CASES = [(8, 1), (11, 1), (13, 1), (13, 5), (13, 12)]
 SUBSTITUTION_MATRICES = {
@@ -52,3 +55,20 @@ def test_substitute(benchmark, kind, n):
     f = _form(rng, 24, n)
     g = SUBSTITUTION_MATRICES[kind](Cyclotomic.zeta(n))
     assert not benchmark(substitute, f, g).is_zero()
+
+
+IN_RATD_MAPS = {
+    "dihedral:3 d=11": lambda: dihedral_generic_member(11, 3, -1, 1),
+    "octa d=13": lambda: construct_symmetric_map(13, "octa")[0],
+}
+IN_RATD_ROUTES = {
+    "modular": lambda phi: phi.is_in_ratd(),
+    "exact": lambda phi: bool(phi.resultant()),
+}
+
+
+@pytest.mark.parametrize("route", sorted(IN_RATD_ROUTES))
+@pytest.mark.parametrize("name", sorted(IN_RATD_MAPS))
+def test_is_in_ratd(benchmark, name, route):
+    phi = IN_RATD_MAPS[name]()
+    assert benchmark(IN_RATD_ROUTES[route], phi)

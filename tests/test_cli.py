@@ -278,6 +278,19 @@ def test_exhausted_member_search_is_exit_2_not_a_traceback(monkeypatch, argv):
     assert "Traceback" not in err and out == ""
 
 
+def test_an_exhausted_dihedral_search_is_reported(monkeypatch):
+    from symloci.forms import RationalMap
+
+    # the t = 1 stratum of dihedral:2 at d = 5 has a nonempty basis; when no
+    # candidate is in Rat_d both signs run dry, which is an exhausted search,
+    # not an empty locus
+    monkeypatch.setattr(RationalMap, "is_in_ratd", lambda self: False)
+    code, out, err = run(["survey", "--groups", "dihedral", "--d", "5"])
+    assert code == 2, err
+    assert "search exhausted (NoMemberFound): no dihedral member for d=5 m=2 t=1 with either sign" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_a_platonic_stratum_is_dropped_only_with_a_proof(monkeypatch):
     from symloci import platonic
 
@@ -293,8 +306,10 @@ def test_a_platonic_stratum_is_dropped_only_with_a_proof(monkeypatch):
 def test_a_platonic_search_that_misses_everywhere_is_exit_2_not_a_traceback(monkeypatch):
     from symloci import platonic
 
-    # tetra maps of degree 7 exist, so the two routes disagree
+    # tetra maps of degree 7 exist, so the two routes disagree; both member
+    # tests, on the images mod p and on the exact forms, reject every seed
     monkeypatch.setattr(platonic, "meets_ratd", lambda pair: False)
+    monkeypatch.setattr(platonic, "_meets_ratd_image", lambda p, h, j: False)
     code, out, err = run(["survey", "--groups", "tetra", "--d", "7"])
     assert code == 2, err
     assert "search exhausted (NoMemberFound)" in err

@@ -18,7 +18,6 @@ from symloci.forms import (
     distinct_roots_count,
     form_from_divisor,
     form_gcd,
-    multiplicity_at,
     partial_derivatives,
     resultant_pair,
     substitute,
@@ -364,11 +363,53 @@ def test_form_from_divisor_is_the_product_of_the_linear_forms():
         product = BinaryForm(0, [1])
         for p, m in div.terms.items():
             for _ in range(m):
-                product = product * p.linear_form()
+                product = product * linear_form(p)
         got = form_from_divisor(div)
         assert got == product.normalized().minimized()
         assert got.to_json() == product.normalized().minimized().to_json()
         assert got.degree == div.degree
+
+
+def linear_form(p):
+    """The degree-1 form y*X - x*Y vanishing exactly at p."""
+    return BinaryForm(1, [p.y, -p.x])
+
+
+def multiplicity_at(f, p):
+    """Order of vanishing of f at p, by exact trial division."""
+    if f.is_zero():
+        raise ValueError("zero form vanishes everywhere")
+    lf = linear_form(p)
+    count = 0
+    cur = f
+    while cur.degree >= 1:
+        quo, ok = _divide_by_linear(cur, lf)
+        if not ok:
+            break
+        cur = quo
+        count += 1
+    return count
+
+
+def _divide_by_linear(f, lf):
+    # divide f by lf = u*X + v*Y exactly; returns (quotient, divides?)
+    u, v = lf.coeffs
+    n = f.degree
+    q = [Cyclotomic.rational(0)] * n
+    rem = list(f.coeffs)
+    if u:
+        inv = u.inverse()
+        for i in range(n):
+            q[i] = rem[i] * inv
+            rem[i + 1] = rem[i + 1] - q[i] * v
+            rem[i] = Cyclotomic.rational(0)
+        return BinaryForm(n - 1, q), not rem[n]
+    inv = v.inverse()
+    for i in range(n, 0, -1):
+        q[i - 1] = rem[i] * inv
+        rem[i - 1] = rem[i - 1] - q[i - 1] * u
+        rem[i] = Cyclotomic.rational(0)
+    return BinaryForm(n - 1, q), not rem[0]
 
 
 def test_divisor_roundtrip_via_multiplicities():

@@ -1,0 +1,359 @@
+"""Images in F_p: the prime and the root of unity behind the ring map, and
+every claim it proves (a nonzero resultant, a pair J, H meeting Rat_d, the
+independence of the orbit products) against the exact route it replaces;
+a zero image must leave the verdict to the exact route."""
+
+import contextlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from symloci import decomp, forms, platonic
+from symloci.cli import main
+from symloci.cyclotomic import (
+    Cyclotomic,
+    _cyclotomic_int_coeffs,
+    _exact_order,
+    _image_field,
+    _images,
+    _is_prime,
+    _rank_mod,
+)
+from symloci.decomp import FormPair, _meets_ratd_image, meets_ratd
+from symloci.forms import BinaryForm, RationalMap, _coprime_images, sylvester_resultant
+from symloci.loci import _seed_coefficients
+from symloci.platonic import character_eigenspace, character_group, platonic_group
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CONDUCTORS = [1, 4, 5, 12]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _clear_image_caches():
+    for cached in (platonic._orbit_images, platonic._power_image, platonic._product_images):
+        cached.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the prime and the root
+# ---------------------------------------------------------------------------
+
+
+def test_miller_rabin_matches_trial_division_below_5000():
+    primes = [n for n in range(5000) if n > 1 and all(n % q for q in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(5000) if _is_prime(n)] == primes
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the bases 2..23
+        (2**31 - 1) * (2**61 - 1),
+    ],
+)
+def test_miller_rabin_refuses_composites(n):
+    assert not _is_prime(n)
+
+
+def test_miller_rabin_accepts_large_primes():
+    assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1) and _is_prime(2**31 - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 15, 24, 60, 120, 27720])
+def test_image_field_is_a_ring_map(n):
+    p, r = _image_field(n)
+    assert p < 2**61 and (p - 1) % n == 0 and _is_prime(p) and _exact_order(r, n, p)
+    # independently of the order test: r is a root of Phi_n mod p
+    assert sum(c * pow(r, i, p) for i, c in enumerate(_cyclotomic_int_coeffs(n))) % p == 0
+    if n == 1:
+        assert (p, r) == (2**61 - 1, 1)
+
+
+def test_a_root_of_the_wrong_order_is_refused():
+    p, r = _image_field(12)
+    assert _exact_order(r, 12, p)
+    assert not _exact_order(1, 12, p)
+    assert not _exact_order(pow(r, 2, p), 12, p)  # order 6
+    assert not _exact_order(pow(r, 3, p), 12, p)  # order 4
+    assert not _exact_order(r, 24, p)  # r^24 = 1 but r^12 = 1 too
+    assert not _exact_order(r + 1, 12, p)  # not a root of unity of order 12
+
+
+def _cyclo(n, draw):
+    return Cyclotomic.from_raw(n, [draw() for _ in range(n)]) * Cyclotomic.rational(draw() or 1).inverse()
+
+
+@given(n=st.sampled_from([1, 3, 4, 5, 8, 12]), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_images_respect_sums_products_and_inverses(n, seed):
+    rng = random.Random(seed)
+    x, y = _cyclo(n, lambda: rng.randint(-4, 4)), _cyclo(n, lambda: rng.randint(-4, 4))
+    z = Cyclotomic.zeta(3)  # a second conductor: the map is taken at the lcm
+    p, [[ix, iy, iz, s, m, q]] = _images([[x, y, z, x + y, x * y * z, x / y if y else x]])
+    assert s == (ix + iy) % p and m == ix * iy * iz % p
+    assert q == (ix * pow(iy, -1, p) % p if y else ix)
+
+
+def test_a_denominator_divisible_by_p_has_no_image():
+    p = _image_field(1)[0]
+    assert _images([[Cyclotomic.rational(1)], [Cyclotomic.rational(Fraction(1, p))]]) is None
+    assert _images([[Cyclotomic.rational(Fraction(p, 2))]]) == (p, [[0]])
+
+
+def test_rank_mod_p():
+    p = 101
+    assert _rank_mod([], p) == 0
+    assert _rank_mod([[1, 2, 3], [2, 4, 6]], p) == 1
+    assert _rank_mod([[1, 2, 3], [2, 4, 6 + p]], p) == 1
+    assert _rank_mod([[0, 1, 0], [1, 0, 0], [1, 1, 1]], p) == 3
+
+
+# ---------------------------------------------------------------------------
+# resultants
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def form_pairs(draw):
+    """Two forms of declared degrees 1..5 at one of CONDUCTORS, with
+    coefficients a + b zeta_n that are often 0; sometimes both top
+    coefficients vanish (a common root at [1:0]) or one declared degree
+    drops, and sometimes both are multiplied by one linear form."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    z = Cyclotomic.zeta(n)
+
+    def form(deg):
+        coeffs = [Cyclotomic.rational(draw(st.integers(-3, 3))) for _ in range(deg + 1)]
+        coeffs = [c + z * draw(st.sampled_from([0, 0, 1, -2])) for c in coeffs] if n > 1 else coeffs
+        return BinaryForm(deg, coeffs)
+
+    f, g = form(draw(st.integers(1, 5))), form(draw(st.integers(1, 5)))
+    edge = draw(st.sampled_from(["none", "top", "drop", "shared"]))
+    if edge in ("top", "drop"):
+        f = BinaryForm(f.degree, [0] + list(f.coeffs[1:]))
+        g = g if edge == "drop" else BinaryForm(g.degree, [0] + list(g.coeffs[1:]))
+    elif edge == "shared":
+        lin = form(1)
+        f, g = f * lin, g * lin
+    return f, g
+
+
+def _modular_verdict(f, g):
+    p, images = _images([f.coeffs, g.coeffs])
+    return _coprime_images(images, p)
+
+
+@given(pair=form_pairs())
+@example(pair=(BinaryForm(2, [0, 1, 1]), BinaryForm(3, [0, 0, 1, 2])))  # both vanish at [1:0]
+@example(pair=(BinaryForm(2, [0, 1, 1]), BinaryForm(1, [1, 2])))  # F's degree drops
+@example(pair=(BinaryForm(2, [0, 0, 0]), BinaryForm(1, [1, 2])))  # F is the zero form
+@settings(max_examples=300, deadline=None)
+def test_the_modular_verdict_is_the_exact_one(pair):
+    # equal unless p divides a nonzero resultant, far beyond these sizes
+    f, g = pair
+    assert _modular_verdict(f, g) == bool(sylvester_resultant(f, g))
+
+
+@given(pair=form_pairs(), lin=st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any))
+@settings(max_examples=100, deadline=None)
+def test_maps_with_a_shared_linear_factor_are_rejected(pair, lin):
+    f, g = pair
+    d = max(f.degree, g.degree)
+    f, g = (BinaryForm(d, list(h.coeffs) + [0] * (d - h.degree)) for h in (f, g))
+    if f.is_zero() and g.is_zero():
+        return
+    line = BinaryForm(1, list(lin))
+    phi = RationalMap(f * line, g * line)
+    assert not _modular_verdict(phi.F, phi.G)
+    assert not phi.is_in_ratd()
+
+
+def test_a_resultant_divisible_by_p_falls_back_to_the_exact_value():
+    # z / (z + p): Res = p is nonzero, its image is 0
+    p = _image_field(1)[0]
+    phi = RationalMap(BinaryForm(1, [1, 0]), BinaryForm(1, [1, p]))
+    assert not _modular_verdict(phi.F, phi.G)
+    assert phi.resultant() == p and phi.is_in_ratd()
+
+
+def test_the_modular_route_computes_no_resultant(monkeypatch):
+    monkeypatch.setattr(RationalMap, "resultant", lambda self: pytest.fail("exact resultant computed"))
+    assert RationalMap.from_zpoly([1, 0, 0, 2], [0, 3, 1, 0]).is_in_ratd()
+
+
+# ---------------------------------------------------------------------------
+# meets_ratd
+# ---------------------------------------------------------------------------
+
+
+def _exact_meets(pair):
+    # meets_ratd with no image: the exact gcds decide
+    real = decomp._images
+    decomp._images = lambda xs: None
+    try:
+        return meets_ratd(pair)
+    finally:
+        decomp._images = real
+
+
+def test_a_multiple_zero_of_the_image_only_falls_back():
+    # J = XY(X + pY) is squarefree, its image X^2 Y is not, and H = X
+    # vanishes at the double root of the image
+    p = _image_field(1)[0]
+    pair = FormPair(2, BinaryForm(1, [1, 0]), BinaryForm(3, [0, 1, p, 0]))
+    j = [c.nums[0] % p for c in pair.J.coeffs]
+    assert not _meets_ratd_image(p, [1, 0], j)
+    assert meets_ratd(pair) and _exact_meets(pair)
+
+
+def test_meets_ratd_by_images_on_small_pairs():
+    rng = random.Random(21)
+    for _ in range(300):
+        d = rng.randint(2, 5)
+        h = BinaryForm(d - 1, [rng.choice([0, 0, 1, -1, 2]) for _ in range(d)])
+        j = BinaryForm(d + 1, [rng.choice([0, 0, 1, -1, 3]) for _ in range(d + 2)])
+        if h.is_zero() and j.is_zero():
+            continue
+        pair = FormPair(d, h, j)
+        assert meets_ratd(pair) == _exact_meets(pair), pair
+
+
+def _image_search(d, group, char, tries=24):
+    # the search of _member_meets on the images of the orbit products alone
+    (p, h_rows), (_, j_rows) = (platonic._product_images(n, group, char) for n in (d - 1, d + 1))
+    for seed in range(tries):
+        c = [x.nums[0] for x in _seed_coefficients(seed, max(len(h_rows), len(j_rows)))]
+        h, j = ([sum(a * b for a, b in zip(c, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))
+        if _meets_ratd_image(p, h, j):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_the_image_verdict_is_the_exact_one_on_every_platonic_stratum(kind):
+    # d = 2..61: the seed-0 member of every stratum with a nonzero J-space,
+    # obstructed or not, gets the same verdict from its images as from the
+    # exact gcds; and 24 seeds of the raw products prove a member mod p
+    # exactly where the exponent rule leaves the stratum unobstructed
+    group = platonic_group(kind)
+    verdicts = set()
+    for d in range(2, 62):
+        for char in character_group(group):
+            h_basis, j_basis = (character_eigenspace(n, group, char) for n in (d - 1, d + 1))
+            if not j_basis:
+                continue
+            h, j = (
+                sum((b * c for b, c in zip(basis, _seed_coefficients(0, len(basis)))), BinaryForm.zero(n))
+                for basis, n in ((h_basis, d - 1), (j_basis, d + 1))
+            )
+            p, (h_image, j_image) = _images([h.coeffs, j.coeffs])
+            verdict = _meets_ratd_image(p, h_image, j_image)
+            assert verdict == _exact_meets(FormPair(d, h, j)), (kind, d, char)
+            assert _image_search(d, group, char) == (not platonic._obstructed(d, group, char)), (kind, d, char)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_dependent_orbit_products_are_refused(monkeypatch):
+    # f_1 replaced by f_2 under f_1's character: f_1^3 and f_2^3 are then
+    # the same degree-12 invariant, so the rank drops mod p as well, and the
+    # exact basis refuses the products
+    from test_eigenspace import _no_solve_caches, _with_orbit_row
+
+    group = platonic_group("tetra")
+    trivial = character_group(group)[0]
+    _with_orbit_row(monkeypatch, "tetra", 0, form=platonic._orbit_forms(group)[1][1])
+    try:
+        with pytest.raises(AssertionError, match="linearly dependent"):
+            platonic._product_images(12, group, trivial)
+    finally:
+        monkeypatch.undo()
+        _no_solve_caches()
+
+
+# ---------------------------------------------------------------------------
+# zero images fall back
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def zero_images(monkeypatch):
+    """Every image forced to 0, and nothing cached from real images."""
+
+    def zeros(lists):
+        return _image_field(1)[0], [[0] * len(xs) for xs in lists]
+
+    _clear_image_caches()
+    for module in (forms, decomp, platonic):
+        monkeypatch.setattr(module, "_images", zeros)
+    yield
+    _clear_image_caches()
+
+
+_ARGVS = [
+    ["survey", "--d", "2..13"],
+    ["survey", "--d", "29..31", "--groups", "platonic"],
+    ["survey", "--d", "8..11", "--groups", "cyclic,dihedral", "--format", "json"],
+]
+
+
+@pytest.fixture(scope="module")
+def unpatched_outputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("maps") / "octa13.json"
+    code, out, _ = _run(["construct", "--d", "13", "--group", "octa"])
+    assert code == 0
+    path.write_text(out)
+    argvs = _ARGVS + [["check", str(path), "--group", "octa"], ["resultant", str(path)]]
+    return [(argv, _run(argv)) for argv in argvs]
+
+
+def test_a_zero_image_falls_back_with_identical_output(unpatched_outputs, zero_images, monkeypatch):
+    calls = []
+    real = forms.RationalMap.resultant
+    monkeypatch.setattr(forms.RationalMap, "resultant", lambda self: calls.append(1) or real(self))
+    for argv, expected in unpatched_outputs:
+        assert _run(argv) == expected, argv
+    assert calls  # the exact route ran
+
+
+def test_a_zero_image_proves_nothing(zero_images):
+    assert RationalMap.from_zpoly([1, 0, 0, 2], [0, 3, 1, 0]).is_in_ratd()
+    assert meets_ratd(FormPair(2, BinaryForm(1, [2, 2]), BinaryForm(3, [0, 1, -1, 0])))
+    assert platonic.invariant_locus_dimension(13, "octa") == 1
+
+
+# ---------------------------------------------------------------------------
+# python -O
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_vanishing_resultant_is_refused_also_under_optimization(flags, tmp_path):
+    # F = X (X + Y), G = Y (X + Y): the images share X + Y, and so do the forms
+    path = tmp_path / "shared.json"
+    phi = RationalMap(BinaryForm(2, [1, 1, 0]), BinaryForm(2, [0, 1, 1]))
+    path.write_text(json.dumps({"map": phi.to_json()}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "symloci.cli", "check", str(path), "--group", "cyclic:2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "" and "vanishing resultant" in proc.stderr
