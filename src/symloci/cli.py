@@ -102,23 +102,27 @@ def _check_degree(d: int, allow_large: bool):
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _load_map(path: str) -> RationalMap:
+def _load(path: str, key: str, build):
+    """build(the JSON in path), unwrapped from key as the subcommands write
+    it; a file that cannot be read or built is a UsageError."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read map file {path}: {exc}") from exc
-    body = obj.get("map", obj)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read {key} file {path}: {exc}") from exc
     try:
-        return RationalMap.from_json(body)
+        return build(obj.get(key, obj) if isinstance(obj, dict) else obj)
     except Exception as exc:
-        raise UsageError(f"malformed map JSON in {path}: {exc}") from exc
+        raise UsageError(f"malformed {key} JSON in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +214,7 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     _check_tolerance(args.tolerance)
-    phi = _load_map(args.mapfile)
+    phi = _load(args.mapfile, "map", RationalMap.from_json)
     if not phi.is_in_ratd():
         raise UsageError("the map file has vanishing resultant (not a degree-d map)")
     kind, m, _ = _parse_group(args.group)
@@ -236,15 +240,10 @@ def cmd_check(args) -> int:
 
 def cmd_decomp(args) -> int:
     if args.inverse:
-        try:
-            with open(args.mapfile) as fh:
-                pair = FormPair.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read form-pair file: {exc}") from exc
-        phi = recompose_map(pair)
+        phi = _load(args.mapfile, "pair", lambda obj: recompose_map(FormPair.from_json(obj)))
         payload = {"schema": SCHEMA, "kind": "map", "map": phi.to_json()}
     else:
-        phi = _load_map(args.mapfile)
+        phi = _load(args.mapfile, "map", RationalMap.from_json)
         pair = decompose_map(phi)
         payload = {"schema": SCHEMA, "kind": "form_pair", "pair": pair.to_json()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -253,7 +252,7 @@ def cmd_decomp(args) -> int:
 
 def cmd_aut(args) -> int:
     _check_tolerance(args.tolerance)
-    phi = _load_map(args.mapfile)
+    phi = _load(args.mapfile, "map", RationalMap.from_json)
     if phi.degree < 2:
         raise UsageError("automorphism discovery needs a map of degree >= 2")
     try:
@@ -266,7 +265,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_resultant(args) -> int:
-    phi = _load_map(args.mapfile)
+    phi = _load(args.mapfile, "map", RationalMap.from_json)
     res = phi.resultant()
     payload = {
         "schema": SCHEMA,

@@ -115,20 +115,13 @@ def meets_ratd(pair: FormPair) -> bool:
     """Does the torus orbit of [(H, J)] contain the image of a genuine
     degree-d map?  Exactly: no multiple zero of J may be a zero of H, that
     is J != 0 and J_X, J_Y and a nonzero H share no root, proved mod p
-    (``_meets_ratd_image``) or else decided by exact gcds."""
+    (``_meets_ratd_image``) or else decided by one exact gcd, of H and the
+    multiple-zero locus of J (the zero form for J = 0, so the gcd is H)."""
     h, j = pair.H, pair.J
-    if j.is_zero():
-        # recompose gives (XH, YH)/(d+1), sharing the factor H for d >= 2
-        return pair.d == 1 and not h.is_zero()
     image = _images([h.coeffs, j.coeffs])
     if image and _meets_ratd_image(image[0], *image[1]):
         return True
-    mz = multiple_zero_locus(j)
-    if h.is_zero():
-        return mz.degree == 0
-    if mz.degree == 0:
-        return True
-    return form_gcd(mz, h).degree == 0
+    return form_gcd(multiple_zero_locus(j), h).degree == 0
 
 
 def _meets_ratd_image(p: int, h: list[int], j: list[int]) -> bool:

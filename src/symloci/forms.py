@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import sub
 
 from .cyclotomic import Cyclotomic, _images, _trim
 
@@ -541,10 +542,7 @@ class RationalMap:
 
     def fixed_point_form(self) -> BinaryForm:
         """Y*F - X*G, the degree d+1 form vanishing at the fixed points."""
-        d = self.degree
-        yf = BinaryForm(d + 1, [_C0] + list(self.F.coeffs))
-        xg = BinaryForm(d + 1, list(self.G.coeffs) + [_C0])
-        return yf - xg
+        return BinaryForm(self.degree + 1, map(sub, (_C0, *self.F.coeffs), (*self.G.coeffs, _C0)))
 
     def proportional_to(self, other: RationalMap) -> bool:
         """Exact projective equality of coefficient vectors."""

@@ -364,23 +364,6 @@ def stalk_order_from_eigenvalue(d: int, m: int, t: int) -> int:
     return order
 
 
-def codimension_values(d: int) -> dict:
-    """Both codimension readings for the full automorphism locus.
-
-    The largest stratum is the order-2 locus of moduli dimension d-1, so
-    the locus in the parameter space has dimension (d-1)+3 and codimension
-    (2d+1) - (d+2) = d-1; inside the moduli space, of dimension
-    (2d+1) - 3 = 2d-2, the same stratum has codimension d-1 as well.
-    """
-    best = max((2 * dprime + t - 1 for m in range(2, d + 2) for t, dprime in _strata(d, m)), default=-1)
-    return {
-        "max_dim_moduli": best,
-        "dim_in_ratd_sweep": best + 3,
-        "codim_in_ratd": (2 * d + 1) - (best + 3),
-        "codim_in_moduli": (2 * d - 2) - best,
-    }
-
-
 def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
     """Survey rows for one degree; every row carries both the closed-form
     dimension and the linear-algebra dimension plus a match flag."""

@@ -101,14 +101,14 @@ def _eigen_scalar(form: BinaryForm, g: MoebiusMap) -> Cyclotomic:
     return scalar
 
 
-def _kind_of(group_or_kind) -> str:
+def _standard(group_or_kind) -> FiniteSubgroup:
     # the answers are the standard group's, so a group given as such must be
     # that group, not one that only carries its label
     if isinstance(group_or_kind, str):
-        return group_or_kind
+        return platonic_group(group_or_kind)
     label = group_or_kind.label
     if label in _PLATONIC and group_or_kind is platonic_group(label):
-        return label
+        return group_or_kind
     raise ValueError(f"not the standard platonic group {label!r}")
 
 
@@ -119,13 +119,8 @@ def platonic_group(kind: str) -> FiniteSubgroup:
     return standard_subgroup(kind)
 
 
-def _orbit_data(kind: str) -> tuple[tuple[Divisor, int], ...]:
-    return _orbit_forms(platonic_group(kind))[0]
-
-
 @lru_cache(maxsize=None)
-def _cached_table(kind: str) -> tuple[OrbitCharacterRow, ...]:
-    group = platonic_group(kind)
+def _cached_table(group: FiniteSubgroup) -> tuple[OrbitCharacterRow, ...]:
     orbits, forms, scalars = _orbit_forms(group)
     return tuple(
         OrbitCharacterRow(
@@ -144,13 +139,13 @@ def _cached_table(kind: str) -> tuple[OrbitCharacterRow, ...]:
 def character_table(group_or_kind) -> list[OrbitCharacterRow]:
     """One row per degenerate orbit: size, stabilizer order, and the scalars
     by which the lifted generators act on the orbit form."""
-    return list(_cached_table(_kind_of(group_or_kind)))
+    return list(_cached_table(_standard(group_or_kind)))
 
 
 def relevant_divisors(group_or_kind) -> list[Divisor]:
     """The 2^3 = 8 multiplicity-one sums of subsets of the degenerate
     orbits, in subset-mask order (mask bit i = orbit i included)."""
-    orbs = [div for div, _ in _orbit_data(_kind_of(group_or_kind))]
+    orbs = [div for div, _ in _orbit_forms(_standard(group_or_kind))[0]]
     return [sum((orb for i, orb in enumerate(orbs) if mask >> i & 1), Divisor()) for mask in range(1 << len(orbs))]
 
 
@@ -158,10 +153,9 @@ def relevant_pairs(group_or_kind) -> list[RelevantPair]:
     """For each relevant divisor D2 the companion D1 with s_p = 0 where
     t_p = 1 and s_p = |G_p| - 1 on the remaining degenerate points; every
     produced pair is checked against all four defining conditions."""
-    kind = _kind_of(group_or_kind)
-    group = platonic_group(kind)
-    orbs = _orbit_data(kind)
-    rows = _cached_table(kind)
+    group = _standard(group_or_kind)
+    orbs = _orbit_forms(group)[0]
+    rows = _cached_table(group)
     stab_of = {p: stab for div, stab in orbs for p in div.support()}
     pairs = []
     for mask in range(1 << len(orbs)):
@@ -230,9 +224,8 @@ def fiber_dimension(d: int, group: FiniteSubgroup, obj) -> int:
 
 
 @lru_cache(maxsize=None)
-def _existence_data(kind: str) -> tuple[int, dict[int, int]]:
+def _existence_data(group: FiniteSubgroup) -> tuple[int, dict[int, int]]:
     """(|G|, {residue mod |G| -> smallest relevant-divisor degree})."""
-    group = platonic_group(kind)
     n = group.order
     best: dict[int, int] = {}
     for div in relevant_divisors(group):
@@ -248,7 +241,7 @@ def platonic_existence(d: int, group_or_kind) -> bool:
     relevant divisor must have degree = d+1 mod |G| and degree <= d+1."""
     if d < 2:
         raise ValueError("degrees start at 2")
-    n, best = _existence_data(_kind_of(group_or_kind))
+    n, best = _existence_data(_standard(group_or_kind))
     smallest = best.get((d + 1) % n)
     return smallest is not None and smallest <= d + 1
 
@@ -257,10 +250,10 @@ def existence_residues(group_or_kind, modulus: int | None = None, d_max: int = 6
     """{d mod modulus : a degree-d symmetric map exists, 2 <= d <= d_max};
     default modulus |G|.  Pure subset-sum arithmetic via the cached
     relevant-divisor degrees."""
-    kind = _kind_of(group_or_kind)
-    n, _ = _existence_data(kind)
+    group = _standard(group_or_kind)
+    n, _ = _existence_data(group)
     modulus = modulus or n
-    return {d % modulus for d in range(2, d_max + 1) if platonic_existence(d, kind)}
+    return {d % modulus for d in range(2, d_max + 1) if platonic_existence(d, group)}
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +478,9 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     bounds the seeds on these strata only; when all miss, the search is
     exhausted (NoMemberFound), never a silent drop.  Existence with every
     stratum obstructed is a disagreement of the routes (AssertionError)."""
-    kind = _kind_of(group_or_kind)
-    group = platonic_group(kind)
-    if not platonic_existence(d, kind):
-        raise NotRealizable(f"no degree-{d} map admits {kind} symmetry")
+    group = _standard(group_or_kind)
+    if not platonic_existence(d, group):
+        raise NotRealizable(f"no degree-{d} map admits {group.label} symmetry")
     best = None
     for k, char in enumerate(character_group(group)):
         dim = sum(len(_product_images(n, group, char)[1]) for n in (d - 1, d + 1)) - 1
@@ -496,12 +488,12 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
             continue
         if not _member_meets(d, group, char, tries):
             raise NoMemberFound(
-                f"no seeded member of the unobstructed {kind} character stratum {k} "
+                f"no seeded member of the unobstructed {group.label} character stratum {k} "
                 f"meets Rat_d at d={d} in {tries} tries"
             )
         best = dim
     if best is None:
-        raise AssertionError(f"every {kind} character stratum is obstructed at d={d}, where maps exist")
+        raise AssertionError(f"every {group.label} character stratum is obstructed at d={d}, where maps exist")
     return best
 
 
@@ -555,10 +547,9 @@ def construct_symmetric_map(d: int, group_or_kind) -> tuple[RationalMap, AutRepo
     d+1, and invert the decomposition on (H = 0, J).  J stays squarefree by
     construction, so the result always lands among genuine degree-d maps.
     """
-    kind = _kind_of(group_or_kind)
-    group = platonic_group(kind)
-    if not platonic_existence(d, kind):
-        raise NotRealizable(f"no degree-{d} map admits {kind} symmetry")
+    group = _standard(group_or_kind)
+    if not platonic_existence(d, group):
+        raise NotRealizable(f"no degree-{d} map admits {group.label} symmetry")
     n = group.order
     forms, divs = _orbit_forms(group)[1], relevant_divisors(group)
     masks = [mask for mask, div in enumerate(divs) if div.degree <= d + 1 and (d + 1 - div.degree) % n == 0]
@@ -577,7 +568,7 @@ def construct_symmetric_map(d: int, group_or_kind) -> tuple[RationalMap, AutRepo
         report = _verify_through_generators(phi, group)
         if report.all_verified:
             return phi, report
-    raise ConstructionFailed(f"no relevant divisor produced a verified map for d={d}, {kind}")
+    raise ConstructionFailed(f"no relevant divisor produced a verified map for d={d}, {group.label}")
 
 
 def invariant_eigenvalue_check(group: FiniteSubgroup, p: P1Point, g: MoebiusMap) -> Cyclotomic:
@@ -601,10 +592,10 @@ def survey_rows(d: int, kinds=_PLATONIC) -> list[dict]:
     rows = []
     for kind in kinds:
         group = platonic_group(kind)
-        exists = platonic_existence(d, kind)
+        exists = platonic_existence(d, group)
         if exists:
             formula = 2 * d // group.order
-            linalg = invariant_locus_dimension(d, kind)
+            linalg = invariant_locus_dimension(d, group)
             match = formula == linalg
         else:
             # the second route to non-existence: every stratum is obstructed

@@ -46,8 +46,8 @@ def test_cached_table(benchmark, kind):
         platonic._orbit_forms.cache_clear()
         platonic._cached_table.cache_clear()
 
-    platonic.platonic_group(kind)
-    rows = benchmark.pedantic(platonic._cached_table, args=(kind,), setup=no_orbit_data, rounds=20)
+    group = platonic.platonic_group(kind)
+    rows = benchmark.pedantic(platonic._cached_table, args=(group,), setup=no_orbit_data, rounds=20)
     assert len(rows) == 3
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from symloci.cli import main
+from symloci.forms import RationalMap
 
 
 def run(args):
@@ -360,12 +361,15 @@ _FILTERS = st.lists(
     min_size=1,
     max_size=3,
 ).map(",".join)
-_FILES = st.sampled_from(["map", "degree1", "singular", "pair", "garbage", "notmap", "empty", "missing"])
+_FILES = st.sampled_from(
+    ["map", "degree1", "singular", "pair", "garbage", "notmap", "empty", "missing"]
+    + ["array", "badpair", "pair0", "binary", "deep"]
+)
 
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory, degree5_file):
-    from symloci.forms import RationalMap
+    from symloci.forms import BinaryForm
 
     root = tmp_path_factory.mktemp("fuzz")
     code, out, _ = run(["decomp", degree5_file])
@@ -377,11 +381,18 @@ def fuzz_files(tmp_path_factory, degree5_file):
         "garbage": "{not json",
         "notmap": json.dumps({"map": {"F": 3}}),
         "empty": "",
+        "array": "[1, 2]",
+        "deep": "[" * 100_000,
+        "badpair": json.dumps({"d": 2, "H": 5, "J": 3}),
+        # H of degree -1 has no coefficients, and recompose has no degree-0 map
+        "pair0": json.dumps({"d": 0, "H": {"degree": -1, "coeffs": []}, "J": BinaryForm(1, [1, 0]).to_json()}),
     }
     files = {"map": degree5_file, "missing": str(root / "missing.json")}
     for name, body in bodies.items():
         (root / f"{name}.json").write_text(body)
         files[name] = str(root / f"{name}.json")
+    (root / "binary.json").write_bytes(b"\xff\xfe{")
+    files["binary"] = str(root / "binary.json")
     return files
 
 
@@ -417,8 +428,52 @@ def _argv():
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argv())
 @example(argv=["aut", "@singular"])  # once a DegenerateConfiguration traceback
+@example(argv=["decomp", "@array"])  # once AttributeError tracebacks: a file that is no object
+@example(argv=["aut", "@array"])
+@example(argv=["resultant", "@array"])
+@example(argv=["check", "@array", "--group", "octa"])
+@example(argv=["decomp", "--inverse", "@badpair"])  # once a TypeError traceback
+@example(argv=["decomp", "--inverse", "@pair0"])  # once a DegreeMismatch traceback
+@example(argv=["resultant", "@binary"])  # once a UnicodeDecodeError traceback
+@example(argv=["decomp", "--inverse", "@deep"])  # once a RecursionError traceback
 def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_files, argv):
     argv = [fuzz_files[a[1:]] if a.startswith("@") else a for a in argv]
     code, _, err = run(argv)
     assert code in (0, 1, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# files: what one subcommand writes another reads, and an unwritable --out
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--d", "3"],
+        ["construct", "--d", "5", "--group", "octa"],
+        ["check", "@map", "--group", "octa"],
+        ["decomp", "@map"],
+        ["decomp", "--inverse", "@pair"],
+        ["aut", "@map"],
+        ["resultant", "@map"],
+    ],
+    ids=["survey", "construct", "check", "decomp", "decomp-inverse", "aut", "resultant"],
+)
+def test_out_into_a_missing_directory_is_a_usage_error(fuzz_files, tmp_path, argv):
+    argv = [fuzz_files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, err = run(argv + ["--out", str(tmp_path / "missing" / "x")])
+    assert (code, out) == (1, ""), err
+    assert err.startswith("usage error: cannot write") and "Traceback" not in err, err
+
+
+def test_decomp_reads_back_its_own_output(degree5_file, tmp_path):
+    pair_file = tmp_path / "p.json"
+    assert run(["decomp", degree5_file, "--out", str(pair_file)]) == (0, "", "")
+    code, out, err = run(["decomp", str(pair_file), "--inverse"])
+    assert code == 0, err
+    with open(degree5_file) as fh:
+        want = RationalMap.from_json(json.load(fh)["map"])
+    got = RationalMap.from_json(json.loads(out)["map"])
+    assert (got.F, got.G) == (want.F, want.G)

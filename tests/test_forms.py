@@ -164,6 +164,32 @@ def test_dense_substitution_matches_the_power_table(case):
     assert [(c.n, c.nums, c.den) for c in got] == [(c.n, c.nums, c.den) for c in want]
 
 
+@st.composite
+def _maps_with_stored_zeros(draw):
+    # coefficients at conductors 1 and n, zeros the rational 0 or stored at n
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    zeros = st.sampled_from([Cyclotomic.rational(0), Cyclotomic.zeta(n) * 0])
+
+    def coeff():
+        return draw(zeros) if draw(st.booleans()) else _element(draw, draw(st.sampled_from([1, n])))
+
+    f, g = ([coeff() for _ in range(d + 1)] for _ in "FG")
+    return RationalMap(BinaryForm(d, f), BinaryForm(d, g)) if any(f + g) else RationalMap.from_zpoly([1, 0], [0, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps_with_stored_zeros())
+@example(RationalMap(BinaryForm(1, [Cyclotomic.zeta(5) * 0, 1]), BinaryForm(1, [Cyclotomic.zeta(7), 0])))
+def test_fixed_point_form_matches_the_padded_difference(phi):
+    # Y F - X G: every coefficient, and the conductor it is stored at, as
+    # the difference of the two padded forms gives it
+    d, F, G = phi.degree, phi.F.coeffs, phi.G.coeffs
+    want = BinaryForm(d + 1, [0, *F]) - BinaryForm(d + 1, [*G, 0])
+    got = phi.fixed_point_form()
+    assert got.degree == d + 1
+    assert [(c.n, c.nums, c.den) for c in got.coeffs] == [(c.n, c.nums, c.den) for c in want.coeffs]
+
+
 def test_resultant_examples():
     assert resultant_pair(X2, Y2) == 1
     assert not resultant_pair(X2, XY)

@@ -8,7 +8,6 @@ from symloci.aut import automorphism_type, is_automorphism, verify_group_action
 from symloci.cyclotomic import Cyclotomic
 from symloci.loci import (
     NoMemberFound,
-    codimension_values,
     commuting_space_basis,
     cyclic_existence_and_dim,
     dihedral_basis,
@@ -237,15 +236,6 @@ def test_stalk_order_cross_validation():
                 if (d - t) % m or (d - t) // m < 1:
                     continue
                 assert stalk_order(d, m, t) == stalk_order_from_eigenvalue(d, m, t), (d, m, t)
-
-
-def test_codimension_values():
-    for d in range(2, 11):
-        vals = codimension_values(d)
-        assert vals["max_dim_moduli"] == d - 1
-        assert vals["codim_in_ratd"] == d - 1
-        # dim M_d = 2d - 2, so the order-2 locus is a curve in the plane M_2
-        assert vals["codim_in_moduli"] == d - 1
 
 
 def test_survey_rows_all_match():

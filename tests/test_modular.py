@@ -28,7 +28,14 @@ from symloci.cyclotomic import (
     _rank_mod,
 )
 from symloci.decomp import FormPair, _meets_ratd_image, meets_ratd
-from symloci.forms import BinaryForm, RationalMap, _coprime_images, sylvester_resultant
+from symloci.forms import (
+    BinaryForm,
+    RationalMap,
+    _coprime_images,
+    form_gcd,
+    multiple_zero_locus,
+    sylvester_resultant,
+)
 from symloci.loci import _seed_coefficients
 from symloci.platonic import character_eigenspace, character_group, platonic_group
 
@@ -233,6 +240,75 @@ def test_meets_ratd_by_images_on_small_pairs():
             continue
         pair = FormPair(d, h, j)
         assert meets_ratd(pair) == _exact_meets(pair), pair
+
+
+def _branchy_meets(pair):
+    # the exact rule before it was one gcd, kept as the oracle
+    h, j = pair.H, pair.J
+    if j.is_zero():
+        return pair.d == 1 and not h.is_zero()
+    mz = multiple_zero_locus(j)
+    if h.is_zero():
+        return mz.degree == 0
+    if mz.degree == 0:
+        return True
+    return form_gcd(mz, h).degree == 0
+
+
+def _random_cyclotomic_form(rng, deg, n):
+    z = Cyclotomic.zeta(n) if n > 1 else Cyclotomic.rational(0)
+    return BinaryForm(deg, [z * rng.choice([0, 1, -2]) + rng.choice([0, 0, 1, -1, 2]) for _ in range(deg + 1)])
+
+
+def _edge_and_random_pairs():
+    rng = random.Random(22)
+    for d in range(1, 7):  # J = 0: recompose gives (XH, YH)/(d+1), which share H unless d = 1
+        yield FormPair(d, BinaryForm(d - 1, [rng.randint(1, 3) for _ in range(d)]), BinaryForm.zero(d + 1))
+        yield FormPair(d, BinaryForm.monomial(d - 1, d - 1), BinaryForm.zero(d + 1))
+    for d in range(2, 6):  # H = 0 with J squarefree, and with a double root at 1, 0 or infinity
+        yield FormPair(d, BinaryForm.zero(d - 1), BinaryForm(d + 1, [1] + [0] * d + [-1]))
+        for double in (BinaryForm(2, [1, -2, 1]), BinaryForm(2, [0, 0, 1]), BinaryForm(2, [1, 0, 0])):
+            yield FormPair(d, BinaryForm.zero(d - 1), double * BinaryForm(d - 1, [1] + [0] * (d - 2) + [3]))
+    for n in CONDUCTORS:
+        for _ in range(60):
+            d = rng.randint(2, 6)
+            h, j = _random_cyclotomic_form(rng, d - 1, n), _random_cyclotomic_form(rng, d + 1, n)
+            if rng.random() < 0.5:  # J with a double root, which H may share
+                lin = _random_cyclotomic_form(rng, 1, n)
+                if lin.is_zero():
+                    continue
+                j = lin * lin * _random_cyclotomic_form(rng, d - 1, n)
+                h = lin * _random_cyclotomic_form(rng, d - 2, n) if rng.random() < 0.5 else h
+            if not (h.is_zero() and j.is_zero()):
+                yield FormPair(d, h, j)
+
+
+def test_the_exact_meets_ratd_is_the_branchy_rule(monkeypatch):
+    monkeypatch.setattr(decomp, "_images", lambda lists: None)
+    pairs = list(_edge_and_random_pairs())
+    verdicts = [meets_ratd(pair) for pair in pairs]
+    assert verdicts == [_branchy_meets(pair) for pair in pairs]
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_the_exact_meets_ratd_is_the_branchy_rule_on_platonic_members(kind, monkeypatch):
+    # seeds 0 and 1 of every stratum at d = 2..31, obstructed strata included
+    monkeypatch.setattr(decomp, "_images", lambda lists: None)
+    group, verdicts = platonic_group(kind), set()
+    for d in range(2, 32):
+        for char in character_group(group):
+            bases = [(character_eigenspace(n, group, char), n) for n in (d - 1, d + 1)]
+            for seed in (0, 1):
+                h, j = (
+                    sum((b * c for b, c in zip(basis, _seed_coefficients(seed, len(basis)))), BinaryForm.zero(n))
+                    for basis, n in bases
+                )
+                if not (h.is_zero() and j.is_zero()):
+                    verdict = meets_ratd(FormPair(d, h, j))
+                    assert verdict == _branchy_meets(FormPair(d, h, j)), (kind, d, char, seed)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _image_search(d, group, char, tries=24):

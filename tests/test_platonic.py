@@ -116,10 +116,26 @@ def test_a_group_carrying_a_platonic_label_must_be_the_standard_one():
         label="tetra",
         generators=[inv.compose(g).compose(m) for g in tetra.generators],
     )
-    for query in (relevant_divisors, character_table):
+    for query in (relevant_divisors, character_table, relevant_pairs, existence_residues):
         with pytest.raises(ValueError, match="standard platonic group"):
             query(conj)
         assert query(tetra) == query("tetra")
+    for query in (platonic_existence, invariant_locus_dimension, construct_symmetric_map):
+        with pytest.raises(ValueError, match="standard platonic group"):
+            query(7, conj)
+    with pytest.raises(ValueError, match="not a platonic rotation group"):
+        character_table("cube")
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_a_kind_and_its_standard_group_give_the_same_answers(kind):
+    # every cache is keyed on the group, which a kind names
+    group = platonic_group(kind)
+    assert [row.to_json() for row in character_table(group)] == [row.to_json() for row in character_table(kind)]
+    assert character_table(group) == character_table(kind)
+    assert existence_residues(group, 60) == existence_residues(kind, 60)
+    d = min(d for d in range(2, 40) if platonic_existence(d, kind))
+    assert invariant_locus_dimension(d, group) == invariant_locus_dimension(d, kind)
 
 
 def test_relevant_divisors():
