@@ -246,7 +246,10 @@ def _balancing(points) -> tuple:
     """T moving the points' mean on the sphere to the centre, and the moved
     points: their conformal barycentre (Douady-Earle, Acta Math. 157, 1986)
     is then the centre, so their automorphisms are rotations.  Newton steps:
-    a boost s e moves the mean m by s (I - M) e, M the second moment."""
+    a boost s e moves the mean m by s (I - M) e, M the second moment.
+    Clustered points make I - M nearly singular and the step unbounded, so
+    it is capped at s = 709, e^s near the largest float: no larger boost is
+    needed to spread points that floats tell apart."""
     t, vs = (1, 0, 0, 1), [_sphere(p) for p in points]
     size = lambda vs: sum(sum(v[i] for v in vs) ** 2 for i in range(3))  # noqa: E731
     while size(vs) >= 1e-24 * len(vs) ** 2:  # |m| >= 1e-12
@@ -257,7 +260,8 @@ def _balancing(points) -> tuple:
         x, y, h = (e / r for e in w)  # (u : v) is at w / r; S = [[v, -u], [u*, v*]] takes it to 0
         u, v = _unit(1 + h, complex(x, -y)) if h > 0 else _unit(complex(x, y), 1 - h)
         rot, back = (v, -u, u.conjugate(), v.conjugate()), (v.conjugate(), u, -u.conjugate(), v)
-        for s in (r / abs(len(vs) * sum(x * y for x, y in zip(rows[0], cols[0]))) / 2**k for k in range(40)):
+        step = min(r / abs(len(vs) * sum(x * y for x, y in zip(rows[0], cols[0]))), 709.0)
+        for s in (step / 2**k for k in range(40)):
             mu = cmath.exp(s / 2).real
             b = _mul(back, _mul((mu, 0, 0, 1 / mu), rot))
             moved = [_apply(b, p) for p in points]
@@ -272,7 +276,10 @@ def _periodic_form(phi: RationalMap, period: int) -> BinaryForm:  # fixed points
     if period == 2:
         d, F, G = phi.degree, phi.F, phi.G
         pw = [reduce(BinaryForm.__mul__, [F] * (d - i) + [G] * i) for i in range(d + 1)]  # F^(d-i) G^i
-        phi = RationalMap(*(sum((t * c for t, c in zip(pw, h.coeffs) if c), BinaryForm.zero(d * d)) for h in (F, G)))
+        pair = [sum((t * c for t, c in zip(pw, h.coeffs) if c), BinaryForm.zero(d * d)) for h in (F, G)]
+        if all(h.is_zero() for h in pair):  # phi o phi is no map, e.g. for [XY : 0]
+            raise DegenerateConfiguration("phi o phi is the zero pair")
+        phi = RationalMap(*pair)
     return phi.fixed_point_form()
 
 

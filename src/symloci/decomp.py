@@ -176,44 +176,23 @@ def eigenform_classify(f: BinaryForm, m: int, eta: Cyclotomic) -> EigenformRepor
     """Classify an eigenform of the diagonal action by its values at 0 and
     infinity; eta must be a primitive 2m-th root of unity.
 
-    The four cells:
-      F(0) != 0, F(inf) != 0:  m | k,   lambda = (-1)^(k/m)
-      F(0)  = 0, F(inf) != 0:  m | k-1, lambda = (-1)^((k-1)/m) eta
-      F(0) != 0, F(inf)  = 0:  m | k-1, lambda = (-1)^((k-1)/m) / eta
-      F(0)  = 0, F(inf)  = 0:  m | k-2, lambda = (-1)^((k-2)/m)
+    With z0 = [F(0) = 0], zinf = [F(inf) = 0] and s = z0 + zinf, the four
+    support cells are one rule: m | k-s and lambda = (-1)^((k-s)/m) eta^(z0-zinf).
     """
     if eta.ru_order() != 2 * m:
         raise ValueError("eta must be a primitive 2m-th root of unity")
     lam = diagonal_eigenvalue(f, eta)
     k = f.degree
     c = f.coeffs
-    at_zero = c[k]  # F(0,1)
-    at_inf = c[0]  # F(1,0)
-    if not at_zero and k >= 2 and not c[k - 1]:
+    z0, zinf = not c[k], not c[0]  # F(0,1) and F(1,0) vanish
+    if z0 and k >= 2 and not c[k - 1]:
         raise ForbiddenMultipleZero("0 is a multiple zero")
-    if not at_inf and k >= 2 and not c[1]:
+    if zinf and k >= 2 and not c[1]:
         raise ForbiddenMultipleZero("infinity is a multiple zero")
-    minus_one = Cyclotomic.rational(-1)
-    if at_zero and at_inf:
-        if k % m:
-            raise NotAnEigenvector("support contradicts the divisibility m|k")
-        expected = minus_one ** (k // m)
-        div = "m|k"
-    elif not at_zero and at_inf:
-        if (k - 1) % m:
-            raise NotAnEigenvector("support contradicts m|k-1")
-        expected = minus_one ** ((k - 1) // m) * eta
-        div = "m|k-1"
-    elif at_zero and not at_inf:
-        if (k - 1) % m:
-            raise NotAnEigenvector("support contradicts m|k-1")
-        expected = minus_one ** ((k - 1) // m) * eta.inverse()
-        div = "m|k-1"
-    else:
-        if (k - 2) % m:
-            raise NotAnEigenvector("support contradicts m|k-2")
-        expected = minus_one ** ((k - 2) // m)
-        div = "m|k-2"
-    if lam != expected:
+    s = z0 + zinf
+    div = f"m|k-{s}" if s else "m|k"
+    if (k - s) % m:
+        raise NotAnEigenvector(f"support contradicts the divisibility {div}")
+    if lam != Cyclotomic.rational(-1) ** ((k - s) // m) * eta ** (z0 - zinf):
         raise AssertionError("computed eigenvalue disagrees with the classification")
     return EigenformReport(k=k, m=m, divisibility=div, eigenvalue=lam)

@@ -12,7 +12,6 @@ no root finding is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb
 from operator import sub
 
@@ -185,40 +184,31 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
 
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
     with fields a, b, c, d.  Each nonzero coefficient of X^(n-i) Y^i adds
-    coef (aX+bY)^(n-i) (cX+dY)^i; only those rows are built, entry by entry
-    as comb(k, j) a^(k-j) b^j from the powers of the entries.  A diagonal
-    or anti-diagonal g takes O(n) products instead, with the same result.
+    coef (aX+bY)^(n-i) (cX+dY)^i: the two rows are built entry by entry as
+    comb(k, j) a^(k-j) b^j from the powers of the entries (ints when all
+    four are integers), multiplied out, and coef is multiplied once into
+    each term their product reaches.  One loop serves every matrix; a zero
+    entry only empties row entries, which are skipped.
     """
     a, b, c, d = _matrix_entries(g)
     n = f.degree
-    out = [_C0] * (n + 1)
-    if (not b and not c) or (not a and not d):
-        # coef X^(n-i) Y^i goes to coef s^(n-i) t^i X^(n-i) Y^i, (s, t) =
-        # (a, d), or to coef s^(n-i) t^i X^i Y^(n-i), (s, t) = (b, c); a zero
-        # product stays the rational 0, as a zero row entry is skipped
-        flip = bool(b or c)
-        s, t = (b, c) if flip else (a, d)
-        spows, tpows = _powers(s, n), _powers(t, n)
-        for i, coef in enumerate(f.coeffs):
-            st = coef and spows[n - i] * tpows[i]
-            if st:
-                out[n - i if flip else i] = coef * st
-        return BinaryForm(n, out)
     ints = all(x.n == 1 and x.den == 1 for x in (a, b, c, d))  # then the rows are ints
     pa, pb, pc, pd = ([x.nums[0] ** k for k in range(n + 1)] if ints else _powers(x, n) for x in (a, b, c, d))
+    out = [_C0] * (n + 1)
     for i, coef in enumerate(f.coeffs):
         if coef:
             row1 = [pa[n - i - j] * pb[j] * comb(n - i, j) for j in range(n - i + 1)]
             row2 = [pc[i - j] * pd[j] * comb(i, j) for j in range(i + 1)]
-            if ints:  # the rows' product in ints, then one multiple of coef per term it reaches
-                prod: dict = {}
-                for (u, x), (v, y) in product(enumerate(row1), enumerate(row2)):
-                    if x and y:
-                        prod[u + v] = prod.get(u + v, 0) + x * y
-                for k, v in prod.items():
-                    out[k] = out[k] + coef * v
-            else:
-                _accumulate_product(out, row1, row2, coef)
+            prod = [None] * (n + 1)  # None where no two nonzero row entries meet: coef adds nothing there
+            for u, x in enumerate(row1):
+                if x:
+                    for k, y in enumerate(row2, u):
+                        if y:
+                            p = prod[k]
+                            prod[k] = x * y if p is None else p + x * y
+            for k, p in enumerate(prod):
+                if p is not None:
+                    out[k] = out[k] + coef * p
     return BinaryForm(n, out)
 
 

@@ -366,12 +366,14 @@ def stalk_order_from_eigenvalue(d: int, m: int, t: int) -> int:
 
 def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
     """Survey rows for one degree; every row carries both the closed-form
-    dimension and the linear-algebra dimension plus a match flag."""
+    dimension and the linear-algebra dimension plus a match flag, which on
+    a cyclic row also needs the two routes to the stalk order s to agree."""
     rows = []
     if "cyclic" in kinds:
         for m in range(2, d + 2):
             for t, rep in cyclic_existence_and_dim(d, m):
                 affine = len(rep.certificate["bases"]["inf" if t >= 0 else "zero"])
+                s = stalk_order(d, m, t)
                 rows.append(
                     SurveyRow(
                         d=d,
@@ -381,9 +383,9 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
                         dim_moduli=rep.dim_moduli,
                         dim_ratd=rep.dim_ratd,
                         components=rep.components,
-                        s=stalk_order(d, m, t),
+                        s=s,
                         dim_linalg=affine - 1,
-                        match=affine - 1 == rep.dim_ratd,
+                        match=affine - 1 == rep.dim_ratd and s == stalk_order_from_eigenvalue(d, m, t),
                     )
                 )
     if "dihedral" in kinds:

@@ -130,12 +130,9 @@ class MoebiusMap:
         if self.is_identity():
             raise ValueError("every point is fixed by the identity")
         a, b, c, d = self.entries()
-        if not c:
-            if a == d:
-                return [P1Point.infinity()]  # parabolic translation
-            return [P1Point.infinity(), P1Point(b, d - a)]
-        if not b:
-            return [P1Point.affine(0), P1Point(a - d, c)]
+        if not b or not c:  # triangular: infinity or 0 is fixed, once if a = d (parabolic)
+            pts = [P1Point.infinity(), P1Point(b, d - a)] if not c else [P1Point.affine(0), P1Point(a - d, c)]
+            return pts[:1] if a == d else pts
         g = self.sl2_lift()
         tr = g.a + g.d
         root = _trace_discriminant_sqrt(tr, self.projective_order())

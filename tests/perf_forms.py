@@ -1,17 +1,19 @@
 """Layer micro-benchmarks of the forms layer: forms.sylvester_resultant on
 fixed pairs of degree-d forms, forms.substitute of one degree-24 form
-under a diagonal, an anti-diagonal and a dense matrix, per degree and
-conductor, and RationalMap.is_in_ratd through the images mod p against
-the exact resultant on a degree-11 family member and the octa d = 13 map.
+under a diagonal, an anti-diagonal, a dense and an integer dense matrix,
+per degree and conductor, and RationalMap.is_in_ratd through the images
+mod p against the exact resultant on a degree-11 family member and the
+octa d = 13 map.
 
     PYTHONPATH=src python -m pytest tests/perf_forms.py --benchmark-only
 
 The forms are drawn by a seeded generator: coefficients a + b zeta_n with
 a, b integers in [-9, 9], the zeta term present half the time (always
 rational at conductor 1).  The resultant's rounds take one pair (F, G);
-the substitutions act by zeta_n z, 1/z and (z + 1)/(zeta_n z + 2), whose
-matrices are diagonal, anti-diagonal and dense.  The file name is outside
-the test_*.py pattern, so the default test run skips it.
+the substitutions act by zeta_n z, 1/z, (z + 1)/(zeta_n z + 2) and
+(2z + 1)/(z + 1), whose matrices are diagonal, anti-diagonal, dense and
+dense with integer entries, as a conjugation by SL2(Z) is.  The file name
+is outside the test_*.py pattern, so the default test run skips it.
 """
 
 import random
@@ -28,6 +30,7 @@ SUBSTITUTION_MATRICES = {
     "diagonal": lambda z: (z, 0, 0, 1),
     "anti-diagonal": lambda z: (0, 1, 1, 0),
     "dense": lambda z: (1, 1, z, 2),
+    "integer": lambda z: (2, 1, 1, 1),
 }
 
 

@@ -263,6 +263,19 @@ def test_certification_failure_is_exit_2_not_a_traceback(monkeypatch):
     assert "Traceback" not in err and out == ""
 
 
+def test_a_stalk_order_disagreement_is_exit_2(monkeypatch):
+    from symloci import loci
+
+    # the eigenvalue route disagrees with the case table on the cyclic:3 strata only
+    by_eigenvalue = loci.stalk_order_from_eigenvalue
+    monkeypatch.setattr(loci, "stalk_order_from_eigenvalue", lambda d, m, t: by_eigenvalue(d, m, t) + (m == 3))
+    rows = loci.survey_rows(5, ("cyclic",))
+    assert {r["group"] for r in rows if not r["match"]} == {"cyclic:3"}
+    code, out, err = run(["survey", "--groups", "cyclic", "--d", "5", "--format", "json"])
+    assert code == 2, err
+    assert not json.loads(out)["all_match"] and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["survey", "--groups", "cyclic", "--d", "5"], ["construct", "--group", "cyclic:2", "--d", "5"]],
@@ -363,7 +376,7 @@ _FILTERS = st.lists(
 ).map(",".join)
 _FILES = st.sampled_from(
     ["map", "degree1", "singular", "pair", "garbage", "notmap", "empty", "missing"]
-    + ["array", "badpair", "pair0", "binary", "deep"]
+    + ["array", "badpair", "pair0", "binary", "deep", "overflow", "constant"]
 )
 
 
@@ -377,6 +390,12 @@ def fuzz_files(tmp_path_factory, degree5_file):
     bodies = {
         "degree1": json.dumps({"map": RationalMap.from_zpoly([1, 0], [0, 1]).to_json()}),
         "singular": json.dumps({"map": RationalMap.from_zpoly([1, 1, 0], [0, 1, 1]).to_json()}),
+        # a genuine map whose periodic points cluster: an unbounded balancing step
+        "overflow": json.dumps(
+            {"map": RationalMap.from_zpoly([0, 2, 3, -1, 0, 10**30, 0], [-1, 5, 0, 5, 0, 0, 5]).to_json()}
+        ),
+        # [XY : 0], whose second iterate is the zero pair
+        "constant": json.dumps({"map": RationalMap(BinaryForm(2, [0, 1, 0]), BinaryForm.zero(2)).to_json()}),
         "pair": json.dumps(json.loads(out)["pair"]),
         "garbage": "{not json",
         "notmap": json.dumps({"map": {"F": 3}}),
@@ -428,6 +447,8 @@ def _argv():
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argv())
 @example(argv=["aut", "@singular"])  # once a DegenerateConfiguration traceback
+@example(argv=["aut", "@overflow"])  # once an OverflowError traceback
+@example(argv=["aut", "@constant"])  # once a ValueError traceback: phi o phi is the zero pair
 @example(argv=["decomp", "@array"])  # once AttributeError tracebacks: a file that is no object
 @example(argv=["aut", "@array"])
 @example(argv=["resultant", "@array"])

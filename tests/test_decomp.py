@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from symloci.cyclotomic import Cyclotomic
 from symloci.decomp import (
+    EigenformReport,
     FormPair,
     ForbiddenMultipleZero,
     NotAnEigenvector,
     decompose,
     decompose_map,
+    diagonal_eigenvalue,
     eigenform_classify,
     gm_action,
     meets_ratd,
@@ -175,6 +177,87 @@ def test_eigenform_errors():
         eigenform_classify(BinaryForm(2, [1, 1, 1]), 2, eta)
     with pytest.raises(ForbiddenMultipleZero):
         eigenform_classify(BinaryForm(4, [1, 0, 0, 0, 0]), 2, eta)  # inf is a 4-fold zero
+
+
+def _four_cell_classify(f, m, eta):
+    # the four hand-written support cells that eigenform_classify replaced
+    # by one rule, kept as its oracle
+    if eta.ru_order() != 2 * m:
+        raise ValueError("eta must be a primitive 2m-th root of unity")
+    lam = diagonal_eigenvalue(f, eta)
+    k = f.degree
+    c = f.coeffs
+    at_zero = c[k]  # F(0,1)
+    at_inf = c[0]  # F(1,0)
+    if not at_zero and k >= 2 and not c[k - 1]:
+        raise ForbiddenMultipleZero("0 is a multiple zero")
+    if not at_inf and k >= 2 and not c[1]:
+        raise ForbiddenMultipleZero("infinity is a multiple zero")
+    minus_one = Cyclotomic.rational(-1)
+    if at_zero and at_inf:
+        if k % m:
+            raise NotAnEigenvector("support contradicts the divisibility m|k")
+        expected = minus_one ** (k // m)
+        div = "m|k"
+    elif not at_zero and at_inf:
+        if (k - 1) % m:
+            raise NotAnEigenvector("support contradicts m|k-1")
+        expected = minus_one ** ((k - 1) // m) * eta
+        div = "m|k-1"
+    elif at_zero and not at_inf:
+        if (k - 1) % m:
+            raise NotAnEigenvector("support contradicts m|k-1")
+        expected = minus_one ** ((k - 1) // m) * eta.inverse()
+        div = "m|k-1"
+    else:
+        if (k - 2) % m:
+            raise NotAnEigenvector("support contradicts m|k-2")
+        expected = minus_one ** ((k - 2) // m)
+        div = "m|k-2"
+    if lam != expected:
+        raise AssertionError("computed eigenvalue disagrees with the classification")
+    return EigenformReport(k=k, m=m, divisibility=div, eigenvalue=lam)
+
+
+def _classification_cases():
+    # every residue class of supports mod m (an eigenform), with any of the
+    # indices 0, 1, k-1, k dropped (every cell, and multiple zeros at 0 and
+    # infinity), and with one index of another class added (no eigenform)
+    for m in range(1, 7):
+        for k in range(0, 13):
+            supports = {()}
+            for r in range(min(m, k + 1)):
+                base = set(range(r, k + 1, m))
+                for mask in range(16):
+                    drop = {e for bit, e in enumerate((0, 1, k - 1, k)) if mask >> bit & 1}
+                    supports.add(tuple(sorted(base - drop)))
+                other = next((i for i in range(k + 1) if i % m != r), None)
+                if other is not None:
+                    supports.add(tuple(sorted(base | {other})))
+            for sup in sorted(supports):
+                f = BinaryForm(k, [i + 1 if i in sup else 0 for i in range(k + 1)])
+                for j in range(2 * m):
+                    yield f, m, Cyclotomic.zeta(2 * m, j)  # j not a unit: not primitive
+
+
+def _outcome(classify, case):
+    try:
+        return classify(*case).to_json()
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+def test_eigenform_classify_matches_the_four_cells():
+    cells, errors = set(), set()
+    for case in _classification_cases():
+        got = _outcome(eigenform_classify, case)
+        assert got == _outcome(_four_cell_classify, case), case
+        if isinstance(got, dict):
+            cells.add((not case[0].coeffs[-1], not case[0].coeffs[0]))  # F(0) = 0, F(inf) = 0
+        else:
+            errors.add(got)
+    assert cells == {(False, False), (True, False), (False, True), (True, True)}
+    assert errors == {ValueError, NotAnEigenvector, ForbiddenMultipleZero}
 
 
 def test_form_pair_json():

@@ -217,6 +217,13 @@ def test_fixed_points_exact():
         assert rot.apply(p) == p
 
 
+def test_a_parabolic_triangular_map_has_one_fixed_point():
+    assert MoebiusMap(1, 0, 1, 1).fixed_points() == [P1Point.affine(0)]  # z / (z + 1)
+    assert MoebiusMap(1, 1, 0, 1).fixed_points() == [P1Point.infinity()]  # z + 1
+    assert MoebiusMap(2, 0, 1, 1).fixed_points() == [P1Point.affine(0), P1Point.affine(1)]
+    assert MoebiusMap(2, 1, 0, 1).fixed_points() == [P1Point.infinity(), P1Point.affine(-1)]
+
+
 def test_fixed_points_of_every_platonic_element():
     for kind in ("tetra", "octa"):
         g = standard_subgroup(kind)
