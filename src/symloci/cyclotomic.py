@@ -351,17 +351,12 @@ class Cyclotomic:
     # -- root-of-unity structure ----------------------------------------------
 
     def ru_order(self, cap: int | None = None) -> int | None:
-        """Multiplicative order if self is a root of unity, else None."""
-        if not self:
-            return None
-        cap = cap or 2 * self.n + 1
-        p = self
-        one = Cyclotomic.rational(1)
-        for k in range(1, cap + 1):
-            if p == one:
-                return k
-            p = p * self
-        return None
+        """Multiplicative order if self is a root of unity of order at most
+        cap (default 2n + 1), else None.  The roots of unity of Q(zeta_n)
+        are the N-th, N = lcm(2, n), and zeta_N^j has order N / gcd(j, N)."""
+        j = _root_exponent(self, big := lcm(2, self.n))
+        order = None if j is None else big // gcd(j, big)
+        return order if order and order <= (cap or 2 * self.n + 1) else None
 
     def _ru_split(self):
         # (r, j) with self = r * zeta_n^j and r rational (j = 0 when self is
@@ -433,6 +428,14 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return Cyclotomic.rational(x)
     return NotImplemented
+
+
+@lru_cache(maxsize=None)
+def _root_exponent(x: Cyclotomic, n: int) -> int | None:
+    """The j < n with zeta_n^j = x, or None: the only candidate is read off
+    the argument of x's complex value, and one exact comparison proves it."""
+    j = round(cmath.phase(x.complex()) * n / (2 * cmath.pi)) % n
+    return j if Cyclotomic.zeta(n, j) == x else None
 
 
 @lru_cache(maxsize=None)

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 # loci.is_automorphism is unused here, but bench/tests/test_bench.py counts
 # it among the bindings the tracer must patch
 from .aut import _fixes, _verified_type, is_automorphism  # noqa: F401
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _root_exponent
 from .forms import BinaryForm, RationalMap
 from .moebius import MoebiusMap
 
@@ -126,18 +125,12 @@ def commuting_space_basis(d: int, m: int, lam: Cyclotomic) -> list[tuple[str, in
     """Coordinate indices spanning the lam-eigenspace of the diagonal
     conjugation action on the 2d+2 coefficients.  The index ('a', k) has
     eigenvalue eta^(d-2k-1) and ('b', k) eta^(d-2k+1), eta = zeta_2m (see
-    ``stalk_eigenvalue``), so only the exponents mod 2m with eta^j = lam
-    are looked up."""
-    hit = _root_exponents(2 * m, lam)
-    return [("a", k) for k in range(d + 1) if (d - 2 * k - 1) % (2 * m) in hit] + [
-        ("b", k) for k in range(d + 1) if (d - 2 * k + 1) % (2 * m) in hit
+    ``stalk_eigenvalue``), so the exponents mod 2m are compared with the j
+    of eta^j = lam (``_root_exponent``), None when lam is no power of eta."""
+    j = _root_exponent(lam, 2 * m)
+    return [("a", k) for k in range(d + 1) if (d - 2 * k - 1) % (2 * m) == j] + [
+        ("b", k) for k in range(d + 1) if (d - 2 * k + 1) % (2 * m) == j
     ]
-
-
-@lru_cache(maxsize=None)
-def _root_exponents(n: int, lam: Cyclotomic) -> frozenset[int]:
-    # {j < n : zeta_n^j = lam}, once per (n, lam)
-    return frozenset(j for j in range(n) if Cyclotomic.zeta(n, j) == lam)
 
 
 def _lambda_for(d: int, m: int, t: int, component: str = "inf") -> Cyclotomic:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
-from itertools import product
+from itertools import chain, product
+from math import lcm
 from operator import mul
 
 from .aut import AutReport, _verify_through_generators
-from .cyclotomic import Cyclotomic, ExactMatrix, _images, _rank_mod
+from .cyclotomic import Cyclotomic, ExactMatrix, _images, _rank_mod, _root_exponent
 from .decomp import FormPair, _meets_ratd_image, meets_ratd, recompose_map
 from .forms import (
     BinaryForm,
@@ -56,7 +57,7 @@ class OrbitCharacterRow:
     orbit: Divisor
     size: int
     stabilizer_order: int
-    character: tuple[Cyclotomic, ...]  # scalar of each lifted generator
+    character: tuple[Cyclotomic, ...]  # the form's scalar under each generator's determinant-1 lift
     form: BinaryForm
 
     def to_json(self):
@@ -123,15 +124,7 @@ def platonic_group(kind: str) -> FiniteSubgroup:
 def _cached_table(group: FiniteSubgroup) -> tuple[OrbitCharacterRow, ...]:
     orbits, forms, scalars = _orbit_forms(group)
     return tuple(
-        OrbitCharacterRow(
-            orbit=div,
-            size=div.degree,
-            stabilizer_order=stab,
-            character=tuple(
-                s[i] * (g.det() ** (form.degree // 2)).inverse() for s, g in zip(scalars, group.generators)
-            ),
-            form=form,
-        )
+        OrbitCharacterRow(div, div.degree, stab, tuple(s[i] for s in scalars), form)
         for i, ((div, stab), form) in enumerate(zip(orbits, forms))
     )
 
@@ -266,8 +259,7 @@ _ONE = Cyclotomic.rational(1)
 
 def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[BinaryForm]:
     """Basis of forms of (even) degree n scaled by char under the lifted
-    generators; the condition per generator rep M of determinant Delta is
-    F^M = mu F with mu = char * Delta^(n/2).
+    generators: F^h = chi F for the determinant-1 lift h of each generator.
 
     Such a form has a G-invariant divisor, a sum of orbits, and the form of
     a full orbit lies in the pencil of the powers f_i^|G_i| of the
@@ -287,7 +279,8 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     degree-(d+1) spaces at d once and reuses them at d+2.  A group is not
     mutated after construction and each standard group is built once per
     process, so the object is a sound key; the space does not depend on
-    the scale of a representative, since Delta^(n/2) absorbs it.
+    the scale of a representative, since the lift absorbs it (up to a sign
+    that even n does not see).
 
     Odd n gives [] at once: the lift -I acts on degree-n forms by (-1)^n,
     while every character of the binary group is 1 at -I.
@@ -328,9 +321,15 @@ def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
     degree n, c <= 1 on the last of three orbits, scaled by char under the
     lifted generators: the basis ``character_eigenspace`` multiplies out,
     certified exactly by the trace formula's count (``_trace_sum``).  ()
-    for odd n."""
+    for odd n.  With s_i = zeta_N^k_i and chi = zeta_N^k, N = lcm(2, the
+    conductors), the test is sum e_i k_i = k (mod N); an s_i that is no root
+    of unity is corrupt data (AssertionError), a chi that is none gives ()."""
     _, forms, scalars = _orbit_forms(group)
-    mus = [chi * g.det() ** (n // 2) for g, chi in zip(group.generators, char)]
+    big = lcm(2, *(x.n for x in chain(char, *scalars)))
+    ks = [[_root_exponent(s, big) for s in row] for row in scalars]
+    if None in chain(*ks):
+        raise AssertionError(f"an orbit character of {group.label} is no root of unity")
+    targets = [_root_exponent(chi, big) for chi in char]
     degrees = [f.degree for f in forms]
     tops = [n // k + 1 for k in degrees]
     if len(tops) == 3:
@@ -339,8 +338,9 @@ def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
         exps
         for exps in product(*map(range, tops))
         if n % 2 == 0
+        and None not in targets
         and sum(map(mul, exps, degrees)) == n
-        and all(reduce(mul, map(pow, s, exps), _ONE) == mu for s, mu in zip(scalars, mus))
+        and all((sum(map(mul, exps, k)) - t) % big == 0 for k, t in zip(ks, targets))
     )
     if n % 2 == 0 and (trace := _trace_sum(n, group, char)) != len(exps) * group.order:
         raise AssertionError(f"{len(exps)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
@@ -350,16 +350,17 @@ def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _orbit_forms(group: FiniteSubgroup) -> tuple:
     """The degenerate orbits of group by increasing size with their
-    stabilizer orders, their forms, and for each generator g the scalar s
-    of each form (F^g = s F).  The trivial group has no degenerate orbit;
-    the forms X and Y serve it, eigenforms of its scalar generators.
+    stabilizer orders, their forms, and for each generator the scalar s of
+    each form under its determinant-1 lift h (F^h = s F), its character: an
+    even-degree form, as every platonic one, has the same s under -h.  The
+    trivial group has no degenerate orbit; the forms X and Y serve it.
 
-    No form is substituted: s = F(a x + b y, c x + d y) / F(x, y) for g =
+    No form is substituted: s = F(a x + b y, c x + d y) / F(x, y) for h =
     (a, b; c, d), at the first of (1:0), (0:1), (1:1), (2:1), ... off the
     zeros of F.  This is exact: F is the product of its orbit's linear
     forms, each once, and ``FiniteSubgroup.orbit`` closes the orbit under
-    g, so g maps it onto itself, and the zeros of F^g, the g^-1 images of
-    those of F, are those of F, simple; hence F^g = s F."""
+    the generator, so h maps it onto itself, and the zeros of F^h, the
+    h^-1 images of those of F, are those of F, simple; hence F^h = s F."""
     orbits = tuple(degenerate_orbits(group))
     forms = tuple(form_from_divisor(div) for div, _ in orbits)
     forms = forms or (BinaryForm.monomial(1, 0), BinaryForm.monomial(1, 1))
@@ -368,8 +369,8 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
     points = [(_ONE, Cyclotomic.rational(0))] + [(Cyclotomic.rational(k), _ONE) for k in range(top)]
     at = [next((x, y, v) for x, y in points if (v := f.evaluate(x, y))) for f in forms]
     return orbits, forms, tuple(
-        tuple(f.evaluate(g.a * x + g.b * y, g.c * x + g.d * y) / v for f, (x, y, v) in zip(forms, at))
-        for g in group.generators
+        tuple(f.evaluate(h.a * x + h.b * y, h.c * x + h.d * y) / v for f, (x, y, v) in zip(forms, at))
+        for h in (g.sl2_lift() for g in group.generators)
     )
 
 
@@ -433,10 +434,13 @@ def _trace(t: Cyclotomic, n: int) -> Cyclotomic:
 
 def character_group(group: FiniteSubgroup) -> list[tuple]:
     """All character tuples realized on forms with G-invariant divisor:
-    the closure of the degenerate-orbit characters under multiplication."""
+    the closure of the degenerate-orbit characters under multiplication,
+    at most |G| characters of G; more is corrupt data (AssertionError)."""
     rows = character_table(group)
     elems = [tuple(Cyclotomic.rational(1) for _ in group.generators)]
     for x in elems:
+        if len(elems) > group.order:
+            raise AssertionError(f"the {group.label} orbit characters generate more than |G| = {group.order}")
         for row in rows:
             y = tuple(a * b for a, b in zip(x, row.character))
             if y not in elems:

@@ -3,7 +3,9 @@ generators (moebius.generate_closure), finding the degenerate orbits
 (moebius.degenerate_orbits) and the character table built from nothing
 cached (platonic._cached_table over platonic._orbit_forms); on icosa's
 30-point orbit, the BFS of FiniteSubgroup.orbit from one of its points and
-the orbit's form (forms.form_from_divisor).  Also the exact automorphism
+the orbit's form (forms.form_from_divisor).  The exponents of the orbit
+products of every character at n = 120 and 124 (platonic._orbit_exponents),
+with their trace-formula count, from the cached orbit forms.  Also the exact automorphism
 test of one generator on a degree-24 map, by coefficient weights
 (aut._fixes) and by conjugation (aut.is_automorphism).
 
@@ -12,14 +14,16 @@ test of one generator on a degree-24 map, by coefficient weights
 Each round starts from an empty cache for what it times: the closure
 without its cached Cayley graph, the table with neither its rows nor the
 orbit data cached, so the orbits, their forms and each form's scalar under
-each generator (read at one point, no substitution) are found again.  The
+each generator's determinant-1 lift (read at one point, no substitution)
+are found again; the exponents with no exponent, trace or root-of-unity
+cache.  The
 file name is outside the test_*.py pattern, so the default test run skips
 it.
 """
 
 import pytest
 
-from symloci import moebius, platonic
+from symloci import cyclotomic, moebius, platonic
 from symloci.moebius import degenerate_orbits, generate_closure, standard_subgroup
 
 KINDS = ["tetra", "octa", "icosa"]
@@ -49,6 +53,21 @@ def test_cached_table(benchmark, kind):
     group = platonic.platonic_group(kind)
     rows = benchmark.pedantic(platonic._cached_table, args=(group,), setup=no_orbit_data, rounds=20)
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_orbit_exponents(benchmark, kind):
+    def no_exponents():
+        for cached in (platonic._orbit_exponents, platonic._class_sums, platonic._trace, cyclotomic._root_exponent):
+            cached.cache_clear()
+
+    group = platonic.platonic_group(kind)
+    chars = platonic.character_group(group)
+
+    def exponents():
+        return [platonic._orbit_exponents(n, group, char) for char in chars for n in (120, 124)]
+
+    assert all(benchmark.pedantic(exponents, setup=no_exponents, rounds=20))
 
 
 def _icosa_orbit_30():

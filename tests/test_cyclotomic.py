@@ -218,6 +218,31 @@ def test_ru_order_and_decomposition():
     assert as_ru_times_rational(Cyclotomic.zeta(5) + 1) is None
 
 
+def product_loop_order(x, cap=None):
+    """The order of x by successive exact products, up to cap (default
+    2n + 1) of them; None for zero, a non-root or an order above cap."""
+    if not x:
+        return None
+    p = x
+    for k in range(1, (cap or 2 * x.n + 1) + 1):
+        if p == 1:
+            return k
+        p = p * x
+    return None
+
+
+def test_ru_order_matches_the_product_loop():
+    cases = [Cyclotomic.zeta(n, j) for n in range(1, 61) for j in range(n)]
+    cases += [Cyclotomic.rational(0), Cyclotomic.rational(2), 1 + Cyclotomic.zeta(5)]
+    for x in cases:
+        assert x.ru_order() == product_loop_order(x), x
+    # an order above the cap reads as None, one at the cap as the order
+    x = Cyclotomic.zeta(60, 7)
+    assert x.ru_order(cap=59) is None is product_loop_order(x, cap=59)
+    assert x.ru_order(cap=60) == 60 == product_loop_order(x, cap=60)
+    assert Cyclotomic.zeta(8, 2).ru_order(cap=3) is None and Cyclotomic.zeta(8, 2).ru_order(cap=4) == 4
+
+
 def test_rational_sqrt():
     for q in (2, 3, 5, 6, 12, Fraction(9, 4), Fraction(2, 3), -5, -1, 0):
         s = rational_sqrt(q)

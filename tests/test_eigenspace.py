@@ -8,6 +8,9 @@ import io
 import os
 import subprocess
 import sys
+from functools import reduce
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -144,16 +147,13 @@ def test_the_solve_keeps_one_weight_class_of_monomials(kind, r):
 
 def _with_orbit_row(monkeypatch, kind, i, form=None, character=None):
     # orbit data with form i or its lifted character changed, and nothing
-    # cached from the true data; a scalar is the character times det^(deg/2)
+    # cached from the true data; a scalar is the character itself
     group = platonic_group(kind)
     orbits, forms, scalars = platonic._orbit_forms(group)
     forms = list(forms)
     forms[i] = form or forms[i]
     if character:
-        scalars = [
-            [chi * g.det() ** (forms[i].degree // 2) if k == i else x for k, x in enumerate(s)]
-            for s, g, chi in zip(scalars, group.generators, character)
-        ]
+        scalars = [[chi if k == i else x for k, x in enumerate(s)] for s, chi in zip(scalars, character)]
     real = platonic._orbit_forms
     monkeypatch.setattr(platonic, "_orbit_forms", lambda g: (orbits, forms, scalars) if g is group else real(g))
     _no_solve_caches()
@@ -186,23 +186,106 @@ from symloci import platonic
 from symloci.cli import main
 group = platonic.platonic_group("tetra")
 orbits, forms, scalars = platonic._orbit_forms(group)
-# f_1 (degree 4) given the lifted character of f_3 (degree 6): the scalar
-# of f_3 times det^(2 - 3)
-scalars = [[s[2] * g.det().inverse(), *s[1:]] for s, g in zip(scalars, group.generators)]
+# f_1 (degree 4) given the lifted character of f_3 (degree 6)
+scalars = [[s[2], *s[1:]] for s in scalars]
+platonic._orbit_forms = lambda group: (orbits, forms, scalars)
+sys.exit(main(["survey", "--groups", "tetra", "--d", "11"]))
+"""
+
+
+def _run_script(flags, script, timeout=120):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_failed_certificate_is_exit_2_also_under_optimization(flags):
+    proc = _run_script(flags, _SURVEY_WITH_A_WRONG_CHARACTER)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "certification failed" in proc.stderr
+
+
+_SURVEY_WITH_A_CORRUPT_SCALAR = """
+import sys
+from symloci import platonic
+from symloci.cli import main
+group = platonic.platonic_group("tetra")
+orbits, forms, scalars = platonic._orbit_forms(group)
+# f_1's scalars doubled: no root of unity, so their powers never repeat
+scalars = [[2 * s[0], *s[1:]] for s in scalars]
 platonic._orbit_forms = lambda group: (orbits, forms, scalars)
 sys.exit(main(["survey", "--groups", "tetra", "--d", "11"]))
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_a_failed_certificate_is_exit_2_also_under_optimization(flags):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _SURVEY_WITH_A_WRONG_CHARACTER],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+def test_a_corrupt_orbit_scalar_is_exit_2_in_seconds_also_under_optimization(flags):
+    # the closure of the orbit characters stops past |G| instead of growing
+    # for ever
+    proc = _run_script(flags, _SURVEY_WITH_A_CORRUPT_SCALAR, timeout=30)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == "" and "certification failed" in proc.stderr
+    assert proc.stdout == "" and "certification failed" in proc.stderr and "more than |G|" in proc.stderr
+
+
+def test_an_orbit_scalar_that_is_no_root_of_unity_has_no_exponent(monkeypatch):
+    group = platonic_group("tetra")
+    trivial, two = character_group(group)[0], Cyclotomic.rational(2)
+    # a target that is no root of unity scales no product
+    assert platonic._orbit_exponents(8, group, (two, two)) == ()
+    assert character_eigenspace(8, group, (two, two)) == []
+    _with_orbit_row(monkeypatch, "tetra", 0, character=(two, two))
+    with pytest.raises(AssertionError, match="no root of unity"):
+        platonic._orbit_exponents(8, group, trivial)
+    with pytest.raises(AssertionError, match="more than"):
+        character_group(group)
+
+
+def power_rule_exponents(n, group, char, scalars):
+    """The exponents of the degree-n orbit products scaled by char, by the
+    exact-power rule on the generators themselves: prod s_i^e_i equals
+    chi * Delta^(n/2), s_i = ``_eigen_scalar(f_i, g)`` and Delta = det g."""
+    degrees = [f.degree for f in platonic._orbit_forms(group)[1]]
+    tops = [n // k + 1 for k in degrees]
+    if len(tops) == 3:
+        tops[2] = 2
+    mus = [chi * g.det() ** (n // 2) for g, chi in zip(group.generators, char)]
+    return tuple(
+        exps
+        for exps in product(*map(range, tops))
+        if n % 2 == 0
+        and sum(map(mul, exps, degrees)) == n
+        and all(reduce(mul, map(pow, s, exps), Cyclotomic.rational(1)) == mu for s, mu in zip(scalars, mus))
+    )
+
+
+@pytest.mark.parametrize(
+    "label", ["tetra", "octa", "icosa"] + [f"{kind}:{m}" for kind in ("cyclic", "dihedral") for m in range(1, 7)]
+)
+def test_orbit_exponents_match_the_exact_power_rule(label):
+    # every platonic character at even n <= 124; the cyclic and dihedral
+    # groups with the characters of test_eigenspace_of_the_cyclic_and_dihedral_groups
+    kind, _, m = label.partition(":")
+    if not m:
+        group = platonic_group(kind)
+        chars, degrees = character_group(group), range(0, 125, 2)
+    else:
+        m = int(m)
+        group = standard_subgroup(kind, m)
+        rotations = [Cyclotomic.zeta(2 * m, j) for j in range(2 * m)]
+        signs = [Cyclotomic.rational(1), Cyclotomic.rational(-1), Cyclotomic.zeta(4)]
+        chars = [(r,) for r in rotations] if kind == "cyclic" else [(r, s) for r in rotations for s in signs]
+        degrees = (0, 2, 6, 10)
+    forms = platonic._orbit_forms(group)[1]
+    scalars = [[platonic._eigen_scalar(f, g) for f in forms] for g in group.generators]
+    found = 0
+    for char in chars:
+        for n in degrees:
+            want = power_rule_exponents(n, group, char, scalars)
+            assert platonic._orbit_exponents(n, group, char) == want, (group.label, n, char)
+            found += len(want)
+    assert found
 
 
 def _conjugated(group, m):

@@ -198,6 +198,20 @@ def test_commuting_space_basis_matches_per_index_scan():
     assert commuting_space_basis(5, 3, Cyclotomic.rational(2)) == []
 
 
+def test_commuting_space_basis_matches_the_frozenset_scan():
+    # oracle: every j < 2m with zeta_2m^j = lam, as a set, then the same
+    # exponent filter
+    for m in range(1, 9):
+        lams = [Cyclotomic.zeta(2 * m, j) for j in range(2 * m)] + [1 + Cyclotomic.zeta(5)]
+        for lam in lams:
+            hit = frozenset(j for j in range(2 * m) if Cyclotomic.zeta(2 * m, j) == lam)
+            for d in range(1, 17):
+                want = [("a", k) for k in range(d + 1) if (d - 2 * k - 1) % (2 * m) in hit] + [
+                    ("b", k) for k in range(d + 1) if (d - 2 * k + 1) % (2 * m) in hit
+                ]
+                assert commuting_space_basis(d, m, lam) == want, (d, m, lam)
+
+
 def test_lambda_is_the_power_of_eta_entry_for_entry():
     from symloci.loci import _lambda_for
 

@@ -80,7 +80,7 @@ def test_orbit_form_scalars_are_the_substituted_ones():
         assert len(scalars) == len(group.generators)
         for g, row in zip(group.generators, scalars):
             for f, s in zip(orbit_forms, row):
-                assert s == platonic._eigen_scalar(f, g), (group, f, g)
+                assert s == platonic._eigen_scalar(f, g.sl2_lift()), (group, f, g)
 
 
 @pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
