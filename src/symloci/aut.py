@@ -71,10 +71,13 @@ def automorphism_type(phi: RationalMap, sigma: MoebiusMap) -> int:
 
 
 def _verified_type(phi: RationalMap, sigma: MoebiusMap) -> int:
-    """automorphism_type for a sigma already verified as an automorphism
-    of phi: the fixed-point count alone, no conjugation."""
+    """automorphism_type for a sigma already verified as an automorphism of phi, no conjugation.
+    A diagonal sigma fixes just 0 and infinity, where Y F - X G is F_d and -G_0: its type is read
+    from those two coefficients.  Any other takes the gcd route of ``distinct_common_roots_count``."""
     if sigma.is_identity():
         raise NotAnAutomorphism("type is defined for non-trivial automorphisms")
+    if not sigma.b and not sigma.c:
+        return (not phi.F.coeffs[-1]) + (not phi.G.coeffs[0]) - 1
     return distinct_common_roots_count(phi.fixed_point_form(), sigma.fixed_point_form()) - 1
 
 

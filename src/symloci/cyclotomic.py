@@ -23,7 +23,7 @@ import cmath
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, product
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -34,35 +34,34 @@ class NonSquare(ValueError):
     """Determinant requested for a non-square matrix."""
 
 
+@lru_cache(maxsize=None)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The (p, e) with p^e exactly dividing n >= 1, p ascending: the
+    package's one trial division, which every prime factor is read from."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return tuple(out + [(n, 1)] if n > 1 else out)
+
+
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("phi is defined for n >= 1")
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return prod(p ** (e - 1) * (p - 1) for p, e in _factor(n))
 
 
 _phi = lru_cache(maxsize=None)(euler_phi)
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple[int, ...]:
+    # ascending: the products of one p^k, 0 <= k <= e, per prime power p^e of n
+    return tuple(sorted(map(prod, product(*([p**k for k in range(e + 1)] for p, e in _factor(n))))))
 
 
 def _trim(p: list) -> list:
@@ -92,7 +91,7 @@ def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
     # rad the radical of n, and Phi_pm(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m
     if n == 1:
         return (-1, 1)
-    primes = [p for p in _divisors(n)[1:] if _phi(p) == p - 1]
+    primes = [p for p, _ in _factor(n)]
     squarefree = prod(primes) == n
     k = primes[-1] if squarefree else n // prod(primes)
     low = _cyclotomic_int_coeffs(n // k)
@@ -233,11 +232,8 @@ class Cyclotomic:
         """Rewrite at the smallest conductor that can represent the value."""
         if self.is_rational():
             return _make(1, self.nums[:1], self.den)
-        for d in _divisors(self.n):
-            if d == self.n or d % 4 == 2 or d == 1:
-                continue
-            y = _try_represent(self, d)
-            if y is not None:
+        for d in _divisors(self.n)[1:-1]:
+            if d % 4 != 2 and (y := _try_represent(self, d)) is not None:
                 return y
         return self
 
@@ -434,7 +430,10 @@ def _coerce(x):
 def _root_exponent(x: Cyclotomic, n: int) -> int | None:
     """The j < n with zeta_n^j = x, or None: the only candidate is read off
     the argument of x's complex value, and one exact comparison proves it."""
-    j = round(cmath.phase(x.complex()) * n / (2 * cmath.pi)) % n
+    try:
+        j = round(cmath.phase(x.complex()) * n / (2 * cmath.pi)) % n
+    except (OverflowError, ValueError):  # no finite float: a root of unity has small coefficients
+        return None
     return j if Cyclotomic.zeta(n, j) == x else None
 
 
@@ -519,7 +518,7 @@ def _is_prime(p: int) -> bool:
 
 def _exact_order(r: int, n: int, p: int) -> bool:
     # r^n = 1 and r^(n/q) != 1 (mod p) for each prime q | n
-    return pow(r, n, p) == 1 and all(pow(r, n // q, p) != 1 for q in _divisors(n)[1:] if _phi(q) == q - 1)
+    return pow(r, n, p) == 1 and all(pow(r, n // q, p) != 1 for q, _ in _factor(n))
 
 
 @lru_cache(maxsize=None)
@@ -565,26 +564,13 @@ def rational_sqrt(q) -> Cyclotomic:
     q = Fraction(q)
     if q == 0:
         return Cyclotomic.rational(0)
-    result = Cyclotomic.rational(1)
-    if q < 0:
-        result = Cyclotomic.zeta(4)
-        q = -q
+    result, q = Cyclotomic.zeta(4) if q < 0 else Cyclotomic.rational(1), abs(q)
     # sqrt(a/b) = sqrt(a*b)/b
-    n = q.numerator * q.denominator
     rational_part = Fraction(1, q.denominator)
-    m, p = n, 2
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            rational_part *= p ** (e // 2)
-            if e % 2:
-                result = result * _prime_sqrt(p)
-        p += 1
-    if m > 1:
-        result = result * _prime_sqrt(m)
+    for p, e in _factor(q.numerator * q.denominator):
+        rational_part *= p ** (e // 2)
+        if e % 2:
+            result = result * _prime_sqrt(p)
     return result * Cyclotomic.rational(rational_part)
 
 

@@ -361,13 +361,8 @@ def distinct_roots_count(f: BinaryForm) -> int:
 
 
 def distinct_common_roots_count(f: BinaryForm, g: BinaryForm) -> int:
-    """Distinct projective roots shared by f and g.  A monomial c X^(n-i) Y^i
-    has the roots [0:1] if i < n and [1:0] if i > 0; the other form, even a
-    zero one, vanishes there when its last, resp. first, coefficient is 0."""
-    for mono, other in ((f, g), (g, f)):
-        if sum(map(bool, mono.coeffs)) == 1:
-            i = mono.y_valuation()
-            return (i < mono.degree and not other.coeffs[-1]) + (i > 0 and not other.coeffs[0])
+    """Distinct projective roots shared by f and g, those of form_gcd(f, g);
+    ``aut._verified_type`` reads them off two coefficients for a diagonal map."""
     return distinct_roots_count(form_gcd(f, g))
 
 

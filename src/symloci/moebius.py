@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import acos, lcm, pi
 
 from .cyclotomic import Cyclotomic, euler_phi, _divisors
 from .forms import BinaryForm, Divisor, P1Point, RationalMap, _cy, _normalized, _proportional, substitute
@@ -134,8 +134,7 @@ class MoebiusMap:
             pts = [P1Point.infinity(), P1Point(b, d - a)] if not c else [P1Point.affine(0), P1Point(a - d, c)]
             return pts[:1] if a == d else pts
         g = self.sl2_lift()
-        tr = g.a + g.d
-        root = _trace_discriminant_sqrt(tr, self.projective_order())
+        root = _trace_discriminant_sqrt(g.a + g.d, self.projective_order())
         two_c = g.c + g.c
         z1 = P1Point((g.a - g.d) + root, two_c)
         z2 = P1Point((g.a - g.d) - root, two_c)
@@ -164,15 +163,14 @@ class SL2Lift(MoebiusMap):
 
 
 def _trace_discriminant_sqrt(tr: Cyclotomic, pgl_order: int) -> Cyclotomic:
-    # For det-1 finite-order g: tr = xi + 1/xi with xi a root of unity of
-    # order dividing 2*pgl_order, so sqrt(tr^2 - 4) = xi - 1/xi.
-    for s in (2 * pgl_order, pgl_order):
-        for k in range(s):
-            xi = Cyclotomic.zeta(s, k)
-            xi_inv = Cyclotomic.zeta(s, (s - k) % s)
-            if xi + xi_inv == tr:
-                return xi - xi_inv
-    raise UnliftableInField(f"trace {tr!r} is not a sum of inverse roots of unity")
+    # det-1 g of finite order: tr = xi + 1/xi, xi = zeta_s^k with s = 2 pgl_order, so sqrt(tr^2 - 4)
+    # = xi - 1/xi; the k <= s/2 is read off acos(tr/2) and proved by one exact comparison
+    s = 2 * pgl_order
+    k = round(acos(max(-1.0, min(1.0, tr.complex().real / 2))) * s / (2 * pi))
+    xi, xi_inv = Cyclotomic.zeta(s, k), Cyclotomic.zeta(s, -k)
+    if xi + xi_inv != tr:
+        raise UnliftableInField(f"trace {tr!r} is not a sum of inverse roots of unity")
+    return xi - xi_inv
 
 
 def conjugate_map(phi: RationalMap, f: MoebiusMap) -> RationalMap:

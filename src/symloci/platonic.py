@@ -436,6 +436,11 @@ def character_group(group: FiniteSubgroup) -> list[tuple]:
     """All character tuples realized on forms with G-invariant divisor:
     the closure of the degenerate-orbit characters under multiplication,
     at most |G| characters of G; more is corrupt data (AssertionError)."""
+    return list(_character_group(group))
+
+
+@lru_cache(maxsize=None)
+def _character_group(group: FiniteSubgroup) -> tuple[tuple, ...]:
     rows = character_table(group)
     elems = [tuple(Cyclotomic.rational(1) for _ in group.generators)]
     for x in elems:
@@ -445,7 +450,7 @@ def character_group(group: FiniteSubgroup) -> list[tuple]:
             y = tuple(a * b for a, b in zip(x, row.character))
             if y not in elems:
                 elems.append(y)
-    return elems
+    return tuple(elems)
 
 
 def _obstructed(d: int, group: FiniteSubgroup, char: tuple) -> bool:

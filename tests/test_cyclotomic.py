@@ -3,19 +3,23 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from symloci import cyclotomic
 from symloci.cyclotomic import (
     Cyclotomic,
     ExactMatrix,
     NonSquare,
     _cyclotomic_int_coeffs,
+    _divisors,
     euler_phi,
     rational_sqrt,
 )
 from symloci.forms import BinaryForm, form_gcd, partial_derivatives
+from symloci.loci import commuting_space_basis
 
 CONDUCTORS = [1, 3, 4, 5, 8, 12]
 
@@ -247,6 +251,98 @@ def test_rational_sqrt():
     for q in (2, 3, 5, 6, 12, Fraction(9, 4), Fraction(2, 3), -5, -1, 0):
         s = rational_sqrt(q)
         assert s * s == Cyclotomic.rational(Fraction(q))
+
+
+def trial_phi(n):
+    """Euler's phi by its own trial division, as the kernel computed it
+    before one factorization served every prime factor."""
+    result = n
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+def trial_divisors(n):
+    """The divisors of n, ascending, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def trial_rational_sqrt(q):
+    """rational_sqrt by its own trial division, the sqrt(p) of each prime
+    with an odd exponent multiplied in ascending order, the cofactor last."""
+    q = Fraction(q)
+    if q == 0:
+        return Cyclotomic.rational(0)
+    result = Cyclotomic.rational(1)
+    if q < 0:
+        result = Cyclotomic.zeta(4)
+        q = -q
+    n = q.numerator * q.denominator
+    rational_part = Fraction(1, q.denominator)
+    m, p = n, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            rational_part *= p ** (e // 2)
+            if e % 2:
+                result = result * cyclotomic._prime_sqrt(p)
+        p += 1
+    if m > 1:
+        result = result * cyclotomic._prime_sqrt(m)
+    return result * Cyclotomic.rational(rational_part)
+
+
+def test_euler_phi_and_divisors_match_the_trial_loops():
+    for n in range(1, 2001):
+        assert euler_phi(n) == trial_phi(n), n
+        assert list(_divisors(n)) == trial_divisors(n), n
+
+
+def _squarefree_part(n):
+    # the least k with n / k a square, independent of any factorization
+    return next(k for k in range(1, n + 1) if n % k == 0 and isqrt(n // k) ** 2 == n // k)
+
+
+def test_rational_sqrt_matches_the_trial_loop(monkeypatch):
+    # every +-a/b with a, b <= 60: the exact roots, equal in value and
+    # conductor, where the product of the primes under the root is at most
+    # 120 (2,046 of the 4,406 values; sqrt(53 * 59) alone lies at conductor
+    # 12,508 and takes seconds);
+    # then all of them with sqrt(p) stood in by the rational p, where equal
+    # values mean equal rational parts and equal primes under the root
+    grid = sorted({s * Fraction(a, b) for a in range(1, 61) for b in range(1, 61) for s in (1, -1)})
+    for q in grid:
+        if _squarefree_part(abs(q.numerator) * q.denominator) <= 120:
+            got, want = rational_sqrt(q), trial_rational_sqrt(q)
+            assert (got, got.n) == (want, want.n), q
+    monkeypatch.setattr(cyclotomic, "_prime_sqrt", Cyclotomic.rational)
+    for q in grid:
+        got, want = rational_sqrt(q), trial_rational_sqrt(q)
+        assert (got, got.n) == (want, want.n), q
+
+
+def test_a_value_past_the_float_range_has_no_root_exponent():
+    # its complex value overflows; a root of unity's never does
+    assert (Cyclotomic.zeta(5) * 10**400).ru_order() is None
+    assert commuting_space_basis(3, 2, Cyclotomic.zeta(4) * 10**400) == []
 
 
 def test_sqrt_of_ru_times_rational():

@@ -84,7 +84,7 @@ def molien_count(n, group, char):
 
 def _no_solve_caches():
     # the orbit forms stay: a test that changes them patches _orbit_forms
-    for cached in (platonic._eigenspace, platonic._orbit_exponents, platonic._orbit_power,
+    for cached in (platonic._eigenspace, platonic._orbit_exponents, platonic._orbit_power, platonic._character_group,
                    platonic._class_sums, platonic._cached_table, platonic._orbit_images,
                    platonic._power_image, platonic._product_images):
         cached.cache_clear()

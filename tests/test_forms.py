@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from symloci.aut import _verified_type
 from symloci.cyclotomic import Cyclotomic, ExactMatrix, euler_phi
 from symloci.forms import (
     BinaryForm,
@@ -23,6 +24,7 @@ from symloci.forms import (
     substitute,
     sylvester_resultant,
 )
+from symloci.moebius import MoebiusMap
 
 X2 = BinaryForm(2, [1, 0, 0])
 Y2 = BinaryForm(2, [0, 0, 1])
@@ -556,34 +558,42 @@ def test_distinct_common_roots():
     d = BinaryForm(3, [1, 0, -1, 0])
     assert distinct_common_roots_count(c, d) == 2
     assert distinct_common_roots_count(X2, Y2) == 0
+    assert distinct_common_roots_count(BinaryForm.monomial(3, 3), XY) == 1  # [1:0] only
+    assert distinct_common_roots_count(BinaryForm.monomial(3, 0), XY) == 1  # [0:1] only
+    assert distinct_common_roots_count(XY * (Cyclotomic.zeta(7) - 1), BinaryForm.zero(4)) == 2
+    assert distinct_common_roots_count(BinaryForm.zero(0), BinaryForm.monomial(0, 0, 5)) == 0
 
 
 @st.composite
-def _monomial_and_other(draw):
-    # c X^(n-i) Y^i and a sparse or zero form, degrees 0-14, all entries
-    # zero or a root of unity times 1..3 at one conductor 1-12
+def _map_and_diagonal(draw):
+    # a map of degree 1-8 and diag(a, d), a != d, all entries zero (in the
+    # map) or a root of unity times 1..3 at one conductor 1-12, so F_d and
+    # G_0 are often 0
     cond = draw(st.integers(1, 12))
 
     def entry():
         return Cyclotomic.zeta(cond, draw(st.integers(0, cond - 1))) * draw(st.integers(1, 3))
 
-    n, m = draw(st.integers(0, 14)), draw(st.integers(0, 14))
-    mono = BinaryForm.monomial(n, draw(st.integers(0, n)), entry())
-    other = BinaryForm(m, [entry() if draw(st.booleans()) else 0 for _ in range(m + 1)])
-    return (mono, other) if draw(st.booleans()) else (other, mono)
+    n = draw(st.integers(1, 8))
+    F, G = ([entry() if draw(st.booleans()) else 0 for _ in range(n + 1)] for _ in range(2))
+    if not any(F + G):
+        F[0] = entry()
+    a, d = entry(), entry()
+    return RationalMap(BinaryForm(n, F), BinaryForm(n, G)), MoebiusMap(a, 0, 0, -a if d == a else d)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_monomial_and_other())
-@example((BinaryForm.monomial(3, 3), BinaryForm(2, [0, 1, 0])))  # Y^3 and XY share [1:0] only
-@example((BinaryForm.monomial(3, 0), BinaryForm(2, [0, 1, 0])))  # X^3 and XY share [0:1] only
-@example((BinaryForm(2, [0, Cyclotomic.zeta(7) - 1, 0]), BinaryForm.zero(4)))
-@example((BinaryForm.zero(0), BinaryForm.monomial(0, 0, 5)))
-@example((BinaryForm.monomial(1, 1), BinaryForm.monomial(1, 1, Cyclotomic.zeta(3))))
+@given(_map_and_diagonal())
+@example((RationalMap(X2, Y2), MoebiusMap(-1, 0, 0, 1)))  # z^2 and -z share 0 and infinity
+@example((RationalMap(Y2, X2), MoebiusMap(-1, 0, 0, 1)))  # 1/z^2 and -z share neither
+@example((RationalMap(XY, Y2), MoebiusMap(Cyclotomic.zeta(3), 0, 0, 1)))  # Y F - X G = 0: all fixed
 def test_monomial_common_roots_match_the_gcd_route(case):
-    f, g = case
-    want = distinct_roots_count(form_gcd(f, g))
-    assert distinct_common_roots_count(f, g) == distinct_common_roots_count(g, f) == want
+    # a diagonal sigma's fixed-point form (d - a) X Y is a monomial: the
+    # type read from F_d and G_0 counts its roots 0 and infinity that
+    # Y F - X G shares, which the gcd route counts from the forms
+    phi, sigma = case
+    want = distinct_common_roots_count(phi.fixed_point_form(), sigma.fixed_point_form()) - 1
+    assert _verified_type(phi, sigma) == want
 
 
 def test_distinct_roots_count():

@@ -6,6 +6,7 @@ import pytest
 
 from symloci.aut import automorphism_type, is_automorphism, verify_group_action
 from symloci.cyclotomic import Cyclotomic
+from symloci.forms import distinct_common_roots_count
 from symloci.loci import (
     NoMemberFound,
     commuting_space_basis,
@@ -163,6 +164,22 @@ def test_family_survey_builds_no_group(monkeypatch):
     monkeypatch.setattr(moebius.FiniteSubgroup, "__init__", spy)
     assert cli.main(["survey", "--groups", "cyclic,dihedral", "--d", "9", "--out", os.devnull]) == 0
     assert built == []
+
+
+def test_the_type_read_from_two_coefficients_matches_the_gcd_route(monkeypatch):
+    # every candidate the cyclic and dihedral surveys type for d <= 16,
+    # members and rejected seeds alike, under sigma = zeta_m z
+    from symloci import loci
+
+    seen, verified_type = [], loci._verified_type
+    monkeypatch.setattr(loci, "_verified_type", lambda phi, sigma: seen.append((phi, sigma)) or verified_type(phi, sigma))
+    for d in range(2, 17):
+        survey_rows(d)
+    assert len({sigma.a for _, sigma in seen}) == 16  # zeta_m for m = 2..17
+    for phi, sigma in seen:
+        assert not sigma.b and not sigma.c and sigma.d == 1
+        gcd_route = distinct_common_roots_count(phi.fixed_point_form(), sigma.fixed_point_form()) - 1
+        assert verified_type(phi, sigma) == gcd_route
 
 
 def test_dihedral_t0_strata_empty():

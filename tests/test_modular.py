@@ -11,6 +11,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import count
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -91,6 +93,24 @@ def test_image_field_is_a_ring_map(n):
     assert sum(c * pow(r, i, p) for i, c in enumerate(_cyclotomic_int_coeffs(n))) % p == 0
     if n == 1:
         assert (p, r) == (2**61 - 1, 1)
+
+
+def divisor_scan_image_field(n):
+    """_image_field with each prime q | n found as a divisor of n with
+    phi(q) = q - 1, both counted directly, as before one factorization
+    served every prime factor."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    primes = [q for q in divisors[1:] if sum(1 for k in range(1, q) if gcd(k, q) == 1) == q - 1]
+    p = (2**61 - 2) // n * n + 1
+    while not _is_prime(p):
+        p -= n
+    exact = lambda r: pow(r, n, p) == 1 and all(pow(r, n // q, p) != 1 for q in primes)  # noqa: E731
+    return p, next(r for g in count(2) if exact(r := pow(g, (p - 1) // n, p)))
+
+
+def test_image_field_matches_the_divisor_scan():
+    for n in range(1, 121):
+        assert _image_field(n) == divisor_scan_image_field(n), n
 
 
 def test_a_root_of_the_wrong_order_is_refused():

@@ -236,6 +236,33 @@ def test_fixed_points_of_every_platonic_element():
                 assert e.apply(p) == p
 
 
+def double_loop_sqrt(tr, pgl_order):
+    """sqrt(tr^2 - 4) = xi - 1/xi by trying each xi = zeta_s^k, s = 2
+    pgl_order and then s = pgl_order, as before k was read off acos(tr/2)."""
+    for s in (2 * pgl_order, pgl_order):
+        for k in range(s):
+            xi = Cyclotomic.zeta(s, k)
+            xi_inv = Cyclotomic.zeta(s, (s - k) % s)
+            if xi + xi_inv == tr:
+                return xi - xi_inv
+    raise UnliftableInField(f"trace {tr!r} is not a sum of inverse roots of unity")
+
+
+def test_the_trace_root_matches_the_double_loop():
+    groups = [standard_subgroup(kind) for kind in ("tetra", "octa", "icosa")]
+    groups += [generate_closure(_conjugated(kind), cap=61) for kind in ("tetra", "octa", "icosa")]
+    groups += [standard_subgroup("dihedral", m) for m in range(1, 13)]
+    for group in groups:
+        for e in group.elements:
+            if not e.is_identity():
+                g, order = e.sl2_lift(), e.projective_order()
+                got, want = moebius._trace_discriminant_sqrt(g.a + g.d, order), double_loop_sqrt(g.a + g.d, order)
+                assert (got, got.n) == (want, want.n), (group, e)
+    for sqrt in (moebius._trace_discriminant_sqrt, double_loop_sqrt):
+        with pytest.raises(UnliftableInField):
+            sqrt(Cyclotomic.rational(3), 2)
+
+
 def test_degenerate_orbit_structure():
     expected = {
         "tetra": ([4, 4, 6], 14),
