@@ -252,17 +252,19 @@ def _closure_key(h: MoebiusMap, m: int):
     return tuple((w.nums, w.den) for w in (v.promote(m) for v in _normalized(h.entries())))
 
 
-# generator entries -> (elements, right) of _cayley_graph, for the process's life
+# generator entries -> the tables of _cayley_graph, for the process's life
 _CAYLEY: dict[tuple, tuple] = {}
 
 
 def _cayley_graph(gens, cap: int) -> tuple:
-    """(elements, right): the identity and then the elements in the order a
-    BFS of right multiplications by the generators finds them, each stored
-    as that product, and right[x][i], the index of elements[x] gens[i].
-    |G| k products and keys for k generators, cached per generator entries.
-    CapExceeded when |G| > cap: a cached graph larger than cap is searched
-    again, up to the cap."""
+    """(elements, right, rights, lefts): the identity and then the elements
+    in the order a BFS of right multiplications by the generators finds
+    them, each stored as that product; right[x][i], the index of elements[x]
+    gens[i]; rights[i][x] / lefts[i][x], that of elements[x] g / g elements[x]
+    for g the i-th of gens, then their inverses, g elements[x] by the first
+    edge into x.  |G| k products and keys for k generators, cached per
+    generator entries.  CapExceeded when |G| > cap: a cached graph larger
+    than cap is searched again, up to the cap."""
     key = tuple(tuple((v.n, v.nums, v.den) for v in g.entries()) for g in gens)
     if key not in _CAYLEY or len(_CAYLEY[key][0]) > cap:
         field = lcm(1, *(v[0] for entries in key for v in entries))
@@ -279,7 +281,14 @@ def _cayley_graph(gens, cap: int) -> tuple:
             if len(elements) > cap:
                 raise CapExceeded(f"closure exceeded cap {cap}")
             right.append([find(h.compose(g)) for g in gens])
-        _CAYLEY[key] = elements, right
+        rights = list(zip(*right))
+        rights += [{y: x for x, y in enumerate(col)} for col in rights]
+        lefts = [{0: col[0]} for col in rights]
+        for x, row in enumerate(right):
+            for i, y in enumerate(row):
+                for out in lefts:
+                    out.setdefault(y, right[out[x]][i])
+        _CAYLEY[key] = elements, right, rights, lefts
     return _CAYLEY[key]
 
 
@@ -296,16 +305,7 @@ def generate_closure(gens, cap: int = 512, label="unknown") -> FiniteSubgroup:
         raise ValueError("cap must be positive")
     gens = list(gens)
     gen_list = gens + [g.inverse() for g in gens]
-    right = _cayley_graph(gens, cap)[1]
-    # rights[i][x] / lefts[i][x]: the index of elements[x] g / g elements[x]
-    # for g = gen_list[i]; g elements[x] follows the first edge into x
-    rights = list(zip(*right))
-    rights += [{y: x for x, y in enumerate(col)} for col in rights]
-    lefts = [{0: col[0]} for col in rights]
-    for x, row in enumerate(right):
-        for i, y in enumerate(row):
-            for out in lefts:
-                out.setdefault(y, right[out[x]][i])
+    rights, lefts = _cayley_graph(gens, cap)[2:]
     found, queue = {0: MoebiusMap.identity()}, [0]
     for x in queue:
         for g, times_g, g_times in zip(gen_list, rights, lefts):

@@ -38,6 +38,7 @@ from .loci import NoMemberFound, SurveyRow, _seed_coefficients
 from .moebius import FiniteSubgroup, MoebiusMap, _cayley_graph, degenerate_orbits, standard_subgroup
 
 _PLATONIC = ("tetra", "octa", "icosa")
+_ONE = Cyclotomic.rational(1)
 
 
 class NotInImage(ValueError):
@@ -152,19 +153,15 @@ def relevant_pairs(group_or_kind) -> list[RelevantPair]:
     stab_of = {p: stab for div, stab in orbs for p in div.support()}
     pairs = []
     for mask in range(1 << len(orbs)):
-        d2 = Divisor()
-        d1 = Divisor()
-        char1 = tuple(Cyclotomic.rational(1) for _ in group.generators)
-        char2 = tuple(Cyclotomic.rational(1) for _ in group.generators)
+        d1, d2 = Divisor(), Divisor()
+        char1 = char2 = tuple(_ONE for _ in group.generators)
         for i, (orb, stab) in enumerate(orbs):
             if mask >> i & 1:
                 d2 = d2 + orb
                 char2 = tuple(a * b for a, b in zip(char2, rows[i].character))
             elif stab > 1:
                 d1 = d1 + (stab - 1) * orb
-                char1 = tuple(
-                    a * b**(stab - 1) for a, b in zip(char1, rows[i].character)
-                )
+                char1 = tuple(a * b ** (stab - 1) for a, b in zip(char1, rows[i].character))
         pair = RelevantPair(d1, d2)
         _validate_relevant_pair(group, pair, char1, char2, stab_of)
         pairs.append(pair)
@@ -172,9 +169,7 @@ def relevant_pairs(group_or_kind) -> list[RelevantPair]:
 
 
 def _validate_relevant_pair(group, pair, char1, char2, stab_of):
-    n = group.order
-    deg1, deg2 = pair.degrees
-    if (deg2 - deg1 - 2) % n:
+    if (pair.d2.degree - pair.d1.degree - 2) % group.order:
         raise AssertionError("degree condition mod |G| fails")
     if char1 != char2:
         raise AssertionError("the two forms have different lifted characters")
@@ -220,13 +215,8 @@ def fiber_dimension(d: int, group: FiniteSubgroup, obj) -> int:
 def _existence_data(group: FiniteSubgroup) -> tuple[int, dict[int, int]]:
     """(|G|, {residue mod |G| -> smallest relevant-divisor degree})."""
     n = group.order
-    best: dict[int, int] = {}
-    for div in relevant_divisors(group):
-        deg = div.degree
-        r = deg % n
-        if r not in best or deg < best[r]:
-            best[r] = deg
-    return n, best
+    degrees = sorted((div.degree for div in relevant_divisors(group)), reverse=True)
+    return n, {deg % n: deg for deg in degrees}
 
 
 def platonic_existence(d: int, group_or_kind) -> bool:
@@ -252,9 +242,6 @@ def existence_residues(group_or_kind, modulus: int | None = None, d_max: int = 6
 # ---------------------------------------------------------------------------
 # dimension by exact linear algebra
 # ---------------------------------------------------------------------------
-
-
-_ONE = Cyclotomic.rational(1)
 
 
 def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[BinaryForm]:
@@ -353,7 +340,8 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
     stabilizer orders, their forms, and for each generator the scalar s of
     each form under its determinant-1 lift h (F^h = s F), its character: an
     even-degree form, as every platonic one, has the same s under -h.  The
-    trivial group has no degenerate orbit; the forms X and Y serve it.
+    trivial group has no degenerate orbit; the forms X and Y serve it; any
+    other group without generators has no characters: ValueError.
 
     No form is substituted: s = F(a x + b y, c x + d y) / F(x, y) for h =
     (a, b; c, d), at the first of (1:0), (0:1), (1:1), (2:1), ... off the
@@ -361,6 +349,8 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
     forms, each once, and ``FiniteSubgroup.orbit`` closes the orbit under
     the generator, so h maps it onto itself, and the zeros of F^h, the
     h^-1 images of those of F, are those of F, simple; hence F^h = s F."""
+    if group.order > 1 and not group.generators:
+        raise ValueError(f"{group!r} has no generators, and orbit characters are read per generator")
     orbits = tuple(degenerate_orbits(group))
     forms = tuple(form_from_divisor(div) for div, _ in orbits)
     forms = forms or (BinaryForm.monomial(1, 0), BinaryForm.monomial(1, 1))
@@ -376,10 +366,12 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
 
 @lru_cache(maxsize=None)
 def _orbit_power(group: FiniteSubgroup, i: int, a: int) -> BinaryForm:
-    """f_i^a for the i-th orbit form f_i of group."""
+    """f_i^a for the i-th orbit form f_i of group, built up as ``_trace`` is."""
     f = _orbit_forms(group)[1][i]
     if a < 2:
         return f if a else BinaryForm(0, [_ONE])
+    for k in range(a % 64, a, 64):
+        _orbit_power(group, i, k)
     return _orbit_power(group, i, a - 1) * f
 
 
@@ -391,44 +383,73 @@ def _orbit_images(group: FiniteSubgroup) -> tuple | None:
 
 @lru_cache(maxsize=None)
 def _power_image(group: FiniteSubgroup, i: int, a: int) -> list[int]:
-    """The image mod p (``_orbit_images``) of f_i^a."""
+    """The image mod p (``_orbit_images``) of f_i^a, built up as ``_trace`` is."""
     p, forms = _orbit_images(group)
+    for k in range(a % 64, a, 64):
+        _power_image(group, i, k)
     return _product_mod(_power_image(group, i, a - 1), forms[i], p) if a else [1]
 
 
 def _trace_sum(n: int, group: FiniteSubgroup, char: tuple) -> Cyclotomic:
     """|G| times the dimension of the char-eigenspace in degree n by
-    character orthogonality: sum_g char(g)^-1 u_n(g), summed class by class
-    of t = tr^2/det (``_class_sums``).  u_n = h_n / det^(n/2) = tr Sym^n of
-    the determinant-1 lift (``_trace``)."""
+    character orthogonality: sum_g char(g)^-1 u_n(g), summed over the values
+    of t = tr^2/det (``_class_sums``), one u_n per value.  u_n = h_n /
+    det^(n/2) = tr Sym^n of the determinant-1 lift (``_trace``)."""
     return sum((s * _trace(t, n) for t, s in _class_sums(group, char).items()), Cyclotomic.rational(0))
 
 
 @lru_cache(maxsize=None)
+def _class_table(group: FiniteSubgroup) -> tuple:
+    """((t, ((x, size), ...)), ...): the conjugacy classes of group, the
+    orbits of x -> g^-1 x g, g a generator, on the indices of the cached
+    Cayley graph (``_cayley_graph``), each by a member x and its size,
+    grouped by t = tr^2/det, a class invariant: one division per class."""
+    elements, right, _, lefts = _cayley_graph(group.generators, group.order)
+    table, seen = {}, set()
+    for x, h in enumerate(elements):
+        if x in seen:
+            continue
+        members = [x]
+        seen.add(x)
+        for y in members:
+            for i, left in enumerate(lefts[len(group.generators):]):
+                if (z := right[left[y]][i]) not in seen:
+                    seen.add(z)
+                    members.append(z)
+        table.setdefault((h.a + h.d) ** 2 / h.det(), []).append((x, len(members)))
+    return tuple((t, tuple(classes)) for t, classes in table.items())
+
+
+@lru_cache(maxsize=None)
 def _class_sums(group: FiniteSubgroup, char: tuple) -> dict:
-    """{t: sum of char(g)^-1 over the g with tr^2/det = t}, with char(g)
-    the product of the generator values along the first path to g in the
-    cached right Cayley graph (``_cayley_graph``).  When two paths to one
-    element disagree, char is no character of G and the sums are {}."""
-    elements, right = _cayley_graph(group.generators, group.order)
-    inv = [c.inverse() for c in char]
-    vals, consistent, sums = {0: _ONE}, True, {}
-    for x, row in enumerate(right):
-        for i, y in enumerate(row):
-            val = vals[x] * inv[i]
-            consistent &= vals.setdefault(y, val) == val
-    for k, h in enumerate(elements if consistent else []):
-        t = (h.a + h.d) ** 2 / h.det()
-        sums[t] = sums.get(t, Cyclotomic.rational(0)) + vals[k]
-    return sums
+    """{t: sum of char(g)^-1 over the g with tr^2/det = t}, summed class by
+    class (``_class_table``) from one count per exponent: with char(g_i) =
+    zeta_N^k_i, N = lcm(2, the conductors), char(g)^-1 = zeta_N^-k for k the
+    sum of the k_i along the first path to g in the Cayley graph.  {} when
+    two paths disagree or a value is no root of unity: char is no character."""
+    big = lcm(2, *(c.n for c in char))
+    ks = [_root_exponent(c, big) for c in char]
+    if None in ks:
+        return {}
+    vals = {0: 0}
+    for x, row in enumerate(_cayley_graph(group.generators, group.order)[1]):
+        for k, y in zip(ks, row):
+            if vals.setdefault(y, (v := (vals[x] - k) % big)) != v:
+                return {}
+    return {
+        t: Cyclotomic.from_raw(big, [sum(size for x, size in classes if vals[x] == j) for j in range(big)])
+        for t, classes in _class_table(group)
+    }
 
 
 @lru_cache(maxsize=None)
 def _trace(t: Cyclotomic, n: int) -> Cyclotomic:
-    """u_n at t = tr^2/det for even n: u_0 = 1, u_2 = t - 1,
-    u_(k+2) = (t - 2) u_k - u_(k-2)."""
+    """u_n at t = tr^2/det for even n: u_0 = 1, u_2 = t - 1, u_(k+2) = (t - 2) u_k - u_(k-2),
+    built up through the cache at n - 64, n - 128, ..., so no call recurses over 64 levels deep."""
     if n < 4:
         return t - 1 if n else _ONE
+    for k in range(n % 64, n, 64):
+        _trace(t, k)
     return (t - 2) * _trace(t, n - 2) - _trace(t, n - 4)
 
 
@@ -568,8 +589,7 @@ def construct_symmetric_map(d: int, group_or_kind) -> tuple[RationalMap, AutRepo
         padding = _padding_orbits(group, ell, set(d2.support()))
         # the orbit forms are normalized, so their product is D2's form
         j = reduce(mul, (f for i, f in enumerate(forms) if mask >> i & 1), BinaryForm(0, [_ONE]))
-        for orb in padding:
-            j = j * form_from_divisor(orb)
+        j = reduce(mul, map(form_from_divisor, padding), j)
         j = BinaryForm(d + 1, j.coeffs).minimized()
         phi = recompose_map(FormPair(d, BinaryForm.zero(d - 1), j)).normalized().minimized()
         if not phi.is_in_ratd():

@@ -5,9 +5,13 @@ cached (platonic._cached_table over platonic._orbit_forms); on icosa's
 30-point orbit, the BFS of FiniteSubgroup.orbit from one of its points and
 the orbit's form (forms.form_from_divisor).  The exponents of the orbit
 products of every character at n = 120 and 124 (platonic._orbit_exponents),
-with their trace-formula count, from the cached orbit forms.  Also the exact automorphism
-test of one generator on a degree-24 map, by coefficient weights
-(aut._fixes) and by conjugation (aut.is_automorphism).
+with their trace-formula count, from the cached orbit forms; the class sums
+of that count for every character (platonic._class_sums), from the cached
+Cayley graph: the conjugacy classes on its indices with one tr^2/det per
+class (platonic._class_table), and each character walked as exponents of
+a root of unity.  Also the exact automorphism test of one generator on a
+degree-24 map, by coefficient weights (aut._fixes) and by conjugation
+(aut.is_automorphism).
 
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
@@ -15,10 +19,10 @@ Each round starts from an empty cache for what it times: the closure
 without its cached Cayley graph, the table with neither its rows nor the
 orbit data cached, so the orbits, their forms and each form's scalar under
 each generator's determinant-1 lift (read at one point, no substitution)
-are found again; the exponents with no exponent, trace or root-of-unity
-cache.  The
-file name is outside the test_*.py pattern, so the default test run skips
-it.
+are found again; the exponents with no exponent, class, trace or
+root-of-unity cache; the class sums with no class table, class-sum or
+root-of-unity cache.  The file name is outside the test_*.py pattern, so
+the default test run skips it.
 """
 
 import pytest
@@ -55,10 +59,28 @@ def test_cached_table(benchmark, kind):
     assert len(rows) == 3
 
 
+def _class_caches():
+    # the class table where the tree has one, so that the file also times
+    # a tree whose class sums divide per element
+    return [c for c in (platonic._class_sums, getattr(platonic, "_class_table", None), cyclotomic._root_exponent) if c]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_class_sums(benchmark, kind):
+    def cold():
+        for cached in _class_caches():
+            cached.cache_clear()
+
+    group = platonic.platonic_group(kind)
+    chars = platonic.character_group(group)
+    sums = benchmark.pedantic(lambda: [platonic._class_sums(group, char) for char in chars], setup=cold, rounds=50)
+    assert all(sums)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_orbit_exponents(benchmark, kind):
     def no_exponents():
-        for cached in (platonic._orbit_exponents, platonic._class_sums, platonic._trace, cyclotomic._root_exponent):
+        for cached in (platonic._orbit_exponents, *_class_caches(), platonic._trace):
             cached.cache_clear()
 
     group = platonic.platonic_group(kind)

@@ -8,15 +8,17 @@ For each platonic group, each of its characters and each even n <= 62
 ``character_eigenspace`` give the same basis as the stacked system of one
 substitution per monomial and generator (``oracle_eigenspace``), and their
 number is the character-orthogonality count over the group's elements
-(``molien_count``).  The file name is outside the test_*.py pattern, so the
-default test run skips it.
+(``molien_count``).  Past the cap, ``survey --groups platonic --d 1001
+--allow-large`` exits 0 with its three rows, no traceback (about 20 s).
+The file name is outside the test_*.py pattern, so the default test run
+skips it.
 """
 
 import pytest
 
 from symloci.cli import DEFAULT_DEGREE_CAP
 from symloci.platonic import character_eigenspace, character_group, platonic_group
-from test_eigenspace import molien_count, oracle_eigenspace
+from test_eigenspace import _run_script, molien_count, oracle_eigenspace
 
 
 @pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
@@ -27,3 +29,15 @@ def test_every_stratum_matches_the_stacked_system(kind, n):
         basis = character_eigenspace(n, group, char)
         assert basis == oracle_eigenspace(n, group, char), (kind, n, char)
         assert len(basis) == molien_count(n, group, char), (kind, n, char)
+
+
+def test_a_survey_at_degree_1001_exits_0():
+    # the trace and power recursions run n / 2 and n / deg f deep unless
+    # they are built up through their caches
+    argv = ["survey", "--groups", "platonic", "--d", "1001", "--allow-large"]
+    proc = _run_script([], f"import sys\nfrom symloci.cli import main\nsys.exit(main({argv!r}))", timeout=600)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert [(r[1], r[4], r[8], r[9]) for r in rows] == [
+        ("icosa", "33", "33", "True"), ("octa", "83", "83", "True"), ("tetra", "166", "166", "True")
+    ]

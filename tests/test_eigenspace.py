@@ -1,14 +1,15 @@
 """Character eigenspaces: the orbit-form products and the per-process
 cache against the original stacked system of one substitution per monomial
 and generator, their count against the character-orthogonality formula,
-and the certificates that catch wrong orbit data."""
+the class sums of that formula against a walk over the elements, and the
+certificates that catch wrong orbit data."""
 
 import contextlib
 import io
 import os
 import subprocess
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from operator import mul
 from pathlib import Path
@@ -19,7 +20,7 @@ from symloci import forms, platonic
 from symloci.cli import main
 from symloci.cyclotomic import Cyclotomic, ExactMatrix
 from symloci.forms import BinaryForm, substitute
-from symloci.moebius import FiniteSubgroup, MoebiusMap, standard_subgroup
+from symloci.moebius import FiniteSubgroup, MoebiusMap, _cayley_graph, standard_subgroup
 from symloci.platonic import character_eigenspace, character_group, platonic_group
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -39,6 +40,14 @@ def oracle_eigenspace(n, group, char):
             row[i] = row[i] - chi
             stacked.append(row)
     return [BinaryForm(n, vec) for vec in ExactMatrix.from_rows(stacked).kernel_basis()]
+
+
+def _family_characters(kind, m):
+    # every rotation value zeta_2m^j, with a sign 1, -1 or i on the
+    # inversion of the dihedral group
+    rotations = [Cyclotomic.zeta(2 * m, j) for j in range(2 * m)]
+    signs = [Cyclotomic.rational(1), Cyclotomic.rational(-1), Cyclotomic.zeta(4)]
+    return [(r,) for r in rotations] if kind == "cyclic" else [(r, s) for r in rotations for s in signs]
 
 
 def _is_diagonal(g):
@@ -85,7 +94,7 @@ def molien_count(n, group, char):
 def _no_solve_caches():
     # the orbit forms stay: a test that changes them patches _orbit_forms
     for cached in (platonic._eigenspace, platonic._orbit_exponents, platonic._orbit_power, platonic._character_group,
-                   platonic._class_sums, platonic._cached_table, platonic._orbit_images,
+                   platonic._class_sums, platonic._class_table, platonic._cached_table, platonic._orbit_images,
                    platonic._power_image, platonic._product_images):
         cached.cache_clear()
 
@@ -273,10 +282,7 @@ def test_orbit_exponents_match_the_exact_power_rule(label):
     else:
         m = int(m)
         group = standard_subgroup(kind, m)
-        rotations = [Cyclotomic.zeta(2 * m, j) for j in range(2 * m)]
-        signs = [Cyclotomic.rational(1), Cyclotomic.rational(-1), Cyclotomic.zeta(4)]
-        chars = [(r,) for r in rotations] if kind == "cyclic" else [(r, s) for r in rotations for s in signs]
-        degrees = (0, 2, 6, 10)
+        chars, degrees = _family_characters(kind, m), (0, 2, 6, 10)
     forms = platonic._orbit_forms(group)[1]
     scalars = [[platonic._eigen_scalar(f, g) for f in forms] for g in group.generators]
     found = 0
@@ -330,9 +336,7 @@ def test_eigenspace_of_the_cyclic_and_dihedral_groups(kind, m):
     # inversion 1/z adds rows on the monomials of the rotation's weight.
     # Characters that no monomial carries give empty spaces on both sides.
     group = standard_subgroup(kind, m)
-    rotations = [Cyclotomic.zeta(2 * m, j) for j in range(2 * m)]
-    signs = [Cyclotomic.rational(1), Cyclotomic.rational(-1), Cyclotomic.zeta(4)]
-    chars = [(r,) for r in rotations] if kind == "cyclic" else [(r, s) for r in rotations for s in signs]
+    chars = _family_characters(kind, m)
     found = 0
     for n in (0, 2, 6, 10):
         for char in chars:
@@ -408,3 +412,120 @@ def test_survey_order_does_not_change_rows():
     ascending = {d: _survey_rows(d) for d in (11, 13, 15)}
     assert descending == ascending
     assert [row.split(",")[-1] for d in (11, 13, 15) for row in ascending[d]] == ["True"] * 3
+
+
+def oracle_class_sums(group, char):
+    """{t: sum of char(g)^-1 over the g with tr^2/det = t}, element by
+    element: char(g)^-1 the product of the inverted generator values along
+    the first path to g in the right Cayley graph, and tr^2/det divided out
+    for every element; {} when two paths to one element disagree."""
+    elements, right = _cayley_graph(group.generators, group.order)[:2]
+    inv = [c.inverse() for c in char]
+    vals, consistent, sums = {0: Cyclotomic.rational(1)}, True, {}
+    for x, row in enumerate(right):
+        for i, y in enumerate(row):
+            val = vals[x] * inv[i]
+            consistent &= vals.setdefault(y, val) == val
+    for k, h in enumerate(elements if consistent else []):
+        t = (h.a + h.d) ** 2 / h.det()
+        sums[t] = sums.get(t, Cyclotomic.rational(0)) + vals[k]
+    return sums
+
+
+def _trace_sum_cases():
+    # (case id, group, characters, degrees)
+    for kind in ("tetra", "octa", "icosa"):
+        group = platonic_group(kind)
+        chars = character_group(group)
+        doubled = [MoebiusMap(*(2 * e for e in g.entries())) for g in group.generators]
+        yield kind, group, chars, range(0, 125, 2)
+        yield f"{kind}-conjugated", _conjugated(group, MoebiusMap(2, 1, 1, 1)), chars, range(0, 25, 2)
+        swapped = FiniteSubgroup(group.elements, label=kind, generators=group.generators[::-1])
+        yield f"{kind}-swapped", swapped, [c[::-1] for c in chars], range(0, 25, 2)
+        yield f"{kind}-doubled", FiniteSubgroup(group.elements, label=kind, generators=doubled), chars, range(0, 25, 2)
+    for kind in ("cyclic", "dihedral"):
+        for m in range(1, 9):
+            yield f"{kind}:{m}", standard_subgroup(kind, m), _family_characters(kind, m), range(0, 21, 2)
+
+
+@pytest.mark.parametrize("case", list(_trace_sum_cases()), ids=lambda case: case[0])
+def test_trace_sum_matches_the_per_element_class_sums(case):
+    # every case also takes a tuple holding 1 + zeta_5, which is no character
+    _, group, chars, degrees = case
+    empty = 0
+    for char in chars + [tuple(1 + Cyclotomic.zeta(5) for _ in group.generators)]:
+        expected = oracle_class_sums(group, char)
+        assert platonic._class_sums(group, char) == expected, (group.label, char)
+        empty += not expected
+        for n in degrees:
+            want = sum((s * platonic._trace(t, n) for t, s in expected.items()), Cyclotomic.rational(0))
+            assert platonic._trace_sum(n, group, char) == want, (group.label, n, char)
+    assert 1 <= empty <= len(chars)
+
+
+@pytest.mark.parametrize(
+    "kind, sizes, values",
+    [("tetra", [1, 3, 4, 4], 3), ("octa", [1, 3, 6, 6, 8], 4), ("icosa", [1, 12, 12, 15, 20], 5)],
+)
+def test_the_class_table_has_one_division_per_conjugacy_class(kind, sizes, values, monkeypatch):
+    group = platonic_group(kind)
+    platonic._class_table.cache_clear()
+    divisions = []
+    real = Cyclotomic.__truediv__
+    monkeypatch.setattr(Cyclotomic, "__truediv__", lambda x, y: divisions.append(1) or real(x, y))
+    table = platonic._class_table(group)
+    assert sorted(size for _, classes in table for _, size in classes) == sizes
+    assert len(divisions) == len(sizes)
+    # the classes of A_4's rotations by 2pi/3 and 4pi/3 share t = 1 and make
+    # one entry; those of A_5's by 2pi/5 and 4pi/5 do not
+    assert len({t for t, _ in table}) == len(table) == values
+
+
+@lru_cache(maxsize=None)
+def recursive_trace(t, n):
+    """u_n by the recursion itself: u_0 = 1, u_2 = t - 1,
+    u_(k+2) = (t - 2) u_k - u_(k-2)."""
+    if n < 4:
+        return t - 1 if n else Cyclotomic.rational(1)
+    return (t - 2) * recursive_trace(t, n - 2) - recursive_trace(t, n - 4)
+
+
+def test_trace_matches_the_recursion():
+    for kind in ("tetra", "octa", "icosa"):
+        for t, _ in platonic._class_table(platonic_group(kind)):
+            platonic._trace.cache_clear()
+            for n in range(400, -1, -2):
+                assert platonic._trace(t, n) == recursive_trace(t, n), (kind, t, n)
+
+
+def test_trace_at_a_high_degree_is_the_sum_of_the_powers():
+    # u_n = sum_j xi^(n - 2j), j = 0..n, for t = (xi + 1/xi)^2: n = 2,400 from
+    # a cold cache, far past the interpreter's recursion limit
+    xi = Cyclotomic.zeta(10)
+    n, t = 2400, (xi + xi.inverse()) ** 2
+    powers = [0] * 10
+    for j in range(n + 1):
+        powers[(n - 2 * j) % 10] += 1
+    platonic._trace.cache_clear()
+    assert platonic._trace(t, n) == Cyclotomic.from_raw(10, powers)
+
+
+def test_orbit_powers_at_a_high_exponent():
+    # the orbit forms of cyclic:2 are Y and X, so their powers are monomials
+    # and exponent 1,500 costs little but depth
+    group = standard_subgroup("cyclic", 2)
+    _no_solve_caches()
+    for i, f in enumerate(platonic._orbit_forms(group)[1]):
+        k = next(k for k, c in enumerate(f.coeffs) if c)
+        assert platonic._orbit_power(group, i, 1500) == BinaryForm.monomial(1500, 1500 * k)
+        assert platonic._power_image(group, i, 1500) == [int(j == 1500 * k) for j in range(1501)]
+
+
+def test_a_group_without_generators_is_a_value_error():
+    # a group read back from JSON has its elements but no generators, and
+    # the orbit characters are read per generator
+    group = FiniteSubgroup.from_json(standard_subgroup("octa").to_json())
+    with pytest.raises(ValueError, match="no generators"):
+        character_eigenspace(6, group, ())
+    trivial = FiniteSubgroup.from_json(standard_subgroup("cyclic", 1).to_json())
+    assert len(character_eigenspace(2, trivial, ())) == 3
