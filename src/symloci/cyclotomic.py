@@ -164,7 +164,8 @@ class Cyclotomic:
 
     def __init__(self, conductor: int, coeffs):
         coeffs = [Fraction(x) for x in coeffs]
-        if len(coeffs) != euler_phi(conductor):
+        # phi(n) >= sqrt(n/2), so a conductor past 2 len^2 is refused before it is factored
+        if conductor > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(conductor):
             raise ValueError("coefficient vector has wrong length for conductor")
         # each Fraction is in lowest terms, so the lcm leaves gcd(den, *nums) == 1
         den = lcm(*(x.denominator for x in coeffs))

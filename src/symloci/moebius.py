@@ -33,11 +33,10 @@ class UnliftableInField(ValueError):
 class MoebiusMap:
     """z -> (az + b)/(cz + d) with ad - bc != 0; equality is projective."""
 
-    __slots__ = ("a", "b", "c", "d", "_key")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = (_cy(a), _cy(b), _cy(c), _cy(d))
-        self._key = None
         if not self.det():
             raise ValueError("singular matrix does not define a Moebius map")
 
@@ -64,7 +63,7 @@ class MoebiusMap:
         a, b, c, d = self.entries()
         e, f, g, h = other.entries()
         prod = object.__new__(MoebiusMap)
-        prod.a, prod.b, prod.c, prod.d, prod._key = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, None
+        prod.a, prod.b, prod.c, prod.d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
         return prod
 
     def inverse(self) -> MoebiusMap:
@@ -83,10 +82,7 @@ class MoebiusMap:
 
     def key(self):
         """Hashable canonical form: the normalized entries, each minimal."""
-        if self._key is None:
-            norm = [v.minimal() for v in _normalized(self.entries())]
-            self._key = tuple((e.n, e.nums, e.den) for e in norm)
-        return self._key
+        return tuple((e.n, e.nums, e.den) for e in (v.minimal() for v in _normalized(self.entries())))
 
     def __hash__(self):
         return hash(self.key())

@@ -114,26 +114,20 @@ def _standard(group_or_kind) -> FiniteSubgroup:
     raise ValueError(f"not the standard platonic group {label!r}")
 
 
-@lru_cache(maxsize=None)
 def platonic_group(kind: str) -> FiniteSubgroup:
     if kind not in _PLATONIC:
         raise ValueError(f"not a platonic rotation group: {kind!r}")
     return standard_subgroup(kind)
 
 
-@lru_cache(maxsize=None)
-def _cached_table(group: FiniteSubgroup) -> tuple[OrbitCharacterRow, ...]:
-    orbits, forms, scalars = _orbit_forms(group)
-    return tuple(
-        OrbitCharacterRow(div, div.degree, stab, tuple(s[i] for s in scalars), form)
-        for i, ((div, stab), form) in enumerate(zip(orbits, forms))
-    )
-
-
 def character_table(group_or_kind) -> list[OrbitCharacterRow]:
     """One row per degenerate orbit: size, stabilizer order, and the scalars
     by which the lifted generators act on the orbit form."""
-    return list(_cached_table(_standard(group_or_kind)))
+    orbits, forms, scalars = _orbit_forms(_standard(group_or_kind))
+    return [
+        OrbitCharacterRow(div, div.degree, stab, char, form)
+        for (div, stab), form, char in zip(orbits, forms, zip(*scalars))
+    ]
 
 
 def relevant_divisors(group_or_kind) -> list[Divisor]:
@@ -148,8 +142,8 @@ def relevant_pairs(group_or_kind) -> list[RelevantPair]:
     t_p = 1 and s_p = |G_p| - 1 on the remaining degenerate points; every
     produced pair is checked against all four defining conditions."""
     group = _standard(group_or_kind)
-    orbs = _orbit_forms(group)[0]
-    rows = _cached_table(group)
+    orbs, _, scalars = _orbit_forms(group)
+    chars = list(zip(*scalars))
     stab_of = {p: stab for div, stab in orbs for p in div.support()}
     pairs = []
     for mask in range(1 << len(orbs)):
@@ -158,10 +152,10 @@ def relevant_pairs(group_or_kind) -> list[RelevantPair]:
         for i, (orb, stab) in enumerate(orbs):
             if mask >> i & 1:
                 d2 = d2 + orb
-                char2 = tuple(a * b for a, b in zip(char2, rows[i].character))
+                char2 = tuple(a * b for a, b in zip(char2, chars[i]))
             elif stab > 1:
                 d1 = d1 + (stab - 1) * orb
-                char1 = tuple(a * b ** (stab - 1) for a, b in zip(char1, rows[i].character))
+                char1 = tuple(a * b ** (stab - 1) for a, b in zip(char1, chars[i]))
         pair = RelevantPair(d1, d2)
         _validate_relevant_pair(group, pair, char1, char2, stab_of)
         pairs.append(pair)
@@ -261,24 +255,16 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     every other form is 0 there; it depends on the space alone, so the
     generators' order or scale does not change it.
 
-    Results are cached for the life of the process, keyed on n, the group
-    object and char, so a survey over consecutive odd degrees builds the
-    degree-(d+1) spaces at d once and reuses them at d+2.  A group is not
-    mutated after construction and each standard group is built once per
-    process, so the object is a sound key; the space does not depend on
-    the scale of a representative, since the lift absorbs it (up to a sign
-    that even n does not see).
-
-    Odd n gives [] at once: the lift -I acts on degree-n forms by (-1)^n,
-    while every character of the binary group is 1 at -I.
+    Odd n gives []: the lift -I acts on degree-n forms by (-1)^n, while
+    every character of the binary group is 1 at -I.
     """
-    return [] if n % 2 else list(_eigenspace(n, group, tuple(char)))
+    return list(_eigenspace(n, group, tuple(char)))
 
 
-@lru_cache(maxsize=None)
 def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm, ...]:
+    forms = _orbit_forms(group)[1]
     products = [
-        reduce(mul, (_orbit_power(group, i, a) for i, a in enumerate(exps)))
+        reduce(mul, (f for f, a in zip(forms, exps) for _ in range(a)), BinaryForm(0, [_ONE]))
         for exps in _orbit_exponents(n, group, char)
     ]
     rows = ExactMatrix.from_rows([f.coeffs[::-1] for f in products]).row_basis()
@@ -308,9 +294,12 @@ def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
     degree n, c <= 1 on the last of three orbits, scaled by char under the
     lifted generators: the basis ``character_eigenspace`` multiplies out,
     certified exactly by the trace formula's count (``_trace_sum``).  ()
-    for odd n.  With s_i = zeta_N^k_i and chi = zeta_N^k, N = lcm(2, the
-    conductors), the test is sum e_i k_i = k (mod N); an s_i that is no root
-    of unity is corrupt data (AssertionError), a chi that is none gives ()."""
+    for odd n, where the lift -I acts by (-1)^n and every character is 1.
+    With s_i = zeta_N^k_i and chi = zeta_N^k, N = lcm(2, the conductors),
+    the test is sum e_i k_i = k (mod N); an s_i that is no root of unity is
+    corrupt data (AssertionError), a chi that is none gives ()."""
+    if n % 2:
+        return ()
     _, forms, scalars = _orbit_forms(group)
     big = lcm(2, *(x.n for x in chain(char, *scalars)))
     ks = [[_root_exponent(s, big) for s in row] for row in scalars]
@@ -324,12 +313,11 @@ def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
     exps = tuple(
         exps
         for exps in product(*map(range, tops))
-        if n % 2 == 0
-        and None not in targets
+        if None not in targets
         and sum(map(mul, exps, degrees)) == n
         and all((sum(map(mul, exps, k)) - t) % big == 0 for k, t in zip(ks, targets))
     )
-    if n % 2 == 0 and (trace := _trace_sum(n, group, char)) != len(exps) * group.order:
+    if (trace := _trace_sum(n, group, char)) != len(exps) * group.order:
         raise AssertionError(f"{len(exps)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
     return exps
 
@@ -362,17 +350,6 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
         tuple(f.evaluate(h.a * x + h.b * y, h.c * x + h.d * y) / v for f, (x, y, v) in zip(forms, at))
         for h in (g.sl2_lift() for g in group.generators)
     )
-
-
-@lru_cache(maxsize=None)
-def _orbit_power(group: FiniteSubgroup, i: int, a: int) -> BinaryForm:
-    """f_i^a for the i-th orbit form f_i of group, built up as ``_trace`` is."""
-    f = _orbit_forms(group)[1][i]
-    if a < 2:
-        return f if a else BinaryForm(0, [_ONE])
-    for k in range(a % 64, a, 64):
-        _orbit_power(group, i, k)
-    return _orbit_power(group, i, a - 1) * f
 
 
 @lru_cache(maxsize=None)
@@ -462,13 +439,13 @@ def character_group(group: FiniteSubgroup) -> list[tuple]:
 
 @lru_cache(maxsize=None)
 def _character_group(group: FiniteSubgroup) -> tuple[tuple, ...]:
-    rows = character_table(group)
+    chars = list(zip(*_orbit_forms(group)[2]))
     elems = [tuple(Cyclotomic.rational(1) for _ in group.generators)]
     for x in elems:
         if len(elems) > group.order:
             raise AssertionError(f"the {group.label} orbit characters generate more than |G| = {group.order}")
-        for row in rows:
-            y = tuple(a * b for a, b in zip(x, row.character))
+        for char in chars:
+            y = tuple(a * b for a, b in zip(x, char))
             if y not in elems:
                 elems.append(y)
     return tuple(elems)

@@ -1,7 +1,7 @@
 """Layer micro-benchmarks of the platonic set-up, per group: closing the
 generators (moebius.generate_closure), finding the degenerate orbits
 (moebius.degenerate_orbits) and the character table built from nothing
-cached (platonic._cached_table over platonic._orbit_forms); on icosa's
+cached (platonic.character_table over platonic._orbit_forms); on icosa's
 30-point orbit, the BFS of FiniteSubgroup.orbit from one of its points and
 the orbit's form (forms.form_from_divisor).  The exponents of the orbit
 products of every character at n = 120 and 124 (platonic._orbit_exponents),
@@ -16,13 +16,13 @@ degree-24 map, by coefficient weights (aut._fixes) and by conjugation
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
 Each round starts from an empty cache for what it times: the closure
-without its cached Cayley graph, the table with neither its rows nor the
-orbit data cached, so the orbits, their forms and each form's scalar under
-each generator's determinant-1 lift (read at one point, no substitution)
-are found again; the exponents with no exponent, class, trace or
-root-of-unity cache; the class sums with no class table, class-sum or
-root-of-unity cache.  The file name is outside the test_*.py pattern, so
-the default test run skips it.
+without its cached Cayley graph, the table with no orbit data cached, so
+the orbits, their forms and each form's scalar under each generator's
+determinant-1 lift (read at one point, no substitution) are found again;
+the exponents with no exponent, class, trace or root-of-unity cache; the
+class sums with no class table, class-sum or root-of-unity cache.  The
+file name is outside the test_*.py pattern, so the default test run skips
+it.
 """
 
 import pytest
@@ -49,13 +49,11 @@ def test_degenerate_orbits(benchmark, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_cached_table(benchmark, kind):
-    def no_orbit_data():
-        platonic._orbit_forms.cache_clear()
-        platonic._cached_table.cache_clear()
-
+def test_character_table(benchmark, kind):
     group = platonic.platonic_group(kind)
-    rows = benchmark.pedantic(platonic._cached_table, args=(group,), setup=no_orbit_data, rounds=20)
+    rows = benchmark.pedantic(
+        platonic.character_table, args=(group,), setup=platonic._orbit_forms.cache_clear, rounds=20
+    )
     assert len(rows) == 3
 
 

@@ -253,6 +253,33 @@ def test_bad_input_is_a_usage_error_not_a_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr and "usage error" in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["resultant"], ["check", "--group", "octa"]], ids=["resultant", "check"])
+def test_a_huge_conductor_in_a_map_file_is_a_usage_error_at_once(argv, tmp_path):
+    # a coefficient of conductor 10^18 + 3 with one coefficient: refused by
+    # its length alone, never factored
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import symloci
+
+    obj = RationalMap.from_zpoly([1, 0, 1], [0, 1, 0]).to_json()
+    obj["F"]["coeffs"][0] = {"conductor": 10**18 + 3, "coeffs": [["1", "1"]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"map": obj}))
+    src = str(Path(symloci.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "symloci.cli", argv[0], str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=10,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "malformed map JSON" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_certification_failure_is_exit_2_not_a_traceback(monkeypatch):
     from symloci import loci
 

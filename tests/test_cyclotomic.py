@@ -32,6 +32,17 @@ def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
+def test_a_huge_conductor_is_refused_before_it_is_factored(monkeypatch):
+    # phi(n) >= sqrt(n/2), so phi(n) coefficients bound n by 2 phi(n)^2; a
+    # conductor past that is refused with no trial division
+    assert all(n <= 2 * euler_phi(n) ** 2 for n in range(1, 2001))
+    for n in range(1, 2001):
+        assert Cyclotomic(n, [1] * euler_phi(n)).n == n
+    monkeypatch.setattr(cyclotomic, "_factor", lambda n: pytest.fail(f"{n} was factored"))
+    with pytest.raises(ValueError, match="wrong length"):
+        Cyclotomic(10**18 + 3, [1])
+
+
 def test_cyclotomic_polynomial_small():
     assert list(_cyclotomic_int_coeffs(1)) == [-1, 1]
     assert list(_cyclotomic_int_coeffs(4)) == [1, 0, 1]

@@ -1,8 +1,8 @@
-"""Character eigenspaces: the orbit-form products and the per-process
-cache against the original stacked system of one substitution per monomial
-and generator, their count against the character-orthogonality formula,
-the class sums of that formula against a walk over the elements, and the
-certificates that catch wrong orbit data."""
+"""Character eigenspaces: the orbit-form products against the original
+stacked system of one substitution per monomial and generator, their count
+against the character-orthogonality formula, the class sums of that formula
+against a walk over the elements, and the certificates that catch wrong
+orbit data."""
 
 import contextlib
 import io
@@ -65,8 +65,6 @@ def test_eigenspace_matches_per_monomial_oracle(kind):
         for n in range(0, 21, 2):
             expected = oracle_eigenspace(n, group, char)
             assert character_eigenspace(n, group, char) == expected, (kind, n, char)
-            # a second call is served from the cache and agrees as well
-            assert character_eigenspace(n, group, char) == expected
 
 
 def molien_count(n, group, char):
@@ -92,11 +90,12 @@ def molien_count(n, group, char):
 
 
 def _no_solve_caches():
-    # the orbit forms stay: a test that changes them patches _orbit_forms
-    for cached in (platonic._eigenspace, platonic._orbit_exponents, platonic._orbit_power, platonic._character_group,
-                   platonic._class_sums, platonic._class_table, platonic._cached_table, platonic._orbit_images,
-                   platonic._power_image, platonic._product_images):
-        cached.cache_clear()
+    # every cache that platonic defines, found by name so that none is
+    # missed; the orbit forms stay: a test that changes them patches
+    # _orbit_forms
+    for name, cached in vars(platonic).items():
+        if hasattr(cached, "cache_clear") and cached.__module__ == platonic.__name__ and name != "_orbit_forms":
+            cached.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -405,13 +404,33 @@ def _survey_rows(d):
 
 def test_survey_order_does_not_change_rows():
     # descending d reuses the spaces in the other direction (degree d-1 at d
-    # is degree d'+1 at d' = d-2); both orders start from an empty cache
-    platonic._eigenspace.cache_clear()
+    # is degree d'+1 at d' = d-2); both orders start from empty caches
+    _no_solve_caches()
     descending = {d: _survey_rows(d) for d in (15, 13, 11)}
-    platonic._eigenspace.cache_clear()
+    _no_solve_caches()
     ascending = {d: _survey_rows(d) for d in (11, 13, 15)}
     assert descending == ascending
     assert [row.split(",")[-1] for d in (11, 13, 15) for row in ascending[d]] == ["True"] * 3
+
+
+def test_the_exact_basis_is_built_only_where_the_images_fail(monkeypatch):
+    # the survey and construct certify mod p, so the exact basis, which
+    # keeps no cache, is a fallback: built only with no image to certify by
+    calls = []
+    real = platonic._eigenspace
+    monkeypatch.setattr(platonic, "_eigenspace", lambda *args: calls.append(args) or real(*args))
+
+    def run(argv):
+        _no_solve_caches()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+    run(["survey", "--groups", "platonic", "--d", "11..31"])
+    run(["construct", "--group", "icosa", "--d", "29"])
+    assert calls == []
+    monkeypatch.setattr(platonic, "_orbit_images", lambda group: None)
+    run(["survey", "--groups", "tetra", "--d", "11"])
+    assert calls
 
 
 def oracle_class_sums(group, char):
@@ -517,7 +536,6 @@ def test_orbit_powers_at_a_high_exponent():
     _no_solve_caches()
     for i, f in enumerate(platonic._orbit_forms(group)[1]):
         k = next(k for k, c in enumerate(f.coeffs) if c)
-        assert platonic._orbit_power(group, i, 1500) == BinaryForm.monomial(1500, 1500 * k)
         assert platonic._power_image(group, i, 1500) == [int(j == 1500 * k) for j in range(1501)]
 
 

@@ -129,8 +129,10 @@ def test_a_group_carrying_a_platonic_label_must_be_the_standard_one():
 
 @pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
 def test_a_kind_and_its_standard_group_give_the_same_answers(kind):
-    # every cache is keyed on the group, which a kind names
+    # every cache is keyed on the group, which a kind names: the one object
+    # that standard_subgroup caches
     group = platonic_group(kind)
+    assert group is platonic_group(kind) is standard_subgroup(kind)
     assert [row.to_json() for row in character_table(group)] == [row.to_json() for row in character_table(kind)]
     assert character_table(group) == character_table(kind)
     assert existence_residues(group, 60) == existence_residues(kind, 60)
