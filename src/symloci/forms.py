@@ -12,10 +12,11 @@ no root finding is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from operator import sub
+from itertools import accumulate, repeat
+from math import lcm
+from operator import mul, sub
 
-from .cyclotomic import Cyclotomic, _images, _trim
+from .cyclotomic import Cyclotomic, _fold, _images, _make, _phi, _trim
 
 _C0 = Cyclotomic.rational(0)
 _C1 = Cyclotomic.rational(1)
@@ -163,10 +164,7 @@ class BinaryForm:
 
 def _powers(x: Cyclotomic, top: int) -> list[Cyclotomic]:
     """[1, x, x^2, ..., x^top]."""
-    out = [_C1]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
+    return list(accumulate(repeat(x, top), mul, initial=_C1))
 
 
 def _accumulate_product(out: list, p1: list, p2: list, coef=None):
@@ -183,46 +181,67 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
     """Right substitution action F^g = F(aX+bY, cX+dY).
 
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
-    with fields a, b, c, d.  Each nonzero coefficient of X^(n-i) Y^i adds
-    coef (aX+bY)^(n-i) (cX+dY)^i: the two rows are built entry by entry as
-    comb(k, j) a^(k-j) b^j from the powers of the entries (ints when all
-    four are integers), multiplied out, and coef is multiplied once into
-    each term their product reaches.  One loop serves every matrix; a zero
-    entry only empties row entries, which are skipped.
+    with fields a, b, c, d.  A monomial matrix moves each coefficient to one
+    place: coef a^(n-i) d^i to X^(n-i) Y^i, or coef b^(n-i) c^i to X^i Y^(n-i).
+    Any other matrix takes one packed Horner pass (Kronecker substitution)
+    per conductor among the coefficients, and the passes are added.  A pass
+    writes each element of Z[zeta_N], denominators cleared, as one int: its
+    digits in Z[x]/(x^N - 1) at x = 2^B, so the ring is Z mod 2^(BN) - 1,
+    reduced by shift and add.  Horner on the power of Y, S_k = S_(k-1)
+    (aX+bY) + f_k (cX+dY)^k, takes O(n^2) int products, and B, two bits past
+    the l1 bound sum_i |f_i| (|a|+|b|)^(n-i) (|c|+|d|)^i on every digit,
+    decodes them exactly.  Each coefficient keeps the conductor that adding
+    up the terms coef (aX+bY)^(n-i) (cX+dY)^i, each multiplied out, gives it.
     """
     a, b, c, d = _matrix_entries(g)
-    n = f.degree
-    ints = all(x.n == 1 and x.den == 1 for x in (a, b, c, d))  # then the rows are ints
-    pa, pb, pc, pd = ([x.nums[0] ** k for k in range(n + 1)] if ints else _powers(x, n) for x in (a, b, c, d))
-    out = [_C0] * (n + 1)
-    for i, coef in enumerate(f.coeffs):
-        if coef:
-            row1 = [pa[n - i - j] * pb[j] * comb(n - i, j) for j in range(n - i + 1)]
-            row2 = [pc[i - j] * pd[j] * comb(i, j) for j in range(i + 1)]
-            prod = [None] * (n + 1)  # None where no two nonzero row entries meet: coef adds nothing there
-            for u, x in enumerate(row1):
-                if x:
-                    for k, y in enumerate(row2, u):
-                        if y:
-                            p = prod[k]
-                            prod[k] = x * y if p is None else p + x * y
-            for k, p in enumerate(prod):
-                if p is not None:
-                    out[k] = out[k] + coef * p
-    return BinaryForm(n, out)
+    n, coeffs, diagonal = f.degree, f.coeffs, not (b or c)
+    if diagonal or not (a or d):
+        ps, pt = (_powers(a, n), _powers(d, n)) if diagonal else (_powers(b, n), _powers(c, n))
+        out = [x * ps[n - i] * pt[i] if x and ps[n - i] and pt[i] else _C0 for i, x in enumerate(coeffs)]
+        return BinaryForm(n, out if diagonal else out[::-1])
+    parts = [_packed_horner(coeffs, m, a, b, c, d) for m in {x.n for x in coeffs if x}] or [[_C0] * (n + 1)]
+    return BinaryForm(n, [sum(col[1:], col[0]) for col in zip(*parts)])
+
+
+def _packed_horner(coeffs: tuple, m: int, a, b, c, d) -> list:
+    # the terms of the nonzero coefficients at conductor m under a
+    # non-monomial matrix, added, and the rational 0 where no term reaches
+    n, fs = len(coeffs) - 1, [(i, x) for i, x in enumerate(coeffs) if x and x.n == m]
+    N, dm, den = lcm(m, a.n, b.n, c.n, d.n), lcm(a.den, b.den, c.den, d.den), lcm(*(x.den for _, x in fs))
+    ents, fs = [(x, dm // x.den) for x in (a, b, c, d)], [(i, x, den // x.den) for i, x in fs]  # numerators
+    na, nb, nc, nd = (s * sum(map(abs, x.nums)) for x, s in ents)
+    B = sum(s * sum(map(abs, x.nums)) * (na + nb) ** (n - i) * (nc + nd) ** i for i, x, s in fs).bit_length() + 2
+    W, M, half, mask = B * N, (1 << B * N) - 1, 1 << (B - 1), (1 << B) - 1
+    pack = lambda x, s: sum(v * s << B * (N // x.n) * j for j, v in enumerate(x.nums))  # noqa: E731
+    (al, be, ga, de), F, S, P = [pack(x, s) for x, s in ents], {i: pack(x, s) for i, x, s in fs}, [], [1]
+    for k in range(n + 1):
+        P = [((v := p * ga + q * de) & M) + (v >> W) for p, q in zip(P + [0], [0] + P)] if k else P
+        fk = F.get(k, 0)
+        S = [((v := s * al + t * be + fk * p) & M) + (v >> W) for s, t, p in zip(S + [0], [0] + S, P)]
+    # term i reaches X^(n-k) Y^k through entry u of (aX+bY)^(n-i) and v of (cX+dY)^i, u + v = k; the
+    # conductor of m, a, b, c or d counts where a term does: always, or with u < n-i, u > 0, v < i or v > 0.
+    # Off the monomial matrices those k are a range whose ends move with i at slope -1, 0 or 1.
+    lo, hi = [n + 1] * 5, [-1] * 5
+    for i, _, _ in fs[:2] + fs[-2:]:  # so the first two and the last two terms bound it
+        r = n - i
+        u0, u1, v0, v1 = 0 if a or not r else r, r if b else 0, 0 if c or not i else i, i if d else 0
+        for s, t in enumerate(((0, r, 0, i), (0, r - 1, 0, i), (1, r, 0, i), (0, r, 0, i - 1), (0, r, 1, i))):
+            p0, p1, q0, q1 = max(u0, t[0]), min(u1, t[1]), max(v0, t[2]), min(v1, t[3])
+            if p0 <= p1 and q0 <= q1:
+                lo[s], hi[s] = min(lo[s], p0 + q0), max(hi[s], p1 + q1)
+    offset, total, out = M // mask * half, den * dm**n, [_C0] * (n + 1)  # offset: half in every digit
+    for k in range(lo[0], hi[0] + 1):
+        cond = lcm(*(x for x, lk, hk in zip((m, a.n, b.n, c.n, d.n), lo, hi) if lk <= k <= hk))
+        w, step = (S[k] + offset) % M, B * (N // cond)
+        raw = [(w >> step * e & mask) - half for e in range(cond)]
+        out[k] = _make(cond, _fold(cond, _phi(cond), raw), total)
+    return out
 
 
 def _matrix_entries(g):
     if hasattr(g, "a"):
-        return _cy(g.a), _cy(g.b), _cy(g.c), _cy(g.d)
-    flat = []
-    for row in g:
-        if isinstance(row, (list, tuple)):
-            flat.extend(row)
-        else:
-            flat.append(row)
-    a, b, c, d = flat
-    return _cy(a), _cy(b), _cy(c), _cy(d)
+        g = (g.a, g.b, g.c, g.d)
+    return [_cy(x) for row in g for x in (row if isinstance(row, (list, tuple)) else [row])]
 
 
 def partial_derivatives(f: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
@@ -315,9 +334,15 @@ def _coprime_images(images: list, p: int) -> bool:
 
 
 def _product_mod(f: list, g: list, p: int) -> list:
-    out = [0] * (len(f) + len(g) - 1)
-    _accumulate_product(out, f, g)
-    return [v % p for v in out]
+    if min(len(f), len(g)) < 10:  # schoolbook, faster than packing a short list
+        out = [0] * (len(f) + len(g) - 1)
+        _accumulate_product(out, f, g)
+        return [v % p for v in out]
+    # one big-int product of residues packed in w-byte digits, wide enough for min(len) products < p^2
+    w, size = (2 * p.bit_length() + min(len(f), len(g)).bit_length() + 7) // 8, len(f) + len(g) - 1
+    f, g = (int.from_bytes(b"".join((x % p).to_bytes(w, "little") for x in v), "little") for v in (f, g))
+    raw = (f * g).to_bytes(w * size, "little")
+    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)]
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:

@@ -1,9 +1,11 @@
 """Layer micro-benchmarks of the forms layer: forms.sylvester_resultant on
 fixed pairs of degree-d forms, forms.substitute of one degree-24 form
 under a diagonal, an anti-diagonal, a dense and an integer dense matrix,
-per degree and conductor, and RationalMap.is_in_ratd through the images
-mod p against the exact resultant on a degree-11 family member and the
-octa d = 13 map.
+per degree and conductor, and of one degree-119 form under the icosa
+generator T, forms._product_mod of two degree-d lists mod 2^61 - 1 at
+d = 500 and 1000, and RationalMap.is_in_ratd through the images mod p
+against the exact resultant on a degree-11 family member and the octa
+d = 13 map.
 
     PYTHONPATH=src python -m pytest tests/perf_forms.py --benchmark-only
 
@@ -21,8 +23,9 @@ import random
 import pytest
 
 from symloci.cyclotomic import Cyclotomic
-from symloci.forms import BinaryForm, substitute, sylvester_resultant
+from symloci.forms import BinaryForm, _product_mod, substitute, sylvester_resultant
 from symloci.loci import dihedral_generic_member
+from symloci.moebius import standard_subgroup
 from symloci.platonic import construct_symmetric_map
 
 CASES = [(8, 1), (11, 1), (13, 1), (13, 5), (13, 12)]
@@ -58,6 +61,22 @@ def test_substitute(benchmark, kind, n):
     f = _form(rng, 24, n)
     g = SUBSTITUTION_MATRICES[kind](Cyclotomic.zeta(n))
     assert not benchmark(substitute, f, g).is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_substitute_icosa_generator(benchmark, n):
+    # T = (-(e - e^4), e^2 - e^3; e^2 - e^3, e - e^4), e = zeta_5: dense at conductor 5
+    t = standard_subgroup("icosa").generators[1]
+    assert t.b and t.c
+    f = _form(random.Random(f"substitute:icosa:{n}"), 119, n)
+    assert not benchmark(substitute, f, t).is_zero()
+
+
+@pytest.mark.parametrize("d", [500, 1000])
+def test_product_mod(benchmark, d):
+    p, rng = 2**61 - 1, random.Random(f"product_mod:{d}")
+    f, g = ([rng.randrange(p) for _ in range(d + 1)] for _ in "fg")
+    assert len(benchmark(_product_mod, f, g, p)) == 2 * d + 1
 
 
 IN_RATD_MAPS = {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symloci.aut import _verified_type
-from symloci.cyclotomic import Cyclotomic, ExactMatrix, euler_phi
+from symloci.cyclotomic import Cyclotomic, ExactMatrix, _image_field, euler_phi
 from symloci.forms import (
     BinaryForm,
     DegreeMismatch,
@@ -15,6 +15,7 @@ from symloci.forms import (
     P1Point,
     RationalMap,
     _accumulate_product,
+    _product_mod,
     distinct_common_roots_count,
     distinct_roots_count,
     form_from_divisor,
@@ -164,6 +165,71 @@ def test_dense_substitution_matches_the_power_table(case):
     got = substitute(f, g).coeffs
     want = _dense_substitute(f, *g)
     assert [(c.n, c.nums, c.den) for c in got] == [(c.n, c.nums, c.den) for c in want]
+
+
+# The packed Horner kernel of ``substitute`` against the same oracle, where
+# the hypothesis draws rarely go: a digit at its a-priori bound, high degree,
+# coefficients at several conductors and denominators, zero entries stored
+# at a conductor above 1, singular matrices, degree 0 and the zero form.
+Z5, Z12 = Cyclotomic.zeta(5), Cyclotomic.zeta(12)
+EDGE_SUBSTITUTIONS = [
+    # +-(2^k - 1) X^n under (X, Y) -> (X, X + Y), which fixes it: the one digit equals the l1 bound
+    *((BinaryForm.monomial(n, 0, s * (2**k - 1)), (1, 0, 1, 1)) for k in (1, 7, 31, 64) for n in (0, 5) for s in (1, -1)),
+    *((BinaryForm.monomial(4, 0, s * (2**k - 1) * Z5), (1, 0, Z5, 1)) for k in (3, 40) for s in (1, -1)),
+    # negative entries of maximal l1 norm: the one term reaches the bound, its sign alternating with n
+    *((BinaryForm(n, [-(2**k - 1)] + [0] * n), (-3, 0, -2, -1)) for k in (5, 33) for n in (1, 4, 7)),
+    (BinaryForm(6, [-7, 0, 0, 0, 0, 0, -7]), (-1, -1, -1, 1)),
+    # degrees up to 40
+    *((_random_form(random.Random(f"deg:{n}:{m}"), n, m), (1, 2, Cyclotomic.zeta(m), -3)) for n in (25, 40) for m in (1, 5)),
+    (_random_form(random.Random("deg:40:int"), 40, 12), (2, -1, 3, 1)),
+    (_random_form(random.Random("deg:33:i"), 33, 4), (Cyclotomic.zeta(4), Cyclotomic.zeta(4), 1, -1)),
+    # coefficients at several conductors and denominators, entries with denominators
+    (
+        BinaryForm(5, [Fraction(1, 2), Z5 / 3, 0, Z12 * 7, Cyclotomic.zeta(4) - Fraction(1, 6), 5]),
+        (1, Fraction(1, 2), Z5, 2),
+    ),
+    (
+        BinaryForm(4, [Z12 / 4, Cyclotomic.zeta(8, 3), Fraction(-2, 9), Z5 + Z12, Cyclotomic.zeta(3)]),
+        (Fraction(2, 3), Z12, Z5, -1),
+    ),
+    (BinaryForm(3, [Z5, Z5 / 2, 1, Fraction(1, 3)]), (Z12 / 5, Fraction(-1, 4), 1, Z5)),
+    # zero entries stored at conductors above 1, and singular matrices
+    (BinaryForm(5, [1, Z5, 0, Z12, 2, -1]), (Z5 * 0, 1, 1, Z12)),
+    (BinaryForm(5, [1, Z5, 0, Z12, 2, -1]), (1, Z12 * 0, Z5, 1)),
+    (BinaryForm(4, [Z12, 0, 3, Z5, 1]), (1, Z5, Z12 * 0, Cyclotomic.zeta(7))),
+    (BinaryForm(4, [Z12, 0, 3, Z5, 1]), (1, 1, Z5, Z5 * 0)),
+    (BinaryForm(4, [2, Z5, 0, 1, Z12]), (1, 1, 0, 0)),
+    (BinaryForm(4, [2, Z5, 0, 1, Z12]), (0, 0, Z5, 1)),
+    (BinaryForm(4, [2, Z5, 0, 1, Z12]), (0, Z12, 0, 1)),
+    (BinaryForm(4, [2, Z5, 0, 1, Z12]), (Z5, 0, 1, 0)),
+    (BinaryForm(4, [2, Z5, 0, 1, Z12]), (Z5 * 0, 0, 0, Z12 * 0)),
+    # degree 0 and the zero form
+    (BinaryForm(0, [Z12 - Fraction(1, 3)]), (1, Z5, 2, 3)),
+    (BinaryForm(0, [0]), (1, 1, 1, 2)),
+    (BinaryForm.zero(7), (1, Z5, 2, 3)),
+    (BinaryForm(3, [Z5 * 0, 0, Z12 * 0, 0]), (1, Z5, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(EDGE_SUBSTITUTIONS)))
+def test_packed_substitution_edges_match_the_power_table(case):
+    f, g = EDGE_SUBSTITUTIONS[case]
+    got = substitute(f, g).coeffs
+    want = _dense_substitute(f, *g)
+    assert [(c.n, c.nums, c.den) for c in got] == [(c.n, c.nums, c.den) for c in want]
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, _image_field(5)[0], _image_field(12)[0]])
+def test_product_mod_matches_the_schoolbook_product(p):
+    # residues of the convolution, schoolbook below ten terms and packed
+    # above, inputs unreduced: negative, above p and near p in size, so each
+    # packed digit holds a whole sum below len p^2
+    rng = random.Random(p)
+    for lf, lg in [(1, 1), (1, 9), (7, 3), (9, 300), (10, 10), (40, 40), (64, 257), (300, 12)]:
+        f = [rng.choice([p - 1, -1, rng.randrange(-(p**2), p**2)]) for _ in range(lf)]
+        g = [rng.choice([p - 1, 1 - p, rng.randrange(-5 * p, 5 * p)]) for _ in range(lg)]
+        want = [sum(f[i] * g[k - i] for i in range(max(0, k - lg + 1), min(k, lf - 1) + 1)) % p for k in range(lf + lg - 1)]
+        assert _product_mod(f, g, p) == want
 
 
 @st.composite
