@@ -184,10 +184,6 @@ def _sphere(p) -> tuple[float, float, float]:  # 0 at the south pole
     return 2 * w.real, 2 * w.imag, abs(p[0]) ** 2 - abs(p[1]) ** 2
 
 
-def _dist2(v, w) -> float:
-    return (v[0] - w[0]) ** 2 + (v[1] - w[1]) ** 2 + (v[2] - w[2]) ** 2
-
-
 def _cross(p, q):
     return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
 
@@ -198,49 +194,49 @@ def _floats(coeffs) -> list[complex]:  # scaled by one power of 2 if the largest
     return [(c * scale if scale else c).complex() for c in coeffs]
 
 
-def _newton(poly: list[complex], z: complex) -> complex:  # p/p'; for |z| > 1 z q / (n q - w q'), q(w) = w^n p(1/w)
-    w, coeffs = (z, poly) if abs(z) <= 1 else (1 / z, poly[::-1])
-    p = dp = 0j
-    for c in coeffs:
-        dp, p = dp * w + p, p * w + c
-    den = dp if w is z else (len(poly) - 1) * p - w * dp
-    return (p if w is z else z * p) / den if den else 0j
-
-
 def _roots(form: BinaryForm, starts=None, rel: float = 1e-3, cap: int = 100) -> tuple[list, bool]:
     """The roots of a form with multiplicity, and whether they converged:
     exact leading zeros are infinity, trailing ones 0, the others are from
-    Aberth-Ehrlich sweeps (Math. Comp. 27, 1973) to corrections <= rel |z|,
-    from a circle or from starts (one per root, so also for 0 and infinity)."""
+    Aberth-Ehrlich sweeps (Math. Comp. 27, 1973) from a circle or from starts (one
+    per root, so also for 0 and infinity), each moving only the roots whose last
+    correction was above rel |z| (Bini, Numer. Algorithms 13, 1996)."""
     c = form.coeffs
     if not any(c):
         return [], True
     lead, trail = (next(i for i, x in enumerate(seq) if x) for seq in (c, c[::-1]))
     poly = _floats(c[lead : len(c) - trail])
-    n = len(poly) - 1
+    n, rev = len(poly) - 1, poly[::-1]
     if starts is None:
         zs = [abs(poly[-1] / poly[0]) ** (1 / n) * cmath.exp(1j * (0.4 + 2 * cmath.pi * k / n)) for k in range(n)]
     else:
         starts = sorted(starts, key=lambda p: abs(p[0]) / (abs(p[1]) or 1e-300))[trail : trail + n]
         zs = [(p[0] / p[1] if p[1] else 1e300) or 1e-300 for p in starts]
-    done = not n
-    for _ in range(cap if n else 0):
-        done = True
-        for i, z in enumerate(zs):
-            w = _newton(poly, z)
-            s = w * sum(1 / (z - y) for y in zs if y != z)
+    moving = list(range(n))
+    for _ in range(cap):
+        for i in moving[:]:
+            z = zs[i]
+            t, p, dp, s = z if abs(z) <= 1 else 1 / z, 0j, 0j, 0
+            for x in poly if t is z else rev:
+                dp, p = dp * t + p, p * t + x
+            den = dp if t is z else n * p - t * dp  # for |z| > 1 p/p' is z q / (n q - t q'), q(t) = t^n p(1/t)
+            w = (p if t is z else z * p) / den if den else 0j
+            for y in zs:
+                if y != z:
+                    s += 1 / (z - y)
+            s *= w
             zs[i] = z - (w / (1 - s) if s != 1 else w)
-            done = done and abs(zs[i] - z) <= rel * abs(z)
-        if done:
+            if abs(zs[i] - z) <= rel * abs(z):
+                moving.remove(i)
+        if not moving:
             break
-    return [(1 + 0j, 0j)] * lead + [(0j, 1 + 0j)] * trail + [_unit(z, 1) for z in zs], done
+    return [(1 + 0j, 0j)] * lead + [(0j, 1 + 0j)] * trail + [_unit(z, 1) for z in zs], not moving
 
 
 def _distinct(points, tol: float) -> list:  # without those within tol of an earlier one
     out: dict = {}
     for p in points:
         v = _sphere(p)
-        if all(_dist2(v, w) > tol * tol for w in out.values()):
+        if all((v[0] - w[0]) ** 2 + (v[1] - w[1]) ** 2 + (v[2] - w[2]) ** 2 > tol * tol for w in out.values()):
             out[p] = v
     return list(out)
 
@@ -300,11 +296,13 @@ def _to_01inf(p1, p2, p3):
     return alpha * p1[1], -alpha * p1[0], beta * p3[1], -beta * p3[0]
 
 
-def _rotations(vs, tol: float):
+def _rotations(vs, tol: float, known=()):
     """The permutations of vs by rotations (within tol), with indices (a, b, c):
     the images (i, j) of a = 0 and b, closest to orthogonal to it, keep
-    their dot product; c, farthest off their great circle, is matched first."""
-    n = len(vs)
+    their dot product and fix the rotation; c, farthest off their great circle,
+    is matched first.  (i, j) is skipped if a permutation in known, which may grow
+    between yields, maps (a, b) to it: the rotation, so the permutation, is the same."""
+    n, tol2 = len(vs), tol * tol
     dot = [[p[0] * q[0] + p[1] * q[1] + p[2] * q[2] for q in vs] for p in vs]
     a, b = 0, min(range(1, n), key=lambda j: abs(dot[0][j]))
 
@@ -315,14 +313,15 @@ def _rotations(vs, tol: float):
 
     coords = [[sum(x * y for x, y in zip(e, v)) for e in frame(a, b)] for v in vs]
     c = max((k for k in range(n) if k not in (a, b)), key=lambda k: abs(coords[k][2]))
-    xs, order = zip(*sorted((v[0], k) for k, v in enumerate(vs)))
+    xs, pts = zip(*sorted((v[0], (k, *v)) for k, v in enumerate(vs)))
     for i, j in itertools.permutations(range(n), 2):
-        if abs(dot[i][j] - dot[a][b]) <= tol:
-            f, perm = tuple(zip(*frame(i, j))), []
-            for k in [c, *range(n)]:
-                w = [x * coords[k][0] + y * coords[k][1] + z * coords[k][2] for x, y, z in f]
-                near = order[bisect_left(xs, w[0] - tol) : bisect_right(xs, w[0] + tol)]
-                hits = [h for h in near if _dist2(w, vs[h]) <= tol * tol]
+        if abs(dot[i][j] - dot[a][b]) <= tol and not any(x[a] == i and x[b] == j for x in known):
+            (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = zip(*frame(i, j))
+            perm = []
+            for u, v, t in [coords[c], *coords]:
+                w0, w1, w2 = x0 * u + y0 * v + z0 * t, x1 * u + y1 * v + z1 * t, x2 * u + y2 * v + z2 * t
+                near = pts[bisect_left(xs, w0 - tol) : bisect_right(xs, w0 + tol)]
+                hits = [h for h, x, y, z in near if (w0 - x) ** 2 + (w1 - y) ** 2 + (w2 - z) ** 2 <= tol2]
                 if len(hits) != 1:
                     break
                 perm.append(hits[0])
@@ -343,7 +342,10 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
     again while the rough roots do not converge.  The accurate roots,
     distinct within tol = tolerance^(1/2) (>= 3.2e-5), are balanced in
     floats; a rotation permuting them is kept if its Moebius map commutes
-    with phi at four probe points within tol.  No exactness is claimed.
+    with phi at four probe points within tol, as a generator of the group
+    closed on the permutations (faithful on >= 3 points, so the closure is
+    every candidate that passes), and a candidate whose images of a and b
+    an element has is not built.  No exactness is claimed.
     """
     if phi.degree < 2:
         raise ValueError("discovery expects degree >= 2")
@@ -373,15 +375,21 @@ def discover_automorphisms(phi: RationalMap, tolerance: float = 1e-8) -> AutRepo
     coeffs = _floats(phi.coefficients())
     pair = coeffs[: phi.degree + 1], coeffs[phi.degree + 1 :]
     probes = [(p, _evaluate(pair, p)) for p in _PROBES]
-    identity, census = tuple(range(len(points))), {}  # a Moebius map fixing three points is the identity
-    for perm, base in _rotations(_balancing(points)[1], tol):
+    identity = tuple(range(len(points)))
+    gens, group, census = [], {identity}, {}
+    for perm, base in _rotations(_balancing(points)[1], tol, group):
         src, dst = _to_01inf(*(points[k] for k in base)), _to_01inf(*(points[perm[k]] for k in base))
         m = _mul((dst[3], -dst[1], -dst[2], dst[0]), src)  # the Moebius map of the permutation
         images = ((_apply(m, q), _evaluate(pair, _apply(m, p))) for p, q in probes)
-        if perm == identity or all(abs(u[0] * w[1] - u[1] * w[0]) <= tol for u, w in images):
-            k, power = 1, perm
-            while power != identity:
-                k, power = k + 1, tuple(perm[i] for i in power)
-            census[k] = census.get(k, 0) + 1
-    found = sum(census.values())
-    return AutReport(numeric_order=found, census=census, classified=classify_census(found, census))
+        if all(abs(u[0] * w[1] - u[1] * w[0]) <= tol for u, w in images):
+            gens.append(perm)
+            layer = set(group)
+            while layer:  # in place: _rotations skips what group covers
+                layer = {tuple(map(x.__getitem__, g)) for x in layer for g in gens} - group
+                group |= layer
+    for perm in group:
+        k, power = 1, perm
+        while power != identity:
+            k, power = k + 1, tuple(map(perm.__getitem__, power))
+        census[k] = census.get(k, 0) + 1
+    return AutReport(numeric_order=len(group), census=census, classified=classify_census(len(group), census))

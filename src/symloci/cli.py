@@ -24,6 +24,7 @@ import math
 import sys
 from dataclasses import fields
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import loci, platonic
 from .aut import DegenerateConfiguration, _verify_through_generators, discover_automorphisms
@@ -111,6 +112,17 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _json(obj, default=None, indent="\n") -> str:
+    """json.dumps(obj, indent=2, default=default) by joins: an indent makes json.dumps pure Python."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [_quote(k) + ": " + _json(v, default, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join([_json(v, default, inner) for v in obj]) + indent + "]"
+    return _quote(obj) if isinstance(obj, str) else repr(obj) if type(obj) is int else json.dumps(obj, default=default)
+
+
 def _load(path: str, key: str, build):
     """build(the JSON in path), unwrapped from key as the subcommands write
     it; a file that cannot be read or built is a UsageError."""
@@ -156,7 +168,7 @@ def cmd_survey(args) -> int:
     all_match = all(r["match"] for r in rows)
     if args.format == "json":
         payload = {"schema": SCHEMA, "kind": "survey", "rows": rows, "all_match": all_match}
-        _emit(json.dumps(payload, indent=2, default=str) + "\n", args.out)
+        _emit(_json(payload, default=str) + "\n", args.out)
     else:
         columns = [f.name for f in fields(loci.SurveyRow)]
         buf = io.StringIO()
@@ -208,7 +220,7 @@ def cmd_construct(args) -> int:
             "verified_automorphisms": [e.to_json() for e in report.verified_elements],
         },
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json(payload) + "\n", args.out)
     return 0
 
 
@@ -246,7 +258,7 @@ def cmd_decomp(args) -> int:
         phi = _load(args.mapfile, "map", RationalMap.from_json)
         pair = decompose_map(phi)
         payload = {"schema": SCHEMA, "kind": "form_pair", "pair": pair.to_json()}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json(payload) + "\n", args.out)
     return 0
 
 
@@ -260,7 +272,7 @@ def cmd_aut(args) -> int:
     except DegenerateConfiguration as exc:  # e.g. F and G share a factor
         raise UsageError(f"numeric discovery cannot start: {exc}") from exc
     payload = {"schema": SCHEMA, "kind": "aut_report", "report": report.to_json()}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json(payload) + "\n", args.out)
     return 0
 
 
@@ -274,7 +286,7 @@ def cmd_resultant(args) -> int:
         "resultant": res.minimal().to_json(),
         "in_ratd": bool(res),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json(payload) + "\n", args.out)
     return 0
 
 

@@ -1,6 +1,7 @@
 """Layer micro-benchmarks of numeric discovery: discover_automorphisms on
 the constructed octa d = 13, tetra d = 11 and tetra d = 13 maps, plain and
-conjugated by (0, -1, 1, -2), and its helpers on the fixed points of the
+conjugated by (0, -1, 1, -2), and on z^61 and the constructed icosa d = 59
+map conjugated by (2, 1, 1, 1), and its helpers on the fixed points of the
 octa d = 13 map (14 points) and of z^61 (62 points): aut._roots (the
 rough roots, 1e-3, of the octa map under (2, 1, -3, -1) and of z^61, and
 the accurate ones from the rough ones on the plain maps), aut._balancing
@@ -37,6 +38,19 @@ def _map(kind, d, conjugated):
 def test_discover_automorphisms(benchmark, kind, d, conjugated):
     report = benchmark(discover_automorphisms, _map(kind, d, conjugated), 1e-8)
     assert report.numeric_order == AUT_ORDER[kind, d]
+
+
+HIGH_DEGREE = {"z61": (120, "dihedral:60"), "icosa59": (60, "icosa")}
+
+
+@pytest.mark.parametrize("name", HIGH_DEGREE)
+def test_discover_high_degree_conjugate(benchmark, name):
+    if name == "z61":
+        phi = RationalMap.from_zpoly([1] + [0] * 61, [0] * 61 + [1])
+    else:
+        phi = construct_symmetric_map(59, "icosa")[0]
+    report = benchmark(discover_automorphisms, conjugate_map(phi, MoebiusMap(2, 1, 1, 1)), 1e-8)
+    assert (report.numeric_order, report.classified) == HIGH_DEGREE[name]
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from symloci.aut import (
+    AutReport,
     NotAnAutomorphism,
     _fixes,
     _verify_through_generators,
@@ -24,7 +25,7 @@ from symloci.aut import (
 )
 from symloci.cyclotomic import Cyclotomic
 from symloci.forms import BinaryForm, RationalMap
-from symloci.moebius import FiniteSubgroup, MoebiusMap, conjugate_map, standard_subgroup
+from symloci.moebius import FiniteSubgroup, MoebiusMap, classify_census, conjugate_map, standard_subgroup
 
 
 def degree5_example() -> RationalMap:
@@ -462,6 +463,77 @@ def test_constructed_maps_report_their_full_group_and_others_are_unchanged(disco
             assert got == recorded[f"{name} @ {tolerance:g}"], (name, tolerance)
             want = FULL_GROUP[base]
             assert {k: got[k] for k in want} == want, (name, tolerance)
+
+
+def oracle_discovery(phi: RationalMap, tolerance: float = 1e-8) -> AutReport:
+    """discover_automorphisms as it was before the closure: every candidate
+    rotation is built as a permutation and tested at the probe points, and
+    the census is read off the ones that pass."""
+    from symloci import aut
+
+    tol, period = max(tolerance, 1e-9) ** 0.5, 1
+    for _ in range(5):
+        rough, converged = aut._roots(aut._periodic_form(phi, period))
+        distinct = aut._distinct(rough, 1e-2)
+        if len(distinct) < 3 and period == 1:
+            period = 2
+            continue
+        if len(distinct) < 3:
+            raise aut.DegenerateConfiguration("fewer than 3 periodic points through period 2")
+        a, b, c, d = t = aut._balancing(distinct)[0]
+        g = [complex(round(x.real), round(x.imag)) for x in (16 * e / max(t, key=abs) for e in (d, -b, -c, a))]
+        if max(abs(b), abs(c), abs(a - d)) < 1e-2 * max(abs(a), abs(d)) or g[0] * g[3] == g[1] * g[2]:
+            break
+        A = MoebiusMap(*(int(x.real) + Cyclotomic.zeta(4) * int(x.imag) if x.imag else int(x.real) for x in g))
+        phi = conjugate_map(phi, A)
+        rough = [aut._apply([x.complex() for x in A.inverse().entries()], p) for p in rough]
+        if converged:
+            break
+    points = aut._distinct(aut._roots(aut._periodic_form(phi, period), rough, 1e-14, 50)[0], tol)
+    if len(points) < 3:
+        raise aut.DegenerateConfiguration("fewer than 3 periodic points through period 2")
+    coeffs = aut._floats(phi.coefficients())
+    pair = coeffs[: phi.degree + 1], coeffs[phi.degree + 1 :]
+    probes = [(p, aut._evaluate(pair, p)) for p in aut._PROBES]
+    identity, census = tuple(range(len(points))), {}
+    for perm, base in aut._rotations(aut._balancing(points)[1], tol):
+        src, dst = aut._to_01inf(*(points[k] for k in base)), aut._to_01inf(*(points[perm[k]] for k in base))
+        m = aut._mul((dst[3], -dst[1], -dst[2], dst[0]), src)
+        images = ((aut._apply(m, q), aut._evaluate(pair, aut._apply(m, p))) for p, q in probes)
+        if perm == identity or all(abs(u[0] * w[1] - u[1] * w[0]) <= tol for u, w in images):
+            k, power = 1, perm
+            while power != identity:
+                k, power = k + 1, tuple(perm[i] for i in power)
+            census[k] = census.get(k, 0) + 1
+    found = sum(census.values())
+    return AutReport(numeric_order=found, census=census, classified=classify_census(found, census))
+
+
+def test_the_closure_reports_what_the_per_candidate_scan_does(discovery_maps):
+    for name, phi, _ in discovery_maps:
+        for tolerance in TOLERANCES:
+            got, want = discover_automorphisms(phi, tolerance), oracle_discovery(phi, tolerance)
+            assert got.to_json() == want.to_json(), (name, tolerance)
+
+
+def test_only_the_generators_are_built_as_permutations(monkeypatch):
+    # octa d = 13: each of the 24 elements is a candidate that passes, but
+    # only those that no element found so far maps a and b as they do are
+    # built, and three of them generate S4
+    from symloci import aut
+
+    built, rotations = [], aut._rotations
+
+    def spy(vs, tol, known=()):
+        for perm, base in rotations(vs, tol, known):
+            built.append(perm)
+            yield perm, base
+
+    monkeypatch.setattr(aut, "_rotations", spy)
+    phi = _construct_check_map("octa", 13)
+    assert discover_automorphisms(phi).numeric_order == 24 and len(built) <= 3
+    built.clear()
+    assert oracle_discovery(phi).numeric_order == 24 and len(built) == 24
 
 
 @pytest.mark.parametrize("tolerance", TOLERANCES)

@@ -525,3 +525,114 @@ def test_decomp_reads_back_its_own_output(degree5_file, tmp_path):
         want = RationalMap.from_json(json.load(fh)["map"])
     got = RationalMap.from_json(json.loads(out)["map"])
     assert (got.F, got.G) == (want.F, want.G)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: the bytes of json.dumps(payload, indent=2)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--d", "4..5", "--format", "json"],
+        ["construct", "--d", "13", "--group", "octa"],
+        ["construct", "--d", "7", "--group", "dihedral:3"],
+        ["decomp", "@map"],
+        ["decomp", "--inverse", "@pair"],
+        ["aut", "@map"],
+        ["resultant", "@map"],
+    ],
+    ids=["survey", "construct-octa", "construct-dihedral", "decomp", "decomp-inverse", "aut", "resultant"],
+)
+def test_every_payload_is_written_as_json_dumps_writes_it(monkeypatch, degree5_file, tmp_path, argv):
+    from symloci import cli
+
+    pair_file = tmp_path / "pair.json"
+    assert run(["decomp", degree5_file, "--out", str(pair_file)])[0] == 0
+    files = {"@map": degree5_file, "@pair": str(pair_file)}
+    payloads, writer = [], cli._json
+
+    def spy(obj, default=None, indent="\n"):
+        if indent == "\n":
+            payloads.append((obj, default))
+        return writer(obj, default, indent)
+
+    monkeypatch.setattr(cli, "_json", spy)
+    code, out, err = run([files.get(a, a) for a in argv])
+    assert code == 0, err
+    [(payload, default)] = payloads
+    assert (default is str) == (argv[0] == "survey")
+    assert out == json.dumps(payload, indent=2, default=default) + "\n"
+
+
+class _Opaque:
+    def __str__(self):
+        return 'opaque "value"'
+
+
+JSON_EDGES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": {"d": [[], {}]}},
+    [[[]], [{}], {"e": ()}],
+    "",
+    'quote " backslash \\ slash /',
+    "\n\t\r\b\f\x00\x1f\x7f",
+    "naïve ∑ \U0001f600",
+    {"key \"\\é\n": "value"},
+    True,
+    False,
+    None,
+    0,
+    -7,
+    2**70,
+    0.0,
+    -0.0,
+    1.5,
+    1e300,
+    -2.5e-300,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    {"mixed": [1, "two", 3.0, None, True, {"x": [False, -1]}], "t": (1, (2, [3]))},
+]
+
+
+@pytest.mark.parametrize("value", JSON_EDGES, ids=[repr(v)[:40] for v in JSON_EDGES])
+def test_the_json_writer_matches_json_dumps(value):
+    from symloci.cli import _json
+
+    for obj in (value, [value, {"k": value}]):
+        assert _json(obj) == json.dumps(obj, indent=2)
+        assert _json(obj, default=str) == json.dumps(obj, indent=2, default=str)
+
+
+def test_the_json_writer_calls_default_as_json_dumps_does():
+    from fractions import Fraction
+
+    from symloci.cli import _json
+
+    obj = {"f": Fraction(1, 3), "rows": [Fraction(2), _Opaque()], "empty": {}}
+    assert _json(obj, default=str) == json.dumps(obj, indent=2, default=str)
+    for bad in (Fraction(1, 3), [_Opaque()]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            _json(bad)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_the_json_writer_matches_json_dumps_on_any_value(value):
+    from symloci.cli import _json
+
+    assert _json(value) == json.dumps(value, indent=2)
