@@ -8,7 +8,7 @@ Subcommands:
   decomp     map pair -> (divergence, fixed-point) form pair, or back
   aut        numeric automorphism discovery for a map file; census and class
              describe the elements found, maybe a proper subgroup of Aut(phi)
-  resultant  Sylvester resultant of a map file (Euclidean remainder sequence)
+  resultant  Sylvester resultant of a map file (subresultant remainder sequence)
 
 Exit codes: 0 success, 1 usage/malformed input, 2 dimension mismatch or
 an exhausted member search, 3 not realizable, 4 failed exact verification.

@@ -10,7 +10,7 @@ so elements of one field are equal iff their (nums, den) agree; elements
 of different fields are compared at the lcm conductor.  Sums, products
 (convolutions folded modulo Phi_n) and inverses (an extended Euclid
 against Phi_n) run on integers, then divide out one gcd.  ``c`` gives the
-coefficients as Fractions, for printing and serialization.
+coefficients as Fractions, for printing.
 
 Also provided here: exact linear algebra (kernel, rank, determinant),
 which every other module relies on for dimension counts, and the maps to
@@ -147,6 +147,16 @@ def _make(n: int, nums: tuple[int, ...], den: int) -> Cyclotomic:
     return obj
 
 
+def _from_pairs(n: int, pairs: list) -> Cyclotomic:
+    # sum_i (num_i / den_i) zeta_n^i from integer pairs, any den_i != 0;
+    # phi(n) >= sqrt(n/2), so a conductor past 2 len^2 is refused before it is factored
+    if not (den := lcm(*(d for _, d in pairs))):
+        raise ZeroDivisionError("a coefficient has denominator 0")
+    if n > 2 * len(pairs) ** 2 or len(pairs) != euler_phi(n):
+        raise ValueError("coefficient vector has wrong length for conductor")
+    return _make(n, tuple([v * (den // d) for v, d in pairs]), den)
+
+
 def _add(x: Cyclotomic, y: Cyclotomic, op) -> Cyclotomic:
     # x op y for op in (add, sub) at one conductor
     dx, dy = x.den, y.den
@@ -163,14 +173,8 @@ class Cyclotomic:
     __slots__ = ("n", "nums", "den", "_hash")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = [Fraction(x) for x in coeffs]
-        # phi(n) >= sqrt(n/2), so a conductor past 2 len^2 is refused before it is factored
-        if conductor > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(conductor):
-            raise ValueError("coefficient vector has wrong length for conductor")
-        # each Fraction is in lowest terms, so the lcm leaves gcd(den, *nums) == 1
-        den = lcm(*(x.denominator for x in coeffs))
-        nums = tuple(x.numerator * (den // x.denominator) for x in coeffs)
-        self.n, self.nums, self.den, self._hash = conductor, nums, den, None
+        x = _from_pairs(conductor, [(x.numerator, x.denominator) for x in map(Fraction, coeffs)])
+        self.n, self.nums, self.den, self._hash = x.n, x.nums, x.den, None
 
     @property
     def c(self) -> tuple[Fraction, ...]:
@@ -392,15 +396,12 @@ class Cyclotomic:
     # -- io ---------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "conductor": self.n,
-            "coeffs": [[str(x.numerator), str(x.denominator)] for x in self.c],
-        }
+        den = self.den  # each coefficient v / den in lowest terms, as decimal strings
+        return {"conductor": self.n, "coeffs": [[str(v // (g := gcd(v, den))), str(den // g)] for v in self.nums]}
 
     @classmethod
     def from_json(cls, obj: dict) -> Cyclotomic:
-        coeffs = [Fraction(int(num), int(den)) for num, den in obj["coeffs"]]
-        return cls(int(obj["conductor"]), coeffs)
+        return _from_pairs(int(obj["conductor"]), [(int(num), int(den)) for num, den in obj["coeffs"]])
 
     def __repr__(self):
         c = self.c

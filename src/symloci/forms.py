@@ -3,10 +3,9 @@
 A form of degree n is stored as n+1 coefficients, coeffs[i] multiplying
 X^(n-i) Y^i.  The zero form carries an explicit declared degree so that
 decompositions with a vanishing component stay representable.  Resultants
-take the value of the Sylvester determinant but are computed by the
-Euclidean remainder sequence; gcds run Euclid on the coefficient lists
-after the common Y-power is split off.  Both share one remainder step, and
-no root finding is ever needed.
+(the value of the Sylvester determinant) and gcds, after the common Y-power
+is split off, come from one subresultant remainder sequence on the integral
+numerators of the coefficient lists; no root finding is ever needed.
 """
 
 from __future__ import annotations
@@ -270,8 +269,9 @@ def resultant_pair(f: BinaryForm, g: BinaryForm) -> Cyclotomic:
 
 def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> Cyclotomic:
     """The (m+n) x (m+n) Sylvester determinant of forms of declared degrees
-    m, n, by the Euclidean recurrence Res(A, B) = (-1)^(ab) lc(B)^(a-r)
-    Res(B, A mod B) on A = F(x, 1), B = G(x, 1), r = deg(A mod B).
+    m, n, by the subresultant remainder sequence (``_prs``) on the integral
+    numerators of A = F(x, 1), B = G(x, 1): Res(F/a, G/b) = Res(F, G) /
+    (a^n b^m) for integers a, b clearing the denominators.
 
     A zero top coefficient lowers the actual degree: Res_{m,n} =
     (-1)^(n(m-m')) lc(G)^(m-m') Res_{m',n} for F, lc(F)^(n-n') Res_{m,n'}
@@ -283,39 +283,59 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> Cyclotomic:
     if not n or not m:
         res = g.coeffs[0] ** m if not n else f.coeffs[0] ** n
         return res if res else _C0
-    a, b = _trim(list(f.coeffs[::-1])), _trim(list(g.coeffs[::-1]))
+    (a, ca), (b, cb), div = _numerators(f.coeffs, g.coeffs)
     if not a or not b or (len(a) <= m and len(b) <= n):
         return _C0
     da, db = len(a) - 1, len(b) - 1
-    res = a[-1] ** (n - db) * b[-1] ** (m - da)
-    if n * (m - da) % 2:
-        res = -res
-    while db:
-        r = _remainder(a, b)
-        if not r:
-            return _C0
-        dr = len(r) - 1
-        res = res * b[-1] ** (da - dr)
-        if da * db % 2:
-            res = -res
-        a, b, da, db = b, r, db, dr
-    return res * b[0] ** da
+    res, den = (-1) ** (n * (m - da)) * a[-1] ** (n - db) * b[-1] ** (m - da) * _prs(a, b, div)[0], ca**n * cb**m
+    return (_make(1, (res,), den) if type(res) is int else _make(res.n, res.nums, den)) if res else _C0
 
 
-def _remainder(a: list, b: list, p: int | None = None) -> list:
-    # a mod b for univariate coefficient lists (integers mod p, b's reduced,
-    # when p is given), lowest degree first, each with a nonzero top
-    # coefficient; a is consumed, the result trimmed
-    k = len(b) - 1
-    if len(a) > k:
-        inv = b[-1].inverse() if p is None else pow(b[-1], -1, p)
-        for i in range(len(a) - 1 - k, -1, -1):
-            c = a[i + k] * inv if p is None else a[i + k] * inv % p
-            if c:
-                a[i : i + k] = [x - c * y for x, y in zip(a[i : i + k], b)]
-        a[:] = a[:k] if p is None else [x % p for x in a[:k]]
-        _trim(a)
-    return a
+def _numerators(*coeff_lists) -> tuple:
+    # each list times the lcm c of its denominators, lowest degree first and
+    # trimmed, with c; then the exact quotient div(xs, y) of their ring: ints
+    # when every coefficient is rational, else den-1 cyclotomics
+    ints, out = all(x.n == 1 for xs in coeff_lists for x in xs), []
+    for xs in coeff_lists:
+        c = lcm(*(x.den for x in xs))
+        nums = [x.nums[0] * (c // x.den) if ints else _make(x.n, tuple([v * (c // x.den) for v in x.nums]), 1)
+                for x in reversed(xs)]
+        out.append((_trim(nums), c))
+    # a quotient of ints is a floor division, of cyclotomics one inverse and then a product per entry
+    div = (lambda xs, y: [x // y for x in xs]) if ints else (lambda xs, y: list(map(_cy(y).inverse().__mul__, xs)))
+    return *out, div
+
+
+def _prs(a: list, b: list, div) -> tuple:
+    """(Res(A, B), the last nonzero term, a multiple of gcd(A, B)) by the
+    subresultant remainder sequence (Collins, J. ACM 14, 1967; Brown and
+    Traub, J. ACM 18, 1971) of lists lowest degree first with nonzero tops:
+    B' = prem(A, B) / (g h^delta) = lc(B)^(delta+1) A mod B / (g h^delta),
+    then g = lc(B), h = g^delta / h^(delta-1), every division exact (div)."""
+    s = g = h = 1
+    if len(a) < len(b):
+        a, b, s = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1) % 2)
+    while len(b) > 1:
+        delta, lc, r = len(a) - len(b), b[-1], list(a)
+        for i in range(delta, -1, -1):  # r = prem(A, B)
+            c = r.pop()
+            r[:i] = [lc * x for x in r[:i]]
+            r[i:] = [lc * x - c * y for x, y in zip(r[i:], b)]
+        s *= (-1) ** ((len(a) - 1) * (len(b) - 1) % 2)
+        a, b, g = b, div(_trim(r), g * h**delta), lc
+        h = g if delta == 1 else div([g**delta * h], h**delta)[0]
+    return (s * div([b[0] ** (len(a) - 1) * h], h ** (len(a) - 1))[0] if b else 0), b or a
+
+
+def _remainder(a: list, b: list, p: int) -> list:
+    # a mod b for univariate lists of integers mod p, b's reduced, lowest
+    # degree first, each with a nonzero top; a is consumed, the result trimmed
+    k, inv = len(b) - 1, pow(b[-1], -1, p)
+    for i in range(len(a) - 1 - k, -1, -1):
+        if c := a[i + k] * inv % p:
+            a[i : i + k] = [x - c * y for x, y in zip(a[i : i + k], b)]
+    a[:] = [x % p for x in a[:k]]
+    return _trim(a)
 
 
 def _coprime_images(images: list, p: int) -> bool:
@@ -348,23 +368,22 @@ def _product_mod(f: list, g: list, p: int) -> list:
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Gcd of two binary forms, scaled so its first nonzero coefficient is 1.
 
-    Write F = Y^vf F1 with vf = F.y_valuation().  Euclid runs on the
-    coefficient lists of F1(x, 1) and G1(x, 1), lowest degree first, and
-    the common factor Y^min(vf, vg) comes back as leading zero
+    Write F = Y^vf F1 with vf = F.y_valuation().  The subresultant sequence
+    (``_prs``) runs on the integral numerators of F1(x, 1) and G1(x, 1),
+    lowest degree first; its last nonzero term is the gcd up to a scalar,
+    and the common factor Y^min(vf, vg) comes back as leading zero
     coefficients.
     """
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd of two zero forms")
-    if f.is_zero():
-        return g.normalized()
-    if g.is_zero():
-        return f.normalized()
+    if f.is_zero() or g.is_zero():
+        return (g if f.is_zero() else f).normalized()
     vf, vg = f.y_valuation(), g.y_valuation()
-    a, b = list(f.coeffs[vf:])[::-1], list(g.coeffs[vg:])[::-1]
-    while b:
-        a, b = b, _remainder(a, b)
-    v = min(vf, vg)
-    return BinaryForm(v + len(a) - 1, [_C0] * v + a[::-1]).normalized()
+    (a, _), (b, _), div = _numerators(f.coeffs[vf:], g.coeffs[vg:])
+    last, v = _prs(a, b, div)[1][::-1], min(vf, vg)
+    t = last[0]  # over Q each x / t is one fraction in lowest terms
+    last = [_make(1, (x if t > 0 else -x,), abs(t)) for x in last] if type(t) is int else _normalized(last)
+    return BinaryForm(v + len(last) - 1, [_C0] * v + last)
 
 
 def multiple_zero_locus(j: BinaryForm) -> BinaryForm:

@@ -277,15 +277,14 @@ def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm,
 def _product_images(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
     """(p, the images mod p of the degree-n orbit products of char), full
     rank mod p proving them independent; where there is no image or the rank
-    drops, the exact basis proves it, and (None, exponents) comes back."""
+    drops, the exact basis proves it, and (None, that basis) comes back."""
     exps = _orbit_exponents(n, group, char)
     if _orbit_images(group):
         p = _orbit_images(group)[0]
         rows = [reduce(partial(_product_mod, p=p), (_power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
         if _rank_mod(rows, p) == len(rows):
             return p, rows
-    _eigenspace(n, group, char)
-    return None, exps
+    return None, _eigenspace(n, group, char)
 
 
 @lru_cache(maxsize=None)
@@ -515,7 +514,8 @@ def _member_meets(d: int, group: FiniteSubgroup, char: tuple, tries: int) -> boo
         ints = [c.nums[0] for c in cs]
         if _meets_ratd_image(p, *([sum(map(mul, ints, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))):
             return True
-    bases = [(character_eigenspace(n, group, char), n) for n in (d - 1, d + 1)]
+    spaces = ((ph, h_rows, d - 1), (p, j_rows, d + 1))  # no image: the exact basis came back
+    bases = [(rows if q is None else character_eigenspace(n, group, char), n) for q, rows, n in spaces]
     return any(meets_ratd(FormPair(d, *(sum(map(mul, b, cs), BinaryForm.zero(n)) for b, n in bases))) for cs in seeds)
 
 

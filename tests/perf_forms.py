@@ -1,5 +1,8 @@
 """Layer micro-benchmarks of the forms layer: forms.sylvester_resultant on
-fixed pairs of degree-d forms, forms.substitute of one degree-24 form
+fixed pairs of degree-d forms and on the octa d = 13 map conjugated by
+(2, 1, -3, -1) and by (-2, -1, -1, -1), forms.form_gcd of A C and B C for
+forms A, B of degree 8 and C of degree 5 at conductors 1, 5 and 12,
+forms.substitute of one degree-24 form
 under a diagonal, an anti-diagonal, a dense and an integer dense matrix,
 per degree and conductor, and of one degree-119 form under the icosa
 generator T, forms._product_mod of two degree-d lists mod 2^61 - 1 at
@@ -23,9 +26,9 @@ import random
 import pytest
 
 from symloci.cyclotomic import Cyclotomic
-from symloci.forms import BinaryForm, _product_mod, substitute, sylvester_resultant
+from symloci.forms import BinaryForm, _product_mod, form_gcd, substitute, sylvester_resultant
 from symloci.loci import dihedral_generic_member
-from symloci.moebius import standard_subgroup
+from symloci.moebius import MoebiusMap, conjugate_map, standard_subgroup
 from symloci.platonic import construct_symmetric_map
 
 CASES = [(8, 1), (11, 1), (13, 1), (13, 5), (13, 12)]
@@ -52,6 +55,19 @@ def test_sylvester_resultant(benchmark, d, n):
     rng = random.Random(f"{d}:{n}")
     f, g = _form(rng, d, n), _form(rng, d, n)
     assert benchmark(sylvester_resultant, f, g)
+
+
+@pytest.mark.parametrize("m", [(2, 1, -3, -1), (-2, -1, -1, -1)], ids=str)
+def test_sylvester_resultant_octa_conjugate(benchmark, m):
+    phi = conjugate_map(construct_symmetric_map(13, "octa")[0], MoebiusMap(*m))
+    assert benchmark(sylvester_resultant, phi.F, phi.G)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_form_gcd(benchmark, n):
+    rng = random.Random(f"gcd:{n}")
+    a, b, c = _form(rng, 8, n), _form(rng, 8, n), _form(rng, 5, n)
+    assert benchmark(form_gcd, a * c, b * c).degree >= 5
 
 
 @pytest.mark.parametrize("kind", sorted(SUBSTITUTION_MATRICES))

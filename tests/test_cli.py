@@ -253,6 +253,25 @@ def test_bad_input_is_a_usage_error_not_a_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr and "usage error" in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "coefficient",
+    [
+        {"conductor": 1, "coeffs": [["1", "0"]]},
+        {"conductor": 5, "coeffs": [["1", "1"], ["2", "3"]]},
+        {"conductor": 4, "coeffs": [["1", "1"], ["2.5", "3"]]},
+    ],
+    ids=["zero-denominator", "wrong-length", "not-an-integer"],
+)
+@pytest.mark.parametrize("command", ["resultant", "check", "aut", "decomp"])
+def test_a_malformed_coefficient_in_a_map_file_is_a_usage_error(command, coefficient, tmp_path):
+    obj = RationalMap.from_zpoly([1, 0, 1], [0, 1, 0]).to_json()
+    obj["G"]["coeffs"][1] = coefficient
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"map": obj}))
+    code, out, err = run([command, str(path)] + (["--group", "cyclic:2"] if command == "check" else []))
+    assert (code, out) == (1, "") and "malformed map JSON" in err, err
+
+
 @pytest.mark.parametrize("argv", [["resultant"], ["check", "--group", "octa"]], ids=["resultant", "check"])
 def test_a_huge_conductor_in_a_map_file_is_a_usage_error_at_once(argv, tmp_path):
     # a coefficient of conductor 10^18 + 3 with one coefficient: refused by

@@ -549,6 +549,57 @@ def _as_ref(r):
     return r.n, r.c
 
 
+def _fraction_from_json(obj):
+    # the Fraction decoder that from_json replaced
+    return Cyclotomic(int(obj["conductor"]), [Fraction(int(num), int(den)) for num, den in obj["coeffs"]])
+
+
+@st.composite
+def _coefficient_pairs(draw):
+    # [num, den] decimal strings as a file may hold them: unreduced, with
+    # negative denominators, zeros over any denominator, big numerators
+    n = draw(st.sampled_from(CONDUCTORS))
+    num = st.one_of(st.integers(-30, 30), st.integers(-(10**40), 10**40))
+    den = st.integers(-24, 24).filter(bool)
+    pairs = draw(st.lists(st.tuples(num, den), min_size=euler_phi(n), max_size=euler_phi(n)))
+    return {"conductor": n, "coeffs": [[str(a), str(b)] for a, b in pairs]}
+
+
+@given(_coefficient_pairs())
+@settings(max_examples=200, deadline=None)
+@example({"conductor": 1, "coeffs": [["0", "-7"]]})
+@example({"conductor": 4, "coeffs": [["6", "-4"], ["-9", "6"]]})
+def test_json_codec_on_ints_matches_the_fraction_codec(obj):
+    x, want = Cyclotomic.from_json(obj), _fraction_from_json(obj)
+    assert (x.n, x.nums, x.den) == (want.n, want.nums, want.den)
+    blob = x.to_json()
+    assert blob == {"conductor": x.n, "coeffs": [[str(f.numerator), str(f.denominator)] for f in want.c]}
+    y = Cyclotomic.from_json(json.loads(json.dumps(blob)))
+    assert (y.n, y.nums, y.den) == (x.n, x.nums, x.den)
+
+
+@pytest.mark.parametrize(
+    "obj, error, match",
+    [
+        ({"conductor": 5, "coeffs": [["1", "2"], ["3", "0"], ["0", "1"], ["1", "1"]]}, ZeroDivisionError, "denominator"),
+        ({"conductor": 5, "coeffs": [["1", "2"], ["3", "1"]]}, ValueError, "wrong length"),
+        ({"conductor": 1, "coeffs": []}, ValueError, "wrong length"),
+        ({"conductor": 0, "coeffs": [["1", "1"]]}, ValueError, "phi"),
+        ({"conductor": 3, "coeffs": [["1", "1"], ["x", "1"]]}, ValueError, "invalid literal"),
+        ({"conductor": 3, "coeffs": [["1", "1"], ["1"]]}, ValueError, "unpack"),
+    ],
+)
+def test_malformed_coefficient_json_is_refused(obj, error, match):
+    with pytest.raises(error, match=match):
+        Cyclotomic.from_json(obj)
+
+
+def test_a_huge_conductor_in_json_is_refused_before_it_is_factored(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_factor", lambda n: pytest.fail(f"{n} was factored"))
+    with pytest.raises(ValueError, match="wrong length"):
+        Cyclotomic.from_json({"conductor": 10**18 + 3, "coeffs": [["1", "1"]]})
+
+
 @given(a=cyclotomics(), b=cyclotomics())
 @settings(max_examples=200, deadline=None)
 def test_integer_kernel_matches_fraction_reference(a, b):

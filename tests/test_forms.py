@@ -294,11 +294,14 @@ def test_resultant_sl2_invariance():
 # sylvester_resultant against the Sylvester determinant
 # ---------------------------------------------------------------------------
 #
-# The oracle is the definition: n shifted rows of F's coefficients over m
-# shifted rows of G's, an (m+n) x (m+n) matrix, and its determinant by
-# ExactMatrix.determinant.  The resultant runs the Euclidean remainder
-# sequence instead, so zero forms, degree 0, zero top coefficients (a root
-# at [1:0]) and zero bottom ones (a root at [0:1]) are each checked here.
+# The first oracle is the definition: n shifted rows of F's coefficients
+# over m shifted rows of G's, an (m+n) x (m+n) matrix, and its determinant
+# by ExactMatrix.determinant.  The second is the route the resultant took
+# before, monic Euclid over the field (``oracle_euclid_resultant``).  The
+# resultant runs the subresultant remainder sequence on integral numerators
+# instead, so zero forms, degree 0, zero top coefficients (a root at [1:0]),
+# zero bottom ones (a root at [0:1]), cleared denominators and abnormal
+# sequences (a degree drop of 2 or more) are each checked here.
 
 RESULTANT_CONDUCTORS = [1, 4, 5, 8, 12]
 
@@ -310,9 +313,31 @@ def _sylvester_determinant(f, g):
     return ExactMatrix.from_rows(rows).determinant()
 
 
+def oracle_euclid_resultant(f, g):
+    # Res(A, B) = (-1)^(ab) lc(B)^(a-r) Res(B, A mod B) on A = F(x, 1),
+    # B = G(x, 1), r = deg(A mod B), each remainder by monic field Euclid,
+    # after the same declared-degree prologue
+    m, n = f.degree, g.degree
+    if not n or not m:
+        res = g.coeffs[0] ** m if not n else f.coeffs[0] ** n
+        return res if res else Cyclotomic.rational(0)
+    a, b = _ref_trim(list(f.coeffs[::-1])), _ref_trim(list(g.coeffs[::-1]))
+    if not a or not b or (len(a) <= m and len(b) <= n):
+        return Cyclotomic.rational(0)
+    da, db = len(a) - 1, len(b) - 1
+    res = a[-1] ** (n - db) * b[-1] ** (m - da) * (-1) ** (n * (m - da))
+    while db:
+        r = _ref_rem(a, b)
+        if not r:
+            return Cyclotomic.rational(0)
+        res = res * b[-1] ** (da - len(r) + 1) * (-1) ** (da * db)
+        a, b, da, db = b, r, db, len(r) - 1
+    return res * b[0] ** da
+
+
 def _assert_resultant(f, g):
     got, want = sylvester_resultant(f, g), _sylvester_determinant(f, g)
-    assert got == want, (f, g, got, want)
+    assert got == want == oracle_euclid_resultant(f, g), (f, g, got, want)
     return got
 
 
@@ -409,7 +434,72 @@ def test_resultant_of_constructed_maps_and_conjugates():
         for m in M_PANEL:
             psi = conjugate_map(phi, MoebiusMap(*m))
             got = sylvester_resultant(psi.F, psi.G)
-            assert got.to_json() == _sylvester_determinant(psi.F, psi.G).to_json() == res.to_json(), (kind, d, m)
+            want = _sylvester_determinant(psi.F, psi.G).to_json()
+            assert got.to_json() == want == oracle_euclid_resultant(psi.F, psi.G).to_json() == res.to_json(), m
+
+
+def _abnormal_pair(rng, conductor, db, drop):
+    # A = Q B + R with deg B = db and deg R = db - drop, so that A mod B = R
+    # and the second step of the remainder sequence drops the degree by drop
+    b = _random_form(rng, db, conductor)
+    b = BinaryForm(db, [b.coeffs[0] or Cyclotomic.rational(1), *b.coeffs[1:]])
+    r = _random_form(rng, db - drop, conductor)
+    r = BinaryForm(db - drop, [r.coeffs[0] or Cyclotomic.rational(2), *r.coeffs[1:]])
+    q = BinaryForm(2, [Fraction(1, 3), Cyclotomic.zeta(conductor) if conductor > 1 else 2, -1])
+    a = q * b + BinaryForm(db + 2, [0] * (drop + 2) + list(r.coeffs))
+    return a, b, r
+
+
+@pytest.mark.parametrize("conductor", RESULTANT_CONDUCTORS)
+def test_resultant_and_gcd_on_abnormal_remainder_sequences(conductor):
+    # delta >= 2 in both steps, so the scale h is updated as g^delta / h^(delta - 1)
+    rng = random.Random(f"abnormal:{conductor}")
+    for db, drop in ((4, 3), (6, 3), (6, 4), (7, 5)):
+        a, b, r = _abnormal_pair(rng, conductor, db, drop)
+        assert _ref_rem(list(a.coeffs[::-1]), list(b.coeffs[::-1])) == list(r.coeffs[::-1])
+        _assert_resultant(a, b)
+        _assert_resultant(b, a)
+        c = BinaryForm(2, [1, 0, Fraction(-1, 2)])  # a shared factor
+        assert not _assert_resultant(a * c, b * c)
+        for f, g in ((a * c, b * c), (a, b), (b * c, a * c * c)):
+            assert form_gcd(f, g) == oracle_euclid_gcd(f, g) == _ref_form_gcd(f, g)
+
+
+def test_resultant_with_cleared_denominators_and_unequal_degrees():
+    rng = random.Random(12)
+    for conductor in RESULTANT_CONDUCTORS:
+        for m, n in ((5, 2), (2, 5), (1, 6), (7, 3), (4, 4)):
+            f, g = (_edged_form(rng, k, conductor) for k in (m, n))
+            scale = [Fraction(1, 6), Fraction(-5, 4), Cyclotomic.zeta(conductor) / 7]
+            f = BinaryForm(m, [c * scale[i % 3] for i, c in enumerate(f.coeffs)])
+            _assert_resultant(f, g)
+            _assert_resultant(g, f)
+
+
+def test_rational_resultants_and_gcds_make_no_field_operation(monkeypatch):
+    # every coefficient rational: the sequence runs on Python ints, so no
+    # Cyclotomic product or inverse is taken, denominators or not
+    from symloci.moebius import MoebiusMap, conjugate_map
+    from symloci.platonic import construct_symmetric_map
+    from test_aut import M_PANEL
+
+    phi = conjugate_map(construct_symmetric_map(13, "octa")[0], MoebiusMap(*M_PANEL[0]))
+    half = BinaryForm(3, [Fraction(1, 2), 0, Fraction(-3, 4), 5])
+    shared = BinaryForm(4, [1, Fraction(2, 3), 0, 0, -1]) * half
+    cases = [
+        (sylvester_resultant, phi.F, phi.G),
+        (sylvester_resultant, half, BinaryForm(2, [0, Fraction(1, 3), 2])),
+        (form_gcd, shared * BinaryForm(2, [3, 0, 1]), shared * BinaryForm(3, [0, 1, 7, Fraction(1, 5)])),
+        (form_gcd, *partial_derivatives(phi.F)),
+    ]
+    want = [fn(f, g) for fn, f, g in cases]
+    calls = []
+    for name in ("__mul__", "__rmul__", "inverse"):
+        real = getattr(Cyclotomic, name)
+        monkeypatch.setattr(Cyclotomic, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    got = [fn(f, g) for fn, f, g in cases]
+    assert not calls
+    assert got == want and got[2] == shared.normalized()
 
 
 def test_partial_derivatives_and_euler():
@@ -552,6 +642,21 @@ def _ref_rem(a, b):
     return _ref_trim(rem)
 
 
+def oracle_euclid_gcd(f, g):
+    # monic field Euclid on F1(x, 1) and G1(x, 1) after the common Y-power
+    # is split off, the route form_gcd took before
+    if f.is_zero() and g.is_zero():
+        raise ValueError("gcd of two zero forms")
+    if f.is_zero() or g.is_zero():
+        return (g if f.is_zero() else f).normalized()
+    vf, vg = f.y_valuation(), g.y_valuation()
+    a, b = list(f.coeffs[vf:])[::-1], list(g.coeffs[vg:])[::-1]
+    while b:
+        a, b = b, _ref_rem(a, b)
+    v = min(vf, vg)
+    return BinaryForm(v + len(a) - 1, [0] * v + a[::-1]).normalized()
+
+
 def _ref_form_gcd(f, g):
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd of two zero forms")
@@ -614,7 +719,7 @@ def test_form_gcd_matches_polynomial_euclid(ops):
             form_gcd(f, g)
         return
     got, want = form_gcd(f, g), _ref_form_gcd(f, g)
-    assert got == want and got.degree == want.degree
+    assert got == want == oracle_euclid_gcd(f, g) and got.degree == want.degree
     assert form_gcd(g, f) == got
 
 

@@ -435,6 +435,22 @@ def test_a_zero_image_proves_nothing(zero_images):
     assert platonic.invariant_locus_dimension(13, "octa") == 1
 
 
+def test_the_exact_fallback_builds_each_eigenspace_once(monkeypatch):
+    # with no images every space is proved by its exact basis, which the
+    # member search then takes as it is: one build per (degree, character)
+    calls = []
+    real = platonic._eigenspace
+    monkeypatch.setattr(platonic, "_eigenspace", lambda n, group, char: calls.append((n, group, char)) or real(n, group, char))
+    _clear_image_caches()
+    monkeypatch.setattr(platonic, "_orbit_images", lambda group: None)
+    try:
+        code, out, _ = _run(["survey", "--groups", "platonic", "--d", "11..31"])
+    finally:
+        platonic._product_images.cache_clear()
+    assert code == 0 and out.count("True") > 20
+    assert len(calls) == len(set(calls)) == 67
+
+
 # ---------------------------------------------------------------------------
 # python -O
 # ---------------------------------------------------------------------------
