@@ -500,8 +500,8 @@ def _int_modular_inverse(a, mod) -> tuple[list[int], int]:
 
 
 # -- images in F_p (Collins; Brown, J. ACM 18, 1971): a ring map Z[zeta_n][1/den]
-# -> F_p takes a resultant or a minor to that of the images, so a nonzero image
-# proves the exact value nonzero; a zero one proves nothing.
+# -> F_p takes a resultant to that of the images, so a nonzero image proves
+# the exact value nonzero; a zero one proves nothing.
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -547,18 +547,6 @@ def _images(lists) -> tuple[int, list[list[int]]] | None:
         v = x.nums[0] if x.n == 1 else sum(c * pow(r, n // x.n * i, p) for i, c in enumerate(x.nums))
         return (v if x.den == 1 else v * pow(x.den, -1, p)) % p
     return p, [list(map(image, xs)) for xs in lists]
-
-
-def _rank_mod(rows: list, p: int) -> int:
-    """Rank over F_p of integer rows, each clearing its first nonzero column."""
-    rank, rows = 0, list(rows)
-    while rows:
-        piv = rows.pop()
-        c = next((c for c, x in enumerate(piv) if x % p), None)
-        if c is not None:
-            rank, inv = rank + 1, pow(piv[c], -1, p)
-            rows = [[(a - r[c] * inv * b) % p for a, b in zip(r, piv)] for r in rows]
-    return rank
 
 
 def rational_sqrt(q) -> Cyclotomic:

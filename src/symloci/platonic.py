@@ -10,8 +10,10 @@ explicit symmetric maps are produced through the inverse of the
 divergence/fixed-point decomposition.
 
 The character eigenspaces are spanned by products of the orbit forms, and
-each is certified exactly: by its rank, and by the count of Molien's
-character-orthogonality formula, summed over the classes of tr^2/det.
+each is certified exactly: by the count of Molien's character-orthogonality
+formula, summed over the classes of tr^2/det, and by independence.  At a
+root of f_1, nonconstant and coprime to the other forms, f_1^a f_2^b f_3^c
+vanishes to order a mult(f_1), so products with distinct a are independent.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from math import lcm
 from operator import mul
 
 from .aut import AutReport, _verify_through_generators
-from .cyclotomic import Cyclotomic, ExactMatrix, _images, _rank_mod, _root_exponent
+from .cyclotomic import Cyclotomic, ExactMatrix, _images, _root_exponent
 from .decomp import FormPair, _meets_ratd_image, meets_ratd, recompose_map
 from .forms import (
     BinaryForm,
     Divisor,
     P1Point,
     RationalMap,
+    _coprime_images,
     _product_mod,
     form_from_divisor,
     substitute,
@@ -249,7 +252,8 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     585).  So the basis is the products f_1^a f_2^b f_3^c of degree n, c <= 1
     on the last (largest) of three orbits, whose scalars under the
     generators multiply to mu.  Two exact certificates raise AssertionError:
-    the products must have full rank, and their number must be the
+    the products must be independent (their exact row basis; by distinct
+    first exponents in ``_product_images``), and their number must be the
     character-orthogonality count (``_trace_sum``).  They are reduced to
     the basis in which form k is 1 at its last nonzero coefficient and
     every other form is 0 there; it depends on the space alone, so the
@@ -275,15 +279,15 @@ def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm,
 
 @lru_cache(maxsize=None)
 def _product_images(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
-    """(p, the images mod p of the degree-n orbit products of char), full
-    rank mod p proving them independent; where there is no image or the rank
-    drops, the exact basis proves it, and (None, that basis) comes back."""
+    """(p, the images mod p of the degree-n orbit products of char) when
+    their first exponents a are distinct and ``_orbit_images`` proves f_1
+    (nonconstant) coprime to the other forms: at a root r of f_1 they vanish
+    to the distinct orders a mult_r(f_1), so they are independent.
+    Otherwise the exact basis proves it, and (None, that basis) comes back."""
     exps = _orbit_exponents(n, group, char)
-    if _orbit_images(group):
-        p = _orbit_images(group)[0]
-        rows = [reduce(partial(_product_mod, p=p), (_power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
-        if _rank_mod(rows, p) == len(rows):
-            return p, rows
+    if (images := _orbit_images(group)) and len({e[0] for e in exps}) == len(exps):
+        p = images[0]
+        return p, [reduce(partial(_product_mod, p=p), (_power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
     return None, _eigenspace(n, group, char)
 
 
@@ -353,8 +357,12 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
 
 @lru_cache(maxsize=None)
 def _orbit_images(group: FiniteSubgroup) -> tuple | None:
-    """(p, the images of the orbit forms of group) under one map to F_p."""
-    return _images([f.coeffs for f in _orbit_forms(group)[1]])
+    """(p, the images of the orbit forms of group) under one map to F_p when
+    they prove f_1 coprime to the others (``_product_images``), else None."""
+    if not (images := _images([f.coeffs for f in _orbit_forms(group)[1]])):
+        return None
+    p, (first, *others) = images
+    return images if _coprime_images([first, reduce(partial(_product_mod, p=p), others, [1])], p) else None
 
 
 @lru_cache(maxsize=None)
@@ -469,21 +477,21 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     strata where a generic pair (H, J) reaches a genuine degree-d map,
     that is J != 0 and no multiple zero of J is a zero of H (``meets_ratd``).
 
-    The J-space (degree d+1) and H-space (degree d-1) are spanned by the
-    orbit products, certified as in ``character_eigenspace`` but mod p
-    (``_product_images``).  The f_i are
-    squarefree and coprime, so f_1^e_1 f_2^e_2 f_3^e_3, with e_i the least
-    exponent of f_i over a space's products, is its fixed part.  A stratum
-    is obstructed, and dropped with no search, when the J-space is {0}, or
-    when some e_i(J) >= 2 and either the H-space is {0} or e_i(H) >= 1:
-    every J then has a multiple zero at the roots of f_i, where every H
-    vanishes.  On any other stratum the generic J is squarefree off its
-    fixed part and misses the roots of the f_i (Bertini), and a product
-    with e_i(H) = 0 is nonzero there, so generic pairs reach Rat_d; a
-    seeded member that ``_member_meets`` accepts is the proof.  ``tries``
-    bounds the seeds on these strata only; when all miss, the search is
-    exhausted (NoMemberFound), never a silent drop.  Existence with every
-    stratum obstructed is a disagreement of the routes (AssertionError)."""
+    The J-space (degree d+1) and H-space (degree d-1) are spanned by the orbit
+    products, certified as in ``character_eigenspace``, or by distinct first
+    exponents with f_1 coprime to the others (``_product_images``).  The f_i
+    are squarefree and coprime, so f_1^e_1 f_2^e_2 f_3^e_3, with e_i the least
+    exponent of f_i over a space's products, is its fixed part.  A stratum is
+    obstructed, and dropped with no search, when the J-space is {0}, or when
+    some e_i(J) >= 2 and either the H-space is {0} or e_i(H) >= 1: every J
+    then has a multiple zero at the roots of f_i, where every H vanishes.  On
+    any other stratum the generic J is squarefree off its fixed part and
+    misses the roots of the f_i (Bertini), and a product with e_i(H) = 0 is
+    nonzero there, so generic pairs reach Rat_d; a seeded member that
+    ``_member_meets`` accepts is the proof.  ``tries`` bounds the seeds on
+    these strata only; when all miss, the search is exhausted (NoMemberFound),
+    never a silent drop.  Existence with every stratum obstructed is a
+    disagreement of the routes (AssertionError)."""
     group = _standard(group_or_kind)
     if not platonic_existence(d, group):
         raise NotRealizable(f"no degree-{d} map admits {group.label} symmetry")

@@ -9,9 +9,11 @@ with their trace-formula count, from the cached orbit forms; the class sums
 of that count for every character (platonic._class_sums), from the cached
 Cayley graph: the conjugacy classes on its indices with one tr^2/det per
 class (platonic._class_table), and each character walked as exponents of
-a root of unity.  Also the exact automorphism test of one generator on a
-degree-24 map, by coefficient weights (aut._fixes) and by conjugation
-(aut.is_automorphism).
+a root of unity.  The images mod p of the icosa orbit products at n = 1000
+and 1002 (platonic._product_images), their independence proved by their
+distinct first exponents.  Also the exact automorphism test of one
+generator on a degree-24 map, by coefficient weights (aut._fixes) and by
+conjugation (aut.is_automorphism).
 
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
@@ -20,7 +22,8 @@ without its cached Cayley graph, the table with no orbit data cached, so
 the orbits, their forms and each form's scalar under each generator's
 determinant-1 lift (read at one point, no substitution) are found again;
 the exponents with no exponent, class, trace or root-of-unity cache; the
-class sums with no class table, class-sum or root-of-unity cache.  The
+class sums with no class table, class-sum or root-of-unity cache; the
+product images with no orbit, power or product image cached.  The
 file name is outside the test_*.py pattern, so the default test run skips
 it.
 """
@@ -88,6 +91,18 @@ def test_orbit_exponents(benchmark, kind):
         return [platonic._orbit_exponents(n, group, char) for char in chars for n in (120, 124)]
 
     assert all(benchmark.pedantic(exponents, setup=no_exponents, rounds=20))
+
+
+@pytest.mark.parametrize("n", [1000, 1002])
+def test_product_images(benchmark, n):
+    def no_images():
+        for cached in (platonic._orbit_images, platonic._power_image, platonic._product_images):
+            cached.cache_clear()
+
+    group = platonic.platonic_group("icosa")
+    (trivial,) = platonic.character_group(group)
+    p, rows = benchmark.pedantic(platonic._product_images, args=(n, group, trivial), setup=no_images, rounds=10)
+    assert p and len(rows) == len(platonic._orbit_exponents(n, group, trivial))
 
 
 def _icosa_orbit_30():

@@ -201,6 +201,20 @@ sys.exit(main(["survey", "--groups", "tetra", "--d", "11"]))
 """
 
 
+_SURVEY_WITH_A_REPEATED_FORM = """
+import sys
+from symloci import platonic
+from symloci.cli import main
+group = platonic.platonic_group("tetra")
+orbits, forms, scalars = platonic._orbit_forms(group)
+# f_1 replaced by f_2: f_1 is then not coprime to the other forms, and
+# f_1^3 and f_2^3 are the same degree-12 invariant
+forms = (forms[1], *forms[1:])
+platonic._orbit_forms = lambda group: (orbits, forms, scalars)
+sys.exit(main(["survey", "--groups", "tetra", "--d", "11"]))
+"""
+
+
 def _run_script(flags, script, timeout=120):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
@@ -210,9 +224,10 @@ def _run_script(flags, script, timeout=120):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_a_failed_certificate_is_exit_2_also_under_optimization(flags):
-    proc = _run_script(flags, _SURVEY_WITH_A_WRONG_CHARACTER)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == "" and "certification failed" in proc.stderr
+    for script in (_SURVEY_WITH_A_WRONG_CHARACTER, _SURVEY_WITH_A_REPEATED_FORM):
+        proc = _run_script(flags, script)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and "certification failed" in proc.stderr
 
 
 _SURVEY_WITH_A_CORRUPT_SCALAR = """

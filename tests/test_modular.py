@@ -1,7 +1,8 @@
 """Images in F_p: the prime and the root of unity behind the ring map, and
-every claim it proves (a nonzero resultant, a pair J, H meeting Rat_d, the
-independence of the orbit products) against the exact route it replaces;
-a zero image must leave the verdict to the exact route."""
+every claim it proves (a nonzero resultant, a pair J, H meeting Rat_d, f_1
+coprime to the other orbit forms, under which distinct first exponents make
+the orbit products independent) against the exact route it replaces; a
+zero image must leave the verdict to the exact route."""
 
 import contextlib
 import io
@@ -27,7 +28,6 @@ from symloci.cyclotomic import (
     _image_field,
     _images,
     _is_prime,
-    _rank_mod,
 )
 from symloci.decomp import FormPair, _meets_ratd_image, meets_ratd
 from symloci.forms import (
@@ -55,6 +55,19 @@ def _run(argv):
 def _clear_image_caches():
     for cached in (platonic._orbit_images, platonic._power_image, platonic._product_images):
         cached.cache_clear()
+
+
+def _rank_mod(rows, p):
+    """Rank over F_p of integer rows, each clearing its first nonzero
+    column: the oracle for the independence of the orbit-product images."""
+    rank, rows = 0, list(rows)
+    while rows:
+        piv = rows.pop()
+        c = next((c for c, x in enumerate(piv) if x % p), None)
+        if c is not None:
+            rank, inv = rank + 1, pow(piv[c], -1, p)
+            rows = [[(a - r[c] * inv * b) % p for a, b in zip(r, piv)] for r in rows]
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +382,8 @@ def test_the_image_verdict_is_the_exact_one_on_every_platonic_stratum(kind):
 
 def test_dependent_orbit_products_are_refused(monkeypatch):
     # f_1 replaced by f_2 under f_1's character: f_1^3 and f_2^3 are then
-    # the same degree-12 invariant, so the rank drops mod p as well, and the
-    # exact basis refuses the products
+    # the same degree-12 invariant, f_1 is not coprime to the other forms,
+    # so no image proves the products, and the exact basis refuses them
     from test_eigenspace import _no_solve_caches, _with_orbit_row
 
     group = platonic_group("tetra")
@@ -449,6 +462,39 @@ def test_the_exact_fallback_builds_each_eigenspace_once(monkeypatch):
         platonic._product_images.cache_clear()
     assert code == 0 and out.count("True") > 20
     assert len(calls) == len(set(calls)) == 67
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_distinct_first_exponents_prove_what_the_rank_mod_p_proves(kind):
+    # every space of every character for even n <= 200 is proved by its
+    # first exponents, and its image rows have full rank mod p
+    group = platonic_group(kind)
+    _clear_image_caches()
+    for char in character_group(group):
+        for n in range(0, 201, 2):
+            p, rows = platonic._product_images(n, group, char)
+            assert p is not None, (kind, n, char)
+            assert _rank_mod(rows, p) == len(rows), (kind, n, char)
+
+
+def test_repeated_first_exponents_leave_the_space_to_the_exact_basis(monkeypatch):
+    # f_2^3 and f_3^2 both have a = 0, so their orders at a root of f_1
+    # agree and prove nothing: the exact basis decides, and it refuses a
+    # repeated product
+    group = platonic_group("tetra")
+    trivial = character_group(group)[0]
+    _clear_image_caches()
+    try:
+        monkeypatch.setattr(platonic, "_orbit_exponents", lambda n, group, char: ((0, 3, 0), (0, 0, 2)))
+        basis = platonic._eigenspace(12, group, trivial)
+        assert len(basis) == 2 and platonic._product_images(12, group, trivial) == (None, basis)
+        monkeypatch.setattr(platonic, "_orbit_exponents", lambda n, group, char: ((1, 2, 0), (1, 2, 0)))
+        platonic._product_images.cache_clear()
+        with pytest.raises(AssertionError, match="linearly dependent"):
+            platonic._product_images(12, group, trivial)
+    finally:
+        monkeypatch.undo()
+        _clear_image_caches()
 
 
 # ---------------------------------------------------------------------------
