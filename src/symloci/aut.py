@@ -47,7 +47,9 @@ def _fixes(phi: RationalMap, sigma: MoebiusMap) -> bool:
     a^(n+1) r^i, r = d/a: the weights agree on the support of phi exactly
     when a^g = d^g, g the gcd of the differences of the exponents of r.
     [[0, b], [c, 0]] gives (-b G(bY, cX), -c F(bY, cX)), coefficient k of
-    G(bY, cX) being G_(n-k) b^k c^(n-k): O(n) products."""
+    G(bY, cX) being G_(n-k) b^k c^(n-k): O(n) products, on Python ints when
+    b, c and phi are rational integers (1/z: (-G, -F) reversed proportional
+    to (F, G))."""
     a, b, c, d = sigma.entries()
     F, G, n = phi.F.coeffs, phi.G.coeffs, phi.degree
     if not b and not c:
@@ -55,6 +57,8 @@ def _fixes(phi: RationalMap, sigma: MoebiusMap) -> bool:
         g = gcd(*(e - exps[0] for e in exps))
         return a**g == d**g
     if not a and not d:
+        if all(x.n == x.den == 1 for x in (b, c, *F, *G)):
+            b, c, F, G = b.nums[0], c.nums[0], [x.nums[0] for x in F], [x.nums[0] for x in G]
         bpows, cpows = forms._powers(b, n + 1), forms._powers(c, n + 1)
         fs = [x and -x * bpows[k + 1] * cpows[n - k] for k, x in enumerate(G[::-1])]
         gs = [x and -x * bpows[k] * cpows[n - k + 1] for k, x in enumerate(F[::-1])]

@@ -162,8 +162,8 @@ class BinaryForm:
 
 
 def _powers(x: Cyclotomic, top: int) -> list[Cyclotomic]:
-    """[1, x, x^2, ..., x^top]."""
-    return list(accumulate(repeat(x, top), mul, initial=_C1))
+    """[1, x, x^2, ..., x^top], ints for an int x."""
+    return list(accumulate(repeat(x, top), mul, initial=x**0))
 
 
 def _accumulate_product(out: list, p1: list, p2: list, coef=None):

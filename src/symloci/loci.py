@@ -10,16 +10,18 @@ Types t = 1, 0, -1 record how many of the two fixed points of the rotation
 are fixed by the map (t + 1 of them); t = 0 splits into two components
 swapped by z -> 1/z.
 
-Members come from one seeded search over eigenspace vectors, proved by the
-generators alone: zeta_m z, and 1/z on the dihedral loci, each tested by
-its coefficient weights (``aut._fixes``).  A map fixed by the generators is
-fixed by the group they generate, so no group is built.
+Members come from one seeded search over eigenspace vectors, each basis
+read off the exponent of its eigenvalue.  Candidates are integer lists,
+proved by the generators alone: zeta_m z, and 1/z on the dihedral loci,
+each tested by its coefficient weights (``aut._fixes``; 1/z as an identity
+of Python ints).  A map fixed by the generators is fixed by the group they
+generate, so no group is built.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 # loci.is_automorphism is unused here, but bench/tests/test_bench.py counts
@@ -32,7 +34,7 @@ from .moebius import MoebiusMap
 _SEARCH_VALUES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-def _seed_coefficients(seed: int, count: int) -> list[Cyclotomic]:
+def _seed_coefficients(seed: int, count: int) -> list[int]:
     """Coefficients of count basis vectors at one seed of a deterministic
     member search: _SEARCH_VALUES at index seed + j (seed + 1), plus
     32 (j // 12).  The index is periodic in j with a period dividing 12, so
@@ -40,10 +42,7 @@ def _seed_coefficients(seed: int, count: int) -> list[Cyclotomic]:
     coefficient pattern, F and G share a factor at every seed, and the
     search runs out of seeds; the first 12 coefficients are unchanged."""
     vals = _SEARCH_VALUES
-    return [
-        Cyclotomic.rational(vals[(seed + j * (seed + 1)) % len(vals)] + 32 * (j // len(vals)))
-        for j in range(count)
-    ]
+    return [vals[(seed + j * (seed + 1)) % len(vals)] + 32 * (j // len(vals)) for j in range(count)]
 
 
 class NoMemberFound(RuntimeError):
@@ -127,17 +126,24 @@ def commuting_space_basis(d: int, m: int, lam: Cyclotomic) -> list[tuple[str, in
     eigenvalue eta^(d-2k-1) and ('b', k) eta^(d-2k+1), eta = zeta_2m (see
     ``stalk_eigenvalue``), so the exponents mod 2m are compared with the j
     of eta^j = lam (``_root_exponent``), None when lam is no power of eta."""
-    j = _root_exponent(lam, 2 * m)
+    return _eigenspace(d, m, _root_exponent(lam, 2 * m))
+
+
+def _eigenspace(d: int, m: int, j: int | None) -> list[tuple[str, int]]:
+    # the basis of the eta^j-eigenspace, empty for j None
     return [("a", k) for k in range(d + 1) if (d - 2 * k - 1) % (2 * m) == j] + [
         ("b", k) for k in range(d + 1) if (d - 2 * k + 1) % (2 * m) == j
     ]
 
 
-def _lambda_for(d: int, m: int, t: int, component: str = "inf") -> Cyclotomic:
+def _exponent(d: int, m: int, t: int, component: str = "inf") -> int:
     # t=1 and the t=0 component fixing {0,inf} pointwise at infinity share
     # a_0's eigenvalue eta^(d-1), the others b_0's eta^(d+1), eta = zeta_2m
-    e = d - 1 if t == 1 or (t == 0 and component == "inf") else d + 1
-    return Cyclotomic.zeta(2 * m, e % (2 * m))
+    return (d - 1 if t == 1 or (t == 0 and component == "inf") else d + 1) % (2 * m)
+
+
+def _lambda_for(d: int, m: int, t: int, component: str = "inf") -> Cyclotomic:
+    return Cyclotomic.zeta(2 * m, _exponent(d, m, t, component))
 
 
 def _strata(d: int, m: int) -> list[tuple[int, int]]:
@@ -148,10 +154,10 @@ def _strata(d: int, m: int) -> list[tuple[int, int]]:
 def _search(d: int, vecs: list[dict], gens: list[MoebiusMap], t: int, budget: int, exhausted: str) -> RationalMap:
     """The first combination of the coefficient vectors vecs, at seeds
     0..budget-1, that is in Rat_d, is fixed by every generator and has type
-    t under gens[0]; NoMemberFound(exhausted) if there is none."""
-    zero = Cyclotomic.rational(0)
+    t under gens[0]; NoMemberFound(exhausted) if there is none.  The entries
+    of vecs are ints, so each candidate is added up on Python ints."""
     for seed in range(budget):
-        coeffs = {"a": [zero] * (d + 1), "b": [zero] * (d + 1)}
+        coeffs = {"a": [0] * (d + 1), "b": [0] * (d + 1)}
         for c, vec in zip(_seed_coefficients(seed, len(vecs)), vecs):
             for (side, k), x in vec.items():
                 coeffs[side][k] += c * x
@@ -182,16 +188,14 @@ def generic_member(
     requested type, exactly verified before being returned."""
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
-    lam = _lambda_for(d, m, t, component)
-    basis = commuting_space_basis(d, m, lam)
+    basis = _eigenspace(d, m, _exponent(d, m, t, component))
     if not basis:
         raise NoMemberFound("empty eigenspace")
     required = _required_indices(d, t, component)
     if any(r not in basis for r in required):
         raise NoMemberFound("type conditions cannot hold on this eigenspace")
-    one, sigma = Cyclotomic.rational(1), MoebiusMap.scaling(Cyclotomic.zeta(m))
-    vecs = [{ix: one} for ix in basis]
-    return _search(d, vecs, [sigma], t, budget, f"no member for d={d} m={m} t={t} within budget")
+    sigma = MoebiusMap.scaling(Cyclotomic.zeta(m))
+    return _search(d, [{ix: 1} for ix in basis], [sigma], t, budget, f"no member for d={d} m={m} t={t} within budget")
 
 
 def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
@@ -251,23 +255,19 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
 # ---------------------------------------------------------------------------
 
 
-def dihedral_basis(
-    d: int, m: int, t: int, mu: int, component: str | None = None
-) -> list[dict[tuple[str, int], Cyclotomic]]:
+def dihedral_basis(d: int, m: int, t: int, mu: int, component: str | None = None) -> list[dict[tuple[str, int], int]]:
     """Free parameters of the locus commuting with both zeta_m z and 1/z:
     inside the rotation eigenspace, inversion forces b_i = mu * a_(d-i)."""
     if component is None:
         component = "inf" if t == 1 else "zero"
-    lam = _lambda_for(d, m, t, component)
-    basis = commuting_space_basis(d, m, lam)
+    basis = _eigenspace(d, m, _exponent(d, m, t, component))
     a_idx = [k for side, k in basis if side == "a"]
     b_set = {k for side, k in basis if side == "b"}
     # an index the pairing takes out of the eigenspace, or a b-index it
     # misses, is forced to zero: the locus is empty
     if any(d - k not in b_set for k in a_idx) or len(b_set) != len(a_idx):
         return []
-    one, mu_c = Cyclotomic.rational(1), Cyclotomic.rational(mu)
-    return [{("a", k): one, ("b", d - k): mu_c} for k in a_idx]
+    return [{("a", k): 1, ("b", d - k): mu} for k in a_idx]
 
 
 def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -> RationalMap:
@@ -411,4 +411,4 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
                         match=match,
                     )
                 )
-    return [asdict(row) for row in rows]
+    return [dict(vars(row)) for row in rows]

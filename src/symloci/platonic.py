@@ -519,8 +519,7 @@ def _member_meets(d: int, group: FiniteSubgroup, char: tuple, tries: int) -> boo
     (ph, h_rows), (p, j_rows) = (_product_images(n, group, char) for n in (d - 1, d + 1))
     seeds = [_seed_coefficients(seed, max(len(h_rows), len(j_rows))) for seed in range(tries)]
     for cs in seeds if ph and p else ():
-        ints = [c.nums[0] for c in cs]
-        if _meets_ratd_image(p, *([sum(map(mul, ints, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))):
+        if _meets_ratd_image(p, *([sum(map(mul, cs, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))):
             return True
     spaces = ((ph, h_rows, d - 1), (p, j_rows, d + 1))  # no image: the exact basis came back
     bases = [(rows if q is None else character_eigenspace(n, group, char), n) for q, rows, n in spaces]

@@ -13,7 +13,11 @@ a root of unity.  The images mod p of the icosa orbit products at n = 1000
 and 1002 (platonic._product_images), their independence proved by their
 distinct first exponents.  Also the exact automorphism test of one
 generator on a degree-24 map, by coefficient weights (aut._fixes) and by
-conjugation (aut.is_automorphism).
+conjugation (aut.is_automorphism); the map has integer coefficients, so
+the weights case of 1/z times the identity on Python ints.  And the rows
+of the cyclic and dihedral survey at d = 11 and 40 (loci.survey_rows):
+the member search with its integer candidates, each proved in Rat_d, fixed
+by its generators and of its type, with no root-of-unity exponent cached.
 
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
@@ -143,3 +147,13 @@ def test_fixes(benchmark, sigma, route):
     phi, sigmas = _fixes_cases()
     test = _fixes if route == "weights" else is_automorphism
     assert benchmark(test, phi, sigmas[sigma]) == (sigma != "dense")
+
+
+@pytest.mark.parametrize("d", [11, 40])
+def test_family_survey_rows(benchmark, d):
+    from symloci.loci import survey_rows
+
+    rows = benchmark.pedantic(
+        survey_rows, args=(d, ("cyclic", "dihedral")), setup=cyclotomic._root_exponent.cache_clear, rounds=10
+    )
+    assert rows and all(row["match"] for row in rows)

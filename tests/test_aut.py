@@ -25,6 +25,7 @@ from symloci.aut import (
 )
 from symloci.cyclotomic import Cyclotomic
 from symloci.forms import BinaryForm, RationalMap
+from symloci.loci import dihedral_generic_member
 from symloci.moebius import FiniteSubgroup, MoebiusMap, classify_census, conjugate_map, standard_subgroup
 
 
@@ -284,8 +285,31 @@ def _coefficient(draw, n):
     return _unit(draw, n)
 
 
+def _integer_anti_diagonal_case(draw):
+    # phi with G_i = mu F_(d-i), integers with zeros at either end, is fixed
+    # by 1/z; phi(s z) / s, F_i s^(d-i) and G_i s^(d-i+1), by [[0, k], [k s^2, 0]]:
+    # b = c for s = +-1 (+-1 entries for k = +-1 too), b != c for s = 2, -3.
+    # Then maybe one coefficient changed, or an arbitrary [[0, b], [c, 0]].
+    d, mu = draw(st.integers(1, 8)), draw(st.sampled_from([1, -1]))
+    s, k = draw(st.sampled_from([1, -1, 2, -3])), draw(st.sampled_from([1, -1, 2, -5]))
+    a = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1))
+    a[draw(st.integers(0, d))] = draw(st.sampled_from([1, -2]))
+    coeffs = [x * s ** (d - i) for i, x in enumerate(a)] + [mu * a[d - i] * s ** (d - i + 1) for i in range(d + 1)]
+    sigma = MoebiusMap(0, k, k * s * s, 0)
+    how = draw(st.sampled_from(["member", "changed", "other sigma"]))
+    if how == "changed":
+        coeffs[draw(st.integers(0, 2 * d + 1))] = draw(st.sampled_from([0, 1, -1, 4]))
+    elif how == "other sigma":
+        sigma = MoebiusMap(0, draw(st.sampled_from([1, -1, 2, 3])), draw(st.sampled_from([1, -1, 4, -6])), 0)
+    if not any(coeffs):
+        coeffs[0] = 1
+    return RationalMap(BinaryForm(d, coeffs[: d + 1]), BinaryForm(d, coeffs[d + 1 :])), sigma
+
+
 @st.composite
 def _fixes_cases(draw):
+    if draw(st.integers(0, 4)) == 0:  # rational integers throughout: the integer route of 1/z-like maps
+        return _integer_anti_diagonal_case(draw)
     # one conductor n = 1..12 per case for the drawn entries and coefficients
     n = draw(st.integers(1, 12))
     phi, group = draw(st.sampled_from(_members()))
@@ -324,6 +348,10 @@ def _fixes_cases(draw):
 @example((RationalMap.from_zpoly([1, 0, 0, 0, 1], [1, 0, 0]), MoebiusMap(Cyclotomic.zeta(12, 3) * 2, 0, 0, 2)))
 @example((RationalMap.from_zpoly([1], [1, 0]), MoebiusMap.scaling(-1)))
 @example((degree5_example(), MoebiusMap(Cyclotomic.zeta(4), Cyclotomic.zeta(4), 1, -1)))
+@example((dihedral_generic_member(6, 5, 1, -1), MoebiusMap.inversion()))  # a mu = -1 member
+@example((RationalMap.from_zpoly([4, 0, 2], [16, 0, 2]), MoebiusMap(0, 1, 4, 0)))  # fixed by 1/(4z): b != c
+@example((RationalMap.from_zpoly([0, 1, 1], [-1, -1, 0]), MoebiusMap(0, -1, -1, 0)))  # F_0 = G_2 = 0, fixed
+@example((RationalMap.from_zpoly([3, 0, 1], [1, 0]), MoebiusMap(0, 1, 1, 0)))  # G_0 = 0, not fixed
 def test_weight_route_matches_conjugation(case):
     phi, sigma = case
     assert _fixes(phi, sigma) == is_automorphism(phi, sigma)

@@ -240,6 +240,22 @@ def test_lambda_is_the_power_of_eta_entry_for_entry():
                 assert (got.n, got.nums, got.den) == (want.n, want.nums, want.den), (d, m, t, comp)
 
 
+def test_the_search_reads_each_eigenspace_off_its_exponent():
+    # oracle: the basis of the eigenvalue itself, its exponent recovered by
+    # commuting_space_basis; generic_member and dihedral_basis read it off
+    # the exponent that _lambda_for raises eta to
+    from symloci.loci import _eigenspace, _exponent, _lambda_for, _strata
+
+    for d in range(2, 41):
+        for m in range(2, d + 2):
+            for t, _ in _strata(d, m):
+                for comp in ("inf", "zero"):
+                    want = commuting_space_basis(d, m, _lambda_for(d, m, t, comp))
+                    assert _eigenspace(d, m, _exponent(d, m, t, comp)) == want, (d, m, t, comp)
+                    a_side = [next(iter(vec)) for vec in dihedral_basis(d, m, t, 1, comp)]
+                    assert a_side in ([], [ix for ix in want if ix[0] == "a"]), (d, m, t, comp)
+
+
 def test_commuting_space_basis_looks_up_each_eigenvalue_once(monkeypatch):
     # after one call per (2m, lam), an equal lam builds no zeta_2m^j again
     lam, same = Cyclotomic.zeta(14, 3), Cyclotomic.zeta(14, 3)

@@ -348,7 +348,7 @@ def _image_search(d, group, char, tries=24):
     # the search of _member_meets on the images of the orbit products alone
     (p, h_rows), (_, j_rows) = (platonic._product_images(n, group, char) for n in (d - 1, d + 1))
     for seed in range(tries):
-        c = [x.nums[0] for x in _seed_coefficients(seed, max(len(h_rows), len(j_rows)))]
+        c = _seed_coefficients(seed, max(len(h_rows), len(j_rows)))
         h, j = ([sum(a * b for a, b in zip(c, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))
         if _meets_ratd_image(p, h, j):
             return True
