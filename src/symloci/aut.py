@@ -41,24 +41,28 @@ def is_automorphism(phi: RationalMap, sigma: MoebiusMap) -> bool:
     return conjugate_map(phi, sigma).proportional_to(phi)
 
 
-def _fixes(phi: RationalMap, sigma: MoebiusMap) -> bool:
-    """is_automorphism(phi, sigma), with no conjugation for a monomial sigma.
+def _fixes(phi, sigma: MoebiusMap) -> bool:
+    """is_automorphism(phi, sigma), with no conjugation for a monomial sigma,
+    for which phi may also be its coefficient lists (F, G), ints or cyclotomics.
     diag(a, d) scales F_i by a^(n-i) d^(i+1) = a^(n+1) r^(i+1) and G_i by
     a^(n+1) r^i, r = d/a: the weights agree on the support of phi exactly
-    when a^g = d^g, g the gcd of the differences of the exponents of r.
+    when r^g = 1, g the gcd of the differences of the exponents of r, so when
+    the order of a/d (``ru_order``) divides g, or g = 0 if there is none.
     [[0, b], [c, 0]] gives (-b G(bY, cX), -c F(bY, cX)), coefficient k of
     G(bY, cX) being G_(n-k) b^k c^(n-k): O(n) products, on Python ints when
     b, c and phi are rational integers (1/z: (-G, -F) reversed proportional
     to (F, G))."""
     a, b, c, d = sigma.entries()
-    F, G, n = phi.F.coeffs, phi.G.coeffs, phi.degree
+    F, G = (phi.F.coeffs, phi.G.coeffs) if isinstance(phi, RationalMap) else phi
     if not b and not c:
         exps = [i + 1 for i, x in enumerate(F) if x] + [i for i, x in enumerate(G) if x]
-        g = gcd(*(e - exps[0] for e in exps))
-        return a**g == d**g
+        g, order = gcd(*(e - exps[0] for e in exps)), (a if d == 1 else a / d).ru_order()
+        return not (g % order if order else g)
     if not a and not d:
-        if all(x.n == x.den == 1 for x in (b, c, *F, *G)):
-            b, c, F, G = b.nums[0], c.nums[0], [x.nums[0] for x in F], [x.nums[0] for x in G]
+        n = len(F) - 1
+        if all(type(x) is int or x.n == x.den == 1 for x in (b, c, *F, *G)):
+            b, c, *F = [x if type(x) is int else x.nums[0] for x in (b, c, *F, *G)]
+            F, G = F[: n + 1], F[n + 1 :]
         bpows, cpows = forms._powers(b, n + 1), forms._powers(c, n + 1)
         fs = [x and -x * bpows[k + 1] * cpows[n - k] for k, x in enumerate(G[::-1])]
         gs = [x and -x * bpows[k] * cpows[n - k + 1] for k, x in enumerate(F[::-1])]
@@ -74,14 +78,15 @@ def automorphism_type(phi: RationalMap, sigma: MoebiusMap) -> int:
     return _verified_type(phi, sigma)
 
 
-def _verified_type(phi: RationalMap, sigma: MoebiusMap) -> int:
+def _verified_type(phi, sigma: MoebiusMap) -> int:
     """automorphism_type for a sigma already verified as an automorphism of phi, no conjugation.
     A diagonal sigma fixes just 0 and infinity, where Y F - X G is F_d and -G_0: its type is read
-    from those two coefficients.  Any other takes the gcd route of ``distinct_common_roots_count``."""
+    from those coefficients, also of lists (F, G).  Others take ``distinct_common_roots_count``."""
     if sigma.is_identity():
         raise NotAnAutomorphism("type is defined for non-trivial automorphisms")
     if not sigma.b and not sigma.c:
-        return (not phi.F.coeffs[-1]) + (not phi.G.coeffs[0]) - 1
+        F, G = (phi.F.coeffs, phi.G.coeffs) if isinstance(phi, RationalMap) else phi
+        return (not F[-1]) + (not G[0]) - 1
     return distinct_common_roots_count(phi.fixed_point_form(), sigma.fixed_point_form()) - 1
 
 

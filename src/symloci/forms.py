@@ -15,7 +15,7 @@ from itertools import accumulate, repeat
 from math import lcm
 from operator import mul, sub
 
-from .cyclotomic import Cyclotomic, _fold, _images, _make, _phi, _trim
+from .cyclotomic import Cyclotomic, _fold, _image_field, _images, _make, _phi, _trim
 
 _C0 = Cyclotomic.rational(0)
 _C1 = Cyclotomic.rational(1)
@@ -25,8 +25,8 @@ class DegreeMismatch(ValueError):
     """Operands do not have the degrees the operation requires."""
 
 
-def _cy(x) -> Cyclotomic:
-    return x if isinstance(x, Cyclotomic) else Cyclotomic.rational(x)
+def _cy(x) -> Cyclotomic:  # every rational zero is the one _C0, so sparse int lists build fast
+    return x if isinstance(x, Cyclotomic) else Cyclotomic.rational(x) if x else _C0
 
 
 def _proportional(v, w) -> bool:
@@ -353,6 +353,13 @@ def _coprime_images(images: list, p: int) -> bool:
     return len(a) == 1
 
 
+def _in_ratd(F, G) -> bool:
+    """Res(F, G) != 0 for coefficient lists: coprime images mod p (x % p for ints) prove it, else the exact value."""
+    p, n = _image_field(1)[0], len(F) - 1
+    im = (p, [[x % p for x in xs] for xs in (F, G)]) if all(type(x) is int for x in (*F, *G)) else _images([F, G])
+    return bool(im and _coprime_images(im[1], im[0]) or sylvester_resultant(BinaryForm(n, F), BinaryForm(n, G)))
+
+
 def _product_mod(f: list, g: list, p: int) -> list:
     if min(len(f), len(g)) < 10:  # schoolbook, faster than packing a short list
         out = [0] * (len(f) + len(g) - 1)
@@ -559,9 +566,8 @@ class RationalMap:
         return resultant_pair(self.F, self.G)
 
     def is_in_ratd(self) -> bool:
-        """Res(F, G) != 0: proved by coprime images mod p, or exactly."""
-        image = _images([self.F.coeffs, self.G.coeffs])
-        return bool(image and _coprime_images(image[1], image[0])) or bool(self.resultant())
+        """Res(F, G) != 0: proved by coprime images mod p, or exactly (``_in_ratd``)."""
+        return _in_ratd(self.F.coeffs, self.G.coeffs)
 
     def coefficients(self) -> list[Cyclotomic]:
         return list(self.F.coeffs) + list(self.G.coeffs)

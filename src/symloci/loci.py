@@ -11,24 +11,25 @@ are fixed by the map (t + 1 of them); t = 0 splits into two components
 swapped by z -> 1/z.
 
 Members come from one seeded search over eigenspace vectors, each basis
-read off the exponent of its eigenvalue.  Candidates are integer lists,
-proved by the generators alone: zeta_m z, and 1/z on the dihedral loci,
-each tested by its coefficient weights (``aut._fixes``; 1/z as an identity
-of Python ints).  A map fixed by the generators is fixed by the group they
-generate, so no group is built.
+read off the exponent of its eigenvalue.  A candidate is two lists of Python
+ints, proved on them: its type from F_d and G_0, zeta_m z and (on dihedral
+loci) 1/z by coefficient weights (``aut._fixes``), Rat_d by images mod p
+(``forms._in_ratd``); only the member returned becomes a RationalMap.  A map
+fixed by the generators is fixed by their group, so no group is built.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 # loci.is_automorphism is unused here, but bench/tests/test_bench.py counts
 # it among the bindings the tracer must patch
 from .aut import _fixes, _verified_type, is_automorphism  # noqa: F401
 from .cyclotomic import Cyclotomic, _root_exponent
-from .forms import BinaryForm, RationalMap
+from .forms import BinaryForm, RationalMap, _in_ratd
 from .moebius import MoebiusMap
 
 _SEARCH_VALUES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -146,24 +147,27 @@ def _lambda_for(d: int, m: int, t: int, component: str = "inf") -> Cyclotomic:
     return Cyclotomic.zeta(2 * m, _exponent(d, m, t, component))
 
 
+@lru_cache(maxsize=None)
+def _rotation(m: int) -> MoebiusMap:  # zeta_m z once per m, so aut._fixes reads zeta_m's order once
+    return MoebiusMap.scaling(Cyclotomic.zeta(m))
+
+
 def _strata(d: int, m: int) -> list[tuple[int, int]]:
     # (t, d') for the types t with m | d - t and d' = (d - t)/m >= 1
     return [(t, (d - t) // m) for t in (1, 0, -1) if (d - t) % m == 0 and (d - t) // m >= 1]
 
 
 def _search(d: int, vecs: list[dict], gens: list[MoebiusMap], t: int, budget: int, exhausted: str) -> RationalMap:
-    """The first combination of the coefficient vectors vecs, at seeds
-    0..budget-1, that is in Rat_d, is fixed by every generator and has type
-    t under gens[0]; NoMemberFound(exhausted) if there is none.  The entries
-    of vecs are ints, so each candidate is added up on Python ints."""
+    """The first combination of the int vectors vecs, at seeds 0..budget-1, of
+    type t under gens[0], fixed by every generator and in Rat_d, each proved on
+    its two int lists, as a RationalMap; NoMemberFound(exhausted) if none is."""
     for seed in range(budget):
-        coeffs = {"a": [0] * (d + 1), "b": [0] * (d + 1)}
+        F, G = [0] * (d + 1), [0] * (d + 1)
         for c, vec in zip(_seed_coefficients(seed, len(vecs)), vecs):
             for (side, k), x in vec.items():
-                coeffs[side][k] += c * x
-        phi = RationalMap(BinaryForm(d, coeffs["a"]), BinaryForm(d, coeffs["b"]))
-        if phi.is_in_ratd() and all(_fixes(phi, g) for g in gens) and _verified_type(phi, gens[0]) == t:
-            return phi
+                (F if side == "a" else G)[k] += c * x
+        if _verified_type((F, G), gens[0]) == t and all(_fixes((F, G), g) for g in gens) and _in_ratd(F, G):
+            return RationalMap(BinaryForm(d, F), BinaryForm(d, G))
     raise NoMemberFound(exhausted)
 
 
@@ -194,8 +198,8 @@ def generic_member(
     required = _required_indices(d, t, component)
     if any(r not in basis for r in required):
         raise NoMemberFound("type conditions cannot hold on this eigenspace")
-    sigma = MoebiusMap.scaling(Cyclotomic.zeta(m))
-    return _search(d, [{ix: 1} for ix in basis], [sigma], t, budget, f"no member for d={d} m={m} t={t} within budget")
+    vecs, exhausted = [{ix: 1} for ix in basis], f"no member for d={d} m={m} t={t} within budget"
+    return _search(d, vecs, [_rotation(m)], t, budget, exhausted)
 
 
 def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
@@ -276,7 +280,7 @@ def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -
     vecs = dihedral_basis(d, m, t, mu)
     if not vecs:
         raise NoMemberFound("empty dihedral stratum")
-    gens = [MoebiusMap.scaling(Cyclotomic.zeta(m)), MoebiusMap.inversion()]
+    gens = [_rotation(m), MoebiusMap.inversion()]
     return _search(d, vecs, gens, t, budget, f"no dihedral member for d={d} m={m} t={t} mu={mu}")
 
 

@@ -18,7 +18,7 @@ vanishes to order a mult(f_1), so products with distinct a are independent.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import chain, product
 from math import lcm
@@ -309,16 +309,13 @@ def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
     if None in chain(*ks):
         raise AssertionError(f"an orbit character of {group.label} is no root of unity")
     targets = [_root_exponent(chi, big) for chi in char]
-    degrees = [f.degree for f in forms]
-    tops = [n // k + 1 for k in degrees]
-    if len(tops) == 3:
-        tops[2] = 2
+    d1, d2, *rest = [f.degree for f in forms]
+    # b = (n - d1 a - d3 c) / d2 from (a, c); c = 1 before c = 0, so b rises: the (a, b, c) order of the box
     exps = tuple(
-        exps
-        for exps in product(*map(range, tops))
-        if None not in targets
-        and sum(map(mul, exps, degrees)) == n
-        and all((sum(map(mul, exps, k)) - t) % big == 0 for k, t in zip(ks, targets))
+        (a, b // d2, *c)
+        for a, *c in product(range(n // d1 + 1), *[(1, 0)] * len(rest))
+        if None not in targets and (b := n - d1 * a - sum(map(mul, c, rest))) >= 0 and b % d2 == 0
+        and all((sum(map(mul, (a, b // d2, *c), k)) - t) % big == 0 for k, t in zip(ks, targets))
     )
     if (trace := _trace_sum(n, group, char)) != len(exps) * group.order:
         raise AssertionError(f"{len(exps)} degree-{n} orbit products, trace formula {trace!r}/{group.order}")
@@ -619,4 +616,4 @@ def survey_rows(d: int, kinds=_PLATONIC) -> list[dict]:
                 d=d, group=kind, exists=exists, dim_moduli=formula, dim_linalg=linalg, match=match
             )
         )
-    return [asdict(row) for row in rows]
+    return [dict(vars(row)) for row in rows]

@@ -16,8 +16,9 @@ generator on a degree-24 map, by coefficient weights (aut._fixes) and by
 conjugation (aut.is_automorphism); the map has integer coefficients, so
 the weights case of 1/z times the identity on Python ints.  And the rows
 of the cyclic and dihedral survey at d = 11 and 40 (loci.survey_rows):
-the member search with its integer candidates, each proved in Rat_d, fixed
-by its generators and of its type, with no root-of-unity exponent cached.
+the member search with its integer candidates, each proved on its two
+int lists to be of its type, fixed by its generators and in Rat_d, with no
+root-of-unity exponent and no rotation zeta_m z cached.
 
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
@@ -153,7 +154,11 @@ def test_fixes(benchmark, sigma, route):
 def test_family_survey_rows(benchmark, d):
     from symloci.loci import survey_rows
 
-    rows = benchmark.pedantic(
-        survey_rows, args=(d, ("cyclic", "dihedral")), setup=cyclotomic._root_exponent.cache_clear, rounds=10
-    )
+    from symloci import loci
+
+    def cold():  # no root-of-unity exponent and no rotation zeta_m z cached
+        cyclotomic._root_exponent.cache_clear()
+        loci._rotation.cache_clear()
+
+    rows = benchmark.pedantic(survey_rows, args=(d, ("cyclic", "dihedral")), setup=cold, rounds=10)
     assert rows and all(row["match"] for row in rows)

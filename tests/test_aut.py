@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -355,6 +356,54 @@ def _fixes_cases(draw):
 def test_weight_route_matches_conjugation(case):
     phi, sigma = case
     assert _fixes(phi, sigma) == is_automorphism(phi, sigma)
+
+
+@st.composite
+def _diagonal_cases(draw):
+    # diag(a, d) with a/d of exact order 1..17, or -1, or no root of unity
+    # ((2, 1) and (3, 2)), times a common scalar; phi supported on the
+    # exponents of a/d in one class mod the order (fixed; mod 2, 3 or past
+    # every exponent when a/d is no root of unity), perhaps with one
+    # coefficient added (then fixed only if g stays a multiple of the order),
+    # or on one coefficient (g = 0).  Integer maps come as two lists of ints
+    # or as a RationalMap, others with coefficients at conductor n = 1..12.
+    ratio = draw(st.sampled_from([*range(1, 18), "-1", (2, 1), (3, 2)]))
+    if ratio == "-1":
+        a, d, order = Cyclotomic.rational(-1), Cyclotomic.rational(1), 2
+    elif isinstance(ratio, tuple):
+        a, d, order = *map(Cyclotomic.rational, ratio), None
+    else:
+        k = draw(st.integers(1, ratio).filter(lambda k: math.gcd(k, ratio) == 1))
+        a, d, order = Cyclotomic.zeta(ratio, k), Cyclotomic.rational(1), ratio
+    s = draw(st.sampled_from([Cyclotomic.rational(1), Cyclotomic.rational(-3), Cyclotomic.zeta(12, 5) * 2]))
+    sigma = MoebiusMap(a * s, 0, 0, d * s)
+    deg, ints = draw(st.integers(1, 12)), draw(st.booleans())
+    n = 1 if ints else draw(st.integers(1, 12))
+    # F_i has the exponent i + 1 of r = d/a, G_i the exponent i
+    slots = [("F", i, i + 1) for i in range(deg + 1)] + [("G", i, i) for i in range(deg + 1)]
+    how = draw(st.sampled_from(["class", "class", "one more", "one"]))
+    if how == "one":
+        support = [draw(st.sampled_from(slots))]
+    else:
+        e, modulus = draw(st.integers(0, 2 * deg + 1)), order or draw(st.sampled_from([2, 3, 2 * deg + 2]))
+        support = [x for x in slots if (x[2] - e) % modulus == 0]
+        if how == "one more" or not support:
+            support.append(draw(st.sampled_from(slots)))
+    coeffs = {"F": [0] * (deg + 1), "G": [0] * (deg + 1)}
+    for side, i, _ in support:
+        coeffs[side][i] = draw(st.sampled_from([1, -1, 2, 5])) if ints else _unit(draw, n)
+    phi = RationalMap(BinaryForm(deg, coeffs["F"]), BinaryForm(deg, coeffs["G"]))
+    return (coeffs["F"], coeffs["G"]) if ints and draw(st.booleans()) else phi, phi, sigma
+
+
+@settings(max_examples=500, deadline=None)
+@given(_diagonal_cases())
+@example((([0, 0, 1], [1, 0, 0]), RationalMap.from_zpoly([1], [1, 0, 0]), MoebiusMap(2, 0, 0, 1)))  # 1/z^2 under 2z: no
+@example((([0, 1], [0, 0]), RationalMap(BinaryForm(1, [0, 1]), BinaryForm.zero(1)), MoebiusMap(3, 0, 0, 2)))  # g = 0
+@example((([1, 0, 0], [0, 0, 1]), RationalMap.from_zpoly([1, 0, 0], [1]), MoebiusMap(-1, 0, 0, 1)))  # z^2 under -z: yes
+def test_the_weight_rule_reads_the_order_of_a_over_d(case):
+    lists_or_map, phi, sigma = case
+    assert _fixes(lists_or_map, sigma) == is_automorphism(phi, sigma)
 
 
 def test_weight_route_proves_every_member_under_every_element():

@@ -328,10 +328,11 @@ def test_a_stalk_order_disagreement_is_exit_2(monkeypatch):
     ids=["survey", "construct"],
 )
 def test_exhausted_member_search_is_exit_2_not_a_traceback(monkeypatch, argv):
-    from symloci.forms import RationalMap
+    from symloci import loci
 
-    # no candidate is ever in Rat_d, so every seeded search runs dry
-    monkeypatch.setattr(RationalMap, "is_in_ratd", lambda self: False)
+    # no candidate is ever in Rat_d, so every seeded search runs dry (the
+    # search proves Rat_d on its int lists by forms._in_ratd, not is_in_ratd)
+    monkeypatch.setattr(loci, "_in_ratd", lambda F, G: False)
     code, out, err = run(argv)
     assert code == 2, err
     assert "search exhausted (NoMemberFound): no member for d=5 m=2" in err
@@ -339,12 +340,12 @@ def test_exhausted_member_search_is_exit_2_not_a_traceback(monkeypatch, argv):
 
 
 def test_an_exhausted_dihedral_search_is_reported(monkeypatch):
-    from symloci.forms import RationalMap
+    from symloci import loci
 
     # the t = 1 stratum of dihedral:2 at d = 5 has a nonempty basis; when no
     # candidate is in Rat_d both signs run dry, which is an exhausted search,
     # not an empty locus
-    monkeypatch.setattr(RationalMap, "is_in_ratd", lambda self: False)
+    monkeypatch.setattr(loci, "_in_ratd", lambda F, G: False)
     code, out, err = run(["survey", "--groups", "dihedral", "--d", "5"])
     assert code == 2, err
     assert "search exhausted (NoMemberFound): no dihedral member for d=5 m=2 t=1 with either sign" in err

@@ -10,7 +10,8 @@ import os
 import subprocess
 import sys
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import chain, product
+from math import lcm
 from operator import mul
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 
 from symloci import forms, platonic
 from symloci.cli import main
-from symloci.cyclotomic import Cyclotomic, ExactMatrix
+from symloci.cyclotomic import Cyclotomic, ExactMatrix, _root_exponent
 from symloci.forms import BinaryForm, substitute
 from symloci.moebius import FiniteSubgroup, MoebiusMap, _cayley_graph, standard_subgroup
 from symloci.platonic import character_eigenspace, character_group, platonic_group
@@ -306,6 +307,38 @@ def test_orbit_exponents_match_the_exact_power_rule(label):
             assert platonic._orbit_exponents(n, group, char) == want, (group.label, n, char)
             found += len(want)
     assert found
+
+
+def oracle_orbit_exponents(n, group, char):
+    """_orbit_exponents by the box scan it replaced: every (a, b, c) in
+    product(range(n // deg_1 + 1), range(n // deg_2 + 1), range(2)),
+    filtered by degree and by the character's exponent test."""
+    if n % 2:
+        return ()
+    _, forms, scalars = platonic._orbit_forms(group)
+    big = lcm(2, *(x.n for x in chain(char, *scalars)))
+    ks = [[_root_exponent(s, big) for s in row] for row in scalars]
+    targets = [_root_exponent(chi, big) for chi in char]
+    degrees = [f.degree for f in forms]
+    tops = [n // k + 1 for k in degrees]
+    if len(tops) == 3:
+        tops[2] = 2
+    return tuple(
+        exps
+        for exps in product(*map(range, tops))
+        if None not in targets
+        and sum(map(mul, exps, degrees)) == n
+        and all((sum(map(mul, exps, k)) - t) % big == 0 for k, t in zip(ks, targets))
+    )
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_orbit_exponents_solved_for_b_match_the_box_scan(kind):
+    # every character and every n <= 200: the same tuples in the same order
+    group = platonic_group(kind)
+    for char in character_group(group):
+        for n in range(201):
+            assert platonic._orbit_exponents(n, group, char) == oracle_orbit_exponents(n, group, char), (kind, n, char)
 
 
 def _conjugated(group, m):

@@ -3,10 +3,11 @@
 import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from symloci.aut import automorphism_type, is_automorphism, verify_group_action
 from symloci.cyclotomic import Cyclotomic
-from symloci.forms import distinct_common_roots_count
+from symloci.forms import BinaryForm, RationalMap, distinct_common_roots_count
 from symloci.loci import (
     NoMemberFound,
     commuting_space_basis,
@@ -176,10 +177,103 @@ def test_the_type_read_from_two_coefficients_matches_the_gcd_route(monkeypatch):
     for d in range(2, 17):
         survey_rows(d)
     assert len({sigma.a for _, sigma in seen}) == 16  # zeta_m for m = 2..17
-    for phi, sigma in seen:
+    for (F, G), sigma in seen:
+        # the search types its candidates as two lists of ints; the gcd route needs the map
+        phi = RationalMap(BinaryForm(len(F) - 1, F), BinaryForm(len(G) - 1, G))
         assert not sigma.b and not sigma.c and sigma.d == 1
         gcd_route = distinct_common_roots_count(phi.fixed_point_form(), sigma.fixed_point_form()) - 1
-        assert verified_type(phi, sigma) == gcd_route
+        assert verified_type((F, G), sigma) == verified_type(phi, sigma) == gcd_route
+
+
+def oracle_search(d, vecs, gens, t, budget, exhausted):
+    """The member search with every candidate built as a RationalMap and
+    proved by the exact tests: is_in_ratd, is_automorphism under each
+    generator, automorphism_type under gens[0]."""
+    from symloci.loci import _seed_coefficients
+
+    for seed in range(budget):
+        coeffs = {"a": [0] * (d + 1), "b": [0] * (d + 1)}
+        for c, vec in zip(_seed_coefficients(seed, len(vecs)), vecs):
+            for (side, k), x in vec.items():
+                coeffs[side][k] += c * x
+        phi = RationalMap(BinaryForm(d, coeffs["a"]), BinaryForm(d, coeffs["b"]))
+        if phi.is_in_ratd() and all(is_automorphism(phi, g) for g in gens) and automorphism_type(phi, gens[0]) == t:
+            return phi
+    raise NoMemberFound(exhausted)
+
+
+def _member_outcomes(budget):
+    # the member's JSON, or the NoMemberFound message, of every cyclic
+    # (each component) and dihedral (each sign) stratum for d = 2..30
+    from symloci.loci import _strata, dihedral_generic_member
+
+    def outcome(search, *args):
+        try:
+            return search(*args, budget=budget).to_json()
+        except NoMemberFound as exc:
+            return f"NoMemberFound: {exc}"
+
+    out = {}
+    for d in range(2, 31):
+        for m in range(2, d + 2):
+            for t, _ in _strata(d, m):
+                for comp in ("inf", "zero") if t == 0 else ("inf",):
+                    out["cyclic", d, m, t, comp] = outcome(generic_member, d, m, t, comp)
+                for mu in (1, -1):
+                    out["dihedral", d, m, t, mu] = outcome(dihedral_generic_member, d, m, t, mu)
+    return out
+
+
+@pytest.mark.parametrize("budget", [64, 1, 0])
+def test_the_search_on_int_lists_matches_the_exact_oracle(monkeypatch, budget):
+    # every stratum has its member at seed 0, so budget 1 returns the same
+    # members and budget 0 exhausts every nonempty stratum
+    from symloci import loci
+
+    got = _member_outcomes(budget)
+    monkeypatch.setattr(loci, "_search", oracle_search)
+    assert got == _member_outcomes(budget)
+    exhausted = sum(isinstance(v, str) and "empty" not in v for v in got.values())
+    assert exhausted == (627 if budget == 0 else 0) and len(got) == 789
+
+
+@st.composite
+def _search_cases(draw):
+    # the vectors of a stratum's eigenspace or of any eigenspace of zeta_m z,
+    # perhaps with one index from elsewhere, or a dihedral basis; any claimed
+    # type; with or without 1/z.  The candidates fail the type, a generator
+    # or Rat_d, or pass.  Each index is in one vector, so no coefficient cancels.
+    from symloci.loci import _eigenspace, _exponent, _rotation
+
+    d = draw(st.integers(2, 12))
+    m = draw(st.integers(2, d + 1))
+    t = draw(st.sampled_from([1, 0, -1]))
+    gens = [_rotation(m), MoebiusMap.inversion()] if draw(st.booleans()) else [_rotation(m)]
+    if len(gens) == 2 and draw(st.booleans()):
+        vecs = dihedral_basis(d, m, t, draw(st.sampled_from([1, -1])))
+    else:
+        j = draw(st.sampled_from([_exponent(d, m, t, "inf"), _exponent(d, m, t, "zero"), draw(st.integers(0, 2 * m - 1))]))
+        extra = draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, d)), max_size=1))
+        indices = list(dict.fromkeys(_eigenspace(d, m, j) + extra))
+        cuts = sorted(draw(st.lists(st.integers(1, max(len(indices), 1)), max_size=3)))
+        vecs = [dict.fromkeys(indices[i:k], draw(st.sampled_from([1, -1, 2]))) for i, k in zip([0, *cuts], [*cuts, len(indices)])]
+    vecs = [v for v in vecs if v]
+    assume(vecs)
+    return d, vecs, gens, t, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_cases())
+def test_the_search_rejects_what_the_exact_oracle_rejects(case):
+    from symloci.loci import _search
+
+    def outcome(search):
+        try:
+            return search(*case, "exhausted").to_json()
+        except NoMemberFound as exc:
+            return str(exc)
+
+    assert outcome(_search) == outcome(oracle_search)
 
 
 def test_dihedral_t0_strata_empty():

@@ -234,8 +234,60 @@ def test_a_resultant_divisible_by_p_falls_back_to_the_exact_value():
 
 
 def test_the_modular_route_computes_no_resultant(monkeypatch):
-    monkeypatch.setattr(RationalMap, "resultant", lambda self: pytest.fail("exact resultant computed"))
+    monkeypatch.setattr(forms, "sylvester_resultant", lambda f, g: pytest.fail("exact resultant computed"))
     assert RationalMap.from_zpoly([1, 0, 0, 2], [0, 3, 1, 0]).is_in_ratd()
+
+
+def _times(f, g):
+    # the coefficient list of the product of two forms, as lists of ints
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def int_pairs(draw):
+    # the int lists (F, G) of one declared degree d = 1..8, perhaps both
+    # vanishing at [1:0] or sharing a factor L: F = L P, G = L Q
+    d, ints = draw(st.integers(1, 8)), st.integers(-4, 4)
+    edge = draw(st.sampled_from(["none", "top", "shared", "shared"]))
+    if edge == "shared":
+        k = draw(st.integers(1, d))
+        lin = draw(st.lists(ints, min_size=k + 1, max_size=k + 1))
+        return tuple(_times(lin, draw(st.lists(ints, min_size=d - k + 1, max_size=d - k + 1))) for _ in "FG")
+    f, g = (draw(st.lists(ints, min_size=d + 1, max_size=d + 1)) for _ in "FG")
+    if edge == "top":
+        f[0] = g[0] = 0
+    return f, g
+
+
+@given(pair=int_pairs())
+@example(pair=([1, 0], [1, _image_field(1)[0]]))  # z / (z + p): Res = p, its image 0
+@example(pair=([0, 0], [1, 2]))  # F is the zero form
+@example(pair=([0, 1, 1], [0, 0, 1]))  # both vanish at [1:0]
+@settings(max_examples=300, deadline=None)
+def test_the_rat_d_test_on_int_lists_is_the_exact_one(pair):
+    f, g = pair
+    d = len(f) - 1
+    want = bool(sylvester_resultant(BinaryForm(d, f), BinaryForm(d, g)))
+    assert forms._in_ratd(f, g) == want
+    if any(f) or any(g):
+        assert RationalMap(BinaryForm(d, f), BinaryForm(d, g)).is_in_ratd() == want
+
+
+def test_int_lists_are_proved_by_their_images_with_no_resultant(monkeypatch):
+    # an int's image is x % p: no cyclotomic image, and no resultant when
+    # the images are coprime; the Res = p pair still needs the exact value
+    p, seen = _image_field(1)[0], []
+    monkeypatch.setattr(forms, "sylvester_resultant", lambda f, g: seen.append((f, g)) or sylvester_resultant(f, g))
+    z5 = Cyclotomic.zeta(5)
+    assert RationalMap(BinaryForm(2, [1, 0, z5]), BinaryForm(2, [0, z5 + 1, 0])).is_in_ratd() and seen == []
+    monkeypatch.setattr(forms, "_images", lambda lists: pytest.fail("cyclotomic images of int lists"))
+    assert forms._in_ratd([1, 0, 0, 2], [0, 3, 1, 0]) and seen == []
+    assert forms._in_ratd([1, 0], [1, p]) and len(seen) == 1
+    assert not forms._in_ratd([1, 1, 0], [0, 1, 1]) and len(seen) == 2  # X (X + Y) and (X + Y) Y
 
 
 # ---------------------------------------------------------------------------
