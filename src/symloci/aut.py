@@ -61,8 +61,7 @@ def _fixes(phi, sigma: MoebiusMap) -> bool:
     if not a and not d:
         n = len(F) - 1
         if all(type(x) is int or x.n == x.den == 1 for x in (b, c, *F, *G)):
-            b, c, *F = [x if type(x) is int else x.nums[0] for x in (b, c, *F, *G)]
-            F, G = F[: n + 1], F[n + 1 :]
+            b, c, F, G = b.nums[0], c.nums[0], *([x if type(x) is int else x.nums[0] for x in xs] for xs in (F, G))
         bpows, cpows = forms._powers(b, n + 1), forms._powers(c, n + 1)
         fs = [x and -x * bpows[k + 1] * cpows[n - k] for k, x in enumerate(G[::-1])]
         gs = [x and -x * bpows[k] * cpows[n - k + 1] for k, x in enumerate(F[::-1])]
