@@ -231,8 +231,7 @@ def existence_residues(group_or_kind, modulus: int | None = None, d_max: int = 6
     default modulus |G|.  Pure subset-sum arithmetic via the cached
     relevant-divisor degrees."""
     group = _standard(group_or_kind)
-    n, _ = _existence_data(group)
-    modulus = modulus or n
+    modulus = modulus or _existence_data(group)[0]
     return {d % modulus for d in range(2, d_max + 1) if platonic_existence(d, group)}
 
 
@@ -251,13 +250,12 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     (Klein, Lectures on the Icosahedron; Springer, Invariant Theory, LNM
     585).  So the basis is the products f_1^a f_2^b f_3^c of degree n, c <= 1
     on the last (largest) of three orbits, whose scalars under the
-    generators multiply to mu.  Two exact certificates raise AssertionError:
-    the products must be independent (their exact row basis; by distinct
-    first exponents in ``_product_images``), and their number must be the
-    character-orthogonality count (``_trace_sum``).  They are reduced to
-    the basis in which form k is 1 at its last nonzero coefficient and
-    every other form is 0 there; it depends on the space alone, so the
-    generators' order or scale does not change it.
+    generators multiply to chi.  Two exact certificates raise AssertionError:
+    the products must be independent (their exact row basis), and their
+    number must be the character-orthogonality count (``_trace_sum``).  They
+    are reduced to the basis in which form k is 1 at its last nonzero
+    coefficient and every other form is 0 there; it depends on the space
+    alone, so the generators' order or scale does not change it.
 
     Odd n gives []: the lift -I acts on degree-n forms by (-1)^n, while
     every character of the binary group is 1 at -I.
@@ -265,6 +263,7 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     return list(_eigenspace(n, group, tuple(char)))
 
 
+@lru_cache(maxsize=None)
 def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm, ...]:
     forms = _orbit_forms(group)[1]
     products = [
@@ -277,18 +276,15 @@ def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm,
     return tuple(BinaryForm(n, row[::-1]) for row in reversed(rows))
 
 
-@lru_cache(maxsize=None)
-def _product_images(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
-    """(p, the images mod p of the degree-n orbit products of char) when
-    their first exponents a are distinct and ``_orbit_images`` proves f_1
-    (nonconstant) coprime to the other forms: at a root r of f_1 they vanish
-    to the distinct orders a mult_r(f_1), so they are independent.
-    Otherwise the exact basis proves it, and (None, that basis) comes back."""
+def _proved_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
+    """The exponents of the degree-n orbit products of char
+    (``_orbit_exponents``), proved independent by distinct first exponents
+    once ``_orbit_images`` proves f_1 coprime to the other forms (the module's
+    lemma), else by the exact basis, cached for the member search."""
     exps = _orbit_exponents(n, group, char)
-    if (images := _orbit_images(group)) and len({e[0] for e in exps}) == len(exps):
-        p = images[0]
-        return p, [reduce(partial(_product_mod, p=p), (_power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
-    return None, _eigenspace(n, group, char)
+    if not (_orbit_images(group) and len({e[0] for e in exps}) == len(exps)):
+        _eigenspace(n, group, char)
+    return exps
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +351,7 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
 @lru_cache(maxsize=None)
 def _orbit_images(group: FiniteSubgroup) -> tuple | None:
     """(p, the images of the orbit forms of group) under one map to F_p when
-    they prove f_1 coprime to the others (``_product_images``), else None."""
+    they prove f_1 coprime to the others (``_proved_exponents``), else None."""
     if not (images := _images([f.coeffs for f in _orbit_forms(group)[1]])):
         return None
     p, (first, *others) = images
@@ -369,6 +365,14 @@ def _power_image(group: FiniteSubgroup, i: int, a: int) -> list[int]:
     for k in range(a % 64, a, 64):
         _power_image(group, i, k)
     return _product_mod(_power_image(group, i, a - 1), forms[i], p) if a else [1]
+
+
+@lru_cache(maxsize=None)
+def _product_image(group: FiniteSubgroup, exps: tuple) -> list[int]:
+    """The image mod p (``_orbit_images``) of the orbit product with exponents
+    exps, built only for the spaces ``_member_meets`` reads."""
+    p = _orbit_images(group)[0]
+    return reduce(partial(_product_mod, p=p), (_power_image(group, i, a) for i, a in enumerate(exps)))
 
 
 def _trace_sum(n: int, group: FiniteSubgroup, char: tuple) -> Cyclotomic:
@@ -475,8 +479,7 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     that is J != 0 and no multiple zero of J is a zero of H (``meets_ratd``).
 
     The J-space (degree d+1) and H-space (degree d-1) are spanned by the orbit
-    products, certified as in ``character_eigenspace``, or by distinct first
-    exponents with f_1 coprime to the others (``_product_images``).  The f_i
+    products, sized by the exponents ``_proved_exponents`` proves.  The f_i
     are squarefree and coprime, so f_1^e_1 f_2^e_2 f_3^e_3, with e_i the least
     exponent of f_i over a space's products, is its fixed part.  A stratum is
     obstructed, and dropped with no search, when the J-space is {0}, or when
@@ -494,7 +497,7 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
         raise NotRealizable(f"no degree-{d} map admits {group.label} symmetry")
     best = None
     for k, char in enumerate(character_group(group)):
-        dim = sum(len(_product_images(n, group, char)[1]) for n in (d - 1, d + 1)) - 1
+        dim = sum(len(_proved_exponents(n, group, char)) for n in (d - 1, d + 1)) - 1
         if _obstructed(d, group, char) or (best is not None and dim <= best):
             continue
         if not _member_meets(d, group, char, tries):
@@ -513,13 +516,13 @@ def _member_meets(d: int, group: FiniteSubgroup, char: tuple, tries: int) -> boo
     first tries seeds?  Proved by sum_k c_k P_k, P_k the orbit products, with
     images passing ``_meets_ratd_image`` (the seed integers commute with the
     map to F_p), or by a member of the exact bases that ``meets_ratd`` takes."""
-    (ph, h_rows), (p, j_rows) = (_product_images(n, group, char) for n in (d - 1, d + 1))
-    seeds = [_seed_coefficients(seed, max(len(h_rows), len(j_rows))) for seed in range(tries)]
-    for cs in seeds if ph and p else ():
-        if _meets_ratd_image(p, *([sum(map(mul, cs, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))):
+    spaces = [(_proved_exponents(n, group, char), n) for n in (d - 1, d + 1)]
+    seeds = [_seed_coefficients(seed, max(len(exps) for exps, _ in spaces)) for seed in range(tries)]
+    if images := _orbit_images(group):
+        p, rows = images[0], [[_product_image(group, e) for e in exps] for exps, _ in spaces]
+        if any(_meets_ratd_image(p, *([sum(map(mul, cs, col)) % p for col in zip(*r)] for r in rows)) for cs in seeds):
             return True
-    spaces = ((ph, h_rows, d - 1), (p, j_rows, d + 1))  # no image: the exact basis came back
-    bases = [(rows if q is None else character_eigenspace(n, group, char), n) for q, rows, n in spaces]
+    bases = [(character_eigenspace(n, group, char), n) for _, n in spaces]
     return any(meets_ratd(FormPair(d, *(sum(map(mul, b, cs), BinaryForm.zero(n)) for b, n in bases))) for cs in seeds)
 
 
@@ -611,9 +614,5 @@ def survey_rows(d: int, kinds=_PLATONIC) -> list[dict]:
             # the second route to non-existence: every stratum is obstructed
             formula = linalg = None
             match = all(_obstructed(d, group, char) for char in character_group(group))
-        rows.append(
-            SurveyRow(
-                d=d, group=kind, exists=exists, dim_moduli=formula, dim_linalg=linalg, match=match
-            )
-        )
+        rows.append(SurveyRow(d=d, group=kind, exists=exists, dim_moduli=formula, dim_linalg=linalg, match=match))
     return [dict(vars(row)) for row in rows]

@@ -462,8 +462,8 @@ def test_survey_order_does_not_change_rows():
 
 
 def test_the_exact_basis_is_built_only_where_the_images_fail(monkeypatch):
-    # the survey and construct certify mod p, so the exact basis, which
-    # keeps no cache, is a fallback: built only with no image to certify by
+    # the survey and construct certify mod p, so the exact basis is a
+    # fallback: built only with no image to certify by
     calls = []
     real = platonic._eigenspace
     monkeypatch.setattr(platonic, "_eigenspace", lambda *args: calls.append(args) or real(*args))

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import count
 from math import gcd
 from pathlib import Path
@@ -53,8 +54,27 @@ def _run(argv):
 
 
 def _clear_image_caches():
-    for cached in (platonic._orbit_images, platonic._power_image, platonic._product_images):
+    for cached in (platonic._orbit_images, platonic._power_image, platonic._product_image):
         cached.cache_clear()
+
+
+def oracle_product_images(n, group, char):
+    """(p, the images mod p of the degree-n orbit products of char) when
+    their first exponents are distinct and ``_orbit_images`` proves f_1
+    coprime to the other forms, else (None, the exact basis): the one helper
+    that proved, sized and imaged each space before the proof and the rows
+    had one owner each."""
+    exps = platonic._orbit_exponents(n, group, char)
+    if (images := platonic._orbit_images(group)) and len({e[0] for e in exps}) == len(exps):
+        p = images[0]
+        product = partial(forms._product_mod, p=p)
+        return p, [reduce(product, (platonic._power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
+    return None, platonic._eigenspace(n, group, char)
+
+
+def _rows(n, group, char):
+    # the image rows the member search reads for one space
+    return [platonic._product_image(group, e) for e in platonic._proved_exponents(n, group, char)]
 
 
 def _rank_mod(rows, p):
@@ -398,7 +418,8 @@ def test_the_exact_meets_ratd_is_the_branchy_rule_on_platonic_members(kind, monk
 
 def _image_search(d, group, char, tries=24):
     # the search of _member_meets on the images of the orbit products alone
-    (p, h_rows), (_, j_rows) = (platonic._product_images(n, group, char) for n in (d - 1, d + 1))
+    p = platonic._orbit_images(group)[0]
+    h_rows, j_rows = (_rows(n, group, char) for n in (d - 1, d + 1))
     for seed in range(tries):
         c = _seed_coefficients(seed, max(len(h_rows), len(j_rows)))
         h, j = ([sum(a * b for a, b in zip(c, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))
@@ -443,7 +464,7 @@ def test_dependent_orbit_products_are_refused(monkeypatch):
     _with_orbit_row(monkeypatch, "tetra", 0, form=platonic._orbit_forms(group)[1][1])
     try:
         with pytest.raises(AssertionError, match="linearly dependent"):
-            platonic._product_images(12, group, trivial)
+            platonic._proved_exponents(12, group, trivial)
     finally:
         monkeypatch.undo()
         _no_solve_caches()
@@ -502,31 +523,45 @@ def test_a_zero_image_proves_nothing(zero_images):
 
 def test_the_exact_fallback_builds_each_eigenspace_once(monkeypatch):
     # with no images every space is proved by its exact basis, which the
-    # member search then takes as it is: one build per (degree, character)
-    calls = []
-    real = platonic._eigenspace
-    monkeypatch.setattr(platonic, "_eigenspace", lambda n, group, char: calls.append((n, group, char)) or real(n, group, char))
+    # member search then reads from its cache: one build, one cache miss,
+    # per (degree, character), and the member search's reads are hits
     _clear_image_caches()
+    platonic._eigenspace.cache_clear()
     monkeypatch.setattr(platonic, "_orbit_images", lambda group: None)
-    try:
-        code, out, _ = _run(["survey", "--groups", "platonic", "--d", "11..31"])
-    finally:
-        platonic._product_images.cache_clear()
+    code, out, _ = _run(["survey", "--groups", "platonic", "--d", "11..31"])
+    info = platonic._eigenspace.cache_info()
+    platonic._eigenspace.cache_clear()
     assert code == 0 and out.count("True") > 20
-    assert len(calls) == len(set(calls)) == 67
+    assert info.misses == info.currsize == 67 and info.hits
 
 
 @pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
-def test_distinct_first_exponents_prove_what_the_rank_mod_p_proves(kind):
+def test_distinct_first_exponents_prove_what_the_rank_mod_p_proves(kind, monkeypatch):
     # every space of every character for even n <= 200 is proved by its
-    # first exponents, and its image rows have full rank mod p
+    # first exponents, with no exact basis, and its image rows have full
+    # rank mod p
+    group = platonic_group(kind)
+    _clear_image_caches()
+    p = platonic._orbit_images(group)[0]
+    monkeypatch.setattr(platonic, "_eigenspace", lambda n, group, char: pytest.fail("exact basis built"))
+    for char in character_group(group):
+        for n in range(0, 201, 2):
+            exps = platonic._proved_exponents(n, group, char)
+            assert len({e[0] for e in exps}) == len(exps), (kind, n, char)
+            rows = _rows(n, group, char)
+            assert _rank_mod(rows, p) == len(rows) == len(exps), (kind, n, char)
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_the_sizes_and_rows_are_those_of_the_product_images_oracle(kind):
     group = platonic_group(kind)
     _clear_image_caches()
     for char in character_group(group):
         for n in range(0, 201, 2):
-            p, rows = platonic._product_images(n, group, char)
-            assert p is not None, (kind, n, char)
-            assert _rank_mod(rows, p) == len(rows), (kind, n, char)
+            p, rows = oracle_product_images(n, group, char)
+            assert p == platonic._orbit_images(group)[0], (kind, n, char)
+            assert len(platonic._proved_exponents(n, group, char)) == len(rows), (kind, n, char)
+            assert _rows(n, group, char) == rows, (kind, n, char)
 
 
 def test_repeated_first_exponents_leave_the_space_to_the_exact_basis(monkeypatch):
@@ -538,15 +573,19 @@ def test_repeated_first_exponents_leave_the_space_to_the_exact_basis(monkeypatch
     _clear_image_caches()
     try:
         monkeypatch.setattr(platonic, "_orbit_exponents", lambda n, group, char: ((0, 3, 0), (0, 0, 2)))
+        platonic._eigenspace.cache_clear()
+        assert platonic._proved_exponents(12, group, trivial) == ((0, 3, 0), (0, 0, 2))
+        assert platonic._eigenspace.cache_info().misses == 1
         basis = platonic._eigenspace(12, group, trivial)
-        assert len(basis) == 2 and platonic._product_images(12, group, trivial) == (None, basis)
+        assert len(basis) == 2 and oracle_product_images(12, group, trivial) == (None, basis)
         monkeypatch.setattr(platonic, "_orbit_exponents", lambda n, group, char: ((1, 2, 0), (1, 2, 0)))
-        platonic._product_images.cache_clear()
+        platonic._eigenspace.cache_clear()
         with pytest.raises(AssertionError, match="linearly dependent"):
-            platonic._product_images(12, group, trivial)
+            platonic._proved_exponents(12, group, trivial)
     finally:
         monkeypatch.undo()
         _clear_image_caches()
+        platonic._eigenspace.cache_clear()
 
 
 # ---------------------------------------------------------------------------

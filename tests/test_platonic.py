@@ -369,6 +369,58 @@ def test_no_seed_is_spent_on_an_obstructed_stratum(monkeypatch):
     assert True in verdicts and searched and True not in searched
 
 
+def test_product_rows_are_built_only_for_the_spaces_the_member_search_reads(monkeypatch):
+    import contextlib
+    import io
+
+    from symloci.cli import main
+
+    # survey --d 2..61 --groups platonic, from no cached row: a product's
+    # image row is built only for a space (degree, character) that
+    # _member_meets reads; the strata dropped by _obstructed or by
+    # dim <= best build none of their own
+    real_row, real_meets, real_obstructed = platonic._product_image, platonic._member_meets, platonic._obstructed
+    built, read, searched, obstructed = set(), set(), set(), set()
+
+    def spaces(d, group, char):
+        return {(group.label, e) for n in (d - 1, d + 1) for e in platonic._orbit_exponents(n, group, char)}
+
+    def row(group, exps):
+        built.add((group.label, exps))
+        return real_row(group, exps)
+
+    def member_meets(d, group, char, tries):
+        searched.add((d, group.label, char))
+        read.update(spaces(d, group, char))
+        return real_meets(d, group, char, tries)
+
+    def is_obstructed(d, group, char):
+        if verdict := real_obstructed(d, group, char):
+            obstructed.add((d, group.label, char))
+        return verdict
+
+    platonic._product_image.cache_clear()
+    monkeypatch.setattr(platonic, "_product_image", row)
+    monkeypatch.setattr(platonic, "_member_meets", member_meets)
+    monkeypatch.setattr(platonic, "_obstructed", is_obstructed)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["survey", "--d", "2..61", "--groups", "platonic"]) == 0
+    assert built == read and searched
+    dropped = {
+        (d, group.label, char): spaces(d, group, char)
+        for group in map(platonic_group, ("tetra", "octa", "icosa"))
+        for d in range(2, 62)
+        if platonic_existence(d, group)
+        for char in character_group(group)
+        if (d, group.label, char) not in searched
+    }
+    unread = {key: space - read for key, space in dropped.items()}
+    # both kinds of drop occur, and each leaves products of its own unbuilt
+    assert any(space for key, space in unread.items() if key in obstructed)
+    assert any(space for key, space in unread.items() if key not in obstructed)
+    assert not built & set().union(*unread.values())
+
+
 def test_certificate_checks_survive_python_O():
     # the certificate checks are explicit raises, not asserts that -O strips;
     # checks no honest input reaches are fed a monkeypatched helper
