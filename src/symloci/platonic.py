@@ -231,7 +231,7 @@ def existence_residues(group_or_kind, modulus: int | None = None, d_max: int = 6
     default modulus |G|.  Pure subset-sum arithmetic via the cached
     relevant-divisor degrees."""
     group = _standard(group_or_kind)
-    modulus = modulus or _existence_data(group)[0]
+    modulus = modulus or group.order
     return {d % modulus for d in range(2, d_max + 1) if platonic_existence(d, group)}
 
 
@@ -277,10 +277,9 @@ def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm,
 
 
 def _proved_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
-    """The exponents of the degree-n orbit products of char
-    (``_orbit_exponents``), proved independent by distinct first exponents
-    once ``_orbit_images`` proves f_1 coprime to the other forms (the module's
-    lemma), else by the exact basis, cached for the member search."""
+    """The exponents of the degree-n orbit products of char, proved independent
+    by distinct first exponents a (the module's lemma) once ``_orbit_images``
+    proves f_1 coprime to the others, else by the exact basis (cached for reuse)."""
     exps = _orbit_exponents(n, group, char)
     if not (_orbit_images(group) and len({e[0] for e in exps}) == len(exps)):
         _eigenspace(n, group, char)
@@ -369,8 +368,7 @@ def _power_image(group: FiniteSubgroup, i: int, a: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _product_image(group: FiniteSubgroup, exps: tuple) -> list[int]:
-    """The image mod p (``_orbit_images``) of the orbit product with exponents
-    exps, built only for the spaces ``_member_meets`` reads."""
+    """The image mod p (``_orbit_images``) of an orbit product, read only by ``_member_meets``."""
     p = _orbit_images(group)[0]
     return reduce(partial(_product_mod, p=p), (_power_image(group, i, a) for i, a in enumerate(exps)))
 
@@ -614,5 +612,6 @@ def survey_rows(d: int, kinds=_PLATONIC) -> list[dict]:
             # the second route to non-existence: every stratum is obstructed
             formula = linalg = None
             match = all(_obstructed(d, group, char) for char in character_group(group))
-        rows.append(SurveyRow(d=d, group=kind, exists=exists, dim_moduli=formula, dim_linalg=linalg, match=match))
-    return [dict(vars(row)) for row in rows]
+        row = SurveyRow(d=d, group=kind, exists=exists, dim_moduli=formula, dim_linalg=linalg, match=match)
+        rows.append(dict(vars(row)))
+    return rows

@@ -61,9 +61,9 @@ def _clear_image_caches():
 def oracle_product_images(n, group, char):
     """(p, the images mod p of the degree-n orbit products of char) when
     their first exponents are distinct and ``_orbit_images`` proves f_1
-    coprime to the other forms, else (None, the exact basis): the one helper
-    that proved, sized and imaged each space before the proof and the rows
-    had one owner each."""
+    coprime to the other forms, else (None, the exact basis): the helper that
+    proved, sized and imaged a space in one call, kept as the oracle of
+    ``_proved_exponents`` and ``_product_image``."""
     exps = platonic._orbit_exponents(n, group, char)
     if (images := platonic._orbit_images(group)) and len({e[0] for e in exps}) == len(exps):
         p = images[0]
