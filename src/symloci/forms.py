@@ -180,31 +180,27 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
     """Right substitution action F^g = F(aX+bY, cX+dY).
 
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
-    with fields a, b, c, d.  A monomial matrix moves each coefficient to one
-    place: coef a^(n-i) d^i to X^(n-i) Y^i, or coef b^(n-i) c^i to X^i Y^(n-i).
-    Any other matrix takes one packed Horner pass (Kronecker substitution)
-    per conductor among the coefficients, and the passes are added.  A pass
-    writes each element of Z[zeta_N], denominators cleared, as one int: its
-    digits in Z[x]/(x^N - 1) at x = 2^B, so the ring is Z mod 2^(BN) - 1,
-    reduced by shift and add.  Horner on the power of Y, S_k = S_(k-1)
-    (aX+bY) + f_k (cX+dY)^k, takes O(n^2) int products, and B, two bits past
-    the l1 bound sum_i |f_i| (|a|+|b|)^(n-i) (|c|+|d|)^i on every digit,
-    decodes them exactly.  Each coefficient keeps the conductor that adding
-    up the terms coef (aX+bY)^(n-i) (cX+dY)^i, each multiplied out, gives it.
+    with fields a, b, c, d.  Every matrix takes one packed Horner pass
+    (Kronecker substitution) per conductor m among the nonzero coefficients,
+    and the passes are added.  A pass works in Z[zeta_N], N = lcm(m, a.n,
+    b.n, c.n, d.n), and writes each element, denominators cleared, as one
+    int: its digits in Z[x]/(x^N - 1) at x = 2^B, so the ring is Z mod
+    2^(BN) - 1, reduced by shift and add.  Horner on the power of Y,
+    S_k = S_(k-1) (aX+bY) + f_k (cX+dY)^k, takes O(n^2) int products, and B,
+    two bits past the l1 bound sum_i |f_i| (|a|+|b|)^(n-i) (|c|+|d|)^i on
+    every digit, decodes them exactly.  A pass stores each nonzero
+    coefficient at its N and each zero as the rational 0, so a form whose
+    nonzero coefficients share one conductor m comes back at that N.
     """
     a, b, c, d = _matrix_entries(g)
-    n, coeffs, diagonal = f.degree, f.coeffs, not (b or c)
-    if diagonal or not (a or d):
-        ps, pt = (_powers(a, n), _powers(d, n)) if diagonal else (_powers(b, n), _powers(c, n))
-        out = [x * ps[n - i] * pt[i] if x and ps[n - i] and pt[i] else _C0 for i, x in enumerate(coeffs)]
-        return BinaryForm(n, out if diagonal else out[::-1])
+    n, coeffs = f.degree, f.coeffs
     parts = [_packed_horner(coeffs, m, a, b, c, d) for m in {x.n for x in coeffs if x}] or [[_C0] * (n + 1)]
     return BinaryForm(n, [sum(col[1:], col[0]) for col in zip(*parts)])
 
 
 def _packed_horner(coeffs: tuple, m: int, a, b, c, d) -> list:
-    # the terms of the nonzero coefficients at conductor m under a
-    # non-monomial matrix, added, and the rational 0 where no term reaches
+    # the terms of the nonzero coefficients at conductor m, added, each at N or the rational 0;
+    # one pass per m, since a pass at the lcm of all of them multiplies N-digit ints throughout
     n, fs = len(coeffs) - 1, [(i, x) for i, x in enumerate(coeffs) if x and x.n == m]
     N, dm, den = lcm(m, a.n, b.n, c.n, d.n), lcm(a.den, b.den, c.den, d.den), lcm(*(x.den for _, x in fs))
     ents, fs = [(x, dm // x.den) for x in (a, b, c, d)], [(i, x, den // x.den) for i, x in fs]  # numerators
@@ -217,23 +213,11 @@ def _packed_horner(coeffs: tuple, m: int, a, b, c, d) -> list:
         P = [((v := p * ga + q * de) & M) + (v >> W) for p, q in zip(P + [0], [0] + P)] if k else P
         fk = F.get(k, 0)
         S = [((v := s * al + t * be + fk * p) & M) + (v >> W) for s, t, p in zip(S + [0], [0] + S, P)]
-    # term i reaches X^(n-k) Y^k through entry u of (aX+bY)^(n-i) and v of (cX+dY)^i, u + v = k; the
-    # conductor of m, a, b, c or d counts where a term does: always, or with u < n-i, u > 0, v < i or v > 0.
-    # Off the monomial matrices those k are a range whose ends move with i at slope -1, 0 or 1.
-    lo, hi = [n + 1] * 5, [-1] * 5
-    for i, _, _ in fs[:2] + fs[-2:]:  # so the first two and the last two terms bound it
-        r = n - i
-        u0, u1, v0, v1 = 0 if a or not r else r, r if b else 0, 0 if c or not i else i, i if d else 0
-        for s, t in enumerate(((0, r, 0, i), (0, r - 1, 0, i), (1, r, 0, i), (0, r, 0, i - 1), (0, r, 1, i))):
-            p0, p1, q0, q1 = max(u0, t[0]), min(u1, t[1]), max(v0, t[2]), min(v1, t[3])
-            if p0 <= p1 and q0 <= q1:
-                lo[s], hi[s] = min(lo[s], p0 + q0), max(hi[s], p1 + q1)
-    offset, total, out = M // mask * half, den * dm**n, [_C0] * (n + 1)  # offset: half in every digit
-    for k in range(lo[0], hi[0] + 1):
-        cond = lcm(*(x for x, lk, hk in zip((m, a.n, b.n, c.n, d.n), lo, hi) if lk <= k <= hk))
-        w, step = (S[k] + offset) % M, B * (N // cond)
-        raw = [(w >> step * e & mask) - half for e in range(cond)]
-        out[k] = _make(cond, _fold(cond, _phi(cond), raw), total)
+    offset, total, phi, out = M // mask * half, den * dm**n, _phi(N), []  # offset: half in every digit
+    for s in S:
+        w = (s + offset) % M
+        nums = _fold(N, phi, [(w >> B * e & mask) - half for e in range(N)])
+        out.append(_make(N, nums, total) if any(nums) else _C0)
     return out
 
 
@@ -594,7 +578,7 @@ class RationalMap:
     @classmethod
     def from_zpoly(cls, num, den) -> RationalMap:
         """Build from numerator/denominator coefficient lists in z
-        (highest degree first), e.g. from_zpoly([1,0],[0,1]) is z/1... z."""
+        (highest degree first), e.g. from_zpoly([1, 0], [0, 1]) is z/1, the identity."""
         d = max(len(num), len(den)) - 1
         num = [0] * (d + 1 - len(num)) + list(num)
         den = [0] * (d + 1 - len(den)) + list(den)

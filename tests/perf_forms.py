@@ -2,13 +2,15 @@
 fixed pairs of degree-d forms and on the octa d = 13 map conjugated by
 (2, 1, -3, -1) and by (-2, -1, -1, -1), forms.form_gcd of A C and B C for
 forms A, B of degree 8 and C of degree 5 at conductors 1, 5 and 12,
-forms.substitute of one degree-24 form
-under a diagonal, an anti-diagonal, a dense and an integer dense matrix,
-per degree and conductor, and of one degree-119 form under the icosa
-generator T, forms._product_mod of two degree-d lists mod 2^61 - 1 at
-d = 500 and 1000, and RationalMap.is_in_ratd through the images mod p
-against the exact resultant on a degree-11 family member and the octa
-d = 13 map.
+forms.substitute of one degree-24 form under a diagonal, an anti-diagonal,
+a dense and an integer dense matrix per conductor, of one degree-119 form
+under the icosa generator T and of the degree-11 form of test_forms.py with
+coefficients at conductors 5, 7, 8, 9, 11 and 12 under (zeta_4, 1, 2, 3),
+forms._product_mod of two degree-d lists mod 2^61 - 1 at d = 500 and 1000,
+and RationalMap.is_in_ratd through the images mod p against the exact
+resultant on a degree-11 family member and the octa d = 13 map.  Every
+matrix takes the same packed Horner path, one pass per coefficient
+conductor, so the monomial matrices time that path too.
 
     PYTHONPATH=src python -m pytest tests/perf_forms.py --benchmark-only
 
@@ -30,6 +32,7 @@ from symloci.forms import BinaryForm, _product_mod, form_gcd, substitute, sylves
 from symloci.loci import dihedral_generic_member
 from symloci.moebius import MoebiusMap, conjugate_map, standard_subgroup
 from symloci.platonic import construct_symmetric_map
+from test_forms import MIXED_FORM
 
 CASES = [(8, 1), (11, 1), (13, 1), (13, 5), (13, 12)]
 SUBSTITUTION_MATRICES = {
@@ -86,6 +89,10 @@ def test_substitute_icosa_generator(benchmark, n):
     assert t.b and t.c
     f = _form(random.Random(f"substitute:icosa:{n}"), 119, n)
     assert not benchmark(substitute, f, t).is_zero()
+
+
+def test_substitute_mixed_conductors(benchmark):
+    assert not benchmark(substitute, MIXED_FORM, (Cyclotomic.zeta(4), 1, 2, 3)).is_zero()
 
 
 @pytest.mark.parametrize("d", [500, 1000])

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from symloci import forms
 from symloci.aut import _verified_type
 from symloci.cyclotomic import Cyclotomic, ExactMatrix, _image_field, euler_phi
 from symloci.forms import (
@@ -14,7 +16,9 @@ from symloci.forms import (
     Divisor,
     P1Point,
     RationalMap,
+    _C0,
     _accumulate_product,
+    _cy,
     _product_mod,
     distinct_common_roots_count,
     distinct_roots_count,
@@ -104,6 +108,18 @@ def _dense_substitute(f, a, b, c, d):
     return out
 
 
+def _assert_matches_the_power_table(f, g):
+    # the values of the oracle; a form whose nonzero coefficients share one
+    # conductor m comes back with every nonzero coefficient stored at
+    # lcm(m, a.n, b.n, c.n, d.n) and every zero the one rational _C0
+    got = substitute(f, g).coeffs
+    assert list(got) == _dense_substitute(f, *g)
+    conductors = {x.n for x in f.coeffs if x}
+    if len(conductors) <= 1:
+        N = lcm(*conductors, *(_cy(x).n for x in g))
+        assert all(c.n == N if c else c is _C0 for c in got)
+
+
 def _element(draw, n):
     k, scale = draw(st.integers(0, n - 1)), draw(st.integers(-3, 3).filter(bool))
     return Cyclotomic.zeta(n, k) * scale + draw(st.sampled_from([0, 1, Fraction(-1, 2)]))
@@ -145,10 +161,7 @@ def _dense_substitutions(draw):
 @example((BinaryForm(4, [1, Cyclotomic.zeta(12), 0, Fraction(2, 3), Cyclotomic.zeta(5)]), (0, 1, -1, 0)))
 @example((BinaryForm(3, [Cyclotomic.zeta(3), 1, 0, 2]), (0, -1, 1, 0)))
 def test_monomial_substitution_matches_the_power_table(case):
-    f, g = case
-    got = substitute(f, g).coeffs
-    want = _dense_substitute(f, *g)
-    assert [(c.n, c.nums, c.den) for c in got] == [(c.n, c.nums, c.den) for c in want]
+    _assert_matches_the_power_table(*case)
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,12 +172,7 @@ def test_monomial_substitution_matches_the_power_table(case):
 @example((BinaryForm(4, [1, 0, 0, 0, Cyclotomic.zeta(8)]), (Cyclotomic.zeta(5), 0, Cyclotomic.zeta(12), 1)))
 @example((BinaryForm(3, [2, 1, Fraction(1, 3), Cyclotomic.zeta(5)]), (Cyclotomic.zeta(5) * 0, 1, -1, Cyclotomic.zeta(4))))
 def test_dense_substitution_matches_the_power_table(case):
-    # the binomial rows against both full power tables: same coefficients,
-    # stored at the same conductors
-    f, g = case
-    got = substitute(f, g).coeffs
-    want = _dense_substitute(f, *g)
-    assert [(c.n, c.nums, c.den) for c in got] == [(c.n, c.nums, c.den) for c in want]
+    _assert_matches_the_power_table(*case)
 
 
 # The packed Horner kernel of ``substitute`` against the same oracle, where
@@ -213,10 +221,38 @@ EDGE_SUBSTITUTIONS = [
 
 @pytest.mark.parametrize("case", range(len(EDGE_SUBSTITUTIONS)))
 def test_packed_substitution_edges_match_the_power_table(case):
-    f, g = EDGE_SUBSTITUTIONS[case]
-    got = substitute(f, g).coeffs
-    want = _dense_substitute(f, *g)
-    assert [(c.n, c.nums, c.den) for c in got] == [(c.n, c.nums, c.den) for c in want]
+    _assert_matches_the_power_table(*EDGE_SUBSTITUTIONS[case])
+
+
+def _spy_on_passes(monkeypatch):
+    # the conductor m of each packed Horner pass that substitute runs
+    passes, real = [], forms._packed_horner
+    monkeypatch.setattr(forms, "_packed_horner", lambda coeffs, m, *g: passes.append(m) or real(coeffs, m, *g))
+    return passes
+
+
+def test_every_matrix_takes_the_packed_pass_and_stores_at_its_field(monkeypatch):
+    passes, z4 = _spy_on_passes(monkeypatch), Cyclotomic.zeta(4)
+    (c,) = substitute(BinaryForm(0, [Cyclotomic.zeta(7, 3)]), (1, z4, 3, 2)).coeffs
+    assert c == Cyclotomic.zeta(7, 3) and c.n == 28
+    f = BinaryForm(3, [Z5, 0, 2 * Z5, 1 + Z5])
+    assert [(c.n, c.nums) for c in substitute(f, (1, 0, 0, 1)).coeffs] == [(c.n, c.nums) for c in f.coeffs]
+    got = substitute(f, (z4, 0, 0, 2)).coeffs  # diagonal: coef a^(3-i) d^i in place
+    assert list(got) == [x * z4 ** (3 - i) * 2**i for i, x in enumerate(f.coeffs)]
+    assert [c.n for c in got] == [20, 1, 20, 20] and got[1] is _C0
+    assert passes == [7, 5, 5]
+
+
+MIXED_CONDUCTORS = (5, 7, 8, 9, 11, 12)
+MIXED_FORM = BinaryForm(11, [Cyclotomic.zeta(MIXED_CONDUCTORS[i % 6], i) * (i % 4 + 1) + (i % 3 - 1) for i in range(12)])
+
+
+def test_each_packed_pass_takes_one_conductor(monkeypatch):
+    # six passes, each in a field of conductor at most 44, where one pass at
+    # the lcm of the six conductors would multiply 27720-digit ints throughout
+    passes, g = _spy_on_passes(monkeypatch), (Cyclotomic.zeta(4), 1, 2, 3)
+    assert list(substitute(MIXED_FORM, g).coeffs) == _dense_substitute(MIXED_FORM, *g)
+    assert sorted(passes) == list(MIXED_CONDUCTORS)
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, _image_field(5)[0], _image_field(12)[0]])
