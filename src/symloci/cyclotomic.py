@@ -12,9 +12,9 @@ of different fields are compared at the lcm conductor.  Sums, products
 against Phi_n) run on integers, then divide out one gcd.  ``c`` gives the
 coefficients as Fractions, for printing.
 
-Also provided here: exact linear algebra (kernel, rank, determinant), read
-only by the exact eigenspace bases of ``platonic``, and the maps to F_p that
-prove a polynomial in the data nonzero (``_images``).
+Also provided here: exact linear algebra (``ExactMatrix``), read only by
+``platonic.character_eigenspace``, which no command calls, and the maps to
+F_p that prove a polynomial in the data nonzero (``_images``).
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ ways (character eigenspaces vs the closed form floor(2d/|G|)), and
 explicit symmetric maps are produced through the inverse of the
 divergence/fixed-point decomposition.
 
-The character eigenspaces are spanned by products of the orbit forms, and
-each is certified exactly: by the count of Molien's character-orthogonality
-formula, summed over the classes of tr^2/det, and by independence.  At a
-root of f_1, nonconstant and coprime to the other forms, f_1^a f_2^b f_3^c
-vanishes to order a mult(f_1), so products with distinct a are independent.
+The character eigenspaces are spanned by products of the orbit forms,
+counted by Molien's character-orthogonality formula over the classes of
+tr^2/det.  At a root of f_1, coprime mod p to the other forms, f_1^a f_2^b
+f_3^c vanishes to order a mult(f_1); d_2 not dividing d_3 makes the a of
+one degree distinct, so the products are independent (``_orbit_images``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import mul
 
 from .aut import AutReport, _verify_through_generators
 from .cyclotomic import Cyclotomic, ExactMatrix, _images, _root_exponent
-from .decomp import FormPair, _meets_ratd_image, meets_ratd, recompose_map
+from .decomp import FormPair, _meets_ratd_image, recompose_map
 from .forms import (
     BinaryForm,
     Divisor,
@@ -251,8 +251,8 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     585).  So the basis is the products f_1^a f_2^b f_3^c of degree n, c <= 1
     on the last (largest) of three orbits, whose scalars under the
     generators multiply to chi.  Two exact certificates raise AssertionError:
-    the products must be independent (their exact row basis), and their
-    number must be the character-orthogonality count (``_trace_sum``).  They
+    the products must be independent (their exact row basis, which no command
+    builds), and their number must be the character-orthogonality count.  They
     are reduced to the basis in which form k is 1 at its last nonzero
     coefficient and every other form is 0 there; it depends on the space
     alone, so the generators' order or scale does not change it.
@@ -260,39 +260,24 @@ def character_eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> list[Bin
     Odd n gives []: the lift -I acts on degree-n forms by (-1)^n, while
     every character of the binary group is 1 at -I.
     """
-    return list(_eigenspace(n, group, tuple(char)))
-
-
-@lru_cache(maxsize=None)
-def _eigenspace(n: int, group: FiniteSubgroup, char: tuple) -> tuple[BinaryForm, ...]:
     forms = _orbit_forms(group)[1]
     products = [
         reduce(mul, (f for f, a in zip(forms, exps) for _ in range(a)), BinaryForm(0, [_ONE]))
-        for exps in _orbit_exponents(n, group, char)
+        for exps in _orbit_exponents(n, group, tuple(char))
     ]
     rows = ExactMatrix.from_rows([f.coeffs[::-1] for f in products]).row_basis()
     if len(rows) != len(products):
         raise AssertionError(f"degree-{n} orbit products are linearly dependent")
-    return tuple(BinaryForm(n, row[::-1]) for row in reversed(rows))
-
-
-def _proved_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
-    """The exponents of the degree-n orbit products of char, proved independent
-    by distinct first exponents a (the module's lemma) once ``_orbit_images``
-    proves f_1 coprime to the others, else by the exact basis (cached for reuse)."""
-    exps = _orbit_exponents(n, group, char)
-    if not (_orbit_images(group) and len({e[0] for e in exps}) == len(exps)):
-        _eigenspace(n, group, char)
-    return exps
+    return [BinaryForm(n, row[::-1]) for row in reversed(rows)]
 
 
 @lru_cache(maxsize=None)
 def _orbit_exponents(n: int, group: FiniteSubgroup, char: tuple) -> tuple:
     """The exponents (a, b, c) of the orbit products f_1^a f_2^b f_3^c of
     degree n, c <= 1 on the last of three orbits, scaled by char under the
-    lifted generators: the basis ``character_eigenspace`` multiplies out,
-    certified exactly by the trace formula's count (``_trace_sum``).  ()
-    for odd n, where the lift -I acts by (-1)^n and every character is 1.
+    lifted generators, independent by the module's lemma (``_orbit_images``)
+    and counted by the trace formula (``_trace_sum``): the basis that
+    ``character_eigenspace`` multiplies out.  () for odd n, where the lift -I acts by (-1)^n and every character is 1.
     With s_i = zeta_N^k_i and chi = zeta_N^k, N = lcm(2, the conductors),
     the test is sum e_i k_i = k (mod N); an s_i that is no root of unity is
     corrupt data (AssertionError), a chi that is none gives ()."""
@@ -348,13 +333,17 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _orbit_images(group: FiniteSubgroup) -> tuple | None:
-    """(p, the images of the orbit forms of group) under one map to F_p when
-    they prove f_1 coprime to the others (``_proved_exponents``), else None."""
-    if not (images := _images([f.coeffs for f in _orbit_forms(group)[1]])):
-        return None
-    p, (first, *others) = images
-    return images if _coprime_images([first, reduce(partial(_product_mod, p=p), others, [1])], p) else None
+def _orbit_images(group: FiniteSubgroup) -> tuple:
+    """(p, the images of the orbit forms of group) under the map to F_p of
+    ``_images``, which prove the module's premise: f_1 coprime to the others,
+    and d_2 not dividing d_3, so no two products (a, b, 1), (a, b', 0) of
+    one degree share a; failing either, or with no image, AssertionError."""
+    forms = _orbit_forms(group)[1]
+    if (images := _images([f.coeffs for f in forms])) and all(f.degree % forms[1].degree for f in forms[2:]):
+        p, (first, *others) = images
+        if _coprime_images([first, reduce(partial(_product_mod, p=p), others, [1])], p):
+            return images
+    raise AssertionError(f"the {group.label} orbit forms do not prove their products independent mod p")
 
 
 @lru_cache(maxsize=None)
@@ -477,7 +466,7 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     that is J != 0 and no multiple zero of J is a zero of H (``meets_ratd``).
 
     The J-space (degree d+1) and H-space (degree d-1) are spanned by the orbit
-    products, sized by the exponents ``_proved_exponents`` proves.  The f_i
+    products, sized by their exponents (``_orbit_exponents``).  The f_i
     are squarefree and coprime, so f_1^e_1 f_2^e_2 f_3^e_3, with e_i the least
     exponent of f_i over a space's products, is its fixed part.  A stratum is
     obstructed, and dropped with no search, when the J-space is {0}, or when
@@ -495,7 +484,7 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
         raise NotRealizable(f"no degree-{d} map admits {group.label} symmetry")
     best = None
     for k, char in enumerate(character_group(group)):
-        dim = sum(len(_proved_exponents(n, group, char)) for n in (d - 1, d + 1)) - 1
+        dim = sum(len(_orbit_exponents(n, group, char)) for n in (d - 1, d + 1)) - 1
         if _obstructed(d, group, char) or (best is not None and dim <= best):
             continue
         if not _member_meets(d, group, char, tries):
@@ -513,15 +502,11 @@ def _member_meets(d: int, group: FiniteSubgroup, char: tuple, tries: int) -> boo
     """Does a seeded member of the char stratum meet Rat_d at one of the
     first tries seeds?  Proved by sum_k c_k P_k, P_k the orbit products, with
     images passing ``_meets_ratd_image`` (the seed integers commute with the
-    map to F_p), or by a member of the exact bases that ``meets_ratd`` takes."""
-    spaces = [(_proved_exponents(n, group, char), n) for n in (d - 1, d + 1)]
-    seeds = [_seed_coefficients(seed, max(len(exps) for exps, _ in spaces)) for seed in range(tries)]
-    if images := _orbit_images(group):
-        p, rows = images[0], [[_product_image(group, e) for e in exps] for exps, _ in spaces]
-        if any(_meets_ratd_image(p, *([sum(map(mul, cs, col)) % p for col in zip(*r)] for r in rows)) for cs in seeds):
-            return True
-    bases = [(character_eigenspace(n, group, char), n) for _, n in spaces]
-    return any(meets_ratd(FormPair(d, *(sum(map(mul, b, cs), BinaryForm.zero(n)) for b, n in bases))) for cs in seeds)
+    map to F_p, and ``_orbit_images`` proves the products independent)."""
+    spaces = [_orbit_exponents(n, group, char) for n in (d - 1, d + 1)]
+    p, rows = _orbit_images(group)[0], [[_product_image(group, e) for e in exps] for exps in spaces]
+    seeds = (_seed_coefficients(seed, max(map(len, spaces))) for seed in range(tries))
+    return any(_meets_ratd_image(p, *([sum(map(mul, cs, col)) % p for col in zip(*r)] for r in rows)) for cs in seeds)
 
 
 # ---------------------------------------------------------------------------

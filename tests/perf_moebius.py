@@ -10,8 +10,8 @@ of that count for every character (platonic._class_sums), from the cached
 Cayley graph: the conjugacy classes on its indices with one tr^2/det per
 class (platonic._class_table), and each character walked as exponents of
 a root of unity.  The images mod p of the icosa orbit products at n = 1000
-and 1002 (platonic._product_image), their independence proved by their
-distinct first exponents (platonic._proved_exponents).  Also the exact automorphism test of one
+and 1002 (platonic._product_image) over their exponents (platonic._orbit_exponents),
+their independence proved once per group mod p (platonic._orbit_images).  Also the exact automorphism test of one
 generator on a degree-24 map, by coefficient weights (aut._fixes) and by
 conjugation (aut.is_automorphism); the map has integer coefficients, so
 the weights case of 1/z times the identity on Python ints.  And the rows
@@ -108,7 +108,7 @@ def test_product_images(benchmark, n):
     (trivial,) = platonic.character_group(group)
 
     def rows():
-        return [platonic._product_image(group, e) for e in platonic._proved_exponents(n, group, trivial)]
+        return [platonic._product_image(group, e) for e in platonic._orbit_exponents(n, group, trivial)]
 
     images = benchmark.pedantic(rows, setup=no_images, rounds=10)
     assert len(images) == len(platonic._orbit_exponents(n, group, trivial))

@@ -367,9 +367,8 @@ def test_a_platonic_stratum_is_dropped_only_with_a_proof(monkeypatch):
 def test_a_platonic_search_that_misses_everywhere_is_exit_2_not_a_traceback(monkeypatch):
     from symloci import platonic
 
-    # tetra maps of degree 7 exist, so the two routes disagree; both member
-    # tests, on the images mod p and on the exact forms, reject every seed
-    monkeypatch.setattr(platonic, "meets_ratd", lambda pair: False)
+    # tetra maps of degree 7 exist, so the two routes disagree; the member
+    # test on the images mod p rejects every seed
     monkeypatch.setattr(platonic, "_meets_ratd_image", lambda p, h, j: False)
     code, out, err = run(["survey", "--groups", "tetra", "--d", "7"])
     assert code == 2, err

@@ -461,24 +461,25 @@ def test_survey_order_does_not_change_rows():
     assert [row.split(",")[-1] for d in (11, 13, 15) for row in ascending[d]] == ["True"] * 3
 
 
-def test_the_exact_basis_is_built_only_where_the_images_fail(monkeypatch):
-    # the survey and construct certify mod p, so the exact basis is a
-    # fallback: built only with no image to certify by
+def test_no_command_builds_the_exact_basis(monkeypatch):
+    # the survey and construct certify mod p, and a premise the images do
+    # not prove is exit 2: no route reaches the exact basis
     calls = []
-    real = platonic._eigenspace
-    monkeypatch.setattr(platonic, "_eigenspace", lambda *args: calls.append(args) or real(*args))
+    real = ExactMatrix.row_basis
+    monkeypatch.setattr(ExactMatrix, "row_basis", lambda self: calls.append(self) or real(self))
 
-    def run(argv):
+    def run(argv, code=0):
         _no_solve_caches()
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == code
 
     run(["survey", "--groups", "platonic", "--d", "11..31"])
     run(["construct", "--group", "icosa", "--d", "29"])
+    monkeypatch.setattr(platonic, "_coprime_images", lambda images, p: False)
+    run(["survey", "--groups", "tetra", "--d", "11"], code=2)
     assert calls == []
-    monkeypatch.setattr(platonic, "_orbit_images", lambda group: None)
-    run(["survey", "--groups", "tetra", "--d", "11"])
-    assert calls
+    character_eigenspace(12, platonic_group("tetra"), character_group(platonic_group("tetra"))[0])
+    assert calls  # the spy sees the one caller
 
 
 def oracle_class_sums(group, char):

@@ -2,7 +2,8 @@
 every claim it proves (a nonzero resultant, a pair J, H meeting Rat_d, f_1
 coprime to the other orbit forms, under which distinct first exponents make
 the orbit products independent) against the exact route it replaces; a
-zero image must leave the verdict to the exact route."""
+zero image must leave the verdict to the exact route, or, for the premise
+of the platonic products, which has no exact route, fail the certificate."""
 
 import contextlib
 import io
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -63,18 +64,18 @@ def oracle_product_images(n, group, char):
     their first exponents are distinct and ``_orbit_images`` proves f_1
     coprime to the other forms, else (None, the exact basis): the helper that
     proved, sized and imaged a space in one call, kept as the oracle of
-    ``_proved_exponents`` and ``_product_image``."""
+    ``_orbit_exponents`` and ``_product_image``."""
     exps = platonic._orbit_exponents(n, group, char)
     if (images := platonic._orbit_images(group)) and len({e[0] for e in exps}) == len(exps):
         p = images[0]
         product = partial(forms._product_mod, p=p)
         return p, [reduce(product, (platonic._power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
-    return None, platonic._eigenspace(n, group, char)
+    return None, character_eigenspace(n, group, char)
 
 
 def _rows(n, group, char):
     # the image rows the member search reads for one space
-    return [platonic._product_image(group, e) for e in platonic._proved_exponents(n, group, char)]
+    return [platonic._product_image(group, e) for e in platonic._orbit_exponents(n, group, char)]
 
 
 def _rank_mod(rows, p):
@@ -456,18 +457,42 @@ def test_the_image_verdict_is_the_exact_one_on_every_platonic_stratum(kind):
 def test_dependent_orbit_products_are_refused(monkeypatch):
     # f_1 replaced by f_2 under f_1's character: f_1^3 and f_2^3 are then
     # the same degree-12 invariant, f_1 is not coprime to the other forms,
-    # so no image proves the products, and the exact basis refuses them
+    # so the images refuse the premise, and the exact basis the products
     from test_eigenspace import _no_solve_caches, _with_orbit_row
 
     group = platonic_group("tetra")
     trivial = character_group(group)[0]
     _with_orbit_row(monkeypatch, "tetra", 0, form=platonic._orbit_forms(group)[1][1])
     try:
+        with pytest.raises(AssertionError, match="do not prove their products independent"):
+            platonic._orbit_images(group)
         with pytest.raises(AssertionError, match="linearly dependent"):
-            platonic._proved_exponents(12, group, trivial)
+            character_eigenspace(12, group, trivial)
     finally:
         monkeypatch.undo()
         _no_solve_caches()
+
+
+@pytest.mark.parametrize("kind, degrees", [("tetra", (4, 4, 6)), ("octa", (6, 8, 12)), ("icosa", (12, 20, 30))])
+def test_the_one_prime_proves_the_premise_for_each_group(kind, degrees, monkeypatch):
+    # f_1 coprime to the product of the other forms at _image_field's prime,
+    # and d_2 not dividing d_3: the images are those of _images; with no
+    # image the group is refused, never passed on as None
+    group = platonic_group(kind)
+    _clear_image_caches()
+    forms_ = platonic._orbit_forms(group)[1]
+    assert tuple(f.degree for f in forms_) == degrees and degrees[2] % degrees[1]
+    p, images = platonic._orbit_images(group)
+    assert (p, images) == _images([f.coeffs for f in forms_])
+    assert p == _image_field(lcm(*(c.n for f in forms_ for c in f.coeffs)))[0]
+    assert _coprime_images([images[0], reduce(partial(forms._product_mod, p=p), images[1:])], p)
+    monkeypatch.setattr(platonic, "_images", lambda lists: None)
+    _clear_image_caches()
+    try:
+        with pytest.raises(AssertionError, match="do not prove their products independent"):
+            platonic._orbit_images(group)
+    finally:
+        _clear_image_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +515,11 @@ def zero_images(monkeypatch):
 
 
 _ARGVS = [
-    ["survey", "--d", "2..13"],
-    ["survey", "--d", "29..31", "--groups", "platonic"],
+    ["survey", "--d", "2..13", "--groups", "cyclic,dihedral"],
     ["survey", "--d", "8..11", "--groups", "cyclic,dihedral", "--format", "json"],
 ]
+# the premise of the platonic products is proved only on their images
+_PLATONIC_ARGVS = [["survey", "--d", "2..13"], ["survey", "--d", "29..31", "--groups", "platonic"]]
 
 
 @pytest.fixture(scope="module")
@@ -513,26 +539,16 @@ def test_a_zero_image_falls_back_with_identical_output(unpatched_outputs, zero_i
     for argv, expected in unpatched_outputs:
         assert _run(argv) == expected, argv
     assert calls  # the exact route ran
+    for argv in _PLATONIC_ARGVS:
+        code, _, err = _run(argv)
+        assert code == 2 and "certification failed" in err, argv
 
 
 def test_a_zero_image_proves_nothing(zero_images):
     assert RationalMap.from_zpoly([1, 0, 0, 2], [0, 3, 1, 0]).is_in_ratd()
     assert meets_ratd(FormPair(2, BinaryForm(1, [2, 2]), BinaryForm(3, [0, 1, -1, 0])))
-    assert platonic.invariant_locus_dimension(13, "octa") == 1
-
-
-def test_the_exact_fallback_builds_each_eigenspace_once(monkeypatch):
-    # with no images every space is proved by its exact basis, which the
-    # member search then reads from its cache: one build, one cache miss,
-    # per (degree, character), and the member search's reads are hits
-    _clear_image_caches()
-    platonic._eigenspace.cache_clear()
-    monkeypatch.setattr(platonic, "_orbit_images", lambda group: None)
-    code, out, _ = _run(["survey", "--groups", "platonic", "--d", "11..31"])
-    info = platonic._eigenspace.cache_info()
-    platonic._eigenspace.cache_clear()
-    assert code == 0 and out.count("True") > 20
-    assert info.misses == info.currsize == 67 and info.hits
+    with pytest.raises(AssertionError, match="do not prove their products independent"):
+        platonic.invariant_locus_dimension(13, "octa")
 
 
 @pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
@@ -543,10 +559,10 @@ def test_distinct_first_exponents_prove_what_the_rank_mod_p_proves(kind, monkeyp
     group = platonic_group(kind)
     _clear_image_caches()
     p = platonic._orbit_images(group)[0]
-    monkeypatch.setattr(platonic, "_eigenspace", lambda n, group, char: pytest.fail("exact basis built"))
+    monkeypatch.setattr(platonic.ExactMatrix, "row_basis", lambda self: pytest.fail("exact basis built"))
     for char in character_group(group):
         for n in range(0, 201, 2):
-            exps = platonic._proved_exponents(n, group, char)
+            exps = platonic._orbit_exponents(n, group, char)
             assert len({e[0] for e in exps}) == len(exps), (kind, n, char)
             rows = _rows(n, group, char)
             assert _rank_mod(rows, p) == len(rows) == len(exps), (kind, n, char)
@@ -560,32 +576,27 @@ def test_the_sizes_and_rows_are_those_of_the_product_images_oracle(kind):
         for n in range(0, 201, 2):
             p, rows = oracle_product_images(n, group, char)
             assert p == platonic._orbit_images(group)[0], (kind, n, char)
-            assert len(platonic._proved_exponents(n, group, char)) == len(rows), (kind, n, char)
+            assert len(platonic._orbit_exponents(n, group, char)) == len(rows), (kind, n, char)
             assert _rows(n, group, char) == rows, (kind, n, char)
 
 
-def test_repeated_first_exponents_leave_the_space_to_the_exact_basis(monkeypatch):
-    # f_2^3 and f_3^2 both have a = 0, so their orders at a root of f_1
-    # agree and prove nothing: the exact basis decides, and it refuses a
-    # repeated product
+def test_repeated_first_exponents_refuse_the_group(monkeypatch):
+    # f_3 replaced by f_2^2 of degree 8: f_1 stays coprime to the others,
+    # but d_2 = 4 divides d_3 = 8, so f_2^2 and f_3 would have one first
+    # exponent, which the order of vanishing at a root of f_1 cannot tell apart
+    from test_eigenspace import _no_solve_caches, _with_orbit_row
+
     group = platonic_group("tetra")
-    trivial = character_group(group)[0]
-    _clear_image_caches()
+    f2 = platonic._orbit_forms(group)[1][1]
+    _with_orbit_row(monkeypatch, "tetra", 2, form=f2 * f2)
+    p, (first, *others) = _images([f.coeffs for f in platonic._orbit_forms(group)[1]])
+    assert _coprime_images([first, reduce(partial(forms._product_mod, p=p), others)], p)
     try:
-        monkeypatch.setattr(platonic, "_orbit_exponents", lambda n, group, char: ((0, 3, 0), (0, 0, 2)))
-        platonic._eigenspace.cache_clear()
-        assert platonic._proved_exponents(12, group, trivial) == ((0, 3, 0), (0, 0, 2))
-        assert platonic._eigenspace.cache_info().misses == 1
-        basis = platonic._eigenspace(12, group, trivial)
-        assert len(basis) == 2 and oracle_product_images(12, group, trivial) == (None, basis)
-        monkeypatch.setattr(platonic, "_orbit_exponents", lambda n, group, char: ((1, 2, 0), (1, 2, 0)))
-        platonic._eigenspace.cache_clear()
-        with pytest.raises(AssertionError, match="linearly dependent"):
-            platonic._proved_exponents(12, group, trivial)
+        with pytest.raises(AssertionError, match="do not prove their products independent"):
+            platonic._orbit_images(group)
     finally:
         monkeypatch.undo()
-        _clear_image_caches()
-        platonic._eigenspace.cache_clear()
+        _no_solve_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -606,3 +617,23 @@ def test_a_vanishing_resultant_is_refused_also_under_optimization(flags, tmp_pat
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "" and "vanishing resultant" in proc.stderr
+
+
+_REFUSED_PREMISE = """
+import sys
+from symloci import platonic
+from symloci.cli import main
+platonic._coprime_images = lambda images, p: False
+sys.exit(main(["survey", "--groups", "tetra", "--d", "11"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_refused_premise_is_exit_2_also_under_optimization(flags):
+    # with f_1 not proved coprime to the other forms no dimension is
+    # certified: there is no exact route to fall back to
+    from test_eigenspace import _run_script
+
+    proc = _run_script(flags, _REFUSED_PREMISE)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "certification failed" in proc.stderr and "Traceback" not in proc.stderr

@@ -344,25 +344,20 @@ def test_the_obstruction_rule_matches_the_seeded_search(kind):
 def test_no_seed_is_spent_on_an_obstructed_stratum(monkeypatch):
     from symloci import platonic
 
-    real_obstructed, real_meets, real_image = platonic._obstructed, platonic.meets_ratd, platonic._meets_ratd_image
-    # each stratum's verdict, and the verdict of the stratum each seed tries,
-    # on the images mod p or on the exact forms
+    real_obstructed, real_image = platonic._obstructed, platonic._meets_ratd_image
+    # each stratum's verdict, and the verdict of the stratum each seed tries
+    # on the images mod p
     verdicts, searched = [], []
 
     def obstructed(d, group, char):
         verdicts.append(real_obstructed(d, group, char))
         return verdicts[-1]
 
-    def meets(pair):
-        searched.append(verdicts[-1])
-        return real_meets(pair)
-
     def meets_image(p, h, j):
         searched.append(verdicts[-1])
         return real_image(p, h, j)
 
     monkeypatch.setattr(platonic, "_obstructed", obstructed)
-    monkeypatch.setattr(platonic, "meets_ratd", meets)
     monkeypatch.setattr(platonic, "_meets_ratd_image", meets_image)
     for kind, d in (("tetra", 15), ("octa", 13), ("icosa", 31), ("tetra", 61)):
         assert invariant_locus_dimension(d, kind) == 2 * d // platonic_group(kind).order
