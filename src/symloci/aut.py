@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import gcd, hypot
@@ -89,22 +89,22 @@ def _verified_type(phi, sigma: MoebiusMap) -> int:
     return distinct_common_roots_count(phi.fixed_point_form(), sigma.fixed_point_form()) - 1
 
 
-@dataclass
-class AutReport:
+class AutReport(namedtuple("AutReport", "verified_elements numeric_order census classified failed")):
     """Verification/discovery outcome for one map.
 
     From a group verification, verified_elements lists the group's
     elements in their stored order.  verify_group_action conjugates by
     each of them; the route that construct and check take proves them
     through the generators (phi^(gh) = (phi^g)^h) when every generator
-    passes.
+    passes.  Each report gets its own empty list and census by default.
     """
 
-    verified_elements: list[MoebiusMap] = field(default_factory=list)
-    numeric_order: int | None = None
-    census: dict[int, int] = field(default_factory=dict)
-    classified: str = "unknown"
-    failed: MoebiusMap | None = None
+    __slots__ = ()
+
+    def __new__(cls, verified_elements=None, numeric_order=None, census=None, classified="unknown", failed=None):
+        verified_elements = [] if verified_elements is None else verified_elements
+        census = {} if census is None else census
+        return tuple.__new__(cls, (verified_elements, numeric_order, census, classified, failed))
 
     @property
     def all_verified(self) -> bool:
@@ -130,19 +130,13 @@ def verify_group_action(phi: RationalMap, group: FiniteSubgroup) -> AutReport:
     """
     verified = []
     census: dict[int, int] = {}
-    for e in group.elements:
+    for e in group:  # a lazily listed group builds no element past the first failure
         if not is_automorphism(phi, e):
-            return AutReport(
-                verified_elements=verified, census=census, classified="unknown", failed=e
-            )
+            return AutReport(verified, census=census, failed=e)
         verified.append(e)
         o = e.projective_order()
         census[o] = census.get(o, 0) + 1
-    return AutReport(
-        verified_elements=verified,
-        census=census,
-        classified=classify_census(len(verified), census),
-    )
+    return AutReport(verified, census=census, classified=classify_census(len(verified), census))
 
 
 def _verify_through_generators(phi: RationalMap, group: FiniteSubgroup) -> AutReport:
@@ -162,11 +156,7 @@ def _verify_through_generators(phi: RationalMap, group: FiniteSubgroup) -> AutRe
     """
     if group.generators and all(_fixes(phi, g) for g in group.generators):
         census = group.order_census()
-        return AutReport(
-            verified_elements=list(group.elements),
-            census=census,
-            classified=classify_census(group.order, census),
-        )
+        return AutReport(list(group.elements), census=census, classified=classify_census(group.order, census))
     return verify_group_action(phi, group)
 
 

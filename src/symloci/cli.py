@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -170,7 +169,7 @@ def cmd_survey(args) -> int:
         payload = {"schema": SCHEMA, "kind": "survey", "rows": rows, "all_match": all_match}
         _emit(_json(payload, default=str) + "\n", args.out)
     else:
-        columns = [f.name for f in fields(loci.SurveyRow)]
+        columns = loci.SurveyRow._fields
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns)
         writer.writeheader()

@@ -428,15 +428,27 @@ def _coerce(x):
     return NotImplemented
 
 
-@lru_cache(maxsize=None)
 def _root_exponent(x: Cyclotomic, n: int) -> int | None:
     """The j < n with zeta_n^j = x, or None: the only candidate is read off
-    the argument of x's complex value, and one exact comparison proves it."""
+    the argument of x's complex value, and one exact comparison at x's own
+    conductor c proves it.  Cached on the stored (c, nums, den), so a lookup
+    runs no minimal()."""
+    return _stored_root_exponent(x.n, x.nums, x.den, n)
+
+
+@lru_cache(maxsize=None)
+def _stored_root_exponent(c: int, nums: tuple, den: int, n: int) -> int | None:
+    x = _make(c, nums, den)
     try:
         j = round(cmath.phase(x.complex()) * n / (2 * cmath.pi)) % n
     except (OverflowError, ValueError):  # no finite float: a root of unity has small coefficients
         return None
-    return j if Cyclotomic.zeta(n, j) == x else None
+    # Q(zeta_c) holds zeta_n^j, of order o, only if o | L = lcm(2, c), as zeta_L^e; zeta_2c^e is
+    # (-1)^e zeta_c^(e (c+1) / 2) for odd c
+    o, L = n // gcd(j, n), lcm(2, c)
+    e = j * o // n * (L // o)
+    sign, k = (1, e) if L == c else ((-1) ** e, e * (c + 1) // 2)
+    return j if L % o == 0 and Cyclotomic.zeta(c, k) * sign == x else None
 
 
 @lru_cache(maxsize=None)

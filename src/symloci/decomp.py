@@ -11,7 +11,7 @@ zero of J is also a zero of H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, _images
@@ -135,14 +135,11 @@ def _meets_ratd_image(p: int, h: list[int], j: list[int]) -> bool:
     return any(j) and _coprime_images([f for f in (jx, jy, h) if any(f)], p)
 
 
-@dataclass
-class EigenformReport:
-    """Outcome of classifying a torus eigenform with simple 0/infinity zeros."""
+class EigenformReport(namedtuple("EigenformReport", "k m divisibility eigenvalue")):
+    """Outcome of classifying a torus eigenform with simple 0/infinity zeros;
+    divisibility is one of "m|k", "m|k-1", "m|k-2"."""
 
-    k: int
-    m: int
-    divisibility: str  # one of "m|k", "m|k-1", "m|k-2"
-    eigenvalue: Cyclotomic
+    __slots__ = ()
 
     def to_json(self):
         return {

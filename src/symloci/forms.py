@@ -181,26 +181,35 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
 
     g may be a 4-tuple (a, b, c, d), a 2x2 nested sequence, or any object
     with fields a, b, c, d.  Every matrix takes one packed Horner pass
-    (Kronecker substitution) per conductor m among the nonzero coefficients,
-    and the passes are added.  A pass works in Z[zeta_N], N = lcm(m, a.n,
-    b.n, c.n, d.n), and writes each element, denominators cleared, as one
-    int: its digits in Z[x]/(x^N - 1) at x = 2^B, so the ring is Z mod
-    2^(BN) - 1, reduced by shift and add.  Horner on the power of Y,
+    (Kronecker substitution) per conductor m among the nonzero coefficients.
+    A pass works in Z[zeta_N], N = lcm(m, a.n, b.n, c.n, d.n), and writes
+    each element, denominators cleared, as one int: its digits in
+    Z[x]/(x^N - 1) at x = 2^B, so the ring is Z mod 2^(BN) - 1, reduced by
+    shift and add.  Horner on the power of Y,
     S_k = S_(k-1) (aX+bY) + f_k (cX+dY)^k, takes O(n^2) int products, and B,
     two bits past the l1 bound sum_i |f_i| (|a|+|b|)^(n-i) (|c|+|d|)^i on
-    every digit, decodes them exactly.  A pass stores each nonzero
-    coefficient at its N and each zero as the rational 0, so a form whose
-    nonzero coefficients share one conductor m comes back at that N.
+    every digit, decodes them exactly.  Each nonzero coefficient is stored at
+    the lcm of the passes' N, so a form whose nonzero coefficients share one
+    conductor m comes back at that N, and each zero as the rational 0.
     """
     a, b, c, d = _matrix_entries(g)
     n, coeffs = f.degree, f.coeffs
-    parts = [_packed_horner(coeffs, m, a, b, c, d) for m in {x.n for x in coeffs if x}] or [[_C0] * (n + 1)]
-    return BinaryForm(n, [sum(col[1:], col[0]) for col in zip(*parts)])
+    passes = [_packed_horner(coeffs, m, a, b, c, d) for m in {x.n for x in coeffs if x}]
+    (L, den, rows), *more = passes or [(1, 1, [()] * (n + 1))]  # the zero form: each coefficient _C0
+    if more:  # several conductors: each coefficient's digits added at the lcm L over one den, folded once
+        L, den = lcm(*(N for N, _, _ in passes)), lcm(*(t for _, t, _ in passes))
+        raws = [[0] * max((len(r[0]) - 1) * (L // N) + 1 for N, _, r in passes) for _ in range(n + 1)]
+        for N, t, r in passes:
+            for raw, nums in zip(raws, r):
+                for j, v in enumerate(nums):
+                    raw[j * (L // N)] += v * (den // t)
+        rows = [_fold(L, _phi(L), raw) for raw in raws]
+    return BinaryForm(n, [_make(L, nums, den) if any(nums) else _C0 for nums in rows])
 
 
-def _packed_horner(coeffs: tuple, m: int, a, b, c, d) -> list:
-    # the terms of the nonzero coefficients at conductor m, added, each at N or the rational 0;
-    # one pass per m, since a pass at the lcm of all of them multiplies N-digit ints throughout
+def _packed_horner(coeffs: tuple, m: int, a, b, c, d) -> tuple:
+    # (N, den, rows): the terms of the nonzero coefficients at conductor m, added, as digits at N
+    # over den; one pass per m, since a pass at the lcm of all of them multiplies N-digit ints throughout
     n, fs = len(coeffs) - 1, [(i, x) for i, x in enumerate(coeffs) if x and x.n == m]
     N, dm, den = lcm(m, a.n, b.n, c.n, d.n), lcm(a.den, b.den, c.den, d.den), lcm(*(x.den for _, x in fs))
     ents, fs = [(x, dm // x.den) for x in (a, b, c, d)], [(i, x, den // x.den) for i, x in fs]  # numerators
@@ -213,12 +222,11 @@ def _packed_horner(coeffs: tuple, m: int, a, b, c, d) -> list:
         P = [((v := p * ga + q * de) & M) + (v >> W) for p, q in zip(P + [0], [0] + P)] if k else P
         fk = F.get(k, 0)
         S = [((v := s * al + t * be + fk * p) & M) + (v >> W) for s, t, p in zip(S + [0], [0] + S, P)]
-    offset, total, phi, out = M // mask * half, den * dm**n, _phi(N), []  # offset: half in every digit
+    offset, phi, rows = M // mask * half, _phi(N), []  # offset: half in every digit
     for s in S:
         w = (s + offset) % M
-        nums = _fold(N, phi, [(w >> B * e & mask) - half for e in range(N)])
-        out.append(_make(N, nums, total) if any(nums) else _C0)
-    return out
+        rows.append(_fold(N, phi, [(w >> B * e & mask) - half for e in range(N)]))
+    return N, den * dm**n, rows
 
 
 def _matrix_entries(g):

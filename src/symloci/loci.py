@@ -20,10 +20,9 @@ fixed by the generators is fixed by their group, so no group is built.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 # loci.is_automorphism is unused here, but bench/tests/test_bench.py counts
 # it among the bindings the tracer must patch
@@ -50,36 +49,24 @@ class NoMemberFound(RuntimeError):
     """The deterministic coefficient search exhausted its budget."""
 
 
-@dataclass(kw_only=True)
-class SurveyRow:
-    """One survey row; the field order is the column order of the CSV and
-    JSON output.  Platonic rows leave t, components and s blank and have
-    no dim_ratd."""
+class SurveyRow(namedtuple("SurveyRow", "d group t exists dim_moduli dim_ratd components s dim_linalg match")):
+    """One survey row, built by keyword only; the field order is the column
+    order of the CSV and JSON output.  Platonic rows leave t, components and
+    s blank and have no dim_ratd."""
 
-    d: int
-    group: str
-    t: int | str = ""
-    exists: bool
-    dim_moduli: int | None
-    dim_ratd: int | None = None
-    components: int | str = ""
-    s: int | str = ""
-    dim_linalg: int | None
-    match: bool
+    __slots__ = ()
+
+    def __new__(cls, *, d, group, t="", exists, dim_moduli, dim_ratd=None, components="", s="", dim_linalg, match):
+        return tuple.__new__(cls, (d, group, t, exists, dim_moduli, dim_ratd, components, s, dim_linalg, match))
 
 
-@dataclass
-class CyclicNormalForm:
+class CyclicNormalForm(namedtuple("CyclicNormalForm", "d m t dprime psi_constraints")):
     """Shape data for maps commuting with a rotation of order m."""
 
-    d: int
-    m: int
-    t: int
-    dprime: int
-    psi_constraints: str
+    __slots__ = ()
 
     def to_json(self):
-        return self.__dict__.copy()
+        return self._asdict()
 
 
 def _jsonify(v):
@@ -92,13 +79,15 @@ def _jsonify(v):
     return v
 
 
-@dataclass
-class LocusReport:
-    exists: bool
-    dim_moduli: Optional[int] = None
-    dim_ratd: Optional[int] = None
-    components: int = 0
-    certificate: dict = field(default_factory=dict)
+class LocusReport(namedtuple("LocusReport", "exists dim_moduli dim_ratd components certificate")):
+    """Existence and dimensions of one locus; each report gets its own empty
+    certificate by default."""
+
+    __slots__ = ()
+
+    def __new__(cls, exists, dim_moduli=None, dim_ratd=None, components=0, certificate=None):
+        certificate = {} if certificate is None else certificate
+        return tuple.__new__(cls, (exists, dim_moduli, dim_ratd, components, certificate))
 
     def to_json(self):
         return {
@@ -239,18 +228,7 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
                 member = generic_member(d, m, t, comp)
         cert["member"] = member
         cert["member_verified"] = True
-        out.append(
-            (
-                t,
-                LocusReport(
-                    exists=True,
-                    dim_moduli=dim_moduli,
-                    dim_ratd=dim_ratd,
-                    components=components,
-                    certificate=cert,
-                ),
-            )
-        )
+        out.append((t, LocusReport(True, dim_moduli, dim_ratd, components, cert)))
     return out
 
 
@@ -318,18 +296,7 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
             "member_verified": member is not None,
         }
         exists = member is not None
-        out.append(
-            (
-                t,
-                LocusReport(
-                    exists=exists,
-                    dim_moduli=dim if exists else None,
-                    dim_ratd=dim if exists else None,
-                    components=len(signs),
-                    certificate=cert,
-                ),
-            )
-        )
+        out.append((t, LocusReport(exists, dim if exists else None, dim if exists else None, len(signs), cert)))
     return out
 
 
@@ -415,4 +382,4 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
                         match=match,
                     )
                 )
-    return [dict(vars(row)) for row in rows]
+    return [row._asdict() for row in rows]

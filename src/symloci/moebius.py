@@ -6,7 +6,7 @@ representatives (their determinants stay products of generator
 determinants, which keeps exact SL2 lifting available), and deduplicates
 through a normalized key.  The standard catalog covers the cyclic,
 dihedral, tetrahedral, octahedral and icosahedral rotation groups; the
-first two are listed in closed form, as their closures would list them.
+first two are listed lazily in closed form, as their closures list them.
 """
 
 from __future__ import annotations
@@ -185,22 +185,30 @@ class FiniteSubgroup:
     relies on this to prove every element through the generators.  The
     group is not mutated after construction, so its order census is
     computed once, on first use, unless the caller knows it already.
+    elements may also be a function that yields them, given the census: the
+    order is then its total, and only a read of ``elements`` lists them all.
     """
 
-    __slots__ = ("elements", "label", "generators", "_census")
+    __slots__ = ("_elements", "label", "generators", "_census")
 
     def __init__(self, elements, label="unknown", generators=None, census=None):
-        self.elements: list[MoebiusMap] = list(elements)
+        self._elements = elements if callable(elements) else list(elements)
         self.label = label
         self.generators = list(generators) if generators else []
         self._census: dict[int, int] | None = census
 
     @property
+    def elements(self) -> list[MoebiusMap]:
+        if callable(self._elements):
+            self._elements = list(self._elements())
+        return self._elements
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return sum(self._census.values()) if callable(self._elements) else len(self._elements)
 
     def __iter__(self):
-        return iter(self.elements)
+        return self._elements() if callable(self._elements) else iter(self._elements)
 
     def order_census(self) -> dict[int, int]:
         """{element order: count}; a fresh copy of the cached census."""
@@ -313,28 +321,29 @@ def generate_closure(gens, cap: int = 512, label="unknown") -> FiniteSubgroup:
 
 
 def _rotation_group(m: int, dihedral: bool) -> FiniteSubgroup:
+    r = MoebiusMap.scaling(Cyclotomic.zeta(m)) if m > 1 else MoebiusMap.identity()
+    gens, label = ([r, MoebiusMap.inversion()], f"dihedral:{m}") if dihedral else ([r], f"cyclic:{m}")
+    return FiniteSubgroup(lambda: _rotation_elements(r, m, dihedral), label, gens, _rotation_census(m, dihedral))
+
+
+def _rotation_elements(r: MoebiusMap, m: int, dihedral: bool):
     # generate_closure([r] or [r, J]) without the search, r = zeta_m z and
     # J = 1/z: its level k adds r^k (new while 2k <= m), r^(k-1) J, J r^(k-1)
     # (new while 0 < 2k - 2 < m) and r^-k (new while 2k < m), each as the
-    # first product that reaches it
-    ident, j = MoebiusMap.identity(), MoebiusMap.inversion()
-    r = MoebiusMap.scaling(Cyclotomic.zeta(m)) if m > 1 else ident
-    up, down, r_inv = [ident], [ident], r.inverse()
-    for _ in range(m // 2):
-        up.append(up[-1].compose(r))
-        down.append(down[-1].compose(r_inv))
-    elements = [ident]
+    # first product that reaches it, built as it is reached
+    up = down = MoebiusMap.identity()
+    j, r_inv = MoebiusMap.inversion(), r.inverse()
+    yield up
     for k in range(1, m // 2 + 2):
+        prev = up  # r^(k-1)
         if 2 * k <= m:
-            elements.append(up[k])
+            yield (up := up.compose(r))
         if dihedral:
-            elements.append(up[k - 1].compose(j))
+            yield prev.compose(j)
             if 0 < 2 * k - 2 < m:
-                elements.append(j.compose(up[k - 1]))
+                yield j.compose(prev)
         if 2 * k < m:
-            elements.append(down[k])
-    gens, label = ([r, j], f"dihedral:{m}") if dihedral else ([r], f"cyclic:{m}")
-    return FiniteSubgroup(elements, label=label, generators=gens, census=_rotation_census(m, dihedral))
+            yield (down := down.compose(r_inv))
 
 
 def _rotation_census(m: int, dihedral: bool) -> dict[int, int]:
@@ -356,10 +365,10 @@ def standard_subgroup(kind: str, m: int | None = None) -> FiniteSubgroup:
               with entries in Q(zeta_5); validated by closure order 60.
 
     The platonic groups are closed by ``generate_closure``; the cyclic and
-    dihedral ones are listed in closed form, as that closure lists them, and
-    come with their order census.  Each (kind, m) is built once per process
-    and the same FiniteSubgroup is returned on later calls; nothing in the
-    package mutates one.
+    dihedral ones are listed in closed form, as that closure lists them, on
+    first read, and know their order and census before.  Each (kind, m) is
+    built once per process and the same FiniteSubgroup is returned on later
+    calls; nothing in the package mutates one.
     """
     return _standard_subgroup(kind.lower(), m)
 

@@ -18,7 +18,7 @@ one degree distinct, so the products are independent (``_orbit_images``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import chain, product
 from math import lcm
@@ -56,13 +56,11 @@ class ConstructionFailed(RuntimeError):
     """The symmetric-map constructor exhausted its padding budget."""
 
 
-@dataclass
-class OrbitCharacterRow:
-    orbit: Divisor
-    size: int
-    stabilizer_order: int
-    character: tuple[Cyclotomic, ...]  # the form's scalar under each generator's determinant-1 lift
-    form: BinaryForm
+class OrbitCharacterRow(namedtuple("OrbitCharacterRow", "orbit size stabilizer_order character form")):
+    """A degenerate orbit, its size, stabilizer order and form; character
+    holds the form's scalar under each generator's determinant-1 lift."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -73,10 +71,8 @@ class OrbitCharacterRow:
         }
 
 
-@dataclass
-class RelevantPair:
-    d1: Divisor
-    d2: Divisor
+class RelevantPair(namedtuple("RelevantPair", "d1 d2")):
+    __slots__ = ()
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -598,5 +594,5 @@ def survey_rows(d: int, kinds=_PLATONIC) -> list[dict]:
             formula = linalg = None
             match = all(_obstructed(d, group, char) for char in character_group(group))
         row = SurveyRow(d=d, group=kind, exists=exists, dim_moduli=formula, dim_linalg=linalg, match=match)
-        rows.append(dict(vars(row)))
+        rows.append(row._asdict())
     return rows

@@ -234,6 +234,31 @@ def test_group_without_generators_falls_back_to_the_scan():
             assert got.to_json() == _verify_through_generators(psi, group).to_json()
 
 
+def test_the_lazy_scan_reports_the_eager_scans_first_failure(monkeypatch):
+    # the element scan of a lazily listed cyclic or dihedral group against
+    # the scan of the eager listing: the same report, the same first failing
+    # element, and no element built past it
+    from symloci import moebius
+    from test_moebius import oracle_rotation_group, spy_on_rotation_elements
+
+    built = spy_on_rotation_elements(monkeypatch)
+    maps = [degree5_example()] + [phi for phi, _ in _members()[::7]]
+    failures = 0
+    for phi in maps:
+        for m in range(1, 9):
+            for dihedral in (False, True):
+                built.clear()
+                want = verify_group_action(phi, oracle_rotation_group(m, dihedral))
+                group = moebius._rotation_group(m, dihedral)
+                got = _verify_through_generators(phi, group)
+                assert got.to_json() == want.to_json(), (phi, m, dihedral)
+                if not got.all_verified:
+                    failures += 1
+                    assert callable(group._elements) and len(built) == len(got.verified_elements) + 1
+                    assert built[-1] is got.failed
+    assert failures > 50
+
+
 def test_passing_report_lists_every_element_in_order():
     octa = standard_subgroup("octa")
     rep = _verify_through_generators(degree5_example(), octa)

@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from symloci import moebius
 from symloci.cli import main
 from symloci.forms import RationalMap
+from test_moebius import spy_on_rotation_elements
 
 
 def run(args):
@@ -136,6 +142,39 @@ def test_check_reports_the_scan_on_failure(tmp_path, d, built, claimed, lines):
     count, failing = lines
     assert f"exact verification: {count}" in out.splitlines()
     assert f"first failing element: {failing}" in out.splitlines()
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+def test_a_large_claimed_group_is_tested_before_it_is_built(degree5_file, monkeypatch, kind):
+    # the rotation zeta_4001 z fails its weight test, and the element scan
+    # builds the identity and then r, which fails: two elements of 4001 or 8002
+    built = spy_on_rotation_elements(monkeypatch)
+    moebius._standard_subgroup.cache_clear()  # a fresh group, listed by the spy
+    code, out, _ = run(["check", degree5_file, "--group", f"{kind}:4001"])
+    order = 4001 * (1 + (kind == "dihedral"))
+    assert code == 4 and len(built) == 2
+    assert out.splitlines()[:3] == [
+        f"degree 5 map, group {kind}:4001 of order {order}",
+        f"exact verification: 1/{order} elements pass",
+        f"first failing element: {built[1]!r}",
+    ]
+    assert repr(built[1]).startswith("Moebius[z4001, 0; 0, 1]")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_a_large_claimed_group_fails_in_little_memory(degree5_file):
+    # 4001 rotations of 4000 coefficients each came to about 510 MB; the
+    # child reads its own peak (VmHWM), since the rusage of a child counts
+    # the peak of the process it was forked from
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\nfrom symloci.cli import main\nrc = main(sys.argv[1:])\n"
+        "print(rc, next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))"
+    )
+    argv = [sys.executable, "-c", code, "check", degree5_file, "--group", "cyclic:4001", "--out", os.devnull]
+    out = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    rc, peak_kb = map(int, out.stdout.split())
+    assert rc == 4 and peak_kb < 50 * 1024
 
 
 def test_check_dihedral_on_power_map(tmp_path):

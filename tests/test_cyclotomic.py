@@ -1,9 +1,10 @@
 """Field kernel: cyclotomic arithmetic, polynomials, exact linear algebra."""
 
+import cmath
 import hashlib
 import json
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from symloci.cyclotomic import (
     rational_sqrt,
 )
 from symloci.forms import BinaryForm, form_gcd, partial_derivatives
-from symloci.loci import commuting_space_basis
+from symloci.loci import commuting_space_basis, stalk_order, stalk_order_from_eigenvalue
 
 CONDUCTORS = [1, 3, 4, 5, 8, 12]
 
@@ -348,6 +349,50 @@ def test_rational_sqrt_matches_the_trial_loop(monkeypatch):
     for q in grid:
         got, want = rational_sqrt(q), trial_rational_sqrt(q)
         assert (got, got.n) == (want, want.n), q
+
+
+def oracle_root_exponent(x, n):
+    # the candidate from the argument, proved by one comparison at lcm(n, x.n)
+    j = round(cmath.phase(x.complex()) * n / (2 * cmath.pi)) % n
+    return j if Cyclotomic.zeta(n, j) == x else None
+
+
+def test_the_root_exponent_is_proved_at_the_values_own_conductor(monkeypatch):
+    # against the comparison at the lcm, for roots of unity, their negatives,
+    # multiples and non-roots at every conductor c <= 30, read at N = c,
+    # lcm(2, c), 3 lcm(2, c) and the unrelated 7 and 10
+    cases = [Cyclotomic.zeta(c, k) * s for c in range(1, 31) for k in range(c) for s in (1, -1, 2)]
+    cases += [1 + Cyclotomic.zeta(c) for c in range(1, 31)] + [Cyclotomic.zeta(12, 5).promote(60)]
+    for x in cases:
+        for n in {x.n, 2 * x.n // gcd(2, x.n), 6 * x.n // gcd(2, x.n), 7, 10}:
+            assert cyclotomic._root_exponent(x, n) == oracle_root_exponent(x, n), (x, n)
+    # zeta_4001 at N = 8002: no reduction rows at 8002 are built
+    folded = []
+    real = cyclotomic._reduction_rows
+    monkeypatch.setattr(cyclotomic, "_reduction_rows", lambda n: folded.append(n) or real(n))
+    cyclotomic._stored_root_exponent.cache_clear()
+    assert Cyclotomic.zeta(4001).ru_order() == 4001 and cyclotomic._root_exponent(Cyclotomic.zeta(4001, 3), 8002) == 6
+    assert (-Cyclotomic.zeta(4001)).ru_order() == 8002 and 8002 not in folded
+
+
+def test_one_value_stored_at_two_conductors_gives_one_exponent(monkeypatch):
+    # the cache is keyed on the stored (n, nums, den): no lookup hashes the
+    # value, so none runs minimal(), and both storings read the same j
+    minimal = []
+    real = Cyclotomic.minimal
+    monkeypatch.setattr(Cyclotomic, "minimal", lambda self: minimal.append(self) or real(self))
+    cyclotomic._stored_root_exponent.cache_clear()
+    for value, n in ((Cyclotomic.zeta(4, 3), 12), (Cyclotomic.zeta(6), 6), (Cyclotomic.zeta(5, 2), 10)):
+        wide = value.promote(3 * value.n)
+        assert wide == value and (wide.n, wide.nums) != (value.n, value.nums)
+        j = cyclotomic._root_exponent(value, n)
+        assert j is not None and cyclotomic._root_exponent(wide, n) == j
+        assert wide.ru_order() == value.ru_order()
+    # route B of the family survey rows reads through the same cache
+    for d, m, t in ((11, 3, -1), (12, 4, 0), (13, 6, 1)):
+        assert stalk_order_from_eigenvalue(d, m, t) == stalk_order(d, m, t)
+        assert commuting_space_basis(d, m, Cyclotomic.zeta(2 * m, d - 1))
+    assert not minimal
 
 
 def test_a_value_past_the_float_range_has_no_root_exponent():

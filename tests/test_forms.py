@@ -255,6 +255,20 @@ def test_each_packed_pass_takes_one_conductor(monkeypatch):
     assert sorted(passes) == list(MIXED_CONDUCTORS)
 
 
+def test_mixed_conductor_passes_are_folded_once_at_their_lcm(monkeypatch):
+    # the six passes' digits are added at L = lcm(20, 28, 8, 36, 44, 12) =
+    # 27720 and folded once per coefficient, with no Cyclotomic addition
+    folds, adds, g = [], [], (Cyclotomic.zeta(4), 1, 2, 3)
+    real_fold, real_add = forms._fold, Cyclotomic.__add__
+    monkeypatch.setattr(forms, "_fold", lambda n, phi, raw: folds.append(n) or real_fold(n, phi, raw))
+    monkeypatch.setattr(Cyclotomic, "__add__", lambda x, y: adds.append(x) or real_add(x, y))
+    got = substitute(MIXED_FORM, g).coeffs
+    assert folds.count(27720) == 12 and not adds
+    monkeypatch.undo()
+    assert list(got) == _dense_substitute(MIXED_FORM, *g)
+    assert all(c.n == 27720 if c else c is _C0 for c in got)
+
+
 @pytest.mark.parametrize("p", [2**61 - 1, _image_field(5)[0], _image_field(12)[0]])
 def test_product_mod_matches_the_schoolbook_product(p):
     # residues of the convolution, schoolbook below ten terms and packed

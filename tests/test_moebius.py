@@ -152,6 +152,70 @@ def test_closed_form_groups_equal_their_closures(kind):
         assert group.order_census() == dict(Counter(e.projective_order() for e in group.elements)), m
 
 
+def oracle_rotation_group(m, dihedral):
+    """The eager listing of ``moebius._rotation_group`` before its elements
+    were built lazily: every power r^k and r^-k first, then the level-by-
+    level list, with the closed-form census."""
+    ident, j = MoebiusMap.identity(), MoebiusMap.inversion()
+    r = MoebiusMap.scaling(Cyclotomic.zeta(m)) if m > 1 else ident
+    up, down, r_inv = [ident], [ident], r.inverse()
+    for _ in range(m // 2):
+        up.append(up[-1].compose(r))
+        down.append(down[-1].compose(r_inv))
+    elements = [ident]
+    for k in range(1, m // 2 + 2):
+        if 2 * k <= m:
+            elements.append(up[k])
+        if dihedral:
+            elements.append(up[k - 1].compose(j))
+            if 0 < 2 * k - 2 < m:
+                elements.append(j.compose(up[k - 1]))
+        if 2 * k < m:
+            elements.append(down[k])
+    gens = [r, j] if dihedral else [r]
+    return FiniteSubgroup(elements, generators=gens, census=moebius._rotation_census(m, dihedral))
+
+
+@pytest.mark.parametrize("dihedral", [False, True], ids=["cyclic", "dihedral"])
+def test_lazy_rotation_groups_equal_the_eager_listing(dihedral):
+    # order and census before any element is built, then the same elements
+    # with the same stored representatives, iterated lazily and listed
+    for m in range(1, 61):
+        want = oracle_rotation_group(m, dihedral)
+        group = moebius._rotation_group(m, dihedral)
+        assert group.order == want.order == len(want.elements), m
+        assert group.order_census() == want.order_census(), m
+        assert callable(group._elements), m  # nothing listed yet
+        assert [tuple((v.n, v.nums, v.den) for v in e.entries()) for e in group] == _stored_entries(want), m
+        assert callable(group._elements), m  # iterating lists nothing
+        assert _stored_entries(group) == _stored_entries(want), m
+        assert group.elements is group.elements and group.order == want.order, m
+        assert [e.entries() for e in group.generators] == [e.entries() for e in want.generators], m
+
+
+def spy_on_rotation_elements(monkeypatch) -> list:
+    """The list, filled as they are built, of the elements that the lazy
+    cyclic and dihedral listings yield."""
+    built, real = [], moebius._rotation_elements
+
+    def spy(*args):
+        for e in real(*args):
+            built.append(e)
+            yield e
+
+    monkeypatch.setattr(moebius, "_rotation_elements", spy)
+    return built
+
+
+def test_a_lazy_group_builds_elements_only_as_they_are_reached(monkeypatch):
+    built = spy_on_rotation_elements(monkeypatch)
+    group = moebius._rotation_group(4001, True)
+    assert (group.order, group.label, len(group.generators)) == (8002, "dihedral:4001", 2)
+    assert classify_finite_subgroup(group) == "dihedral:4001" and not built
+    first = next(iter(group))
+    assert first.is_identity() and len(built) == 1
+
+
 def test_classification():
     assert classify_finite_subgroup(standard_subgroup("tetra")) == "tetra"
     assert classify_finite_subgroup(standard_subgroup("octa")) == "octa"
