@@ -70,34 +70,25 @@ def _trim(p: list) -> list:
     return p
 
 
-def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, den monic; coeffs low->high
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise AssertionError("integer polynomial division is not exact")
-    return q
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
-    # coefficients of Phi_n, low->high, monic, integral: Phi_n(x) = Phi_rad(x^(n/rad)),
-    # rad the radical of n, and Phi_pm(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m
+    # coefficients of Phi_n, low->high, monic, integral: for n > 1 the power series of
+    # prod (1 - x^(n/s))^mu(s) over s | rad n to degree phi(n) + 1, where it must end in 1, 0
     if n == 1:
         return (-1, 1)
-    primes = [p for p, _ in _factor(n)]
-    squarefree = prod(primes) == n
-    k = primes[-1] if squarefree else n // prod(primes)
-    low = _cyclotomic_int_coeffs(n // k)
-    out = [0] * (k * (len(low) - 1) + 1)  # low(x^k)
-    out[::k] = low
-    return tuple(_int_poly_div(out, low) if squarefree else out)
+    top = _phi(n) + 1
+    c = [1] + [0] * top
+    for s in map(prod, product(*((1, -p) for p, _ in _factor(n)))):  # s = mu(s) |s|
+        d = n // abs(s)
+        if s > 0:  # times 1 - x^d, downward
+            for k in range(top, d - 1, -1):
+                c[k] -= c[k - d]
+        else:  # over 1 - x^d, a running sum upward
+            for k in range(d, top + 1):
+                c[k] += c[k - d]
+    if c.pop() or c[-1] != 1:
+        raise AssertionError(f"the product for Phi_{n} is no monic polynomial of degree {top - 1}")
+    return tuple(c)
 
 
 @lru_cache(maxsize=None)

@@ -88,13 +88,12 @@ class MoebiusMap:
         return hash(self.key())
 
     def projective_order(self, cap: int = 512) -> int:
-        """Order in PGL2; raises CapExceeded past the cap."""
-        p = self
-        for k in range(1, cap + 1):
-            if p.is_identity():
-                return k
-            p = p.compose(self)
-        raise CapExceeded(f"order exceeds {cap}")
+        """Order in PGL2, the m of the eigenvalue ratio zeta_m^j (``_angle``);
+        raises CapExceeded past the cap and for infinite order."""
+        q = _angle(self, cap)
+        if q is None or (not q and not self.is_identity()):  # 0: the identity, or parabolic
+            raise CapExceeded(f"order exceeds {cap}")
+        return q.denominator
 
     def sl2_lift(self) -> SL2Lift:
         """Scale to determinant 1.
@@ -119,9 +118,9 @@ class MoebiusMap:
     def fixed_points(self) -> list[P1Point]:
         """The fixed points on P^1, exactly.
 
-        Non-identity finite-order maps have two; the quadratic is solved
-        through the SL2 lift, whose eigenvalues are roots of unity, so the
-        discriminant has an explicit cyclotomic square root.
+        Non-identity finite-order maps have two; the quadratic is solved through
+        the SL2 lift, whose discriminant has the root xi - 1/xi, xi = zeta_2m^j a
+        root of the eigenvalue ratio (``_angle``): the lift's eigenvalue is xi or -1/xi.
         """
         if self.is_identity():
             raise ValueError("every point is fixed by the identity")
@@ -129,8 +128,10 @@ class MoebiusMap:
         if not b or not c:  # triangular: infinity or 0 is fixed, once if a = d (parabolic)
             pts = [P1Point.infinity(), P1Point(b, d - a)] if not c else [P1Point.affine(0), P1Point(a - d, c)]
             return pts[:1] if a == d else pts
-        g = self.sl2_lift()
-        root = _trace_discriminant_sqrt(g.a + g.d, self.projective_order())
+        g, q = self.sl2_lift(), _angle(self)
+        if not q:
+            raise CapExceeded("order exceeds 512")
+        root = Cyclotomic.zeta(2 * q.denominator, q.numerator) - Cyclotomic.zeta(2 * q.denominator, -q.numerator)
         two_c = g.c + g.c
         z1 = P1Point((g.a - g.d) + root, two_c)
         z2 = P1Point((g.a - g.d) - root, two_c)
@@ -158,15 +159,14 @@ class SL2Lift(MoebiusMap):
             raise ValueError("SL2Lift requires determinant 1")
 
 
-def _trace_discriminant_sqrt(tr: Cyclotomic, pgl_order: int) -> Cyclotomic:
-    # det-1 g of finite order: tr = xi + 1/xi, xi = zeta_s^k with s = 2 pgl_order, so sqrt(tr^2 - 4)
-    # = xi - 1/xi; the k <= s/2 is read off acos(tr/2) and proved by one exact comparison
-    s = 2 * pgl_order
-    k = round(acos(max(-1.0, min(1.0, tr.complex().real / 2))) * s / (2 * pi))
-    xi, xi_inv = Cyclotomic.zeta(s, k), Cyclotomic.zeta(s, -k)
-    if xi + xi_inv != tr:
-        raise UnliftableInField(f"trace {tr!r} is not a sum of inverse roots of unity")
-    return xi - xi_inv
+def _angle(g: MoebiusMap, cap: int = 512) -> Fraction | None:
+    """The j/m in [0, 1/2] with zeta_m^j + zeta_m^-j = tr^2/det - 2, so zeta_m^(+-j) is the ratio of
+    g's eigenvalues: read off acos by Fraction.limit_denominator(cap) and proved by one exact
+    comparison.  None when no m <= cap fits; 0 for the identity and for parabolic g."""
+    t = (g.a + g.d) ** 2 / g.det() - 2
+    q = Fraction(acos(max(-1.0, min(1.0, t.complex().real / 2))) / (2 * pi)).limit_denominator(cap)
+    m, j = q.denominator, q.numerator
+    return q if Cyclotomic.zeta(m, j) + Cyclotomic.zeta(m, -j) == t else None
 
 
 def conjugate_map(phi: RationalMap, f: MoebiusMap) -> RationalMap:

@@ -11,14 +11,15 @@ divergence/fixed-point decomposition.
 
 The character eigenspaces are spanned by products of the orbit forms,
 counted by Molien's character-orthogonality formula over the classes of
-tr^2/det.  At a root of f_1, coprime mod p to the other forms, f_1^a f_2^b
-f_3^c vanishes to order a mult(f_1); d_2 not dividing d_3 makes the a of
-one degree distinct, so the products are independent (``_orbit_images``).
+eigenvalue ratio.  At a root of f_1, coprime mod p to the other forms,
+f_1^a f_2^b f_3^c vanishes to order a mult(f_1); d_2 not dividing d_3 makes
+the a of one degree distinct, so the products are independent (``_orbit_images``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, product
 from math import lcm
@@ -38,7 +39,7 @@ from .forms import (
     substitute,
 )
 from .loci import NoMemberFound, SurveyRow, _seed_coefficients
-from .moebius import FiniteSubgroup, MoebiusMap, _cayley_graph, degenerate_orbits, standard_subgroup
+from .moebius import FiniteSubgroup, MoebiusMap, _angle, _cayley_graph, degenerate_orbits, standard_subgroup
 
 _PLATONIC = ("tetra", "octa", "icosa")
 _ONE = Cyclotomic.rational(1)
@@ -344,7 +345,7 @@ def _orbit_images(group: FiniteSubgroup) -> tuple:
 
 @lru_cache(maxsize=None)
 def _power_image(group: FiniteSubgroup, i: int, a: int) -> list[int]:
-    """The image mod p (``_orbit_images``) of f_i^a, built up as ``_trace`` is."""
+    """The image mod p (``_orbit_images``) of f_i^a, built up through the cache 64 powers at a time."""
     p, forms = _orbit_images(group)
     for k in range(a % 64, a, 64):
         _power_image(group, i, k)
@@ -359,19 +360,18 @@ def _product_image(group: FiniteSubgroup, exps: tuple) -> list[int]:
 
 
 def _trace_sum(n: int, group: FiniteSubgroup, char: tuple) -> Cyclotomic:
-    """|G| times the dimension of the char-eigenspace in degree n by
-    character orthogonality: sum_g char(g)^-1 u_n(g), summed over the values
-    of t = tr^2/det (``_class_sums``), one u_n per value.  u_n = h_n /
-    det^(n/2) = tr Sym^n of the determinant-1 lift (``_trace``)."""
-    return sum((s * _trace(t, n) for t, s in _class_sums(group, char).items()), Cyclotomic.rational(0))
+    """|G| times the dimension of the char-eigenspace in degree n by character orthogonality:
+    sum_g char(g)^-1 tr Sym^n(g) of the determinant-1 lift, one trace (``_trace``) per
+    eigenvalue-ratio angle (``_class_sums``)."""
+    return sum((s * _trace(q, n) for q, s in _class_sums(group, char).items()), Cyclotomic.rational(0))
 
 
 @lru_cache(maxsize=None)
 def _class_table(group: FiniteSubgroup) -> tuple:
-    """((t, ((x, size), ...)), ...): the conjugacy classes of group, the
-    orbits of x -> g^-1 x g, g a generator, on the indices of the cached
-    Cayley graph (``_cayley_graph``), each by a member x and its size,
-    grouped by t = tr^2/det, a class invariant: one division per class."""
+    """((q, ((x, size), ...)), ...): the conjugacy classes of group, the orbits of
+    x -> g^-1 x g, g a generator, on the indices of the cached Cayley graph (``_cayley_graph``),
+    each by a member x and its size, grouped by the class invariant q = j/m of the eigenvalue
+    ratio zeta_m^(+-j) (``_angle``): one division per class."""
     elements, right, _, lefts = _cayley_graph(group.generators, group.order)
     table, seen = {}, set()
     for x, h in enumerate(elements):
@@ -384,17 +384,17 @@ def _class_table(group: FiniteSubgroup) -> tuple:
                 if (z := right[left[y]][i]) not in seen:
                     seen.add(z)
                     members.append(z)
-        table.setdefault((h.a + h.d) ** 2 / h.det(), []).append((x, len(members)))
-    return tuple((t, tuple(classes)) for t, classes in table.items())
+        table.setdefault(_angle(h, group.order), []).append((x, len(members)))
+    return tuple((q, tuple(classes)) for q, classes in table.items())
 
 
 @lru_cache(maxsize=None)
 def _class_sums(group: FiniteSubgroup, char: tuple) -> dict:
-    """{t: sum of char(g)^-1 over the g with tr^2/det = t}, summed class by
-    class (``_class_table``) from one count per exponent: with char(g_i) =
-    zeta_N^k_i, N = lcm(2, the conductors), char(g)^-1 = zeta_N^-k for k the
-    sum of the k_i along the first path to g in the Cayley graph.  {} when
-    two paths disagree or a value is no root of unity: char is no character."""
+    """{q: sum of char(g)^-1 over the g of eigenvalue-ratio angle q}, summed
+    class by class (``_class_table``) from one count per exponent: with
+    char(g_i) = zeta_N^k_i, N = lcm(2, the conductors), char(g)^-1 = zeta_N^-k
+    for k the sum of the k_i along the first path to g in the Cayley graph.
+    {} when two paths disagree or a value is no root of unity: char is no character."""
     big = lcm(2, *(c.n for c in char))
     ks = [_root_exponent(c, big) for c in char]
     if None in ks:
@@ -405,20 +405,20 @@ def _class_sums(group: FiniteSubgroup, char: tuple) -> dict:
             if vals.setdefault(y, (v := (vals[x] - k) % big)) != v:
                 return {}
     return {
-        t: Cyclotomic.from_raw(big, [sum(size for x, size in classes if vals[x] == j) for j in range(big)])
-        for t, classes in _class_table(group)
+        q: Cyclotomic.from_raw(big, [sum(size for x, size in classes if vals[x] == j) for j in range(big)])
+        for q, classes in _class_table(group)
     }
 
 
-@lru_cache(maxsize=None)
-def _trace(t: Cyclotomic, n: int) -> Cyclotomic:
-    """u_n at t = tr^2/det for even n: u_0 = 1, u_2 = t - 1, u_(k+2) = (t - 2) u_k - u_(k-2),
-    built up through the cache at n - 64, n - 128, ..., so no call recurses over 64 levels deep."""
-    if n < 4:
-        return t - 1 if n else _ONE
-    for k in range(n % 64, n, 64):
-        _trace(t, k)
-    return (t - 2) * _trace(t, n - 2) - _trace(t, n - 4)
+def _trace(q: Fraction, n: int) -> Cyclotomic:
+    """tr Sym^n, n even, of the determinant-1 lift of an element of eigenvalue ratio w = zeta_m^j,
+    q = j/m (``_angle``): the sum of w^e over e = -n/2 .. n/2, in which each residue of e mod m
+    appears (n + 1) // m times and the first (n + 1) % m from -n/2 on once more."""
+    m, j = q.denominator, q.numerator
+    raw = [0] * m
+    for i in range(m):
+        raw[j * (i - n // 2) % m] += (n + 1) // m + (i < (n + 1) % m)
+    return Cyclotomic.from_raw(m, raw)
 
 
 def character_group(group: FiniteSubgroup) -> list[tuple]:

@@ -1,15 +1,17 @@
 """Layer micro-benchmarks of the platonic set-up, per group: closing the
-generators (moebius.generate_closure), finding the degenerate orbits
-(moebius.degenerate_orbits) and the character table built from nothing
-cached (platonic.character_table over platonic._orbit_forms); on icosa's
-30-point orbit, the BFS of FiniteSubgroup.orbit from one of its points and
-the orbit's form (forms.form_from_divisor).  The exponents of the orbit
+generators (moebius.generate_closure), counting the element orders
+(FiniteSubgroup.order_census, each read off the element's eigenvalue
+ratio), finding the degenerate orbits (moebius.degenerate_orbits) and the
+character table built from nothing cached (platonic.character_table over
+platonic._orbit_forms); on icosa's 30-point orbit, the BFS of
+FiniteSubgroup.orbit from one of its points and the orbit's form
+(forms.form_from_divisor).  The exponents of the orbit
 products of every character at n = 120 and 124 (platonic._orbit_exponents),
 with their trace-formula count, from the cached orbit forms; the class sums
 of that count for every character (platonic._class_sums), from the cached
-Cayley graph: the conjugacy classes on its indices with one tr^2/det per
-class (platonic._class_table), and each character walked as exponents of
-a root of unity.  The images mod p of the icosa orbit products at n = 1000
+Cayley graph: the conjugacy classes on its indices with one eigenvalue
+ratio per class (platonic._class_table), and each character walked as
+exponents of a root of unity.  The images mod p of the icosa orbit products at n = 1000
 and 1002 (platonic._product_image) over their exponents (platonic._orbit_exponents),
 their independence proved once per group mod p (platonic._orbit_images).  Also the exact automorphism test of one
 generator on a degree-24 map, by coefficient weights (aut._fixes) and by
@@ -23,10 +25,11 @@ root-of-unity exponent and no rotation zeta_m z cached.
     PYTHONPATH=src python -m pytest tests/perf_moebius.py --benchmark-only
 
 Each round starts from an empty cache for what it times: the closure
-without its cached Cayley graph, the table with no orbit data cached, so
-the orbits, their forms and each form's scalar under each generator's
-determinant-1 lift (read at one point, no substitution) are found again;
-the exponents with no exponent, class, trace or root-of-unity cache; the
+without its cached Cayley graph, the census not yet counted, the table
+with no orbit data cached, so the orbits, their forms and each form's
+scalar under each generator's determinant-1 lift (read at one point, no
+substitution) are found again;
+the exponents with no exponent, class or root-of-unity cache; the
 class sums with no class table, class-sum or root-of-unity cache; the
 product images with no orbit, power or product image cached.  The
 file name is outside the test_*.py pattern, so the default test run skips
@@ -48,6 +51,17 @@ def test_generate_closure(benchmark, kind):
         generate_closure, args=(group.generators, group.order), setup=moebius._CAYLEY.clear, rounds=20
     )
     assert closure.order == group.order
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_order_census(benchmark, kind):
+    group = standard_subgroup(kind)
+
+    def cold():
+        group._census = None
+
+    census = benchmark.pedantic(group.order_census, setup=cold, rounds=20)
+    assert sum(census.values()) == group.order
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -92,7 +106,7 @@ def test_class_sums(benchmark, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_orbit_exponents(benchmark, kind):
     def no_exponents():
-        for cached in (platonic._orbit_exponents, *_class_caches(), platonic._trace):
+        for cached in (platonic._orbit_exponents, *_class_caches()):
             cached.cache_clear()
 
     group = platonic.platonic_group(kind)

@@ -94,6 +94,16 @@ def test_cyclotomic_polynomial_matches_the_divisor_quotient():
         assert hashlib.sha256(repr(_cyclotomic_int_coeffs(n)).encode()).hexdigest() == digest, n
 
 
+@pytest.mark.parametrize("shift", [-1, 1, 2])
+@pytest.mark.parametrize("n", [2, 12, 105, 4001])
+def test_a_wrong_phi_makes_the_cyclotomic_product_raise(n, shift, monkeypatch):
+    # the product ends in 1, 0 only at degree phi(n): one less leaves a
+    # nonzero or non-unit top, more leaves a zero leading coefficient
+    monkeypatch.setattr(cyclotomic, "_phi", lambda k: euler_phi(k) + shift)
+    with pytest.raises(AssertionError, match="no monic polynomial"):
+        _cyclotomic_int_coeffs.__wrapped__(n)
+
+
 def test_canonical_reduce_examples():
     assert Cyclotomic.from_raw(4, [0, 0, 1]) == -1
     assert Cyclotomic.from_raw(7, [5]) == 5

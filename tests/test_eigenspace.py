@@ -9,6 +9,7 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, product
 from math import lcm
@@ -516,17 +517,26 @@ def _trace_sum_cases():
             yield f"{kind}:{m}", standard_subgroup(kind, m), _family_characters(kind, m), range(0, 21, 2)
 
 
+def t_of(q):
+    """tr^2/det = zeta_m^j + zeta_m^-j + 2 of an element of eigenvalue-ratio angle q = j/m."""
+    m, j = q.denominator, q.numerator
+    return Cyclotomic.zeta(m, j) + Cyclotomic.zeta(m, -j) + 2
+
+
 @pytest.mark.parametrize("case", list(_trace_sum_cases()), ids=lambda case: case[0])
 def test_trace_sum_matches_the_per_element_class_sums(case):
-    # every case also takes a tuple holding 1 + zeta_5, which is no character
+    # every case also takes a tuple holding 1 + zeta_5, which is no character;
+    # the class sums are keyed by angle, the oracle's by t, compared through t(q)
     _, group, chars, degrees = case
     empty = 0
     for char in chars + [tuple(1 + Cyclotomic.zeta(5) for _ in group.generators)]:
         expected = oracle_class_sums(group, char)
-        assert platonic._class_sums(group, char) == expected, (group.label, char)
+        sums = platonic._class_sums(group, char)
+        angle = {t_of(q): q for q in sums}
+        assert {t: sums[q] for t, q in angle.items()} == expected, (group.label, char)
         empty += not expected
         for n in degrees:
-            want = sum((s * platonic._trace(t, n) for t, s in expected.items()), Cyclotomic.rational(0))
+            want = sum((s * platonic._trace(angle[t], n) for t, s in expected.items()), Cyclotomic.rational(0))
             assert platonic._trace_sum(n, group, char) == want, (group.label, n, char)
     assert 1 <= empty <= len(chars)
 
@@ -560,22 +570,32 @@ def recursive_trace(t, n):
 
 def test_trace_matches_the_recursion():
     for kind in ("tetra", "octa", "icosa"):
-        for t, _ in platonic._class_table(platonic_group(kind)):
-            platonic._trace.cache_clear()
+        for q, _ in platonic._class_table(platonic_group(kind)):
             for n in range(400, -1, -2):
-                assert platonic._trace(t, n) == recursive_trace(t, n), (kind, t, n)
+                assert platonic._trace(q, n) == recursive_trace(t_of(q), n), (kind, q, n)
+
+
+def test_trace_at_a_high_degree_matches_the_recursion():
+    # n = 2,400 at every class angle, in a process where no lower degree was
+    # asked of _trace first; the oracle is built up from n = 0, as it recurses
+    # n / 2 levels deep, past the interpreter's recursion limit
+    for q in {q for kind in ("tetra", "octa", "icosa") for q, _ in platonic._class_table(platonic_group(kind))}:
+        t = t_of(q)
+        for n in range(0, 2400, 2):
+            recursive_trace(t, n)
+        assert platonic._trace(q, 2400) == recursive_trace(t, 2400), q
 
 
 def test_trace_at_a_high_degree_is_the_sum_of_the_powers():
-    # u_n = sum_j xi^(n - 2j), j = 0..n, for t = (xi + 1/xi)^2: n = 2,400 from
-    # a cold cache, far past the interpreter's recursion limit
+    # u_n = sum_j xi^(n - 2j), j = 0..n, for the eigenvalue ratio xi^2 = zeta_5
+    # of angle 1/5: n = 2,400, far past the interpreter's recursion limit
     xi = Cyclotomic.zeta(10)
-    n, t = 2400, (xi + xi.inverse()) ** 2
+    n = 2400
     powers = [0] * 10
     for j in range(n + 1):
         powers[(n - 2 * j) % 10] += 1
-    platonic._trace.cache_clear()
-    assert platonic._trace(t, n) == Cyclotomic.from_raw(10, powers)
+    assert xi**2 == Cyclotomic.zeta(5)
+    assert platonic._trace(Fraction(1, 5), n) == Cyclotomic.from_raw(10, powers)
 
 
 def test_orbit_powers_at_a_high_exponent():

@@ -312,19 +312,73 @@ def double_loop_sqrt(tr, pgl_order):
     raise UnliftableInField(f"trace {tr!r} is not a sum of inverse roots of unity")
 
 
+def oracle_projective_order(e, cap=512):
+    """The order in PGL2 by composing e with itself, as before it was read
+    off the eigenvalue ratio (``moebius._angle``)."""
+    p = e
+    for k in range(1, cap + 1):
+        if p.is_identity():
+            return k
+        p = p.compose(e)
+    raise CapExceeded(f"order exceeds {cap}")
+
+
+def _stored_points(points):
+    return [(p.x, p.x.n, p.y, p.y.n) for p in points]
+
+
 def test_the_trace_root_matches_the_double_loop():
+    # fixed_points against the points built from the double loop's root, in
+    # value and conductor, wherever it takes a root: b and c both nonzero
     groups = [standard_subgroup(kind) for kind in ("tetra", "octa", "icosa")]
     groups += [generate_closure(_conjugated(kind), cap=61) for kind in ("tetra", "octa", "icosa")]
     groups += [standard_subgroup("dihedral", m) for m in range(1, 13)]
     for group in groups:
         for e in group.elements:
-            if not e.is_identity():
-                g, order = e.sl2_lift(), e.projective_order()
-                got, want = moebius._trace_discriminant_sqrt(g.a + g.d, order), double_loop_sqrt(g.a + g.d, order)
-                assert (got, got.n) == (want, want.n), (group, e)
-    for sqrt in (moebius._trace_discriminant_sqrt, double_loop_sqrt):
-        with pytest.raises(UnliftableInField):
-            sqrt(Cyclotomic.rational(3), 2)
+            if e.b and e.c:
+                g = e.sl2_lift()
+                root = double_loop_sqrt(g.a + g.d, oracle_projective_order(e))
+                want = [P1Point((g.a - g.d) + sign * root, g.c + g.c) for sign in (1, -1)]
+                assert _stored_points(e.fixed_points()) == _stored_points(want), (group, e)
+    # trace 3, determinant 1: loxodromic, of no finite order
+    assert moebius._angle(MoebiusMap(2, 1, 1, 1)) is None
+    with pytest.raises(UnliftableInField):
+        double_loop_sqrt(Cyclotomic.rational(3), 2)
+
+
+def _finite_order_cases():
+    for kind in ("tetra", "octa", "icosa"):
+        yield kind, standard_subgroup(kind).elements
+        yield f"{kind}^M", [_M.inverse().compose(e).compose(_M) for e in standard_subgroup(kind).elements]
+    for m in range(1, 41):
+        for kind in ("cyclic", "dihedral"):
+            yield f"{kind}:{m}", standard_subgroup(kind, m).elements
+
+
+@pytest.mark.parametrize("case", list(_finite_order_cases()), ids=lambda case: case[0])
+def test_projective_order_matches_the_composition_loop(case, monkeypatch):
+    _, elements = case
+    want = [oracle_projective_order(e) for e in elements]
+    composed = []
+    real = MoebiusMap.compose
+    monkeypatch.setattr(MoebiusMap, "compose", lambda x, y: composed.append(1) or real(x, y))
+    assert [e.projective_order() for e in elements] == want
+    assert composed == []
+
+
+@pytest.mark.parametrize("g", [MoebiusMap(2, 1, -1, 0), MoebiusMap(2, 1, 1, 1)], ids=["parabolic", "loxodromic"])
+def test_an_element_of_infinite_order_exceeds_the_cap(g):
+    with pytest.raises(CapExceeded):
+        g.projective_order()
+    with pytest.raises(CapExceeded):
+        g.fixed_points()
+
+
+def test_an_order_past_the_cap_exceeds_it():
+    rotation = MoebiusMap.scaling(Cyclotomic.zeta(13))
+    with pytest.raises(CapExceeded):
+        rotation.projective_order(cap=12)
+    assert rotation.projective_order(cap=13) == oracle_projective_order(rotation) == 13
 
 
 def test_degenerate_orbit_structure():
