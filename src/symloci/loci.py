@@ -4,11 +4,15 @@ A map commutes with z -> zeta_m z exactly when its coefficient vector is an
 eigenvector of the diagonal conjugation action, so each locus is cut out by
 a coordinate subspace of the 2d+2 coefficients plus open conditions.  All
 dimension claims are certified two ways: by the closed-form expressions and
-by counting eigenspace coordinates.
+by counting eigenspace coordinates; the stalk order s by its case table
+and by the order 2m / gcd(e, 2m) of each component's eigenvalue eta^e.
 
 Types t = 1, 0, -1 record how many of the two fixed points of the rotation
 are fixed by the map (t + 1 of them); t = 0 splits into two components
-swapped by z -> 1/z.
+swapped by z -> 1/z.  One walk, ``_strata``, owns which types a rotation
+order has, their components and the exponent e of eta = zeta_2m each
+component reads; the eigenspace certificates, the member searches, the
+dihedral bases, s and the survey all read it there.
 
 Members come from one seeded search over eigenspace vectors, each basis
 read off the exponent of its eigenvalue.  A candidate is two lists of Python
@@ -23,6 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from contextlib import suppress
 from functools import lru_cache
+from math import gcd
 
 # loci.is_automorphism is unused here, but bench/tests/test_bench.py counts
 # it among the bindings the tracer must patch
@@ -126,24 +131,30 @@ def _eigenspace(d: int, m: int, j: int | None) -> list[tuple[str, int]]:
     ]
 
 
-def _exponent(d: int, m: int, t: int, component: str = "inf") -> int:
-    # t=1 and the t=0 component fixing {0,inf} pointwise at infinity share
-    # a_0's eigenvalue eta^(d-1), the others b_0's eta^(d+1), eta = zeta_2m
-    return (d - 1 if t == 1 or (t == 0 and component == "inf") else d + 1) % (2 * m)
-
-
-def _lambda_for(d: int, m: int, t: int, component: str = "inf") -> Cyclotomic:
-    return Cyclotomic.zeta(2 * m, _exponent(d, m, t, component))
-
-
 @lru_cache(maxsize=None)
 def _rotation(m: int) -> MoebiusMap:  # zeta_m z once per m, so aut._fixes reads zeta_m's order once
     return MoebiusMap.scaling(Cyclotomic.zeta(m))
 
 
-def _strata(d: int, m: int) -> list[tuple[int, int]]:
-    # (t, d') for the types t with m | d - t and d' = (d - t)/m >= 1
-    return [(t, (d - t) // m) for t in (1, 0, -1) if (d - t) % m == 0 and (d - t) // m >= 1]
+def _strata(d: int, m: int) -> list[tuple[int, int, dict[str, int]]]:
+    """(t, d', {component: e}) for each type t with m | d - t and
+    d' = (d - t)/m >= 1.  A component's maps are eta^e-eigenvectors, eta =
+    zeta_2m, e taken mod 2m: a_0's d - 1 at t = 1 and on the t = 0 component
+    "inf" (a_0 and a_d nonzero), b_0's d + 1 at t = -1 and on "zero" (b_0 and
+    b_d nonzero), which 1/z swaps with "inf"."""
+    exponents = {1: {"inf": d - 1}, 0: {"inf": d - 1, "zero": d + 1}, -1: {"zero": d + 1}}
+    return [
+        (t, (d - t) // m, {comp: e % (2 * m) for comp, e in exponents[t].items()})
+        for t in (1, 0, -1)
+        if (d - t) % m == 0 and (d - t) // m >= 1
+    ]
+
+
+def _component_exponent(d: int, m: int, t: int, component: str | None) -> int | None:
+    # e of the type's only component, or of the named one where t = 0 has
+    # two; None when the type has no stratum or no such component
+    exps = next((exps for s, _, exps in _strata(d, m) if s == t), {})
+    return next(iter(exps.values())) if len(exps) == 1 else exps.get(component)
 
 
 def _search(d: int, vecs: list[dict], gens: list[MoebiusMap], t: int, budget: int, exhausted: str) -> RationalMap:
@@ -160,16 +171,6 @@ def _search(d: int, vecs: list[dict], gens: list[MoebiusMap], t: int, budget: in
     raise NoMemberFound(exhausted)
 
 
-def _required_indices(d: int, t: int, component: str) -> list[tuple[str, int]]:
-    if t == 1:
-        return [("a", 0), ("b", d)]
-    if t == -1:
-        return [("b", 0), ("a", d)]
-    if component == "inf":
-        return [("a", 0), ("a", d)]
-    return [("b", 0), ("b", d)]
-
-
 def generic_member(
     d: int,
     m: int,
@@ -181,13 +182,10 @@ def generic_member(
     requested type, exactly verified before being returned."""
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
-    basis = _eigenspace(d, m, _exponent(d, m, t, component))
-    if not basis:
-        raise NoMemberFound("empty eigenspace")
-    required = _required_indices(d, t, component)
-    if any(r not in basis for r in required):
-        raise NoMemberFound("type conditions cannot hold on this eigenspace")
-    vecs, exhausted = [{ix: 1} for ix in basis], f"no member for d={d} m={m} t={t} within budget"
+    e = _component_exponent(d, m, t, component)
+    if e is None:
+        raise NoMemberFound(f"no stratum of type t={t} for d={d} m={m}")
+    vecs, exhausted = [{ix: 1} for ix in _eigenspace(d, m, e)], f"no member for d={d} m={m} t={t} within budget"
     return _search(d, vecs, [_rotation(m)], t, budget, exhausted)
 
 
@@ -201,34 +199,29 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
     out = []
-    for t, dprime in _strata(d, m):
+    for t, dprime, exps in _strata(d, m):
         dim_moduli = 2 * dprime + t - 1
         dim_ratd = dim_moduli + 1
-        components = 2 if t == 0 else 1
         constraints = {
             1: "alpha != 0 and delta != 0",
             0: "exactly one of alpha, delta vanishes",
             -1: "alpha = 0 and delta = 0",
         }[t]
-        comps = ("inf", "zero") if t == 0 else ("inf" if t == 1 else "zero",)
         cert: dict = {
             "family": CyclicNormalForm(d, m, t, dprime, constraints),
             "eigenvalues": {},
             "bases": {},
         }
-        member = None
-        for comp in comps:
-            lam = _lambda_for(d, m, t, comp)
+        for comp, e in exps.items():
+            lam = Cyclotomic.zeta(2 * m, e)
             basis = commuting_space_basis(d, m, lam)
             cert["eigenvalues"][comp] = lam
             cert["bases"][comp] = [list(ix) for ix in basis]
             if len(basis) != dim_ratd + 1:
                 raise AssertionError("eigenspace count disagrees with the formula")
-            if member is None:
-                member = generic_member(d, m, t, comp)
-        cert["member"] = member
+        cert["member"] = generic_member(d, m, t, next(iter(exps)))
         cert["member_verified"] = True
-        out.append((t, LocusReport(True, dim_moduli, dim_ratd, components, cert)))
+        out.append((t, LocusReport(True, dim_moduli, dim_ratd, len(exps), cert)))
     return out
 
 
@@ -239,10 +232,10 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
 
 def dihedral_basis(d: int, m: int, t: int, mu: int, component: str | None = None) -> list[dict[tuple[str, int], int]]:
     """Free parameters of the locus commuting with both zeta_m z and 1/z:
-    inside the rotation eigenspace, inversion forces b_i = mu * a_(d-i)."""
-    if component is None:
-        component = "inf" if t == 1 else "zero"
-    basis = _eigenspace(d, m, _exponent(d, m, t, component))
+    inside the rotation eigenspace of the type's component (the named one
+    where t = 0 has two), inversion forces b_i = mu * a_(d-i).  Empty when
+    the type has no stratum."""
+    basis = _eigenspace(d, m, _component_exponent(d, m, t, component))
     a_idx = [k for side, k in basis if side == "a"]
     b_set = {k for side, k in basis if side == "b"}
     # an index the pairing takes out of the eigenspace, or a b-index it
@@ -276,7 +269,7 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
     out = []
-    for t, dprime in _strata(d, m):
+    for t, dprime, _ in _strata(d, m):
         if t == 0:
             out.append((0, LocusReport(exists=False, components=0, certificate={"reason": "m divides d"})))
             continue
@@ -316,16 +309,14 @@ def stalk_order(d: int, m: int, t: int) -> int:
 
 
 def stalk_order_from_eigenvalue(d: int, m: int, t: int) -> int:
-    """The same order, but read off a populated coefficient directly."""
-    eta = Cyclotomic.zeta(2 * m)
-    index = {1: ("a", 0), -1: ("b", 0), 0: ("a", 0)}[t]
-    lam = stalk_eigenvalue(d, index, eta)
-    order = lam.ru_order()
-    if t == 0:
-        other = stalk_eigenvalue(d, ("b", 0), eta).ru_order()
-        if other != order:
-            raise AssertionError("both t=0 components must give the same order")
-    return order
+    """The same order, read off each component's eigenvalue eta^e, eta =
+    zeta_2m, as 2m / gcd(e, 2m)."""
+    orders = {2 * m // gcd(e, 2 * m) for s, _, exps in _strata(d, m) if s == t for e in exps.values()}
+    if not orders:
+        raise ValueError("m must divide d - t")
+    if len(orders) > 1:
+        raise AssertionError("both t=0 components must give the same order")
+    return orders.pop()
 
 
 def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
@@ -336,7 +327,7 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
     if "cyclic" in kinds:
         for m in range(2, d + 2):
             for t, rep in cyclic_existence_and_dim(d, m):
-                affine = len(rep.certificate["bases"]["inf" if t >= 0 else "zero"])
+                affine = len(next(iter(rep.certificate["bases"].values())))
                 s = stalk_order(d, m, t)
                 rows.append(
                     SurveyRow(
@@ -355,20 +346,14 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
     if "dihedral" in kinds:
         for m in range(2, d + 2):
             for t, rep in dihedral_dim(d, m):
-                if rep.exists:
-                    linalg = rep.certificate["free_parameters"] - 1
-                    match = linalg == rep.dim_ratd
-                elif t == 0:
-                    # the theorem says empty; confirm both component strata die
-                    linalg = None
-                    match = all(
-                        not dihedral_basis(d, m, 0, mu, comp)
-                        for mu in (1, -1)
-                        for comp in ("inf", "zero")
-                    )
-                else:
-                    linalg = None
-                    match = False
+                linalg = rep.certificate["free_parameters"] - 1 if rep.exists else None
+                # an empty row matches only where the theorem says empty (t = 0)
+                # and each component's basis is, for one sign mu: the pairing
+                # that empties it does not read mu
+                empty = t == 0 and not any(
+                    dihedral_basis(d, m, 0, 1, c) for s, _, cs in _strata(d, m) if s == 0 for c in cs
+                )
+                match = linalg == rep.dim_ratd if rep.exists else empty
                 rows.append(
                     SurveyRow(
                         d=d,

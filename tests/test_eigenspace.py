@@ -217,6 +217,17 @@ sys.exit(main(["survey", "--groups", "tetra", "--d", "11"]))
 """
 
 
+_SURVEY_WITH_SWAPPED_EXPONENTS = """
+import sys
+from symloci import loci
+from symloci.cli import main
+walk = loci._strata
+# each component reads the other exponent: d - 1 and d + 1 trade places
+loci._strata = lambda d, m: [(t, dp, {c: (2 * d - e) % (2 * m) for c, e in exps.items()}) for t, dp, exps in walk(d, m)]
+sys.exit(main(["survey", "--groups", "cyclic", "--d", "2..12"]))
+"""
+
+
 def _run_script(flags, script, timeout=120):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
@@ -226,10 +237,14 @@ def _run_script(flags, script, timeout=120):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_a_failed_certificate_is_exit_2_also_under_optimization(flags):
-    for script in (_SURVEY_WITH_A_WRONG_CHARACTER, _SURVEY_WITH_A_REPEATED_FORM):
+    for script, message in (
+        (_SURVEY_WITH_A_WRONG_CHARACTER, "certification failed"),
+        (_SURVEY_WITH_A_REPEATED_FORM, "certification failed"),
+        (_SURVEY_WITH_SWAPPED_EXPONENTS, "search exhausted (NoMemberFound)"),
+    ):
         proc = _run_script(flags, script)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == "" and "certification failed" in proc.stderr
+        assert proc.stdout == "" and message in proc.stderr
 
 
 _SURVEY_WITH_A_CORRUPT_SCALAR = """

@@ -216,8 +216,8 @@ def _member_outcomes(budget):
     out = {}
     for d in range(2, 31):
         for m in range(2, d + 2):
-            for t, _ in _strata(d, m):
-                for comp in ("inf", "zero") if t == 0 else ("inf",):
+            for t, _, exps in _strata(d, m):
+                for comp in exps:
                     out["cyclic", d, m, t, comp] = outcome(generic_member, d, m, t, comp)
                 for mu in (1, -1):
                     out["dihedral", d, m, t, mu] = outcome(dihedral_generic_member, d, m, t, mu)
@@ -243,7 +243,7 @@ def _search_cases(draw):
     # perhaps with one index from elsewhere, or a dihedral basis; any claimed
     # type; with or without 1/z.  The candidates fail the type, a generator
     # or Rat_d, or pass.  Each index is in one vector, so no coefficient cancels.
-    from symloci.loci import _eigenspace, _exponent, _rotation
+    from symloci.loci import _eigenspace, _rotation
 
     d = draw(st.integers(2, 12))
     m = draw(st.integers(2, d + 1))
@@ -252,7 +252,7 @@ def _search_cases(draw):
     if len(gens) == 2 and draw(st.booleans()):
         vecs = dihedral_basis(d, m, t, draw(st.sampled_from([1, -1])))
     else:
-        j = draw(st.sampled_from([_exponent(d, m, t, "inf"), _exponent(d, m, t, "zero"), draw(st.integers(0, 2 * m - 1))]))
+        j = draw(st.sampled_from([(d - 1) % (2 * m), (d + 1) % (2 * m), draw(st.integers(0, 2 * m - 1))]))
         extra = draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, d)), max_size=1))
         indices = list(dict.fromkeys(_eigenspace(d, m, j) + extra))
         cuts = sorted(draw(st.lists(st.integers(1, max(len(indices), 1)), max_size=3)))
@@ -324,28 +324,45 @@ def test_commuting_space_basis_matches_the_frozenset_scan():
 
 
 def test_lambda_is_the_power_of_eta_entry_for_entry():
-    from symloci.loci import _lambda_for
+    # oracle: the component/exponent table written out as e - d, each e
+    # unreduced; the walk's e, reduced mod 2m, gives zeta_2m^e stored as eta**e
+    from symloci.loci import _strata
 
+    table = {1: {"inf": -1}, 0: {"inf": -1, "zero": 1}, -1: {"zero": 1}}
     for d in range(2, 42):
         for m in range(2, d + 2):
             eta = Cyclotomic.zeta(2 * m)
-            for t, comp, e in ((1, "inf", d - 1), (0, "inf", d - 1), (0, "zero", d + 1), (-1, "zero", d + 1)):
-                got, want = _lambda_for(d, m, t, comp), eta**e
-                assert (got.n, got.nums, got.den) == (want.n, want.nums, want.den), (d, m, t, comp)
+            strata = _strata(d, m)
+            assert [t for t, _, _ in strata] == [t for t in (1, 0, -1) if (d - t) % m == 0], (d, m)
+            for t, _, exps in strata:
+                assert list(exps) == list(table[t]), (d, m, t)
+                for comp, e in exps.items():
+                    got, want = Cyclotomic.zeta(2 * m, e), eta ** (d + table[t][comp])
+                    assert (got.n, got.nums, got.den) == (want.n, want.nums, want.den), (d, m, t, comp)
 
 
-def test_the_search_reads_each_eigenspace_off_its_exponent():
+def test_the_search_reads_each_eigenspace_off_its_exponent(monkeypatch):
     # oracle: the basis of the eigenvalue itself, its exponent recovered by
-    # commuting_space_basis; generic_member and dihedral_basis read it off
-    # the exponent that _lambda_for raises eta to
-    from symloci.loci import _eigenspace, _exponent, _lambda_for, _strata
+    # commuting_space_basis; generic_member searches, and dihedral_basis
+    # pairs, the eigenspace of the exponent the walk gives each component
+    from symloci import loci
+    from symloci.loci import _eigenspace, _strata
 
+    def record(d, vecs, *rest):
+        searched.append([next(iter(vec)) for vec in vecs])
+        raise NoMemberFound("recorded")
+
+    searched = []
+    monkeypatch.setattr(loci, "_search", record)
     for d in range(2, 41):
         for m in range(2, d + 2):
-            for t, _ in _strata(d, m):
-                for comp in ("inf", "zero"):
-                    want = commuting_space_basis(d, m, _lambda_for(d, m, t, comp))
-                    assert _eigenspace(d, m, _exponent(d, m, t, comp)) == want, (d, m, t, comp)
+            for t, _, exps in _strata(d, m):
+                for comp, e in exps.items():
+                    want = commuting_space_basis(d, m, Cyclotomic.zeta(2 * m, e))
+                    assert _eigenspace(d, m, e) == want, (d, m, t, comp)
+                    with pytest.raises(NoMemberFound, match="recorded"):
+                        generic_member(d, m, t, comp)
+                    assert searched.pop() == want, (d, m, t, comp)
                     a_side = [next(iter(vec)) for vec in dihedral_basis(d, m, t, 1, comp)]
                     assert a_side in ([], [ix for ix in want if ix[0] == "a"]), (d, m, t, comp)
 
@@ -371,12 +388,42 @@ def test_stalk_order_table():
 
 
 def test_stalk_order_cross_validation():
-    for d in range(2, 11):
+    for d in range(2, 61):
         for m in range(2, d + 2):
             for t in (1, 0, -1):
                 if (d - t) % m or (d - t) // m < 1:
                     continue
                 assert stalk_order(d, m, t) == stalk_order_from_eigenvalue(d, m, t), (d, m, t)
+
+
+def _types_without_a_stratum():
+    # (d, m, t) with m not dividing d - t, d = 2..12, m = 2..d+1
+    return [(d, m, t) for d in range(2, 13) for m in range(2, d + 2) for t in (1, 0, -1) if (d - t) % m]
+
+
+def test_both_stalk_order_routes_refuse_a_type_without_a_stratum():
+    triples = _types_without_a_stratum()
+    assert len(triples) == 167
+    for route in (stalk_order, stalk_order_from_eigenvalue):
+        for d, m, t in triples:
+            with pytest.raises(ValueError, match="m must divide d - t"):
+                route(d, m, t)
+
+
+def test_a_type_without_a_stratum_searches_no_seed(monkeypatch):
+    from symloci import loci
+    from symloci.loci import dihedral_generic_member
+
+    monkeypatch.setattr(loci, "_search", lambda *args: pytest.fail(f"searched {args}"))
+    triples = _types_without_a_stratum()
+    assert sum(t == 0 for _, _, t in triples) == 54
+    for d, m, t in triples:
+        for comp in ("inf", "zero"):
+            with pytest.raises(NoMemberFound, match=f"no stratum of type t={t} for d={d} m={m}"):
+                generic_member(d, m, t, comp)
+        for mu in (1, -1):
+            with pytest.raises(NoMemberFound, match="empty dihedral stratum"):
+                dihedral_generic_member(d, m, t, mu)
 
 
 def test_survey_rows_all_match():

@@ -434,7 +434,7 @@ from symloci.forms import BinaryForm
 from symloci.platonic import lifted_scalar, platonic_group
 assert False, "asserts must be stripped under -O"
 g = platonic_group("octa").generators[1]
-one, minus_one = Cyclotomic.rational(1), Cyclotomic.rational(-1)
+minus_one = Cyclotomic.rational(-1)
 
 
 def rejected(probe):
@@ -471,7 +471,8 @@ def wrong_eigenspace():
 
 
 def wrong_stalk_orders():
-    loci.stalk_eigenvalue = lambda d, index, eta: one if index[0] == "a" else minus_one
+    # a walk whose t = 0 components read orders 4 and 2
+    loci._strata = lambda d, m: [(0, 2, {"inf": 1, "zero": 2})]
     return loci.stalk_order_from_eigenvalue(4, 2, 0)
 
 
