@@ -112,11 +112,11 @@ def gm_action(t: Cyclotomic, pair: FormPair) -> FormPair:
 
 
 def meets_ratd(pair: FormPair) -> bool:
-    """Does the torus orbit of [(H, J)] contain the image of a genuine
-    degree-d map?  Exactly: no multiple zero of J may be a zero of H, that
-    is J != 0 and J_X, J_Y and a nonzero H share no root, proved mod p
-    (``_meets_ratd_image``) or else decided by one exact gcd, of H and the
-    multiple-zero locus of J (the zero form for J = 0, so the gcd is H)."""
+    """Does the torus orbit of [(H, J)] contain the image of a genuine degree-d map?  Exactly: no
+    multiple zero of J may be a zero of H, that is J != 0 and J_X, J_Y and a nonzero H share no root,
+    proved mod p (``_meets_ratd_image``) or else decided by one exact gcd, of H and the multiple-zero
+    locus of J (the zero form for J = 0, so the gcd is H).  No command calls it: a platonic member is
+    proved on the quotient P^1/G (``platonic._member_meets``), on lists about |G| times shorter."""
     h, j = pair.H, pair.J
     image = _images([h.coeffs, j.coeffs])
     if image and _meets_ratd_image(image[0], *image[1]):

@@ -353,15 +353,9 @@ def _in_ratd(F, G) -> bool:
 
 
 def _product_mod(f: list, g: list, p: int) -> list:
-    if min(len(f), len(g)) < 10:  # schoolbook, faster than packing a short list
-        out = [0] * (len(f) + len(g) - 1)
-        _accumulate_product(out, f, g)
-        return [v % p for v in out]
-    # one big-int product of residues packed in w-byte digits, wide enough for min(len) products < p^2
-    w, size = (2 * p.bit_length() + min(len(f), len(g)).bit_length() + 7) // 8, len(f) + len(g) - 1
-    f, g = (int.from_bytes(b"".join((x % p).to_bytes(w, "little") for x in v), "little") for v in (f, g))
-    raw = (f * g).to_bytes(w * size, "little")
-    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)]
+    out = [0] * (len(f) + len(g) - 1)
+    _accumulate_product(out, f, g)
+    return [v % p for v in out]
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:

@@ -300,12 +300,9 @@ def stalk_order(d: int, m: int, t: int) -> int:
       t = +-1: 1 if (d - t)/m is even else 2
       t = 0:   m if d is odd else 2m
     """
-    if (d - t) % m:
-        raise ValueError("m must divide d - t")
-    if t in (1, -1):
-        dprime = (d - t) // m
-        return 1 if dprime % 2 == 0 else 2
-    return m if d % 2 else 2 * m
+    if t not in (1, 0, -1) or (d - t) % m:
+        raise ValueError(f"m must divide d - t for a type t in (1, 0, -1), not t={t}")
+    return (1 if (d - t) // m % 2 == 0 else 2) if t else (m if d % 2 else 2 * m)
 
 
 def stalk_order_from_eigenvalue(d: int, m: int, t: int) -> int:

@@ -161,12 +161,13 @@ class SL2Lift(MoebiusMap):
 
 def _angle(g: MoebiusMap, cap: int = 512) -> Fraction | None:
     """The j/m in [0, 1/2] with zeta_m^j + zeta_m^-j = tr^2/det - 2, so zeta_m^(+-j) is the ratio of
-    g's eigenvalues: read off acos by Fraction.limit_denominator(cap) and proved by one exact
-    comparison.  None when no m <= cap fits; 0 for the identity and for parabolic g."""
-    t = (g.a + g.d) ** 2 / g.det() - 2
-    q = Fraction(acos(max(-1.0, min(1.0, t.complex().real / 2))) / (2 * pi)).limit_denominator(cap)
+    g's eigenvalues: read off acos by Fraction.limit_denominator(cap), proved with no division by
+    (zeta_m^j + zeta_m^-j + 2) det = tr^2.  None when no m <= cap fits; 0 for identity or parabolic g."""
+    tr2, det = (g.a + g.d) ** 2, g.det()
+    x = (tr2.complex() / det.complex()).real / 2 - 1
+    q = Fraction(acos(max(-1.0, min(1.0, x))) / (2 * pi)).limit_denominator(cap)
     m, j = q.denominator, q.numerator
-    return q if Cyclotomic.zeta(m, j) + Cyclotomic.zeta(m, -j) == t else None
+    return q if (Cyclotomic.zeta(m, j) + Cyclotomic.zeta(m, -j) + 2) * det == tr2 else None
 
 
 def conjugate_map(phi: RationalMap, f: MoebiusMap) -> RationalMap:

@@ -14,6 +14,8 @@ counted by Molien's character-orthogonality formula over the classes of
 eigenvalue ratio.  At a root of f_1, coprime mod p to the other forms,
 f_1^a f_2^b f_3^c vanishes to order a mult(f_1); d_2 not dividing d_3 makes
 the a of one degree distinct, so the products are independent (``_orbit_images``).
+Klein's quotient map (f_1^s_1 : f_2^s_2) to P^1/G is unramified off the three orbits, so a member
+f_1^a_0 f_2^b_0 f_3^c Q meets Rat_d by its orders there and by Q, of (d + 1)/|G| + 1 terms at most (``_member_meets``).
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import lcm
 from operator import mul
 
 from .aut import AutReport, _verify_through_generators
 from .cyclotomic import Cyclotomic, ExactMatrix, _images, _root_exponent
-from .decomp import FormPair, _meets_ratd_image, recompose_map
+from .decomp import FormPair, recompose_map
 from .forms import (
     BinaryForm,
     Divisor,
@@ -331,10 +333,10 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
 
 @lru_cache(maxsize=None)
 def _orbit_images(group: FiniteSubgroup) -> tuple:
-    """(p, the images of the orbit forms of group) under the map to F_p of
-    ``_images``, which prove the module's premise: f_1 coprime to the others,
-    and d_2 not dividing d_3, so no two products (a, b, 1), (a, b', 0) of
-    one degree share a; failing either, or with no image, AssertionError."""
+    """(p, the images of the orbit forms of group) under ``_images``, which prove the module's
+    premise (f_1 coprime to the others, and d_2 not dividing d_3, so no two products (a, b, 1),
+    (a, b', 0) of one degree share a) and solve the syzygy of ``_branch_value``; failing either,
+    or with no image, AssertionError."""
     forms = _orbit_forms(group)[1]
     if (images := _images([f.coeffs for f in forms])) and all(f.degree % forms[1].degree for f in forms[2:]):
         p, (first, *others) = images
@@ -344,19 +346,21 @@ def _orbit_images(group: FiniteSubgroup) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _power_image(group: FiniteSubgroup, i: int, a: int) -> list[int]:
-    """The image mod p (``_orbit_images``) of f_i^a, built up through the cache 64 powers at a time."""
-    p, forms = _orbit_images(group)
-    for k in range(a % 64, a, 64):
-        _power_image(group, i, k)
-    return _product_mod(_power_image(group, i, a - 1), forms[i], p) if a else [1]
-
-
-@lru_cache(maxsize=None)
-def _product_image(group: FiniteSubgroup, exps: tuple) -> list[int]:
-    """The image mod p (``_orbit_images``) of an orbit product, read only by ``_member_meets``."""
-    p = _orbit_images(group)[0]
-    return reduce(partial(_product_mod, p=p), (_power_image(group, i, a) for i, a in enumerate(exps)))
+def _branch_value(group: FiniteSubgroup) -> tuple[int, int]:
+    """(p, rho mod p): Klein's quotient map pi = (U : V), U = f_1^s_1, V = f_2^s_2, s_i = |G|/d_i, takes the
+    f_1, f_2, f_3 orbits to 0, infinity and rho = -beta/alpha by the syzygy f_3^2 = alpha U + beta V (Klein,
+    Vorlesungen ueber das Ikosaeder, 1884), proved as the char_3^2 space of degree |G| being span(U, V)
+    (``_orbit_exponents``); alpha, beta solved mod p on a 2x2 minor and checked (failing, or 0: AssertionError)."""
+    (_, forms, scalars), n = _orbit_forms(group), group.order
+    (s1, s2), (p, (f1, f2, f3)) = [n // f.degree for f in forms[:2]], _orbit_images(group)
+    u, v, w = (reduce(partial(_product_mod, p=p), [f] * k) for f, k in ((f1, s1), (f2, s2), (f3, 2)))
+    minor = lambda i, j, x, y: (x[i] * y[j] - x[j] * y[i]) % p  # noqa: E731
+    ij = next(((i, j) for i, j in combinations(range(n + 1), 2) if minor(i, j, u, v)), None)
+    if ij and _orbit_exponents(n, group, tuple(row[2] ** 2 for row in scalars)) == ((0, s2, 0), (s1, 0, 0)):
+        alpha, beta = (minor(*ij, *xy) * pow(minor(*ij, u, v), -1, p) % p for xy in ((w, v), (u, w)))
+        if alpha and beta and all((alpha * x + beta * y - z) % p == 0 for x, y, z in zip(u, v, w)):
+            return p, -beta * pow(alpha, -1, p) % p
+    raise AssertionError(f"the {group.label} orbit forms prove no syzygy f_3^2 = alpha U + beta V mod p")
 
 
 def _trace_sum(n: int, group: FiniteSubgroup, char: tuple) -> Cyclotomic:
@@ -442,17 +446,16 @@ def _character_group(group: FiniteSubgroup) -> tuple[tuple, ...]:
     return tuple(elems)
 
 
+def _branch_clash(j_orders: tuple, h_orders: tuple) -> bool:
+    # the branch rule: a multiple zero of J is a zero of H at some degenerate orbit (H = 0 for ())
+    return any(j >= 2 and (not h_orders or h >= 1) for j, h in zip(j_orders, h_orders or j_orders))
+
+
 def _obstructed(d: int, group: FiniteSubgroup, char: tuple) -> bool:
-    """Is the char stratum at degree d obstructed by the base-locus rule of
-    ``invariant_locus_dimension``?  Exponent arithmetic only: no form is
-    multiplied out and no member searched."""
+    """Is the char stratum at degree d obstructed: J-space {0}, or fixed parts f_1^e_1 f_2^e_2 f_3^e_3,
+    e_i the least exponent of f_i over a space's products, that break the branch rule?  Exponents only."""
     h_exps, j_exps = (_orbit_exponents(n, group, char) for n in (d - 1, d + 1))
-    if not j_exps:
-        return True
-    return any(
-        min(e[i] for e in j_exps) >= 2 and (not h_exps or min(e[i] for e in h_exps) >= 1)
-        for i in range(len(j_exps[0]))
-    )
+    return not j_exps or _branch_clash(*(tuple(map(min, zip(*exps))) for exps in (j_exps, h_exps)))
 
 
 def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
@@ -461,20 +464,12 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
     strata where a generic pair (H, J) reaches a genuine degree-d map,
     that is J != 0 and no multiple zero of J is a zero of H (``meets_ratd``).
 
-    The J-space (degree d+1) and H-space (degree d-1) are spanned by the orbit
-    products, sized by their exponents (``_orbit_exponents``).  The f_i
-    are squarefree and coprime, so f_1^e_1 f_2^e_2 f_3^e_3, with e_i the least
-    exponent of f_i over a space's products, is its fixed part.  A stratum is
-    obstructed, and dropped with no search, when the J-space is {0}, or when
-    some e_i(J) >= 2 and either the H-space is {0} or e_i(H) >= 1: every J
-    then has a multiple zero at the roots of f_i, where every H vanishes.  On
-    any other stratum the generic J is squarefree off its fixed part and
-    misses the roots of the f_i (Bertini), and a product with e_i(H) = 0 is
-    nonzero there, so generic pairs reach Rat_d; a seeded member that
-    ``_member_meets`` accepts is the proof.  ``tries`` bounds the seeds on
-    these strata only; when all miss, the search is exhausted (NoMemberFound),
-    never a silent drop.  Existence with every stratum obstructed is a
-    disagreement of the routes (AssertionError)."""
+    The J-space (degree d+1) and H-space (degree d-1) are spanned by the orbit products, sized by their
+    exponents (``_orbit_exponents``).  A stratum whose fixed parts break the branch rule is obstructed
+    (``_obstructed``): every J has a multiple zero where every H vanishes.  On any other a generic Q_J of
+    ``_member_meets`` is squarefree and misses rho, and a generic Q_H its roots, so generic pairs reach
+    Rat_d; an accepted seed is the proof.  ``tries`` bounds the seeds on these strata only; all missing is
+    NoMemberFound.  Existence with every stratum obstructed is a disagreement of the routes (AssertionError)."""
     group = _standard(group_or_kind)
     if not platonic_existence(d, group):
         raise NotRealizable(f"no degree-{d} map admits {group.label} symmetry")
@@ -495,14 +490,27 @@ def invariant_locus_dimension(d: int, group_or_kind, tries: int = 24) -> int:
 
 
 def _member_meets(d: int, group: FiniteSubgroup, char: tuple, tries: int) -> bool:
-    """Does a seeded member of the char stratum meet Rat_d at one of the
-    first tries seeds?  Proved by sum_k c_k P_k, P_k the orbit products, with
-    images passing ``_meets_ratd_image`` (the seed integers commute with the
-    map to F_p, and ``_orbit_images`` proves the products independent)."""
-    spaces = [_orbit_exponents(n, group, char) for n in (d - 1, d + 1)]
-    p, rows = _orbit_images(group)[0], [[_product_image(group, e) for e in exps] for exps in spaces]
-    seeds = (_seed_coefficients(seed, max(map(len, spaces))) for seed in range(tries))
-    return any(_meets_ratd_image(p, *([sum(map(mul, cs, col)) % p for col in zip(*r)] for r in rows)) for cs in seeds)
+    """Does a seeded member (H, J) of the char stratum meet Rat_d at one of the first tries seeds?
+    A space of products (a_0 + s_1 i, b_0 + s_2 (K - i), c), i = 0..K (else AssertionError), has the member
+    f_1^a_0 f_2^b_0 f_3^c Q(U, V), Q = sum c_i u^i v^(K - i) of the nonzero seed integers c_i, so with
+    U - rho V = f_3^2 / alpha (``_branch_value``) its orders at the three orbits are a_0, b_0, c + 2 ord_rho Q,
+    and off them, where pi is unramified, those of Q.  So the pair meets Rat_d iff its orders pass the branch
+    rule and Q_J, Q_J', Q_H share no root: tested mod p, where roots only appear; the rule compares orders
+    with 1 and 2 alone, so 2 [Q(rho) = 0] stands for 2 ord_rho Q."""
+    (p, rho), spaces = _branch_value(group), [_orbit_exponents(n, group, char) for n in (d - 1, d + 1)]
+    s1, s2 = (group.order // f.degree for f in _orbit_forms(group)[1][:2])
+    bases = [tuple(map(min, zip(*exps))) for exps in spaces]  # the fixed parts' orders (``_obstructed``)
+    for exps, (a, b, c) in zip(spaces, (base or (0, 0, 0) for base in bases)):
+        if exps != tuple((a + s1 * i, b + s2 * (len(exps) - 1 - i), c) for i in range(len(exps))):
+            raise AssertionError(f"a {group.label} space at d={d} is no orbit part times a form in U, V")
+    at_rho = lambda q: 2 * (reduce(lambda v, x: (v * rho + x) % p, q[::-1]) == 0)  # noqa: E731
+    for cs in (_seed_coefficients(seed, max(map(len, spaces))) for seed in range(tries if spaces[1] else 0)):
+        qh, qj = (cs[: len(exps)] for exps in spaces)
+        h, j = (base and (*base[:2], base[2] + at_rho(q)) for base, q in zip(bases, (qh, qj)))
+        dq = [(len(qj) - 1 - i) * x % p for i, x in enumerate(qj[:-1])]
+        if not _branch_clash(j, h) and _coprime_images([f for f in (qj, dq, qh) if any(f)], p):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

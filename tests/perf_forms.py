@@ -6,7 +6,8 @@ forms.substitute of one degree-24 form under a diagonal, an anti-diagonal,
 a dense and an integer dense matrix per conductor, of one degree-119 form
 under the icosa generator T and of the degree-11 form of test_forms.py with
 coefficients at conductors 5, 7, 8, 9, 11 and 12 under (zeta_4, 1, 2, 3),
-forms._product_mod of two degree-d lists mod 2^61 - 1 at d = 500 and 1000,
+forms._product_mod of two degree-d lists mod 2^61 - 1 at d = 12, 30 and 60 (the
+package multiplies at most 61 entries: the orbit forms and their syzygy),
 and RationalMap.is_in_ratd through the images mod p against the exact
 resultant on a degree-11 family member and the octa d = 13 map.  Every
 matrix takes the same packed Horner path, one pass per coefficient
@@ -95,7 +96,7 @@ def test_substitute_mixed_conductors(benchmark):
     assert not benchmark(substitute, MIXED_FORM, (Cyclotomic.zeta(4), 1, 2, 3)).is_zero()
 
 
-@pytest.mark.parametrize("d", [500, 1000])
+@pytest.mark.parametrize("d", [12, 30, 60])
 def test_product_mod(benchmark, d):
     p, rng = 2**61 - 1, random.Random(f"product_mod:{d}")
     f, g = ([rng.randrange(p) for _ in range(d + 1)] for _ in "fg")

@@ -11,9 +11,10 @@ with their trace-formula count, from the cached orbit forms; the class sums
 of that count for every character (platonic._class_sums), from the cached
 Cayley graph: the conjugacy classes on its indices with one eigenvalue
 ratio per class (platonic._class_table), and each character walked as
-exponents of a root of unity.  The images mod p of the icosa orbit products at n = 1000
-and 1002 (platonic._product_image) over their exponents (platonic._orbit_exponents),
-their independence proved once per group mod p (platonic._orbit_images).  Also the exact automorphism test of one
+exponents of a root of unity.  The icosa member test at J-degree n = 1002 and 4002
+(platonic._member_meets, d = n - 1, trivial character) on the quotient P^1/G: the orbit
+images and their independence mod p (platonic._orbit_images), the syzygy's branch value
+(platonic._branch_value) and one short Euclid per seed.  Also the exact automorphism test of one
 generator on a degree-24 map, by coefficient weights (aut._fixes) and by
 conjugation (aut.is_automorphism); the map has integer coefficients, so
 the weights case of 1/z times the identity on Python ints.  And the rows
@@ -31,7 +32,7 @@ scalar under each generator's determinant-1 lift (read at one point, no
 substitution) are found again;
 the exponents with no exponent, class or root-of-unity cache; the
 class sums with no class table, class-sum or root-of-unity cache; the
-product images with no orbit, power or product image cached.  The
+member test with no orbit image or branch value cached.  The
 file name is outside the test_*.py pattern, so the default test run skips
 it.
 """
@@ -118,20 +119,15 @@ def test_orbit_exponents(benchmark, kind):
     assert all(benchmark.pedantic(exponents, setup=no_exponents, rounds=20))
 
 
-@pytest.mark.parametrize("n", [1000, 1002])
+@pytest.mark.parametrize("n", [1002, 4002])
 def test_product_images(benchmark, n):
     def no_images():
-        for cached in (platonic._orbit_images, platonic._power_image, platonic._product_image):
+        for cached in (platonic._orbit_images, platonic._branch_value):
             cached.cache_clear()
 
     group = platonic.platonic_group("icosa")
     (trivial,) = platonic.character_group(group)
-
-    def rows():
-        return [platonic._product_image(group, e) for e in platonic._orbit_exponents(n, group, trivial)]
-
-    images = benchmark.pedantic(rows, setup=no_images, rounds=10)
-    assert len(images) == len(platonic._orbit_exponents(n, group, trivial))
+    assert benchmark.pedantic(platonic._member_meets, args=(n - 1, group, trivial, 24), setup=no_images, rounds=10)
 
 
 def _icosa_orbit_30():

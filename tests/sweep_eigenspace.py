@@ -9,8 +9,8 @@ For each platonic group, each of its characters and each even n <= 62
 substitution per monomial and generator (``oracle_eigenspace``), and their
 number is the character-orthogonality count over the group's elements
 (``molien_count``).  Past the cap, ``survey --groups platonic --d 1001
---allow-large`` exits 0 with its three rows, no traceback (about 20 s),
-and every member search of ``survey --groups platonic --d 2..600
+--allow-large`` exits 0 with its three rows, no traceback (well under a
+second, its members proved on the quotient P^1/G), and every member search of ``survey --groups platonic --d 2..600
 --allow-large`` succeeds at its first seed (``_member_meets`` with one try).
 The file name is outside the test_*.py pattern, so the default test run
 skips it.
@@ -34,8 +34,8 @@ def test_every_stratum_matches_the_stacked_system(kind, n):
 
 
 def test_a_survey_at_degree_1001_exits_0():
-    # the trace and power recursions run n / 2 and n / deg f deep unless
-    # they are built up through their caches
+    # no recursion runs n / 2 deep: the trace is one count of residues, and
+    # the member test reads lists of about n / |G| entries
     argv = ["survey", "--groups", "platonic", "--d", "1001", "--allow-large"]
     proc = _run_script([], f"import sys\nfrom symloci.cli import main\nsys.exit(main({argv!r}))", timeout=600)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
@@ -46,8 +46,8 @@ def test_a_survey_at_degree_1001_exits_0():
 
 
 def test_every_platonic_member_search_to_600_succeeds_at_seed_0(monkeypatch):
-    # the images mod p are the one certificate: a search that needed a
-    # second seed would show how near the budget of 24 the survey runs
+    # the quotient test mod p is the one certificate: a search that needed
+    # a second seed would show how near the budget of 24 the survey runs
     import contextlib
     import io
 

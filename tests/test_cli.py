@@ -407,8 +407,10 @@ def test_a_platonic_search_that_misses_everywhere_is_exit_2_not_a_traceback(monk
     from symloci import platonic
 
     # tetra maps of degree 7 exist, so the two routes disagree; the member
-    # test on the images mod p rejects every seed
-    monkeypatch.setattr(platonic, "_meets_ratd_image", lambda p, h, j: False)
+    # test's Euclid mod p on the quotient rejects every seed, with the
+    # premise and the syzygy proved before the patch
+    platonic._branch_value(platonic.platonic_group("tetra"))
+    monkeypatch.setattr(platonic, "_coprime_images", lambda images, p: False)
     code, out, err = run(["survey", "--groups", "tetra", "--d", "7"])
     assert code == 2, err
     assert "search exhausted (NoMemberFound)" in err

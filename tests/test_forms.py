@@ -271,9 +271,8 @@ def test_mixed_conductor_passes_are_folded_once_at_their_lcm(monkeypatch):
 
 @pytest.mark.parametrize("p", [2**61 - 1, _image_field(5)[0], _image_field(12)[0]])
 def test_product_mod_matches_the_schoolbook_product(p):
-    # residues of the convolution, schoolbook below ten terms and packed
-    # above, inputs unreduced: negative, above p and near p in size, so each
-    # packed digit holds a whole sum below len p^2
+    # residues of the convolution, inputs unreduced: negative, above p and
+    # near p in size
     rng = random.Random(p)
     for lf, lg in [(1, 1), (1, 9), (7, 3), (9, 300), (10, 10), (40, 40), (64, 257), (300, 12)]:
         f = [rng.choice([p - 1, -1, rng.randrange(-(p**2), p**2)]) for _ in range(lf)]

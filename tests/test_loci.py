@@ -410,6 +410,24 @@ def test_both_stalk_order_routes_refuse_a_type_without_a_stratum():
                 route(d, m, t)
 
 
+def test_both_stalk_order_routes_raise_on_the_same_triples():
+    # a type outside {1, 0, -1} has no stratum: stalk_order(6, 2, 2) used to
+    # return 4 through the t = 0 branch, as 2 divides 6 - 2
+    def raises(route, d, m, t):
+        try:
+            route(d, m, t)
+        except ValueError:
+            return True
+        return False
+
+    with pytest.raises(ValueError, match="m must divide d - t"):
+        stalk_order(6, 2, 2)
+    triples = [(d, m, t) for d in range(2, 41) for m in range(2, d + 2) for t in range(-3, 4)]
+    verdicts = [raises(stalk_order, *x) for x in triples]
+    assert verdicts == [raises(stalk_order_from_eigenvalue, *x) for x in triples]
+    assert all(verdicts[i] for i, (_, _, t) in enumerate(triples) if abs(t) > 1) and not all(verdicts)
+
+
 def test_a_type_without_a_stratum_searches_no_seed(monkeypatch):
     from symloci import loci
     from symloci.loci import dihedral_generic_member

@@ -6,14 +6,16 @@ zero image must leave the verdict to the exact route, or, for the premise
 of the platonic products, which has no exact route, fail the certificate."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import count
 from math import gcd, lcm
 from pathlib import Path
@@ -55,8 +57,26 @@ def _run(argv):
 
 
 def _clear_image_caches():
-    for cached in (platonic._orbit_images, platonic._power_image, platonic._product_image):
+    for cached in (platonic._orbit_images, platonic._branch_value, oracle_power_image, oracle_product_image):
         cached.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def oracle_power_image(group, i, a):
+    """The image mod p (``_orbit_images``) of f_i^a, built up through the
+    cache 64 powers at a time: the power of the image route, which the member
+    test read before it moved to the quotient P^1/G."""
+    p, images = platonic._orbit_images(group)
+    for k in range(a % 64, a, 64):
+        oracle_power_image(group, i, k)
+    return forms._product_mod(oracle_power_image(group, i, a - 1), images[i], p) if a else [1]
+
+
+@lru_cache(maxsize=None)
+def oracle_product_image(group, exps):
+    """The image mod p of the orbit product f_1^a f_2^b f_3^c of exps."""
+    p = platonic._orbit_images(group)[0]
+    return reduce(partial(forms._product_mod, p=p), (oracle_power_image(group, i, a) for i, a in enumerate(exps)))
 
 
 def oracle_product_images(n, group, char):
@@ -64,18 +84,18 @@ def oracle_product_images(n, group, char):
     their first exponents are distinct and ``_orbit_images`` proves f_1
     coprime to the other forms, else (None, the exact basis): the helper that
     proved, sized and imaged a space in one call, kept as the oracle of
-    ``_orbit_exponents`` and ``_product_image``."""
+    ``_orbit_exponents`` and the image route's products."""
     exps = platonic._orbit_exponents(n, group, char)
     if (images := platonic._orbit_images(group)) and len({e[0] for e in exps}) == len(exps):
         p = images[0]
         product = partial(forms._product_mod, p=p)
-        return p, [reduce(product, (platonic._power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
+        return p, [reduce(product, (oracle_power_image(group, i, a) for i, a in enumerate(e))) for e in exps]
     return None, character_eigenspace(n, group, char)
 
 
 def _rows(n, group, char):
-    # the image rows the member search reads for one space
-    return [platonic._product_image(group, e) for e in platonic._orbit_exponents(n, group, char)]
+    # the image rows the image route read for one space
+    return [oracle_product_image(group, e) for e in platonic._orbit_exponents(n, group, char)]
 
 
 def _rank_mod(rows, p):
@@ -417,12 +437,14 @@ def test_the_exact_meets_ratd_is_the_branchy_rule_on_platonic_members(kind, monk
     assert verdicts == {True, False}
 
 
-def _image_search(d, group, char, tries=24):
-    # the search of _member_meets on the images of the orbit products alone
+def oracle_member_meets(d, group, char, tries=24, seeds=_seed_coefficients):
+    """_member_meets on the full-degree images of the orbit products: the
+    member sum_k c_k P_k mod p, at the coefficients of seeds, passing
+    ``_meets_ratd_image``; the image route before the quotient P^1/G."""
     p = platonic._orbit_images(group)[0]
     h_rows, j_rows = (_rows(n, group, char) for n in (d - 1, d + 1))
     for seed in range(tries):
-        c = _seed_coefficients(seed, max(len(h_rows), len(j_rows)))
+        c = seeds(seed, max(len(h_rows), len(j_rows)))
         h, j = ([sum(a * b for a, b in zip(c, col)) % p for col in zip(*rows)] for rows in (h_rows, j_rows))
         if _meets_ratd_image(p, h, j):
             return True
@@ -449,7 +471,7 @@ def test_the_image_verdict_is_the_exact_one_on_every_platonic_stratum(kind):
             p, (h_image, j_image) = _images([h.coeffs, j.coeffs])
             verdict = _meets_ratd_image(p, h_image, j_image)
             assert verdict == _exact_meets(FormPair(d, h, j)), (kind, d, char)
-            assert _image_search(d, group, char) == (not platonic._obstructed(d, group, char)), (kind, d, char)
+            assert oracle_member_meets(d, group, char) == (not platonic._obstructed(d, group, char)), (kind, d, char)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -597,6 +619,167 @@ def test_repeated_first_exponents_refuse_the_group(monkeypatch):
     finally:
         monkeypatch.undo()
         _no_solve_caches()
+
+
+# ---------------------------------------------------------------------------
+# the member test on the quotient P^1/G
+# ---------------------------------------------------------------------------
+
+
+def _strata_with_a_j_space(d_max):
+    # every stratum with a nonempty J-space, d = 2..d_max, obstructed ones included
+    return [
+        (group, d, char)
+        for group in map(platonic_group, ("tetra", "octa", "icosa"))
+        for d in range(2, d_max + 1)
+        for char in character_group(group)
+        if platonic._orbit_exponents(d + 1, group, char)
+    ]
+
+
+# Q's factor u - rho v up to a scalar, as its coefficients of v and u: rho =
+# 1, 1/108 and -1/1728
+_RHO_FACTOR = {"tetra": [-1, 1], "octa": [-1, 108], "icosa": [1, 1728]}
+
+
+def _drawn_vectors(group, d, char, rng):
+    """Coefficient vectors of Q, the u^0 coefficient first, all nonzero:
+    random, or J's Q with a root at rho, a double root at u = 2v, or a double
+    root at rho, times a random cofactor; H's Q is the prefix of the same
+    vector, as at a seed."""
+    k = len(platonic._orbit_exponents(d + 1, group, char)) - 1
+    count = max(k + 1, len(platonic._orbit_exponents(d - 1, group, char)))
+    rho = _RHO_FACTOR[group.label]
+    vectors = []
+    for factor in ([], rho, [4, -4, 1], _times(rho, rho)):
+        if len(factor) > k + 1:
+            continue
+        while True:
+            cofactor = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(k + 2 - max(len(factor), 1))]
+            q = _times(factor, cofactor) if factor else cofactor
+            q += [rng.randint(1, 9) for _ in range(count - len(q))]
+            if all(q):
+                vectors.append(q)
+                break
+    return vectors
+
+
+def _quotient_cases():
+    # (group, d, char, tries, vector): the seeds at tries 1 and 4 on every
+    # stratum to d = 150, and drawn vectors at one try each to d = 60
+    rng = random.Random(41)
+    seeded = [(*case, tries, None) for case in _strata_with_a_j_space(150) for tries in (1, 4)]
+    drawn = [
+        (*case, 1, vector)
+        for case in _strata_with_a_j_space(60)
+        if len(platonic._orbit_exponents(case[1] + 1, case[0], case[2])) > 1
+        for vector in _drawn_vectors(*case, rng)
+    ]
+    return seeded, drawn
+
+
+@pytest.fixture(scope="module")
+def quotient_cases():
+    """The cases and their verdicts on the full-degree images (the oracle)."""
+    seeded, drawn = _quotient_cases()
+    verdicts = [oracle_member_meets(d, group, char, tries, _seeds(v)) for group, d, char, tries, v in seeded + drawn]
+    return seeded, drawn, verdicts
+
+
+def _seeds(vector):
+    # the real seeds, or one drawn vector at every seed
+    return _seed_coefficients if vector is None else (lambda seed, count: vector[:count])
+
+
+def _quotient_verdicts(member_meets, cases, monkeypatch):
+    # member_meets on each case, its seeds patched to the case's vector; an
+    # AssertionError counts as no verdict
+    out = []
+    for group, d, char, tries, vector in cases:
+        monkeypatch.setattr(platonic, "_seed_coefficients", _seeds(vector))
+        try:
+            out.append(member_meets(d, group, char, tries))
+        except AssertionError:
+            out.append(None)
+    return out
+
+
+def test_the_quotient_verdict_is_the_image_verdict_on_every_stratum(quotient_cases, monkeypatch):
+    # 834 seeded cases: every stratum with a nonempty J-space, d = 2..150, at
+    # tries 1 and 4; and drawn vectors whose Q_J has a root at rho, where the
+    # f_3 orbit's order decides, or a double root off the branch values
+    seeded, drawn, want = quotient_cases
+    assert len(seeded) == 834
+    got = _quotient_verdicts(platonic._member_meets, seeded + drawn, monkeypatch)
+    assert got == want
+    assert set(want[: len(seeded)]) == set(want[len(seeded) :]) == {True, False}
+
+
+def _mutant(old, new):
+    # _member_meets with one piece of its source replaced, defined over
+    # platonic's globals, so that it reads the patched seeds
+    src = textwrap.dedent(inspect.getsource(platonic._member_meets))
+    assert src.count(old) == 1, old
+    namespace = {}
+    exec(src.replace(old, new), vars(platonic), namespace)
+    return namespace["_member_meets"]
+
+
+_MUTANTS = {
+    "rho + 1": None,
+    "s_1 + 1": ("a + s1 * i", "a + (s1 + 1) * i"),
+    "no f_1, f_2 orders": ("(*base[:2], base[2] + at_rho(q))", "(0, 0, base[2] + at_rho(q))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTANTS))
+def test_each_mutant_of_the_quotient_test_fails_the_differential(name, quotient_cases, monkeypatch):
+    # rho + 1 shows only on the drawn vectors: the seed integers are
+    # positive, so no seeded Q vanishes at rho = 1, 1/108 or -1/1728
+    seeded, drawn, want = quotient_cases
+    member_meets = platonic._member_meets
+    if _MUTANTS[name]:
+        member_meets = _mutant(*_MUTANTS[name])
+    else:
+        real = {group: platonic._branch_value(group) for group, *_ in seeded}
+        shifted = {group: (p, (rho + 1) % p) for group, (p, rho) in real.items()}
+        monkeypatch.setattr(platonic, "_branch_value", shifted.__getitem__)
+        assert _quotient_verdicts(member_meets, seeded, monkeypatch) == want[: len(seeded)]
+    assert _quotient_verdicts(member_meets, seeded + drawn, monkeypatch) != want
+
+
+def test_the_syzygy_has_the_orbit_forms_alpha_and_beta():
+    # f_3^2 = alpha f_1^s_1 + beta f_2^s_2 exactly, with the alpha and beta
+    # of the standard orbit forms; _branch_value holds the image of
+    # rho = -beta/alpha: 1, 1/108 and -1/1728
+    z3 = Cyclotomic.zeta(3)
+    pinned = {
+        "tetra": (z3 * Fraction(-1, 18) - Fraction(1, 36), z3 * Fraction(1, 18) + Fraction(1, 36)),
+        "octa": (Cyclotomic.rational(-108), Cyclotomic.rational(1)),
+        "icosa": (Cyclotomic.rational(1728), Cyclotomic.rational(1)),
+    }
+    for kind, (alpha, beta) in pinned.items():
+        group = platonic_group(kind)
+        f1, f2, f3 = platonic._orbit_forms(group)[1]
+        u, v = (reduce(lambda a, b: a * b, [f] * (group.order // f.degree)) for f in (f1, f2))
+        assert f3 * f3 == u * alpha + v * beta, kind
+        rho = (-beta / alpha).as_rational()
+        p = platonic._orbit_images(group)[0]
+        assert platonic._branch_value(group) == (p, rho.numerator * pow(rho.denominator, -1, p) % p), kind
+        assert rho == {"tetra": 1, "octa": Fraction(1, 108), "icosa": Fraction(-1, 1728)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_no_euclid_at_degree_4001_reads_a_list_past_the_quotient_degree(kind, monkeypatch):
+    # d = 4001: every list that the Euclid mod p reads, the premise's
+    # included, has at most (d + 1) // |G| + 2 entries, against about 4,000
+    # when the member test read the full-degree images
+    group, seen = platonic_group(kind), []
+    _clear_image_caches()
+    real = forms._remainder
+    monkeypatch.setattr(forms, "_remainder", lambda a, b, p: seen.append(max(len(a), len(b))) or real(a, b, p))
+    assert platonic.invariant_locus_dimension(4001, group) == 2 * 4001 // group.order
+    assert seen and max(seen) <= 4002 // group.order + 2
 
 
 # ---------------------------------------------------------------------------

@@ -344,21 +344,21 @@ def test_the_obstruction_rule_matches_the_seeded_search(kind):
 def test_no_seed_is_spent_on_an_obstructed_stratum(monkeypatch):
     from symloci import platonic
 
-    real_obstructed, real_image = platonic._obstructed, platonic._meets_ratd_image
-    # each stratum's verdict, and the verdict of the stratum each seed tries
-    # on the images mod p
+    real_obstructed, real_seed = platonic._obstructed, platonic._seed_coefficients
+    # each stratum's verdict, and the verdict of the stratum each seed is
+    # drawn for by the member test on the quotient
     verdicts, searched = [], []
 
     def obstructed(d, group, char):
         verdicts.append(real_obstructed(d, group, char))
         return verdicts[-1]
 
-    def meets_image(p, h, j):
+    def seed_coefficients(seed, count):
         searched.append(verdicts[-1])
-        return real_image(p, h, j)
+        return real_seed(seed, count)
 
     monkeypatch.setattr(platonic, "_obstructed", obstructed)
-    monkeypatch.setattr(platonic, "_meets_ratd_image", meets_image)
+    monkeypatch.setattr(platonic, "_seed_coefficients", seed_coefficients)
     for kind, d in (("tetra", 15), ("octa", 13), ("icosa", 31), ("tetra", 61)):
         assert invariant_locus_dimension(d, kind) == 2 * d // platonic_group(kind).order
     assert True in verdicts and searched and True not in searched
@@ -370,50 +370,61 @@ def test_product_rows_are_built_only_for_the_spaces_the_member_search_reads(monk
 
     from symloci.cli import main
 
-    # survey --d 2..61 --groups platonic, from no cached row: a product's
-    # image row is built only for a space (degree, character) that
-    # _member_meets reads; the strata dropped by _obstructed or by
-    # dim <= best build none of their own
-    real_row, real_meets, real_obstructed = platonic._product_image, platonic._member_meets, platonic._obstructed
-    built, read, searched, obstructed = set(), set(), set(), set()
+    # survey --d 2..61 --groups platonic: no orbit product is multiplied out,
+    # a seed is drawn and a Euclid run only inside _member_meets, on lists
+    # of at most (d + 1) // |G| + 1 entries, and the strata dropped by
+    # _obstructed or by dim <= best draw no seed
+    real_seed, real_meets, real_obstructed = (
+        platonic._seed_coefficients, platonic._member_meets, platonic._obstructed
+    )
+    real_coprime = platonic._coprime_images
+    for group in map(platonic_group, ("tetra", "octa", "icosa")):
+        platonic._branch_value(group)  # the premise and the syzygy, cached before the spies
+    seeded, searched, obstructed, current = set(), set(), set(), []
 
-    def spaces(d, group, char):
-        return {(group.label, e) for n in (d - 1, d + 1) for e in platonic._orbit_exponents(n, group, char)}
+    def seed_coefficients(seed, count):
+        assert current, "a seed drawn outside _member_meets"
+        seeded.add(current[-1])
+        return real_seed(seed, count)
 
-    def row(group, exps):
-        built.add((group.label, exps))
-        return real_row(group, exps)
+    def coprime(images, p):
+        assert current, "a Euclid run outside _member_meets"
+        d, label, _ = current[-1]
+        bound = (d + 1) // platonic_group(label).order + 1
+        assert all(len(f) <= bound for f in images), (current, list(map(len, images)))
+        return real_coprime(images, p)
 
     def member_meets(d, group, char, tries):
-        searched.add((d, group.label, char))
-        read.update(spaces(d, group, char))
-        return real_meets(d, group, char, tries)
+        searched.add(key := (d, group.label, char))
+        current.append(key)
+        try:
+            return real_meets(d, group, char, tries)
+        finally:
+            current.pop()
 
     def is_obstructed(d, group, char):
         if verdict := real_obstructed(d, group, char):
             obstructed.add((d, group.label, char))
         return verdict
 
-    platonic._product_image.cache_clear()
-    monkeypatch.setattr(platonic, "_product_image", row)
+    monkeypatch.setattr(platonic, "_product_mod", lambda *args: pytest.fail("an orbit product multiplied out"))
+    monkeypatch.setattr(platonic, "_seed_coefficients", seed_coefficients)
+    monkeypatch.setattr(platonic, "_coprime_images", coprime)
     monkeypatch.setattr(platonic, "_member_meets", member_meets)
     monkeypatch.setattr(platonic, "_obstructed", is_obstructed)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["survey", "--d", "2..61", "--groups", "platonic"]) == 0
-    assert built == read and searched
+    assert seeded == searched and searched
     dropped = {
-        (d, group.label, char): spaces(d, group, char)
+        (d, group.label, char)
         for group in map(platonic_group, ("tetra", "octa", "icosa"))
         for d in range(2, 62)
         if platonic_existence(d, group)
         for char in character_group(group)
         if (d, group.label, char) not in searched
     }
-    unread = {key: space - read for key, space in dropped.items()}
-    # both kinds of drop occur, and each leaves products of its own unbuilt
-    assert any(space for key, space in unread.items() if key in obstructed)
-    assert any(space for key, space in unread.items() if key not in obstructed)
-    assert not built & set().union(*unread.values())
+    # both kinds of drop occur
+    assert dropped & obstructed and dropped - obstructed
 
 
 def test_certificate_checks_survive_python_O():
@@ -428,7 +439,7 @@ def test_certificate_checks_survive_python_O():
 
     script = """
 import sys
-from symloci import cyclotomic, decomp, loci
+from symloci import cyclotomic, decomp, loci, platonic
 from symloci.cyclotomic import Cyclotomic
 from symloci.forms import BinaryForm
 from symloci.platonic import lifted_scalar, platonic_group
@@ -476,7 +487,31 @@ def wrong_stalk_orders():
     return loci.stalk_order_from_eigenvalue(4, 2, 0)
 
 
+def with_exponents(exps, probe):
+    # every orbit-product space read as exps
+    real = platonic._orbit_exponents
+    platonic._orbit_exponents = lambda n, group, char: exps
+    try:
+        return probe()
+    finally:
+        platonic._orbit_exponents = real
+
+
+def wrong_syzygy():
+    # a char_3^2 space of degree |G| other than span(U, V)
+    return with_exponents((), lambda: platonic._branch_value(platonic_group("octa")))
+
+
+def wrong_shape():
+    # two products whose first exponents differ by 1, not by s_1 = 3
+    group = platonic_group("tetra")
+    platonic._branch_value(group)
+    return with_exponents(((0, 3, 0), (1, 2, 0)), lambda: platonic._member_meets(11, group, (), 1))
+
+
 probes = [
+    wrong_syzygy,  # before wrong_sqrt, which the platonic groups read
+    wrong_shape,
     lambda: lifted_scalar(BinaryForm(2, [1, 0, 0]), g),  # X^2 is not an eigenform
     wrong_phi,
     lambda: cyclotomic._int_modular_inverse([1, 1], [-1, 0, 1]),  # x + 1 divides x^2 - 1
@@ -504,5 +539,7 @@ sys.exit(0 if all([rejected(p) for p in probes]) else 1)
         "eigenvalue disagrees with the classification",
         "eigenspace count disagrees with the formula",
         "must give the same order",
+        "prove no syzygy f_3^2 = alpha U + beta V",
+        "no orbit part times a form in U, V",
     ):
         assert message in proc.stdout, proc.stdout
