@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import loci, platonic
@@ -289,8 +288,6 @@ def cmd_resultant(args) -> int:
     return 0
 
 
-# built once per process: argparse looks up sys.stdout/stderr only when it prints
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symloci",
@@ -340,9 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built at import; argparse reads sys.stdout/stderr only as it prints
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
