@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import mul, sub
 
 from .cyclotomic import Cyclotomic, _fold, _image_field, _images, _make, _phi, _trim
@@ -346,9 +346,20 @@ def _coprime_images(images: list, p: int) -> bool:
 
 
 def _in_ratd(F, G) -> bool:
-    """Res(F, G) != 0 for coefficient lists: coprime images mod p (x % p for ints) prove it, else the exact value."""
-    p, n = _image_field(1)[0], len(F) - 1
-    im = (p, [[x % p for x in xs] for xs in (F, G)]) if all(type(x) is int for x in (*F, *G)) else _images([F, G])
+    """Res(F, G) != 0 for the int or cyclotomic lists of two forms of degree n = len(F) - 1 >= 1.  M, the gcd of
+    the offsets of both supports from each list's first nonzero index, writes F = X^a Y^b f(X^M, Y^M) and
+    G = X^a' Y^b' g(X^M, Y^M), f and g nonzero at both ends.  z -> z^M maps C* onto itself, so F and G share a
+    root iff one is 0, both vanish at [1:0] (F[0] = G[0] = 0) or at [0:1] (F[n] = G[n] = 0), or f and g share
+    one, which no one-term f or g has.  Coprime images of f, g mod p (x % p for ints, else ``_images``) prove
+    they do not; else Res(F, G) decides."""
+    (sF, sG), n = ([i for i, x in enumerate(xs) if x] for xs in (F, G)), len(F) - 1
+    if not (sF and sG) or min(sF[0], sG[0]) or max(sF[-1], sG[-1]) < n:
+        return False
+    if len(sF) == 1 or len(sG) == 1:
+        return True
+    M, p = gcd(*(i - s[0] for s in (sF, sG) for i in s)), _image_field(1)[0]
+    f, g = (xs[s[0] : s[-1] + 1 : M] for xs, s in ((F, sF), (G, sG)))
+    im = (p, [[x % p for x in xs] for xs in (f, g)]) if all(type(x) is int for x in (*f, *g)) else _images([f, g])
     return bool(im and _coprime_images(im[1], im[0]) or sylvester_resultant(BinaryForm(n, F), BinaryForm(n, G)))
 
 
@@ -552,7 +563,8 @@ class RationalMap:
         return resultant_pair(self.F, self.G)
 
     def is_in_ratd(self) -> bool:
-        """Res(F, G) != 0: proved by coprime images mod p, or exactly (``_in_ratd``)."""
+        """Res(F, G) != 0, proved on the quotient x -> x^M: F = X^a Y^b f(X^M, Y^M), G = X^a' Y^b' g(X^M, Y^M)
+        share a root iff both vanish at [1:0], both at [0:1], or f and g share one (``_in_ratd``)."""
         return _in_ratd(self.F.coeffs, self.G.coeffs)
 
     def coefficients(self) -> list[Cyclotomic]:

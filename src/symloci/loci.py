@@ -17,9 +17,11 @@ dihedral bases, s and the survey all read it there.
 Members come from one seeded search over eigenspace vectors, each basis
 read off the exponent of its eigenvalue.  A candidate is two lists of Python
 ints, proved on them: its type from F_d and G_0, zeta_m z and (on dihedral
-loci) 1/z by coefficient weights (``aut._fixes``), Rat_d by images mod p
-(``forms._in_ratd``); only the member returned becomes a RationalMap.  A map
-fixed by the generators is fixed by their group, so no group is built.
+loci) 1/z by coefficient weights (``aut._fixes``), Rat_d on the quotient
+x -> x^M (``forms._in_ratd``): F = X^a Y^b f(X^M, Y^M) and G = X^a' Y^b'
+g(X^M, Y^M) share a root iff both vanish at 0 or both at infinity, or f and
+g, of degree about d/M, share one.  The survey builds no member as a map.  A
+map fixed by the generators is fixed by their group, so no group is built.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .forms import BinaryForm, RationalMap, _in_ratd
 from .moebius import MoebiusMap
 
 _SEARCH_VALUES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_INVERSION = MoebiusMap.inversion()  # 1/z, built once for every dihedral search
 
 
 def _seed_coefficients(seed: int, count: int) -> list[int]:
@@ -157,36 +160,44 @@ def _component_exponent(d: int, m: int, t: int, component: str | None) -> int | 
     return next(iter(exps.values())) if len(exps) == 1 else exps.get(component)
 
 
-def _search(d: int, vecs: list[dict], gens: list[MoebiusMap], t: int, budget: int, exhausted: str) -> RationalMap:
-    """The first combination of the int vectors vecs, at seeds 0..budget-1, of
-    type t under gens[0], fixed by every generator and in Rat_d, each proved on
-    its two int lists, as a RationalMap; NoMemberFound(exhausted) if none is."""
+def _search(d: int, vecs: list[dict], gens: list[MoebiusMap], t: int, budget: int, exhausted: str) -> tuple:
+    """The int lists (F, G) of the first combination of the int vectors vecs,
+    at seeds 0..budget-1, of type t under gens[0], fixed by every generator
+    and in Rat_d, each proved on those lists; NoMemberFound(exhausted) if none is."""
     for seed in range(budget):
         F, G = [0] * (d + 1), [0] * (d + 1)
         for c, vec in zip(_seed_coefficients(seed, len(vecs)), vecs):
             for (side, k), x in vec.items():
                 (F if side == "a" else G)[k] += c * x
         if _verified_type((F, G), gens[0]) == t and all(_fixes((F, G), g) for g in gens) and _in_ratd(F, G):
-            return RationalMap(BinaryForm(d, F), BinaryForm(d, G))
+            return F, G
     raise NoMemberFound(exhausted)
 
 
-def generic_member(
-    d: int,
-    m: int,
-    t: int,
-    component: str = "inf",
-    budget: int = 64,
-) -> RationalMap:
+def _as_map(FG: tuple) -> RationalMap:  # a member's int lists (F, G) as its RationalMap
+    return RationalMap(*(BinaryForm(len(xs) - 1, xs) for xs in FG))
+
+
+def _with_maps(reports: list) -> list:  # the reports, each member's lists (F, G) made its RationalMap in place
+    for _, rep in reports:
+        if rep.certificate.get("member"):
+            rep.certificate["member"] = _as_map(rep.certificate["member"])
+    return reports
+
+
+def _cyclic_member(d: int, m: int, t: int, component: str, budget: int = 64) -> tuple:  # generic_member's lists
+    if (e := _component_exponent(d, m, t, component)) is None:
+        raise NoMemberFound(f"no stratum of type t={t} for d={d} m={m}")
+    vecs, exhausted = [{ix: 1} for ix in _eigenspace(d, m, e)], f"no member for d={d} m={m} t={t} within budget"
+    return _search(d, vecs, [_rotation(m)], t, budget, exhausted)
+
+
+def generic_member(d: int, m: int, t: int, component: str = "inf", budget: int = 64) -> RationalMap:
     """Deterministic small-coefficient member of the cyclic locus with the
     requested type, exactly verified before being returned."""
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
-    e = _component_exponent(d, m, t, component)
-    if e is None:
-        raise NoMemberFound(f"no stratum of type t={t} for d={d} m={m}")
-    vecs, exhausted = [{ix: 1} for ix in _eigenspace(d, m, e)], f"no member for d={d} m={m} t={t} within budget"
-    return _search(d, vecs, [_rotation(m)], t, budget, exhausted)
+    return _as_map(_cyclic_member(d, m, t, component, budget))
 
 
 def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
@@ -196,6 +207,10 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     dim in the moduli space is 2(d-t)/m + t - 1; in the parameter space one
     more (the scaling family z -> cz acts along the fibers).
     """
+    return _with_maps(_cyclic_reports(d, m))
+
+
+def _cyclic_reports(d: int, m: int) -> list[tuple[int, LocusReport]]:  # the members as int lists (F, G)
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
     out = []
@@ -207,11 +222,7 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
             0: "exactly one of alpha, delta vanishes",
             -1: "alpha = 0 and delta = 0",
         }[t]
-        cert: dict = {
-            "family": CyclicNormalForm(d, m, t, dprime, constraints),
-            "eigenvalues": {},
-            "bases": {},
-        }
+        cert: dict = {"family": CyclicNormalForm(d, m, t, dprime, constraints), "eigenvalues": {}, "bases": {}}
         for comp, e in exps.items():
             lam = Cyclotomic.zeta(2 * m, e)
             basis = commuting_space_basis(d, m, lam)
@@ -219,7 +230,7 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
             cert["bases"][comp] = [list(ix) for ix in basis]
             if len(basis) != dim_ratd + 1:
                 raise AssertionError("eigenspace count disagrees with the formula")
-        cert["member"] = generic_member(d, m, t, next(iter(exps)))
+        cert["member"] = _cyclic_member(d, m, t, next(iter(exps)))
         cert["member_verified"] = True
         out.append((t, LocusReport(True, dim_moduli, dim_ratd, len(exps), cert)))
     return out
@@ -245,14 +256,16 @@ def dihedral_basis(d: int, m: int, t: int, mu: int, component: str | None = None
     return [{("a", k): 1, ("b", d - k): mu} for k in a_idx]
 
 
+def _dihedral_member(d: int, m: int, t: int, mu: int, budget: int = 64) -> tuple:  # dihedral_generic_member's lists
+    if not (vecs := dihedral_basis(d, m, t, mu)):
+        raise NoMemberFound("empty dihedral stratum")
+    return _search(d, vecs, [_rotation(m), _INVERSION], t, budget, f"no dihedral member for d={d} m={m} t={t} mu={mu}")
+
+
 def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -> RationalMap:
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
-    vecs = dihedral_basis(d, m, t, mu)
-    if not vecs:
-        raise NoMemberFound("empty dihedral stratum")
-    gens = [_rotation(m), MoebiusMap.inversion()]
-    return _search(d, vecs, gens, t, budget, f"no dihedral member for d={d} m={m} t={t} mu={mu}")
+    return _as_map(_dihedral_member(d, m, t, mu, budget))
 
 
 def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
@@ -266,6 +279,10 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     searched and the signs realizing members are recorded.  A nonempty
     basis where both searches run dry raises NoMemberFound.
     """
+    return _with_maps(_dihedral_reports(d, m))
+
+
+def _dihedral_reports(d: int, m: int) -> list[tuple[int, LocusReport]]:  # the members as int lists (F, G)
     if d < 2 or m < 2:
         raise ValueError("need d >= 2 and m >= 2")
     out = []
@@ -277,18 +294,13 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
         members = {}
         for mu in (1, -1):
             with suppress(NoMemberFound):
-                members[mu] = dihedral_generic_member(d, m, t, mu)
+                members[mu] = _dihedral_member(d, m, t, mu)
         signs, member = list(members), next(iter(members.values()), None)
         vecs = dihedral_basis(d, m, t, 1)
         if member is None and vecs:
             raise NoMemberFound(f"no dihedral member for d={d} m={m} t={t} with either sign")
-        cert = {
-            "free_parameters": len(vecs),
-            "signs_realized": signs,
-            "member": member,
-            "member_verified": member is not None,
-        }
         exists = member is not None
+        cert = {"free_parameters": len(vecs), "signs_realized": signs, "member": member, "member_verified": exists}
         out.append((t, LocusReport(exists, dim if exists else None, dim if exists else None, len(signs), cert)))
     return out
 
@@ -317,32 +329,24 @@ def stalk_order_from_eigenvalue(d: int, m: int, t: int) -> int:
 
 
 def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
-    """Survey rows for one degree; every row carries both the closed-form
-    dimension and the linear-algebra dimension plus a match flag, which on
-    a cyclic row also needs the two routes to the stalk order s to agree."""
+    """Survey rows for one degree, each member proved on its int lists and built as no map; every row carries
+    both the closed-form dimension and the linear-algebra dimension plus a match flag, which on a cyclic row
+    also needs the two routes to the stalk order s to agree."""
+
+    def row(group, t, rep, **rest):  # the columns a report fills, and the rest
+        return SurveyRow(d=d, group=group, t=t, exists=rep.exists, dim_moduli=rep.dim_moduli, dim_ratd=rep.dim_ratd,
+                         components=rep.components, **rest)._asdict()
+
     rows = []
     if "cyclic" in kinds:
         for m in range(2, d + 2):
-            for t, rep in cyclic_existence_and_dim(d, m):
-                affine = len(next(iter(rep.certificate["bases"].values())))
-                s = stalk_order(d, m, t)
-                rows.append(
-                    SurveyRow(
-                        d=d,
-                        group=f"cyclic:{m}",
-                        t=t,
-                        exists=rep.exists,
-                        dim_moduli=rep.dim_moduli,
-                        dim_ratd=rep.dim_ratd,
-                        components=rep.components,
-                        s=s,
-                        dim_linalg=affine - 1,
-                        match=affine - 1 == rep.dim_ratd and s == stalk_order_from_eigenvalue(d, m, t),
-                    )
-                )
+            for t, rep in _cyclic_reports(d, m):
+                affine, s = len(next(iter(rep.certificate["bases"].values()))), stalk_order(d, m, t)
+                match = affine - 1 == rep.dim_ratd and s == stalk_order_from_eigenvalue(d, m, t)
+                rows.append(row(f"cyclic:{m}", t, rep, s=s, dim_linalg=affine - 1, match=match))
     if "dihedral" in kinds:
         for m in range(2, d + 2):
-            for t, rep in dihedral_dim(d, m):
+            for t, rep in _dihedral_reports(d, m):
                 linalg = rep.certificate["free_parameters"] - 1 if rep.exists else None
                 # an empty row matches only where the theorem says empty (t = 0)
                 # and each component's basis is, for one sign mu: the pairing
@@ -351,17 +355,5 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
                     dihedral_basis(d, m, 0, 1, c) for s, _, cs in _strata(d, m) if s == 0 for c in cs
                 )
                 match = linalg == rep.dim_ratd if rep.exists else empty
-                rows.append(
-                    SurveyRow(
-                        d=d,
-                        group=f"dihedral:{m}",
-                        t=t,
-                        exists=rep.exists,
-                        dim_moduli=rep.dim_moduli,
-                        dim_ratd=rep.dim_ratd,
-                        components=rep.components,
-                        dim_linalg=linalg,
-                        match=match,
-                    )
-                )
-    return [row._asdict() for row in rows]
+                rows.append(row(f"dihedral:{m}", t, rep, dim_linalg=linalg, match=match))
+    return rows

@@ -8,10 +8,11 @@ under the icosa generator T and of the degree-11 form of test_forms.py with
 coefficients at conductors 5, 7, 8, 9, 11 and 12 under (zeta_4, 1, 2, 3),
 forms._product_mod of two degree-d lists mod 2^61 - 1 at d = 12, 30 and 60 (the
 package multiplies at most 61 entries: the orbit forms and their syzygy),
-and RationalMap.is_in_ratd through the images mod p against the exact
-resultant on a degree-11 family member and the octa d = 13 map.  Every
-matrix takes the same packed Horner path, one pass per coefficient
-conductor, so the monomial matrices time that path too.
+and RationalMap.is_in_ratd on the quotient x -> x^M against the exact
+resultant on a degree-11 dihedral member, the degree-79 cyclic:2 member
+(stride 2) and the octa d = 13 map.  Every matrix takes the same packed
+Horner path, one pass per coefficient conductor, so the monomial matrices
+time that path too.
 
     PYTHONPATH=src python -m pytest tests/perf_forms.py --benchmark-only
 
@@ -30,7 +31,7 @@ import pytest
 
 from symloci.cyclotomic import Cyclotomic
 from symloci.forms import BinaryForm, _product_mod, form_gcd, substitute, sylvester_resultant
-from symloci.loci import dihedral_generic_member
+from symloci.loci import dihedral_generic_member, generic_member
 from symloci.moebius import MoebiusMap, conjugate_map, standard_subgroup
 from symloci.platonic import construct_symmetric_map
 from test_forms import MIXED_FORM
@@ -105,6 +106,7 @@ def test_product_mod(benchmark, d):
 
 IN_RATD_MAPS = {
     "dihedral:3 d=11": lambda: dihedral_generic_member(11, 3, -1, 1),
+    "cyclic:2 d=79": lambda: generic_member(79, 2, 1),
     "octa d=13": lambda: construct_symmetric_map(13, "octa")[0],
 }
 IN_RATD_ROUTES = {

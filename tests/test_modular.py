@@ -320,15 +320,98 @@ def test_the_rat_d_test_on_int_lists_is_the_exact_one(pair):
 
 def test_int_lists_are_proved_by_their_images_with_no_resultant(monkeypatch):
     # an int's image is x % p: no cyclotomic image, and no resultant when
-    # the images are coprime; the Res = p pair still needs the exact value
+    # the images are coprime or a list is one term past its stride; the
+    # Res = p pair still needs the exact value
     p, seen = _image_field(1)[0], []
     monkeypatch.setattr(forms, "sylvester_resultant", lambda f, g: seen.append((f, g)) or sylvester_resultant(f, g))
     z5 = Cyclotomic.zeta(5)
     assert RationalMap(BinaryForm(2, [1, 0, z5]), BinaryForm(2, [0, z5 + 1, 0])).is_in_ratd() and seen == []
     monkeypatch.setattr(forms, "_images", lambda lists: pytest.fail("cyclotomic images of int lists"))
     assert forms._in_ratd([1, 0, 0, 2], [0, 3, 1, 0]) and seen == []
-    assert forms._in_ratd([1, 0], [1, p]) and len(seen) == 1
+    assert forms._in_ratd([1, 0], [1, p]) and seen == []  # X is one term: Res = p, proved with no image
+    assert forms._in_ratd([1, 1], [1, p + 1]) and len(seen) == 1  # X + Y and X + (p + 1) Y: Res = p
     assert not forms._in_ratd([1, 1, 0], [0, 1, 1]) and len(seen) == 2  # X (X + Y) and (X + Y) Y
+
+
+@st.composite
+def strided_pairs(draw):
+    """(F, G) = (X^a Y^b f(X^M, Y^M), X^a' Y^b' g(X^M, Y^M)) of one degree n >= 1,
+    M = 1..4, with int or, half the time, cyclotomic coefficients; each list
+    sits at its own offset, so F and G may lie in different residues mod M.
+    The edge cases: f and g times one h(X^M, Y^M), both lists vanishing at
+    [1:0] (offsets >= 1) or at [0:1] (ends < n), or free offsets, where one
+    list alone often vanishes at an end."""
+    M, z = draw(st.integers(1, 4)), Cyclotomic.zeta(draw(st.sampled_from([3, 4, 5])))
+    cyclotomic, edge = draw(st.booleans()), draw(st.sampled_from(["free", "factor", "[1:0]", "[0:1]"]))
+
+    def poly(k):  # k + 1 coefficients, often 0
+        ints = st.integers(-3, 3)
+        return [draw(ints) + z * draw(ints) if cyclotomic else draw(ints) for _ in range(k + 1)]
+
+    f, g = poly(draw(st.integers(0, 3))), poly(draw(st.integers(0, 3)))
+    if edge == "factor":
+        h = poly(draw(st.integers(1, 2)))
+        f, g = _times(f, h), _times(g, h)
+    spans = [(len(x) - 1) * M for x in (f, g)]
+    n = max(max(spans), 1) + draw(st.integers(0, 2)) + (edge in ("[1:0]", "[0:1]"))
+    lo, hi = (1, 0) if edge == "[1:0]" else (0, 1) if edge == "[0:1]" else (0, 0)
+    out = []
+    for x, span in zip((f, g), spans):
+        first = draw(st.integers(lo, n - span - hi))
+        xs = [x[0] * 0] * (n + 1)
+        xs[first : first + span + 1 : M] = x
+        out.append(xs)
+    return tuple(out)
+
+
+def _exact_in_ratd(F, G):
+    n = len(F) - 1
+    return bool(sylvester_resultant(BinaryForm(n, F), BinaryForm(n, G)))
+
+
+# each pinned pair fails a mutant of the quotient rule: X (X + Y), X (X + 2Y)
+# share [0:1], and forgetting that rule proves f = X + Y, g = X + 2Y coprime;
+# Y (X + Y), Y (X + 2Y) share [1:0]; X^2 - Y^2 and X (X + Y) share X + Y, and
+# a stride M = 2 from F's support alone reads G as the one term X^2
+PINNED_STRIDED = [
+    (([1, 1, 0], [1, 2, 0]), False),
+    (([0, 1, 1], [0, 1, 2]), False),
+    (([1, 0, -1], [1, 1, 0]), False),
+    (([1, 0, 3, 0, 1], [0, 1, 0, 5, 0]), True),  # M = 2, residues 0 and 1; g = X + 5Y misses f's roots
+    (([1, 0, 3, 0, 2], [0, 1, 0, 1, 0]), False),  # (X^2 + Y^2) (X^2 + 2Y^2) and (X^2 + Y^2) X Y
+    (([1, 0, 0, 1], [0, 0, 0, 1]), True),  # only G vanishes at [1:0]
+    (([0, 0, 1, 0, 0, 0, 2], [1, 0, 0, 0, 0, 0, 0]), True),  # f one term past the stride 3
+]
+
+
+@pytest.mark.parametrize("pair, want", PINNED_STRIDED, ids=str)
+def test_the_quotient_rat_d_test_on_pinned_strided_pairs(pair, want):
+    assert _exact_in_ratd(*pair) == want
+    assert forms._in_ratd(*pair) == want
+
+
+def test_the_quotient_rat_d_test_on_pinned_cyclotomic_pairs():
+    # X^2 (X^2 + z Y^2) and Y^2 (X^2 + z Y^2), stride 2, share X^2 + z Y^2;
+    # X^4 + z Y^4 and X Y^3 do not
+    z = Cyclotomic.zeta(5)
+    zero, one = z * 0, z**0
+    for F, G, want in [
+        ([one, zero, z, zero, zero], [zero, zero, one, zero, z], False),
+        ([one, zero, zero, zero, z], [zero, one, zero, zero, zero], True),
+        ([one, zero, z, zero, one], [zero, one, zero, z + 1, zero], True),
+    ]:
+        assert _exact_in_ratd(F, G) == forms._in_ratd(F, G) == want
+
+
+@given(pair=strided_pairs())
+@settings(max_examples=300, deadline=None)
+def test_the_quotient_rat_d_test_is_the_exact_one(pair):
+    F, G = pair
+    want = _exact_in_ratd(F, G)
+    assert forms._in_ratd(F, G) == want
+    if any(F) or any(G):
+        n = len(F) - 1
+        assert RationalMap(BinaryForm(n, F), BinaryForm(n, G)).is_in_ratd() == want
 
 
 # ---------------------------------------------------------------------------
