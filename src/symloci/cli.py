@@ -199,7 +199,7 @@ def cmd_construct(args) -> int:
             which = "any type" if t is None else f"type {t}"
             print(f"NotRealizable: no {kind}:{m} symmetry of {which} in degree {d}", file=sys.stderr)
             return 3
-        phi = valid[t].certificate["member"]
+        phi = RationalMap.from_zpoly(*valid[t].certificate["member"])
         # the group is built only for the certificate, once a member exists
         report = _verify_through_generators(phi, standard_subgroup(kind, m))
         if not report.all_verified:

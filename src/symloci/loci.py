@@ -20,8 +20,10 @@ ints, proved on them: its type from F_d and G_0, zeta_m z and (on dihedral
 loci) 1/z by coefficient weights (``aut._fixes``), Rat_d on the quotient
 x -> x^M (``forms._in_ratd``): F = X^a Y^b f(X^M, Y^M) and G = X^a' Y^b'
 g(X^M, Y^M) share a root iff both vanish at 0 or both at infinity, or f and
-g, of degree about d/M, share one.  The survey builds no member as a map.  A
-map fixed by the generators is fixed by their group, so no group is built.
+g, of degree about d/M, share one.  A member is its two int lists (F, G)
+wherever this module returns one; only ``construct`` builds a map, of the
+member it prints.  A map fixed by the generators is fixed by their group, so
+no group is built.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import gcd
 # it among the bindings the tracer must patch
 from .aut import _fixes, _verified_type, is_automorphism  # noqa: F401
 from .cyclotomic import Cyclotomic, _root_exponent
-from .forms import BinaryForm, RationalMap, _in_ratd
+from .forms import _in_ratd
 from .moebius import MoebiusMap
 
 _SEARCH_VALUES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -144,7 +146,9 @@ def _strata(d: int, m: int) -> list[tuple[int, int, dict[str, int]]]:
     d' = (d - t)/m >= 1.  A component's maps are eta^e-eigenvectors, eta =
     zeta_2m, e taken mod 2m: a_0's d - 1 at t = 1 and on the t = 0 component
     "inf" (a_0 and a_d nonzero), b_0's d + 1 at t = -1 and on "zero" (b_0 and
-    b_d nonzero), which 1/z swaps with "inf"."""
+    b_d nonzero), which 1/z swaps with "inf".  ValueError for d < 2 or m < 2."""
+    if d < 2 or m < 2:
+        raise ValueError("need d >= 2 and m >= 2")
     exponents = {1: {"inf": d - 1}, 0: {"inf": d - 1, "zero": d + 1}, -1: {"zero": d + 1}}
     return [
         (t, (d - t) // m, {comp: e % (2 * m) for comp, e in exponents[t].items()})
@@ -156,6 +160,8 @@ def _strata(d: int, m: int) -> list[tuple[int, int, dict[str, int]]]:
 def _component_exponent(d: int, m: int, t: int, component: str | None) -> int | None:
     # e of the type's only component, or of the named one where t = 0 has
     # two; None when the type has no stratum or no such component
+    if component not in ("inf", "zero", None):
+        raise ValueError(f"component must be 'inf', 'zero' or None, not {component!r}")
     exps = next((exps for s, _, exps in _strata(d, m) if s == t), {})
     return next(iter(exps.values())) if len(exps) == 1 else exps.get(component)
 
@@ -174,45 +180,24 @@ def _search(d: int, vecs: list[dict], gens: list[MoebiusMap], t: int, budget: in
     raise NoMemberFound(exhausted)
 
 
-def _as_map(FG: tuple) -> RationalMap:  # a member's int lists (F, G) as its RationalMap
-    return RationalMap(*(BinaryForm(len(xs) - 1, xs) for xs in FG))
-
-
-def _with_maps(reports: list) -> list:  # the reports, each member's lists (F, G) made its RationalMap in place
-    for _, rep in reports:
-        if rep.certificate.get("member"):
-            rep.certificate["member"] = _as_map(rep.certificate["member"])
-    return reports
-
-
-def _cyclic_member(d: int, m: int, t: int, component: str, budget: int = 64) -> tuple:  # generic_member's lists
+def generic_member(d: int, m: int, t: int, component: str = "inf", budget: int = 64) -> tuple:
+    """The int lists (F, G) of a deterministic small-coefficient member of
+    the cyclic locus with the requested type, exactly verified on those lists
+    before being returned; ``RationalMap.from_zpoly(F, G)`` is its map."""
     if (e := _component_exponent(d, m, t, component)) is None:
         raise NoMemberFound(f"no stratum of type t={t} for d={d} m={m}")
     vecs, exhausted = [{ix: 1} for ix in _eigenspace(d, m, e)], f"no member for d={d} m={m} t={t} within budget"
     return _search(d, vecs, [_rotation(m)], t, budget, exhausted)
 
 
-def generic_member(d: int, m: int, t: int, component: str = "inf", budget: int = 64) -> RationalMap:
-    """Deterministic small-coefficient member of the cyclic locus with the
-    requested type, exactly verified before being returned."""
-    if d < 2 or m < 2:
-        raise ValueError("need d >= 2 and m >= 2")
-    return _as_map(_cyclic_member(d, m, t, component, budget))
-
-
 def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     """For each type t with m | d - t: the locus dimensions, eigenspace
-    certificate and an exactly verified generic member.
+    certificate and an exactly verified generic member, as its int lists
+    (F, G) under certificate["member"].
 
     dim in the moduli space is 2(d-t)/m + t - 1; in the parameter space one
     more (the scaling family z -> cz acts along the fibers).
     """
-    return _with_maps(_cyclic_reports(d, m))
-
-
-def _cyclic_reports(d: int, m: int) -> list[tuple[int, LocusReport]]:  # the members as int lists (F, G)
-    if d < 2 or m < 2:
-        raise ValueError("need d >= 2 and m >= 2")
     out = []
     for t, dprime, exps in _strata(d, m):
         dim_moduli = 2 * dprime + t - 1
@@ -230,7 +215,7 @@ def _cyclic_reports(d: int, m: int) -> list[tuple[int, LocusReport]]:  # the mem
             cert["bases"][comp] = [list(ix) for ix in basis]
             if len(basis) != dim_ratd + 1:
                 raise AssertionError("eigenspace count disagrees with the formula")
-        cert["member"] = _cyclic_member(d, m, t, next(iter(exps)))
+        cert["member"] = generic_member(d, m, t, next(iter(exps)))
         cert["member_verified"] = True
         out.append((t, LocusReport(True, dim_moduli, dim_ratd, len(exps), cert)))
     return out
@@ -256,16 +241,12 @@ def dihedral_basis(d: int, m: int, t: int, mu: int, component: str | None = None
     return [{("a", k): 1, ("b", d - k): mu} for k in a_idx]
 
 
-def _dihedral_member(d: int, m: int, t: int, mu: int, budget: int = 64) -> tuple:  # dihedral_generic_member's lists
+def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -> tuple:
+    """The int lists (F, G) of a deterministic member of the dihedral locus
+    of type t and sign mu, proved fixed by zeta_m z and 1/z on those lists."""
     if not (vecs := dihedral_basis(d, m, t, mu)):
         raise NoMemberFound("empty dihedral stratum")
     return _search(d, vecs, [_rotation(m), _INVERSION], t, budget, f"no dihedral member for d={d} m={m} t={t} mu={mu}")
-
-
-def dihedral_generic_member(d: int, m: int, t: int, mu: int, budget: int = 64) -> RationalMap:
-    if d < 2 or m < 2:
-        raise ValueError("need d >= 2 and m >= 2")
-    return _as_map(_dihedral_member(d, m, t, mu, budget))
 
 
 def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
@@ -279,12 +260,6 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     searched and the signs realizing members are recorded.  A nonempty
     basis where both searches run dry raises NoMemberFound.
     """
-    return _with_maps(_dihedral_reports(d, m))
-
-
-def _dihedral_reports(d: int, m: int) -> list[tuple[int, LocusReport]]:  # the members as int lists (F, G)
-    if d < 2 or m < 2:
-        raise ValueError("need d >= 2 and m >= 2")
     out = []
     for t, dprime, _ in _strata(d, m):
         if t == 0:
@@ -294,7 +269,7 @@ def _dihedral_reports(d: int, m: int) -> list[tuple[int, LocusReport]]:  # the m
         members = {}
         for mu in (1, -1):
             with suppress(NoMemberFound):
-                members[mu] = _dihedral_member(d, m, t, mu)
+                members[mu] = dihedral_generic_member(d, m, t, mu)
         signs, member = list(members), next(iter(members.values()), None)
         vecs = dihedral_basis(d, m, t, 1)
         if member is None and vecs:
@@ -312,7 +287,7 @@ def stalk_order(d: int, m: int, t: int) -> int:
       t = +-1: 1 if (d - t)/m is even else 2
       t = 0:   m if d is odd else 2m
     """
-    if t not in (1, 0, -1) or (d - t) % m:
+    if t not in [s for s, _, _ in _strata(d, m)]:  # _strata refuses d < 2 and m < 2
         raise ValueError(f"m must divide d - t for a type t in (1, 0, -1), not t={t}")
     return (1 if (d - t) // m % 2 == 0 else 2) if t else (m if d % 2 else 2 * m)
 
@@ -329,7 +304,7 @@ def stalk_order_from_eigenvalue(d: int, m: int, t: int) -> int:
 
 
 def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
-    """Survey rows for one degree, each member proved on its int lists and built as no map; every row carries
+    """Survey rows for one degree, each member proved on its int lists (F, G); every row carries
     both the closed-form dimension and the linear-algebra dimension plus a match flag, which on a cyclic row
     also needs the two routes to the stalk order s to agree."""
 
@@ -340,13 +315,13 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
     rows = []
     if "cyclic" in kinds:
         for m in range(2, d + 2):
-            for t, rep in _cyclic_reports(d, m):
+            for t, rep in cyclic_existence_and_dim(d, m):
                 affine, s = len(next(iter(rep.certificate["bases"].values()))), stalk_order(d, m, t)
                 match = affine - 1 == rep.dim_ratd and s == stalk_order_from_eigenvalue(d, m, t)
                 rows.append(row(f"cyclic:{m}", t, rep, s=s, dim_linalg=affine - 1, match=match))
     if "dihedral" in kinds:
         for m in range(2, d + 2):
-            for t, rep in _dihedral_reports(d, m):
+            for t, rep in dihedral_dim(d, m):
                 linalg = rep.certificate["free_parameters"] - 1 if rep.exists else None
                 # an empty row matches only where the theorem says empty (t = 0)
                 # and each component's basis is, for one sign mu: the pairing

@@ -30,7 +30,7 @@ import random
 import pytest
 
 from symloci.cyclotomic import Cyclotomic
-from symloci.forms import BinaryForm, _product_mod, form_gcd, substitute, sylvester_resultant
+from symloci.forms import BinaryForm, RationalMap, _product_mod, form_gcd, substitute, sylvester_resultant
 from symloci.loci import dihedral_generic_member, generic_member
 from symloci.moebius import MoebiusMap, conjugate_map, standard_subgroup
 from symloci.platonic import construct_symmetric_map
@@ -105,8 +105,8 @@ def test_product_mod(benchmark, d):
 
 
 IN_RATD_MAPS = {
-    "dihedral:3 d=11": lambda: dihedral_generic_member(11, 3, -1, 1),
-    "cyclic:2 d=79": lambda: generic_member(79, 2, 1),
+    "dihedral:3 d=11": lambda: RationalMap.from_zpoly(*dihedral_generic_member(11, 3, -1, 1)),
+    "cyclic:2 d=79": lambda: RationalMap.from_zpoly(*generic_member(79, 2, 1)),
     "octa d=13": lambda: construct_symmetric_map(13, "octa")[0],
 }
 IN_RATD_ROUTES = {

@@ -151,10 +151,11 @@ def _fixes_cases():
     # a degree-24 member of the dihedral:5 locus, under its rotation, its
     # inversion and the dense octahedral generator i(z+1)/(z-1)
     from symloci.cyclotomic import Cyclotomic
+    from symloci.forms import RationalMap
     from symloci.loci import dihedral_generic_member
     from symloci.moebius import MoebiusMap
 
-    phi = dihedral_generic_member(24, 5, -1, 1)
+    phi = RationalMap.from_zpoly(*dihedral_generic_member(24, 5, -1, 1))
     rotation, inversion = standard_subgroup("dihedral", 5).generators
     i = Cyclotomic.zeta(4)
     return phi, {"zeta5z": rotation, "1/z": inversion, "dense": MoebiusMap(i, i, 1, -1)}

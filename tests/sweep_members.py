@@ -19,7 +19,7 @@ import pytest
 
 from symloci import forms, loci
 from symloci.cli import DEFAULT_DEGREE_CAP
-from symloci.forms import BinaryForm
+from symloci.forms import BinaryForm, RationalMap
 from symloci.loci import cyclic_existence_and_dim, dihedral_dim
 
 
@@ -30,7 +30,7 @@ def test_every_stratum_finds_a_member(d):
         cyclic = dict(cyclic_existence_and_dim(d, m))
         assert set(cyclic) == types, (d, m)
         for t, rep in cyclic.items():
-            assert rep.exists and rep.certificate["member"].is_in_ratd(), (d, m, t)
+            assert rep.exists and RationalMap.from_zpoly(*rep.certificate["member"]).is_in_ratd(), (d, m, t)
         for t, rep in dihedral_dim(d, m):
             if t == 0:
                 assert not rep.exists, (d, m)

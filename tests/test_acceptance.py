@@ -134,7 +134,7 @@ def test_criterion_03_dihedral_dimensions():
                 assert rep.dim_moduli == expected
                 assert rep.certificate["free_parameters"] - 1 == expected
                 assert verify_group_action(
-                    rep.certificate["member"], standard_subgroup("dihedral", m)
+                    RationalMap.from_zpoly(*rep.certificate["member"]), standard_subgroup("dihedral", m)
                 ).all_verified
                 checked += 1
     assert checked >= 25
@@ -225,9 +225,9 @@ def test_criterion_08_stalk_orders():
                     assert s == (m if d % 2 else 2 * m)
                 # direct eigenvalue computation on a certificate member
                 comp = "inf" if t >= 0 else "zero"
-                phi = generic_member(d, m, t, comp)
+                F, G = generic_member(d, m, t, comp)
                 eta = Cyclotomic.zeta(2 * m)
-                coeffs = list(phi.F.coeffs) + list(phi.G.coeffs)
+                coeffs = F + G
                 lams = set()
                 for k, c in enumerate(coeffs):
                     if c:

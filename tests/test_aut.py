@@ -55,7 +55,7 @@ def test_automorphism_type_examples():
     # phi = 1/(z(z^2+2)) maps 0 -> inf, inf -> 0 ... use a verified family
     from symloci.loci import generic_member
 
-    phi0 = generic_member(4, 2, 0, "inf")
+    phi0 = RationalMap.from_zpoly(*generic_member(4, 2, 0, "inf"))
     assert automorphism_type(phi0, neg) == 0
 
 
@@ -191,11 +191,12 @@ def _map_pool():
         for m in (MoebiusMap(2, 1, 1, 1), MoebiusMap(1, 1, 0, 1)):  # SL2(Z), not normalizing G
             pool.append((conjugate_map(phi, m), None, group))
     for m, t in zip(range(2, 13), itertools.cycle((1, 0, -1))):
-        pool.append((generic_member(m + t, m, t, "zero"), standard_subgroup("cyclic", m), None))
+        phi = RationalMap.from_zpoly(*generic_member(m + t, m, t, "zero"))
+        pool.append((phi, standard_subgroup("cyclic", m), None))
     for m in range(2, 9):
         for t, mu in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
             try:
-                phi = dihedral_generic_member(m + t, m, t, mu)
+                phi = RationalMap.from_zpoly(*dihedral_generic_member(m + t, m, t, mu))
             except NoMemberFound:
                 continue
             pool.append((phi, standard_subgroup("dihedral", m), None))
@@ -288,10 +289,12 @@ def _members():
             for t in (1, 0, -1):
                 if (d - t) % m or (d - t) // m < 1:
                     continue
-                out.append((generic_member(d, m, t, "zero" if t < 0 else "inf"), standard_subgroup("cyclic", m)))
+                member = generic_member(d, m, t, "zero" if t < 0 else "inf")
+                out.append((RationalMap.from_zpoly(*member), standard_subgroup("cyclic", m)))
                 for mu in (1, -1) if t else ():
                     try:
-                        out.append((dihedral_generic_member(d, m, t, mu), standard_subgroup("dihedral", m)))
+                        member = dihedral_generic_member(d, m, t, mu)
+                        out.append((RationalMap.from_zpoly(*member), standard_subgroup("dihedral", m)))
                         break
                     except NoMemberFound:
                         pass
@@ -374,7 +377,7 @@ def _fixes_cases(draw):
 @example((RationalMap.from_zpoly([1, 0, 0, 0, 1], [1, 0, 0]), MoebiusMap(Cyclotomic.zeta(12, 3) * 2, 0, 0, 2)))
 @example((RationalMap.from_zpoly([1], [1, 0]), MoebiusMap.scaling(-1)))
 @example((degree5_example(), MoebiusMap(Cyclotomic.zeta(4), Cyclotomic.zeta(4), 1, -1)))
-@example((dihedral_generic_member(6, 5, 1, -1), MoebiusMap.inversion()))  # a mu = -1 member
+@example((RationalMap.from_zpoly(*dihedral_generic_member(6, 5, 1, -1)), MoebiusMap.inversion()))  # a mu = -1 member
 @example((RationalMap.from_zpoly([4, 0, 2], [16, 0, 2]), MoebiusMap(0, 1, 4, 0)))  # fixed by 1/(4z): b != c
 @example((RationalMap.from_zpoly([0, 1, 1], [-1, -1, 0]), MoebiusMap(0, -1, -1, 0)))  # F_0 = G_2 = 0, fixed
 @example((RationalMap.from_zpoly([3, 0, 1], [1, 0]), MoebiusMap(0, 1, 1, 0)))  # G_0 = 0, not fixed
@@ -478,7 +481,7 @@ def test_a_failing_generator_falls_back_to_the_element_scan():
 
     for m, t, mu in ((3, 1, 1), (4, -1, 1), (5, 1, -1)):
         d = m + t
-        phi = dihedral_generic_member(d, m, t, mu)
+        phi = RationalMap.from_zpoly(*dihedral_generic_member(d, m, t, mu))
         group = standard_subgroup("dihedral", m)
         rotation, inversion = group.generators
         coeffs, seen = phi.coefficients(), set()
@@ -537,8 +540,8 @@ def discovery_maps():
         maps.append((f"{kind}{d}", phi, f"{kind}{d}"))
         maps.extend((f"{kind}{d}^{m}", conjugate_map(phi, MoebiusMap(*m)), f"{kind}{d}") for m in M_PANEL)
     small = [
-        ("cyclic:3 d=7", generic_member(7, 3, 1, "zero")),
-        ("dihedral:3 d=7", dihedral_generic_member(7, 3, 1, 1)),
+        ("cyclic:3 d=7", RationalMap.from_zpoly(*generic_member(7, 3, 1, "zero"))),
+        ("dihedral:3 d=7", RationalMap.from_zpoly(*dihedral_generic_member(7, 3, 1, 1))),
         ("4z^3 - 3z, infinity fixed", RationalMap.from_zpoly([4, 0, -3, 0], [0, 0, 0, 1])),
         ("1/z^2", RationalMap.from_zpoly([0, 0, 1], [1, 0, 0])),
         ("z + 1/z, period-2 points", RationalMap.from_zpoly([1, 0, 1], [0, 1, 0])),

@@ -1,6 +1,7 @@
 """Cyclic and dihedral locus dimensions, stalk data, generic members."""
 
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -61,12 +62,12 @@ def test_two_component_split_at_t0():
 
 
 def test_generic_members_verified():
-    phi = generic_member(3, 2, 1)
+    phi = RationalMap.from_zpoly(*generic_member(3, 2, 1))
     sigma = MoebiusMap.scaling(-1)
     assert phi.is_in_ratd()
     assert is_automorphism(phi, sigma)
     assert automorphism_type(phi, sigma) == 1
-    phi = generic_member(2, 3, -1)
+    phi = RationalMap.from_zpoly(*generic_member(2, 3, -1))
     zeta3 = MoebiusMap.scaling(Cyclotomic.zeta(3))
     assert automorphism_type(phi, zeta3) == -1
     with pytest.raises(NoMemberFound):
@@ -80,9 +81,24 @@ def test_member_search_rejects_order_one():
         for t in (1, 0, -1):
             with pytest.raises(ValueError, match="m >= 2"):
                 generic_member(d, 1, t)
+            with pytest.raises(ValueError, match="m >= 2"):
+                dihedral_basis(d, 1, t, 1)
             for mu in (1, -1):
                 with pytest.raises(ValueError, match="m >= 2"):
                     dihedral_generic_member(d, 1, t, mu)
+
+
+def test_a_bad_component_name_is_refused():
+    # t = 0 at d = 4, m = 2 has both components; another name used to read
+    # as a missing stratum (generic_member) or an empty basis (dihedral_basis)
+    for find in (lambda c: generic_member(4, 2, 0, c), lambda c: dihedral_basis(4, 2, 0, 1, c)):
+        for bad in ("foo", "", "Inf"):
+            with pytest.raises(ValueError, match=f"component must be 'inf', 'zero' or None, not {bad!r}"):
+                find(bad)
+    with pytest.raises(ValueError, match="not 'foo'"):
+        generic_member(3, 2, 1, "foo")  # a one-component type refuses the name too
+    assert generic_member(4, 2, 0, "zero") != generic_member(4, 2, 0, "inf")
+    assert dihedral_basis(4, 2, 0, 1, "zero") == dihedral_basis(4, 2, 0, 1, None) == []
 
 
 def test_member_search_on_bases_longer_than_the_search_values():
@@ -90,7 +106,7 @@ def test_member_search_on_bases_longer_than_the_search_values():
     # with period 12, or F and G share a factor at every seed
     for d, m in [(23, 2), (34, 3), (35, 3), (45, 4)]:
         reps = cyclic_existence_and_dim(d, m)
-        assert reps and all(rep.exists and rep.certificate["member"].is_in_ratd() for _, rep in reps)
+        assert reps and all(rep.exists and RationalMap.from_zpoly(*rep.certificate["member"]).is_in_ratd() for _, rep in reps)
     for t, rep in dihedral_dim(47, 2):
         assert rep.exists and rep.certificate["signs_realized"] == [1, -1], t
 
@@ -134,7 +150,7 @@ def test_dihedral_members_and_signs():
     for t in (1, -1):
         cert = res[t].certificate
         assert cert["signs_realized"], "at least one inversion sign must produce members"
-        phi = cert["member"]
+        phi = RationalMap.from_zpoly(*cert["member"])
         rep = verify_group_action(phi, standard_subgroup("dihedral", 2))
         assert rep.all_verified
 
@@ -164,6 +180,28 @@ def test_family_survey_builds_no_group(monkeypatch):
     spy = lambda self, *a, **k: built.append(a) or init(self, *a, **k)  # noqa: E731
     monkeypatch.setattr(moebius.FiniteSubgroup, "__init__", spy)
     assert cli.main(["survey", "--groups", "cyclic,dihedral", "--d", "9", "--out", os.devnull]) == 0
+    assert built == []
+
+
+def test_the_survey_reads_its_members_from_the_public_functions(monkeypatch):
+    # survey_rows finds its reports and members through the module's public
+    # functions, so a wrapper on them (as the benchmark tracer installs) sees
+    # every call; each member stays two int lists and no BinaryForm is built
+    from symloci import forms, loci
+
+    calls = Counter()
+
+    def spy(name):
+        fn = getattr(loci, name)
+        return lambda *a, **k: calls.update([name]) or fn(*a, **k)
+
+    for name in ("generic_member", "dihedral_generic_member", "cyclic_existence_and_dim", "dihedral_dim"):
+        monkeypatch.setattr(loci, name, spy(name))
+    built, init = [], forms.BinaryForm.__init__
+    monkeypatch.setattr(forms.BinaryForm, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    for d in range(8, 12):
+        loci.survey_rows(d)
+    assert calls == {"generic_member": 29, "dihedral_generic_member": 40, "cyclic_existence_and_dim": 38, "dihedral_dim": 38}
     assert built == []
 
 
@@ -203,13 +241,13 @@ def oracle_search(d, vecs, gens, t, budget, exhausted):
 
 
 def _member_outcomes(budget):
-    # the member's JSON, or the NoMemberFound message, of every cyclic
+    # the member's int lists (F, G), or the NoMemberFound message, of every cyclic
     # (each component) and dihedral (each sign) stratum for d = 2..30
     from symloci.loci import _strata, dihedral_generic_member
 
     def outcome(search, *args):
         try:
-            return search(*args, budget=budget).to_json()
+            return search(*args, budget=budget)
         except NoMemberFound as exc:
             return f"NoMemberFound: {exc}"
 
@@ -422,10 +460,12 @@ def test_both_stalk_order_routes_raise_on_the_same_triples():
 
     with pytest.raises(ValueError, match="m must divide d - t"):
         stalk_order(6, 2, 2)
-    triples = [(d, m, t) for d in range(2, 41) for m in range(2, d + 2) for t in range(-3, 4)]
+    # d = 1 and m = 1 have no strata either: both routes returned 1 for (3, 1, 0)
+    triples = [(d, m, t) for d in range(1, 41) for m in range(1, d + 2) for t in range(-3, 4)]
     verdicts = [raises(stalk_order, *x) for x in triples]
     assert verdicts == [raises(stalk_order_from_eigenvalue, *x) for x in triples]
-    assert all(verdicts[i] for i, (_, _, t) in enumerate(triples) if abs(t) > 1) and not all(verdicts)
+    assert all(verdicts[i] for i, (d, m, t) in enumerate(triples) if abs(t) > 1 or min(d, m) < 2)
+    assert not all(verdicts)
 
 
 def test_a_type_without_a_stratum_searches_no_seed(monkeypatch):
