@@ -9,8 +9,10 @@ zeta^i / den with den > 0 and gcd(den, *nums) == 1.  That form is unique,
 so elements of one field are equal iff their (nums, den) agree; elements
 of different fields are compared at the lcm conductor.  Sums, products
 (convolutions folded modulo Phi_n) and inverses (an extended Euclid
-against Phi_n) run on integers, then divide out one gcd.  ``c`` gives the
-coefficients as Fractions, for printing.
+against Phi_n) run on integers, then divide out one gcd.  A fold wraps the
+exponents mod x^n - 1, then keeps the remainder of long division by the
+monic Phi_n, read from Phi_n's nonzero terms; no table of reduced powers is
+kept per conductor.  ``c`` gives the coefficients as Fractions, for printing.
 
 Also provided here: exact linear algebra (``ExactMatrix``), read only by
 ``platonic.character_eigenspace``, which no command calls, and the maps to
@@ -92,38 +94,26 @@ def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # row k-phi expresses zeta_n^k (phi <= k < n) in the reduced basis,
-    # as the (index, coefficient) pairs of its nonzero entries
+def _phi_terms(n: int) -> tuple[tuple[int, int], ...]:
+    # (i - phi, c) for each nonzero c x^i of Phi_n below x^phi: all a division reads
     phi = _phi(n)
-    mod = _cyclotomic_int_coeffs(n)
-    rows = []
-    cur = [-c for c in mod[:phi]]  # x^phi
-    for _ in range(phi, n):
-        rows.append(tuple((i, v) for i, v in enumerate(cur) if v))
-        top = cur[phi - 1]
-        cur = [0] + cur[:-1]
-        if top:
-            for i in range(phi):
-                cur[i] -= top * mod[i]
-    return tuple(rows)
+    return tuple((i - phi, c) for i, c in enumerate(_cyclotomic_int_coeffs(n)[:phi]) if c)
 
 
 def _fold(n: int, phi: int, raw: list) -> tuple[int, ...]:
-    # sum_e raw[e] zeta_n^e (integers, any length) in the reduced basis;
-    # raw is consumed
+    # sum_e raw[e] zeta_n^e (integers, any length) in the reduced basis: the
+    # exponents wrap mod x^n - 1, then long division by the monic Phi_n, top
+    # exponent down to phi, leaves the remainder; raw is consumed
     if len(raw) > n:
         for e in range(n, len(raw)):
             raw[e % n] += raw[e]
         del raw[n:]
-    out = raw[:phi] + [0] * (phi - len(raw))
-    rows = _reduction_rows(n)
-    for e in range(phi, len(raw)):
-        c = raw[e]
-        if c:
-            for i, r in rows[e - phi]:
-                out[i] += c * r
-    return tuple(out)
+    terms = _phi_terms(n)
+    for e in range(len(raw) - 1, phi - 1, -1):
+        if c := raw[e]:
+            for j, v in terms:
+                raw[e + j] -= c * v
+    return tuple(raw[:phi] + [0] * (phi - len(raw)))
 
 
 def _make(n: int, nums: tuple[int, ...], den: int) -> Cyclotomic:

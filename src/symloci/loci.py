@@ -184,6 +184,8 @@ def generic_member(d: int, m: int, t: int, component: str = "inf", budget: int =
     """The int lists (F, G) of a deterministic small-coefficient member of
     the cyclic locus with the requested type, exactly verified on those lists
     before being returned; ``RationalMap.from_zpoly(F, G)`` is its map."""
+    if t == 0 and component is None:
+        raise ValueError("a t = 0 stratum has two components: name 'inf' or 'zero'")
     if (e := _component_exponent(d, m, t, component)) is None:
         raise NoMemberFound(f"no stratum of type t={t} for d={d} m={m}")
     vecs, exhausted = [{ix: 1} for ix in _eigenspace(d, m, e)], f"no member for d={d} m={m} t={t} within budget"

@@ -3,7 +3,10 @@
 import cmath
 import hashlib
 import json
+import random
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
 
 import pytest
@@ -102,6 +105,73 @@ def test_a_wrong_phi_makes_the_cyclotomic_product_raise(n, shift, monkeypatch):
     monkeypatch.setattr(cyclotomic, "_phi", lambda k: euler_phi(k) + shift)
     with pytest.raises(AssertionError, match="no monic polynomial"):
         _cyclotomic_int_coeffs.__wrapped__(n)
+
+
+def oracle_reduction_rows(n):
+    # the table of reduced powers: row k - phi is zeta_n^k, phi <= k < n,
+    # reduced, as the (index, coefficient) pairs of its nonzero entries,
+    # each row the last one times x
+    phi, mod = euler_phi(n), _cyclotomic_int_coeffs(n)
+    rows, cur = [], [-c for c in mod[:phi]]  # x^phi
+    for _ in range(phi, n):
+        rows.append(tuple((i, v) for i, v in enumerate(cur) if v))
+        top, cur = cur[phi - 1], [0] + cur[:-1]
+        cur = [v - top * c for v, c in zip(cur, mod)]
+    return rows
+
+
+def oracle_fold(n, raw, rows):
+    # raw wrapped mod x^n - 1, each zeta_n^k past phi read off its row
+    phi, wrapped = euler_phi(n), [sum(raw[e::n]) for e in range(min(n, len(raw)))]
+    out = wrapped[:phi] + [0] * (phi - len(wrapped))
+    for e, c in enumerate(wrapped[phi:], phi):
+        for i, v in rows[e - phi]:
+            out[i] += c * v
+    return tuple(out)
+
+
+def test_the_fold_matches_the_reduction_table():
+    # every conductor n <= 120, every raw length up to 2n + 1: the wrap
+    # mod x^n - 1 and the division by Phi_n both run; dense, sparse and
+    # large digits
+    rng = random.Random(4401)
+    for n in range(1, 121):
+        phi, rows = euler_phi(n), oracle_reduction_rows(n)
+        for length in range(2 * n + 2):
+            bound = rng.choice([1, 9, 10**30])
+            raw = [rng.randint(-bound, bound) * (rng.random() < 0.7) for _ in range(length)]
+            assert cyclotomic._fold(n, phi, list(raw)) == oracle_fold(n, raw, rows), (n, length)
+
+
+@pytest.mark.parametrize("n", [12508, 27720])
+def test_the_fold_at_a_large_conductor_keeps_the_image_mod_p(n):
+    # the table costs seconds and hundreds of MB there: the fold must keep
+    # the image under the ring map zeta_n -> r of _image_field(n), on raws
+    # that wrap and divide, and zeta^a zeta^b must be zeta^(a + b)
+    (p, r), phi, rng = cyclotomic._image_field(n), euler_phi(n), random.Random(n)
+    image = lambda digits: reduce(lambda acc, c: (acc * r + c) % p, reversed(digits), 0)  # noqa: E731
+    raws = [[rng.randint(-9, 9) for _ in range(2 * n + 1)], [0] * (n - 1) + [1], [0] * phi + [1]]
+    raws += [[rng.randint(-99, 99) * (rng.random() < 0.01) for _ in range(rng.randint(phi, 2 * n))] for _ in range(2)]
+    for raw in raws:
+        folded = cyclotomic._fold(n, phi, list(raw))
+        assert len(folded) == phi and image(folded) == image(raw)
+    for a, b in [(1, n - 1), (phi, n - phi), (n - 1, n - 2), (rng.randrange(n), rng.randrange(n))]:
+        assert Cyclotomic.zeta(n, a) * Cyclotomic.zeta(n, b) == Cyclotomic.zeta(n, a + b), (a, b)
+
+
+def test_the_first_fold_at_a_large_conductor_builds_no_table():
+    # with every cache of the module cleared, zeta_27720^27719 builds Phi_n
+    # and divides once; a table of the reduced powers zeta^k, phi <= k < n,
+    # holds 5.16 M pairs at this n and peaks near 450 MB
+    for f in vars(cyclotomic).values():
+        getattr(f, "cache_clear", lambda: None)()
+    tracemalloc.start()
+    try:
+        z = Cyclotomic.zeta(27720, 27719)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.n == 27720 and peak < 16 * 2**20, peak
 
 
 def test_canonical_reduce_examples():
@@ -376,13 +446,13 @@ def test_the_root_exponent_is_proved_at_the_values_own_conductor(monkeypatch):
     for x in cases:
         for n in {x.n, 2 * x.n // gcd(2, x.n), 6 * x.n // gcd(2, x.n), 7, 10}:
             assert cyclotomic._root_exponent(x, n) == oracle_root_exponent(x, n), (x, n)
-    # zeta_4001 at N = 8002: no reduction rows at 8002 are built
+    # zeta_4001 at N = 8002: the proof folds at 4001, and nothing at 8002
     folded = []
-    real = cyclotomic._reduction_rows
-    monkeypatch.setattr(cyclotomic, "_reduction_rows", lambda n: folded.append(n) or real(n))
+    real = cyclotomic._fold
+    monkeypatch.setattr(cyclotomic, "_fold", lambda n, phi, raw: folded.append(n) or real(n, phi, raw))
     cyclotomic._stored_root_exponent.cache_clear()
     assert Cyclotomic.zeta(4001).ru_order() == 4001 and cyclotomic._root_exponent(Cyclotomic.zeta(4001, 3), 8002) == 6
-    assert (-Cyclotomic.zeta(4001)).ru_order() == 8002 and 8002 not in folded
+    assert (-Cyclotomic.zeta(4001)).ru_order() == 8002 and 4001 in folded and 8002 not in folded
 
 
 def test_one_value_stored_at_two_conductors_gives_one_exponent(monkeypatch):

@@ -101,6 +101,16 @@ def test_a_bad_component_name_is_refused():
     assert dihedral_basis(4, 2, 0, 1, "zero") == dihedral_basis(4, 2, 0, 1, None) == []
 
 
+def test_a_t_0_member_without_a_component_name_is_refused():
+    # None selects neither t = 0 component, so the call must ask for one
+    # and not report the stratum missing
+    for d, m in ((4, 2), (6, 3), (12, 2)):
+        with pytest.raises(ValueError, match="name 'inf' or 'zero'"):
+            generic_member(d, m, 0, None)
+    assert generic_member(3, 2, 1, None) == generic_member(3, 2, 1)  # one component: None is fine
+    assert dihedral_basis(6, 3, 0, -1, None) == []
+
+
 def test_member_search_on_bases_longer_than_the_search_values():
     # more than 12 basis vectors: the seeded coefficients must not repeat
     # with period 12, or F and G share a factor at every seed
