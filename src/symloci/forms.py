@@ -166,14 +166,13 @@ def _powers(x: Cyclotomic, top: int) -> list[Cyclotomic]:
     return list(accumulate(repeat(x, top), mul, initial=x**0))
 
 
-def _accumulate_product(out: list, p1: list, p2: list, coef=None):
-    # out += coef * p1 * p2, coefficient lists in the X^(n-i) Y^i order
+def _accumulate_product(out: list, p1: list, p2: list):
+    # out += p1 * p2, coefficient lists in the X^(n-i) Y^i order
     for u, x in enumerate(p1):
         if x:
-            cx = x if coef is None else coef * x
             for v, y in enumerate(p2):
                 if y:
-                    out[u + v] = out[u + v] + cx * y
+                    out[u + v] = out[u + v] + x * y
 
 
 def substitute(f: BinaryForm, g) -> BinaryForm:

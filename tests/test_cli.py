@@ -292,6 +292,40 @@ def test_bad_input_is_a_usage_error_not_a_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr and "usage error" in proc.stderr, proc.stderr
 
 
+_LENIENT_SPECS = ["cyclic:3:t=1:junk", "cyclic:3_0", "cyclic:+3", "cyclic: 3", "dihedral:2:t=+1"]
+_REFUSED_SPECS = ["octa:", "tetra:1", "cyclic", "cyclic:0", "cyclic:x", "dihedral:2:u=1", "dihedral:2:t=2", "frob"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--d", "7", "--group", spec] for spec in _LENIENT_SPECS + _REFUSED_SPECS]
+    + [["check", "@map", "--group", spec] for spec in _LENIENT_SPECS + _REFUSED_SPECS]
+    + [
+        ["survey", "--groups", "cyclic,frob", "--d", "3"],
+        ["survey", "--d", "5..3"],
+        ["survey", "--d", "1_1..1_1"],
+        ["construct", "--d", "1_3", "--group", "octa"],
+        ["construct", "--group", "cyclic:1", "--d", "5"],
+        ["aut", "@degree1"],
+    ],
+    ids=lambda argv: " ".join(a.lstrip("@") for a in argv),
+)
+def test_a_malformed_spec_is_a_usage_error(fuzz_files, argv):
+    # a group spec or a degree matches its grammar as a whole or not at all:
+    # cyclic:3_0 is no cyclic:30, cyclic:3:t=1:junk no cyclic:3:t=1, 1_3 no 13
+    code, out, err = run([fuzz_files[a[1:]] if a.startswith("@") else a for a in argv])
+    assert (code, out) == (1, ""), err
+    assert err.startswith("usage error:") and "Traceback" not in err, err
+
+
+def test_a_well_formed_group_spec_parses():
+    from symloci.cli import _parse_group
+
+    assert _parse_group("CYCLIC:3") == ("cyclic", 3, None)
+    assert _parse_group("dihedral:4:t=-1") == ("dihedral", 4, -1)
+    assert _parse_group("icosa") == ("icosa", None, None)
+
+
 @pytest.mark.parametrize(
     "coefficient",
     [
@@ -613,22 +647,17 @@ def test_every_payload_is_written_as_json_dumps_writes_it(monkeypatch, degree5_f
     files = {"@map": degree5_file, "@pair": str(pair_file)}
     payloads, writer = [], cli._json
 
-    def spy(obj, default=None, indent="\n"):
+    def spy(obj, indent="\n"):
         if indent == "\n":
-            payloads.append((obj, default))
-        return writer(obj, default, indent)
+            payloads.append(obj)
+        return writer(obj, indent)
 
     monkeypatch.setattr(cli, "_json", spy)
     code, out, err = run([files.get(a, a) for a in argv])
     assert code == 0, err
-    [(payload, default)] = payloads
-    assert (default is str) == (argv[0] == "survey")
-    assert out == json.dumps(payload, indent=2, default=default) + "\n"
-
-
-class _Opaque:
-    def __str__(self):
-        return 'opaque "value"'
+    [payload] = payloads
+    assert payload["schema"] == "symloci/1"
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 JSON_EDGES = [
@@ -666,17 +695,14 @@ def test_the_json_writer_matches_json_dumps(value):
 
     for obj in (value, [value, {"k": value}]):
         assert _json(obj) == json.dumps(obj, indent=2)
-        assert _json(obj, default=str) == json.dumps(obj, indent=2, default=str)
 
 
-def test_the_json_writer_calls_default_as_json_dumps_does():
+def test_the_json_writer_refuses_a_non_json_value_as_json_dumps_does():
     from fractions import Fraction
 
     from symloci.cli import _json
 
-    obj = {"f": Fraction(1, 3), "rows": [Fraction(2), _Opaque()], "empty": {}}
-    assert _json(obj, default=str) == json.dumps(obj, indent=2, default=str)
-    for bad in (Fraction(1, 3), [_Opaque()]):
+    for bad in (Fraction(1, 3), [object()], {"rows": [Fraction(2)], "empty": {}}):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2)
         with pytest.raises(TypeError):

@@ -104,7 +104,7 @@ def _dense_substitute(f, a, b, c, d):
     out = [Cyclotomic.rational(0)] * (n + 1)
     for i, coef in enumerate(f.coeffs):
         if coef:
-            _accumulate_product(out, pows1[n - i], pows2[i], coef)
+            _accumulate_product(out, [coef * x for x in pows1[n - i]], pows2[i])
     return out
 
 
