@@ -45,7 +45,6 @@ from .forms import (
     substitute,
 )
 from .loci import (
-    CyclicNormalForm,
     LocusReport,
     commuting_space_basis,
     cyclic_existence_and_dim,
@@ -80,7 +79,6 @@ from .platonic import (
 __all__ = [
     "AutReport",
     "BinaryForm",
-    "CyclicNormalForm",
     "Cyclotomic",
     "Divisor",
     "EigenformReport",

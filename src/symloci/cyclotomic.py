@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 from bisect import bisect
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
@@ -136,6 +137,11 @@ def _from_pairs(n: int, pairs: list) -> Cyclotomic:
     if n > 2 * len(pairs) ** 2 or len(pairs) != euler_phi(n):
         raise ValueError("coefficient vector has wrong length for conductor")
     return _make(n, tuple([v * (den // d) for v, d in pairs]), den)
+
+
+def _int(s) -> int:
+    # int(s), through Decimal for a string of a sign and decimal digits
+    return int(Decimal(s)) if isinstance(s, str) and s.strip().lstrip("+-").isdecimal() else int(s)
 
 
 def _add(x: Cyclotomic, y: Cyclotomic, op) -> Cyclotomic:
@@ -378,11 +384,19 @@ class Cyclotomic:
 
     def to_json(self) -> dict:
         den = self.den  # each coefficient v / den in lowest terms, as decimal strings
-        return {"conductor": self.n, "coeffs": [[str(v // (g := gcd(v, den))), str(den // g)] for v in self.nums]}
+        try:
+            return {"conductor": self.n, "coeffs": [[str(v // (g := gcd(v, den))), str(den // g)] for v in self.nums]}
+        except ValueError:  # past the interpreter's int-to-str digit limit, which Decimal does not have
+            return {"conductor": self.n, "coeffs": [[str(Decimal(v // (g := gcd(v, den)))), str(Decimal(den // g))]
+                                                    for v in self.nums]}
 
     @classmethod
     def from_json(cls, obj: dict) -> Cyclotomic:
-        return _from_pairs(int(obj["conductor"]), [(int(num), int(den)) for num, den in obj["coeffs"]])
+        try:
+            pairs = [(int(num), int(den)) for num, den in obj["coeffs"]]
+        except ValueError:  # the same limit on str-to-int
+            pairs = [(_int(num), _int(den)) for num, den in obj["coeffs"]]
+        return _from_pairs(int(obj["conductor"]), pairs)
 
     def __repr__(self):
         c = self.c

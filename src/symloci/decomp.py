@@ -141,14 +141,6 @@ class EigenformReport(namedtuple("EigenformReport", "k m divisibility eigenvalue
 
     __slots__ = ()
 
-    def to_json(self):
-        return {
-            "k": self.k,
-            "m": self.m,
-            "divisibility": self.divisibility,
-            "eigenvalue": self.eigenvalue.to_json(),
-        }
-
 
 def diagonal_eigenvalue(f: BinaryForm, eta: Cyclotomic) -> Cyclotomic:
     """Eigenvalue of F under X -> eta X, Y -> Y/eta; raises if F is not an

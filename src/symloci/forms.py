@@ -455,13 +455,6 @@ class P1Point:
         p.x, p.y, p._hash = self.x.minimal(), self.y.minimal(), None
         return p
 
-    def to_json(self) -> dict:
-        return {"x": self.x.to_json(), "y": self.y.to_json()}
-
-    @classmethod
-    def from_json(cls, obj) -> P1Point:
-        return cls(Cyclotomic.from_json(obj["x"]), Cyclotomic.from_json(obj["y"]))
-
     def __repr__(self):
         return "[inf]" if self.is_infinity() else f"[{self.x!r}]"
 

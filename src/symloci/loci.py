@@ -23,7 +23,9 @@ g(X^M, Y^M) share a root iff both vanish at 0 or both at infinity, or f and
 g, of degree about d/M, share one.  A member is its two int lists (F, G)
 wherever this module returns one; only ``construct`` builds a map, of the
 member it prints.  A map fixed by the generators is fixed by their group, so
-no group is built.
+no group is built.  A report's certificate holds what the commands read: the
+``bases`` per component and the ``member`` on a cyclic locus; on a dihedral
+one ``free_parameters``, ``signs_realized`` and ``member``, at t = 0 the count alone.
 """
 
 from __future__ import annotations
@@ -70,25 +72,6 @@ class SurveyRow(namedtuple("SurveyRow", "d group t exists dim_moduli dim_ratd co
         return tuple.__new__(cls, (d, group, t, exists, dim_moduli, dim_ratd, components, s, dim_linalg, match))
 
 
-class CyclicNormalForm(namedtuple("CyclicNormalForm", "d m t dprime psi_constraints")):
-    """Shape data for maps commuting with a rotation of order m."""
-
-    __slots__ = ()
-
-    def to_json(self):
-        return self._asdict()
-
-
-def _jsonify(v):
-    if hasattr(v, "to_json"):
-        return v.to_json()
-    if isinstance(v, dict):
-        return {str(k): _jsonify(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonify(x) for x in v]
-    return v
-
-
 class LocusReport(namedtuple("LocusReport", "exists dim_moduli dim_ratd components certificate")):
     """Existence and dimensions of one locus; each report gets its own empty
     certificate by default."""
@@ -98,15 +81,6 @@ class LocusReport(namedtuple("LocusReport", "exists dim_moduli dim_ratd componen
     def __new__(cls, exists, dim_moduli=None, dim_ratd=None, components=0, certificate=None):
         certificate = {} if certificate is None else certificate
         return tuple.__new__(cls, (exists, dim_moduli, dim_ratd, components, certificate))
-
-    def to_json(self):
-        return {
-            "exists": self.exists,
-            "dim_moduli": self.dim_moduli,
-            "dim_ratd": self.dim_ratd,
-            "components": self.components,
-            "certificate": _jsonify(self.certificate),
-        }
 
 
 def stalk_eigenvalue(d: int, index: tuple[str, int], eta: Cyclotomic) -> Cyclotomic:
@@ -204,21 +178,12 @@ def cyclic_existence_and_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     for t, dprime, exps in _strata(d, m):
         dim_moduli = 2 * dprime + t - 1
         dim_ratd = dim_moduli + 1
-        constraints = {
-            1: "alpha != 0 and delta != 0",
-            0: "exactly one of alpha, delta vanishes",
-            -1: "alpha = 0 and delta = 0",
-        }[t]
-        cert: dict = {"family": CyclicNormalForm(d, m, t, dprime, constraints), "eigenvalues": {}, "bases": {}}
+        cert: dict = {"bases": {}}
         for comp, e in exps.items():
-            lam = Cyclotomic.zeta(2 * m, e)
-            basis = commuting_space_basis(d, m, lam)
-            cert["eigenvalues"][comp] = lam
-            cert["bases"][comp] = [list(ix) for ix in basis]
+            basis = cert["bases"][comp] = commuting_space_basis(d, m, Cyclotomic.zeta(2 * m, e))
             if len(basis) != dim_ratd + 1:
                 raise AssertionError("eigenspace count disagrees with the formula")
         cert["member"] = generic_member(d, m, t, next(iter(exps)))
-        cert["member_verified"] = True
         out.append((t, LocusReport(True, dim_moduli, dim_ratd, len(exps), cert)))
     return out
 
@@ -263,9 +228,10 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
     basis where both searches run dry raises NoMemberFound.
     """
     out = []
-    for t, dprime, _ in _strata(d, m):
-        if t == 0:
-            out.append((0, LocusReport(exists=False, components=0, certificate={"reason": "m divides d"})))
+    for t, dprime, exps in _strata(d, m):
+        if t == 0:  # empty by the theorem; the pairing that empties a component's basis does not read mu
+            free = sum(len(dihedral_basis(d, m, 0, 1, comp)) for comp in exps)
+            out.append((0, LocusReport(exists=False, components=0, certificate={"free_parameters": free})))
             continue
         dim = dprime if t == 1 else dprime - 1
         members = {}
@@ -277,7 +243,7 @@ def dihedral_dim(d: int, m: int) -> list[tuple[int, LocusReport]]:
         if member is None and vecs:
             raise NoMemberFound(f"no dihedral member for d={d} m={m} t={t} with either sign")
         exists = member is not None
-        cert = {"free_parameters": len(vecs), "signs_realized": signs, "member": member, "member_verified": exists}
+        cert = {"free_parameters": len(vecs), "signs_realized": signs, "member": member}
         out.append((t, LocusReport(exists, dim if exists else None, dim if exists else None, len(signs), cert)))
     return out
 
@@ -324,13 +290,10 @@ def survey_rows(d: int, kinds=("cyclic", "dihedral")) -> list[dict]:
     if "dihedral" in kinds:
         for m in range(2, d + 2):
             for t, rep in dihedral_dim(d, m):
-                linalg = rep.certificate["free_parameters"] - 1 if rep.exists else None
+                free = rep.certificate["free_parameters"]
+                linalg = free - 1 if rep.exists else None
                 # an empty row matches only where the theorem says empty (t = 0)
-                # and each component's basis is, for one sign mu: the pairing
-                # that empties it does not read mu
-                empty = t == 0 and not any(
-                    dihedral_basis(d, m, 0, 1, c) for s, _, cs in _strata(d, m) if s == 0 for c in cs
-                )
-                match = linalg == rep.dim_ratd if rep.exists else empty
+                # and the report counts no free parameter on either component
+                match = linalg == rep.dim_ratd if rep.exists else t == 0 and not free
                 rows.append(row(f"dihedral:{m}", t, rep, dim_linalg=linalg, match=match))
     return rows

@@ -65,14 +65,6 @@ class OrbitCharacterRow(namedtuple("OrbitCharacterRow", "orbit size stabilizer_o
 
     __slots__ = ()
 
-    def to_json(self):
-        return {
-            "size": self.size,
-            "stabilizer_order": self.stabilizer_order,
-            "character": [c.to_json() for c in self.character],
-            "form": self.form.to_json(),
-        }
-
 
 class RelevantPair(namedtuple("RelevantPair", "d1 d2")):
     __slots__ = ()

@@ -372,6 +372,26 @@ def test_a_huge_conductor_in_a_map_file_is_a_usage_error_at_once(argv, tmp_path)
     assert "malformed map JSON" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
+def test_a_coefficient_past_the_int_digit_limit_is_read_and_written(fuzz_files, tmp_path):
+    # CPython refuses int <-> str past 4,300 digits by default; the codec
+    # reads and writes such an int exactly, through the map and back
+    from symloci.cyclotomic import Cyclotomic
+
+    with open(fuzz_files["longcoef"]) as fh:
+        obj = json.load(fh)["map"]
+    phi = RationalMap.from_json(obj)
+    assert phi.F.coeffs[0] == 10**4400 and phi.to_json() == obj
+    code, out, err = run(["resultant", fuzz_files["longcoef"]])
+    assert code == 0, err
+    assert Cyclotomic.from_json(json.loads(out)["resultant"]) == phi.resultant() != 0
+    code, out, err = run(["decomp", fuzz_files["longcoef"]])
+    assert code == 0, err
+    (tmp_path / "pair.json").write_text(out)
+    code, out, err = run(["decomp", "--inverse", str(tmp_path / "pair.json")])
+    assert code == 0, err
+    assert RationalMap.from_json(json.loads(out)["map"]).proportional_to(phi)
+
+
 def test_certification_failure_is_exit_2_not_a_traceback(monkeypatch):
     from symloci import loci
 
@@ -498,6 +518,7 @@ _FILTERS = st.lists(
 _FILES = st.sampled_from(
     ["map", "degree1", "singular", "pair", "garbage", "notmap", "empty", "missing"]
     + ["array", "badpair", "pair0", "binary", "deep", "overflow", "constant"]
+    + ["big80", "longcoef", "large"]
 )
 
 
@@ -508,6 +529,11 @@ def fuzz_files(tmp_path_factory, degree5_file):
     root = tmp_path_factory.mktemp("fuzz")
     code, out, _ = run(["decomp", degree5_file])
     assert code == 0
+    code, large, _ = run(["construct", "--d", "65", "--group", "octa", "--allow-large"])
+    assert code == 0
+    # (10^4400 X^2 + Y^2 : XY), its coefficient written by hand
+    longcoef = RationalMap.from_zpoly([1, 0, 1], [0, 1, 0]).to_json()
+    longcoef["F"]["coeffs"][0]["coeffs"][0][0] = "1" + "0" * 4400
     bodies = {
         "degree1": json.dumps({"map": RationalMap.from_zpoly([1, 0], [0, 1]).to_json()}),
         "singular": json.dumps({"map": RationalMap.from_zpoly([1, 1, 0], [0, 1, 1]).to_json()}),
@@ -526,6 +552,13 @@ def fuzz_files(tmp_path_factory, degree5_file):
         "badpair": json.dumps({"d": 2, "H": 5, "J": 3}),
         # H of degree -1 has no coefficients, and recompose has no degree-0 map
         "pair0": json.dumps({"d": 0, "H": {"degree": -1, "coeffs": []}, "J": BinaryForm(1, [1, 0]).to_json()}),
+        # (10^80 X^30 + Y^30 : X^30 + 10^80 Y^30), whose resultant has about 4,800 digits
+        "big80": json.dumps(
+            {"map": RationalMap.from_zpoly([10**80] + [0] * 29 + [1], [1] + [0] * 29 + [10**80]).to_json()}
+        ),
+        # a coefficient past the interpreter's default limit of 4,300 digits for int <-> str
+        "longcoef": json.dumps({"map": longcoef}),
+        "large": large,  # the octa d = 65 construct, past the default degree cap
     }
     files = {"map": degree5_file, "missing": str(root / "missing.json")}
     for name, body in bodies.items():
@@ -578,6 +611,7 @@ def _argv():
 @example(argv=["decomp", "--inverse", "@pair0"])  # once a DegreeMismatch traceback
 @example(argv=["resultant", "@binary"])  # once a UnicodeDecodeError traceback
 @example(argv=["decomp", "--inverse", "@deep"])  # once a RecursionError traceback
+@example(argv=["resultant", "@big80"])  # once a ValueError traceback: str() of a 4,800-digit int
 def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_files, argv):
     argv = [fuzz_files[a[1:]] if a.startswith("@") else a for a in argv]
     code, _, err = run(argv)

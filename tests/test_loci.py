@@ -51,6 +51,8 @@ def test_eigenspace_dimension_matches_formula_everywhere():
 
 
 def test_two_component_split_at_t0():
+    from symloci.loci import _strata
+
     res = dict(cyclic_existence_and_dim(6, 3))
     rep = res[0]
     assert rep.components == 2
@@ -58,7 +60,8 @@ def test_two_component_split_at_t0():
     b_zero = rep.certificate["bases"]["zero"]
     assert len(b_inf) == len(b_zero) == rep.dim_ratd + 1
     assert b_inf != b_zero
-    assert rep.certificate["eigenvalues"]["inf"] != rep.certificate["eigenvalues"]["zero"]
+    (t0_exponents,) = [exps for t, _, exps in _strata(6, 3) if t == 0]
+    assert t0_exponents["inf"] != t0_exponents["zero"]
 
 
 def test_generic_members_verified():
@@ -501,8 +504,13 @@ def test_survey_rows_all_match():
     assert "cyclic:2" in groups and "dihedral:2" in groups
 
 
-def test_locus_report_json_serializable():
-    import json
-
-    for _, rep in cyclic_existence_and_dim(3, 2) + dihedral_dim(5, 2):
-        json.dumps(rep.to_json())  # must not raise
+def test_a_certificate_holds_only_what_the_commands_read():
+    for d in range(2, 41):
+        for m in range(2, d + 2):
+            for t, rep in cyclic_existence_and_dim(d, m):
+                assert set(rep.certificate) == {"bases", "member"}, (d, m, t)
+            for t, rep in dihedral_dim(d, m):
+                if t:
+                    assert set(rep.certificate) == {"free_parameters", "signs_realized", "member"}, (d, m, t)
+                else:
+                    assert rep.certificate == {"free_parameters": 0}, (d, m)

@@ -17,12 +17,12 @@ from symloci.aut import AutReport
 from symloci.cyclotomic import Cyclotomic
 from symloci.decomp import EigenformReport
 from symloci.forms import BinaryForm, Divisor
-from symloci.loci import CyclicNormalForm, LocusReport, SurveyRow
+from symloci.loci import LocusReport, SurveyRow
 from symloci.moebius import MoebiusMap
 from symloci.platonic import OrbitCharacterRow, RelevantPair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-RECORDS = (AutReport, EigenformReport, SurveyRow, CyclicNormalForm, LocusReport, OrbitCharacterRow, RelevantPair)
+RECORDS = (AutReport, EigenformReport, SurveyRow, LocusReport, OrbitCharacterRow, RelevantPair)
 
 
 def test_every_exported_name_resolves():
@@ -51,7 +51,6 @@ def test_records_build_by_keyword_in_field_order():
     assert AutReport._fields == ("verified_elements", "numeric_order", "census", "classified", "failed")
     assert tuple(AutReport(census={1: 1}, numeric_order=1)) == ([], 1, {1: 1}, "unknown", None)
     assert tuple(EigenformReport(eigenvalue=z4, divisibility="m|k", m=2, k=4)) == (4, 2, "m|k", z4)
-    assert tuple(CyclicNormalForm(psi_constraints="c", dprime=2, t=1, m=2, d=5)) == (5, 2, 1, 2, "c")
     assert tuple(LocusReport(components=2, exists=True)) == (True, None, None, 2, {})
     assert tuple(RelevantPair(d2=Divisor(), d1=Divisor())) == (Divisor(), Divisor())
     row = OrbitCharacterRow(form=BinaryForm(0, [1]), character=(z4,), stabilizer_order=3, size=4, orbit=Divisor())
@@ -84,8 +83,7 @@ def test_mutable_defaults_are_fresh_per_record():
 
 
 def test_record_json_is_unchanged():
-    z4, one = Cyclotomic.zeta(4), {"conductor": 1, "coeffs": [["1", "1"]]}
-    zero, i = {"conductor": 1, "coeffs": [["0", "1"]]}, {"conductor": 4, "coeffs": [["0", "1"], ["1", "1"]]}
+    one, zero = {"conductor": 1, "coeffs": [["1", "1"]]}, {"conductor": 1, "coeffs": [["0", "1"]]}
     rep = AutReport(numeric_order=2, census={2: 1, 1: 1}, classified="cyclic:2", failed=MoebiusMap(0, 1, 1, 0))
     assert rep.to_json() == {
         "verified_elements": [], "numeric_order": 2, "census": {"1": 1, "2": 1}, "classified": "cyclic:2",
@@ -93,18 +91,6 @@ def test_record_json_is_unchanged():
     }
     assert AutReport().to_json() == {"verified_elements": [], "numeric_order": None, "census": {},
                                      "classified": "unknown", "failed": None}
-    assert EigenformReport(4, 2, "m|k", z4).to_json() == {"k": 4, "m": 2, "divisibility": "m|k", "eigenvalue": i}
-    family = CyclicNormalForm(5, 2, 1, 2, "alpha != 0 and delta != 0")
-    as_json = {"d": 5, "m": 2, "t": 1, "dprime": 2, "psi_constraints": "alpha != 0 and delta != 0"}
-    assert family.to_json() == as_json and type(family.to_json()) is dict
-    cert = {"family": family, "k": (1, z4)}
-    assert LocusReport(True, 3, 4, 1, cert).to_json() == {
-        "exists": True, "dim_moduli": 3, "dim_ratd": 4, "components": 1,
-        "certificate": {"family": as_json, "k": [1, i]},
-    }
-    row = OrbitCharacterRow(Divisor(), 4, 3, (z4,), BinaryForm(1, [1, 0]))
-    assert row.to_json() == {"size": 4, "stabilizer_order": 3, "character": [i],
-                             "form": {"degree": 1, "coeffs": [one, zero]}}
 
 
 def test_the_csv_header_is_the_survey_row_field_order():

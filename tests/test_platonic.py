@@ -133,7 +133,13 @@ def test_a_kind_and_its_standard_group_give_the_same_answers(kind):
     # that standard_subgroup caches
     group = platonic_group(kind)
     assert group is platonic_group(kind) is standard_subgroup(kind)
-    assert [row.to_json() for row in character_table(group)] == [row.to_json() for row in character_table(kind)]
+    def exact(x):  # conductor, numerators and denominator
+        return x.n, x.nums, x.den
+
+    def key(row):
+        return row.size, row.stabilizer_order, [exact(c) for c in row.character], [exact(c) for c in row.form.coeffs]
+
+    assert [key(row) for row in character_table(group)] == [key(row) for row in character_table(kind)]
     assert character_table(group) == character_table(kind)
     assert existence_residues(group, 60) == existence_residues(kind, 60)
     d = min(d for d in range(2, 40) if platonic_existence(d, kind))
