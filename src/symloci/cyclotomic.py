@@ -13,10 +13,14 @@ against Phi_n) run on integers, then divide out one gcd.  A fold wraps the
 exponents mod x^n - 1, then keeps the remainder of long division by the
 monic Phi_n, read from Phi_n's nonzero terms; no table of reduced powers is
 kept per conductor.  ``c`` gives the coefficients as Fractions, for printing.
+``minimal`` drops one prime p of n at a time, m = n / p: by stride if p | m,
+as Phi_n(X) = Phi_m(X^p), else in the CRT basis zeta_m^i zeta_p^k.  ``sqrt``
+reads a root of unity's exponent off the argument, proved by one product.
 
-Also provided here: exact linear algebra (``ExactMatrix``), read only by
-``platonic.character_eigenspace``, which no command calls, and the maps to
-F_p that prove a polynomial in the data nonzero (``_images``).
+Also provided here: exact linear algebra (``ExactMatrix``, the one elimination
+in the package), read only by ``platonic.character_eigenspace``, which no
+command calls, and the maps to F_p that prove a polynomial in the data
+nonzero (``_images``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, sub
 
 _new = object.__new__
 
@@ -221,13 +225,15 @@ class Cyclotomic:
         return Fraction(self.nums[0], self.den)
 
     def minimal(self) -> Cyclotomic:
-        """Rewrite at the smallest conductor that can represent the value."""
+        """Rewrite at the smallest conductor that can represent the value, one prime at a time
+        (``_descend``); the fields holding x are closed under gcd, so a prime kept once stays kept."""
         if self.is_rational():
             return _make(1, self.nums[:1], self.den)
-        for d in _divisors(self.n)[1:-1]:
-            if d % 4 != 2 and (y := _try_represent(self, d)) is not None:
-                return y
-        return self
+        x = self
+        for p, _ in _factor(self.n):
+            while x.n > p and x.n % p == 0 and (y := _descend(x, p)) is not None:
+                x = y
+        return x
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -347,18 +353,15 @@ class Cyclotomic:
         return order if order and order <= (cap or 2 * self.n + 1) else None
 
     def _ru_split(self):
-        # (r, j) with self = r * zeta_n^j and r rational (j = 0 when self is
-        # rational), or None when self has no such form
-        if not self:
-            return None
+        # (r, j) with self = r zeta_n^j, r rational, j least (0 if self is rational), or None.  The
+        # angle times n / pi is 2j, or 2j + n if r < 0 (mod 2n); for even n, zeta_n^(n/2) = -1, so j < n/2
         if self.is_rational():
             return self.as_rational(), 0
         n = self.n
-        for j in range(1, n):
-            q = self * Cyclotomic.zeta(n, -j)
-            if q.is_rational():
-                return q.as_rational(), j
-        return None
+        k = round(_phase(self) * n / cmath.pi)
+        j = (k - k % 2 * n) // 2 % (n // 2 if n % 2 == 0 else n)
+        q = self * Cyclotomic.zeta(n, -j)
+        return (q.as_rational(), j) if q.is_rational() else None
 
     def sqrt(self) -> Cyclotomic:
         """Exact square root when self = rational * (root of unity).
@@ -366,8 +369,6 @@ class Cyclotomic:
         The result lives in a (possibly larger) cyclotomic field.  Raises
         ValueError for shapes outside that family.
         """
-        if not self:
-            return Cyclotomic.rational(0)
         dec = self._ru_split()
         if dec is None:
             raise ValueError("square root not of the form sqrt(rational * root of unity)")
@@ -434,10 +435,7 @@ def _root_exponent(x: Cyclotomic, n: int) -> int | None:
 @lru_cache(maxsize=None)
 def _stored_root_exponent(c: int, nums: tuple, den: int, n: int) -> int | None:
     x = _make(c, nums, den)
-    try:
-        j = round(cmath.phase(x.complex()) * n / (2 * cmath.pi)) % n
-    except (OverflowError, ValueError):  # no finite float: a root of unity has small coefficients
-        return None
+    j = round(_phase(x) * n / (2 * cmath.pi)) % n
     # Q(zeta_c) holds zeta_n^j, of order o, only if o | L = lcm(2, c), as zeta_L^e; zeta_2c^e is
     # (-1)^e zeta_c^(e (c+1) / 2) for odd c
     o, L = n // gcd(j, n), lcm(2, c)
@@ -446,39 +444,28 @@ def _stored_root_exponent(c: int, nums: tuple, den: int, n: int) -> int | None:
     return j if L % o == 0 and Cyclotomic.zeta(c, k) * sign == x else None
 
 
-@lru_cache(maxsize=None)
-def _descent(n: int, d: int):
-    """(checks, rows, scale) reading Q(zeta_n) at conductor d | n: integer
-    Gauss-Jordan on [P | I], P the (full column rank) promotion matrix from
-    Q(zeta_d), leaves diag(p_j) over zero rows.  nums / den lies in Q(zeta_d)
-    iff each check row (the I-part of a zero row) kills nums, and then
-    rows . nums / (scale * den) are its coefficients at d."""
-    phi_n, phi_d, step = _phi(n), _phi(d), n // d
-    cols = [_fold(n, phi_n, [0] * (j * step) + [1]) for j in range(phi_d)]
-    m = [[col[i] for col in cols] + [int(i == k) for k in range(phi_n)] for i in range(phi_n)]
-    for c in range(phi_d):
-        r = next(i for i in range(c, phi_n) if m[i][c])
-        m[c], m[r] = m[r], m[c]
-        piv = m[c]
-        for i in range(phi_n):
-            f = m[i][c]
-            if i != c and f:
-                row = [piv[c] * v - f * w for v, w in zip(m[i], piv)]
-                g = gcd(*row)
-                m[i] = [v // g for v in row]
-    scale = lcm(*(m[c][c] for c in range(phi_d)))
-    rows = tuple(tuple(v * (scale // m[c][c]) for v in m[c][phi_d:]) for c in range(phi_d))
-    checks = tuple(tuple(r[phi_d:]) for r in m[phi_d:])
-    return checks, rows, scale
+def _phase(x: Cyclotomic) -> float:
+    # x's argument, read from its numerators over the largest, so no float overflows
+    big, z = max(map(abs, x.nums)) or 1, cmath.exp(2j * cmath.pi / x.n)
+    return cmath.phase(sum(v / big * z**i for i, v in enumerate(x.nums) if v))
 
 
-def _try_represent(x: Cyclotomic, d: int) -> Cyclotomic | None:
-    # x as an element of Q(zeta_d), or None when it does not lie there
-    checks, rows, scale = _descent(x.n, d)
-    nums = x.nums
-    if any(sum(map(mul, row, nums)) for row in checks):
-        return None
-    return _make(d, tuple(sum(map(mul, row, nums)) for row in rows), scale * x.den)
+def _descend(x: Cyclotomic, p: int) -> Cyclotomic | None:
+    """x at conductor m = n / p > 1, p prime, or None if Q(zeta_m) does not hold x: by stride if
+    p | m; else by x's parts along zeta_p^k, k < p - 1, with zeta_n = zeta_m^a zeta_p^b and
+    zeta_p^(p-1) = -1 - ... - zeta_p^(p-2), each folded at m: all but the first must be 0."""
+    nums, m = x.nums, x.n // p
+    if m % p == 0:
+        return None if any(v for i, v in enumerate(nums) if i % p) else _make(m, nums[::p], x.den)
+    a, b = pow(p, -1, m), pow(m, -1, p)  # a p + b m = 1 (mod n)
+    parts = [[0] * m for _ in range(p)]
+    for i, v in enumerate(nums):
+        parts[b * i % p][a * i % m] += v
+    top, phi = parts.pop(), _phi(m)
+    for k in range(p - 2, -1, -1):  # only k = 0 may be nonzero
+        if any(y := _fold(m, phi, list(map(sub, parts[k], top)))) and k:
+            return None
+    return _make(m, y, x.den)
 
 
 def _int_modular_inverse(a, mod) -> tuple[list[int], int]:

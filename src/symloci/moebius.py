@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import acos, lcm, pi
+from math import acos, pi
 
 from .cyclotomic import Cyclotomic, euler_phi, _divisors
 from .forms import BinaryForm, Divisor, P1Point, RationalMap, _cy, _normalized, _proportional, substitute
@@ -250,13 +250,6 @@ class FiniteSubgroup:
         return f"FiniteSubgroup({self.label}, order {self.order})"
 
 
-def _closure_key(h: MoebiusMap, m: int):
-    # the normalized entries at conductor m: as unique as key() whenever
-    # every entry lies in Q(zeta_m), as in a closure of generators over it,
-    # and no minimal() is needed
-    return tuple((w.nums, w.den) for w in (v.promote(m) for v in _normalized(h.entries())))
-
-
 # generator entries -> the tables of _cayley_graph, for the process's life
 _CAYLEY: dict[tuple, tuple] = {}
 
@@ -272,11 +265,10 @@ def _cayley_graph(gens, cap: int) -> tuple:
     than cap is searched again, up to the cap."""
     key = tuple(tuple((v.n, v.nums, v.den) for v in g.entries()) for g in gens)
     if key not in _CAYLEY or len(_CAYLEY[key][0]) > cap:
-        field = lcm(1, *(v[0] for entries in key for v in entries))
         elements, right, index = [], [], {}
 
         def find(h):
-            k = index.setdefault(_closure_key(h, field), len(elements))
+            k = index.setdefault(h.key(), len(elements))
             if k == len(elements):
                 elements.append(h)
             return k

@@ -1,13 +1,16 @@
 """Layer micro-benchmark of the exact field kernel: Cyclotomic *, + and
-inverse, per conductor, and the reduction ``_fold`` under all of them.
+inverse, per conductor, the reduction ``_fold`` under all of them, and
+``minimal``, which reads the smallest field one prime at a time.
 
     PYTHONPATH=src python -m pytest tests/perf_cyclotomic.py --benchmark-only
 
 Each round runs one operation over a fixed list of 49 operand pairs drawn
 by a seeded generator (coefficients p/q, |p| <= 9, 1 <= q <= 6); a fold
-reduces one dense integer raw of length n.  The conductors are those the
-survey and construct-check workloads multiply at.  The file
-name is outside the test_*.py pattern, so the default test run skips it.
+reduces one dense integer raw of length n; ``minimal`` rewrites 49 such
+operands promoted to 2n, promoted to 3n, and at their own smallest field.
+The conductors are those the survey and construct-check workloads multiply
+at.  The file name is outside the test_*.py pattern, so the default test
+run skips it.
 """
 
 import random
@@ -65,3 +68,22 @@ def test_first_fold_at_a_large_conductor(benchmark):
         return Cyclotomic.zeta(27720, 27719)
 
     benchmark.pedantic(first, rounds=5)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_minimal(benchmark, n):
+    xs = [x.minimal() for x in _operands(n)[:49]]
+    values = [y for x in xs for y in (x.promote(2 * x.n), x.promote(3 * x.n), x)]
+    benchmark(lambda: [x.minimal() for x in values])
+
+
+def _clear_caches():
+    for f in vars(cyclotomic).values():
+        getattr(f, "cache_clear", lambda: None)()
+
+
+def test_first_minimal_at_a_composite_conductor(benchmark):
+    # zeta_1155 + zeta_1155^7, already minimal at 1155 = 3 5 7 11, with every
+    # cache of the module cleared, as in a fresh process
+    x = Cyclotomic.zeta(1155) + Cyclotomic.zeta(1155, 7)
+    assert benchmark.pedantic(x.minimal, setup=_clear_caches, rounds=3).n == 1155

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, schemas, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -392,6 +393,15 @@ def test_a_coefficient_past_the_int_digit_limit_is_read_and_written(fuzz_files, 
     assert RationalMap.from_json(json.loads(out)["map"]).proportional_to(phi)
 
 
+def test_a_resultant_at_a_conductor_of_four_primes_is_written_as_before(fuzz_files):
+    # (X^2 + (zeta_1155 + zeta_1155^7) Y^2 : XY): its resultant is written at
+    # its smallest field, 1155 = 3 5 7 11 itself; the digest of stdout was
+    # recorded when minimal() reduced an integer matrix per divisor (6 s)
+    code, out, err = run(["resultant", fuzz_files["zeta1155"]])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == "916fc8895b55bb4a49c1030c58cb569114835d5a93f5c954b51be0b8d636f3aa"
+
+
 def test_certification_failure_is_exit_2_not_a_traceback(monkeypatch):
     from symloci import loci
 
@@ -518,12 +528,13 @@ _FILTERS = st.lists(
 _FILES = st.sampled_from(
     ["map", "degree1", "singular", "pair", "garbage", "notmap", "empty", "missing"]
     + ["array", "badpair", "pair0", "binary", "deep", "overflow", "constant"]
-    + ["big80", "longcoef", "large"]
+    + ["big80", "longcoef", "large", "zeta1155"]
 )
 
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory, degree5_file):
+    from symloci.cyclotomic import Cyclotomic
     from symloci.forms import BinaryForm
 
     root = tmp_path_factory.mktemp("fuzz")
@@ -534,6 +545,7 @@ def fuzz_files(tmp_path_factory, degree5_file):
     # (10^4400 X^2 + Y^2 : XY), its coefficient written by hand
     longcoef = RationalMap.from_zpoly([1, 0, 1], [0, 1, 0]).to_json()
     longcoef["F"]["coeffs"][0]["coeffs"][0][0] = "1" + "0" * 4400
+    c = Cyclotomic.zeta(1155) + Cyclotomic.zeta(1155, 7)
     bodies = {
         "degree1": json.dumps({"map": RationalMap.from_zpoly([1, 0], [0, 1]).to_json()}),
         "singular": json.dumps({"map": RationalMap.from_zpoly([1, 1, 0], [0, 1, 1]).to_json()}),
@@ -559,6 +571,8 @@ def fuzz_files(tmp_path_factory, degree5_file):
         # a coefficient past the interpreter's default limit of 4,300 digits for int <-> str
         "longcoef": json.dumps({"map": longcoef}),
         "large": large,  # the octa d = 65 construct, past the default degree cap
+        # (X^2 + (zeta_1155 + zeta_1155^7) Y^2 : XY), one coefficient at a conductor of four primes
+        "zeta1155": json.dumps({"map": RationalMap(BinaryForm(2, [1, 0, c]), BinaryForm(2, [0, 1, 0])).to_json()}),
     }
     files = {"map": degree5_file, "missing": str(root / "missing.json")}
     for name, body in bodies.items():
@@ -612,6 +626,7 @@ def _argv():
 @example(argv=["resultant", "@binary"])  # once a UnicodeDecodeError traceback
 @example(argv=["decomp", "--inverse", "@deep"])  # once a RecursionError traceback
 @example(argv=["resultant", "@big80"])  # once a ValueError traceback: str() of a 4,800-digit int
+@example(argv=["resultant", "@zeta1155"])  # once 6 s: the smallest field read by a Gauss-Jordan per divisor
 def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_files, argv):
     argv = [fuzz_files[a[1:]] if a.startswith("@") else a for a in argv]
     code, _, err = run(argv)

@@ -6,8 +6,9 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
-from math import gcd, isqrt
+from functools import lru_cache, reduce
+from math import gcd, isqrt, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -288,6 +289,128 @@ def test_minimal_conductor():
     assert m.n == 1 and m.as_rational() == -1
     assert Cyclotomic.zeta(20, 4).minimal().n == 5
     assert Cyclotomic.zeta(6).minimal().n == 3
+
+
+# -- the smallest field, one prime at a time, against the Gauss-Jordan descent --
+#
+# The oracles are the code ``minimal`` and ``_ru_split`` ran before they read
+# the field and the exponent by rule: an integer Gauss-Jordan per (n, d) over
+# the divisor scan, and the scan over j of r zeta_n^j.
+
+
+@lru_cache(maxsize=None)
+def oracle_descent(n, d):
+    """(checks, rows, scale) reading Q(zeta_n) at conductor d | n: integer
+    Gauss-Jordan on [P | I], P the (full column rank) promotion matrix from
+    Q(zeta_d), leaves diag(p_j) over zero rows.  nums / den lies in Q(zeta_d)
+    iff each check row (the I-part of a zero row) kills nums, and then
+    rows . nums / (scale * den) are its coefficients at d."""
+    phi_n, phi_d, step = euler_phi(n), euler_phi(d), n // d
+    cols = [cyclotomic._fold(n, phi_n, [0] * (j * step) + [1]) for j in range(phi_d)]
+    m = [[col[i] for col in cols] + [int(i == k) for k in range(phi_n)] for i in range(phi_n)]
+    for c in range(phi_d):
+        r = next(i for i in range(c, phi_n) if m[i][c])
+        m[c], m[r] = m[r], m[c]
+        piv = m[c]
+        for i in range(phi_n):
+            f = m[i][c]
+            if i != c and f:
+                row = [piv[c] * v - f * w for v, w in zip(m[i], piv)]
+                g = gcd(*row)
+                m[i] = [v // g for v in row]
+    scale = lcm(*(m[c][c] for c in range(phi_d)))
+    rows = tuple(tuple(v * (scale // m[c][c]) for v in m[c][phi_d:]) for c in range(phi_d))
+    checks = tuple(tuple(r[phi_d:]) for r in m[phi_d:])
+    return checks, rows, scale
+
+
+def oracle_minimal(x):
+    # the least divisor d (not 2 mod 4) whose field holds x, tried in ascending order
+    if x.is_rational():
+        return cyclotomic._make(1, x.nums[:1], x.den)
+    for d in (d for d in _divisors(x.n)[1:-1] if d % 4 != 2):
+        checks, rows, scale = oracle_descent(x.n, d)
+        if not any(sum(map(mul, row, x.nums)) for row in checks):
+            return cyclotomic._make(d, tuple(sum(map(mul, row, x.nums)) for row in rows), scale * x.den)
+    return x
+
+
+def _stored(x):
+    return x.n, x.nums, x.den
+
+
+def test_minimal_matches_the_gauss_jordan_descent():
+    # every n <= 120: a value promoted from each proper divisor, sums across
+    # two subfields, values at n = 2 (mod 4), which always drop the 2, and
+    # values already minimal, which come back as they are
+    rng = random.Random(4801)
+    for n in range(1, 121):
+        divisors = _divisors(n)
+        values = [_random_elements(rng, d, 1)[0].promote(n) for d in divisors[:-1]]
+        for _ in range(4):
+            a, b = rng.choice(divisors), rng.choice(divisors)
+            values.append((_random_elements(rng, a, 1)[0] + _random_elements(rng, b, 1)[0]).promote(n))
+        if n % 4 == 2:
+            values += _random_elements(rng, n, 2)
+        for x in values:
+            assert _stored(x.minimal()) == _stored(oracle_minimal(x)), x
+        for x in map(oracle_minimal, _random_elements(rng, n, 2)):
+            assert x.minimal() is x or x.is_rational(), x
+
+
+def test_the_first_minimal_at_a_composite_conductor_builds_no_matrix():
+    # zeta_2018 + zeta_2018^2 lies in Q(zeta_1009), read off at one stroke:
+    # the Gauss-Jordan descent from 2018 to 1009 peaked at 31 MB
+    x = Cyclotomic.zeta(2018) + Cyclotomic.zeta(2018, 2)
+    for f in vars(cyclotomic).values():
+        getattr(f, "cache_clear", lambda: None)()
+    tracemalloc.start()
+    try:
+        y = x.minimal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.n == 1009 and y == x and peak < 2**20, peak
+
+
+def oracle_ru_split(x):
+    # the least j with x zeta_n^-j rational, by trying each j in turn
+    if not x:
+        return None
+    if x.is_rational():
+        return x.as_rational(), 0
+    n = x.n
+    for j in range(1, n):
+        q = x * Cyclotomic.zeta(n, -j)
+        if q.is_rational():
+            return q.as_rational(), j
+    return None
+
+
+def test_the_split_matches_the_exponent_scan():
+    # r zeta_n^j for r of both signs, every n <= 60 and j < n, and values
+    # with no split; each square root is stored as the scan's was, and zero
+    # splits as 0 zeta^0, whose root is the rational 0
+    rng = random.Random(4802)
+    for n in range(1, 61):
+        values = [Cyclotomic.zeta(n, j) * r for j in range(n) for r in (Fraction(9, 4), -2)]
+        for x in values:
+            (r, j) = split = oracle_ru_split(x)
+            assert x._ru_split() == split, x
+            want = rational_sqrt(r) * Cyclotomic.zeta(2 * n, j) if j else rational_sqrt(r)
+            assert _stored(x.sqrt()) == _stored(want), x
+        for x in [1 + Cyclotomic.zeta(n, 2)] + _random_elements(rng, n, 2):
+            if x:
+                assert x._ru_split() == oracle_ru_split(x), x
+    zero = Cyclotomic.rational(0)
+    assert zero._ru_split() == (0, 0) and _stored(zero.sqrt()) == (1, (0,), 1)
+
+
+def test_a_split_past_the_float_range_squares_back():
+    # the argument is read from the numerators over the largest: 10^400 has no float
+    x = Cyclotomic.zeta(20, 3) * 10**400
+    s = x.sqrt()
+    assert x._ru_split() == (10**400, 3) and s * s == x
 
 
 def as_ru_times_rational(x):

@@ -3,7 +3,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -76,9 +75,8 @@ def oracle_closure(gens, cap):
     the indices of its Cayley graph: every frontier element e tries e g and
     g e for each generator g, then each inverse, keyed by its normalized
     entries."""
-    field = lcm(1, *(v.n for g in gens for v in g.entries()))
     ident = MoebiusMap.identity()
-    elements = {moebius._closure_key(ident, field): ident}
+    elements = {ident.key(): ident}
     frontier = [ident]
     gen_list = list(gens) + [g.inverse() for g in gens]
     while frontier:
@@ -86,7 +84,7 @@ def oracle_closure(gens, cap):
         for e in frontier:
             for g in gen_list:
                 for h in (e.compose(g), g.compose(e)):
-                    k = moebius._closure_key(h, field)
+                    k = h.key()
                     if k not in elements:
                         if len(elements) >= cap:
                             raise CapExceeded(f"closure exceeded cap {cap}")
