@@ -497,19 +497,27 @@ def _int_modular_inverse(a, mod) -> tuple[list[int], int]:
 # -> F_p takes a resultant to that of the images, so a nonzero image proves
 # the exact value nonzero; a zero one proves nothing.
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = tuple(q for q in range(2, 256) if all(q % k for k in range(2, int(q**0.5) + 1)))
+_MR_BASES = _SMALL_PRIMES[:12]  # 2..37
 
 
+@lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin on the prime bases 2..37, exact below
-    3.3 * 10^24; a base dividing a composite p is never 1 or -1 mod p."""
-    if p < 38:
-        return p in _MR_BASES
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s t, t odd
-    return all(
-        pow(a, (p - 1) >> s, p) == 1 or p - 1 in [pow(a, (p - 1) >> k, p) for k in range(s, 0, -1)]
-        for a in _MR_BASES
-    )
+    """Trial division by the primes below 256, exact below 256^2, then deterministic Miller-Rabin
+    on the prime bases 2..37, exact below 3.3 * 10^24 (3,317,044,064,679,887,385,961,981, the first
+    composite to pass every base, is called prime).  With p - 1 = 2^s t, t odd, a base passes if
+    a^t = 1, or if its square chain a^(t 2^j), j < s, reaches -1, where the chain stops.  Cached, so
+    the image fields' 2^61 - 1 (n = 1, 3, 5, 15, ...) is proved once."""
+    if p < 2 or any(p % q == 0 for q in _SMALL_PRIMES):
+        return p in _SMALL_PRIMES
+    if p < 2**16:
+        return True
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and x != p - 1 and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
+            return False
+    return True
 
 
 def _exact_order(r: int, n: int, p: int) -> bool:

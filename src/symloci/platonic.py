@@ -28,7 +28,7 @@ from math import lcm
 from operator import mul
 
 from .aut import AutReport, _verify_through_generators
-from .cyclotomic import Cyclotomic, ExactMatrix, _images, _root_exponent
+from .cyclotomic import Cyclotomic, ExactMatrix, _fold, _images, _make, _phi, _root_exponent
 from .decomp import FormPair, recompose_map
 from .forms import (
     BinaryForm,
@@ -201,10 +201,12 @@ def fiber_dimension(d: int, group: FiniteSubgroup, obj) -> int:
 
 @lru_cache(maxsize=None)
 def _existence_data(group: FiniteSubgroup) -> tuple[int, dict[int, int]]:
-    """(|G|, {residue mod |G| -> smallest relevant-divisor degree})."""
+    """(|G|, {residue mod |G| -> smallest relevant-divisor degree}): the degrees are the subset
+    sums of the degenerate orbits' sizes, as the orbits are disjoint and of multiplicity one."""
     n = group.order
-    degrees = sorted((div.degree for div in relevant_divisors(group)), reverse=True)
-    return n, {deg % n: deg for deg in degrees}
+    sizes = [div.degree for div, _ in _orbit_forms(group)[0]]
+    degrees = reduce(lambda ds, size: ds + [d + size for d in ds], sizes, [0])
+    return n, {deg % n: deg for deg in sorted(degrees, reverse=True)}
 
 
 def platonic_existence(d: int, group_or_kind) -> bool:
@@ -358,8 +360,18 @@ def _branch_value(group: FiniteSubgroup) -> tuple[int, int]:
 def _trace_sum(n: int, group: FiniteSubgroup, char: tuple) -> Cyclotomic:
     """|G| times the dimension of the char-eigenspace in degree n by character orthogonality:
     sum_g char(g)^-1 tr Sym^n(g) of the determinant-1 lift, one trace (``_trace``) per
-    eigenvalue-ratio angle (``_class_sums``)."""
-    return sum((s * _trace(q, n) for q, s in _class_sums(group, char).items()), Cyclotomic.rational(0))
+    eigenvalue-ratio angle (``_class_sums``).  Both are stored over denominator 1, so each product is
+    taken on the numerators as exponents of zeta_N, N the lcm of the conductors, into one list folded once."""
+    pairs = [(s, _trace(q, n)) for q, s in _class_sums(group, char).items()]
+    big = lcm(1, *(x.n for pair in pairs for x in pair))
+    raw = [0] * big
+    for s, t in pairs:
+        fs, ft = big // s.n, big // t.n
+        for i, a in enumerate(s.nums):
+            if a:
+                for j, b in enumerate(t.nums):
+                    raw[(i * fs + j * ft) % big] += a * b
+    return _make(big, _fold(big, _phi(big), raw), 1)
 
 
 @lru_cache(maxsize=None)
@@ -401,7 +413,7 @@ def _class_sums(group: FiniteSubgroup, char: tuple) -> dict:
             if vals.setdefault(y, (v := (vals[x] - k) % big)) != v:
                 return {}
     return {
-        q: Cyclotomic.from_raw(big, [sum(size for x, size in classes if vals[x] == j) for j in range(big)])
+        q: _make(big, _fold(big, _phi(big), [sum(size for x, size in classes if vals[x] == j) for j in range(big)]), 1)
         for q, classes in _class_table(group)
     }
 
@@ -414,7 +426,7 @@ def _trace(q: Fraction, n: int) -> Cyclotomic:
     raw = [0] * m
     for i in range(m):
         raw[j * (i - n // 2) % m] += (n + 1) // m + (i < (n + 1) % m)
-    return Cyclotomic.from_raw(m, raw)
+    return _make(m, _fold(m, _phi(m), raw), 1)
 
 
 def character_group(group: FiniteSubgroup) -> list[tuple]:

@@ -8,6 +8,8 @@ Each round runs one operation over a fixed list of 49 operand pairs drawn
 by a seeded generator (coefficients p/q, |p| <= 9, 1 <= q <= 6); a fold
 reduces one dense integer raw of length n; ``minimal`` rewrites 49 such
 operands promoted to 2n, promoted to 3n, and at their own smallest field.
+``_image_field`` finds the prime p = 1 (mod n) below 2^61 and the root of
+order n behind the maps to F_p, with every cache cleared, prime proofs too.
 The conductors are those the survey and construct-check workloads multiply
 at.  The file name is outside the test_*.py pattern, so the default test
 run skips it.
@@ -87,3 +89,9 @@ def test_first_minimal_at_a_composite_conductor(benchmark):
     # cache of the module cleared, as in a fresh process
     x = Cyclotomic.zeta(1155) + Cyclotomic.zeta(1155, 7)
     assert benchmark.pedantic(x.minimal, setup=_clear_caches, rounds=3).n == 1155
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 12, 20, 60])
+def test_image_field(benchmark, n):
+    p, _ = benchmark.pedantic(cyclotomic._image_field, args=(n,), setup=_clear_caches, rounds=50)
+    assert p % n == 1 % n

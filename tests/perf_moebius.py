@@ -11,7 +11,8 @@ with their trace-formula count, from the cached orbit forms; the class sums
 of that count for every character (platonic._class_sums), from the cached
 Cayley graph: the conjugacy classes on its indices with one eigenvalue
 ratio per class (platonic._class_table), and each character walked as
-exponents of a root of unity.  The icosa member test at J-degree n = 1002 and 4002
+exponents of a root of unity; the trace-formula sum itself for every
+character at n = 10..40 (platonic._trace_sum), with the class sums warm.  The icosa member test at J-degree n = 1002 and 4002
 (platonic._member_meets, d = n - 1, trivial character) on the quotient P^1/G: the orbit
 images and their independence mod p (platonic._orbit_images), the syzygy's branch value
 (platonic._branch_value) and one short Euclid per seed.  Also the exact automorphism test of one
@@ -102,6 +103,14 @@ def test_class_sums(benchmark, kind):
     chars = platonic.character_group(group)
     sums = benchmark.pedantic(lambda: [platonic._class_sums(group, char) for char in chars], setup=cold, rounds=50)
     assert all(sums)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trace_sum(benchmark, kind):
+    group = platonic.platonic_group(kind)
+    cases = [(n, group, char) for char in platonic.character_group(group) for n in range(10, 41, 2)]
+    sums = benchmark(lambda: [platonic._trace_sum(*case) for case in cases])
+    assert all(s.is_rational() and s.nums[0] % group.order == 0 for s in sums)
 
 
 @pytest.mark.parametrize("kind", KINDS)

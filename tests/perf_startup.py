@@ -1,10 +1,12 @@
 """Cold-start benchmarks: fresh interpreter processes, each timed from the
 outside, with bytecode writing off (PYTHONDONTWRITEBYTECODE=1), so every
 run compiles the package from source as a first run after a checkout does.
-Three commands:
+Four commands:
 
 * ``import symloci.cli`` alone, the fixed cost every command pays;
 * ``symloci survey --d 8 --groups cyclic,dihedral``, a small family survey;
+* ``symloci survey --d 11 --groups platonic``, the three platonic groups'
+  tables, trace-formula counts and image-field primes built from nothing;
 * ``symloci check f5.json --group cyclic:4001``, where f5.json is the
   octa d = 5 map that ``construct`` writes: its first rotation fails, so
   the command exits 4 after testing one generator and two elements.
@@ -40,6 +42,7 @@ RUN_CLI = "import runpy\nsys.argv[0] = 'symloci'\nrunpy.run_module('symloci.cli'
 COMMANDS = {
     "import": (PEAK + "import symloci.cli\n", [], 0),
     "survey-d8-family": (PEAK + RUN_CLI, ["survey", "--d", "8", "--groups", "cyclic,dihedral"], 0),
+    "survey-d11-platonic": (PEAK + RUN_CLI, ["survey", "--d", "11", "--groups", "platonic"], 0),
     "check-cyclic-4001": (PEAK + RUN_CLI, ["check", "{f5}", "--group", "cyclic:4001"], 4),
 }
 

@@ -614,6 +614,48 @@ def test_trace_at_a_high_degree_is_the_sum_of_the_powers():
     assert platonic._trace(Fraction(1, 5), n) == Cyclotomic.from_raw(10, powers)
 
 
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_a_warm_trace_sum_makes_no_field_product_or_sum(kind, monkeypatch):
+    # with the class sums cached, each class sum times its trace is taken on
+    # the numerators and folded once; the value is the per-class formula's
+    group = platonic_group(kind)
+    cases = [(char, n) for char in character_group(group) for n in range(0, 61, 2)]
+    want = [
+        sum((s * platonic._trace(q, n) for q, s in platonic._class_sums(group, char).items()), Cyclotomic.rational(0))
+        for char, n in cases
+    ]
+    calls = []
+    real_mul, real_add = Cyclotomic.__mul__, Cyclotomic.__add__
+    monkeypatch.setattr(Cyclotomic, "__mul__", lambda x, y: calls.append("*") or real_mul(x, y))
+    monkeypatch.setattr(Cyclotomic, "__add__", lambda x, y: calls.append("+") or real_add(x, y))
+    got = [platonic._trace_sum(n, group, char) for char, n in cases]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_the_traces_and_class_sums_build_no_fraction(monkeypatch):
+    # both are read from integer counts; the class table (one angle per
+    # class) and the root-of-unity exponents are warm
+    groups = [platonic_group(kind) for kind in ("tetra", "octa", "icosa")]
+    sums = {(group, char): platonic._class_sums(group, char) for group in groups for char in character_group(group)}
+    traces = {(q, n): platonic._trace(q, n) for group in groups for q, _ in platonic._class_table(group)
+              for n in range(0, 125, 2)}
+    platonic._class_sums.cache_clear()
+    made, real = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or real(cls, *args, **kw))
+    got_sums = {key: platonic._class_sums(*key) for key in sums}
+    got_traces = {key: platonic._trace(*key) for key in traces}
+    assert made == []
+    monkeypatch.undo()
+    # the same canonical (n, nums, den) as before the caches were cleared
+    stored = lambda x: (x.n, x.nums, x.den)  # noqa: E731
+    assert {k: {q: stored(x) for q, x in v.items()} for k, v in got_sums.items()} == {
+        k: {q: stored(x) for q, x in v.items()} for k, v in sums.items()
+    }
+    assert {k: stored(x) for k, x in got_traces.items()} == {k: stored(x) for k, x in traces.items()}
+
+
 def test_orbit_powers_at_a_high_exponent():
     # the orbit forms of cyclic:2 are Y and X, so their powers are monomials
     # and exponent 1,500 costs little but depth: the image route's powers,

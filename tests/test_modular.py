@@ -167,6 +167,66 @@ def test_image_field_matches_the_divisor_scan():
         assert _image_field(n) == divisor_scan_image_field(n), n
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def oracle_is_prime(p):
+    """Deterministic Miller-Rabin on the prime bases 2..37 with no trial
+    division and no cache, each base's powers a^(t 2^j), j < s, listed in
+    full: the prime proof before the sieve and the stopping chain."""
+    if p < 38:
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s t, t odd
+    return all(
+        pow(a, (p - 1) >> s, p) == 1 or p - 1 in [pow(a, (p - 1) >> k, p) for k in range(s, 0, -1)]
+        for a in _MR_BASES
+    )
+
+
+def oracle_image_field(n):
+    """_image_field's search with the unsieved prime proof."""
+    p = (2**61 - 2) // n * n + 1
+    while not oracle_is_prime(p):
+        p -= n
+    return p, next(r for g in count(2) if _exact_order(r := pow(g, (p - 1) // n, p), n, p))
+
+
+def test_the_sieved_prime_proof_matches_the_full_chains_below_20000():
+    assert [n for n in range(-3, 20000) if _is_prime(n)] == [n for n in range(-3, 20000) if oracle_is_prime(n)]
+
+
+def test_the_sieved_prime_proof_matches_the_full_chains_below_2_61():
+    # the range the image fields search, odd n only, as every candidate p = 1 (mod n) is for n > 1
+    rng = random.Random(61)
+    for n in (rng.randrange(2**60, 2**61) | 1 for _ in range(2000)):
+        assert _is_prime(n) == oracle_is_prime(n), n
+
+
+@pytest.mark.parametrize(
+    "n, verdict",
+    [
+        (561, False),
+        (2047, False),
+        (3215031751, False),  # 151 * 751 * 28351: the sieve refuses it
+        (3825123056546413051, False),
+        ((2**31 - 1) * (2**61 - 1), False),
+        (2**31 - 1, True),
+        (2**61 - 1, True),
+        (2**89 - 1, True),
+        # 1287836182261 * 2575672364521, a strong pseudoprime to every base 2..37 with no factor
+        # below 256: past the bound of 3.3 * 10^24 both proofs call it prime
+        (3317044064679887385961981, True),
+    ],
+)
+def test_the_sieved_prime_proof_matches_the_full_chains_on_pseudoprimes(n, verdict):
+    assert _is_prime(n) == oracle_is_prime(n) == verdict
+
+
+def test_image_field_matches_the_unsieved_search():
+    for n in range(1, 301):
+        assert _image_field(n) == oracle_image_field(n), n
+
+
 def test_a_root_of_the_wrong_order_is_refused():
     p, r = _image_field(12)
     assert _exact_order(r, 12, p)

@@ -203,6 +203,53 @@ def test_existence():
     assert sorted(existence_residues("icosa", 60)) == [1, 11, 19, 29, 31, 41, 49, 59]
 
 
+def test_existence_matches_the_residues_up_to_600():
+    # A_4 needs d odd, S_4 gcd(d, 6) = 1, A_5 d = 1, 11, 19, 29 (mod 30)
+    from math import gcd
+
+    rules = {
+        "tetra": lambda d: d % 2 == 1,
+        "octa": lambda d: gcd(d, 6) == 1,
+        "icosa": lambda d: d % 30 in (1, 11, 19, 29),
+    }
+    for kind, rule in rules.items():
+        assert [d for d in range(2, 601) if platonic_existence(d, kind)] == [d for d in range(2, 601) if rule(d)], kind
+
+
+def oracle_existence_data(group):
+    """_existence_data by the old route: each of the 2^3 subsets of the
+    degenerate orbits added up as a Divisor, its degree read off."""
+    n, orbs = group.order, [div for div, _ in platonic._orbit_forms(group)[0]]
+    divs = [sum((orb for i, orb in enumerate(orbs) if mask >> i & 1), Divisor()) for mask in range(1 << len(orbs))]
+    return n, {deg % n: deg for deg in sorted((div.degree for div in divs), reverse=True)}
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa"])
+def test_existence_data_matches_the_divisor_sums(kind):
+    group = platonic_group(kind)
+    assert platonic._existence_data(group) == oracle_existence_data(group)
+
+
+def _relabelled_octa():
+    # octa conjugated by an SL_2(Z) matrix: other orbit points, the same sizes
+    group, m = platonic_group("octa"), MoebiusMap(2, 1, 1, 1)
+    inv = m.inverse()
+    return FiniteSubgroup([inv.compose(e).compose(m) for e in group.elements], label="octa-conjugate",
+                          generators=[inv.compose(g).compose(m) for g in group.generators])
+
+
+@pytest.mark.parametrize("kind", ["tetra", "octa", "icosa", "relabelled"])
+def test_existence_data_adds_no_divisors(kind, monkeypatch):
+    group = _relabelled_octa() if kind == "relabelled" else platonic_group(kind)
+    want = oracle_existence_data(group)  # also warms the orbit data
+    platonic._existence_data.cache_clear()
+    added, real = [], Divisor.__add__
+    monkeypatch.setattr(Divisor, "__add__", lambda x, y: added.append(1) or real(x, y))
+    got = platonic._existence_data(group)
+    assert added == []
+    assert got == want
+
+
 def test_invariant_locus_dimension_small():
     assert invariant_locus_dimension(5, "tetra") == 0
     assert invariant_locus_dimension(7, "tetra") == 1
