@@ -254,9 +254,6 @@ class Cyclotomic:
             return NotImplemented
         return _add(*self._common(other), sub)
 
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -296,9 +293,6 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -629,9 +623,6 @@ class ExactMatrix:
             invs.append(inv)
             r += 1
         return m, pivots, swaps, invs
-
-    def rank(self) -> int:
-        return len(self._eliminate()[1])
 
     def row_basis(self) -> list[list[Cyclotomic]]:
         """Reduced echelon basis of the row space, one row per pivot: 1 at

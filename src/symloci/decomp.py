@@ -20,7 +20,6 @@ from .forms import (
     DegreeMismatch,
     RationalMap,
     _coprime_images,
-    _proportional,
     form_gcd,
     multiple_zero_locus,
     partial_derivatives,
@@ -58,10 +57,6 @@ class FormPair:
             and self.H == other.H
             and self.J == other.J
         )
-
-    def proportional_to(self, other: FormPair) -> bool:
-        v, w = self.H.coeffs + self.J.coeffs, other.H.coeffs + other.J.coeffs
-        return self.d == other.d and _proportional(v, w)
 
     def to_json(self) -> dict:
         return {"d": self.d, "H": self.H.to_json(), "J": self.J.to_json()}

@@ -79,9 +79,6 @@ class BinaryForm:
             and all(a == b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
-
     def __add__(self, other):
         if self.degree != other.degree:
             raise DegreeMismatch("can only add forms of equal degree")
@@ -91,9 +88,6 @@ class BinaryForm:
         if self.degree != other.degree:
             raise DegreeMismatch("can only subtract forms of equal degree")
         return BinaryForm(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return BinaryForm(self.degree, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -439,9 +433,6 @@ class P1Point:
     def affine(cls, z) -> P1Point:
         return cls(_cy(z), _C1)
 
-    def is_infinity(self) -> bool:
-        return not self.y
-
     def __eq__(self, other):
         return isinstance(other, P1Point) and self.x == other.x and self.y == other.y
 
@@ -456,7 +447,7 @@ class P1Point:
         return p
 
     def __repr__(self):
-        return "[inf]" if self.is_infinity() else f"[{self.x!r}]"
+        return "[inf]" if not self.y else f"[{self.x!r}]"
 
 
 class Divisor:
@@ -501,9 +492,6 @@ class Divisor:
 
     def __eq__(self, other):
         return isinstance(other, Divisor) and self.terms == other.terms
-
-    def __len__(self):
-        return len(self.terms)
 
     def multiplicity(self, p: P1Point) -> int:
         return self.terms.get(p, 0)
@@ -561,9 +549,6 @@ class RationalMap:
 
     def coefficients(self) -> list[Cyclotomic]:
         return list(self.F.coeffs) + list(self.G.coeffs)
-
-    def apply(self, p: P1Point) -> P1Point:
-        return P1Point(self.F.evaluate(p.x, p.y), self.G.evaluate(p.x, p.y))
 
     def fixed_point_form(self) -> BinaryForm:
         """Y*F - X*G, the degree d+1 form vanishing at the fixed points."""

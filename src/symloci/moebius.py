@@ -140,10 +140,6 @@ class MoebiusMap:
     def to_json(self) -> dict:
         return {k: getattr(self, k).to_json() for k in ("a", "b", "c", "d")}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> MoebiusMap:
-        return cls(*(Cyclotomic.from_json(obj[k]) for k in ("a", "b", "c", "d")))
-
     def __repr__(self):
         return f"Moebius[{self.a!r}, {self.b!r}; {self.c!r}, {self.d!r}]"
 
@@ -235,16 +231,6 @@ class FiniteSubgroup:
                     seen.add(r)
                     points.append(r)
         return points
-
-    def stabilizer_order(self, p: P1Point) -> int:
-        return sum(1 for e in self.elements if e.apply(p) == p)
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "elements": [e.to_json() for e in self.elements]}
-
-    @classmethod
-    def from_json(cls, obj) -> FiniteSubgroup:
-        return cls([MoebiusMap.from_json(e) for e in obj["elements"]], obj.get("label", "unknown"))
 
     def __repr__(self):
         return f"FiniteSubgroup({self.label}, order {self.order})"

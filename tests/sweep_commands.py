@@ -14,15 +14,22 @@ none of them entered.  The commands:
   at 12) and two that exit 3;
 - on each of the 16 maps: ``check`` against its own group and against
   cyclic:4001, ``decomp`` both ways, ``resultant`` and ``aut``;
-- three usage errors;
+- commands that end in an error path: five usage errors (among them
+  ``construct`` of cyclic:1 and ``survey`` at d = 70 without
+  ``--allow-large``); a file that is not JSON and a map with no ``F``, each
+  given to ``check``, ``aut``, ``resultant`` and ``decomp``; ``check`` of
+  (X^2 : XY), outside Rat_d, and with ``--tolerance 0``; ``aut`` of a
+  degree-1 map and of (10^10 X^2 + Y^2 : XY), whose fixed points cluster;
 - each construct-check block of ``bench/workloads.py`` (construct, check,
   resultant, and resultant and aut of the conjugate) under each of the
   eight ``M_PANEL`` matrices; the conjugate is built outside the trace.
 
 A command that raises is reported and the sweep goes on.  Only calls made
-inside ``cli.main`` count, so a function that only the tests or the bench
-harness call is listed.  About 17 s on a 2-vCPU Xeon with Python 3.11; the
-file name is outside the test_*.py pattern, so the default test run skips it.
+while ``symloci.cli`` is imported (every command imports it, and it builds
+the parser then) or inside ``cli.main`` count, so a function that only the
+tests or the bench harness call is listed.  About 25 s on a 2-vCPU Xeon
+with Python 3.11; the file name is outside the test_*.py pattern, so the
+default test run skips it.
 """
 
 import contextlib
@@ -37,9 +44,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # bench.workloads
 
+entered = set()
+
+
+def _trace(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+
+sys.settrace(_trace)
 import symloci  # noqa: E402
-from bench.workloads import CONSTRUCT_CASES, M_PANEL  # noqa: E402
 from symloci.cli import main  # noqa: E402
+
+sys.settrace(None)
+from bench.workloads import CONSTRUCT_CASES, M_PANEL  # noqa: E402
 from symloci.forms import RationalMap  # noqa: E402
 from symloci.moebius import MoebiusMap, conjugate_map  # noqa: E402
 
@@ -49,14 +67,12 @@ MAPS = [
     ("dihedral:3", 7), ("dihedral:3", 11), ("cyclic:2:t=0", 12),
 ]
 NOT_REALIZABLE = [("tetra", 6), ("dihedral:5", 5)]
-USAGE_ERRORS = [["survey", "--d", "banana"], ["construct", "--d", "5", "--group", "frob"], ["resultant", "missing.json"]]
-
-entered = set()
-
-
-def _trace(frame, event, arg):
-    if event == "call":
-        entered.add(frame.f_code)
+USAGE_ERRORS = [
+    ["survey", "--d", "banana"], ["construct", "--d", "5", "--group", "frob"], ["resultant", "missing.json"],
+    ["construct", "--d", "5", "--group", "cyclic:1"], ["survey", "--d", "70"],
+]
+# name -> (num, den) in z, highest degree first, for the error paths of check and aut
+ERROR_MAPS = {"outside": ([1, 0, 0], [0, 1, 0]), "degree1": ([1, 0], [0, 1]), "clustered": ([10**10, 0, 1], [0, 1, 0])}
 
 
 def run(argv):
@@ -94,6 +110,17 @@ def commands(tmp: Path):
         run(["aut", str(path)])
     for argv in USAGE_ERRORS:
         run(argv)
+    files = {"garbage": "not json", "no-F": json.dumps({"map": {"G": {"degree": 0, "coeffs": []}}})}
+    files.update({name: json.dumps({"map": RationalMap.from_zpoly(*nd).to_json()}) for name, nd in ERROR_MAPS.items()})
+    for name, text in files.items():
+        (tmp / f"{name}.json").write_text(text)
+    for name in ("garbage", "no-F"):
+        for cmd in (["check", "--group", "tetra"], ["aut"], ["resultant"], ["decomp"]):
+            run([cmd[0], str(tmp / f"{name}.json"), *cmd[1:]])
+    run(["check", str(tmp / "outside.json"), "--group", "cyclic:2"])
+    run(["check", str(tmp / f"{MAPS[0][0]}-{MAPS[0][1]}.json"), "--group", MAPS[0][0], "--tolerance", "0"])
+    run(["aut", str(tmp / "degree1.json")])
+    run(["aut", str(tmp / "clustered.json")])
     for group, d in CONSTRUCT_CASES:
         for m in M_PANEL:
             path, conj = tmp / f"{group}{d}.json", tmp / f"{group}{d}-M.json"

@@ -227,7 +227,7 @@ def test_group_without_generators_falls_back_to_the_scan():
 
     phi, _ = construct_symmetric_map(5, "octa")
     for group in _catalog():
-        rebuilt = FiniteSubgroup.from_json(group.to_json())
+        rebuilt = FiniteSubgroup(group.elements, group.label)
         assert rebuilt.generators == []
         for psi in (phi, _perturbed(phi)):
             got = _verify_through_generators(psi, rebuilt)

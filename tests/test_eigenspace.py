@@ -672,10 +672,11 @@ def test_orbit_powers_at_a_high_exponent():
 
 
 def test_a_group_without_generators_is_a_value_error():
-    # a group read back from JSON has its elements but no generators, and
-    # the orbit characters are read per generator
-    group = FiniteSubgroup.from_json(standard_subgroup("octa").to_json())
-    with pytest.raises(ValueError, match="no generators"):
+    # a group given by its elements alone has no generators, and the orbit
+    # characters are read per generator; the message prints the group
+    octa = standard_subgroup("octa")
+    group = FiniteSubgroup(octa.elements, octa.label)
+    with pytest.raises(ValueError, match=r"^FiniteSubgroup\(octa, order 24\) has no generators"):
         character_eigenspace(6, group, ())
-    trivial = FiniteSubgroup.from_json(standard_subgroup("cyclic", 1).to_json())
+    trivial = FiniteSubgroup(standard_subgroup("cyclic", 1).elements)
     assert len(character_eigenspace(2, trivial, ())) == 3

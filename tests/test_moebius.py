@@ -393,7 +393,7 @@ def test_degenerate_orbit_structure():
         for div, stab in orbs:
             assert stab * div.degree == g.order
             p = div.support()[0]
-            assert g.stabilizer_order(p) == stab
+            assert sum(e.apply(p) == p for e in g.elements) == stab
 
 
 def test_degenerate_orbits_dihedral_cyclic():
@@ -447,7 +447,8 @@ def test_the_bfs_orbit_is_the_element_scan_orbit():
     groups += [standard_subgroup(kind) for kind in ("tetra", "octa", "icosa")]
     groups += [generate_closure(_conjugated(kind), cap=60) for kind in ("tetra", "octa", "icosa")]
     # a copy without generators keeps the element scan
-    groups.append(FiniteSubgroup.from_json(standard_subgroup("octa").to_json()))
+    octa = standard_subgroup("octa")
+    groups.append(FiniteSubgroup(octa.elements, octa.label))
     rational = [P1Point.affine(0), P1Point.infinity(), P1Point.affine(2), P1Point.affine(Fraction(-1, 3))]
     for group in groups:
         fixed = [p for e in group.elements[1:6] for p in e.fixed_points()]
@@ -472,9 +473,10 @@ def test_icosa_orbits_stop_early(monkeypatch):
     assert len(seen) < 10
 
 
-def test_group_json_roundtrip():
+def test_a_group_copied_without_generators_classifies():
     g = standard_subgroup("dihedral", 3)
-    g2 = FiniteSubgroup.from_json(g.to_json())
+    g2 = FiniteSubgroup(g.elements, g.label)
+    assert g.generators and not g2.generators
     assert g2.order == 6 and g2.label == "dihedral:3"
     assert classify_finite_subgroup(g2) == "dihedral:3"
 
@@ -502,4 +504,4 @@ def test_classification_of_every_catalog_group():
         expected = "cyclic:2" if group.label == "dihedral:1" else group.label
         assert classify_finite_subgroup(group) == expected
         assert classify_finite_subgroup(group) == expected  # census served from the cache
-        assert classify_finite_subgroup(FiniteSubgroup.from_json(group.to_json())) == expected
+        assert classify_finite_subgroup(FiniteSubgroup(group.elements, group.label)) == expected

@@ -1,6 +1,7 @@
 """The package namespace: every exported name resolves, importing the CLI
-loads no introspection modules, and the record types are plain tuple
-classes with the fields, defaults and JSON of the dataclasses they were."""
+loads no introspection modules, the record types are plain tuple classes
+with the fields, defaults and JSON of the dataclasses they were, and the
+README's library example prints what its comments say."""
 
 import contextlib
 import io
@@ -22,6 +23,7 @@ from symloci.moebius import MoebiusMap
 from symloci.platonic import OrbitCharacterRow, RelevantPair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 RECORDS = (AutReport, EigenformReport, SurveyRow, LocusReport, OrbitCharacterRow, RelevantPair)
 
 
@@ -100,3 +102,16 @@ def test_the_csv_header_is_the_survey_row_field_order():
     header, *rows = buf.getvalue().splitlines()
     assert header == ",".join(SurveyRow._fields) == "d,group,t,exists,dim_moduli,dim_ratd,components,s,dim_linalg,match"
     assert rows[-1] == "5,tetra,,True,0,,,,0,True"
+
+
+def test_the_readme_library_example_prints_what_its_comments_say():
+    # each print's output line begins the "# " comment on that print
+    code = README.read_text().split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    said = [line.partition("# ")[2] for line in code.splitlines() if line.startswith("print(")]
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(said) == 4
+    for line, comment in zip(printed, said):
+        assert comment.startswith(line), (line, comment)
