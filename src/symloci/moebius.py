@@ -1,16 +1,17 @@
 """Projective linear maps of P^1, finite subgroup machinery, conjugation.
 
 MoebiusMap stores an arbitrary 2x2 representative with nonzero determinant;
-equality is projective.  Closure generation keeps the raw composition
+equality is projective.  Closure generation finds the group on integers,
+as permutations of an orbit of three or more points, and composes the raw
 representatives (their determinants stay products of generator
-determinants, which keeps exact SL2 lifting available), and deduplicates
-through a normalized key.  The standard catalog covers the cyclic,
-dihedral, tetrahedral, octahedral and icosahedral rotation groups; the
-first two are listed lazily in closed form, as their closures list them.
+determinants, which keeps exact SL2 lifting available) on first read.  The
+standard catalog covers the cyclic, dihedral, tetrahedral, octahedral and
+icosahedral rotation groups; the first two are listed in closed form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import acos, pi
@@ -80,12 +81,8 @@ class MoebiusMap:
             return NotImplemented
         return _proportional(self.entries(), other.entries())
 
-    def key(self):
-        """Hashable canonical form: the normalized entries, each minimal."""
-        return tuple((e.n, e.nums, e.den) for e in (v.minimal() for v in _normalized(self.entries())))
-
-    def __hash__(self):
-        return hash(self.key())
+    def __hash__(self):  # a Cyclotomic hashes as its minimal form
+        return hash(tuple(_normalized(self.entries())))
 
     def projective_order(self, cap: int = 512) -> int:
         """Order in PGL2, the m of the eigenvalue ratio zeta_m^j (``_angle``);
@@ -178,21 +175,21 @@ def conjugate_map(phi: RationalMap, f: MoebiusMap) -> RationalMap:
 class FiniteSubgroup:
     """A finite subgroup of PGL2 as an explicit closed element list.
 
-    generators, when non-empty, generate elements; aut's generator route
-    relies on this to prove every element through the generators.  The
-    group is not mutated after construction, so its order census is
-    computed once, on first use, unless the caller knows it already.
-    elements may also be a function that yields them, given the census: the
-    order is then its total, and only a read of ``elements`` lists them all.
+    generators, when non-empty, generate elements; aut's generator route relies on this to prove
+    every element through the generators.  The group is not mutated after construction, so its
+    order census is computed once, on first use, unless the caller knows it already.  elements may
+    also be a function that yields them, given the census: the order is then its total, and only a
+    read of ``elements`` lists them all.  A closure knows its elements' Cayley indices (``_cayley``).
     """
 
-    __slots__ = ("_elements", "label", "generators", "_census")
+    __slots__ = ("_elements", "label", "generators", "_census", "_cayley")
 
     def __init__(self, elements, label="unknown", generators=None, census=None):
         self._elements = elements if callable(elements) else list(elements)
         self.label = label
         self.generators = list(generators) if generators else []
         self._census: dict[int, int] | None = census
+        self._cayley: list[int] | None = None
 
     @property
     def elements(self) -> list[MoebiusMap]:
@@ -210,30 +207,49 @@ class FiniteSubgroup:
     def order_census(self) -> dict[int, int]:
         """{element order: count}; a fresh copy of the cached census."""
         if self._census is None:
-            census: dict[int, int] = {}
-            for e in self.elements:
-                o = e.projective_order()
-                census[o] = census.get(o, 0) + 1
-            self._census = census
+            self._census = dict(Counter(e.projective_order() for e in self.elements))
         return dict(self._census)
 
     def orbit(self, p: P1Point) -> list[P1Point]:
         """G p, minimized, no repeats: p closed under the k generators by BFS
-        (k |G p| applications; ``platonic._orbit_forms`` relies on that
-        closure), or with none, the images of p under the elements."""
+        (k |G p| applications), or with none, the images of p under the
+        elements.  ``_coset_orbit`` lists it from a known stabilizer."""
         if not self.generators:
             return list(dict.fromkeys(e.apply(p).minimized() for e in self.elements))
-        points = [p.minimized()]
-        seen = set(points)
-        for q in points:
-            for g in self.generators:
-                if (r := g.apply(q).minimized()) not in seen:
-                    seen.add(r)
-                    points.append(r)
-        return points
+        return _bfs([p.minimized()], [lambda q, g=g: g.apply(q).minimized() for g in self.generators], self.order)[0]
 
     def __repr__(self):
         return f"FiniteSubgroup({self.label}, order {self.order})"
+
+
+class _Products:
+    """products[y] = products[x] g, or g products[x] if left, for first[y] = (x, g, left), composed
+    once, on first read; products[0] is the identity, and an index past the end an IndexError."""
+
+    def __init__(self, first):
+        self.first, self.made = first, {0: MoebiusMap.identity()}
+
+    def __getitem__(self, y):
+        if y not in self.made:
+            x, g, left = self.first[y]
+            self.made[y] = g.compose(self[x]) if left else self[x].compose(g)
+        return self.made[y]
+
+
+def _bfs(start: list, moves, cap: int) -> tuple:
+    """(items, edges, first): start closed under moves by BFS, items in the order found, edges[x][j]
+    the index of moves[j](items[x]), first[y] the first such (x, j); CapExceeded past cap items."""
+    items, index, edges, first = list(start), {s: k for k, s in enumerate(start)}, [], [None] * len(start)
+    for x, item in enumerate(items):
+        edges.append([])
+        for j, move in enumerate(moves):
+            if (y := index.setdefault(new := move(item), len(items))) == len(items):
+                items.append(new)
+                first.append((x, j))
+                if len(items) > cap:
+                    raise CapExceeded(f"closure exceeded cap {cap}")
+            edges[-1].append(y)
+    return items, edges, first
 
 
 # generator entries -> the tables of _cayley_graph, for the process's life
@@ -241,29 +257,27 @@ _CAYLEY: dict[tuple, tuple] = {}
 
 
 def _cayley_graph(gens, cap: int) -> tuple:
-    """(elements, right, rights, lefts): the identity and then the elements
-    in the order a BFS of right multiplications by the generators finds
-    them, each stored as that product; right[x][i], the index of elements[x]
-    gens[i]; rights[i][x] / lefts[i][x], that of elements[x] g / g elements[x]
-    for g the i-th of gens, then their inverses, g elements[x] by the first
-    edge into x.  |G| k products and keys for k generators, cached per
-    generator entries.  CapExceeded when |G| > cap: a cached graph larger
-    than cap is searched again, up to the cap."""
+    """(elements, right, rights, lefts, perms, powers) of <gens>, in the order of a BFS of right
+    multiplications by gens: elements[x], composed on first read by its first edge (``_Products``);
+    right[x][i], the index of elements[x] gens[i]; rights[i][x] / lefts[i][x], of elements[x] g /
+    g elements[x] for g the i-th of gens, then their inverses; powers[x], of elements[x]^1, ..., 1.
+    A map fixing three points is 1, so the group is found faithfully, with no matrix product, as the
+    permutations perms of the orbit of infinity, then of 0 and 1 until there are three points.
+    CapExceeded past cap points in an orbit or cap elements, cached or not; cached per gens entries."""
     key = tuple(tuple((v.n, v.nums, v.den) for v in g.entries()) for g in gens)
-    if key not in _CAYLEY or len(_CAYLEY[key][0]) > cap:
-        elements, right, index = [], [], {}
-
-        def find(h):
-            k = index.setdefault(h.key(), len(elements))
-            if k == len(elements):
-                elements.append(h)
-            return k
-
-        find(MoebiusMap.identity())
-        for h in elements:
-            if len(elements) > cap:
-                raise CapExceeded(f"closure exceeded cap {cap}")
-            right.append([find(h.compose(g)) for g in gens])
+    if key not in _CAYLEY:
+        points, images = [], []
+        for seed in (P1Point.infinity(), P1Point.affine(0), P1Point.affine(1)):
+            if len(points) < 3 and seed not in points:
+                orbit, edges, _ = _bfs([seed], [g.apply for g in gens], cap)
+                images += [[len(points) + y for y in row] for row in edges]
+                points += orbit
+        moves = [lambda h, g=g: tuple(map(h.__getitem__, g)) for g in zip(*images)]  # h g, g applied first
+        perms, right, first = _bfs([tuple(range(len(points)))], moves, cap)
+        where, powers = {p: x for x, p in enumerate(perms)}, [[x] for x in range(len(perms))]
+        for cycle in powers:
+            while cycle[-1]:
+                cycle.append(where[tuple(map(perms[cycle[-1]].__getitem__, perms[cycle[0]]))])
         rights = list(zip(*right))
         rights += [{y: x for x, y in enumerate(col)} for col in rights]
         lefts = [{0: col[0]} for col in rights]
@@ -271,7 +285,9 @@ def _cayley_graph(gens, cap: int) -> tuple:
             for i, y in enumerate(row):
                 for out in lefts:
                     out.setdefault(y, right[out[x]][i])
-        _CAYLEY[key] = elements, right, rights, lefts
+        _CAYLEY[key] = _Products([f and (f[0], gens[f[1]], False) for f in first]), right, rights, lefts, perms, powers
+    if len(_CAYLEY[key][1]) > cap:
+        raise CapExceeded(f"closure exceeded cap {cap}")
     return _CAYLEY[key]
 
 
@@ -281,22 +297,21 @@ def generate_closure(gens, cap: int = 512, label="unknown") -> FiniteSubgroup:
     The elements come in the order of a two-sided BFS from the identity:
     each element e, in the order found, tries e g then g e for each
     generator g, then each inverse, and keeps the first product reaching an
-    element.  It runs on the indices of the cached right Cayley graph
-    (``_cayley_graph``), so it composes only the |G| - 1 products it keeps.
+    element.  It runs on the indices of the cached Cayley graph
+    (``_cayley_graph``), whose cycles of powers give the census, and
+    composes the |G| - 1 products it keeps on first read.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     gens = list(gens)
+    _, _, rights, lefts, _, powers = _cayley_graph(gens, cap)
     gen_list = gens + [g.inverse() for g in gens]
-    rights, lefts = _cayley_graph(gens, cap)[2:]
-    found, queue = {0: MoebiusMap.identity()}, [0]
-    for x in queue:
-        for g, times_g, g_times in zip(gen_list, rights, lefts):
-            for y, a, b in ((times_g[x], found[x], g), (g_times[x], g, found[x])):
-                if y not in found:
-                    found[y] = a.compose(b)
-                    queue.append(y)
-    return FiniteSubgroup(list(found.values()), label=label, generators=gens)
+    queue, _, first = _bfs([0], [table.__getitem__ for pair in zip(rights, lefts) for table in pair], cap)
+    products = _Products([f and (f[0], gen_list[f[1] // 2], f[1] % 2) for f in first])  # x g, then g x
+    group = FiniteSubgroup(lambda: map(products.__getitem__, range(len(queue))), label, gens,
+                           dict(Counter(len(powers[y]) for y in queue)))
+    group._cayley = queue
+    return group
 
 
 def _rotation_group(m: int, dihedral: bool) -> FiniteSubgroup:
@@ -341,13 +356,13 @@ def standard_subgroup(kind: str, m: int | None = None) -> FiniteSubgroup:
     tetra:    <-z, i(z+1)/(z-1)>
     octa:     <iz, i(z+1)/(z-1)>
     icosa:    <eps z, T> with eps = zeta_5 and T the symmetric order-2 map
-              with entries in Q(zeta_5); validated by closure order 60.
+              with entries in Q(zeta_5), of order 60 under the cap 61.
 
-    The platonic groups are closed by ``generate_closure``; the cyclic and
-    dihedral ones are listed in closed form, as that closure lists them, on
-    first read, and know their order and census before.  Each (kind, m) is
-    built once per process and the same FiniteSubgroup is returned on later
-    calls; nothing in the package mutates one.
+    All know their order and census before their elements, built on first
+    read: the platonic groups by ``generate_closure``, the cyclic and
+    dihedral ones in closed form, as that closure lists them.  Each (kind, m)
+    is built once per process and the same FiniteSubgroup is returned on
+    later calls; nothing in the package mutates one.
     """
     return _standard_subgroup(kind.lower(), m)
 
@@ -365,12 +380,9 @@ def _standard_subgroup(kind: str, m: int | None) -> FiniteSubgroup:
     if kind == "octa":
         return generate_closure([MoebiusMap.scaling(i), rot3], cap=25, label="octa")
     if kind == "icosa":
-        eps = Cyclotomic.zeta(5)
-        e1, e4 = eps, Cyclotomic.zeta(5, 4)
-        e2, e3 = Cyclotomic.zeta(5, 2), Cyclotomic.zeta(5, 3)
-        s = MoebiusMap.scaling(eps)
-        t = MoebiusMap(-(e1 - e4), e2 - e3, e2 - e3, e1 - e4)
-        return generate_closure([s, t], cap=61, label="icosa")
+        e1, e2, e3, e4 = (Cyclotomic.zeta(5, k) for k in range(1, 5))
+        t = MoebiusMap(e4 - e1, e2 - e3, e2 - e3, e1 - e4)
+        return generate_closure([MoebiusMap.scaling(e1), t], cap=61, label="icosa")
     raise ValueError(f"unknown subgroup kind {kind!r}")
 
 
@@ -405,21 +417,41 @@ def degenerate_orbits(group: FiniteSubgroup) -> list[tuple[Divisor, int]]:
     stabilizer orders, sorted by orbit size: the orbits of the fixed points
     of non-identity elements, scanned in element order.  The scan stops once
     the orbits found satisfy Riemann-Hurwitz for P^1 -> P^1/G exactly,
-    sum (1 - 1/|G_p|) = 2 - 2/|G|, as no degenerate orbit is then left.
+    sum (1 - 1/|G_p|) = 2 - 2/|G|, as no degenerate orbit is then left.  A
+    closure lists each orbit by ``_coset_orbit``, other groups by ``orbit``.
     """
     target, total = 2 - Fraction(2, group.order), Fraction(0)
     covered: set[P1Point] = set()
     orbits: list[tuple[Divisor, int]] = []
-    for e in group.elements:
+    powers = group._cayley and _cayley_graph(group.generators, group.order)[5]
+    for e, x in zip(group, group._cayley or [None] * group.order):
         if total == target:
             break
         if e.is_identity():
             continue
         for p in e.fixed_points():
             if (p := p.minimized()) not in covered:
-                orbit = group.orbit(p)
+                stab = powers and max((c for c in powers if x in c), key=len)  # Stab(p) (``_coset_orbit``)
+                orbit = _coset_orbit(group, p, stab) if stab else group.orbit(p)
                 covered.update(orbit)
                 orbits.append((Divisor.of_points(orbit), group.order // len(orbit)))
                 total += 1 - Fraction(len(orbit), group.order)
     orbits.sort(key=lambda t: (t[0].degree, -t[1]))
     return orbits
+
+
+def _coset_orbit(group: FiniteSubgroup, p: P1Point, stab: list[int]) -> list[P1Point]:
+    """G p as ``FiniteSubgroup.orbit`` lists it, for a closure and the Cayley indices stab of Stab(p), in
+    |G p| - 1 applications: h p <-> h Stab(p), so the BFS runs on the cosets.  Point stabilizers of a
+    finite group are cyclic, and c != 1 of finite order has the fixed points of its powers other than 1,
+    so a fixed point of e has the largest <c> holding e.  |G p| |stab| = |G|, else AssertionError."""
+    _, _, _, lefts, perms, _ = _cayley_graph(group.generators, group.order)
+    where = {q: y for y, q in enumerate(perms)}
+    coset = lambda y: min(where[tuple(map(perms[y].__getitem__, perms[h]))] for h in stab)  # noqa: E731
+    moves = [lambda c, left=left: coset(left[c]) for left in lefts[: len(group.generators)]]
+    points = [p]
+    for x, j in _bfs([coset(0)], moves, group.order)[2][1:]:  # a coset's first edge gives its point
+        points.append(group.generators[j].apply(points[x]).minimized())
+    if len(set(points)) * len(stab) != group.order:
+        raise AssertionError(f"{group.label}: |G p| |Stab(p)| = {len(set(points))} * {len(stab)} is not |G|")
+    return points

@@ -28,7 +28,7 @@ from math import lcm
 from operator import mul
 
 from .aut import AutReport, _verify_through_generators
-from .cyclotomic import Cyclotomic, ExactMatrix, _fold, _images, _make, _phi, _root_exponent
+from .cyclotomic import Cyclotomic, ExactMatrix, _fold, _images, _make, _phi, _root_exponent, euler_phi
 from .decomp import FormPair, recompose_map
 from .forms import (
     BinaryForm,
@@ -38,10 +38,12 @@ from .forms import (
     _coprime_images,
     _product_mod,
     form_from_divisor,
+    partial_derivatives,
     substitute,
 )
 from .loci import NoMemberFound, SurveyRow, _seed_coefficients
-from .moebius import FiniteSubgroup, MoebiusMap, _angle, _cayley_graph, degenerate_orbits, standard_subgroup
+from .moebius import CapExceeded, FiniteSubgroup, MoebiusMap, _angle, _bfs, _cayley_graph, degenerate_orbits
+from .moebius import standard_subgroup
 
 _PLATONIC = ("tetra", "octa", "icosa")
 _ONE = Cyclotomic.rational(1)
@@ -304,17 +306,30 @@ def _orbit_forms(group: FiniteSubgroup) -> tuple:
     trivial group has no degenerate orbit; the forms X and Y serve it; any
     other group without generators has no characters: ValueError.
 
+    f_1 is the product of the smallest orbit's linear forms; f_2 and f_3 are Klein's covariants
+    Hessian(f_1) and Jacobian(f_1, f_2) where of the next orbits' sizes (Vorlesungen ueber das
+    Ikosaeder, 1884), else their products too.  A covariant of semi-invariants is one, so its zeros are
+    orbits: nonzero and 0 at a point of an orbit of its degree, it is that orbit's form up to a scalar,
+    else AssertionError.  All are normalized and minimized.
+
     No form is substituted: s = F(a x + b y, c x + d y) / F(x, y) for h =
     (a, b; c, d), at the first of (1:0), (0:1), (1:1), (2:1), ... off the
-    zeros of F.  This is exact: F is the product of its orbit's linear
-    forms, each once, and ``FiniteSubgroup.orbit`` closes the orbit under
-    the generator, so h maps it onto itself, and the zeros of F^h, the
-    h^-1 images of those of F, are those of F, simple; hence F^h = s F."""
+    zeros of F.  This is exact: the zeros of F are its orbit, each once,
+    and h maps the orbit onto itself, so the zeros of F^h, the h^-1 images
+    of those of F, are those of F, simple; hence F^h = s F."""
     if group.order > 1 and not group.generators:
         raise ValueError(f"{group!r} has no generators, and orbit characters are read per generator")
-    orbits = tuple(degenerate_orbits(group))
-    forms = tuple(form_from_divisor(div) for div, _ in orbits)
-    forms = forms or (BinaryForm.monomial(1, 0), BinaryForm.monomial(1, 1))
+    orbits, forms = tuple(degenerate_orbits(group)), []
+    for div, _ in orbits:
+        pair = partial_derivatives(forms[0]) if len(forms) == 1 else forms  # Hessian: Jacobian of the partials
+        if len(forms) not in (1, 2) or div.degree != sum(f.degree for f in pair) - 2:
+            forms.append(form_from_divisor(div))
+            continue
+        (fx, fy), (gx, gy), p = *map(partial_derivatives, pair), div.support()[0]
+        if (f := fx * gy - fy * gx).is_zero() or f.evaluate(p.x, p.y):
+            raise AssertionError(f"the degree-{div.degree} covariant is not the {group.label} orbit form")
+        forms.append(f.normalized().minimized())
+    forms = tuple(forms) or (BinaryForm.monomial(1, 0), BinaryForm.monomial(1, 1))
     # n + 1 points, of which a form of degree at most n misses one
     top = max(f.degree for f in forms)
     points = [(_ONE, Cyclotomic.rational(0))] + [(Cyclotomic.rational(k), _ONE) for k in range(top)]
@@ -379,20 +394,17 @@ def _class_table(group: FiniteSubgroup) -> tuple:
     """((q, ((x, size), ...)), ...): the conjugacy classes of group, the orbits of
     x -> g^-1 x g, g a generator, on the indices of the cached Cayley graph (``_cayley_graph``),
     each by a member x and its size, grouped by the class invariant q = j/m of the eigenvalue
-    ratio zeta_m^(+-j) (``_angle``): one division per class."""
-    elements, right, _, lefts = _cayley_graph(group.generators, group.order)
+    ratio zeta_m^(+-j), a primitive m-th root for x of order m: so 1/m where phi(m) <= 2, else read
+    off the member's matrix, composed on first read (``_angle``: one division per class)."""
+    elements, right, _, lefts, _, powers = _cayley_graph(group.generators, group.order)
+    moves = [lambda y, i=i, left=left: right[left[y]][i] for i, left in enumerate(lefts[len(group.generators):])]
     table, seen = {}, set()
-    for x, h in enumerate(elements):
-        if x in seen:
-            continue
-        members = [x]
-        seen.add(x)
-        for y in members:
-            for i, left in enumerate(lefts[len(group.generators):]):
-                if (z := right[left[y]][i]) not in seen:
-                    seen.add(z)
-                    members.append(z)
-        table.setdefault(_angle(h, group.order), []).append((x, len(members)))
+    for x in range(len(right)):
+        if x not in seen:
+            seen.update(members := _bfs([x], moves, group.order)[0])
+            m = len(powers[x])
+            q = Fraction(int(m > 1), m) if euler_phi(m) <= 2 else _angle(elements[x], group.order)
+            table.setdefault(q, []).append((x, len(members)))
     return tuple((q, tuple(classes)) for q, classes in table.items())
 
 
@@ -438,16 +450,11 @@ def character_group(group: FiniteSubgroup) -> list[tuple]:
 
 @lru_cache(maxsize=None)
 def _character_group(group: FiniteSubgroup) -> tuple[tuple, ...]:
-    chars = list(zip(*_orbit_forms(group)[2]))
-    elems = [tuple(Cyclotomic.rational(1) for _ in group.generators)]
-    for x in elems:
-        if len(elems) > group.order:
-            raise AssertionError(f"the {group.label} orbit characters generate more than |G| = {group.order}")
-        for char in chars:
-            y = tuple(a * b for a, b in zip(x, char))
-            if y not in elems:
-                elems.append(y)
-    return tuple(elems)
+    moves = [lambda x, char=char: tuple(a * b for a, b in zip(x, char)) for char in zip(*_orbit_forms(group)[2])]
+    try:
+        return tuple(_bfs([tuple(_ONE for _ in group.generators)], moves, group.order)[0])
+    except CapExceeded:
+        raise AssertionError(f"the {group.label} orbit characters generate more than |G| = {group.order}") from None
 
 
 def _branch_clash(j_orders: tuple, h_orders: tuple) -> bool:

@@ -1,7 +1,8 @@
 """Layer micro-benchmarks of the platonic set-up, per group: closing the
-generators (moebius.generate_closure), counting the element orders
-(FiniteSubgroup.order_census, each read off the element's eigenvalue
-ratio), finding the degenerate orbits (moebius.degenerate_orbits) and the
+generators (moebius.generate_closure, which finds the group as permutations
+and composes no element until one is read), counting the element orders
+from no census (FiniteSubgroup.order_census, each read off the element's
+eigenvalue ratio; a closure knows its census from the permutations), finding the degenerate orbits (moebius.degenerate_orbits) and the
 character table built from nothing cached (platonic.character_table over
 platonic._orbit_forms); on icosa's 30-point orbit, the BFS of
 FiniteSubgroup.orbit from one of its points and the orbit's form

@@ -1,14 +1,18 @@
 """Moebius maps, subgroup catalog, closure, conjugation, degenerate orbits."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from symloci import moebius
 from symloci.cyclotomic import Cyclotomic
-from symloci.forms import Divisor, P1Point, RationalMap
+from symloci.forms import Divisor, P1Point, RationalMap, _normalized
 from symloci.moebius import (
     CapExceeded,
     FiniteSubgroup,
@@ -66,6 +70,13 @@ def test_generate_closure_quoted_generators():
         generate_closure([MoebiusMap(1, 1, 0, 1)], cap=50)
 
 
+def projective_key(m):
+    """The normalized entries of m, each minimal: a hashable form of the map
+    up to scale, as the closure keyed its elements before it ran on
+    permutations (the deleted ``MoebiusMap.key``)."""
+    return tuple((e.n, e.nums, e.den) for e in (v.minimal() for v in _normalized(m.entries())))
+
+
 def _stored_entries(group):
     return [tuple((v.n, v.nums, v.den) for v in e.entries()) for e in group.elements]
 
@@ -76,7 +87,7 @@ def oracle_closure(gens, cap):
     g e for each generator g, then each inverse, keyed by its normalized
     entries."""
     ident = MoebiusMap.identity()
-    elements = {ident.key(): ident}
+    elements = {projective_key(ident): ident}
     frontier = [ident]
     gen_list = list(gens) + [g.inverse() for g in gens]
     while frontier:
@@ -84,7 +95,7 @@ def oracle_closure(gens, cap):
         for e in frontier:
             for g in gen_list:
                 for h in (e.compose(g), g.compose(e)):
-                    k = h.key()
+                    k = projective_key(h)
                     if k not in elements:
                         if len(elements) >= cap:
                             raise CapExceeded(f"closure exceeded cap {cap}")
@@ -505,3 +516,184 @@ def test_classification_of_every_catalog_group():
         assert classify_finite_subgroup(group) == expected
         assert classify_finite_subgroup(group) == expected  # census served from the cache
         assert classify_finite_subgroup(FiniteSubgroup(group.elements, group.label)) == expected
+
+
+def oracle_cayley_graph(gens, cap):
+    """The Cayley graph as ``moebius._cayley_graph`` found it on matrices
+    before it ran on permutations: a BFS of right multiplications, each
+    product composed and keyed by its normalized entries (``projective_key``),
+    and the same right, rights and lefts tables derived from it."""
+    elements, right, index = [], [], {}
+
+    def find(h):
+        k = index.setdefault(projective_key(h), len(elements))
+        if k == len(elements):
+            elements.append(h)
+        return k
+
+    find(MoebiusMap.identity())
+    for h in elements:
+        if len(elements) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
+        right.append([find(h.compose(g)) for g in gens])
+    rights = list(zip(*right))
+    rights += [{y: x for x, y in enumerate(col)} for col in rights]
+    lefts = [{0: col[0]} for col in rights]
+    for x, row in enumerate(right):
+        for i, y in enumerate(row):
+            for out in lefts:
+                out.setdefault(y, right[out[x]][i])
+    return elements, right, rights, lefts
+
+
+def _entries(elements):
+    return [tuple((v.n, v.nums, v.den) for v in e.entries()) for e in elements]
+
+
+def test_the_permutation_graph_is_the_key_bfs(monkeypatch):
+    # same elements (stored entries, in order), tables, powers and census,
+    # found from an empty graph cache; each element is composed on first read
+    monkeypatch.setattr(moebius, "_CAYLEY", {})
+    for name, gens in _closure_cases():
+        elements, right, rights, lefts = oracle_cayley_graph(gens, 61)
+        got = moebius._cayley_graph(gens, 61)
+        assert got[1:4] == (right, rights, lefts), name
+        assert not got[0].made.keys() - {0}, name  # nothing composed yet
+        assert _entries(got[0]) == _entries(elements), name
+        assert [len(c) for c in got[5]] == [oracle_projective_order(e) for e in elements], name
+        for x, cycle in enumerate(got[5]):  # the indices of elements[x]^1, ^2, ..., 1
+            power = elements[x]
+            for y in cycle:
+                assert projective_key(elements[y]) == projective_key(power), (name, x)
+                power = power.compose(elements[x])
+        census = Counter(e.projective_order() for e in oracle_closure(gens, 61).elements)
+        assert list(generate_closure(gens, cap=61).order_census().items()) == list(census.items()), name
+
+
+def test_a_closure_is_found_with_no_product_and_composed_on_first_read(monkeypatch):
+    monkeypatch.setattr(moebius, "_CAYLEY", {})
+    composed = []
+    real = MoebiusMap.compose
+    monkeypatch.setattr(MoebiusMap, "compose", lambda x, y: composed.append(1) or real(x, y))
+    for kind, order in (("tetra", 12), ("octa", 24), ("icosa", 60)):
+        group = generate_closure(standard_subgroup(kind).generators, cap=order)
+        census = group.order_census()
+        assert (group.order, sum(census.values()), composed) == (order, order, []), kind
+        assert sorted(group._cayley) == list(range(order)), kind
+        first = next(iter(group))
+        assert first.is_identity() and composed == [], kind
+        assert _entries(group.elements) == _entries(standard_subgroup(kind).elements), kind
+        assert len(composed) == order - 1, kind
+        assert _entries(group) == _entries(group.elements) and len(composed) == order - 1, kind
+        composed.clear()
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_groups_with_a_short_orbit_of_infinity_close_through_more_seeds(m):
+    # <-z>, <zeta_m z> and <zeta_m z, 1/z> fix infinity or swap it with 0, so
+    # the points are infinity, 0 and the orbit of 1
+    rotation = MoebiusMap.scaling(Cyclotomic.zeta(m))
+    dihedral = [rotation, MoebiusMap.inversion()]
+    cases = [([MoebiusMap.scaling(-1)], 2, 4), ([rotation], m, m + 2), (dihedral, 2 * m, m + 2)]
+    for gens, order, points in cases:
+        group = generate_closure(gens, cap=2 * m + 1)
+        perms = moebius._cayley_graph(gens, 2 * m + 1)[4]
+        assert (group.order, len(perms), len(perms[0])) == (order, order, max(points, 3)), (m, order)
+        assert group.order_census() == dict(Counter(oracle_projective_order(e) for e in group.elements))
+
+
+def test_an_element_of_infinite_order_generates_past_every_cap():
+    # z + 1 moves 0 to 1, 2, 3, ...: its orbit passes the cap, and nothing is cached
+    translation = MoebiusMap(1, 1, 0, 1)
+    for cap in (50, 512):
+        with pytest.raises(CapExceeded):
+            generate_closure([translation], cap=cap)
+    assert (tuple((v.n, v.nums, v.den) for v in translation.entries()),) not in moebius._CAYLEY
+    with pytest.raises(CapExceeded):
+        generate_closure([MoebiusMap(2, 1, 1, 1)])  # loxodromic
+
+
+def oracle_bfs_orbits(group):
+    """``degenerate_orbits`` as it was before the coset walk: the element
+    scan with the Riemann-Hurwitz stop, each orbit closed under the
+    generators by ``FiniteSubgroup.orbit``."""
+    target, total = 2 - Fraction(2, group.order), Fraction(0)
+    covered, orbits = set(), []
+    for e in group.elements:
+        if total == target:
+            break
+        for p in [] if e.is_identity() else e.fixed_points():
+            if (p := p.minimized()) not in covered:
+                orbit = group.orbit(p)
+                covered.update(orbit)
+                orbits.append((Divisor.of_points(orbit), group.order // len(orbit)))
+                total += 1 - Fraction(len(orbit), group.order)
+    orbits.sort(key=lambda t: (t[0].degree, -t[1]))
+    return orbits
+
+
+def _ordered_points(orbits):
+    return [([(p.x.n, p.x.nums, p.x.den, p.y.n, p.y.nums, p.y.den) for p in div.terms], stab) for div, stab in orbits]
+
+
+def test_the_coset_walk_lists_each_orbit_as_the_generator_bfs(monkeypatch):
+    closures = [generate_closure(standard_subgroup(kind).generators, cap=60) for kind in ("tetra", "octa", "icosa")]
+    closures += [generate_closure(_conjugated(kind), cap=60) for kind in ("tetra", "octa", "icosa")]
+    for m in range(1, 13):
+        for kind in ("cyclic", "dihedral"):
+            closures.append(generate_closure(standard_subgroup(kind, m).generators, cap=2 * m))
+    # S4 as <-z, i(z+1)/(z-1), iz>: its first scanned element -z is the square
+    # of iz, so Stab(0) is <iz>, not <-z>
+    i = Cyclotomic.zeta(4)
+    closures.append(generate_closure([MoebiusMap.scaling(-1), MoebiusMap(i, i, 1, -1), MoebiusMap.scaling(i)], cap=24))
+    rotations = [standard_subgroup(kind, m) for kind in ("cyclic", "dihedral") for m in range(1, 13)]
+    applied = []
+    real = MoebiusMap.apply
+    monkeypatch.setattr(MoebiusMap, "apply", lambda g, p: applied.append(1) or real(g, p))
+    for group in closures + rotations:
+        want = oracle_bfs_orbits(group)
+        applied.clear()
+        got = degenerate_orbits(group)
+        if group._cayley:  # |G p| - 1 applications per orbit, each point minimized once
+            assert len(applied) == sum(div.degree - 1 for div, _ in got), group
+        assert _ordered_points(got) == _ordered_points(want), group
+        assert _orbit_terms(got) == _orbit_terms(oracle_degenerate_orbits(group)), group
+
+
+def _octa_square_of_a_quarter_turn():
+    # (p, the power cycle of an order-4 rotation, that of its square e, a fixed point of e)
+    octa = generate_closure(standard_subgroup("octa").generators, cap=24, label="octa")
+    powers = moebius._cayley_graph(octa.generators, 24)[5]
+    quarter = next(c for c in powers if len(c) == 4)
+    e = moebius._cayley_graph(octa.generators, 24)[0][quarter[1]]
+    return octa, quarter, powers[quarter[1]], e.fixed_points()[0].minimized()
+
+
+def test_a_proper_power_taken_for_the_stabilizer_is_refused():
+    octa, quarter, square, p = _octa_square_of_a_quarter_turn()
+    assert len(square) == 2 and square[0] == quarter[1]
+    assert moebius._coset_orbit(octa, p, quarter) == octa.orbit(p) and len(octa.orbit(p)) == 6
+    with pytest.raises(AssertionError, match=r"\|G p\| \|Stab\(p\)\| = 6 \* 2 is not \|G\|"):
+        moebius._coset_orbit(octa, p, square)
+
+
+_WRONG_STABILIZER = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_moebius import _octa_square_of_a_quarter_turn
+from symloci import moebius
+octa, quarter, square, p = _octa_square_of_a_quarter_turn()
+try:
+    moebius._coset_orbit(octa, p, square)
+except AssertionError as exc:
+    print("refused:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_proper_power_is_refused_also_under_optimization(flags):
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(moebius.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *flags, "-c", _WRONG_STABILIZER.format(tests=tests)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and "refused: octa" in proc.stdout, proc.stdout + proc.stderr

@@ -1,12 +1,18 @@
 """Platonic symmetry: orbits, characters, relevant pairs, dimensions,
 construction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import symloci
 from symloci import forms, platonic
 from symloci.cyclotomic import Cyclotomic
 from symloci.decomp import decompose_map
-from symloci.forms import Divisor, P1Point, form_from_divisor
+from symloci.forms import BinaryForm, Divisor, P1Point, form_from_divisor
 from symloci.moebius import FiniteSubgroup, MoebiusMap, generate_closure, standard_subgroup
 from symloci.platonic import (
     ConstructionFailed,
@@ -596,3 +602,66 @@ sys.exit(0 if all([rejected(p) for p in probes]) else 1)
         "no orbit part times a form in U, V",
     ):
         assert message in proc.stdout, proc.stdout
+
+
+def _klein_cases():
+    groups = [platonic_group(kind) for kind in ("tetra", "octa", "icosa")]
+    groups += [_relabelled_octa()] + [standard_subgroup("dihedral", m) for m in range(2, 13)]
+    return groups
+
+
+def test_klein_covariants_are_the_orbit_products():
+    # f_2 = Hessian(f_1) and f_3 = Jacobian(f_1, f_2) where their degrees fit,
+    # equal to the products over the orbits value for value and stored
+    # conductor for conductor; the dihedral f_2 (Hessian of XY a constant) is
+    # the product, and its f_3 the Jacobian
+    for group in _klein_cases():
+        orbits, forms, _ = platonic._orbit_forms.__wrapped__(group)
+        want = [form_from_divisor(div) for div, _ in orbits]
+        assert [[(c.n, c.nums, c.den) for c in f.coeffs] for f in forms] == [
+            [(c.n, c.nums, c.den) for c in f.coeffs] for f in want
+        ], group
+
+
+def test_klein_covariants_multiply_out_no_orbit(monkeypatch):
+    # only the smallest orbit's form is a product of linear forms (dihedral: also f_2)
+    built = []
+    real = platonic.form_from_divisor
+    monkeypatch.setattr(platonic, "form_from_divisor", lambda div: built.append(div.degree) or real(div))
+    for group in _klein_cases():
+        built.clear()
+        platonic._orbit_forms.__wrapped__(group)
+        assert built == [2, group.order // 2] if group.label.startswith("dihedral") else len(built) == 1, group
+
+
+def _perturbed_partials(monkeypatch):
+    real = platonic.partial_derivatives
+    monkeypatch.setattr(platonic, "partial_derivatives",
+                        lambda f: tuple(d + BinaryForm.monomial(d.degree, 0) for d in real(f)))
+
+
+def test_a_covariant_that_misses_its_orbit_is_refused(monkeypatch):
+    _perturbed_partials(monkeypatch)
+    for group in _klein_cases()[:4]:
+        with pytest.raises(AssertionError, match="covariant is not the .* orbit form"):
+            platonic._orbit_forms.__wrapped__(group)
+
+
+_SURVEY_WITH_A_WRONG_COVARIANT = """
+import sys
+from symloci import platonic
+from symloci.cli import main
+from symloci.forms import BinaryForm
+real = platonic.partial_derivatives
+platonic.partial_derivatives = lambda f: tuple(d + BinaryForm.monomial(d.degree, 0) for d in real(f))
+sys.exit(main(["survey", "--groups", "icosa", "--d", "11"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_wrong_covariant_is_exit_2_also_under_optimization(flags):
+    src = str(Path(symloci.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *flags, "-c", _SURVEY_WITH_A_WRONG_COVARIANT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout + proc.stderr
+    assert "certification failed" in proc.stderr and "covariant is not the icosa orbit form" in proc.stderr
